@@ -1,11 +1,23 @@
 open Simtime
 
+(* Outstanding timers by id.  [reschedule_timers] re-arms them in table
+   order, and that order fixes the engine sequence numbers the re-armed
+   events get, so the table keeps the stdlib's [Hashtbl.hash] (seed 0) and
+   with it a stdlib [Hashtbl]'s bucket order.  Only the equality is
+   specialised to ints. *)
+module Timer_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   engine : Engine.t;
   mutable base_engine : Time.t;
   mutable base_local : Time.t;
   mutable rate : float;
-  timers : (int, timer) Hashtbl.t;
+  timers : timer Timer_tbl.t;
   mutable next_timer : int;
 }
 
@@ -27,7 +39,7 @@ let create engine ?(offset = Time.Span.zero) ?(drift = 0.) () =
     base_engine = now;
     base_local = Time.add now offset;
     rate = 1. +. drift;
-    timers = Hashtbl.create 16;
+    timers = Timer_tbl.create 16;
     next_timer = 0;
   }
 
@@ -85,7 +97,7 @@ and fire_timer c tm =
   if tm.live then begin
     if Time.(now c >= tm.deadline) then begin
       tm.live <- false;
-      Hashtbl.remove c.timers tm.id;
+      Timer_tbl.remove c.timers tm.id;
       tm.callback ()
     end
     else arm_timer c tm
@@ -95,7 +107,7 @@ and fire_timer c tm =
    or step.  [arm_timer] only touches the engine queue, never [c.timers],
    so iterating while re-arming is safe. *)
 let reschedule_timers c =
-  Hashtbl.iter
+  Timer_tbl.iter
     (fun _ tm ->
       (match tm.engine_event with Some h -> Engine.cancel h | None -> ());
       arm_timer c tm)
@@ -125,16 +137,16 @@ let schedule_at_local t ?(daemon = false) local callback =
     }
   in
   t.next_timer <- t.next_timer + 1;
-  Hashtbl.replace t.timers tm.id tm;
+  Timer_tbl.replace t.timers tm.id tm;
   arm_timer t tm;
   tm
 
 let cancel_timer tm =
   if tm.live then begin
     tm.live <- false;
-    Hashtbl.remove tm.owner.timers tm.id;
+    Timer_tbl.remove tm.owner.timers tm.id;
     (match tm.engine_event with Some h -> Engine.cancel h | None -> ());
     tm.engine_event <- None
   end
 
-let pending_local_timers t = Hashtbl.length t.timers
+let pending_local_timers t = Timer_tbl.length t.timers

@@ -62,16 +62,16 @@ type t = {
   c_approvals_answered : Stats.Counter.t;
   tracer : Trace.Sink.t;
   (* --- volatile state, reset by the crash hook --- *)
-  cache : (File_id.t, entry) Hashtbl.t;
+  cache : entry File_id.Tbl.t;
   mutable files_sorted : File_id.t list option;
       (** memoized [cached_files]; invalidated on cache membership change *)
   mutable rpcs : rpc list;
       (** in-flight RPCs, newest first.  Per-file serialisation keeps this
           to one entry per busy file — a handful at most — so a list scan
           on the reply path beats hashing the request id. *)
-  busy : (File_id.t, unit) Hashtbl.t;  (** files with a primary RPC in flight *)
-  op_queue : (File_id.t, queued_op Queue.t) Hashtbl.t;
-  renewals_in_flight : (Host_id.t, unit) Hashtbl.t;
+  busy : unit File_id.Tbl.t;  (** files with a primary RPC in flight *)
+  op_queue : queued_op Queue.t File_id.Tbl.t;
+  renewals_in_flight : unit Host_id.Tbl.t;
       (** servers with an anticipatory extension outstanding *)
   mutable next_req : int;
   mutable evict_next : Time.t;
@@ -111,14 +111,14 @@ let emit_client_lease t file (entry : entry) =
        })
 
 let holds_valid_lease t file =
-  match Hashtbl.find_opt t.cache file with
+  match File_id.Tbl.find_opt t.cache file with
   | Some entry -> not (Lease.expired entry.expiry ~now:(local_now t))
   | None -> false
 
-let cached_version t file = Option.map (fun e -> e.version) (Hashtbl.find_opt t.cache file)
-let cache_size t = Hashtbl.length t.cache
+let cached_version t file = Option.map (fun e -> e.version) (File_id.Tbl.find_opt t.cache file)
+let cache_size t = File_id.Tbl.length t.cache
 let inflight_rpcs t = List.length t.rpcs
-let queued_ops t = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.op_queue 0
+let queued_ops t = File_id.Tbl.fold (fun _ q acc -> acc + Queue.length q) t.op_queue 0
 
 (* ------------------------------------------------------------------ *)
 (* RPC plumbing                                                        *)
@@ -223,9 +223,9 @@ let maybe_evict t =
       let cutoff = Time.add now (Time.Span.neg grace) in
       let min_next = ref horizon in
       let victims =
-        Hashtbl.fold
+        File_id.Tbl.fold
           (fun file entry acc ->
-            if (not (Hashtbl.mem t.busy file)) && Lease.expired entry.expiry ~now:cutoff then
+            if (not (File_id.Tbl.mem t.busy file)) && Lease.expired entry.expiry ~now:cutoff then
               (file, entry) :: acc
             else begin
               (match entry.expiry with
@@ -241,7 +241,7 @@ let maybe_evict t =
         List.iter
           (fun (file, entry) ->
             cancel_renewal entry;
-            Hashtbl.remove t.cache file;
+            File_id.Tbl.remove t.cache file;
             Stats.Counter.incr t.c_evictions;
             if tracing t then
               emit t
@@ -253,21 +253,23 @@ let maybe_evict t =
       t.evict_next <- !min_next
     end
 
+let add_entry t file =
+  let entry = { version = Vstore.Version.initial; expiry = Lease.At Time.zero; renewal_timer = None } in
+  File_id.Tbl.add t.cache file entry;
+  t.files_sorted <- None;
+  note_expiry t entry.expiry;
+  entry
+
 let entry_for t file =
-  match Hashtbl.find t.cache file with
+  match File_id.Tbl.find t.cache file with
   | entry -> entry
-  | exception Not_found ->
-    let entry = { version = Vstore.Version.initial; expiry = Lease.At Time.zero; renewal_timer = None } in
-    Hashtbl.replace t.cache file entry;
-    t.files_sorted <- None;
-    note_expiry t entry.expiry;
-    entry
+  | exception Not_found -> add_entry t file
 
 let invalidate t file =
-  match Hashtbl.find_opt t.cache file with
+  match File_id.Tbl.find_opt t.cache file with
   | Some entry ->
     cancel_renewal entry;
-    Hashtbl.remove t.cache file;
+    File_id.Tbl.remove t.cache file;
     t.files_sorted <- None;
     if tracing t then
       emit t
@@ -285,7 +287,7 @@ let cached_files t =
   | Some files -> files
   | None ->
     let files =
-      Hashtbl.fold (fun file _ acc -> file :: acc) t.cache [] |> List.sort File_id.compare
+      File_id.Tbl.fold (fun file _ acc -> file :: acc) t.cache [] |> List.sort File_id.compare
     in
     t.files_sorted <- Some files;
     files
@@ -299,23 +301,23 @@ let cached_files t =
 let rec send_renewal t =
   profile_mark t Profile.Center.Client_renewal;
   if t.up then begin
-    let groups = Hashtbl.create 4 in
+    let groups = Host_id.Tbl.create 4 in
     let order = ref [] in
     List.iter
       (fun file ->
         let dst = t.route file in
-        match Hashtbl.find_opt groups dst with
-        | Some files -> Hashtbl.replace groups dst (file :: files)
+        match Host_id.Tbl.find_opt groups dst with
+        | Some files -> Host_id.Tbl.replace groups dst (file :: files)
         | None ->
           order := dst :: !order;
-          Hashtbl.replace groups dst [ file ])
+          Host_id.Tbl.replace groups dst [ file ])
       (cached_files t);
     List.iter
       (fun dst ->
-        if not (Hashtbl.mem t.renewals_in_flight dst) then begin
+        if not (Host_id.Tbl.mem t.renewals_in_flight dst) then begin
           Stats.Counter.incr t.c_renewals_sent;
-          Hashtbl.replace t.renewals_in_flight dst ();
-          let files = List.rev (Hashtbl.find groups dst) in
+          Host_id.Tbl.replace t.renewals_in_flight dst ();
+          let files = List.rev (Host_id.Tbl.find groups dst) in
           start_rpc t ~dst Rpc_renewal (Messages.Extend_request { req = fresh_req t; files })
         end)
       (List.rev !order)
@@ -327,23 +329,13 @@ and arm_renewal t file entry =
     cancel_renewal entry;
     let renew_at_local = Time.add expiry (Time.Span.neg lead) in
     let fire () =
-      if t.up && (match Hashtbl.find_opt t.cache file with Some e -> e == entry | None -> false)
+      if t.up && (match File_id.Tbl.find_opt t.cache file with Some e -> e == entry | None -> false)
       then send_renewal t
     in
     entry.renewal_timer <- Some (Clock.schedule_at_local t.clock renew_at_local fire)
   | Some _, Lease.Never | None, _ -> ()
 
-let apply_grant t (line : Messages.grant_line) =
-  match line.g_lease, Hashtbl.find_opt t.cache line.g_file with
-  | None, None ->
-    (* The server answered but granted nothing (zero term, or a write in
-       flight on the file) and we hold no copy.  There is nothing to serve
-       and nothing to protect: inserting the entry anyway would book a
-       never-leased probe as a cached file, permanently inflating
-       [cache_size] and the telemetry occupancy series. *)
-    ()
-  | _, _ ->
-  let entry = entry_for t line.g_file in
+let apply_grant_to t (line : Messages.grant_line) entry =
   (* Guard against resurrecting state that predates a write we already know
      about: server versions are monotone, so a grant carrying an older
      version was issued before that write and its lease died with it.  (The
@@ -367,6 +359,20 @@ let apply_grant t (line : Messages.grant_line) =
   arm_renewal t line.g_file entry
   end
 
+let apply_grant t (line : Messages.grant_line) =
+  match File_id.Tbl.find t.cache line.g_file with
+  | entry -> apply_grant_to t line entry
+  | exception Not_found -> (
+    match line.g_lease with
+    | None ->
+      (* The server answered but granted nothing (zero term, or a write in
+         flight on the file) and we hold no copy.  There is nothing to serve
+         and nothing to protect: inserting the entry anyway would book a
+         never-leased probe as a cached file, permanently inflating
+         [cache_size] and the telemetry occupancy series. *)
+      ()
+    | Some _ -> apply_grant_to t line (add_entry t line.g_file))
+
 (* ------------------------------------------------------------------ *)
 (* Operations
 
@@ -379,15 +385,15 @@ let apply_grant t (line : Messages.grant_line) =
    itself trusting stale data.  A real cache serialises file operations
    for the same reason. *)
 
-let is_busy t file = Hashtbl.mem t.busy file
+let is_busy t file = File_id.Tbl.mem t.busy file
 
 let enqueue_op t file op =
   let q =
-    match Hashtbl.find_opt t.op_queue file with
+    match File_id.Tbl.find_opt t.op_queue file with
     | Some q -> q
     | None ->
       let q = Queue.create () in
-      Hashtbl.replace t.op_queue file q;
+      File_id.Tbl.replace t.op_queue file q;
       q
   in
   Queue.push op q
@@ -396,7 +402,7 @@ let rec read t file ~k =
   if not t.up then ()
   else if is_busy t file then enqueue_op t file (Q_read k)
   else begin
-    match Hashtbl.find t.cache file with
+    match File_id.Tbl.find t.cache file with
     | entry when not (Lease.expired entry.expiry ~now:(local_now t)) ->
       Stats.Counter.incr t.c_hits;
       if tracing t then
@@ -417,7 +423,7 @@ let rec read t file ~k =
       if tracing t then
         emit t
           (Trace.Event.Cache_miss { host = Host_id.to_int t.host; file = File_id.to_int file });
-      Hashtbl.replace t.busy file ();
+      File_id.Tbl.replace t.busy file ();
       let dst = t.route file in
       let req = fresh_req t in
       let message =
@@ -446,7 +452,7 @@ let rec read t file ~k =
                 List.map
                   (fun f ->
                     let expiry =
-                      match Hashtbl.find_opt t.cache f with
+                      match File_id.Tbl.find_opt t.cache f with
                       | Some { expiry = Lease.At at; _ } -> Time.to_sec at
                       | Some { expiry = Lease.Never; _ } | None -> Float.infinity
                     in
@@ -477,7 +483,7 @@ and write t file ~k =
        copy" — that includes the writer itself: until the reply arrives the
        cached copy must not serve reads. *)
     invalidate t file;
-    Hashtbl.replace t.busy file ();
+    File_id.Tbl.replace t.busy file ();
     let req = fresh_req t in
     start_rpc t ~dst:(t.route file) (Rpc_write { file; k }) (Messages.Write_request { req; file })
   end
@@ -487,14 +493,14 @@ and write t file ~k =
    an operation goes back on the wire (marking the file busy) or the queue
    empties. *)
 and release t file =
-  Hashtbl.remove t.busy file;
+  File_id.Tbl.remove t.busy file;
   drain_queue t file
 
 and drain_queue t file =
   (* queues exist only while same-file operations overlap — almost never —
      so the common release pays one length load, not a hash probe *)
-  if Hashtbl.length t.op_queue > 0 && not (is_busy t file) then begin
-    match Hashtbl.find_opt t.op_queue file with
+  if File_id.Tbl.length t.op_queue > 0 && not (is_busy t file) then begin
+    match File_id.Tbl.find_opt t.op_queue file with
     | Some q when not (Queue.is_empty q) ->
       (match Queue.pop q with
       | Q_read k -> read t file ~k
@@ -531,7 +537,7 @@ let complete_read t rpc (granted : Messages.grant_line list) =
       start_rpc t ~dst:rpc.dst (Rpc_read { file; k })
         (Messages.Read_request { req = fresh_req t; file }))
   | Rpc_renewal ->
-    Hashtbl.remove t.renewals_in_flight rpc.dst;
+    Host_id.Tbl.remove t.renewals_in_flight rpc.dst;
     finish_rpc t rpc
   | Rpc_write _ -> ()
 
@@ -573,7 +579,7 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
       let now = local_now t in
       List.iter
         (fun (file, version) ->
-          match Hashtbl.find_opt t.cache file with
+          match File_id.Tbl.find_opt t.cache file with
           | Some entry when Vstore.Version.equal entry.version version ->
             let refreshed =
               Lease.client_expiry { Lease.term = Lease.Finite term } ~received_at:now
@@ -601,14 +607,14 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
 
 let on_crash t =
   t.up <- false;
-  Hashtbl.iter (fun _ entry -> cancel_renewal entry) t.cache;
-  Hashtbl.reset t.cache;
+  File_id.Tbl.iter (fun _ entry -> cancel_renewal entry) t.cache;
+  File_id.Tbl.reset t.cache;
   t.files_sorted <- None;
   List.iter (fun rpc -> match rpc.timer with Some h -> Engine.cancel h | None -> ()) t.rpcs;
   t.rpcs <- [];
-  Hashtbl.reset t.busy;
-  Hashtbl.reset t.op_queue;
-  Hashtbl.reset t.renewals_in_flight;
+  File_id.Tbl.reset t.busy;
+  File_id.Tbl.reset t.op_queue;
+  Host_id.Tbl.reset t.renewals_in_flight;
   t.evict_next <- horizon
 
 let on_recover t = t.up <- true
@@ -636,12 +642,12 @@ let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
       c_fallback_reads = Stats.Counter.Registry.counter counters "fallback-reads";
       c_approvals_answered = Stats.Counter.Registry.counter counters "approvals-answered";
       tracer;
-      cache = Hashtbl.create 16;
+      cache = File_id.Tbl.create 16;
       files_sorted = None;
       rpcs = [];
-      busy = Hashtbl.create 8;
-      op_queue = Hashtbl.create 8;
-      renewals_in_flight = Hashtbl.create 4;
+      busy = File_id.Tbl.create 8;
+      op_queue = File_id.Tbl.create 8;
+      renewals_in_flight = Host_id.Tbl.create 4;
       (* Request ids are globally unique, not merely per-client: the host
          index occupies the high bits, the per-client sequence the low 32,
          so a req doubles as the operation's correlation id in traces and

@@ -6,15 +6,27 @@ open Simtime
    reaches it (Time is microseconds in an int63). *)
 let horizon = Time.of_us max_int
 
+(* Holder table of a promoted slot.  It keeps the stdlib's [Hashtbl.hash]
+   (seed 0) rather than an identity hash, so its bucket order is exactly a
+   stdlib [Hashtbl]'s: a reap walks the table and emits one [lease-expire]
+   per record in that order, which makes the order part of the trace.  Only
+   the equality is specialised to ints. *)
+module Holder_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 (* Resident records of one file.  Most files only ever see a single holder
    (private and temporary files dominate real traces), so the single-record
    case is stored inline — four words, no hash table — and a slot is only
-   promoted to a Hashtbl when a second distinct holder shows up.  A
+   promoted to a [Holder_tbl] when a second distinct holder shows up.  A
    promoted slot never demotes: shared files stay shared. *)
 type holders =
   | No_holder
   | One of { mutable holder : int; mutable h_expiry : Lease.expiry }
-  | Many of (int, Lease.expiry) Hashtbl.t
+  | Many of Lease.expiry Holder_tbl.t
 
 (* Per-file slot.  [holders] contains only records that have not been
    reaped yet; [min_next] is a lower bound on the earliest finite expiry
@@ -47,7 +59,7 @@ let set_on_reap t f = t.on_reap <- f
 let holders_len = function
   | No_holder -> 0
   | One _ -> 1
-  | Many tbl -> Hashtbl.length tbl
+  | Many tbl -> Holder_tbl.length tbl
 
 let ensure t idx =
   let cap = Array.length t.slots in
@@ -83,9 +95,9 @@ let reap_slot t file slot ~now =
       else
         slot.min_next <- (match r.h_expiry with Lease.At at -> at | Lease.Never -> horizon)
     | Many tbl ->
-      let had = Hashtbl.length tbl in
+      let had = Holder_tbl.length tbl in
       let min_next = ref horizon in
-      Hashtbl.filter_map_inplace
+      Holder_tbl.filter_map_inplace
         (fun holder expiry ->
           if Lease.expired expiry ~now then begin
             t.records <- t.records - 1;
@@ -101,7 +113,7 @@ let reap_slot t file slot ~now =
           end)
         tbl;
       slot.min_next <- !min_next;
-      if had > 0 && Hashtbl.length tbl = 0 then t.files <- t.files - 1
+      if had > 0 && Holder_tbl.length tbl = 0 then t.files <- t.files - 1
   end
 
 (* The slot with every expired record removed, or [None] when the file has
@@ -132,17 +144,19 @@ let record t file holder expiry =
     slot.holders <- One { holder = h; h_expiry = expiry }
   | One r when r.holder = h -> r.h_expiry <- expiry
   | One r ->
-    let tbl = Hashtbl.create 8 in
-    Hashtbl.replace tbl r.holder r.h_expiry;
-    Hashtbl.replace tbl h expiry;
+    let tbl = Holder_tbl.create 8 in
+    Holder_tbl.replace tbl r.holder r.h_expiry;
+    Holder_tbl.replace tbl h expiry;
     t.records <- t.records + 1;
     slot.holders <- Many tbl
   | Many tbl ->
-    if not (Hashtbl.mem tbl h) then begin
-      if Hashtbl.length tbl = 0 then t.files <- t.files + 1;
+    (* one probe: the length tells whether [replace] added a holder *)
+    let before = Holder_tbl.length tbl in
+    Holder_tbl.replace tbl h expiry;
+    if Holder_tbl.length tbl > before then begin
+      if before = 0 then t.files <- t.files + 1;
       t.records <- t.records + 1
-    end;
-    Hashtbl.replace tbl h expiry);
+    end);
   match expiry with
   | Lease.At at -> if Time.(at < slot.min_next) then slot.min_next <- at
   | Lease.Never -> ()
@@ -160,10 +174,11 @@ let remove_holder t file holder =
       slot.min_next <- horizon
     | One _ -> ()
     | Many tbl ->
-      if Hashtbl.mem tbl h then begin
-        Hashtbl.remove tbl h;
+      let before = Holder_tbl.length tbl in
+      Holder_tbl.remove tbl h;
+      if Holder_tbl.length tbl < before then begin
         t.records <- t.records - 1;
-        if Hashtbl.length tbl = 0 then begin
+        if before = 1 then begin
           t.files <- t.files - 1;
           slot.min_next <- horizon
         end
@@ -182,13 +197,13 @@ let drop_file t file =
        about to be re-read, so the holder table is hot again immediately. *)
     (match slot.holders with
     | No_holder | One _ -> slot.holders <- No_holder
-    | Many tbl -> Hashtbl.reset tbl);
+    | Many tbl -> Holder_tbl.reset tbl);
     slot.min_next <- horizon
   | None -> ()
 
-(* Iteration order over a Hashtbl is unspecified, so every aggregate below
-   is either order-independent (count, max, set union) or explicitly sorted
-   — simulation determinism must not depend on hash layout. *)
+(* Iteration order over a holder table is unspecified, so every aggregate
+   below is either order-independent (count, max, set union) or explicitly
+   sorted — simulation determinism must not depend on hash layout. *)
 
 let fold_live t file ~now ~init ~f =
   match live_slot t file ~now with
@@ -198,7 +213,7 @@ let fold_live t file ~now ~init ~f =
     | No_holder -> init
     | One r -> f (Host_id.of_int r.holder) r.h_expiry init
     | Many tbl ->
-      Hashtbl.fold (fun holder expiry acc -> f (Host_id.of_int holder) expiry acc) tbl init)
+      Holder_tbl.fold (fun holder expiry acc -> f (Host_id.of_int holder) expiry acc) tbl init)
 
 (* After the reap every resident record is live, so the count is the slot
    length — the grant path's O(1). *)

@@ -3,11 +3,11 @@ module File_id = Vstore.File_id
 module Service = struct
   type t = {
     namespace : Vstore.Namespace.t;
-    pending : (File_id.t, (Vstore.Namespace.t -> unit) Queue.t) Hashtbl.t;
+    pending : (Vstore.Namespace.t -> unit) Queue.t File_id.Tbl.t;
   }
 
   let create ~fresh_id =
-    { namespace = Vstore.Namespace.create ~fresh_id; pending = Hashtbl.create 16 }
+    { namespace = Vstore.Namespace.create ~fresh_id; pending = File_id.Tbl.create 16 }
 
   let namespace t = t.namespace
   let make_directory t name = Vstore.Namespace.make_directory t.namespace name
@@ -15,22 +15,22 @@ module Service = struct
 
   let submit t ~dir_id mutation =
     let q =
-      match Hashtbl.find_opt t.pending dir_id with
+      match File_id.Tbl.find_opt t.pending dir_id with
       | Some q -> q
       | None ->
         let q = Queue.create () in
-        Hashtbl.replace t.pending dir_id q;
+        File_id.Tbl.replace t.pending dir_id q;
         q
     in
     Queue.push mutation q
 
   let on_commit t file _version =
-    match Hashtbl.find_opt t.pending file with
+    match File_id.Tbl.find_opt t.pending file with
     | Some q when not (Queue.is_empty q) -> (Queue.pop q) t.namespace
     | Some _ | None -> ()
 
   let pending t file =
-    match Hashtbl.find_opt t.pending file with Some q -> Queue.length q | None -> 0
+    match File_id.Tbl.find_opt t.pending file with Some q -> Queue.length q | None -> 0
 end
 
 module Cache = struct

@@ -16,6 +16,23 @@ type pending = {
 
 type queued_write = { q_writer : Host_id.t; q_req : Messages.req_id }
 
+(* Per-message tables are probed, or iterated only order-independently, so
+   they hash ints by identity instead of through the polymorphic hash. *)
+module Write_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Fun.id
+end)
+
+(* Committed writes by (writer, request id). *)
+module Applied_tbl = Hashtbl.Make (struct
+  type t = Host_id.t * Messages.req_id
+
+  let equal (w, r) (w', r') = Host_id.equal w w' && Int.equal r r'
+  let hash (w, r) = (Host_id.hash w * 65599) + r
+end)
+
 type t = {
   engine : Engine.t;
   clock : Clock.t;
@@ -41,10 +58,10 @@ type t = {
   on_commit : Vstore.File_id.t -> Vstore.Version.t -> unit;
   (* --- volatile state, reset by the crash hook --- *)
   leases : Lease_table.t;
-  pending : (File_id.t, pending) Hashtbl.t;
-  pending_by_id : (int, pending) Hashtbl.t;
-  queued : (File_id.t, queued_write Queue.t) Hashtbl.t;
-  applied : (Host_id.t * Messages.req_id, Vstore.Version.t) Hashtbl.t;
+  pending : pending File_id.Tbl.t;
+  pending_by_id : pending Write_tbl.t;
+  queued : queued_write Queue.t File_id.Tbl.t;
+  applied : Vstore.Version.t Applied_tbl.t;
   mutable next_write_id : int;
   mutable recovery_end : Time.t;  (** server-local; writes wait at least until here *)
   mutable recovered_at : Time.t;  (** server-local instant of last recovery *)
@@ -100,9 +117,14 @@ let is_installed t file = File_id.Set.mem file t.installed_set
 
 let live_leases t file = Lease_table.live_holders t.leases file ~now:(local_now t)
 
+(* Asked once per granted file; writes are rare next to grants, so the
+   common answer comes from two length loads without a probe. *)
 let has_pending_write t file =
-  Hashtbl.mem t.pending file
-  || (match Hashtbl.find_opt t.queued file with Some q -> not (Queue.is_empty q) | None -> false)
+  (File_id.Tbl.length t.pending > 0 && File_id.Tbl.mem t.pending file)
+  || File_id.Tbl.length t.queued > 0
+     && (match File_id.Tbl.find_opt t.queued file with
+        | Some q -> not (Queue.is_empty q)
+        | None -> false)
 
 let recovering t = Time.(local_now t < t.recovery_end)
 
@@ -283,8 +305,8 @@ let rec start_write t ~writer ~req file =
       }
     in
     t.next_write_id <- t.next_write_id + 1;
-    Hashtbl.replace t.pending file p;
-    Hashtbl.replace t.pending_by_id p.write_id p;
+    File_id.Tbl.replace t.pending file p;
+    Write_tbl.replace t.pending_by_id p.write_id p;
     (match t.obs with
     | Some o ->
       Breakdown.bump o.Breakdown.write_waits_by_file (File_id.to_int file);
@@ -313,7 +335,7 @@ and arm_expiry_timer t p =
   | Lease.At deadline ->
     let fire () =
       profile_mark t Profile.Center.Server_expiry;
-      if t.up && (match Hashtbl.find_opt t.pending p.p_file with Some q -> q == p | None -> false)
+      if t.up && (match File_id.Tbl.find_opt t.pending p.p_file with Some q -> q == p | None -> false)
       then begin
         (* Every covering lease has expired on the server clock: outstanding
            approvals are moot. *)
@@ -343,7 +365,7 @@ and send_approval_requests t p =
     let retry () =
       profile_mark t Profile.Center.Server_write;
       if t.up
-         && (match Hashtbl.find_opt t.pending p.p_file with Some q -> q == p | None -> false)
+         && (match File_id.Tbl.find_opt t.pending p.p_file with Some q -> q == p | None -> false)
          && not (Host_id.Set.is_empty p.waiting)
       then send_approval_requests t p
     in
@@ -364,8 +386,8 @@ and finish_pending t p =
     else begin
       (match p.expiry_timer with Some h -> Clock.cancel_timer h | None -> ());
       (match p.retry_timer with Some h -> Engine.cancel h | None -> ());
-      Hashtbl.remove t.pending p.p_file;
-      Hashtbl.remove t.pending_by_id p.write_id;
+      File_id.Tbl.remove t.pending p.p_file;
+      Write_tbl.remove t.pending_by_id p.write_id;
       commit_write t ~writer:p.writer ~req:p.writer_req ~write_id:(Some p.write_id) p.p_file
         ~arrived:p.arrived
     end
@@ -374,7 +396,7 @@ and finish_pending t p =
 and commit_write t ~writer ~req ~write_id file ~arrived =
   let version = Vstore.Store.commit t.store file ~at:(Engine.now t.engine) in
   t.on_commit file version;
-  Hashtbl.replace t.applied (writer, req) version;
+  Applied_tbl.replace t.applied (writer, req) version;
   let waited = Time.Span.to_sec (Time.diff (Engine.now t.engine) arrived) in
   Stats.Histogram.add t.write_wait waited;
   Stats.Counter.incr t.c_commits;
@@ -400,38 +422,38 @@ and commit_write t ~writer ~req ~write_id file ~arrived =
   send t ~dst:writer (Messages.Write_reply { req; file; version });
   (* Serve the next queued write, if any; a drained-empty queue is removed
      so [t.queued] stays bounded by the files with writes outstanding. *)
-  match Hashtbl.find_opt t.queued file with
+  match File_id.Tbl.find_opt t.queued file with
   | Some q when not (Queue.is_empty q) ->
     let { q_writer; q_req } = Queue.pop q in
-    if Queue.is_empty q then Hashtbl.remove t.queued file;
+    if Queue.is_empty q then File_id.Tbl.remove t.queued file;
     start_write t ~writer:q_writer ~req:q_req file
-  | Some _ -> Hashtbl.remove t.queued file
+  | Some _ -> File_id.Tbl.remove t.queued file
   | None -> ()
 
 let handle_write t ~writer ~req file =
-  match Hashtbl.find_opt t.applied (writer, req) with
+  match Applied_tbl.find_opt t.applied (writer, req) with
   | Some version ->
     (* Duplicate of an already-committed write: re-reply, do not re-apply. *)
     send t ~dst:writer (Messages.Write_reply { req; file; version })
   | None ->
     let in_progress =
-      match Hashtbl.find_opt t.pending file with
+      match File_id.Tbl.find_opt t.pending file with
       | Some p -> Host_id.equal p.writer writer && p.writer_req = req
       | None -> false
     in
     let queued_already =
-      match Hashtbl.find_opt t.queued file with
+      match File_id.Tbl.find_opt t.queued file with
       | Some q -> Queue.fold (fun acc w -> acc || (Host_id.equal w.q_writer writer && w.q_req = req)) false q
       | None -> false
     in
     if in_progress || queued_already then ()
     else if has_pending_write t file then begin
       let q =
-        match Hashtbl.find_opt t.queued file with
+        match File_id.Tbl.find_opt t.queued file with
         | Some q -> q
         | None ->
           let q = Queue.create () in
-          Hashtbl.replace t.queued file q;
+          File_id.Tbl.replace t.queued file q;
           q
       in
       Queue.push { q_writer = writer; q_req = req } q
@@ -439,7 +461,7 @@ let handle_write t ~writer ~req file =
     else start_write t ~writer ~req file
 
 let handle_approval t ~holder ~write_id file =
-  match Hashtbl.find_opt t.pending_by_id write_id with
+  match Write_tbl.find_opt t.pending_by_id write_id with
   | Some p when File_id.equal p.p_file file ->
     if Host_id.Set.mem holder p.waiting then begin
       p.waiting <- Host_id.Set.remove holder p.waiting;
@@ -562,15 +584,15 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
 let on_crash t =
   t.up <- false;
   Lease_table.clear t.leases;
-  Hashtbl.iter
+  File_id.Tbl.iter
     (fun _ p ->
       (match p.expiry_timer with Some h -> Clock.cancel_timer h | None -> ());
       match p.retry_timer with Some h -> Engine.cancel h | None -> ())
     t.pending;
-  Hashtbl.reset t.pending;
-  Hashtbl.reset t.pending_by_id;
-  Hashtbl.reset t.queued;
-  Hashtbl.reset t.applied;
+  File_id.Tbl.reset t.pending;
+  Write_tbl.reset t.pending_by_id;
+  File_id.Tbl.reset t.queued;
+  Applied_tbl.reset t.applied;
   t.installed_suspended <- File_id.Set.empty;
   t.installed_cover <- File_id.Map.empty;
   (match t.refresh_timer with Some h -> Engine.cancel h | None -> ());
@@ -623,10 +645,10 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
       tracer;
       on_commit;
       leases = Lease_table.create ();
-      pending = Hashtbl.create 32;
-      pending_by_id = Hashtbl.create 32;
-      queued = Hashtbl.create 32;
-      applied = Hashtbl.create 256;
+      pending = File_id.Tbl.create 32;
+      pending_by_id = Write_tbl.create 32;
+      queued = File_id.Tbl.create 32;
+      applied = Applied_tbl.create 256;
       (* Write ids are globally unique across shards: the server's host
          index occupies the high bits (host 0 — the single-server layout —
          keeps ids 0,1,2,... unchanged), so approval correlation ids in
@@ -684,9 +706,9 @@ let snapshot t =
     lease_files = occ.Lease_table.files;
     lease_records = occ.Lease_table.records;
     lease_records_live = occ.Lease_table.live_records;
-    pending_writes = Hashtbl.length t.pending;
-    queued_writes = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.queued 0;
-    queued_files = Hashtbl.length t.queued;
+    pending_writes = File_id.Tbl.length t.pending;
+    queued_writes = File_id.Tbl.fold (fun _ q acc -> acc + Queue.length q) t.queued 0;
+    queued_files = File_id.Tbl.length t.queued;
     recovering = recovering t;
     up = t.up;
   }

@@ -36,16 +36,16 @@ module Tracker = struct
     mutable last_update : Time.t;
   }
 
-  type t = { config : adaptive; files : (Vstore.File_id.t, file_stats) Hashtbl.t }
+  type t = { config : adaptive; files : file_stats Vstore.File_id.Tbl.t }
 
-  let create config = { config; files = Hashtbl.create 64 }
+  let create config = { config; files = Vstore.File_id.Tbl.create 64 }
 
   let stats t file =
-    match Hashtbl.find_opt t.files file with
+    match Vstore.File_id.Tbl.find_opt t.files file with
     | Some s -> s
     | None ->
       let s = { read_mass = 0.; write_mass = 0.; last_update = Time.zero } in
-      Hashtbl.add t.files file s;
+      Vstore.File_id.Tbl.add t.files file s;
       s
 
   let decay t (s : file_stats) ~now =

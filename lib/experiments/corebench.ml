@@ -1,7 +1,6 @@
 (* Simulation-core benchmarks: the event-queue and lease-table hot paths,
-   and end-to-end simulated-seconds-per-wallclock-second throughput.  Shared
-   by bench/main.ml (human-readable) and bin/bench_core.ml (BENCH_core.json)
-   so both report the same measurement. *)
+   and end-to-end simulated-seconds-per-wallclock-second throughput, as
+   reported by bin/bench_core.ml (BENCH_core.json). *)
 
 open Simtime
 

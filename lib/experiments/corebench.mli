@@ -1,5 +1,4 @@
-(** Simulation-core benchmarks shared by [bench/main.ml] and
-    [bin/bench_core.ml]: event-queue and lease-table microbenches, plus
+(** Simulation-core benchmarks behind [bin/bench_core.ml]: event-queue and lease-table microbenches, plus
     end-to-end simulated-seconds-per-wallclock-second throughput.
 
     Every function takes [timer], a monotonic wallclock in seconds

@@ -4,7 +4,7 @@
     server, each client workstation, or a fault injector impersonating
     one. *)
 
-type t
+type t [@@immediate]
 
 val of_int : int -> t
 (** Must be non-negative. *)
@@ -17,3 +17,9 @@ val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Identity-hashed tables: a probe is an int mask and an int compare, with
+    no call into the polymorphic hash or compare.  Bucket order differs from
+    a stdlib [Hashtbl]'s, so use [Tbl] only for tables that are probed, or
+    iterated in an order-independent way (sums, minima, sorted dumps). *)

@@ -4,10 +4,10 @@
     microseconds, which keeps the simulator deterministic: no floating-point
     accumulation error, and equality of instants is exact. *)
 
-type t
+type t [@@immediate]
 (** An absolute instant, in microseconds since the start of the simulation. *)
 
-type span
+type span [@@immediate]
 (** A duration in microseconds.  Spans may be negative (e.g. the result of
     [diff] between out-of-order instants); clamp with {!Span.max} when a
     non-negative duration is required. *)

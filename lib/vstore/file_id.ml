@@ -12,3 +12,10 @@ let pp ppf t = Format.fprintf ppf "file-%d" t
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = Int.equal
+  let hash = hash
+end)

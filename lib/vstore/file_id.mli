@@ -5,7 +5,7 @@
     notes a repeated [open] needs a lease over naming data too.  Directories
     therefore get file ids of their own (see {!Namespace}). *)
 
-type t
+type t [@@immediate]
 
 val of_int : int -> t
 (** Must be non-negative. *)
@@ -18,3 +18,9 @@ val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Identity-hashed tables: a probe is an int mask and an int compare, with
+    no call into the polymorphic hash or compare.  Bucket order differs from
+    a stdlib [Hashtbl]'s, so use [Tbl] only for tables that are probed, or
+    iterated in an order-independent way (sums, minima, sorted dumps). *)

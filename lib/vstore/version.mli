@@ -4,7 +4,7 @@
     observed, which is what the consistency oracle checks.  Version 0 is
     the initial (never-written) state of every file. *)
 
-type t
+type t [@@immediate]
 
 val initial : t
 val next : t -> t

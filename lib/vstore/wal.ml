@@ -5,11 +5,11 @@ type mode = Max_term_only | Detailed
 type t = {
   mode : mode;
   mutable max_term : Time.Span.t;
-  expiries : (File_id.t, Time.t) Hashtbl.t;
+  expiries : Time.t File_id.Tbl.t;
   mutable io_records : int;
 }
 
-let create mode = { mode; max_term = Time.Span.zero; expiries = Hashtbl.create 64; io_records = 0 }
+let create mode = { mode; max_term = Time.Span.zero; expiries = File_id.Tbl.create 64; io_records = 0 }
 
 let mode t = t.mode
 
@@ -22,12 +22,12 @@ let record_grant t file ~term ~expiry =
     end
   | Detailed ->
     let later_than_known =
-      match Hashtbl.find_opt t.expiries file with
+      match File_id.Tbl.find_opt t.expiries file with
       | Some known -> Time.(expiry > known)
       | None -> true
     in
     if later_than_known then begin
-      Hashtbl.replace t.expiries file expiry;
+      File_id.Tbl.replace t.expiries file expiry;
       t.io_records <- t.io_records + 1
     end);
   if Time.Span.(term > t.max_term) then t.max_term <- term
@@ -38,7 +38,7 @@ let recovery_wait_for t file ~recovered_at =
   match t.mode with
   | Max_term_only -> t.max_term
   | Detailed -> (
-    match Hashtbl.find_opt t.expiries file with
+    match File_id.Tbl.find_opt t.expiries file with
     | None -> Time.Span.zero
     | Some expiry -> Time.Span.clamp_non_negative (Time.diff expiry recovered_at))
 

@@ -112,20 +112,36 @@ let prop_event_queue_interleaved =
 (* The reworked [Lease_table] reaps expired records for good — lazily on
    access and in bulk from sweeps — instead of filtering an append-only
    table at every query.  Reaping must be semantically invisible: every
-   live-filtered aggregate has to agree with a naive model that never
-   forgets a record and filters by expiry at query time, under arbitrary
+   live-filtered aggregate has to agree with a naive model, under arbitrary
    interleavings of record / remove / drop-file / sweep and a monotone
-   query clock.  (Backwards server steps, where the reaping table
+   query clock.  The model drops a record once it expires, and the table's
+   [on_reap] callbacks must report exactly those records: every file is
+   queried after every step, so each expiry is reaped in the step it
+   happens.  Up to 41 holders per file, with records the common operation,
+   grow shared slots past their initial 8 buckets so that holder tables
+   resize mid-script.  (Backwards server steps, where the reaping table
    {e deliberately} diverges by staying forgetful, are exercised by the
    fault campaign and documented in the interface.) *)
+let lease_table_script =
+  let open QCheck.Gen in
+  (* 0 record, 2 remove, 3 drop-file, 4 sweep, 5 advance the clock *)
+  let op = frequency [ (16, return 0); (2, return 2); (1, return 3); (1, return 4); (2, return 5) ] in
+  QCheck.make
+    ~print:QCheck.Print.(list (quad int int int int))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 100 400) (quad op (int_bound 3) (int_bound 40) (int_bound 60)))
+
 let prop_lease_table_model =
   QCheck.Test.make ~name:"lease table: reaping invisible to live queries" ~count:300
-    QCheck.(list (quad (int_bound 5) (int_bound 3) (int_bound 4) (int_bound 60)))
+    lease_table_script
     (fun script ->
       let open Leases in
       let t = Lease_table.create () in
-      (* model: ((file, holder), expiry) assoc list, one entry per pair *)
+      (* model: ((file, holder), expiry) assoc list, one entry per resident pair *)
       let model = ref [] in
+      let reaped = ref [] in
+      Lease_table.set_on_reap t (fun f h e ->
+          reaped := ((Vstore.File_id.to_int f, Host.Host_id.to_int h), e) :: !reaped);
       let now = ref (sec 0.) in
       let ok = ref true in
       let file i = Vstore.File_id.of_int i in
@@ -157,9 +173,11 @@ let prop_lease_table_model =
       in
       let step (op, f, h, x) =
         (match op with
-        | 0 | 1 ->
-          (* record (weighted: the common operation); occasionally Never *)
-          let e = if x mod 7 = 0 then Lease.Never else Lease.At (sec (float_of_int x)) in
+        | 0 ->
+          (* occasionally Never; an offset of 0 records an already-expired lease *)
+          let e =
+            if x mod 7 = 0 then Lease.Never else Lease.At (Time.add !now (span (float_of_int x)))
+          in
           Lease_table.record t (file f) (host h) e;
           model := ((f, h), e) :: List.remove_assoc (f, h) !model
         | 2 ->
@@ -176,7 +194,11 @@ let prop_lease_table_model =
         (* [occupancy] sweeps as a side effect; checking it after every op
            would keep the table freshly swept and starve the lazy
            reap-on-access path, so only audit it where a sweep happened *)
-        if op = 4 then check_occupancy ()
+        if op = 4 then check_occupancy ();
+        let expired, kept = List.partition (fun (_, e) -> Lease.expired e ~now:!now) !model in
+        model := kept;
+        if List.sort compare !reaped <> List.sort compare expired then ok := false;
+        reaped := []
       in
       List.iter step script;
       check_occupancy ();

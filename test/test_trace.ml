@@ -318,6 +318,50 @@ let test_fast_server_clock_caught () =
   Alcotest.(check bool) "oracle agrees it is a real violation" true
     (m.Leases.Metrics.oracle_violations >= 1)
 
+(* --- trace-order golden ---------------------------------------------------- *)
+
+(* Pins the exact encoded event stream of a faulted 20-client run, so any
+   change to the order in which tables are iterated (lease reaps, timer
+   re-arms after a clock fault, retransmissions under loss) shows up here
+   even when every metric stays the same.  Equivalent to
+   [simulate -p leases -t 10 -n 20 -d 600 -s 5 --loss 0.02
+    --fault server-drift=100,0.01 --fault crash-client=3,200,30 --trace F]. *)
+let test_trace_order_golden () =
+  let trace =
+    (Experiments.V_trace.poisson ~seed:5L ~clients:20 ~duration:(Time.Span.of_sec 600.) ())
+      .Experiments.V_trace.trace
+  in
+  let out = Buffer.create (1 lsl 24) in
+  let events = ref 0 in
+  let sink =
+    {
+      Trace.Sink.enabled = true;
+      push =
+        (fun e ->
+          incr events;
+          Buffer.add_string out (Trace.Codec.encode e);
+          Buffer.add_char out '\n');
+      flush = ignore;
+    }
+  in
+  let setup =
+    {
+      (Experiments.Runner.lease_setup ~n_clients:20 ~term:(Analytic.Model.Finite 10.) ()) with
+      Leases.Sim.seed = 5L;
+      loss = 0.02;
+      tracer = sink;
+      faults =
+        [
+          Leases.Sim.Server_drift { shard = 0; at = sec 100.; drift = 0.01 };
+          Leases.Sim.Crash_client { client = 3; at = sec 200.; duration = Time.Span.of_sec 30. };
+        ];
+    }
+  in
+  ignore (Experiments.Runner.run_lease setup trace);
+  Alcotest.(check int) "event count" 248_285 !events;
+  Alcotest.(check string) "stream digest" "d7fd4b630926f7162bc21698fd159ad9"
+    (Digest.to_hex (Digest.string (Buffer.contents out)))
+
 (* --- critical path: phase-partition conservation under faults ----------- *)
 
 (* Attributed phases must sum to each completed operation's client-observed
@@ -409,6 +453,7 @@ let () =
         [
           Alcotest.test_case "clean run has no violations" `Quick test_clean_run_no_violations;
           Alcotest.test_case "fast server clock caught" `Quick test_fast_server_clock_caught;
+          Alcotest.test_case "trace-order golden" `Quick test_trace_order_golden;
           QCheck_alcotest.to_alcotest prop_phase_conservation;
         ] );
     ]
