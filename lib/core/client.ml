@@ -132,7 +132,7 @@ let send_to t ~dst payload = Netsim.Net.send t.net ~src:t.host ~dst payload
    not retry in lockstep forever — the recovering server sees the herd
    spread over the backoff window instead of in one burst. *)
 let retry_delay t rpc =
-  let doublings = min rpc.tries 20 in
+  let doublings = Int.min rpc.tries 20 in
   let base = Time.Span.scale (Float.of_int (1 lsl doublings)) t.config.retry_interval in
   let capped = Time.Span.min base t.config.retry_max_interval in
   match t.rng with

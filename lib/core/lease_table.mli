@@ -1,15 +1,18 @@
 (** The server's volatile per-file lease-holder table.
 
     An int-keyed mutable layout: a growable array indexed by file id, each
-    slot holding a holder-id -> server-local-expiry hash table plus the
-    earliest finite expiry among its records.  Records whose expiry the
-    server clock has passed are {e reaped} — removed for good — lazily on
-    the next access to the file and in bulk by the server's periodic
-    {!sweep}, so every aggregate here costs time proportional to the
-    file's {e live} holders, never to its lifetime holder history.  The
-    per-message hot path ([record]/[remove_holder]/[drop_file]) is O(1)
-    amortized, and [live_count] — the grant path's only aggregate — is a
-    reap check plus a table length.
+    slot holding its records inline while the file has one holder, and a
+    holder -> server-local-expiry table plus an expiry min-heap once it has
+    had two.  Records whose expiry the server clock has passed are
+    {e reaped} — removed for good — lazily on the next access to the file
+    and in bulk by the server's periodic {!sweep}.  A shared file reaps by
+    popping its heap's expired (expiry, holder) entries, not by rescanning
+    its holders, so a reap costs O(log n) per popped entry and every
+    aggregate here costs time proportional to the file's {e live} holders,
+    never to its lifetime holder history.  The per-message hot path
+    ([record]/[remove_holder]/[drop_file]) is O(1) amortized plus one heap
+    push, and [live_count] — the grant path's only aggregate — is a reap
+    check plus a table length.
 
     Reaping is semantically invisible to every query (an expired record
     was already excluded from all of them); its one observable effect is
@@ -21,7 +24,8 @@
     never mistaken for releases.
 
     All aggregates are deterministic: order-independent folds, or results
-    sorted by holder id.
+    sorted by holder id.  Reaps report their records in (expiry, holder)
+    order, so no result depends on hash layout.
 
     The table is volatile server state — [clear] restores the just-crashed
     empty state (leases survive only in the WAL, as recovery deadlines). *)
@@ -33,7 +37,9 @@ val create : unit -> t
 val set_on_reap : t -> (Vstore.File_id.t -> Host.Host_id.t -> Lease.expiry -> unit) -> unit
 (** Install the per-reaped-record hook (default: ignore).  Called inside
     the reap pass, once per removed record; it must not re-enter the
-    table.  The server uses it to emit [lease-expire] trace events. *)
+    table.  One pass reaps one file, and reports its records in ascending
+    (expiry, holder) order; a {!sweep} passes over files in ascending id
+    order.  The server uses it to emit [lease-expire] trace events. *)
 
 val record : t -> Vstore.File_id.t -> Host.Host_id.t -> Lease.expiry -> unit
 (** Upsert one holder's lease on a file. *)

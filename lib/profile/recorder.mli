@@ -27,8 +27,9 @@ val create :
 (** [create ~timer ()] makes an enabled recorder.  [timer] is a monotonic
     wallclock in seconds (the library stays clock-agnostic, like
     [Experiments.Corebench]).  [words] returns cumulative (minor, major) GC
-    words and defaults to [Gc.quick_stat]; tests inject deterministic
-    counters through both hooks to get byte-identical reports.
+    words of the calling domain and defaults to [Gc.counters]; tests
+    inject deterministic counters through both hooks to get byte-identical
+    reports.
     [interval_s] is the sim-time cadence of engine-health samples (default
     10 s, matching the telemetry sampler).  Raises [Invalid_argument] on a
     non-positive interval. *)

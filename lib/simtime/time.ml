@@ -18,8 +18,10 @@ let ( <= ) (a : int) b = Stdlib.( <= ) a b
 let ( < ) (a : int) b = Stdlib.( < ) a b
 let ( >= ) (a : int) b = Stdlib.( >= ) a b
 let ( > ) (a : int) b = Stdlib.( > ) a b
-let min (a : int) b = Stdlib.min a b
-let max (a : int) b = Stdlib.max a b
+(* Written out rather than [Stdlib.min]/[max]: those are polymorphic and
+   compare through the C [caml_lessequal]/[caml_greaterequal] even on ints. *)
+let min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
 
 let us_per_sec = 1_000_000.
 
@@ -68,8 +70,8 @@ module Span = struct
   let ( < ) (a : int) b = Stdlib.( < ) a b
   let ( >= ) (a : int) b = Stdlib.( >= ) a b
   let ( > ) (a : int) b = Stdlib.( > ) a b
-  let min (a : int) b = Stdlib.min a b
-  let max (a : int) b = Stdlib.max a b
+  let min (a : int) b = if a <= b then a else b
+  let max (a : int) b = if a >= b then a else b
   let is_negative t = t < zero
   let clamp_non_negative t = max zero t
   let since_epoch t = t

@@ -113,32 +113,43 @@ let prop_event_queue_interleaved =
    access and in bulk from sweeps — instead of filtering an append-only
    table at every query.  Reaping must be semantically invisible: every
    live-filtered aggregate has to agree with a naive model, under arbitrary
-   interleavings of record / remove / drop-file / sweep and a monotone
-   query clock.  The model drops a record once it expires, and the table's
-   [on_reap] callbacks must report exactly those records: every file is
-   queried after every step, so each expiry is reaped in the step it
-   happens.  Up to 41 holders per file, with records the common operation,
-   grow shared slots past their initial 8 buckets so that holder tables
-   resize mid-script.  (Backwards server steps, where the reaping table
-   {e deliberately} diverges by staying forgetful, are exercised by the
-   fault campaign and documented in the interface.) *)
+   interleavings of record / re-record / remove / drop-file / sweep and a
+   monotone query clock.  The model drops a record once it expires, and the
+   table's [on_reap] callbacks must report exactly those records, each
+   file's in ascending (expiry, holder) order: every file is queried after
+   every step, so each expiry is reaped in the step it happens.  Up to 41
+   holders per file, with records the common operation, grow shared slots
+   past their initial 8 buckets so that holder tables resize mid-script.  A
+   narrow script uses only 3 holders, so the same records are re-recorded
+   over and over: a shared slot's expiry heap fills with stale entries
+   until it is rebuilt from the holder table.  Re-records also move a
+   resident expiry earlier, turn it into [Never] and back, which leaves
+   stale heap entries both before and after the current one.  (Backwards
+   server steps, where the reaping table {e deliberately} diverges by
+   staying forgetful, are exercised by the fault campaign and documented in
+   the interface.) *)
 let lease_table_script =
   let open QCheck.Gen in
-  (* 0 record, 2 remove, 3 drop-file, 4 sweep, 5 advance the clock *)
-  let op = frequency [ (16, return 0); (2, return 2); (1, return 3); (1, return 4); (2, return 5) ] in
+  (* 0 record, 1 re-record a resident holder, 2 remove, 3 drop-file,
+     4 sweep, 5 advance the clock *)
+  let op =
+    frequency
+      [ (16, return 0); (3, return 1); (2, return 2); (1, return 3); (1, return 4); (2, return 5) ]
+  in
   QCheck.make
-    ~print:QCheck.Print.(list (quad int int int int))
-    ~shrink:QCheck.Shrink.list
-    (list_size (int_range 100 400) (quad op (int_bound 3) (int_bound 40) (int_bound 60)))
+    ~print:QCheck.Print.(pair bool (list (quad int int int int)))
+    ~shrink:QCheck.Shrink.(pair bool list)
+    (pair bool (list_size (int_range 100 400) (quad op (int_bound 3) (int_bound 40) (int_bound 60))))
 
 let prop_lease_table_model =
   QCheck.Test.make ~name:"lease table: reaping invisible to live queries" ~count:300
     lease_table_script
-    (fun script ->
+    (fun (narrow, script) ->
       let open Leases in
       let t = Lease_table.create () in
       (* model: ((file, holder), expiry) assoc list, one entry per resident pair *)
       let model = ref [] in
+      (* this step's [on_reap] calls, latest first *)
       let reaped = ref [] in
       Lease_table.set_on_reap t (fun f h e ->
           reaped := ((Vstore.File_id.to_int f, Host.Host_id.to_int h), e) :: !reaped);
@@ -146,6 +157,7 @@ let prop_lease_table_model =
       let ok = ref true in
       let file i = Vstore.File_id.of_int i in
       let host i = Host.Host_id.of_int i in
+      let us = function Lease.At at -> Time.to_us at | Lease.Never -> max_int in
       let model_live f =
         List.filter_map
           (fun ((f', h), e) ->
@@ -171,15 +183,38 @@ let prop_lease_table_model =
         if records <> List.fold_left ( + ) 0 live_by_file then ok := false;
         if live_records <> records then ok := false
       in
+      let record f h e =
+        Lease_table.record t (file f) (host h) e;
+        model := ((f, h), e) :: List.remove_assoc (f, h) !model
+      in
+      let rec ascending = function
+        | a :: (b :: _ as rest) -> compare a b < 0 && ascending rest
+        | [ _ ] | [] -> true
+      in
       let step (op, f, h, x) =
+        let h = if narrow then h mod 3 else h in
         (match op with
         | 0 ->
           (* occasionally Never; an offset of 0 records an already-expired lease *)
           let e =
             if x mod 7 = 0 then Lease.Never else Lease.At (Time.add !now (span (float_of_int x)))
           in
-          Lease_table.record t (file f) (host h) e;
-          model := ((f, h), e) :: List.remove_assoc (f, h) !model
+          record f h e
+        | 1 -> (
+          (* re-record a resident holder: a finite expiry moves earlier
+             (possibly into the past) or becomes Never; Never becomes finite *)
+          match List.sort compare (model_live f) with
+          | [] -> ()
+          | live ->
+            let h, e = List.nth live (h mod List.length live) in
+            let e =
+              match e with
+              | Lease.At _ when x mod 3 = 0 -> Lease.Never
+              | Lease.At at ->
+                Lease.At (Time.of_us (Int.max 0 (Time.to_us at - ((x + 1) * 100_000))))
+              | Lease.Never -> Lease.At (Time.add !now (span (float_of_int x /. 10.)))
+            in
+            record f h e)
         | 2 ->
           Lease_table.remove_holder t (file f) (host h);
           model := List.remove_assoc (f, h) !model
@@ -198,6 +233,14 @@ let prop_lease_table_model =
         let expired, kept = List.partition (fun (_, e) -> Lease.expired e ~now:!now) !model in
         model := kept;
         if List.sort compare !reaped <> List.sort compare expired then ok := false;
+        let calls = List.rev !reaped in
+        List.iter
+          (fun f ->
+            let keys =
+              List.filter_map (fun ((f', h), e) -> if f' = f then Some (us e, h) else None) calls
+            in
+            if not (ascending keys) then ok := false)
+          [ 0; 1; 2; 3 ];
         reaped := []
       in
       List.iter step script;
