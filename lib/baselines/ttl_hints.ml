@@ -102,9 +102,10 @@ let s_handle srv (envelope : payload Netsim.Net.envelope) =
 
 type entry = { mutable version : Vstore.Version.t; mutable expires : Time.t }
 
+(* [k] receives the version and the op's latency. *)
 type client_rpc_kind =
-  | C_read of { file : File_id.t; k : Vstore.Version.t -> unit }
-  | C_write of { file : File_id.t; k : Vstore.Version.t -> unit }
+  | C_read of { file : File_id.t; k : Vstore.Version.t -> Time.Span.t -> unit }
+  | C_write of { file : File_id.t; k : Vstore.Version.t -> Time.Span.t -> unit }
 
 type client_rpc = {
   c_req : int;
@@ -126,8 +127,6 @@ type client = {
   c_rpcs : (int, client_rpc) Hashtbl.t;
   mutable c_next_req : int;
   mutable c_up : bool;
-  read_latency : Stats.Histogram.t;
-  write_latency : Stats.Histogram.t;
   c_tracer : Trace.Sink.t;
 }
 
@@ -178,20 +177,13 @@ let client_read c file ~k =
                version = Vstore.Version.to_int entry.version;
                local_now = Time.to_sec now;
              });
-      Stats.Histogram.add c.read_latency 0.;
-      k entry.version
+      k entry.version Time.Span.zero
     | Some _ | None ->
       c_count c "misses";
       if Trace.Sink.enabled c.c_tracer then
         c_emit c
           (Trace.Event.Cache_miss { host = Host_id.to_int c.c_host; file = File_id.to_int file });
       let req = c_fresh c in
-      let started = Engine.now c.c_engine in
-      let k version =
-        Stats.Histogram.add c.read_latency
-          (Time.Span.to_sec (Time.diff (Engine.now c.c_engine) started));
-        k version
-      in
       c_start_rpc c (C_read { file; k }) (Fetch_request { req; file }) ~req
   end
 
@@ -203,12 +195,6 @@ let client_write c file ~k =
            { host = Host_id.to_int c.c_host; file = File_id.to_int file });
     Hashtbl.remove c.c_cache file;
     let req = c_fresh c in
-    let started = Engine.now c.c_engine in
-    let k version =
-      Stats.Histogram.add c.write_latency
-        (Time.Span.to_sec (Time.diff (Engine.now c.c_engine) started));
-      k version
-    in
     c_start_rpc c (C_write { file; k }) (Write_request { req; file }) ~req
   end
 
@@ -234,44 +220,32 @@ let c_handle c (envelope : payload Netsim.Net.envelope) =
       match Hashtbl.find_opt c.c_rpcs req with
       | Some ({ c_kind = C_read { file = rfile; k }; _ } as rpc) when File_id.equal file rfile ->
         c_finish c rpc;
-        k version
+        k version (Time.diff (Engine.now c.c_engine) rpc.c_started)
       | Some _ | None -> ())
     | Write_reply { req; file; version } -> (
       match Hashtbl.find_opt c.c_rpcs req with
       | Some ({ c_kind = C_write { file = wfile; k }; _ } as rpc) when File_id.equal file wfile ->
         c_finish c rpc;
         (* Cache our own result, but only as a hint like anything else. *)
-        ignore version;
-        k version
+        k version (Time.diff (Engine.now c.c_engine) rpc.c_started)
       | Some _ | None -> ())
     | Fetch_request _ | Write_request _ -> ()
   end
 
-let server_host = Host_id.of_int 0
-let client_host i = Host_id.of_int (i + 1)
-
 let run setup ~trace =
-  if setup.n_clients < 1 then invalid_arg "Ttl_hints.run: need at least one client";
-  let engine = Engine.create () in
-  Engine.set_tracer engine setup.tracer;
-  let liveness = Host.Liveness.create () in
-  let partition = Netsim.Partition.create () in
-  let rng = Prng.Splitmix.create ~seed:setup.seed in
-  let net =
-    Netsim.Net.create engine ~liveness ~partition ~rng:(Prng.Splitmix.split rng) ~loss:setup.loss
-      ~tracer:setup.tracer
+  Leases.Cluster.check ~who:"Ttl_hints.run" ~n_clients:setup.n_clients setup.faults trace;
+  let w =
+    Leases.Cluster.fabric ~tracer:setup.tracer
       ~classify:(fun p -> (Trace.Event.M_other (payload_name p), -1))
-      ~prop_delay:setup.m_prop ~proc_delay:setup.m_proc
-      ()
+      ~rng:(Prng.Splitmix.create ~seed:setup.seed)
+      ~loss:setup.loss ~m_prop:setup.m_prop ~m_proc:setup.m_proc ()
   in
-  let note ev =
-    if Trace.Sink.enabled setup.tracer then Trace.Sink.emit setup.tracer (now_sec engine) (ev ())
-  in
+  let { Leases.Cluster.engine; net; liveness; _ } = w in
   let store = Vstore.Store.create () in
   let server =
     {
       s_net = net;
-      s_host = server_host;
+      s_host = Leases.Cluster.server_host;
       s_store = store;
       s_engine = engine;
       s_ttl = setup.ttl;
@@ -281,15 +255,13 @@ let run setup ~trace =
       s_up = true;
     }
   in
-  Netsim.Net.register net server_host (s_handle server);
-  Host.Liveness.register liveness server_host
+  Netsim.Net.register net Leases.Cluster.server_host (s_handle server);
+  Host.Liveness.register liveness Leases.Cluster.server_host
     ~on_crash:(fun () ->
       server.s_up <- false;
       Hashtbl.reset server.s_applied)
     ~on_recover:(fun () -> server.s_up <- true)
     ();
-  let read_latency = Stats.Histogram.create () in
-  let write_latency = Stats.Histogram.create () in
   let clients =
     Array.init setup.n_clients (fun i ->
         let c =
@@ -297,16 +269,14 @@ let run setup ~trace =
             c_engine = engine;
             c_clock = Clock.create engine ();
             c_net = net;
-            c_host = client_host i;
-            c_server = server_host;
+            c_host = Leases.Cluster.client_host i;
+            c_server = Leases.Cluster.server_host;
             c_retry = Time.Span.of_sec 1.;
             c_counters = Stats.Counter.Registry.create ();
             c_cache = Hashtbl.create 128;
             c_rpcs = Hashtbl.create 32;
             c_next_req = 0;
             c_up = true;
-            read_latency;
-            write_latency;
             c_tracer = setup.tracer;
           }
         in
@@ -324,124 +294,33 @@ let run setup ~trace =
         c)
   in
   let oracle = Oracle.Register_oracle.create ~store in
-  List.iter
-    (fun fault ->
-      let at_time at f = ignore (Engine.schedule_at engine at f) in
-      match fault with
-      | Leases.Sim.Crash_client { client; at; duration } ->
-        at_time at (fun () ->
-            Host.Liveness.crash liveness (client_host client);
-            note (fun () -> Trace.Event.Crash { host = Host_id.to_int (client_host client) });
-            ignore
-              (Engine.schedule_after engine duration (fun () ->
-                   Host.Liveness.recover liveness (client_host client);
-                   note (fun () ->
-                       Trace.Event.Recover { host = Host_id.to_int (client_host client) }))))
-      | Leases.Sim.Crash_server { at; duration } | Leases.Sim.Crash_shard { at; duration; _ } ->
-        at_time at (fun () ->
-            Host.Liveness.crash liveness server_host;
-            note (fun () -> Trace.Event.Crash { host = Host_id.to_int server_host });
-            ignore
-              (Engine.schedule_after engine duration (fun () ->
-                   Host.Liveness.recover liveness server_host;
-                   note (fun () -> Trace.Event.Recover { host = Host_id.to_int server_host }))))
-      | Leases.Sim.Partition_clients { clients = cs; at; duration } ->
-        at_time at (fun () ->
-            Netsim.Partition.isolate partition (List.map client_host cs);
-            ignore (Engine.schedule_after engine duration (fun () -> Netsim.Partition.heal partition)))
-      | Leases.Sim.Client_drift _ | Leases.Sim.Server_drift _ | Leases.Sim.Client_step _
-      | Leases.Sim.Server_step _ ->
-        ())
-    setup.faults;
-
-  let ops_issued = ref 0 in
-  let completed = ref 0 in
-  let reads_completed = ref 0 in
-  let writes_completed = ref 0 in
-  let temp_ops = ref 0 in
-  List.iter
-    (fun (op : Workload.Op.t) ->
-      if op.client < 0 || op.client >= setup.n_clients then
-        invalid_arg "Ttl_hints.run: trace uses a client index outside the cluster";
-      ignore
-        (Engine.schedule_at engine op.at (fun () ->
-             if op.temporary then incr temp_ops
-             else begin
-               incr ops_issued;
-               let c = clients.(op.client) in
-               match op.kind with
-               | Workload.Op.Read ->
-                 let start = Engine.now engine in
-                 client_read c op.file ~k:(fun version ->
-                     incr completed;
-                     incr reads_completed;
-                     Oracle.Register_oracle.check_read oracle ~file:op.file ~version ~start
-                       ~finish:(Engine.now engine))
-               | Workload.Op.Write ->
-                 client_write c op.file ~k:(fun _version ->
-                     incr completed;
-                     incr writes_completed)
-             end)))
-    (Workload.Trace.ops trace);
-
-  let horizon = Time.add Time.zero (Time.Span.add (Workload.Trace.duration trace) setup.drain) in
-  Engine.run ~until:horizon engine;
-  Trace.Sink.flush setup.tracer;
-
+  (* The clients' clocks only time their hints; clock faults do not apply. *)
+  Leases.Cluster.schedule_faults w (Leases.Cluster.one_server ()) setup.faults;
+  let tally =
+    Leases.Cluster.drive w ~oracle
+      ~read:(fun t (op : Workload.Op.t) ->
+        client_read clients.(op.client) op.file ~k:(Leases.Cluster.read_done t op))
+      ~write:(fun t (op : Workload.Op.t) ->
+        client_write clients.(op.client) op.file ~k:(fun _ -> Leases.Cluster.write_done t))
+      (Workload.Trace.ops trace)
+  in
+  Leases.Cluster.run w ~until:(Leases.Cluster.horizon trace ~drain:setup.drain);
   let find registry name = Stats.Counter.Registry.find registry name in
   let sum name = Array.fold_left (fun acc c -> acc + find c.c_counters name) 0 clients in
-  let hits = sum "hits" and misses = sum "misses" in
-  let sim_duration = Time.Span.to_sec (Time.Span.since_epoch (Engine.now engine)) in
   let ext = find server.s_counters "msgs/extension" in
   let wtr = find server.s_counters "msgs/write-transfer" in
-  let rtt = Time.Span.to_sec (Netsim.Net.unicast_rtt net) in
-  let mean_write_added = Float.max 0. (Stats.Histogram.mean write_latency -. rtt) in
-  let reads = Stats.Histogram.count read_latency and writes = Stats.Histogram.count write_latency in
-  let mean_op_delay =
-    if reads + writes = 0 then 0.
-    else
-      ((Stats.Histogram.mean read_latency *. float_of_int reads)
-      +. (mean_write_added *. float_of_int writes))
-      /. float_of_int (reads + writes)
-  in
   let metrics =
-    {
-      Leases.Metrics.sim_duration;
-      ops_issued = !ops_issued;
-      reads_completed = !reads_completed;
-      writes_completed = !writes_completed;
-      temp_ops = !temp_ops;
-      dropped_ops = !ops_issued - !completed;
-      cache_hits = hits;
-      cache_misses = misses;
-      hit_ratio =
-        (if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses));
-      msgs_extension = ext;
-      msgs_approval = 0;
-      msgs_installed = 0;
-      msgs_write_transfer = wtr;
-      consistency_msgs = ext;
-      server_total_msgs = ext + wtr;
-      consistency_msg_rate = (if sim_duration <= 0. then 0. else float_of_int ext /. sim_duration);
-      callbacks_sent = 0;
-      commits = find server.s_counters "commits";
-      wal_io = 0;
-      read_latency;
-      write_latency;
-      write_wait = Stats.Histogram.create ();
-      mean_read_delay = Stats.Histogram.mean read_latency;
-      mean_write_delay_added = mean_write_added;
-      mean_op_delay;
-      retransmissions = sum "retransmissions";
-      renewals_sent = 0;
-      approvals_answered = 0;
-      net_sent = Netsim.Net.sent net;
-      net_dropped_loss = Netsim.Net.dropped_loss net;
-      net_dropped_partition = Netsim.Net.dropped_partition net;
-      net_dropped_down = Netsim.Net.dropped_down net;
-      oracle_reads = Oracle.Register_oracle.reads_checked oracle;
-      oracle_violations = Oracle.Register_oracle.violations oracle;
-      staleness = Oracle.Register_oracle.staleness oracle;
-    }
+    Leases.Cluster.metrics w tally (fun m ->
+        {
+          m with
+          Leases.Metrics.cache_hits = sum "hits";
+          cache_misses = sum "misses";
+          msgs_extension = ext;
+          msgs_write_transfer = wtr;
+          consistency_msgs = ext;
+          server_total_msgs = ext + wtr;
+          commits = find server.s_counters "commits";
+          retransmissions = sum "retransmissions";
+        })
   in
   { Leases.Sim.metrics; oracle; store }

@@ -1,124 +1,6 @@
 open Simtime
-module Host_id = Host.Host_id
 
-type fault =
-  | Crash_client of { client : int; at : Time.t; duration : Time.Span.t }
-  | Crash_server of { at : Time.t; duration : Time.Span.t }
-  | Crash_shard of { shard : int; at : Time.t; duration : Time.Span.t }
-      (** crash the server owning shard [shard]; in a single-server
-          deployment this is the one server regardless of index *)
-  | Partition_clients of { clients : int list; at : Time.t; duration : Time.Span.t }
-  | Client_drift of { client : int; at : Time.t; drift : float }
-  | Server_drift of { shard : int; at : Time.t; drift : float }
-      (** drift the clock of the server owning shard [shard] (0 in a
-          single-server deployment, and the default in the spec grammar so
-          pre-sharding schedules replay unchanged) *)
-  | Client_step of { client : int; at : Time.t; step : Time.Span.t }
-  | Server_step of { shard : int; at : Time.t; step : Time.Span.t }
-
-(* --- fault command-line specs -------------------------------------- *)
-(* The textual form used by [leases-sim --fault] and printed by the
-   campaign harness's shrunk reproducers; [fault_of_spec] and
-   [fault_to_spec] round-trip (times carry microsecond precision). *)
-
-let spec_num v =
-  (* Shortest decimal that survives the parse; times are on the
-     microsecond grid so 12 significant digits always suffice. *)
-  Printf.sprintf "%.12g" v
-
-let fault_to_spec = function
-  | Crash_client { client; at; duration } ->
-    Printf.sprintf "crash-client=%d,%s,%s" client
-      (spec_num (Time.to_sec at))
-      (spec_num (Time.Span.to_sec duration))
-  | Crash_server { at; duration } ->
-    Printf.sprintf "crash-server=%s,%s" (spec_num (Time.to_sec at))
-      (spec_num (Time.Span.to_sec duration))
-  | Crash_shard { shard; at; duration } ->
-    Printf.sprintf "crash-shard=%d,%s,%s" shard
-      (spec_num (Time.to_sec at))
-      (spec_num (Time.Span.to_sec duration))
-  | Partition_clients { clients; at; duration } ->
-    Printf.sprintf "partition=%s,%s,%s"
-      (String.concat "+" (List.map string_of_int clients))
-      (spec_num (Time.to_sec at))
-      (spec_num (Time.Span.to_sec duration))
-  | Client_drift { client; at; drift } ->
-    Printf.sprintf "client-drift=%d,%s,%s" client (spec_num (Time.to_sec at)) (spec_num drift)
-  | Server_drift { shard = 0; at; drift } ->
-    (* shard 0 keeps the pre-sharding two-argument form so shrunk
-       reproducers from old campaigns stay replayable byte-for-byte *)
-    Printf.sprintf "server-drift=%s,%s" (spec_num (Time.to_sec at)) (spec_num drift)
-  | Server_drift { shard; at; drift } ->
-    Printf.sprintf "server-drift=%d,%s,%s" shard (spec_num (Time.to_sec at)) (spec_num drift)
-  | Client_step { client; at; step } ->
-    Printf.sprintf "client-step=%d,%s,%s" client
-      (spec_num (Time.to_sec at))
-      (spec_num (Time.Span.to_sec step))
-  | Server_step { shard = 0; at; step } ->
-    Printf.sprintf "server-step=%s,%s" (spec_num (Time.to_sec at))
-      (spec_num (Time.Span.to_sec step))
-  | Server_step { shard; at; step } ->
-    Printf.sprintf "server-step=%d,%s,%s" shard
-      (spec_num (Time.to_sec at))
-      (spec_num (Time.Span.to_sec step))
-
-let pp_fault ppf fault = Format.pp_print_string ppf (fault_to_spec fault)
-
-let fault_of_spec spec =
-  let fail () =
-    Error
-      (Printf.sprintf
-         "bad fault spec %S: expected crash-client=CLIENT,AT,DUR | crash-server=AT,DUR | \
-          crash-shard=SHARD,AT,DUR | partition=C1+C2+...,AT,DUR | client-drift=CLIENT,AT,RATE | \
-          server-drift=[SHARD,]AT,RATE | client-step=CLIENT,AT,SEC | server-step=[SHARD,]AT,SEC \
-          (times finite, in virtual seconds)"
-         spec)
-  in
-  let exception Bad in
-  let num s = match float_of_string_opt (String.trim s) with Some v -> v | None -> raise Bad in
-  let int_ s = int_of_float (num s) in
-  match String.index_opt spec '=' with
-  | None -> fail ()
-  | Some eq -> (
-    let kind = String.sub spec 0 eq in
-    let args =
-      String.split_on_char ',' (String.sub spec (eq + 1) (String.length spec - eq - 1))
-    in
-    let sec v = Time.of_sec v in
-    let span v = Time.Span.of_sec v in
-    try
-      match (kind, args) with
-      | "crash-client", [ c; at; dur ] ->
-        Ok (Crash_client { client = int_ c; at = sec (num at); duration = span (num dur) })
-      | "crash-server", [ at; dur ] ->
-        Ok (Crash_server { at = sec (num at); duration = span (num dur) })
-      | "crash-shard", [ s; at; dur ] ->
-        Ok (Crash_shard { shard = int_ s; at = sec (num at); duration = span (num dur) })
-      | "partition", [ cs; at; dur ] ->
-        Ok
-          (Partition_clients
-             { clients = List.map int_ (String.split_on_char '+' cs);
-               at = sec (num at);
-               duration = span (num dur) })
-      | "client-drift", [ c; at; d ] ->
-        Ok (Client_drift { client = int_ c; at = sec (num at); drift = num d })
-      | "server-drift", [ at; d ] ->
-        Ok (Server_drift { shard = 0; at = sec (num at); drift = num d })
-      | "server-drift", [ s; at; d ] ->
-        Ok (Server_drift { shard = int_ s; at = sec (num at); drift = num d })
-      | "client-step", [ c; at; s ] ->
-        Ok (Client_step { client = int_ c; at = sec (num at); step = span (num s) })
-      | "server-step", [ at; s ] ->
-        Ok (Server_step { shard = 0; at = sec (num at); step = span (num s) })
-      | "server-step", [ s; at; v ] ->
-        Ok (Server_step { shard = int_ s; at = sec (num at); step = span (num v) })
-      | _ -> fail ()
-    with
-    | Bad -> fail ()
-    (* [Time.of_sec] now rejects non-finite and overflowing values; a spec
-       carrying one is malformed, not a crash. *)
-    | Invalid_argument _ -> fail ())
+include Cluster.Faults
 
 type setup = {
   seed : int64;
@@ -160,245 +42,127 @@ let default_setup =
     on_instruments = ignore;
   }
 
-let v_lan_setup = default_setup
-
 type outcome = {
   metrics : Metrics.t;
   oracle : Oracle.Register_oracle.t;
   store : Vstore.Store.t;
 }
 
-let server_host = Host_id.of_int 0
-let client_host i = Host_id.of_int (i + 1)
+(* --- lease worlds --------------------------------------------------- *)
 
-let schedule_faults engine liveness partition server_clock client_clocks tracer faults =
-  let at_time at f = ignore (Engine.schedule_at engine at f) in
-  let note ev = if Trace.Sink.enabled tracer then Trace.Sink.emit tracer (Time.to_sec (Engine.now engine)) (ev ()) in
-  List.iter
-    (fun fault ->
-      match fault with
-      | Crash_client { client; at; duration } ->
-        at_time at (fun () ->
-            note (fun () -> Trace.Event.Crash { host = Host_id.to_int (client_host client) });
-            Host.Liveness.crash liveness (client_host client);
-            ignore
-              (Engine.schedule_after engine duration (fun () ->
-                   note (fun () ->
-                       Trace.Event.Recover { host = Host_id.to_int (client_host client) });
-                   Host.Liveness.recover liveness (client_host client))))
-      | Crash_server { at; duration } | Crash_shard { at; duration; _ } ->
-        (* Single-server harness: whatever the shard index names, the one
-           server here owns it.  [Shard.Deploy] installs its own scheduler
-           that resolves the index to the owning host. *)
-        at_time at (fun () ->
-            note (fun () -> Trace.Event.Crash { host = Host_id.to_int server_host });
-            Host.Liveness.crash liveness server_host;
-            ignore
-              (Engine.schedule_after engine duration (fun () ->
-                   note (fun () -> Trace.Event.Recover { host = Host_id.to_int server_host });
-                   Host.Liveness.recover liveness server_host)))
-      | Partition_clients { clients; at; duration } ->
-        at_time at (fun () ->
-            Netsim.Partition.isolate partition (List.map client_host clients);
-            ignore
-              (Engine.schedule_after engine duration (fun () -> Netsim.Partition.heal partition)))
-      | Client_drift { client; at; drift } ->
-        at_time at (fun () ->
-            note (fun () ->
-                Trace.Event.Clock_drift { host = Host_id.to_int (client_host client); drift });
-            Clock.set_drift client_clocks.(client) drift)
-      | Server_drift { at; drift; _ } ->
-        at_time at (fun () ->
-            note (fun () -> Trace.Event.Clock_drift { host = Host_id.to_int server_host; drift });
-            Clock.set_drift server_clock drift)
-      | Client_step { client; at; step } ->
-        at_time at (fun () ->
-            note (fun () ->
-                Trace.Event.Clock_step
-                  {
-                    host = Host_id.to_int (client_host client);
-                    step_s = Time.Span.to_sec step;
-                  });
-            Clock.step client_clocks.(client) step)
-      | Server_step { at; step; _ } ->
-        at_time at (fun () ->
-            note (fun () ->
-                Trace.Event.Clock_step
-                  { host = Host_id.to_int server_host; step_s = Time.Span.to_sec step });
-            Clock.step server_clock step))
-    faults
+type world = {
+  fabric : Messages.payload Cluster.fabric;
+  servers : Server.t array;
+  clients : Client.t array;
+  store : Vstore.Store.t;
+  oracle : Oracle.Register_oracle.t;
+}
 
-let run setup ~trace =
-  if setup.n_clients < 1 then invalid_arg "Sim.run: need at least one client";
-  let engine = Engine.create () in
-  let prof = setup.profiler in
-  Engine.set_profiler engine prof;
-  (* When both profiling and tracing are live, bracket every sink push so
-     emission cost lands in the [trace/emit] center rather than polluting
-     whichever subsystem happened to emit. *)
-  let tracer =
-    if Profile.Recorder.enabled prof then
-      Trace.Sink.observe setup.tracer
-        ~enter:(fun () -> Profile.Recorder.enter prof Profile.Center.Trace_emit)
-        ~leave:(fun () -> Profile.Recorder.exit prof)
-    else setup.tracer
+let world setup ~rng ~servers ~client_host ?route ?req_origin () =
+  let fabric =
+    Cluster.fabric ~tracer:setup.tracer ~profiler:setup.profiler
+      ~classify:Messages.trace_class ~rng ~loss:setup.loss ~m_prop:setup.m_prop
+      ~m_proc:setup.m_proc ()
   in
-  Engine.set_tracer engine tracer;
-  let liveness = Host.Liveness.create () in
-  let partition = Netsim.Partition.create () in
-  let rng = Prng.Splitmix.create ~seed:setup.seed in
-  let net =
-    Netsim.Net.create engine ~liveness ~partition ~rng:(Prng.Splitmix.split rng) ~loss:setup.loss
-      ~tracer ~classify:Messages.trace_class ~prop_delay:setup.m_prop
-      ~proc_delay:setup.m_proc ()
-  in
-  let server_clock = Clock.create engine () in
-  let client_clocks = Array.init setup.n_clients (fun _ -> Clock.create engine ()) in
+  let { Cluster.engine; net; liveness; tracer; _ } = fabric in
   let store = Vstore.Store.create () in
-  let clients_hosts = List.init setup.n_clients client_host in
-  let server =
-    Server.create ~engine ~clock:server_clock ~net ~liveness ~host:server_host
-      ~clients:clients_hosts ~store ~config:setup.config ~tracer ()
+  let client_hosts = List.init setup.n_clients client_host in
+  let server_objs =
+    Array.map
+      (fun (host, config) ->
+        Server.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host
+          ~clients:client_hosts ~store ~config ~tracer ())
+      servers
   in
   let clients =
     (* Split after the net's draw so adding per-client jitter streams never
        perturbs the loss stream of existing seeds. *)
     Array.init setup.n_clients (fun i ->
-        Client.create ~engine ~clock:client_clocks.(i) ~net ~liveness ~host:(client_host i)
-          ~server:server_host ~rng:(Prng.Splitmix.split rng) ~config:setup.config
-          ~tracer ())
+        let host = client_host i in
+        Client.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host
+          ~server:(fst servers.(0)) ?route ~rng:(Prng.Splitmix.split rng) ~config:setup.config
+          ~tracer
+          ?req_origin:(Option.map (fun origin -> origin host) req_origin)
+          ())
   in
-  let oracle = Oracle.Register_oracle.create ~store in
-  schedule_faults engine liveness partition server_clock client_clocks tracer setup.faults;
+  { fabric; servers = server_objs; clients; store; oracle = Oracle.Register_oracle.create ~store }
 
-  (* Drive the trace. *)
-  let read_latency = Stats.Histogram.create () in
-  let write_latency = Stats.Histogram.create () in
-  let ops_issued = ref 0 in
-  let completed = ref 0 in
-  let reads_completed = ref 0 in
-  let writes_completed = ref 0 in
-  let temp_ops = ref 0 in
-  let ops = Workload.Trace.ops trace in
-  (* Validate eagerly so a malformed trace still fails before the run. *)
-  List.iter
-    (fun (op : Workload.Op.t) ->
-      if op.client < 0 || op.client >= setup.n_clients then
-        invalid_arg "Sim.run: trace uses a client index outside the cluster")
-    ops;
-  (* Drive the trace lazily: ops are time-ordered ([Workload.Trace.create]
-     sorts), so each op's callback issues it and schedules the next.  The
-     engine's heap then holds only in-flight work — deliveries, timers, the
-     one cursor event — instead of the entire remaining trace; with 100k
-     pre-scheduled ops every pop paid a ~17-level sift over cold memory
-     before any protocol work began. *)
-  let rec chain = function
-    | [] -> ()
-    | (op : Workload.Op.t) :: rest ->
-      let issue () =
-        if Profile.Recorder.enabled prof then
-          Profile.Recorder.mark prof Profile.Center.Client_op;
-        if op.temporary then incr temp_ops
-        else begin
-          incr ops_issued;
-          let client = clients.(op.client) in
-          match op.kind with
-          | Workload.Op.Read ->
-            let start = Engine.now engine in
-            Client.read client op.file ~k:(fun result ->
-                incr completed;
-                incr reads_completed;
-                Stats.Histogram.add read_latency (Time.Span.to_sec result.Client.r_latency);
-                Oracle.Register_oracle.check_read oracle ~file:op.file
-                  ~version:result.Client.r_version ~start ~finish:(Engine.now engine))
-          | Workload.Op.Write ->
-            Client.write client op.file ~k:(fun result ->
-                incr completed;
-                incr writes_completed;
-                Stats.Histogram.add write_latency (Time.Span.to_sec result.Client.w_latency))
-        end
-      in
-      ignore
-        (Engine.schedule_at engine op.at (fun () ->
-             issue ();
-             chain rest))
+let schedule_faults w ~server_of_shard ~trace_clients faults =
+  Cluster.schedule_faults w.fabric
+    {
+      Cluster.client = (fun i -> (Client.host w.clients.(i), Some (Client.clock w.clients.(i))));
+      server =
+        (fun shard ->
+          Option.map
+            (fun s -> (Server.host w.servers.(s), Some (Server.clock w.servers.(s))))
+            (server_of_shard shard));
+      trace_clients;
+    }
+    faults
+
+let drive ?(on_read = fun _ _ -> ()) ?(on_write = fun _ _ -> ()) w ops =
+  Cluster.drive w.fabric ~oracle:w.oracle
+    ~read:(fun t (op : Workload.Op.t) ->
+      Client.read w.clients.(op.client) op.file ~k:(fun r ->
+          Cluster.read_done t op r.Client.r_version r.Client.r_latency;
+          on_read op r))
+    ~write:(fun t (op : Workload.Op.t) ->
+      Client.write w.clients.(op.client) op.file ~k:(fun r ->
+          Cluster.write_done t r.Client.w_latency;
+          on_write op r))
+    ops
+
+(* Client counters summed over the clients, server counters over whatever
+   servers the world runs. *)
+let metrics w tally =
+  let clients f = Array.fold_left (fun acc c -> acc + f c) 0 w.clients in
+  let servers f = Array.fold_left (fun acc s -> acc + f s) 0 w.servers in
+  let handled kind = servers (fun s -> Server.messages_handled s kind) in
+  let write_wait = Stats.Histogram.create () in
+  Array.iter (fun s -> Stats.Histogram.merge write_wait (Server.write_wait s)) w.servers;
+  Cluster.metrics w.fabric tally (fun m ->
+      {
+        m with
+        Metrics.cache_hits = clients Client.hits;
+        cache_misses = clients Client.misses;
+        msgs_extension = handled Messages.Extension;
+        msgs_approval = handled Messages.Approval;
+        msgs_installed = handled Messages.Installed;
+        msgs_write_transfer = handled Messages.Write_transfer;
+        consistency_msgs = servers Server.consistency_messages;
+        server_total_msgs = servers Server.messages_handled_total;
+        callbacks_sent = servers Server.callbacks_sent;
+        commits = servers Server.commits;
+        wal_io = servers (fun s -> Vstore.Wal.io_records (Server.wal s));
+        write_wait;
+        retransmissions = clients Client.retransmissions;
+        renewals_sent = clients Client.renewals_sent;
+        approvals_answered = clients Client.approvals_answered;
+      })
+
+(* --- the single-server harness -------------------------------------- *)
+
+let run setup ~trace =
+  Cluster.check ~who:"Sim.run" ~n_clients:setup.n_clients setup.faults trace;
+  let w =
+    world setup
+      ~rng:(Prng.Splitmix.create ~seed:setup.seed)
+      ~servers:[| (Cluster.server_host, setup.config) |]
+      ~client_host:Cluster.client_host ()
   in
-  chain ops;
-
+  (* one server: every shard index names it *)
+  schedule_faults w ~server_of_shard:(fun _ -> Some 0) ~trace_clients:true setup.faults;
+  let tally = drive w (Workload.Trace.ops trace) in
   setup.on_instruments
     {
-      i_engine = engine;
-      i_net = net;
-      i_server = server;
-      i_clients = clients;
-      i_server_clock = server_clock;
-      i_client_clocks = client_clocks;
-      i_read_latency = read_latency;
-      i_write_latency = write_latency;
+      i_engine = w.fabric.Cluster.engine;
+      i_net = w.fabric.Cluster.net;
+      i_server = w.servers.(0);
+      i_clients = w.clients;
+      i_server_clock = Server.clock w.servers.(0);
+      i_client_clocks = Array.map Client.clock w.clients;
+      i_read_latency = tally.Cluster.read_latency;
+      i_write_latency = tally.Cluster.write_latency;
     };
-
-  let horizon = Time.add Time.zero (Time.Span.add (Workload.Trace.duration trace) setup.drain) in
-  if Profile.Recorder.enabled prof then Profile.Recorder.start prof;
-  Engine.run ~until:horizon engine;
-  if Profile.Recorder.enabled prof then Profile.Recorder.stop prof;
-  Trace.Sink.flush tracer;
-
-  (* Aggregate. *)
-  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 clients in
-  let hits = sum Client.hits in
-  let misses = sum Client.misses in
-  let sim_duration = Time.Span.to_sec (Time.Span.since_epoch (Engine.now engine)) in
-  let consistency = Server.consistency_messages server in
-  let rtt = Time.Span.to_sec (Netsim.Net.unicast_rtt net) in
-  let mean_write_added = Float.max 0. (Stats.Histogram.mean write_latency -. rtt) in
-  let reads = Stats.Histogram.count read_latency in
-  let writes = Stats.Histogram.count write_latency in
-  let mean_op_delay =
-    if reads + writes = 0 then 0.
-    else
-      ((Stats.Histogram.mean read_latency *. float_of_int reads)
-      +. (mean_write_added *. float_of_int writes))
-      /. float_of_int (reads + writes)
-  in
-  let metrics =
-    {
-      Metrics.sim_duration;
-      ops_issued = !ops_issued;
-      reads_completed = !reads_completed;
-      writes_completed = !writes_completed;
-      temp_ops = !temp_ops;
-      dropped_ops = !ops_issued - !completed;
-      cache_hits = hits;
-      cache_misses = misses;
-      hit_ratio =
-        (if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses));
-      msgs_extension = Server.messages_handled server Messages.Extension;
-      msgs_approval = Server.messages_handled server Messages.Approval;
-      msgs_installed = Server.messages_handled server Messages.Installed;
-      msgs_write_transfer = Server.messages_handled server Messages.Write_transfer;
-      consistency_msgs = consistency;
-      server_total_msgs = Server.messages_handled_total server;
-      consistency_msg_rate =
-        (if sim_duration <= 0. then 0. else float_of_int consistency /. sim_duration);
-      callbacks_sent = Server.callbacks_sent server;
-      commits = Server.commits server;
-      wal_io = Vstore.Wal.io_records (Server.wal server);
-      read_latency;
-      write_latency;
-      write_wait = Server.write_wait server;
-      mean_read_delay = Stats.Histogram.mean read_latency;
-      mean_write_delay_added = mean_write_added;
-      mean_op_delay;
-      retransmissions = sum Client.retransmissions;
-      renewals_sent = sum Client.renewals_sent;
-      approvals_answered = sum Client.approvals_answered;
-      net_sent = Netsim.Net.sent net;
-      net_dropped_loss = Netsim.Net.dropped_loss net;
-      net_dropped_partition = Netsim.Net.dropped_partition net;
-      net_dropped_down = Netsim.Net.dropped_down net;
-      oracle_reads = Oracle.Register_oracle.reads_checked oracle;
-      oracle_violations = Oracle.Register_oracle.violations oracle;
-      staleness = Oracle.Register_oracle.staleness oracle;
-    }
-  in
-  { metrics; oracle; store }
+  Cluster.run w.fabric ~until:(Cluster.horizon trace ~drain:setup.drain);
+  { metrics = metrics w tally; oracle = w.oracle; store = w.store }

@@ -1,44 +1,17 @@
-(** End-to-end simulation harness for the lease protocol.
+(** The lease protocol's harness.  A lease {!world} is a {!Cluster} fabric
+    carrying lease servers and clients; {!run} is the one-server world,
+    [Shard.Deploy.run] the K-server one and [Shard.Deploy.run_split] one
+    one-server world per shard.  The consistency oracle always observes.
 
-    Builds a cluster — one server, N client caches, a network with the
-    configured message times — drives a workload trace through it, injects
-    the requested faults, and returns a {!Metrics.t}.  The consistency
-    oracle always observes the run.
+    Host layout: the server is host 0; client index [i] is host [i + 1]
+    (the one-shard case of [Shard.Deploy]'s layout). *)
 
-    Host layout: the server is host 0; client index [i] is host [i + 1]. *)
-
-type fault =
-  | Crash_client of { client : int; at : Simtime.Time.t; duration : Simtime.Time.Span.t }
-  | Crash_server of { at : Simtime.Time.t; duration : Simtime.Time.Span.t }
-  | Crash_shard of { shard : int; at : Simtime.Time.t; duration : Simtime.Time.Span.t }
-      (** crash the server owning the given shard.  The single-server
-          harnesses treat this as {!Crash_server} whatever the index;
-          [Shard.Deploy] resolves the index to the owning host. *)
-  | Partition_clients of { clients : int list; at : Simtime.Time.t; duration : Simtime.Time.Span.t }
-      (** cut the listed clients off from the rest (server included) *)
-  | Client_drift of { client : int; at : Simtime.Time.t; drift : float }
-  | Server_drift of { shard : int; at : Simtime.Time.t; drift : float }
-      (** drift the clock of the server owning shard [shard].  The
-          single-server harnesses have one server whatever the index;
-          [Shard.Deploy] resolves the index (modulo the shard count) to
-          that shard's clock.  The spec grammar's two-argument form
-          ([server-drift=AT,RATE]) parses as shard 0, so pre-sharding
-          schedules replay unchanged. *)
-  | Client_step of { client : int; at : Simtime.Time.t; step : Simtime.Time.Span.t }
-  | Server_step of { shard : int; at : Simtime.Time.t; step : Simtime.Time.Span.t }
-      (** step the owning server's clock; same shard resolution and
-          two-argument default as {!Server_drift} *)
-
-val fault_to_spec : fault -> string
-(** The [--fault] command-line form of a fault
-    (e.g. ["server-drift=40,-0.5"]), as accepted by [leases-sim] and
-    printed by the campaign harness's shrunk reproducers. *)
-
-val fault_of_spec : string -> (fault, string) result
-(** Inverse of {!fault_to_spec}; round-trips every fault (times carry
-    microsecond precision). *)
-
-val pp_fault : Format.formatter -> fault -> unit
+(** The fault vocabulary of every harness ({!Cluster.Faults}): [Crash_shard]
+    and the server clock faults name a shard, which here is always the one
+    server. *)
+include module type of struct
+  include Cluster.Faults
+end
 
 type setup = {
   seed : int64;
@@ -87,9 +60,6 @@ val default_setup : setup
     (m_prop 0.5 ms, m_proc 1 ms), no loss, no faults, 120 s drain, no
     tracing. *)
 
-val v_lan_setup : setup
-(** Alias of {!default_setup}, named for readability in experiments. *)
-
 type outcome = {
   metrics : Metrics.t;
   oracle : Oracle.Register_oracle.t;
@@ -97,5 +67,50 @@ type outcome = {
 }
 
 val run : setup -> trace:Workload.Trace.t -> outcome
-(** Operations by clients beyond [n_clients - 1] raise
-    [Invalid_argument]. *)
+(** Raises [Invalid_argument] before building anything when
+    {!Cluster.check} rejects the setup's clients, faults or trace. *)
+
+(** {1 Lease worlds} *)
+
+type world = {
+  fabric : Messages.payload Cluster.fabric;
+  servers : Server.t array;
+  clients : Client.t array;
+  store : Vstore.Store.t;  (** shared by the servers; their file sets are disjoint *)
+  oracle : Oracle.Register_oracle.t;
+}
+
+val world :
+  setup ->
+  rng:Prng.Splitmix.t ->
+  servers:(Host.Host_id.t * Config.t) array ->
+  client_host:(int -> Host.Host_id.t) ->
+  ?route:(Vstore.File_id.t -> Host.Host_id.t) ->
+  ?req_origin:(Host.Host_id.t -> int) ->
+  unit ->
+  world
+(** A fabric with the setup's tracer, profiler, loss and message times
+    (its network stream split from [rng]); the [servers] in order, each
+    with its own clock and WAL over one shared store; then client [i] at
+    [client_host i] with its own clock and an RNG stream split from [rng],
+    sending to the first server unless [route] names a file's owner, its
+    request ids starting at [req_origin host] when given.  Ignores
+    [setup.seed], [faults], [drain] and [on_instruments]. *)
+
+val schedule_faults :
+  world -> server_of_shard:(int -> int option) -> trace_clients:bool -> fault list -> unit
+(** {!Cluster.schedule_faults} with each client at its host and clock and
+    shard [s] at [servers.(i)] when [server_of_shard s = Some i]. *)
+
+val drive :
+  ?on_read:(Workload.Op.t -> Client.read_result -> unit) ->
+  ?on_write:(Workload.Op.t -> Client.write_result -> unit) ->
+  world ->
+  Workload.Op.t list ->
+  Cluster.tally
+(** {!Cluster.drive} through the world's clients; [on_read] and [on_write]
+    also see each completion. *)
+
+val metrics : world -> Cluster.tally -> Metrics.t
+(** {!Cluster.metrics} with client counters summed over the clients and
+    server counters over the servers. *)

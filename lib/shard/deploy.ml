@@ -76,133 +76,6 @@ let config_for_shard setup map s =
         (if files = [] then None else Some { inst with Leases.Config.files });
     }
 
-(* Mirror of [Leases.Sim.schedule_faults] for the sharded host layout.
-   [Crash_shard] and the server clock faults resolve their shard index
-   (modulo the shard count) to the owning server host; a plain
-   [Crash_server] hits shard 0, so single-server campaign schedules
-   replay meaningfully on a sharded cluster. *)
-let schedule_faults setup engine liveness partition server_clocks client_clocks tracer faults =
-  let at_time at f = ignore (Engine.schedule_at engine at f) in
-  let note ev =
-    if Trace.Sink.enabled tracer then
-      Trace.Sink.emit tracer (Time.to_sec (Engine.now engine)) (ev ())
-  in
-  let crash_host host at duration =
-    at_time at (fun () ->
-        note (fun () -> Trace.Event.Crash { host = Host_id.to_int host });
-        Host.Liveness.crash liveness host;
-        ignore
-          (Engine.schedule_after engine duration (fun () ->
-               note (fun () -> Trace.Event.Recover { host = Host_id.to_int host });
-               Host.Liveness.recover liveness host)))
-  in
-  List.iter
-    (fun fault ->
-      match fault with
-      | Leases.Sim.Crash_client { client; at; duration } ->
-        crash_host (client_host setup client) at duration
-      | Leases.Sim.Crash_server { at; duration } -> crash_host (server_host 0) at duration
-      | Leases.Sim.Crash_shard { shard; at; duration } ->
-        crash_host (server_host (shard mod setup.n_shards)) at duration
-      | Leases.Sim.Partition_clients { clients; at; duration } ->
-        at_time at (fun () ->
-            Netsim.Partition.isolate partition (List.map (client_host setup) clients);
-            ignore
-              (Engine.schedule_after engine duration (fun () -> Netsim.Partition.heal partition)))
-      | Leases.Sim.Client_drift { client; at; drift } ->
-        at_time at (fun () ->
-            note (fun () ->
-                Trace.Event.Clock_drift { host = Host_id.to_int (client_host setup client); drift });
-            Clock.set_drift client_clocks.(client) drift)
-      | Leases.Sim.Server_drift { shard; at; drift } ->
-        let s = shard mod Array.length server_clocks in
-        at_time at (fun () ->
-            note (fun () ->
-                Trace.Event.Clock_drift { host = Host_id.to_int (server_host s); drift });
-            Clock.set_drift server_clocks.(s) drift)
-      | Leases.Sim.Client_step { client; at; step } ->
-        at_time at (fun () ->
-            note (fun () ->
-                Trace.Event.Clock_step
-                  {
-                    host = Host_id.to_int (client_host setup client);
-                    step_s = Time.Span.to_sec step;
-                  });
-            Clock.step client_clocks.(client) step)
-      | Leases.Sim.Server_step { shard; at; step } ->
-        let s = shard mod Array.length server_clocks in
-        at_time at (fun () ->
-            note (fun () ->
-                Trace.Event.Clock_step
-                  { host = Host_id.to_int (server_host s); step_s = Time.Span.to_sec step });
-            Clock.step server_clocks.(s) step))
-    faults
-
-(* Aggregate: client sums as in [Sim.run]; server-side counters summed
-   over whatever servers the harness ran (all shards in the shared-engine
-   deployment, a single one per split sub-simulation). *)
-let assemble_metrics ~engine ~net ~servers ~clients ~oracle ~read_latency ~write_latency
-    ~ops_issued ~completed ~reads_completed ~writes_completed ~temp_ops =
-  let client_sum f = Array.fold_left (fun acc c -> acc + f c) 0 clients in
-  let server_sum f = Array.fold_left (fun acc s -> acc + f s) 0 servers in
-  let hits = client_sum Leases.Client.hits in
-  let misses = client_sum Leases.Client.misses in
-  let sim_duration = Time.Span.to_sec (Time.Span.since_epoch (Engine.now engine)) in
-  let consistency = server_sum Leases.Server.consistency_messages in
-  let rtt = Time.Span.to_sec (Netsim.Net.unicast_rtt net) in
-  let mean_write_added = Float.max 0. (Stats.Histogram.mean write_latency -. rtt) in
-  let reads = Stats.Histogram.count read_latency in
-  let writes = Stats.Histogram.count write_latency in
-  let mean_op_delay =
-    if reads + writes = 0 then 0.
-    else
-      ((Stats.Histogram.mean read_latency *. float_of_int reads)
-      +. (mean_write_added *. float_of_int writes))
-      /. float_of_int (reads + writes)
-  in
-  let write_wait = Stats.Histogram.create () in
-  Array.iter (fun s -> Stats.Histogram.merge write_wait (Leases.Server.write_wait s)) servers;
-  {
-    Leases.Metrics.sim_duration;
-    ops_issued;
-    reads_completed;
-    writes_completed;
-    temp_ops;
-    dropped_ops = ops_issued - completed;
-    cache_hits = hits;
-    cache_misses = misses;
-    hit_ratio =
-      (if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses));
-    msgs_extension = server_sum (fun s -> Leases.Server.messages_handled s Leases.Messages.Extension);
-    msgs_approval = server_sum (fun s -> Leases.Server.messages_handled s Leases.Messages.Approval);
-    msgs_installed = server_sum (fun s -> Leases.Server.messages_handled s Leases.Messages.Installed);
-    msgs_write_transfer =
-      server_sum (fun s -> Leases.Server.messages_handled s Leases.Messages.Write_transfer);
-    consistency_msgs = consistency;
-    server_total_msgs = server_sum Leases.Server.messages_handled_total;
-    consistency_msg_rate =
-      (if sim_duration <= 0. then 0. else float_of_int consistency /. sim_duration);
-    callbacks_sent = server_sum Leases.Server.callbacks_sent;
-    commits = server_sum Leases.Server.commits;
-    wal_io = server_sum (fun s -> Vstore.Wal.io_records (Leases.Server.wal s));
-    read_latency;
-    write_latency;
-    write_wait;
-    mean_read_delay = Stats.Histogram.mean read_latency;
-    mean_write_delay_added = mean_write_added;
-    mean_op_delay;
-    retransmissions = client_sum Leases.Client.retransmissions;
-    renewals_sent = client_sum Leases.Client.renewals_sent;
-    approvals_answered = client_sum Leases.Client.approvals_answered;
-    net_sent = Netsim.Net.sent net;
-    net_dropped_loss = Netsim.Net.dropped_loss net;
-    net_dropped_partition = Netsim.Net.dropped_partition net;
-    net_dropped_down = Netsim.Net.dropped_down net;
-    oracle_reads = Oracle.Register_oracle.reads_checked oracle;
-    oracle_violations = Oracle.Register_oracle.violations oracle;
-    staleness = Oracle.Register_oracle.staleness oracle;
-  }
-
 let load_of_server ~shard ~sim_duration server =
   let extension = Leases.Server.messages_handled server Leases.Messages.Extension in
   let approval = Leases.Server.messages_handled server Leases.Messages.Approval in
@@ -221,120 +94,94 @@ let load_of_server ~shard ~sim_duration server =
       (if sim_duration <= 0. then 0. else float_of_int shard_consistency /. sim_duration);
   }
 
-let run setup ~trace =
-  if setup.n_clients < 1 then invalid_arg "Deploy.run: need at least one client";
-  if setup.n_shards < 1 then invalid_arg "Deploy.run: need at least one shard";
-  let engine = Engine.create () in
-  Engine.set_tracer engine setup.tracer;
-  let liveness = Host.Liveness.create () in
-  let partition = Netsim.Partition.create () in
-  let rng = Prng.Splitmix.create ~seed:setup.seed in
-  let net =
-    Netsim.Net.create engine ~liveness ~partition ~rng:(Prng.Splitmix.split rng) ~loss:setup.loss
-      ~tracer:setup.tracer ~classify:Leases.Messages.trace_class ~prop_delay:setup.m_prop
-      ~proc_delay:setup.m_proc ()
+(* One lease world of this deployment (the shared-fabric cluster, or one
+   split part), faulted, driven through [ops] and run to [until].
+   Telemetry attaches where [Sim.run] calls [on_instruments]: after the
+   faults and the first op are scheduled. *)
+let run_world setup ~tracer ~profiler ~rng ~servers ?route ?req_origin ?latency ~server_of_shard
+    ~trace_clients ~shard_of ~until ops =
+  let w =
+    Leases.Sim.world
+      {
+        Leases.Sim.default_setup with
+        n_clients = setup.n_clients;
+        config = setup.config;
+        m_prop = setup.m_prop;
+        m_proc = setup.m_proc;
+        loss = setup.loss;
+        tracer;
+        profiler;
+      }
+      ~rng ~servers ~client_host:(client_host setup) ?route ?req_origin ()
   in
-  let map = Shard_map.create ~vnodes:setup.vnodes ~seed:setup.seed ~shards:setup.n_shards () in
-  let server_clocks = Array.init setup.n_shards (fun _ -> Clock.create engine ()) in
-  let client_clocks = Array.init setup.n_clients (fun _ -> Clock.create engine ()) in
-  let store = Vstore.Store.create () in
-  let client_hosts = List.init setup.n_clients (client_host setup) in
+  Leases.Sim.schedule_faults w ~server_of_shard ~trace_clients setup.faults;
+  let telemetry =
+    Option.map
+      (fun interval_s -> Shard_telemetry.create ~interval_s ~n_shards:(Array.length servers) ())
+      setup.telemetry_interval_s
+  in
+  let tally =
+    Leases.Sim.drive w ops
+      ?on_read:
+        (Option.map
+           (fun c (op : Workload.Op.t) (r : Leases.Client.read_result) ->
+             Shard_telemetry.note_read c ~shard:(shard_of op.file)
+               ~latency_s:(Time.Span.to_sec r.r_latency) ~hit:r.r_from_cache)
+           telemetry)
+      ?on_write:
+        (Option.map
+           (fun c (op : Workload.Op.t) (r : Leases.Client.write_result) ->
+             Shard_telemetry.note_write c ~shard:(shard_of op.file)
+               ~latency_s:(Time.Span.to_sec r.w_latency))
+           telemetry)
+  in
+  Option.iter
+    (fun c ->
+      Shard_telemetry.attach c ~engine:w.fabric.Leases.Cluster.engine ~servers:w.servers;
+      (* The caller tees the analyzer's sink into [setup.tracer]; here each
+         shard's telemetry stream just learns where its phase sums live. *)
+      Option.iter
+        (fun analyzer ->
+          Array.iteri
+            (fun s (host, _) ->
+              let server = Host_id.to_int host in
+              Shard_telemetry.set_phase_source c ~shard:s (fun () ->
+                  Trace.Critical_path.phase_sums_for analyzer ~server))
+            servers)
+        latency)
+    telemetry;
+  Leases.Cluster.run w.fabric ~until;
+  Option.iter Shard_telemetry.finalize telemetry;
+  (w, Leases.Sim.metrics w tally, telemetry)
+
+let run setup ~trace =
+  Leases.Cluster.check ~who:"Deploy.run" ~n_clients:setup.n_clients setup.faults trace;
+  if setup.n_shards < 1 then invalid_arg "Deploy.run: need at least one shard";
+  let k = setup.n_shards in
+  let map = Shard_map.create ~vnodes:setup.vnodes ~seed:setup.seed ~shards:k () in
   (* One shared store, disjoint ownership: each server only ever grants and
      commits the files the map routes to it, and each keeps its own WAL so
      the max-term recovery wait is per shard. *)
-  let servers =
-    Array.init setup.n_shards (fun s ->
-        Leases.Server.create ~engine ~clock:server_clocks.(s) ~net ~liveness
-          ~host:(server_host s) ~clients:client_hosts ~store
-          ~config:(config_for_shard setup map s) ~tracer:setup.tracer ())
-  in
-  let route file = server_host (Shard_map.owner map file) in
-  let clients =
-    Array.init setup.n_clients (fun i ->
-        Leases.Client.create ~engine ~clock:client_clocks.(i) ~net ~liveness
-          ~host:(client_host setup i) ~server:(server_host 0) ~route
-          ~rng:(Prng.Splitmix.split rng) ~config:setup.config ~tracer:setup.tracer ())
-  in
-  let oracle = Oracle.Register_oracle.create ~store in
-  let telemetry =
-    Option.map
-      (fun interval_s -> Shard_telemetry.create ~interval_s ~n_shards:setup.n_shards ())
-      setup.telemetry_interval_s
-  in
-  Option.iter (fun c -> Shard_telemetry.attach c ~engine ~servers) telemetry;
-  (* The caller tees the analyzer's sink into [setup.tracer]; here each
-     shard's telemetry stream just learns where its phase sums live. *)
-  (match (telemetry, setup.latency) with
-  | Some c, Some analyzer ->
-    for s = 0 to setup.n_shards - 1 do
-      let server = Host_id.to_int (server_host s) in
-      Shard_telemetry.set_phase_source c ~shard:s (fun () ->
-          Trace.Critical_path.phase_sums_for analyzer ~server)
-    done
-  | _ -> ());
-  schedule_faults setup engine liveness partition server_clocks client_clocks setup.tracer
-    setup.faults;
-
-  (* Drive the trace — identical semantics to [Leases.Sim.run], plus
-     per-shard attribution of every completion. *)
-  let read_latency = Stats.Histogram.create () in
-  let write_latency = Stats.Histogram.create () in
-  let ops_issued = ref 0 in
-  let completed = ref 0 in
-  let reads_completed = ref 0 in
-  let writes_completed = ref 0 in
-  let temp_ops = ref 0 in
-  List.iter
-    (fun (op : Workload.Op.t) ->
-      if op.client < 0 || op.client >= setup.n_clients then
-        invalid_arg "Deploy.run: trace uses a client index outside the cluster";
-      let issue () =
-        if op.temporary then incr temp_ops
-        else begin
-          incr ops_issued;
-          let client = clients.(op.client) in
-          match op.kind with
-          | Workload.Op.Read ->
-            let start = Engine.now engine in
-            Leases.Client.read client op.file ~k:(fun result ->
-                incr completed;
-                incr reads_completed;
-                let latency_s = Time.Span.to_sec result.Leases.Client.r_latency in
-                Stats.Histogram.add read_latency latency_s;
-                Option.iter
-                  (fun c ->
-                    Shard_telemetry.note_read c ~shard:(Shard_map.owner map op.file) ~latency_s
-                      ~hit:result.Leases.Client.r_from_cache)
-                  telemetry;
-                Oracle.Register_oracle.check_read oracle ~file:op.file
-                  ~version:result.Leases.Client.r_version ~start ~finish:(Engine.now engine))
-          | Workload.Op.Write ->
-            Leases.Client.write client op.file ~k:(fun result ->
-                incr completed;
-                incr writes_completed;
-                let latency_s = Time.Span.to_sec result.Leases.Client.w_latency in
-                Stats.Histogram.add write_latency latency_s;
-                Option.iter
-                  (fun c ->
-                    Shard_telemetry.note_write c ~shard:(Shard_map.owner map op.file) ~latency_s)
-                  telemetry)
-        end
-      in
-      ignore (Engine.schedule_at engine op.at issue))
-    (Workload.Trace.ops trace);
-
-  let horizon = Time.add Time.zero (Time.Span.add (Workload.Trace.duration trace) setup.drain) in
-  Engine.run ~until:horizon engine;
-  Trace.Sink.flush setup.tracer;
-  Option.iter Shard_telemetry.finalize telemetry;
-  let metrics =
-    assemble_metrics ~engine ~net ~servers ~clients ~oracle ~read_latency ~write_latency
-      ~ops_issued:!ops_issued ~completed:!completed ~reads_completed:!reads_completed
-      ~writes_completed:!writes_completed ~temp_ops:!temp_ops
+  let w, metrics, telemetry =
+    run_world setup ~tracer:setup.tracer ~profiler:Profile.Recorder.null
+      ~rng:(Prng.Splitmix.create ~seed:setup.seed)
+      ~servers:(Array.init k (fun s -> (server_host s, config_for_shard setup map s)))
+      ~route:(fun file -> server_host (Shard_map.owner map file))
+      ?latency:setup.latency
+      ~server_of_shard:(fun s -> Some (s mod k))
+      ~trace_clients:true ~shard_of:(Shard_map.owner map)
+      ~until:(Leases.Cluster.horizon trace ~drain:setup.drain)
+      (Workload.Trace.ops trace)
   in
   let sim_duration = metrics.Leases.Metrics.sim_duration in
-  let per_shard = Array.mapi (fun s server -> load_of_server ~shard:s ~sim_duration server) servers in
-  { metrics; per_shard; map; oracle; store; telemetry }
+  {
+    metrics;
+    per_shard = Array.mapi (fun s server -> load_of_server ~shard:s ~sim_duration server) w.servers;
+    map;
+    oracle = w.oracle;
+    store = w.store;
+    telemetry;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Split deployment: one self-contained sub-simulation per shard.      *)
@@ -358,201 +205,49 @@ type split_outcome = {
   sp_parts : part array;
 }
 
-(* Sub-simulation fault scheduling.  Client-level faults touch the client
-   machine, which exists in every sub-simulation, so they are applied in
-   all of them; their trace events are emitted only from sub-simulation 0
-   so the merged stream carries each machine-level fault once.  Server
-   faults resolve their shard index and are applied (and traced, with the
-   resolved host) only in the owning sub-simulation. *)
-let schedule_part_faults setup ~shard:me engine liveness partition server_clock client_clocks
-    tracer faults =
-  let n = setup.n_shards in
-  let at_time at f = ignore (Engine.schedule_at engine at f) in
-  let note_here ev =
-    if Trace.Sink.enabled tracer then
-      Trace.Sink.emit tracer (Time.to_sec (Engine.now engine)) (ev ())
-  in
-  let note_once ev = if me = 0 then note_here ev in
-  let crash_host noter host at duration =
-    at_time at (fun () ->
-        noter (fun () -> Trace.Event.Crash { host = Host_id.to_int host });
-        Host.Liveness.crash liveness host;
-        ignore
-          (Engine.schedule_after engine duration (fun () ->
-               noter (fun () -> Trace.Event.Recover { host = Host_id.to_int host });
-               Host.Liveness.recover liveness host)))
-  in
-  List.iter
-    (fun fault ->
-      match fault with
-      | Leases.Sim.Crash_client { client; at; duration } ->
-        crash_host note_once (client_host setup client) at duration
-      | Leases.Sim.Crash_server { at; duration } ->
-        if me = 0 then crash_host note_here (server_host 0) at duration
-      | Leases.Sim.Crash_shard { shard; at; duration } ->
-        if shard mod n = me then crash_host note_here (server_host me) at duration
-      | Leases.Sim.Partition_clients { clients; at; duration } ->
-        at_time at (fun () ->
-            Netsim.Partition.isolate partition (List.map (client_host setup) clients);
-            ignore
-              (Engine.schedule_after engine duration (fun () -> Netsim.Partition.heal partition)))
-      | Leases.Sim.Client_drift { client; at; drift } ->
-        at_time at (fun () ->
-            note_once (fun () ->
-                Trace.Event.Clock_drift { host = Host_id.to_int (client_host setup client); drift });
-            Clock.set_drift client_clocks.(client) drift)
-      | Leases.Sim.Server_drift { shard; at; drift } ->
-        if shard mod n = me then
-          at_time at (fun () ->
-              note_here (fun () ->
-                  Trace.Event.Clock_drift { host = Host_id.to_int (server_host me); drift });
-              Clock.set_drift server_clock drift)
-      | Leases.Sim.Client_step { client; at; step } ->
-        at_time at (fun () ->
-            note_once (fun () ->
-                Trace.Event.Clock_step
-                  {
-                    host = Host_id.to_int (client_host setup client);
-                    step_s = Time.Span.to_sec step;
-                  });
-            Clock.step client_clocks.(client) step)
-      | Leases.Sim.Server_step { shard; at; step } ->
-        if shard mod n = me then
-          at_time at (fun () ->
-              note_here (fun () ->
-                  Trace.Event.Clock_step
-                    { host = Host_id.to_int (server_host me); step_s = Time.Span.to_sec step });
-              Clock.step server_clock step))
-    faults
-
-(* One shard as a complete, isolated simulation: its own engine, clocks,
-   network, liveness/partition, store, WAL (inside the server), trace
-   buffer, telemetry collector and profile recorder.  Nothing in here
-   touches state shared with another part, so parts may run on separate
-   domains; [rng] was pre-split from the master seed before any domain
-   started.  All [n_clients] client machines exist in every part — an op
-   reaches the part owning its file, so a client idle on this shard just
-   contributes nothing. *)
+(* One shard as a complete, isolated simulation: a one-server world at
+   host [s] with its own engine, clocks, network, store, WAL, trace
+   buffer, telemetry collector and profile recorder, so parts may run on
+   separate domains; [rng] was pre-split from the master seed before any
+   domain started.  All [n_clients] client machines exist in every part
+   (a client idle on this shard contributes nothing), so client-level
+   faults apply in every part but only part 0 traces them; server faults
+   apply, and are traced, only in the part owning their shard. *)
 let run_split_part setup ~map ~rng ~horizon ~part_ops ~shard:s =
   let buf = if Trace.Sink.enabled setup.tracer then Some (Trace.Sink.buffer ()) else None in
   let tracer = match buf with Some b -> Trace.Sink.buffer_sink b | None -> Trace.Sink.null in
   let profiler =
     if s < Array.length setup.profilers then setup.profilers.(s) else Profile.Recorder.null
   in
-  let tracer =
-    if Profile.Recorder.enabled profiler then
-      Trace.Sink.observe tracer
-        ~enter:(fun () -> Profile.Recorder.enter profiler Profile.Center.Trace_emit)
-        ~leave:(fun () -> Profile.Recorder.exit profiler)
-    else tracer
-  in
-  let engine = Engine.create () in
-  Engine.set_profiler engine profiler;
-  Engine.set_tracer engine tracer;
-  let liveness = Host.Liveness.create () in
-  let partition = Netsim.Partition.create () in
-  let net =
-    Netsim.Net.create engine ~liveness ~partition ~rng:(Prng.Splitmix.split rng) ~loss:setup.loss
-      ~tracer ~classify:Leases.Messages.trace_class ~prop_delay:setup.m_prop
-      ~proc_delay:setup.m_proc ()
-  in
-  let server_clock = Clock.create engine () in
-  let client_clocks = Array.init setup.n_clients (fun _ -> Clock.create engine ()) in
-  let store = Vstore.Store.create () in
-  let client_hosts = List.init setup.n_clients (client_host setup) in
-  let server =
-    Leases.Server.create ~engine ~clock:server_clock ~net ~liveness ~host:(server_host s)
-      ~clients:client_hosts ~store ~config:(config_for_shard setup map s) ~tracer ()
-  in
-  let servers = [| server |] in
-  let clients =
-    Array.init setup.n_clients (fun i ->
-        let host = client_host setup i in
-        (* Distinct request-id origins per part: the shard index sits above
-           a 26-bit per-part sequence, below the host bits, so correlation
-           ids stay unique in the merged stream. *)
-        let req_origin = (Host_id.to_int host lsl 32) lor (s lsl 26) in
-        Leases.Client.create ~engine ~clock:client_clocks.(i) ~net ~liveness ~host
-          ~server:(server_host s) ~rng:(Prng.Splitmix.split rng) ~config:setup.config ~tracer
-          ~req_origin ())
-  in
-  let oracle = Oracle.Register_oracle.create ~store in
-  let telemetry =
-    Option.map
-      (fun interval_s -> Shard_telemetry.create ~interval_s ~n_shards:1 ())
-      setup.telemetry_interval_s
-  in
-  Option.iter (fun c -> Shard_telemetry.attach c ~engine ~servers) telemetry;
-  schedule_part_faults setup ~shard:s engine liveness partition server_clock client_clocks tracer
-    setup.faults;
-  let read_latency = Stats.Histogram.create () in
-  let write_latency = Stats.Histogram.create () in
-  let ops_issued = ref 0 in
-  let completed = ref 0 in
-  let reads_completed = ref 0 in
-  let writes_completed = ref 0 in
-  let temp_ops = ref 0 in
-  List.iter
-    (fun (op : Workload.Op.t) ->
-      let issue () =
-        if op.temporary then incr temp_ops
-        else begin
-          incr ops_issued;
-          let client = clients.(op.client) in
-          match op.kind with
-          | Workload.Op.Read ->
-            let start = Engine.now engine in
-            Leases.Client.read client op.file ~k:(fun result ->
-                incr completed;
-                incr reads_completed;
-                let latency_s = Time.Span.to_sec result.Leases.Client.r_latency in
-                Stats.Histogram.add read_latency latency_s;
-                Option.iter
-                  (fun c ->
-                    Shard_telemetry.note_read c ~shard:0 ~latency_s
-                      ~hit:result.Leases.Client.r_from_cache)
-                  telemetry;
-                Oracle.Register_oracle.check_read oracle ~file:op.file
-                  ~version:result.Leases.Client.r_version ~start ~finish:(Engine.now engine))
-          | Workload.Op.Write ->
-            Leases.Client.write client op.file ~k:(fun result ->
-                incr completed;
-                incr writes_completed;
-                let latency_s = Time.Span.to_sec result.Leases.Client.w_latency in
-                Stats.Histogram.add write_latency latency_s;
-                Option.iter
-                  (fun c -> Shard_telemetry.note_write c ~shard:0 ~latency_s)
-                  telemetry)
-        end
-      in
-      ignore (Engine.schedule_at engine op.at issue))
-    part_ops;
-  if Profile.Recorder.enabled profiler then Profile.Recorder.start profiler;
-  Engine.run ~until:horizon engine;
-  if Profile.Recorder.enabled profiler then Profile.Recorder.stop profiler;
-  Trace.Sink.flush tracer;
-  Option.iter Shard_telemetry.finalize telemetry;
-  let metrics =
-    assemble_metrics ~engine ~net ~servers ~clients ~oracle ~read_latency ~write_latency
-      ~ops_issued:!ops_issued ~completed:!completed ~reads_completed:!reads_completed
-      ~writes_completed:!writes_completed ~temp_ops:!temp_ops
+  (* Distinct request-id origins per part: the shard index sits above a
+     26-bit per-part sequence, below the host bits, so correlation ids stay
+     unique in the merged stream. *)
+  let req_origin host = (Host_id.to_int host lsl 32) lor (s lsl 26) in
+  let w, metrics, telemetry =
+    run_world setup ~tracer ~profiler ~rng
+      ~servers:[| (server_host s, config_for_shard setup map s) |]
+      ~req_origin
+      ~server_of_shard:(fun shard -> if shard mod setup.n_shards = s then Some 0 else None)
+      ~trace_clients:(s = 0)
+      ~shard_of:(fun _ -> 0)
+      ~until:horizon part_ops
   in
   {
     p_shard = s;
     p_metrics = metrics;
-    p_load = load_of_server ~shard:s ~sim_duration:metrics.Leases.Metrics.sim_duration server;
-    p_oracle = oracle;
-    p_store = store;
+    p_load = load_of_server ~shard:s ~sim_duration:metrics.Leases.Metrics.sim_duration w.servers.(0);
+    p_oracle = w.oracle;
+    p_store = w.store;
     p_telemetry = telemetry;
     p_events = (match buf with Some b -> Trace.Sink.buffer_contents b | None -> []);
-    p_rtt_s = Time.Span.to_sec (Netsim.Net.unicast_rtt net);
+    p_rtt_s = Time.Span.to_sec (Netsim.Net.unicast_rtt w.fabric.Leases.Cluster.net);
   }
 
 (* Deterministic merge: every integer field sums; histograms fold with
    [Stats.Histogram.merge] in shard order, so float accumulation order is
-   fixed; derived fields are recomputed from the merged raw values with
-   the same formulas the shared-engine path uses.  Every part ran to the
-   same horizon, so [sim_duration] is common. *)
+   fixed; the derived fields are recomputed from the merged raw values by
+   [Cluster.derive], as every single-world run computes them.  Every part
+   ran to the same horizon, so [sim_duration] is common. *)
 let merge_split_metrics ~rtt_s parts =
   let sum f = Array.fold_left (fun acc (p : part) -> acc + f p.p_metrics) 0 parts in
   let merged_hist f =
@@ -560,66 +255,43 @@ let merge_split_metrics ~rtt_s parts =
     Array.iter (fun (p : part) -> Stats.Histogram.merge h (f p.p_metrics)) parts;
     h
   in
-  let read_latency = merged_hist (fun m -> m.Leases.Metrics.read_latency) in
-  let write_latency = merged_hist (fun m -> m.Leases.Metrics.write_latency) in
-  let write_wait = merged_hist (fun m -> m.Leases.Metrics.write_wait) in
-  let staleness = merged_hist (fun m -> m.Leases.Metrics.staleness) in
-  let hits = sum (fun m -> m.Leases.Metrics.cache_hits) in
-  let misses = sum (fun m -> m.Leases.Metrics.cache_misses) in
-  let consistency = sum (fun m -> m.Leases.Metrics.consistency_msgs) in
-  let sim_duration = parts.(0).p_metrics.Leases.Metrics.sim_duration in
-  let mean_write_added = Float.max 0. (Stats.Histogram.mean write_latency -. rtt_s) in
-  let reads = Stats.Histogram.count read_latency in
-  let writes = Stats.Histogram.count write_latency in
-  let mean_op_delay =
-    if reads + writes = 0 then 0.
-    else
-      ((Stats.Histogram.mean read_latency *. float_of_int reads)
-      +. (mean_write_added *. float_of_int writes))
-      /. float_of_int (reads + writes)
-  in
-  {
-    Leases.Metrics.sim_duration;
-    ops_issued = sum (fun m -> m.Leases.Metrics.ops_issued);
-    reads_completed = sum (fun m -> m.Leases.Metrics.reads_completed);
-    writes_completed = sum (fun m -> m.Leases.Metrics.writes_completed);
-    temp_ops = sum (fun m -> m.Leases.Metrics.temp_ops);
-    dropped_ops = sum (fun m -> m.Leases.Metrics.dropped_ops);
-    cache_hits = hits;
-    cache_misses = misses;
-    hit_ratio =
-      (if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses));
-    msgs_extension = sum (fun m -> m.Leases.Metrics.msgs_extension);
-    msgs_approval = sum (fun m -> m.Leases.Metrics.msgs_approval);
-    msgs_installed = sum (fun m -> m.Leases.Metrics.msgs_installed);
-    msgs_write_transfer = sum (fun m -> m.Leases.Metrics.msgs_write_transfer);
-    consistency_msgs = consistency;
-    server_total_msgs = sum (fun m -> m.Leases.Metrics.server_total_msgs);
-    consistency_msg_rate =
-      (if sim_duration <= 0. then 0. else float_of_int consistency /. sim_duration);
-    callbacks_sent = sum (fun m -> m.Leases.Metrics.callbacks_sent);
-    commits = sum (fun m -> m.Leases.Metrics.commits);
-    wal_io = sum (fun m -> m.Leases.Metrics.wal_io);
-    read_latency;
-    write_latency;
-    write_wait;
-    mean_read_delay = Stats.Histogram.mean read_latency;
-    mean_write_delay_added = mean_write_added;
-    mean_op_delay;
-    retransmissions = sum (fun m -> m.Leases.Metrics.retransmissions);
-    renewals_sent = sum (fun m -> m.Leases.Metrics.renewals_sent);
-    approvals_answered = sum (fun m -> m.Leases.Metrics.approvals_answered);
-    net_sent = sum (fun m -> m.Leases.Metrics.net_sent);
-    net_dropped_loss = sum (fun m -> m.Leases.Metrics.net_dropped_loss);
-    net_dropped_partition = sum (fun m -> m.Leases.Metrics.net_dropped_partition);
-    net_dropped_down = sum (fun m -> m.Leases.Metrics.net_dropped_down);
-    oracle_reads = sum (fun m -> m.Leases.Metrics.oracle_reads);
-    oracle_violations = sum (fun m -> m.Leases.Metrics.oracle_violations);
-    staleness;
-  }
+  let open Leases.Metrics in
+  Leases.Cluster.derive ~rtt_s
+    {
+      (parts.(0).p_metrics) with
+      ops_issued = sum (fun m -> m.ops_issued);
+      reads_completed = sum (fun m -> m.reads_completed);
+      writes_completed = sum (fun m -> m.writes_completed);
+      temp_ops = sum (fun m -> m.temp_ops);
+      dropped_ops = sum (fun m -> m.dropped_ops);
+      cache_hits = sum (fun m -> m.cache_hits);
+      cache_misses = sum (fun m -> m.cache_misses);
+      msgs_extension = sum (fun m -> m.msgs_extension);
+      msgs_approval = sum (fun m -> m.msgs_approval);
+      msgs_installed = sum (fun m -> m.msgs_installed);
+      msgs_write_transfer = sum (fun m -> m.msgs_write_transfer);
+      consistency_msgs = sum (fun m -> m.consistency_msgs);
+      server_total_msgs = sum (fun m -> m.server_total_msgs);
+      callbacks_sent = sum (fun m -> m.callbacks_sent);
+      commits = sum (fun m -> m.commits);
+      wal_io = sum (fun m -> m.wal_io);
+      read_latency = merged_hist (fun m -> m.read_latency);
+      write_latency = merged_hist (fun m -> m.write_latency);
+      write_wait = merged_hist (fun m -> m.write_wait);
+      retransmissions = sum (fun m -> m.retransmissions);
+      renewals_sent = sum (fun m -> m.renewals_sent);
+      approvals_answered = sum (fun m -> m.approvals_answered);
+      net_sent = sum (fun m -> m.net_sent);
+      net_dropped_loss = sum (fun m -> m.net_dropped_loss);
+      net_dropped_partition = sum (fun m -> m.net_dropped_partition);
+      net_dropped_down = sum (fun m -> m.net_dropped_down);
+      oracle_reads = sum (fun m -> m.oracle_reads);
+      oracle_violations = sum (fun m -> m.oracle_violations);
+      staleness = merged_hist (fun m -> m.staleness);
+    }
 
 let run_split ?(domains = 1) setup ~trace =
-  if setup.n_clients < 1 then invalid_arg "Deploy.run_split: need at least one client";
+  Leases.Cluster.check ~who:"Deploy.run_split" ~n_clients:setup.n_clients setup.faults trace;
   if setup.n_shards < 1 then invalid_arg "Deploy.run_split: need at least one shard";
   if domains < 1 then invalid_arg "Deploy.run_split: need at least one domain";
   let map = Shard_map.create ~vnodes:setup.vnodes ~seed:setup.seed ~shards:setup.n_shards () in
@@ -631,13 +303,11 @@ let run_split ?(domains = 1) setup ~trace =
   let part_ops = Array.make setup.n_shards [] in
   List.iter
     (fun (op : Workload.Op.t) ->
-      if op.client < 0 || op.client >= setup.n_clients then
-        invalid_arg "Deploy.run_split: trace uses a client index outside the cluster";
       let s = Shard_map.owner map op.file in
       part_ops.(s) <- op :: part_ops.(s))
     (Workload.Trace.ops trace);
   let part_ops = Array.map List.rev part_ops in
-  let horizon = Time.add Time.zero (Time.Span.add (Workload.Trace.duration trace) setup.drain) in
+  let horizon = Leases.Cluster.horizon trace ~drain:setup.drain in
   let run_part s =
     run_split_part setup ~map ~rng:rngs.(s) ~horizon ~part_ops:part_ops.(s) ~shard:s
   in

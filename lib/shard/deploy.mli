@@ -1,21 +1,24 @@
 (** Sharded multi-server deployment.
 
     Partitions the file namespace across N independent lease servers with
-    a {!Shard_map} and runs a full cluster: shard [s]'s server is host
-    [s], client [i] is host [n_shards + i], and every client routes each
-    operation to the owning server through [Leases.Client]'s [route]
-    hook — per-server retry state, per-server renewal batching, approval
-    replies to whichever server asked.  The servers share one versioned
-    store (their file sets are disjoint) but keep independent WALs, lease
-    tables and clocks, so a crashed shard runs the max-term recovery wait
-    on its own while the others keep serving.
+    a {!Shard_map} and runs them as one [Leases.Sim] lease world on the
+    shared [Leases.Cluster] harness (fabric, fault scheduler, op issue):
+    shard [s]'s server is host [s], client [i] is host [n_shards + i], and
+    every client routes each operation to the owning server through
+    [Leases.Client]'s [route] hook — per-server retry state, per-server
+    renewal batching, approval replies to whichever server asked.  The
+    servers share one versioned store (their file sets are disjoint) but
+    keep independent WALs, lease tables and clocks, so a crashed shard
+    runs the max-term recovery wait on its own while the others keep
+    serving.  With one shard, {!run} is [Leases.Sim.run]: same metrics,
+    same event stream.
 
-    Fault vocabulary: [Leases.Sim.Crash_shard] crashes the owning server
-    of the given shard (index taken modulo the shard count); a plain
-    [Crash_server] and the server clock faults target shard 0, so
-    single-server fault schedules replay on a sharded cluster.  The
-    consistency oracle observes the shared store exactly as in the
-    single-server harness. *)
+    Fault vocabulary: [Leases.Sim.Crash_shard] and the server clock faults
+    name the owning server of a shard (index taken modulo the shard
+    count); a plain [Crash_server] and the two-argument clock-fault specs
+    mean shard 0, so single-server fault schedules replay on a sharded
+    cluster.  The consistency oracle observes the shared store exactly as
+    in the single-server harness. *)
 
 type setup = {
   seed : int64;
@@ -85,6 +88,10 @@ type outcome = {
 }
 
 val run : setup -> trace:Workload.Trace.t -> outcome
+(** Raises [Invalid_argument] before building anything when
+    [Leases.Cluster.check] rejects the clients, faults or trace, or when
+    there are no shards; {!run_split} makes the same checks before any
+    part starts. *)
 
 (** {1 Split deployment} — one self-contained sub-simulation per shard.
 

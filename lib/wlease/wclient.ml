@@ -42,7 +42,9 @@ type entry = {
 type rpc_kind =
   | R_acquire_read of { file : File_id.t; k : read_result -> unit }
   | R_acquire_write of { file : File_id.t; k : write_result -> unit }
-  | R_flush of { file : File_id.t }
+  | R_flush of { file : File_id.t; sent_local : Time.t }
+      (** [sent_local]: client clock when the flush was first sent, the
+          latest instant the server's renewal can have started from *)
 
 type rpc = {
   req : int;
@@ -136,12 +138,12 @@ let drop_entry t file =
     Hashtbl.remove t.cache file
   | None -> ()
 
-let client_expiry t ~term =
+let client_expiry t ~from ~term =
   let effective =
     Time.Span.clamp_non_negative
       (Time.Span.sub (Time.Span.sub term t.config.transit_allowance) t.config.skew_allowance)
   in
-  Time.add (local_now t) effective
+  Time.add from effective
 
 (* ------------------------------------------------------------------ *)
 (* Flushing                                                            *)
@@ -151,7 +153,7 @@ let rec start_flush t file entry =
     bump t "flushes-sent";
     let req = fresh_req t in
     entry.flushing <- Some (req, entry.dirty);
-    start_rpc t (R_flush { file })
+    start_rpc t (R_flush { file; sent_local = local_now t })
       (Wmessages.Flush_request { req; file; epoch = entry.epoch; local_writes = entry.dirty })
       ~req
   end
@@ -261,7 +263,7 @@ let install_grant t file ~version ~mode ~term ~epoch =
     {
       version;
       mode;
-      expiry = client_expiry t ~term;
+      expiry = client_expiry t ~from:(local_now t) ~term;
       epoch;
       dirty = 0;
       flush_timer = None;
@@ -308,18 +310,24 @@ let handle_message t (envelope : Wmessages.payload Netsim.Net.envelope) =
       | Some _, _ | None, _ -> ())
     | Wmessages.Flush_reply { req; file; accepted } -> (
       match Hashtbl.find_opt t.rpcs req with
-      | Some ({ kind = R_flush { file = ffile }; _ } as rpc) when File_id.equal file ffile -> (
+      | Some ({ kind = R_flush { file = ffile; sent_local }; _ } as rpc)
+        when File_id.equal file ffile -> (
         finish_rpc t rpc;
         match Hashtbl.find_opt t.cache file with
-        | Some entry -> (
-          let covered = match entry.flushing with Some (_, n) -> n | None -> 0 in
+        (* only the entry this flush was sent for: if that one was dropped
+           and a later grant installed another, the reply is not about it *)
+        | Some ({ flushing = Some (flush_req, covered); _ } as entry) when flush_req = req -> (
           entry.flushing <- None;
           match accepted with
           | Some (version, renewed_term) ->
             entry.version <- version;
             entry.dirty <- Stdlib.max 0 (entry.dirty - covered);
+            (* a retransmitted flush is answered from the server's reply
+               cache, possibly retry intervals after the renewal: time the
+               term from the first send, never from this arrival *)
             if entry.pending_recall = None then
-              entry.expiry <- Time.max entry.expiry (client_expiry t ~term:renewed_term);
+              entry.expiry <-
+                Time.max entry.expiry (client_expiry t ~from:sent_local ~term:renewed_term);
             (match entry.pending_recall with
             | Some recall ->
               if entry.dirty > 0 then start_flush t file entry
@@ -333,7 +341,7 @@ let handle_message t (envelope : Wmessages.payload Netsim.Net.envelope) =
             let recall = entry.pending_recall in
             drop_entry t file;
             (match recall with Some r -> answer_recall t file r | None -> ()))
-        | None -> ())
+        | Some _ | None -> ())
       | Some _ | None -> ())
     | Wmessages.Recall_request { recall; file } -> (
       match Hashtbl.find_opt t.cache file with

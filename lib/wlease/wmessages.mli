@@ -42,11 +42,12 @@ type payload =
       req : int;
       file : Vstore.File_id.t;
       accepted : (Vstore.Version.t * Simtime.Time.Span.t) option;
-      (** on acceptance, the new durable version and a renewed lease term —
-          a successful flush proves the holder is alive, so the server
-          re-extends its write lease (unless a conflicting acquisition is
-          already waiting on it); [None]: stale epoch or expired lease —
-          the buffered writes are rejected and lost *)
+      (** on acceptance, the new durable version and the renewed lease
+          term — a successful flush proves the holder is alive, so the
+          server re-extends its write lease, unless a conflicting
+          acquisition is already waiting on it, in which case the term is
+          zero; [None]: stale epoch or expired lease — the buffered writes
+          are rejected and lost *)
     }
   | Recall_request of { recall : int; file : Vstore.File_id.t }
       (** relinquish your lease on [file] (flushing first if dirty) *)

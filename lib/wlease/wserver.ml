@@ -200,15 +200,19 @@ let handle_flush t ~src ~req file epoch local_writes =
     let renew () =
       (* a live flusher earns a fresh term — but never while a conflicting
          acquisition is already waiting on this holder's expiry, or the
-         waiter's deadline arithmetic would be invalidated *)
+         waiter's deadline arithmetic would be invalidated.  Returns the
+         term actually granted, zero when none was, so the reply never
+         promises the client more than the server extended. *)
       if s.pending = None then begin
         let expiry = Time.add now t.term in
         Vstore.Wal.record_grant t.wal file ~term:t.term ~expiry;
         s.holders <-
           Host_id.Map.update src
             (Option.map (fun h -> { h with h_expiry = expiry }))
-            s.holders
+            s.holders;
+        t.term
       end
+      else Time.Span.zero
     in
     let accepted =
       if valid && local_writes > 0 then begin
@@ -218,13 +222,9 @@ let handle_flush t ~src ~req file epoch local_writes =
         done;
         count t "commits-batches";
         Stats.Counter.add (Stats.Counter.Registry.counter t.counters "commits") local_writes;
-        renew ();
-        Some (!version, t.term)
+        Some (!version, renew ())
       end
-      else if valid then begin
-        renew ();
-        Some (Vstore.Store.current t.store file, t.term)
-      end
+      else if valid then Some (Vstore.Store.current t.store file, renew ())
       else begin
         count t "flushes-rejected";
         None

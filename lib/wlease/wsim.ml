@@ -1,5 +1,4 @@
 open Simtime
-module Host_id = Host.Host_id
 
 type setup = {
   seed : int64;
@@ -36,164 +35,72 @@ type outcome = {
   flushes_rejected : int;
 }
 
-let server_host = Host_id.of_int 0
-let client_host i = Host_id.of_int (i + 1)
-
 let run setup ~trace =
-  if setup.n_clients < 1 then invalid_arg "Wsim.run: need at least one client";
-  let engine = Engine.create () in
-  let liveness = Host.Liveness.create () in
-  let partition = Netsim.Partition.create () in
-  let rng = Prng.Splitmix.create ~seed:setup.seed in
-  let net =
-    Netsim.Net.create engine ~liveness ~partition ~rng:(Prng.Splitmix.split rng) ~loss:setup.loss
-      ~prop_delay:setup.m_prop ~proc_delay:setup.m_proc ()
+  Leases.Cluster.check ~who:"Wsim.run" ~n_clients:setup.n_clients setup.faults trace;
+  let w =
+    Leases.Cluster.fabric
+      ~rng:(Prng.Splitmix.create ~seed:setup.seed)
+      ~loss:setup.loss ~m_prop:setup.m_prop ~m_proc:setup.m_proc ()
   in
+  let { Leases.Cluster.engine; net; liveness; _ } = w in
   let store = Vstore.Store.create () in
   let server_clock = Clock.create engine () in
   let server =
-    Wserver.create ~engine ~clock:server_clock ~net ~liveness ~host:server_host ~store
-      ~term:setup.term ()
+    Wserver.create ~engine ~clock:server_clock ~net ~liveness ~host:Leases.Cluster.server_host
+      ~store ~term:setup.term ()
   in
   let client_clocks = Array.init setup.n_clients (fun _ -> Clock.create engine ()) in
   let clients =
     Array.init setup.n_clients (fun i ->
-        Wclient.create ~engine ~clock:client_clocks.(i) ~net ~liveness ~host:(client_host i)
-          ~server:server_host ~config:setup.wconfig ())
+        Wclient.create ~engine ~clock:client_clocks.(i) ~net ~liveness
+          ~host:(Leases.Cluster.client_host i) ~server:Leases.Cluster.server_host
+          ~config:setup.wconfig ())
   in
   let oracle = Oracle.Register_oracle.create ~store in
-  (* reuse the lease fault vocabulary *)
-  List.iter
-    (fun fault ->
-      let at_time at f = ignore (Engine.schedule_at engine at f) in
-      match fault with
-      | Leases.Sim.Crash_client { client; at; duration } ->
-        at_time at (fun () ->
-            Host.Liveness.crash liveness (client_host client);
-            ignore
-              (Engine.schedule_after engine duration (fun () ->
-                   Host.Liveness.recover liveness (client_host client))))
-      | Leases.Sim.Crash_server { at; duration } | Leases.Sim.Crash_shard { at; duration; _ } ->
-        at_time at (fun () ->
-            Host.Liveness.crash liveness server_host;
-            ignore
-              (Engine.schedule_after engine duration (fun () ->
-                   Host.Liveness.recover liveness server_host)))
-      | Leases.Sim.Partition_clients { clients = cs; at; duration } ->
-        at_time at (fun () ->
-            Netsim.Partition.isolate partition (List.map client_host cs);
-            ignore (Engine.schedule_after engine duration (fun () -> Netsim.Partition.heal partition)))
-      | Leases.Sim.Client_drift { client; at; drift } ->
-        at_time at (fun () -> Clock.set_drift client_clocks.(client) drift)
-      | Leases.Sim.Server_drift { at; drift; _ } ->
-        at_time at (fun () -> Clock.set_drift server_clock drift)
-      | Leases.Sim.Client_step { client; at; step } ->
-        at_time at (fun () -> Clock.step client_clocks.(client) step)
-      | Leases.Sim.Server_step { at; step; _ } -> at_time at (fun () -> Clock.step server_clock step))
+  Leases.Cluster.schedule_faults w
+    (Leases.Cluster.one_server ~clocks:(server_clock, Array.get client_clocks) ())
     setup.faults;
-
-  let read_latency = Stats.Histogram.create () in
-  let write_latency = Stats.Histogram.create () in
-  let ops_issued = ref 0 in
-  let completed = ref 0 in
-  let reads_completed = ref 0 in
-  let writes_completed = ref 0 in
-  let temp_ops = ref 0 in
-  let dirty_reads = ref 0 in
-  List.iter
-    (fun (op : Workload.Op.t) ->
-      if op.client < 0 || op.client >= setup.n_clients then
-        invalid_arg "Wsim.run: trace uses a client index outside the cluster";
-      ignore
-        (Engine.schedule_at engine op.at (fun () ->
-             if op.temporary then incr temp_ops
-             else begin
-               incr ops_issued;
-               let client = clients.(op.client) in
-               match op.kind with
-               | Workload.Op.Read ->
-                 let start = Engine.now engine in
-                 Wclient.read client op.file ~k:(fun r ->
-                     incr completed;
-                     incr reads_completed;
-                     Stats.Histogram.add read_latency (Time.Span.to_sec r.Wclient.r_latency);
-                     if r.Wclient.r_dirty then incr dirty_reads
-                     else
-                       Oracle.Register_oracle.check_read oracle ~file:op.file
-                         ~version:r.Wclient.r_version ~start ~finish:(Engine.now engine))
-               | Workload.Op.Write ->
-                 Wclient.write client op.file ~k:(fun w ->
-                     incr completed;
-                     incr writes_completed;
-                     Stats.Histogram.add write_latency (Time.Span.to_sec w.Wclient.w_latency))
-             end)))
-    (Workload.Trace.ops trace);
-
-  let horizon = Time.add Time.zero (Time.Span.add (Workload.Trace.duration trace) setup.drain) in
-  Engine.run ~until:horizon engine;
-
+  let tally =
+    Leases.Cluster.drive w ~oracle
+      ~read:(fun t (op : Workload.Op.t) ->
+        Wclient.read clients.(op.client) op.file ~k:(fun r ->
+            if r.Wclient.r_dirty then Leases.Cluster.dirty_read_done t r.Wclient.r_latency
+            else Leases.Cluster.read_done t op r.Wclient.r_version r.Wclient.r_latency))
+      ~write:(fun t (op : Workload.Op.t) ->
+        Wclient.write clients.(op.client) op.file ~k:(fun r ->
+            Leases.Cluster.write_done t r.Wclient.w_latency))
+      (Workload.Trace.ops trace)
+  in
+  Leases.Cluster.run w ~until:(Leases.Cluster.horizon trace ~drain:setup.drain);
   let sum f = Array.fold_left (fun acc c -> acc + f c) 0 clients in
-  let hits = sum Wclient.hits and misses = sum Wclient.misses in
-  let sim_duration = Time.Span.to_sec (Time.Span.since_epoch (Engine.now engine)) in
   let ext = Wserver.messages_extension server in
   let recall = Wserver.messages_recall server in
   let flush = Wserver.messages_flush server in
-  let consistency = ext + recall in
-  let reads = Stats.Histogram.count read_latency and writes = Stats.Histogram.count write_latency in
-  let mean_write = Stats.Histogram.mean write_latency in
-  let mean_op_delay =
-    if reads + writes = 0 then 0.
-    else
-      ((Stats.Histogram.mean read_latency *. float_of_int reads)
-      +. (mean_write *. float_of_int writes))
-      /. float_of_int (reads + writes)
-  in
   let metrics =
-    {
-      Leases.Metrics.sim_duration;
-      ops_issued = !ops_issued;
-      reads_completed = !reads_completed;
-      writes_completed = !writes_completed;
-      temp_ops = !temp_ops;
-      dropped_ops = !ops_issued - !completed;
-      cache_hits = hits;
-      cache_misses = misses;
-      hit_ratio =
-        (if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses));
-      msgs_extension = ext;
-      msgs_approval = recall;
-      msgs_installed = 0;
-      msgs_write_transfer = flush;
-      consistency_msgs = consistency;
-      server_total_msgs = ext + recall + flush;
-      consistency_msg_rate =
-        (if sim_duration <= 0. then 0. else float_of_int consistency /. sim_duration);
-      callbacks_sent = Wserver.recalls_sent server;
-      commits = Wserver.commits server;
-      wal_io = 0;
-      read_latency;
-      write_latency;
-      write_wait = Wserver.grant_wait server;
-      mean_read_delay = Stats.Histogram.mean read_latency;
-      mean_write_delay_added = mean_write;
-      mean_op_delay;
-      retransmissions = sum Wclient.retransmissions;
-      renewals_sent = sum Wclient.flushes_sent;
-      approvals_answered = sum Wclient.recalls_answered;
-      net_sent = Netsim.Net.sent net;
-      net_dropped_loss = Netsim.Net.dropped_loss net;
-      net_dropped_partition = Netsim.Net.dropped_partition net;
-      net_dropped_down = Netsim.Net.dropped_down net;
-      oracle_reads = Oracle.Register_oracle.reads_checked oracle;
-      oracle_violations = Oracle.Register_oracle.violations oracle;
-      staleness = Oracle.Register_oracle.staleness oracle;
-    }
+    Leases.Cluster.metrics ~write_over_rtt:false w tally (fun m ->
+        {
+          m with
+          Leases.Metrics.cache_hits = sum Wclient.hits;
+          cache_misses = sum Wclient.misses;
+          msgs_extension = ext;
+          msgs_approval = recall;
+          msgs_write_transfer = flush;
+          consistency_msgs = ext + recall;
+          server_total_msgs = ext + recall + flush;
+          callbacks_sent = Wserver.recalls_sent server;
+          commits = Wserver.commits server;
+          write_wait = Wserver.grant_wait server;
+          retransmissions = sum Wclient.retransmissions;
+          renewals_sent = sum Wclient.flushes_sent;
+          approvals_answered = sum Wclient.recalls_answered;
+        })
   in
   {
     metrics;
     oracle;
     store;
-    dirty_reads = !dirty_reads;
+    (* every clean read, and only those, went to the oracle *)
+    dirty_reads = Leases.Metrics.(metrics.reads_completed - metrics.oracle_reads);
     writes_lost = sum Wclient.writes_lost;
     flushes_accepted = Wserver.flushes_accepted server;
     flushes_rejected = Wserver.flushes_rejected server;

@@ -11,6 +11,17 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== seeded figures gate (figures --quick vs scripts/figures_quick.md5) =="
+# The seeded outputs are the spec: every experiment's quick-mode text must
+# stay byte-identical unless a change says why.  A change that alters
+# them on purpose re-records the digest in the same commit.
+got=$(dune exec bin/figures.exe -- --quick | md5sum | cut -d' ' -f1)
+want=$(cat scripts/figures_quick.md5)
+if [ "$got" != "$want" ]; then
+  echo "figures --quick output changed: MD5 $got, scripts/figures_quick.md5 has $want" >&2
+  exit 1
+fi
+
 echo "== perf gate (bench_core --quick vs scripts/perf_baseline.json) =="
 # Quick-mode end-to-end sweeps are noisy, so CI gates at a looser
 # tolerance than the 0.75 default a manual perf_gate.sh run uses — but

@@ -1,7 +1,8 @@
 (* Campaign harness: seeded generation must be deterministic and
-   prefix-stable, full campaign reports byte-identical, generated fault
-   specs must round-trip through the shared parser, and the server's
-   write-queue table must drain back to empty (the queued-entry leak). *)
+   prefix-stable, full campaign reports byte-identical, every fault must
+   round-trip through the shared spec parser (which rejects malformed and
+   negative input), and the server's write-queue table must drain back to
+   empty (the queued-entry leak). *)
 
 open Simtime
 
@@ -33,7 +34,42 @@ let test_pinned_seed_schedule () =
       (Fault_campaign.Schedule.to_command s)
   | _ -> Alcotest.fail "expected exactly one schedule"
 
-let test_fault_specs_round_trip () =
+(* Every constructor, with indices, instants and spans on the
+   microsecond grid below 10^6 s and drift rates of at most six decimals —
+   the range the spec's 12 significant digits carry exactly — parses back
+   to the same fault and prints back to the same spec. *)
+let fault_gen =
+  QCheck.Gen.(
+    let index = int_range 0 40 in
+    let at = map Time.of_us (int_range 0 999_999_999_999) in
+    let span = map Time.Span.of_us (int_range 0 999_999_999_999) in
+    let signed_span = map Time.Span.of_us (int_range (-999_999_999) 999_999_999) in
+    let drift = map (fun n -> float_of_int n /. 1e6) (int_range (-999_999) 9_999_999) in
+    oneof
+      [
+        map3 (fun client at duration -> Leases.Sim.Crash_client { client; at; duration }) index at span;
+        map2 (fun at duration -> Leases.Sim.Crash_server { at; duration }) at span;
+        map3 (fun shard at duration -> Leases.Sim.Crash_shard { shard; at; duration }) index at span;
+        map3
+          (fun clients at duration -> Leases.Sim.Partition_clients { clients; at; duration })
+          (list_size (int_range 1 4) index) at span;
+        map3 (fun client at drift -> Leases.Sim.Client_drift { client; at; drift }) index at drift;
+        map3 (fun shard at drift -> Leases.Sim.Server_drift { shard; at; drift }) index at drift;
+        map3 (fun client at step -> Leases.Sim.Client_step { client; at; step }) index at signed_span;
+        map3 (fun shard at step -> Leases.Sim.Server_step { shard; at; step }) index at signed_span;
+      ])
+
+let prop_fault_specs_round_trip =
+  QCheck.Test.make ~name:"fault specs round-trip" ~count:2000
+    (QCheck.make ~print:Leases.Sim.fault_to_spec fault_gen)
+    (fun f ->
+      let spec = Leases.Sim.fault_to_spec f in
+      match Leases.Sim.fault_of_spec spec with
+      | Ok f' -> f' = f && Leases.Sim.fault_to_spec f' = spec
+      | Error why -> QCheck.Test.fail_reportf "spec %S does not parse: %s" spec why)
+
+let test_generated_specs_round_trip () =
+  (* what the campaign generator actually emits parses back too *)
   List.iter
     (fun s ->
       List.iter
@@ -44,6 +80,40 @@ let test_fault_specs_round_trip () =
           | Error why -> Alcotest.fail (Printf.sprintf "spec %S does not parse: %s" spec why))
         s.Fault_campaign.Schedule.faults)
     (Fault_campaign.Gen.schedules ~seed:42 ~n:10)
+
+let test_rejected_fault_specs () =
+  List.iter
+    (fun (spec, why) ->
+      match Leases.Sim.fault_of_spec spec with
+      | Error _ -> ()
+      | Ok f ->
+        Alcotest.failf "spec %S (%s) must be rejected, parsed as %s" spec why
+          (Leases.Sim.fault_to_spec f))
+    [
+      ("crash-client=1.7,10,5", "fractional client index");
+      ("crash-client=-1,10,5", "negative client index");
+      ("client-step=-1,10,1", "negative client index");
+      ("client-drift=1e1,10,0.5", "client index not an integer");
+      ("partition=1+-9,10,5", "negative client in a partition");
+      ("partition=1+2.5,10,5", "fractional client in a partition");
+      ("partition=,10,5", "empty client in a partition");
+      ("crash-shard=-2,10,5", "negative shard");
+      ("server-drift=-1,10,0.5", "negative shard");
+      ("server-step=1.5,10,1", "fractional shard");
+      ("crash-client=0,10,-5", "negative duration");
+      ("crash-server=10,-0.5", "negative duration");
+      ("partition=0,10,-1", "negative duration");
+      ("crash-client=0,-10,5", "negative instant");
+      ("server-drift=-1,0.5", "negative instant");
+      ("client-step=0,-3,1", "negative instant");
+      ("server-drift=nan,0.5", "non-finite instant");
+      ("server-step=1e300,2", "overflowing instant");
+      ("crash-server=nan,5", "non-finite instant");
+      ("crash-client=0,10", "missing argument");
+      ("crash-server=1,2,3,4", "extra argument");
+      ("bogus=1,2,3", "unknown kind");
+      ("crash-client", "no arguments");
+    ]
 
 let test_shard_indexed_clock_fault_specs () =
   let parses spec expect =
@@ -164,7 +234,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_generation_deterministic;
           Alcotest.test_case "prefix stable" `Quick test_generation_prefix_stable;
           Alcotest.test_case "pinned seed" `Quick test_pinned_seed_schedule;
-          Alcotest.test_case "fault specs round-trip" `Quick test_fault_specs_round_trip;
+          QCheck_alcotest.to_alcotest prop_fault_specs_round_trip;
+          Alcotest.test_case "generated specs round-trip" `Quick test_generated_specs_round_trip;
+          Alcotest.test_case "bad fault specs rejected" `Quick test_rejected_fault_specs;
           Alcotest.test_case "shard-indexed clock faults" `Quick test_shard_indexed_clock_fault_specs;
           Alcotest.test_case "sharded schedules generated" `Quick test_sharded_schedules_generated;
           Alcotest.test_case "unsafe budget bounded" `Quick test_unsafe_budget_small_vs_allowance;

@@ -249,6 +249,90 @@ let test_backward_server_step_mid_wait () =
   in
   check_commit_at_server_expiry ~min_wait:13. (run_checked setup expiry_wait_trace)
 
+(* --- bad fault input ------------------------------------------------------ *)
+
+(* A fault naming a client the cluster does not have, a negative shard, a
+   negative instant or a negative duration is refused with
+   [Invalid_argument] naming the fault's spec, before the run's first
+   event, by every run function — not mid-run, and not by silently
+   faulting a host that does not exist. *)
+let test_bad_faults_rejected_before_the_run () =
+  let n = 3 in
+  let trace =
+    (Experiments.V_trace.poisson ~clients:n ~duration:(span 60.) ()).Experiments.V_trace.trace
+  in
+  let bad =
+    [
+      Leases.Sim.Client_drift { client = 9; at = sec 10.; drift = 0.5 };
+      Leases.Sim.Client_step { client = n; at = sec 10.; step = span 1. };
+      Leases.Sim.Crash_client { client = 9; at = sec 10.; duration = span 5. };
+      Leases.Sim.Partition_clients { clients = [ 1; 9 ]; at = sec 10.; duration = span 5. };
+      Leases.Sim.Crash_client { client = -1; at = sec 10.; duration = span 5. };
+      Leases.Sim.Crash_shard { shard = -2; at = sec 10.; duration = span 5. };
+      Leases.Sim.Server_drift { shard = -1; at = sec 10.; drift = 0.5 };
+      Leases.Sim.Crash_client { client = 0; at = sec 10.; duration = span (-5.) };
+      Leases.Sim.Crash_server { at = sec (-1.); duration = span 5. };
+    ]
+  in
+  let modes : (string * (Trace.Sink.t -> Leases.Sim.fault list -> unit)) list =
+    let deploy tracer faults =
+      { Shard.Deploy.default_setup with Shard.Deploy.n_clients = n; n_shards = 4; faults; tracer }
+    in
+    [
+      ( "Sim.run",
+        fun tracer faults ->
+          ignore
+            (Leases.Sim.run
+               { Leases.Sim.default_setup with Leases.Sim.n_clients = n; faults; tracer }
+               ~trace) );
+      ("Deploy.run", fun tracer faults -> ignore (Shard.Deploy.run (deploy tracer faults) ~trace));
+      ( "Deploy.run_split",
+        fun tracer faults ->
+          ignore (Shard.Deploy.run_split ~domains:2 (deploy tracer faults) ~trace) );
+      ( "Callback.run",
+        fun tracer faults ->
+          ignore
+            (Baselines.Callback.run
+               { Baselines.Callback.default_setup with n_clients = n; faults; tracer }
+               ~trace) );
+      ( "Ttl_hints.run",
+        fun tracer faults ->
+          ignore
+            (Baselines.Ttl_hints.run
+               { Baselines.Ttl_hints.default_setup with n_clients = n; faults; tracer }
+               ~trace) );
+      ( "Wsim.run",
+        fun _ faults ->
+          ignore (Wlease.Wsim.run { Wlease.Wsim.default_setup with n_clients = n; faults } ~trace)
+      );
+    ]
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (mode, run) ->
+      List.iter
+        (fun fault ->
+          let spec = Leases.Sim.fault_to_spec fault in
+          let buf = Trace.Sink.buffer () in
+          (match run (Trace.Sink.buffer_sink buf) [ fault ] with
+          | () -> Alcotest.failf "%s accepted %s" mode spec
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s names %s in %S" mode spec msg)
+              true (contains msg spec));
+          Alcotest.(check int)
+            (Printf.sprintf "%s ran no event for %s" mode spec)
+            0
+            (List.length (Trace.Sink.buffer_contents buf)))
+        bad;
+      (* and a good fault still runs *)
+      run Trace.Sink.null [ Leases.Sim.Crash_client { client = n - 1; at = sec 10.; duration = span 5. } ])
+    modes
+
 let () =
   Alcotest.run "faults"
     [
@@ -272,5 +356,10 @@ let () =
           Alcotest.test_case "slow server drift mid-wait" `Quick test_slow_server_drift_mid_wait;
           Alcotest.test_case "backward server step mid-wait" `Quick
             test_backward_server_step_mid_wait;
+        ] );
+      ( "input",
+        [
+          Alcotest.test_case "bad faults rejected before the run" `Quick
+            test_bad_faults_rejected_before_the_run;
         ] );
     ]

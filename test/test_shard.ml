@@ -100,18 +100,67 @@ let test_sharded_run_clean () =
         (sl.Shard.Deploy.sl_total_msgs > 0))
     outcome.Shard.Deploy.per_shard
 
+let fault_exn spec =
+  match Leases.Sim.fault_of_spec spec with
+  | Ok fault -> fault
+  | Error why -> Alcotest.failf "fault spec %S: %s" spec why
+
+let encoded buf = List.map Trace.Codec.encode (Trace.Sink.buffer_contents buf)
+
 let test_single_shard_matches_sim_load () =
-  (* one shard routes everything to host 0, so the cluster degenerates to
-     the single-server harness: same commits, same oracle verdict *)
+  (* one shard routes everything to host 0 and lays client i out as host
+     1 + i, exactly as the single-server harness does, so the two must run
+     the same simulation: same metrics, same event stream, under loss and
+     every kind of fault *)
   let trace = v_trace ~duration:200. () in
+  let faults =
+    List.map fault_exn
+      [
+        "crash-client=2,30,12";
+        "partition=1+3,45,20";
+        "server-drift=60,0.01";
+        "client-step=4,70,-0.5";
+        "client-drift=0,80,-0.02";
+        "crash-server=100,6";
+        "server-step=130,1.5";
+      ]
+  in
+  let config =
+    (Experiments.Runner.lease_setup ~term:(Analytic.Model.Finite 10.) ()).Leases.Sim.config
+  in
+  let sim_buf = Trace.Sink.buffer () and dep_buf = Trace.Sink.buffer () in
+  let sim =
+    Leases.Sim.run
+      {
+        Leases.Sim.default_setup with
+        Leases.Sim.n_clients = 6;
+        config;
+        loss = 0.05;
+        faults;
+        tracer = Trace.Sink.buffer_sink sim_buf;
+      }
+      ~trace
+  in
   let sharded =
-    Shard.Deploy.run (sharded_setup ~n_shards:1 ()) ~trace
+    Shard.Deploy.run
+      {
+        (sharded_setup ~n_shards:1 ~faults ~tracer:(Trace.Sink.buffer_sink dep_buf) ()) with
+        Shard.Deploy.config;
+        loss = 0.05;
+      }
+      ~trace
   in
   let m = sharded.Shard.Deploy.metrics in
   Alcotest.(check int) "zero violations" 0 m.Leases.Metrics.oracle_violations;
   Alcotest.(check int) "one shard carries everything"
     m.Leases.Metrics.consistency_msgs
-    sharded.Shard.Deploy.per_shard.(0).Shard.Deploy.sl_consistency_msgs
+    sharded.Shard.Deploy.per_shard.(0).Shard.Deploy.sl_consistency_msgs;
+  Alcotest.(check string) "same metrics as Sim.run"
+    (Leases.Metrics.to_json sim.Leases.Sim.metrics)
+    (Leases.Metrics.to_json m);
+  Alcotest.(check bool) "faults fired" true (m.Leases.Metrics.net_dropped_down > 0);
+  Alcotest.(check (list string)) "same event stream as Sim.run" (encoded sim_buf)
+    (encoded dep_buf)
 
 let test_shard_failover () =
   (* crash one shard's server mid-run: its files stall through the crash
@@ -239,11 +288,6 @@ let cli_trace ~seed ~duration =
   (Experiments.V_trace.poisson ~seed ~clients:6 ~duration:(span duration) ())
     .Experiments.V_trace.trace
 
-let fault_exn spec =
-  match Leases.Sim.fault_of_spec spec with
-  | Ok fault -> fault
-  | Error why -> Alcotest.failf "fault spec %S: %s" spec why
-
 let test_golden_sequential_clean () =
   let outcome =
     Shard.Deploy.run (cli_setup ~seed:1L ~faults:[] ()) ~trace:(cli_trace ~seed:1L ~duration:300.)
@@ -264,6 +308,51 @@ let test_golden_sequential_faults () =
     "faulted 4-shard run matches the pre-refactor golden"
     (String.trim (read_file "golden_shard_seq_faults.json"))
     (Leases.Metrics.to_json outcome.Shard.Deploy.metrics)
+
+(* Trace goldens for the same faulted setup: the metrics goldens cannot
+   see a change in event order, these can.  Each pins the event count and
+   the MD5 of the encoded stream without its [heartbeat] lines: a
+   heartbeat samples the engine's queue depth, which depends on how much
+   not-yet-due work the harness keeps queued, not on what the protocol
+   does.  Both pins were computed before the run functions shared one
+   harness. *)
+let golden_faults () =
+  List.map fault_exn [ "crash-shard=1,40,8"; "server-drift=60,0.5"; "server-step=80,-2" ]
+
+let stream_pin buf =
+  let events = Trace.Sink.buffer_contents buf in
+  let out = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (e : Trace.Event.t) ->
+      match e.Trace.Event.ev with
+      | Trace.Event.Heartbeat _ -> ()
+      | _ ->
+        Buffer.add_string out (Trace.Codec.encode e);
+        Buffer.add_char out '\n')
+    events;
+  (List.length events, Digest.to_hex (Digest.string (Buffer.contents out)))
+
+let traced_golden_setup buf =
+  { (cli_setup ~seed:3L ~faults:(golden_faults ()) ()) with
+    Shard.Deploy.tracer = Trace.Sink.buffer_sink buf }
+
+let test_golden_trace_faults () =
+  let buf = Trace.Sink.buffer () in
+  ignore (Shard.Deploy.run (traced_golden_setup buf) ~trace:(cli_trace ~seed:3L ~duration:120.));
+  let count, digest = stream_pin buf in
+  Alcotest.(check int) "event count" 8877 count;
+  Alcotest.(check string) "stream digest, heartbeats dropped" "bfc2d10f2ef4019d211fb91ed3745da5"
+    digest
+
+let test_golden_trace_split_faults () =
+  let buf = Trace.Sink.buffer () in
+  ignore
+    (Shard.Deploy.run_split ~domains:1 (traced_golden_setup buf)
+       ~trace:(cli_trace ~seed:3L ~duration:120.));
+  let count, digest = stream_pin buf in
+  Alcotest.(check int) "event count" 9068 count;
+  Alcotest.(check string) "stream digest, heartbeats dropped" "f71f4c9b7c3ad402d7659ec7bb207dc6"
+    digest
 
 (* --- split deployment ---------------------------------------------- *)
 
@@ -369,6 +458,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deploy_deterministic;
           Alcotest.test_case "golden: clean run unchanged" `Quick test_golden_sequential_clean;
           Alcotest.test_case "golden: faulted run unchanged" `Quick test_golden_sequential_faults;
+          Alcotest.test_case "golden: faulted trace unchanged" `Quick test_golden_trace_faults;
+          Alcotest.test_case "golden: faulted split trace unchanged" `Quick
+            test_golden_trace_split_faults;
         ] );
       ( "split",
         [

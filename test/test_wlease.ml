@@ -233,6 +233,72 @@ let test_write_back_beats_write_through_on_writes () =
   Alcotest.(check int) "all writes durable" 100
     (Vstore.Version.to_int (Vstore.Store.current wb.Wlease.Wsim.store (file 0)))
 
+(* Regression cases found by the write-back property in test_props, each
+   built exactly the way the property builds a draw: three clients on the
+   shared-heavy V trace for 200 s, a 400 s drain, the term clamped to at
+   least 2 s.  Each once completed a stale clean read. *)
+let property_case ~seed ~loss ~term ~faults () =
+  let clients = 3 in
+  let trace =
+    (Experiments.V_trace.shared_heavy ~seed:(Int64.of_int (seed + 13)) ~clients
+       ~duration:(span 200.) ())
+      .Experiments.V_trace.trace
+  in
+  let faults =
+    List.map
+      (fun spec ->
+        match Leases.Sim.fault_of_spec spec with
+        | Ok f -> f
+        | Error why -> Alcotest.failf "fault spec %S: %s" spec why)
+      faults
+  in
+  let setup =
+    {
+      Wlease.Wsim.default_setup with
+      Wlease.Wsim.n_clients = clients;
+      term = span (Float.max 2. term);
+      faults;
+      loss;
+      seed = Int64.of_int (seed + 29);
+      drain = span 400.;
+    }
+  in
+  let m = (Wlease.Wsim.run setup ~trace).Wlease.Wsim.metrics in
+  Alcotest.(check bool) "clean reads were checked" true (m.Leases.Metrics.oracle_reads > 0);
+  Alcotest.(check int) "no stale clean read" 0 m.Leases.Metrics.oracle_violations
+
+(* A retransmitted flush is answered from the server's reply cache, so the
+   reply can arrive retry intervals after the server renewed the lease;
+   timing the renewed term from that arrival overstated it. *)
+let test_replayed_flush_reply =
+  property_case ~seed:380192 ~loss:0.26516335536612728 ~term:2.
+    ~faults:
+      [
+        "partition=1,65.257183,30.653772";
+        "partition=0+1,58.792252,49.756077";
+        "partition=0+1,37.013785,5.975795";
+        "partition=0+1,89.098515,50.557891";
+      ]
+
+(* A flush reply landing after its entry was dropped and replaced by a
+   newer grant must not overwrite that newer entry. *)
+let test_flush_reply_for_replaced_entry =
+  property_case ~seed:266153 ~loss:0.265 ~term:9.7012 ~faults:[]
+
+(* A server that declines to renew (an acquisition is pending) must not
+   reply with a full term the client then believes it holds. *)
+let test_unrenewed_flush_term =
+  property_case ~seed:628292 ~loss:0.20962993371776631 ~term:3.5470950330769591
+    ~faults:
+      [
+        "crash-client=0,116.788317,12.035892";
+        "partition=0+1,106.762805,10.556432";
+        "crash-client=2,146.788819,5.828806";
+      ]
+
+(* The fault-free counterexample the property first reported. *)
+let test_lossy_fault_free_case = property_case ~seed:238021 ~loss:0.218 ~term:2. ~faults:[]
+
 let () =
   Alcotest.run "wlease"
     [
@@ -258,5 +324,13 @@ let () =
           Alcotest.test_case "consistent under faults" `Quick test_end_to_end_under_faults;
           Alcotest.test_case "write latency collapses" `Quick
             test_write_back_beats_write_through_on_writes;
+        ] );
+      ( "regressions",
+        [
+          Alcotest.test_case "replayed flush reply" `Quick test_replayed_flush_reply;
+          Alcotest.test_case "flush reply for a replaced entry" `Quick
+            test_flush_reply_for_replaced_entry;
+          Alcotest.test_case "unrenewed flush term" `Quick test_unrenewed_flush_term;
+          Alcotest.test_case "lossy fault-free case" `Quick test_lossy_fault_free_case;
         ] );
     ]
