@@ -345,11 +345,13 @@ and run_single ~protocol ~term ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~fau
         Option.iter (fun r -> finish_profile r ~profile_out ~profile_format ~json) recorder;
         metrics
       | "polling" ->
+        (* check-on-use is exactly a lease of term zero *)
         let setup =
-          { Baselines.Polling.default_setup with
-            Baselines.Polling.n_clients = clients; m_prop; m_proc; loss; seed; tracer; faults }
+          Experiments.Runner.lease_setup ~n_clients:clients ~m_prop ~m_proc
+            ~term:(Analytic.Model.Finite 0.) ()
         in
-        (Baselines.Polling.run setup ~trace).Leases.Sim.metrics
+        let setup = { setup with Leases.Sim.loss; seed; tracer; faults } in
+        (Leases.Sim.run setup ~trace).Leases.Sim.metrics
       | "callback" ->
         let setup =
           { Baselines.Callback.default_setup with

@@ -106,8 +106,8 @@ and print_message_stats events =
    by server host id (servers are hosts 0..N-1 under sharding) — and print
    the per-shard load, busiest first.  Client-host events with no file
    (crash/recover/clock on a client) stay unattributed. *)
-let print_shard_stats events ~shards ~map_seed ~vnodes =
-  let map = Shard.Shard_map.create ~vnodes ~seed:map_seed ~shards () in
+let print_shard_stats events ~shards ~map_seed =
+  let map = Shard.Shard_map.create ~seed:map_seed ~shards () in
   let by_file f = Some (Shard.Shard_map.owner map (Vstore.File_id.of_int f)) in
   let by_host h = if h >= 0 && h < shards then Some h else None in
   let totals = Array.make shards 0 in
@@ -218,14 +218,14 @@ let print_waits life =
         w.blockers)
     waits
 
-let main path server limit no_lifecycle stats shards map_seed vnodes =
+let main path server limit no_lifecycle stats shards map_seed =
   try
     if shards < 1 then failwith "--shards must be at least 1";
     let events = read_events path in
     if events = [] then failwith (Printf.sprintf "no events decoded from %s" path);
     if stats then begin
       print_stats events;
-      if shards > 1 then print_shard_stats events ~shards ~map_seed ~vnodes;
+      if shards > 1 then print_shard_stats events ~shards ~map_seed;
       `Ok ()
     end
     else begin
@@ -246,7 +246,7 @@ let main path server limit no_lifecycle stats shards map_seed vnodes =
       Printf.printf "\n== invariants ==\n";
       let report =
         if shards > 1 then begin
-          let map = Shard.Shard_map.create ~vnodes ~seed:map_seed ~shards () in
+          let map = Shard.Shard_map.create ~seed:map_seed ~shards () in
           Trace.Checker.check
             ~servers:(List.init shards Fun.id)
             ~owner:(fun f -> Shard.Shard_map.owner map (Vstore.File_id.of_int f))
@@ -293,16 +293,9 @@ let map_seed =
        & info [ "map-seed" ] ~docv:"SEED"
            ~doc:"Seed of the shard map; must match the --seed of the traced run (default 1).")
 
-let vnodes =
-  Arg.(value & opt int 64
-       & info [ "vnodes" ] ~docv:"N"
-           ~doc:"Virtual nodes per shard in the shard map; must match the traced run \
-                 (default 64).")
-
 let cmd =
   let doc = "Summarise a protocol trace and verify the lease safety invariants." in
   Cmd.v (Cmd.info "leases-tracedump" ~doc)
-    Term.(ret (const main $ path $ server $ limit $ no_lifecycle $ stats $ shards $ map_seed
-               $ vnodes))
+    Term.(ret (const main $ path $ server $ limit $ no_lifecycle $ stats $ shards $ map_seed))
 
 let () = exit (Cmd.eval cmd)

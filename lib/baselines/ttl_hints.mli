@@ -10,7 +10,10 @@
     traffic identical in shape to a lease of the same length.
 
     Writes are still write-through (so the paper's comparison isolates the
-    read-consistency mechanism). *)
+    read-consistency mechanism).
+
+    Only the server lives here: the clients are {!Rpc_cache}'s, keeping a
+    fetched version for the TTL and a written one not at all. *)
 
 type setup = {
   seed : int64;

@@ -427,12 +427,7 @@ let rec read t file ~k =
       let dst = t.route file in
       let req = fresh_req t in
       let message =
-        match t.config.Config.batch_extension_limit with
-        | Some 0 ->
-          (* A zero cap disables piggybacking outright; skip building (and
-             sorting) a candidate list that would only be thrown away. *)
-          Messages.Read_request { req; file }
-        | limit when t.config.batch_extensions -> begin
+        if t.config.Config.batch_extensions then begin
           (* Piggyback renewals only for files the same server owns: a
              batched extension is one RPC to one host. *)
           let others =
@@ -440,36 +435,11 @@ let rec read t file ~k =
               (fun f -> (not (File_id.equal f file)) && Host_id.equal (t.route f) dst)
               (cached_files t)
           in
-          let others =
-            (* Cap the piggyback list: a client caching F files otherwise
-               makes every miss carry O(F) renewal work to the server.
-               Soonest-to-expire first — those renewals buy the most.
-               Decorate once with the expiry so the sort does not pay a
-               cache lookup per comparison. *)
-            match limit with
-            | Some limit when List.compare_length_with others limit > 0 ->
-              let decorated =
-                List.map
-                  (fun f ->
-                    let expiry =
-                      match File_id.Tbl.find_opt t.cache f with
-                      | Some { expiry = Lease.At at; _ } -> Time.to_sec at
-                      | Some { expiry = Lease.Never; _ } | None -> Float.infinity
-                    in
-                    (expiry, f))
-                  others
-              in
-              (* stable over the file-id-sorted input, so ties break by id *)
-              List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) decorated
-              |> List.filteri (fun i _ -> i < limit)
-              |> List.map snd
-            | Some _ | None -> others
-          in
           match others with
           | [] -> Messages.Read_request { req; file }
           | _ -> Messages.Extend_request { req; files = file :: others }
         end
-        | Some _ | None -> Messages.Read_request { req; file }
+        else Messages.Read_request { req; file }
       in
       start_rpc t ~dst (Rpc_read { file; k }) message
   end

@@ -20,7 +20,6 @@ type t = {
   wal_mode : Vstore.Wal.mode;
   term_compensation : (Host.Host_id.t -> Simtime.Time.Span.t) option;
   lease_sweep_interval : Time.Span.t option;
-  batch_extension_limit : int option;
   cache_eviction_grace : Time.Span.t option;
 }
 
@@ -39,7 +38,6 @@ let default =
     wal_mode = Vstore.Wal.Max_term_only;
     term_compensation = None;
     lease_sweep_interval = Some (Time.Span.of_sec 10.);
-    batch_extension_limit = None;
     cache_eviction_grace = Some (Time.Span.of_sec 600.);
   }
 
@@ -78,9 +76,6 @@ let validate t =
   (match t.lease_sweep_interval with
   | Some interval when Time.Span.(interval <= Time.Span.zero) ->
     invalid_arg "Config: lease sweep interval must be positive"
-  | Some _ | None -> ());
-  (match t.batch_extension_limit with
-  | Some limit when limit < 0 -> invalid_arg "Config: negative batch extension limit"
   | Some _ | None -> ());
   match t.cache_eviction_grace with
   | Some grace when Time.Span.is_negative grace ->

@@ -49,11 +49,6 @@ type t = {
       reap a record that a grant-path check would still count as live).
       [None] disables the sweep; idle files then hold their expired
       records until the next access touches them. *)
-  batch_extension_limit : int option;
-  (** when [batch_extensions] is on, renew at most this many other held
-      leases per miss (the soonest-to-expire first).  [None] (default)
-      renews all of them — faithful to the paper, but a client caching F
-      files makes every miss carry O(F) work to the server. *)
   cache_eviction_grace : Simtime.Time.Span.t option;
   (** how long past local expiry a client keeps a dead cache entry before
       the miss-path eviction pass reclaims it (eviction rides on client

@@ -5,20 +5,14 @@ type row = { name : string; metrics : Leases.Metrics.t }
 type result = { rows : row list; partition_rows : row list; table : string }
 
 let protocols ~clients ~faults =
-  let term = Analytic.Model.Finite 10. in
+  let lease term trace =
+    let setup = Runner.lease_setup ~n_clients:clients ~term () in
+    Runner.run_lease { setup with Leases.Sim.faults } trace
+  in
   [
-    ( "leases (10 s)",
-      fun trace ->
-        let setup =
-          { (Runner.lease_setup ~n_clients:clients ~term ()) with Leases.Sim.faults = faults }
-        in
-        Runner.run_lease setup trace );
-    ( "polling (check-on-use)",
-      fun trace ->
-        let setup =
-          { Baselines.Polling.default_setup with Baselines.Polling.n_clients = clients; faults }
-        in
-        (Baselines.Polling.run setup ~trace).Leases.Sim.metrics );
+    ("leases (10 s)", lease (Analytic.Model.Finite 10.));
+    (* check-on-use is exactly a lease of term zero *)
+    ("polling (check-on-use)", lease (Analytic.Model.Finite 0.));
     ( "callbacks (AFS)",
       fun trace ->
         let setup =

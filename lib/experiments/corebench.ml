@@ -221,7 +221,7 @@ let engine_dispatch ~timer ~ops =
   { dispatch_disabled; dispatch_enabled }
 
 (* The end-to-end sweep runs with piggyback extensions disabled
-   ([batch_extension_limit = Some 0]).  Each piggybacked file multiplies a
+   ([batch_extensions = false]).  Each piggybacked file multiplies a
    miss into an extra server-side grant, so with unbounded batching (the
    default) the sweep mostly measures how many free renewals the workload
    generator happens to piggyback rather than the per-operation core cost
@@ -229,7 +229,7 @@ let engine_dispatch ~timer ~ops =
    buys almost nothing anyway — 77_381 misses unbounded vs 77_507 with it
    off at 10k clients (+0.16%) — while costing ~1.7x the wall time.
    Protocol-quality experiments (term sweeps, Table 2) keep the default. *)
-let sweep_config = { Leases.Config.default with batch_extension_limit = Some 0 }
+let sweep_config = { Leases.Config.default with batch_extensions = false }
 
 let lease_throughput ~timer ~n_clients ~duration =
   let trace = (V_trace.poisson ~clients:n_clients ~duration ()).V_trace.trace in

@@ -5,7 +5,6 @@ type setup = {
   seed : int64;
   n_clients : int;
   n_shards : int;
-  vnodes : int;
   config : Leases.Config.t;
   m_prop : Time.Span.t;
   m_proc : Time.Span.t;
@@ -23,7 +22,6 @@ let default_setup =
     seed = 1L;
     n_clients = 1;
     n_shards = 4;
-    vnodes = 64;
     config = Leases.Config.default;
     m_prop = Time.Span.of_ms 0.5;
     m_proc = Time.Span.of_ms 1.;
@@ -158,7 +156,7 @@ let run setup ~trace =
   Leases.Cluster.check ~who:"Deploy.run" ~n_clients:setup.n_clients setup.faults trace;
   if setup.n_shards < 1 then invalid_arg "Deploy.run: need at least one shard";
   let k = setup.n_shards in
-  let map = Shard_map.create ~vnodes:setup.vnodes ~seed:setup.seed ~shards:k () in
+  let map = Shard_map.create ~seed:setup.seed ~shards:k () in
   (* One shared store, disjoint ownership: each server only ever grants and
      commits the files the map routes to it, and each keeps its own WAL so
      the max-term recovery wait is per shard. *)
@@ -294,7 +292,7 @@ let run_split ?(domains = 1) setup ~trace =
   Leases.Cluster.check ~who:"Deploy.run_split" ~n_clients:setup.n_clients setup.faults trace;
   if setup.n_shards < 1 then invalid_arg "Deploy.run_split: need at least one shard";
   if domains < 1 then invalid_arg "Deploy.run_split: need at least one domain";
-  let map = Shard_map.create ~vnodes:setup.vnodes ~seed:setup.seed ~shards:setup.n_shards () in
+  let map = Shard_map.create ~seed:setup.seed ~shards:setup.n_shards () in
   (* RNG streams pre-split in shard order before any domain spawns: the
      draw sequence is fixed by construction, so domain scheduling cannot
      perturb seeded determinism. *)

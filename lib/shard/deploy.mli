@@ -24,7 +24,6 @@ type setup = {
   seed : int64;
   n_clients : int;
   n_shards : int;
-  vnodes : int;  (** virtual nodes per shard in the {!Shard_map} ring *)
   config : Leases.Config.t;
   m_prop : Simtime.Time.Span.t;
   m_proc : Simtime.Time.Span.t;
@@ -51,7 +50,7 @@ type setup = {
 }
 
 val default_setup : setup
-(** Seed 1, one client, four shards, 64 vnodes, {!Leases.Config.default},
+(** Seed 1, one client, four shards, {!Leases.Config.default},
     V LAN message times, no loss, no faults, 120 s drain, no tracing, no
     telemetry. *)
 

@@ -2,18 +2,20 @@ module File_id = Vstore.File_id
 
 type t = {
   shards : int;
-  vnodes : int;
   seed : int64;
   ring : (int64 * int) array;  (* (token, shard), sorted by unsigned token *)
 }
+
+(* Tokens per shard: enough to smooth the per-shard arc-length imbalance
+   at a small ring-construction cost. *)
+let vnodes = 64
 
 (* Each shard contributes [vnodes] tokens drawn from its own splitmix
    stream, so the ring for S shards is a strict superset of the ring for
    S-1 shards: growing the deployment moves only the keys the new shard
    captures, the consistent-hashing property. *)
-let create ?(vnodes = 64) ?(seed = 0x5eed_1ea5e5L) ~shards () =
+let create ?(seed = 0x5eed_1ea5e5L) ~shards () =
   if shards < 1 then invalid_arg "Shard_map.create: need at least one shard";
-  if vnodes < 1 then invalid_arg "Shard_map.create: need at least one virtual node";
   let ring = Array.make (shards * vnodes) (0L, 0) in
   for s = 0 to shards - 1 do
     let g = Prng.Splitmix.create ~seed:(Int64.add seed (Int64.of_int s)) in
@@ -25,10 +27,9 @@ let create ?(vnodes = 64) ?(seed = 0x5eed_1ea5e5L) ~shards () =
     (fun (a, sa) (b, sb) ->
       match Int64.unsigned_compare a b with 0 -> compare sa sb | c -> c)
     ring;
-  { shards; vnodes; seed; ring }
+  { shards; seed; ring }
 
 let shards t = t.shards
-let vnodes t = t.vnodes
 
 (* File keys hash through a stream disjoint from the token streams (the
    complemented seed), so a file id colliding with a shard index cannot

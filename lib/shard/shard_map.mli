@@ -4,7 +4,7 @@
     64-bit hash ring that its tokens capture, and a file belongs to the
     shard whose token follows the file's hash clockwise.  Both token and
     file hashes come from seeded splitmix streams, so the map is a pure
-    function of [(shards, vnodes, seed)] — every client, the fault
+    function of [(shards, seed)] — every client, the fault
     injector and the offline trace checker derive the identical placement
     with no coordination, and a map built for S shards keeps most
     placements when rebuilt for S+1 (only the keys the new shard's tokens
@@ -12,13 +12,11 @@
 
 type t
 
-val create : ?vnodes:int -> ?seed:int64 -> shards:int -> unit -> t
-(** [vnodes] (default 64) tokens per shard; more tokens smooth the
-    per-shard arc-length imbalance at ring-construction cost.  Raises
-    [Invalid_argument] when [shards] or [vnodes] is below 1. *)
+val create : ?seed:int64 -> shards:int -> unit -> t
+(** 64 tokens per shard.  Raises [Invalid_argument] when [shards] is
+    below 1. *)
 
 val shards : t -> int
-val vnodes : t -> int
 
 val owner : t -> Vstore.File_id.t -> int
 (** The shard (in [0, shards)) owning this file.  Pure and total. *)

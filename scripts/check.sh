@@ -37,6 +37,29 @@ dune exec bin/simulate.exe -- -p leases -t 10 -n 4 -d 60 \
   --trace /tmp/leases_smoke.jsonl > /dev/null
 dune exec bin/tracedump.exe -- /tmp/leases_smoke.jsonl --check-only
 
+echo "== negative control: the checker flags a partitioned callback run =="
+# A checker that never fires is untested.  Andrew-style callbacks give up
+# on an unreachable holder after a transport timeout and commit anyway, so
+# a partition leaves a stale window: tracedump must exit non-zero on that
+# trace, naming the stale hits, and zero on leases run with the same flags.
+nc_flags="-t 10 -w shared-heavy -n 4 -d 300 -s 3 --fault partition=0,100,60"
+# shellcheck disable=SC2086 # word-split the shared flags
+dune exec bin/simulate.exe -- -p callback $nc_flags \
+  --trace /tmp/callback_partition.jsonl > /dev/null
+if nc_out=$(dune exec bin/tracedump.exe -- /tmp/callback_partition.jsonl --check-only 2>&1); then
+  echo "tracedump passed the partitioned callback trace; its stale window went unflagged" >&2
+  exit 1
+fi
+echo "$nc_out" | grep -q "stale-hit" || {
+  echo "tracedump failed the partitioned callback trace without naming a stale hit:" >&2
+  echo "$nc_out" >&2
+  exit 1
+}
+# shellcheck disable=SC2086
+dune exec bin/simulate.exe -- -p leases $nc_flags \
+  --trace /tmp/leases_partition.jsonl > /dev/null
+dune exec bin/tracedump.exe -- /tmp/leases_partition.jsonl --check-only > /dev/null
+
 echo "== telemetry residual gate =="
 # A pinned steady-state no-fault run sampled every 30 s: the measured
 # consistency load past the 300 s cold-cache warm-up must agree with the

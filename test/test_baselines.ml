@@ -19,30 +19,35 @@ let write_op ~at ~client ~f =
 
 (* --- polling ----------------------------------------------------------- *)
 
+(* Check-on-use (Sprite, RFS, the Andrew prototype) is exactly a lease of
+   term zero, so it runs as one. *)
+let zero_term_lease ~clients trace =
+  Experiments.Runner.run_lease
+    (Experiments.Runner.lease_setup ~n_clients:clients ~term:(Analytic.Model.Finite 0.) ())
+    trace
+
 let test_polling_consistent_and_expensive () =
-  let trace = v_trace 1_000. in
-  let setup = { Baselines.Polling.default_setup with Baselines.Polling.n_clients = 2 } in
-  let m = (Baselines.Polling.run setup ~trace).Leases.Sim.metrics in
+  let m = zero_term_lease ~clients:2 (v_trace 1_000.) in
   Alcotest.(check int) "always consistent" 0 m.Leases.Metrics.oracle_violations;
   Alcotest.(check (float 0.001)) "never hits" 0. m.Leases.Metrics.hit_ratio;
   Alcotest.(check int) "two messages per read" (2 * m.Leases.Metrics.reads_completed)
     m.Leases.Metrics.msgs_extension
 
 let test_polling_equals_zero_term_lease () =
-  let trace = v_trace 500. in
+  let duration = span 500. in
+  let r = Experiments.Baselines_cmp.run ~duration ~clients:2 () in
   let polling =
-    (Baselines.Polling.run
-       { Baselines.Polling.default_setup with Baselines.Polling.n_clients = 2 }
-       ~trace)
-      .Leases.Sim.metrics
+    List.find
+      (fun (row : Experiments.Baselines_cmp.row) ->
+        row.Experiments.Baselines_cmp.name = "polling (check-on-use)")
+      r.Experiments.Baselines_cmp.rows
   in
-  let zero =
-    Experiments.Runner.run_lease
-      (Experiments.Runner.lease_setup ~n_clients:2 ~term:(Analytic.Model.Finite 0.) ())
-      trace
+  let trace =
+    (Experiments.V_trace.shared_heavy ~seed:23L ~clients:2 ~duration ()).Experiments.V_trace.trace
   in
-  Alcotest.(check int) "same message count as a zero-term lease"
-    zero.Leases.Metrics.consistency_msgs polling.Leases.Metrics.consistency_msgs
+  Alcotest.(check string) "the Section 6 polling row is the zero-term lease"
+    (Leases.Metrics.to_json (zero_term_lease ~clients:2 trace))
+    (Leases.Metrics.to_json polling.Experiments.Baselines_cmp.metrics)
 
 (* --- callbacks ---------------------------------------------------------- *)
 
@@ -168,6 +173,131 @@ let test_ttl_zero_equivalence () =
     (long.Leases.Metrics.consistency_msgs < short.Leases.Metrics.consistency_msgs
     && long.Leases.Metrics.oracle_violations > 0)
 
+(* --- trace pins ------------------------------------------------------------ *)
+
+(* Pin each Section-6 protocol's exact encoded event stream on one lossy
+   run with a partition, a client crash, a server crash and a client drift
+   (which the baselines, keeping no clocks, ignore), so a refactor that
+   moves an emission, a timer or an engine sequence number shows up even
+   where every metric and figure stays the same.  Each pin is the event
+   count and the MD5 of the "\n"-joined encoded lines. *)
+
+let capture () =
+  let lines = ref [] in
+  let sink =
+    { Trace.Sink.enabled = true; push = (fun e -> lines := Trace.Codec.encode e :: !lines);
+      flush = ignore }
+  in
+  (sink, fun () -> List.rev !lines)
+
+let faults_of_specs specs =
+  List.map
+    (fun spec ->
+      match Leases.Sim.fault_of_spec spec with Ok f -> f | Error why -> failwith why)
+    specs
+
+let pin_faults () =
+  faults_of_specs
+    [
+      "partition=0,240,120"; "crash-client=2,100,30"; "crash-server=300,10";
+      "client-drift=1,50,0.5";
+    ]
+
+let check_pin name ~events ~md5 lines =
+  Alcotest.(check int) (name ^ ": event count") events (List.length lines);
+  Alcotest.(check string) (name ^ ": stream digest") md5
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+let pin_trace () = v_trace ~seed:23L ~clients:5 600.
+
+let test_pin_callback () =
+  let tracer, lines = capture () in
+  ignore
+    (Baselines.Callback.run
+       { Baselines.Callback.default_setup with
+         Baselines.Callback.n_clients = 5; loss = 0.05; faults = pin_faults ();
+         poll_period = span 120.; tracer }
+       ~trace:(pin_trace ()));
+  check_pin "callback" ~events:11_112 ~md5:"581bb5ff10d5a444f66c463b79888e9a" (lines ())
+
+let test_pin_ttl () =
+  let tracer, lines = capture () in
+  ignore
+    (Baselines.Ttl_hints.run
+       { Baselines.Ttl_hints.default_setup with
+         Baselines.Ttl_hints.n_clients = 5; loss = 0.05; faults = pin_faults (); tracer }
+       ~trace:(pin_trace ()));
+  check_pin "ttl" ~events:24_932 ~md5:"514942d76e9331cad2bf6088c9141c42" (lines ())
+
+let test_pin_zero_term_lease () =
+  let tracer, lines = capture () in
+  ignore
+    (Experiments.Runner.run_lease
+       { (Experiments.Runner.lease_setup ~n_clients:5 ~term:(Analytic.Model.Finite 0.) ()) with
+         Leases.Sim.loss = 0.05; faults = pin_faults (); tracer }
+       (pin_trace ()));
+  check_pin "zero-term lease" ~events:28_302 ~md5:"cd5139794efd0e2c48133090c6196547" (lines ())
+
+(* --- negative controls ------------------------------------------------------ *)
+
+(* The trace checker must fire on a real run that breaks consistency, or a
+   clean verdict elsewhere proves nothing.  Each case replays one run's
+   stream through the checker and compares the invariants it names with
+   the oracle's count; equivalent to [simulate -w shared-heavy -n 4 -d 300
+   -s 3 -t 10 -p P [--fault partition=0,100,60] --trace F] then
+   [tracedump F --check-only]. *)
+
+let control_trace () = v_trace ~seed:3L ~clients:4 300.
+let control_partition () = faults_of_specs [ "partition=0,100,60" ]
+
+let checked run =
+  let buf = Trace.Sink.buffer () in
+  let m = run (Trace.Sink.buffer_sink buf) in
+  let report = Trace.Checker.check (Trace.Sink.buffer_contents buf) in
+  let fired =
+    List.sort_uniq String.compare
+      (List.map (fun v -> v.Trace.Checker.invariant) report.Trace.Checker.violations)
+  in
+  (fired, List.length report.Trace.Checker.violations, m.Leases.Metrics.oracle_violations)
+
+let callback_control faults tracer =
+  (Baselines.Callback.run
+     { Baselines.Callback.default_setup with
+       Baselines.Callback.n_clients = 4; seed = 3L; faults; tracer }
+     ~trace:(control_trace ()))
+    .Leases.Sim.metrics
+
+let check_control name ~fired ~violations ~oracle (got_fired, got_violations, got_oracle) =
+  Alcotest.(check (list string)) (name ^ ": invariants fired") fired got_fired;
+  Alcotest.(check int) (name ^ ": checker violations") violations got_violations;
+  Alcotest.(check int) (name ^ ": oracle violations") oracle got_oracle
+
+let test_control_callback_healthy () =
+  check_control "healthy callbacks" ~fired:[] ~violations:0 ~oracle:0
+    (checked (callback_control []))
+
+let test_control_callback_partition () =
+  check_control "partitioned callbacks" ~fired:[ "commit-vs-lease"; "stale-hit" ] ~violations:5
+    ~oracle:4
+    (checked (callback_control (control_partition ())))
+
+let test_control_ttl () =
+  check_control "TTL hints" ~fired:[ "stale-hit" ] ~violations:43 ~oracle:43
+    (checked (fun tracer ->
+         (Baselines.Ttl_hints.run
+            { Baselines.Ttl_hints.default_setup with
+              Baselines.Ttl_hints.n_clients = 4; seed = 3L; tracer }
+            ~trace:(control_trace ()))
+           .Leases.Sim.metrics))
+
+let test_control_leases_partition () =
+  check_control "partitioned leases" ~fired:[] ~violations:0 ~oracle:0
+    (checked (fun tracer ->
+         Experiments.Runner.run_lease
+           { (Experiments.Runner.lease_setup ~n_clients:4 ~term:(Analytic.Model.Finite 10.) ()) with
+             Leases.Sim.seed = 3L; faults = control_partition (); tracer }
+           (control_trace ())))
+
 (* --- the paper's two-axis comparison ------------------------------------ *)
 
 let test_leases_dominate () =
@@ -216,6 +346,20 @@ let () =
           Alcotest.test_case "stale within ttl" `Quick test_ttl_stale_within_ttl;
           Alcotest.test_case "writes never wait" `Quick test_ttl_writes_never_wait;
           Alcotest.test_case "ttl shrinks to check-on-use" `Quick test_ttl_zero_equivalence;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "callback trace" `Quick test_pin_callback;
+          Alcotest.test_case "ttl trace" `Quick test_pin_ttl;
+          Alcotest.test_case "zero-term lease trace" `Quick test_pin_zero_term_lease;
+        ] );
+      ( "negative controls",
+        [
+          Alcotest.test_case "healthy callbacks are clean" `Quick test_control_callback_healthy;
+          Alcotest.test_case "partitioned callbacks are flagged" `Quick
+            test_control_callback_partition;
+          Alcotest.test_case "TTL hints are flagged" `Quick test_control_ttl;
+          Alcotest.test_case "partitioned leases are clean" `Quick test_control_leases_partition;
         ] );
       ( "comparison",
         [ Alcotest.test_case "leases dominate" `Slow test_leases_dominate ] );
