@@ -27,8 +27,7 @@ let () =
   in
   let make_client i =
     Wlease.Wclient.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness
-      ~host:(Host.Host_id.of_int (i + 1)) ~server:server_host
-      ~config:Wlease.Wclient.default_wconfig ()
+      ~host:(Host.Host_id.of_int (i + 1)) ~server:server_host ()
   in
   let designer = make_client 0 in
   let colleague = make_client 1 in

@@ -45,22 +45,13 @@ type rpc_kind =
   | Write of { file : File_id.t; k : Vstore.Version.t -> Time.Span.t -> unit }
   | Poll
 
-type rpc = {
-  req : int;
-  started : Time.t;
-  kind : rpc_kind;
-  message : payload;
-  mutable timer : Engine.handle option;
-}
-
 type client = {
   engine : Engine.t;
   net : payload Netsim.Net.t;
   host : Host_id.t;
   counters : Stats.Counter.Registry.t;
   cache : (File_id.t, entry) Hashtbl.t;
-  rpcs : (int, rpc) Hashtbl.t;
-  mutable next_req : int;
+  rpcs : (rpc_kind, payload) Netsim.Rpc_table.t;
   mutable up : bool;
   tracer : Trace.Sink.t;
 }
@@ -98,34 +89,13 @@ let invalidate c file =
       (Trace.Event.Cache_invalidate { host = Host_id.to_int c.host; file = File_id.to_int file });
   Hashtbl.remove c.cache file
 
-let rec arm_retry c rpc =
-  rpc.timer <-
-    Some
-      (Engine.schedule_after c.engine retry (fun () ->
-           if c.up && Hashtbl.mem c.rpcs rpc.req then begin
-             count c.counters "retransmissions";
-             send c rpc.message;
-             arm_retry c rpc
-           end))
+let start_rpc c kind message_of_req =
+  let req = Netsim.Rpc_table.fresh_req c.rpcs in
+  Netsim.Rpc_table.start c.rpcs ~req kind (message_of_req req)
 
-let start_rpc c kind message ~req =
-  let rpc = { req; started = Engine.now c.engine; kind; message; timer = None } in
-  Hashtbl.replace c.rpcs req rpc;
-  send c message;
-  arm_retry c rpc
-
-let new_req c =
-  let r = c.next_req in
-  c.next_req <- c.next_req + 1;
-  r
-
-let finish c rpc =
-  (match rpc.timer with Some h -> Engine.cancel h | None -> ());
-  Hashtbl.remove c.rpcs rpc.req
-
-let complete c rpc k version =
-  finish c rpc;
-  k version (Time.diff (Engine.now c.engine) rpc.started)
+let complete c (call : rpc_kind Netsim.Rpc_table.call) k version =
+  Netsim.Rpc_table.finish c.rpcs call.req;
+  k version (Time.diff (Engine.now c.engine) call.started)
 
 let live ~now = function None -> true | Some expires -> Time.(now < expires)
 
@@ -150,15 +120,13 @@ let read c file ~k =
       if Trace.Sink.enabled c.tracer then
         emit c
           (Trace.Event.Cache_miss { host = Host_id.to_int c.host; file = File_id.to_int file });
-      let req = new_req c in
-      start_rpc c (Read { file; k }) (Fetch_request { req; file }) ~req
+      start_rpc c (Read { file; k }) (fun req -> Fetch_request { req; file })
   end
 
 let write c file ~k =
   if c.up then begin
     invalidate c file;
-    let req = new_req c in
-    start_rpc c (Write { file; k }) (Write_request { req; file }) ~req
+    start_rpc c (Write { file; k }) (fun req -> Write_request { req; file })
   end
 
 let rec poll c ~period =
@@ -168,8 +136,7 @@ let rec poll c ~period =
            let entries = Hashtbl.fold (fun file e acc -> (file, e.version) :: acc) c.cache [] in
            if entries <> [] then begin
              count c.counters "polls";
-             let req = new_req c in
-             start_rpc c Poll (Reval_request { req; entries }) ~req
+             start_rpc c Poll (fun req -> Reval_request { req; entries })
            end
          end;
          poll c ~period))
@@ -181,21 +148,21 @@ let handle c (envelope : payload Netsim.Net.envelope) =
     match envelope.payload with
     | Fetch_reply { req; file; version; keep } -> (
       remember c file version keep;
-      match Hashtbl.find_opt c.rpcs req with
-      | Some ({ kind = Read { file = rfile; k }; _ } as rpc) when File_id.equal file rfile ->
-        complete c rpc k version
+      match Netsim.Rpc_table.find c.rpcs req with
+      | Some ({ kind = Read { file = rfile; k }; _ } as call) when File_id.equal file rfile ->
+        complete c call k version
       | Some _ | None -> ())
     | Write_reply { req; file; version; keep } -> (
-      match Hashtbl.find_opt c.rpcs req with
-      | Some ({ kind = Write { file = wfile; k }; _ } as rpc) when File_id.equal file wfile ->
+      match Netsim.Rpc_table.find c.rpcs req with
+      | Some ({ kind = Write { file = wfile; k }; _ } as call) when File_id.equal file wfile ->
         remember c file version keep;
-        complete c rpc k version
+        complete c call k version
       | Some _ | None -> ())
     | Reval_reply { req; stale } -> (
       (* the server renewed its promise on every entry it listed *)
       List.iter (fun (file, version) -> remember c file version Forever) stale;
-      match Hashtbl.find_opt c.rpcs req with
-      | Some ({ kind = Poll; _ } as rpc) -> finish c rpc
+      match Netsim.Rpc_table.find c.rpcs req with
+      | Some { kind = Poll; _ } -> Netsim.Rpc_table.finish c.rpcs req
       | Some _ | None -> ())
     | Break_request { wid; file } ->
       count c.counters "breaks-answered";
@@ -205,15 +172,19 @@ let handle c (envelope : payload Netsim.Net.envelope) =
   end
 
 let create_client (w : payload Leases.Cluster.fabric) i =
+  let host = Leases.Cluster.client_host i in
+  let counters = Stats.Counter.Registry.create () in
   let c =
     {
       engine = w.engine;
       net = w.net;
-      host = Leases.Cluster.client_host i;
-      counters = Stats.Counter.Registry.create ();
+      host;
+      counters;
       cache = Hashtbl.create 128;
-      rpcs = Hashtbl.create 32;
-      next_req = 0;
+      rpcs =
+        Netsim.Rpc_table.create w.engine ~every:retry
+          ~send:(fun m -> Netsim.Net.send w.net ~src:host ~dst:Leases.Cluster.server_host m)
+          ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions");
       up = true;
       tracer = w.tracer;
     }
@@ -223,10 +194,7 @@ let create_client (w : payload Leases.Cluster.fabric) i =
     ~on_crash:(fun () ->
       c.up <- false;
       Hashtbl.reset c.cache;
-      Hashtbl.iter
-        (fun _ rpc -> match rpc.timer with Some h -> Engine.cancel h | None -> ())
-        c.rpcs;
-      Hashtbl.reset c.rpcs)
+      Netsim.Rpc_table.cancel_all c.rpcs)
     ~on_recover:(fun () -> c.up <- true)
     ();
   c

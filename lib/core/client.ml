@@ -348,7 +348,7 @@ let apply_grant_to t (line : Messages.grant_line) entry =
   (match line.g_lease with
   | Some grant ->
     entry.expiry <-
-      Lease.client_expiry grant ~received_at:now ~transit_allowance:t.config.transit_allowance
+      Lease.client_expiry grant ~received_at:now ~transit_allowance:(Netsim.Net.transit t.net)
         ~skew_allowance:t.config.skew_allowance
   | None ->
     (* No lease came back (zero term or a write is pending): make sure we
@@ -553,7 +553,7 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
           | Some entry when Vstore.Version.equal entry.version version ->
             let refreshed =
               Lease.client_expiry { Lease.term = Lease.Finite term } ~received_at:now
-                ~transit_allowance:t.config.transit_allowance
+                ~transit_allowance:(Netsim.Net.transit t.net)
                 ~skew_allowance:t.config.skew_allowance
             in
             entry.expiry <- Lease.expiry_max entry.expiry refreshed;

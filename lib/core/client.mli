@@ -27,7 +27,10 @@ val create :
   ?req_origin:int ->
   unit ->
   t
-(** [route] maps each file to the host of the server that owns it
+(** Every granted term is shortened on arrival by [config.skew_allowance]
+    and by the grant's transit time, [Netsim.Net.transit net] (the
+    paper's [m_prop + 2*m_proc], Section 3.1).
+    [route] maps each file to the host of the server that owns it
     (default: the constant [server]); every RPC, approval reply and
     batched extension targets the owning server, with retry and renewal
     state kept per server.  [rng] jitters the exponential retransmission

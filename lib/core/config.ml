@@ -8,7 +8,6 @@ type installed = {
 
 type t = {
   term_policy : Term_policy.t;
-  transit_allowance : Time.Span.t;
   skew_allowance : Time.Span.t;
   retry_interval : Time.Span.t;
   retry_max_interval : Time.Span.t;
@@ -26,7 +25,6 @@ type t = {
 let default =
   {
     term_policy = Term_policy.Fixed (Time.Span.of_sec 10.);
-    transit_allowance = Time.Span.of_ms 2.5;
     skew_allowance = Time.Span.of_ms 100.;
     retry_interval = Time.Span.of_sec 1.;
     retry_max_interval = Time.Span.of_sec 8.;
@@ -51,7 +49,6 @@ let with_term t term =
   { t with term_policy }
 
 let validate t =
-  if Time.Span.is_negative t.transit_allowance then invalid_arg "Config: negative transit allowance";
   if Time.Span.is_negative t.skew_allowance then invalid_arg "Config: negative skew allowance";
   if Time.Span.(t.retry_interval <= Time.Span.zero) then
     invalid_arg "Config: retry interval must be positive";

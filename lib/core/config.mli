@@ -12,9 +12,6 @@ type installed = {
 
 type t = {
   term_policy : Term_policy.t;
-  transit_allowance : Simtime.Time.Span.t;
-  (** what a client subtracts for grant transit: the paper's
-      [m_prop + 2*m_proc] *)
   skew_allowance : Simtime.Time.Span.t;  (** the paper's epsilon *)
   retry_interval : Simtime.Time.Span.t;
   (** base client RPC retransmission interval; also the server's
@@ -59,8 +56,7 @@ type t = {
 }
 
 val default : t
-(** 10 s fixed term, allowances matching the V LAN parameters
-    (transit 2.5 ms, skew 100 ms), 1 s retries, batching on, no
+(** 10 s fixed term, a 100 ms skew allowance, 1 s retries, batching on, no
     anticipatory renewal, callbacks on, no installed optimisation,
     max-term-only recovery record. *)
 

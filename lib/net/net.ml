@@ -172,3 +172,4 @@ let unicast_rtt ?src ?dst t =
 
 let prop_delay t = t.prop_delay
 let proc_delay t = t.proc_delay
+let transit t = Time.Span.add t.proc_delay (Time.Span.add t.prop_delay t.proc_delay)

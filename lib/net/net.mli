@@ -81,3 +81,8 @@ val unicast_rtt : ?src:Host.Host_id.t -> ?dst:Host.Host_id.t -> 'a t -> Simtime.
 
 val prop_delay : 'a t -> Simtime.Time.Span.t
 val proc_delay : 'a t -> Simtime.Time.Span.t
+
+val transit : 'a t -> Simtime.Time.Span.t
+(** [m_proc + m_prop + m_proc], the paper's [m_prop + 2*m_proc]: how long
+    a unicast takes from send to the recipient's handler without
+    [link_delay].  A client shortens each term it is granted by this much. *)

@@ -10,8 +10,9 @@
 
    Guard discipline mirrors the trace sink: the [null] recorder has
    [enabled = false] and every probe entry point checks it first, so a
-   disabled probe costs one load and one branch — the same shape
-   BENCH_core.json records for telemetry's [probe_disabled]. *)
+   disabled probe costs one load and one branch.  perfbench's
+   [simtime.dispatch_ns] prices that residual at the engine's dispatch
+   site, and test_profile.ml bounds it against a bare queue push/pop. *)
 
 type stats = {
   mutable hits : int;  (** times the center was entered via mark/enter *)

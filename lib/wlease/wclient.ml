@@ -2,22 +2,17 @@ open Simtime
 module Host_id = Host.Host_id
 module File_id = Vstore.File_id
 
-type wconfig = {
-  transit_allowance : Time.Span.t;
-  skew_allowance : Time.Span.t;
-  retry_interval : Time.Span.t;
-  write_back_delay : Time.Span.t;
-  flush_lead : Time.Span.t;
-}
+(* The paper's epsilon, as in [Leases.Config.default]. *)
+let skew_allowance = Time.Span.of_ms 100.
 
-let default_wconfig =
-  {
-    transit_allowance = Time.Span.of_ms 2.5;
-    skew_allowance = Time.Span.of_ms 100.;
-    retry_interval = Time.Span.of_sec 1.;
-    write_back_delay = Time.Span.of_sec 5.;
-    flush_lead = Time.Span.of_sec 1.;
-  }
+(* Every unanswered RPC is re-sent after this long. *)
+let retry_interval = Time.Span.of_sec 1.
+
+(* Dirty data is flushed this long after the first buffered write... *)
+let write_back_delay = Time.Span.of_sec 5.
+
+(* ...or this long before the write lease expires, whichever is sooner. *)
+let flush_lead = Time.Span.of_sec 1.
 
 type read_result = {
   r_version : Vstore.Version.t;
@@ -46,14 +41,6 @@ type rpc_kind =
       (** [sent_local]: client clock when the flush was first sent, the
           latest instant the server's renewal can have started from *)
 
-type rpc = {
-  req : int;
-  started : Time.t;
-  kind : rpc_kind;
-  message : Wmessages.payload;
-  mutable timer : Engine.handle option;
-}
-
 type queued_op =
   | Q_read of (read_result -> unit)
   | Q_write of (write_result -> unit)
@@ -64,13 +51,11 @@ type t = {
   net : Wmessages.payload Netsim.Net.t;
   host : Host_id.t;
   server : Host_id.t;
-  config : wconfig;
   counters : Stats.Counter.Registry.t;
   cache : (File_id.t, entry) Hashtbl.t;
-  rpcs : (int, rpc) Hashtbl.t;
+  rpcs : (rpc_kind, Wmessages.payload) Netsim.Rpc_table.t;
   busy : (File_id.t, unit) Hashtbl.t;
   op_queue : (File_id.t, queued_op Queue.t) Hashtbl.t;
-  mutable next_req : int;
   mutable up : bool;
 }
 
@@ -90,35 +75,7 @@ let holds_lease t file =
 let dirty_writes t file =
   match Hashtbl.find_opt t.cache file with Some entry -> entry.dirty | None -> 0
 
-(* ------------------------------------------------------------------ *)
-(* RPC plumbing (same retransmission discipline as the core client)    *)
-
 let send_to_server t payload = Netsim.Net.send t.net ~src:t.host ~dst:t.server payload
-
-let rec arm_retry t rpc =
-  rpc.timer <-
-    Some
-      (Engine.schedule_after t.engine t.config.retry_interval (fun () ->
-           if t.up && Hashtbl.mem t.rpcs rpc.req then begin
-             bump t "retransmissions";
-             send_to_server t rpc.message;
-             arm_retry t rpc
-           end))
-
-let start_rpc t kind message ~req =
-  let rpc = { req; started = Engine.now t.engine; kind; message; timer = None } in
-  Hashtbl.replace t.rpcs req rpc;
-  send_to_server t message;
-  arm_retry t rpc
-
-let finish_rpc t rpc =
-  (match rpc.timer with Some h -> Engine.cancel h | None -> ());
-  Hashtbl.remove t.rpcs rpc.req
-
-let fresh_req t =
-  let req = t.next_req in
-  t.next_req <- t.next_req + 1;
-  req
 
 (* ------------------------------------------------------------------ *)
 (* Cache maintenance                                                   *)
@@ -141,7 +98,7 @@ let drop_entry t file =
 let client_expiry t ~from ~term =
   let effective =
     Time.Span.clamp_non_negative
-      (Time.Span.sub (Time.Span.sub term t.config.transit_allowance) t.config.skew_allowance)
+      (Time.Span.sub (Time.Span.sub term (Netsim.Net.transit t.net)) skew_allowance)
   in
   Time.add from effective
 
@@ -151,17 +108,17 @@ let client_expiry t ~from ~term =
 let rec start_flush t file entry =
   if t.up && entry.flushing = None && entry.dirty > 0 then begin
     bump t "flushes-sent";
-    let req = fresh_req t in
+    let req = Netsim.Rpc_table.fresh_req t.rpcs in
     entry.flushing <- Some (req, entry.dirty);
-    start_rpc t (R_flush { file; sent_local = local_now t })
+    Netsim.Rpc_table.start t.rpcs ~req
+      (R_flush { file; sent_local = local_now t })
       (Wmessages.Flush_request { req; file; epoch = entry.epoch; local_writes = entry.dirty })
-      ~req
   end
 
 and arm_flush_timer t file entry =
   if entry.flush_timer = None && entry.dirty > 0 then begin
-    let by_delay = Time.add (local_now t) t.config.write_back_delay in
-    let by_expiry = Time.add entry.expiry (Time.Span.neg t.config.flush_lead) in
+    let by_delay = Time.add (local_now t) write_back_delay in
+    let by_expiry = Time.add entry.expiry (Time.Span.neg flush_lead) in
     let at_local = Time.min by_delay by_expiry in
     let fire () =
       match Hashtbl.find_opt t.cache file with
@@ -209,11 +166,10 @@ let rec read t file ~k =
          would lose the writes anyway, so count and drop them now *)
       drop_entry t file;
       Hashtbl.replace t.busy file ();
-      let req = fresh_req t in
-      start_rpc t
+      let req = Netsim.Rpc_table.fresh_req t.rpcs in
+      Netsim.Rpc_table.start t.rpcs ~req
         (R_acquire_read { file; k })
         (Wmessages.Acquire_request { req; file; mode = Wmessages.Read_lease })
-        ~req
   end
 
 and write t file ~k =
@@ -232,11 +188,10 @@ and write t file ~k =
         ignore entry
       | Some _ | None -> drop_entry t file);
       Hashtbl.replace t.busy file ();
-      let req = fresh_req t in
-      start_rpc t
+      let req = Netsim.Rpc_table.fresh_req t.rpcs in
+      Netsim.Rpc_table.start t.rpcs ~req
         (R_acquire_write { file; k })
         (Wmessages.Acquire_request { req; file; mode = Wmessages.Write_lease })
-        ~req
   end
 
 and release t file =
@@ -282,37 +237,32 @@ let handle_message t (envelope : Wmessages.payload Netsim.Net.envelope) =
   if t.up then begin
     match envelope.payload with
     | Wmessages.Acquire_reply { req; file; version; granted } -> (
-      match Hashtbl.find_opt t.rpcs req, granted with
-      | Some ({ kind = R_acquire_read { file = rfile; k }; _ } as rpc), Some (mode, term, epoch)
+      match Netsim.Rpc_table.find t.rpcs req, granted with
+      | Some { kind = R_acquire_read { file = rfile; k }; started; _ }, Some (mode, term, epoch)
         when File_id.equal file rfile ->
-        finish_rpc t rpc;
+        Netsim.Rpc_table.finish t.rpcs req;
         ignore (install_grant t file ~version ~mode ~term ~epoch);
         k
           {
             r_version = version;
-            r_latency = Time.diff (Engine.now t.engine) rpc.started;
+            r_latency = Time.diff (Engine.now t.engine) started;
             r_from_cache = false;
             r_dirty = false;
           };
         release t file
-      | Some ({ kind = R_acquire_write { file = wfile; k }; _ } as rpc), Some (mode, term, epoch)
+      | Some { kind = R_acquire_write { file = wfile; k }; started; _ }, Some (mode, term, epoch)
         when File_id.equal file wfile ->
-        finish_rpc t rpc;
+        Netsim.Rpc_table.finish t.rpcs req;
         let entry = install_grant t file ~version ~mode ~term ~epoch in
         entry.dirty <- 1;
         arm_flush_timer t file entry;
-        k
-          {
-            w_latency = Time.diff (Engine.now t.engine) rpc.started;
-            w_acquired_lease = true;
-          };
+        k { w_latency = Time.diff (Engine.now t.engine) started; w_acquired_lease = true };
         release t file
       | Some _, _ | None, _ -> ())
     | Wmessages.Flush_reply { req; file; accepted } -> (
-      match Hashtbl.find_opt t.rpcs req with
-      | Some ({ kind = R_flush { file = ffile; sent_local }; _ } as rpc)
-        when File_id.equal file ffile -> (
-        finish_rpc t rpc;
+      match Netsim.Rpc_table.find t.rpcs req with
+      | Some { kind = R_flush { file = ffile; sent_local }; _ } when File_id.equal file ffile -> (
+        Netsim.Rpc_table.finish t.rpcs req;
         match Hashtbl.find_opt t.cache file with
         (* only the entry this flush was sent for: if that one was dropped
            and a later grant installed another, the reply is not about it *)
@@ -373,12 +323,12 @@ let on_crash t =
       cancel_flush_timer entry)
     t.cache;
   Hashtbl.reset t.cache;
-  Hashtbl.iter (fun _ rpc -> match rpc.timer with Some h -> Engine.cancel h | None -> ()) t.rpcs;
-  Hashtbl.reset t.rpcs;
+  Netsim.Rpc_table.cancel_all t.rpcs;
   Hashtbl.reset t.busy;
   Hashtbl.reset t.op_queue
 
-let create ~engine ~clock ~net ~liveness ~host ~server ~config () =
+let create ~engine ~clock ~net ~liveness ~host ~server () =
+  let counters = Stats.Counter.Registry.create () in
   let t =
     {
       engine;
@@ -386,13 +336,14 @@ let create ~engine ~clock ~net ~liveness ~host ~server ~config () =
       net;
       host;
       server;
-      config;
-      counters = Stats.Counter.Registry.create ();
+      counters;
       cache = Hashtbl.create 128;
-      rpcs = Hashtbl.create 32;
+      rpcs =
+        Netsim.Rpc_table.create engine ~every:retry_interval
+          ~send:(fun m -> Netsim.Net.send net ~src:host ~dst:server m)
+          ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions");
       busy = Hashtbl.create 16;
       op_queue = Hashtbl.create 16;
-      next_req = 0;
       up = true;
     }
   in

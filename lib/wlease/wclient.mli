@@ -2,9 +2,9 @@
 
     Reads are served locally under any valid lease.  Writes require a
     write lease; once held, writes apply locally (zero latency) and are
-    flushed to the server either when the configured write-back delay
-    elapses, shortly before the lease expires, or when the server recalls
-    the lease for a conflicting acquisition.
+    flushed to the server either when the write-back delay elapses,
+    shortly before the lease expires, or when the server recalls the lease
+    for a conflicting acquisition.
 
     A crash loses the dirty buffer — only writes no other client could
     have observed, since the write lease was exclusive.  A flush rejected
@@ -13,18 +13,6 @@
 
 type t
 
-type wconfig = {
-  transit_allowance : Simtime.Time.Span.t;
-  skew_allowance : Simtime.Time.Span.t;
-  retry_interval : Simtime.Time.Span.t;
-  write_back_delay : Simtime.Time.Span.t;  (** flush dirty data after this long *)
-  flush_lead : Simtime.Time.Span.t;
-  (** flush at least this long before the write lease expires *)
-}
-
-val default_wconfig : wconfig
-(** V LAN allowances, 1 s retries, 5 s write-back delay, 1 s flush lead. *)
-
 val create :
   engine:Simtime.Engine.t ->
   clock:Clock.t ->
@@ -32,9 +20,12 @@ val create :
   liveness:Host.Liveness.t ->
   host:Host.Host_id.t ->
   server:Host.Host_id.t ->
-  config:wconfig ->
   unit ->
   t
+(** A granted term is shortened by a 100 ms skew allowance and by its
+    transit time, [Netsim.Net.transit net].  Unanswered RPCs are re-sent
+    every second; dirty data is flushed 5 s after the first buffered write,
+    or 1 s before the write lease expires if that is sooner. *)
 
 val host : t -> Host.Host_id.t
 

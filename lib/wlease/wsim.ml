@@ -4,7 +4,6 @@ type setup = {
   seed : int64;
   n_clients : int;
   term : Time.Span.t;
-  wconfig : Wclient.wconfig;
   m_prop : Time.Span.t;
   m_proc : Time.Span.t;
   loss : float;
@@ -17,7 +16,6 @@ let default_setup =
     seed = 1L;
     n_clients = 1;
     term = Time.Span.of_sec 10.;
-    wconfig = Wclient.default_wconfig;
     m_prop = Time.Span.of_ms 0.5;
     m_proc = Time.Span.of_ms 1.;
     loss = 0.;
@@ -53,8 +51,7 @@ let run setup ~trace =
   let clients =
     Array.init setup.n_clients (fun i ->
         Wclient.create ~engine ~clock:client_clocks.(i) ~net ~liveness
-          ~host:(Leases.Cluster.client_host i) ~server:Leases.Cluster.server_host
-          ~config:setup.wconfig ())
+          ~host:(Leases.Cluster.client_host i) ~server:Leases.Cluster.server_host ())
   in
   let oracle = Oracle.Register_oracle.create ~store in
   Leases.Cluster.schedule_faults w

@@ -16,7 +16,6 @@ type setup = {
   seed : int64;
   n_clients : int;
   term : Simtime.Time.Span.t;
-  wconfig : Wclient.wconfig;
   m_prop : Simtime.Time.Span.t;
   m_proc : Simtime.Time.Span.t;
   loss : float;

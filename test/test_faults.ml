@@ -75,6 +75,40 @@ let test_partition_never_stale_leases () =
   let slowest = Stats.Histogram.quantile m.Leases.Metrics.read_latency 1.0 in
   Alcotest.(check bool) "blocked read waited for the heal" true (slowest > 40.)
 
+(* The client's transit allowance is the grant's real transit time,
+   m_prop + 2*m_proc, so it grows with the round trip.  Pinned run:
+   simulate -p leases -t 10 -w shared-heavy -n 6 -d 1100 -s 1 --rtt 2000
+   --fault partition=3,800,20.  A fixed 2.5 ms allowance let the clients'
+   leases outlive the server's by about 1 s at this 2 s round trip, and
+   host 4 read file 60 at v41 after v42 committed (808.93 s). *)
+let test_long_rtt_partition_never_stale () =
+  let clients = 6 in
+  let trace =
+    (Experiments.V_trace.shared_heavy ~seed:1L ~clients ~duration:(span 1100.) ())
+      .Experiments.V_trace.trace
+  in
+  let fault =
+    match Leases.Sim.fault_of_spec "partition=3,800,20" with Ok f -> f | Error e -> failwith e
+  in
+  let buf = Trace.Sink.buffer () in
+  let setup =
+    {
+      (Experiments.Runner.lease_setup ~n_clients:clients ~m_prop:(Time.Span.of_ms 998.)
+         ~m_proc:(Time.Span.of_ms 1.) ~term:(Analytic.Model.Finite 10.) ())
+      with
+      Leases.Sim.seed = 1L;
+      faults = [ fault ];
+      tracer = Trace.Sink.buffer_sink buf;
+    }
+  in
+  let m = (Leases.Sim.run setup ~trace).Leases.Sim.metrics in
+  Alcotest.(check int) "oracle: zero stale reads" 0 m.Leases.Metrics.oracle_violations;
+  Alcotest.(check int) "every read checked" 5707 m.Leases.Metrics.oracle_reads;
+  let report = Trace.Checker.check (Trace.Sink.buffer_contents buf) in
+  Alcotest.(check (list string))
+    "trace checker: no violations" []
+    (List.map (fun v -> v.Trace.Checker.invariant) report.Trace.Checker.violations)
+
 let test_fast_client_clock_safe () =
   (* a fast *client* clock makes the client expire leases early: pure
      overhead, never staleness *)
@@ -346,7 +380,11 @@ let () =
             test_ops_during_client_crash_are_dropped;
         ] );
       ( "partition",
-        [ Alcotest.test_case "leases never stale" `Quick test_partition_never_stale_leases ] );
+        [
+          Alcotest.test_case "leases never stale" `Quick test_partition_never_stale_leases;
+          Alcotest.test_case "long round trip never stale" `Quick
+            test_long_rtt_partition_never_stale;
+        ] );
       ( "clocks",
         [
           Alcotest.test_case "fast client clock safe" `Quick test_fast_client_clock_safe;

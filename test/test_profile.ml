@@ -1,8 +1,7 @@
 (* Profiling-layer tests: exact slice accounting under deterministic fake
    clocks (nesting can never double-count), byte-identical reports across
    identical seeded runs, coverage and probe attribution on a real run,
-   the disabled-probe overhead guard, engine-health sampling, and the
-   BENCH_core perf-regression gate comparator. *)
+   the disabled-probe overhead guard and engine-health sampling. *)
 
 let span_sec = Simtime.Time.Span.of_sec
 
@@ -285,80 +284,6 @@ let test_queue_counters () =
   Alcotest.(check int) "total pushed" 5 (Simtime.Event_queue.total_pushed q);
   Alcotest.(check int) "total cancelled" 2 (Simtime.Event_queue.total_cancelled q)
 
-(* --- perf gate -------------------------------------------------------- *)
-
-let bench_doc points =
-  let rows =
-    List.map
-      (fun (n, rate) ->
-        Printf.sprintf
-          "{ \"n_clients\": %d, \"sim_seconds\": 100, \"wall_seconds\": 1, \
-           \"sim_sec_per_wall_sec\": %g }"
-          n rate)
-      points
-  in
-  Printf.sprintf "{ \"schema\": \"leases-bench-core/1\", \"end_to_end\": [ %s ] }"
-    (String.concat ", " rows)
-
-let test_gate_pass () =
-  let doc = bench_doc [ (1, 50_000.); (100, 4_000.); (1000, 900.) ] in
-  match Experiments.Corebench.gate_compare ~tolerance:0.75 ~baseline:doc ~current:doc with
-  | Error why -> Alcotest.failf "gate errored: %s" why
-  | Ok g ->
-    Alcotest.(check bool) "identical sweeps pass" true g.Experiments.Corebench.g_pass;
-    Alcotest.(check int) "all points compared" 3
-      (List.length g.Experiments.Corebench.g_points);
-    List.iter
-      (fun (p : Experiments.Corebench.gate_point) ->
-        Alcotest.(check (float 1e-9)) "ratio 1.0" 1.0 p.p_ratio)
-      g.Experiments.Corebench.g_points
-
-let test_gate_fail_worst_point () =
-  let baseline = bench_doc [ (1, 50_000.); (100, 4_000.); (1000, 900.) ] in
-  (* N=100 collapses to half speed; N=1000 dips but stays inside tolerance *)
-  let current = bench_doc [ (1, 50_000.); (100, 2_000.); (1000, 800.) ] in
-  match Experiments.Corebench.gate_compare ~tolerance:0.75 ~baseline ~current with
-  | Error why -> Alcotest.failf "gate errored: %s" why
-  | Ok g -> (
-    Alcotest.(check bool) "regression fails the gate" false g.Experiments.Corebench.g_pass;
-    match g.Experiments.Corebench.g_worst with
-    | None -> Alcotest.fail "no worst point reported"
-    | Some w ->
-      Alcotest.(check int) "worst point is the collapsed sweep" 100
-        w.Experiments.Corebench.p_clients;
-      Alcotest.(check (float 1e-9)) "worst ratio" 0.5 w.Experiments.Corebench.p_ratio)
-
-let test_gate_ignores_uncommon_points () =
-  let baseline = bench_doc [ (1, 50_000.); (10_000, 100.) ] in
-  let current = bench_doc [ (1, 49_000.); (100, 4_000.) ] in
-  match Experiments.Corebench.gate_compare ~tolerance:0.75 ~baseline ~current with
-  | Error why -> Alcotest.failf "gate errored: %s" why
-  | Ok g ->
-    Alcotest.(check int) "only the shared point compared" 1
-      (List.length g.Experiments.Corebench.g_points);
-    Alcotest.(check bool) "shared point passes" true g.Experiments.Corebench.g_pass
-
-let test_gate_errors () =
-  (match
-     Experiments.Corebench.gate_compare ~tolerance:0.75 ~baseline:"{}"
-       ~current:(bench_doc [ (1, 1.) ])
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "baseline without end_to_end must error");
-  (match
-     Experiments.Corebench.gate_compare ~tolerance:0.75
-       ~baseline:(bench_doc [ (1, 1.) ])
-       ~current:(bench_doc [ (100, 1.) ])
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "disjoint sweeps must error");
-  Alcotest.check_raises "tolerance outside (0, 1] rejected"
-    (Invalid_argument "Corebench.gate_compare: tolerance must be in (0, 1]") (fun () ->
-      ignore
-        (Experiments.Corebench.gate_compare ~tolerance:1.5
-           ~baseline:(bench_doc [ (1, 1.) ])
-           ~current:(bench_doc [ (1, 1.) ])))
-
 let () =
   Alcotest.run "profile"
     [
@@ -383,13 +308,5 @@ let () =
         [
           Alcotest.test_case "disabled probe near-free" `Slow test_disabled_overhead;
           Alcotest.test_case "queue lifetime counters" `Quick test_queue_counters;
-        ] );
-      ( "gate",
-        [
-          Alcotest.test_case "identical sweeps pass" `Quick test_gate_pass;
-          Alcotest.test_case "regression fails with worst point" `Quick
-            test_gate_fail_worst_point;
-          Alcotest.test_case "uncommon points ignored" `Quick test_gate_ignores_uncommon_points;
-          Alcotest.test_case "malformed inputs" `Quick test_gate_errors;
         ] );
     ]

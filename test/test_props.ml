@@ -522,25 +522,37 @@ let fault_to_string = function
   | Leases.Sim.Server_step _ ->
     "clock-fault"
 
-let scenario_arb =
+let print_scenario (seed, faults, loss, term) =
+  Printf.sprintf "seed=%d loss=%.3f term=%.4f faults=[%s]" seed loss term
+    (String.concat "; " (List.map fault_to_string faults))
+
+let scenario_arb = QCheck.make ~print:print_scenario scenario_gen
+
+(* The lease property also draws the round trip: the 5 ms LAN default, or
+   2 s (998 ms propagation), where the grant's transit allowance is about
+   1 s and a client that assumed the LAN's would outlive its server's
+   lease. *)
+let lease_scenario_arb =
   QCheck.make
-    ~print:(fun (seed, faults, loss, term) ->
-      Printf.sprintf "seed=%d loss=%.3f term=%.4f faults=[%s]" seed loss term
-        (String.concat "; " (List.map fault_to_string faults)))
-    scenario_gen
+    ~print:(fun (scenario, long_rtt) ->
+      Printf.sprintf "%s rtt=%s" (print_scenario scenario) (if long_rtt then "2s" else "5ms"))
+    QCheck.Gen.(pair scenario_gen bool)
 
 let prop_leases_never_stale =
-  QCheck.Test.make ~name:"leases: zero stale reads under random faults" ~count:40 scenario_arb
-    (fun (seed, faults, loss, term) ->
+  QCheck.Test.make ~name:"leases: zero stale reads under random faults" ~count:40
+    lease_scenario_arb
+    (fun ((seed, faults, loss, term), long_rtt) ->
       let clients = 3 in
       let trace =
         (Experiments.V_trace.shared_heavy ~seed:(Int64.of_int seed) ~clients
            ~duration:(span 200.) ())
           .Experiments.V_trace.trace
       in
+      let m_prop = if long_rtt then Some (Time.Span.of_ms 998.) else None in
       let setup =
         {
-          (Experiments.Runner.lease_setup ~n_clients:clients ~term:(Analytic.Model.Finite term) ())
+          (Experiments.Runner.lease_setup ~n_clients:clients ?m_prop
+             ~term:(Analytic.Model.Finite term) ())
           with
           Leases.Sim.faults;
           loss;

@@ -16,7 +16,7 @@ type rig = {
   store : Vstore.Store.t;
 }
 
-let make_rig ?(n = 2) ?(term = span 10.) ?(wconfig = Wlease.Wclient.default_wconfig) () =
+let make_rig ?(n = 2) ?(term = span 10.) () =
   let engine = Engine.create () in
   let liveness = Host.Liveness.create () in
   let net =
@@ -32,7 +32,7 @@ let make_rig ?(n = 2) ?(term = span 10.) ?(wconfig = Wlease.Wclient.default_wcon
   let clients =
     Array.init n (fun i ->
         Wlease.Wclient.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness
-          ~host:(Host.Host_id.of_int (i + 1)) ~server:server_host ~config:wconfig ())
+          ~host:(Host.Host_id.of_int (i + 1)) ~server:server_host ())
   in
   { engine; liveness; server; clients; store }
 
