@@ -36,9 +36,6 @@ type queued_op =
   | Q_read of (read_result -> unit)
   | Q_write of (write_result -> unit)
 
-(* Sentinel "nothing cached can expire" (Time is microseconds in an int63). *)
-let horizon = Time.of_us max_int
-
 type t = {
   engine : Engine.t;
   clock : Clock.t;
@@ -74,10 +71,10 @@ type t = {
   renewals_in_flight : unit Host_id.Tbl.t;
       (** servers with an anticipatory extension outstanding *)
   mutable next_req : int;
-  mutable evict_next : Time.t;
+  mutable evict_next : Lease.expiry;
       (** lower bound on the earliest local expiry among cached entries
-          (horizon sentinel = nothing can expire); drives amortized
-          eviction of long-dead entries from the miss path *)
+          ([Lease.never] = nothing can expire); drives amortized eviction
+          of long-dead entries from the miss path *)
   mutable up : bool;
 }
 
@@ -97,8 +94,6 @@ let profile_mark t center =
   let p = Engine.profiler t.engine in
   if Profile.Recorder.enabled p then Profile.Recorder.mark p center
 
-let expiry_sec = function Lease.At at -> Some (Time.to_sec at) | Lease.Never -> None
-
 let emit_client_lease t file (entry : entry) =
   emit t
     (Trace.Event.Client_lease
@@ -106,7 +101,7 @@ let emit_client_lease t file (entry : entry) =
          host = Host_id.to_int t.host;
          file = File_id.to_int file;
          version = Vstore.Version.to_int entry.version;
-         expiry = expiry_sec entry.expiry;
+         expiry = Lease.expiry_sec entry.expiry;
          local_now = Time.to_sec (local_now t);
        })
 
@@ -196,9 +191,7 @@ let cancel_renewal entry =
    [entry.expiry] assignment; the bound only ever moves down here and is
    recomputed exactly by an eviction pass, mirroring the server table's
    per-file [min_next]. *)
-let note_expiry t = function
-  | Lease.At at -> if Time.(at < t.evict_next) then t.evict_next <- at
-  | Lease.Never -> ()
+let note_expiry t expiry = t.evict_next <- Lease.expiry_min expiry t.evict_next
 
 (* Amortized eviction of long-dead cache entries, run from the miss path.
    An entry whose lease lapsed is protocol-inert — it never serves a read —
@@ -218,19 +211,16 @@ let maybe_evict t =
   match t.config.Config.cache_eviction_grace with
   | None -> ()
   | Some grace ->
-    let now = local_now t in
-    if Time.(t.evict_next < horizon) && Time.(Time.add t.evict_next grace <= now) then begin
-      let cutoff = Time.add now (Time.Span.neg grace) in
-      let min_next = ref horizon in
+    let cutoff = Time.add (local_now t) (Time.Span.neg grace) in
+    if Lease.expired t.evict_next ~now:cutoff then begin
+      let min_next = ref Lease.never in
       let victims =
         File_id.Tbl.fold
           (fun file entry acc ->
             if (not (File_id.Tbl.mem t.busy file)) && Lease.expired entry.expiry ~now:cutoff then
               (file, entry) :: acc
             else begin
-              (match entry.expiry with
-              | Lease.At at -> if Time.(at < !min_next) then min_next := at
-              | Lease.Never -> ());
+              min_next := Lease.expiry_min entry.expiry !min_next;
               acc
             end)
           t.cache []
@@ -254,7 +244,7 @@ let maybe_evict t =
     end
 
 let add_entry t file =
-  let entry = { version = Vstore.Version.initial; expiry = Lease.At Time.zero; renewal_timer = None } in
+  let entry = { version = Vstore.Version.initial; expiry = Lease.at Time.zero; renewal_timer = None } in
   File_id.Tbl.add t.cache file entry;
   t.files_sorted <- None;
   note_expiry t entry.expiry;
@@ -324,18 +314,21 @@ let rec send_renewal t =
   end
 
 and arm_renewal t file entry =
-  match t.config.anticipatory_renewal, entry.expiry with
-  | Some lead, Lease.At expiry ->
-    cancel_renewal entry;
-    let renew_at_local = Time.add expiry (Time.Span.neg lead) in
-    let fire () =
-      if t.up && (match File_id.Tbl.find_opt t.cache file with Some e -> e == entry | None -> false)
-      then send_renewal t
-    in
-    entry.renewal_timer <- Some (Clock.schedule_at_local t.clock renew_at_local fire)
-  | Some _, Lease.Never | None, _ -> ()
+  match t.config.anticipatory_renewal with
+  | None -> ()
+  | Some lead -> (
+    match Lease.deadline entry.expiry with
+    | None -> ()
+    | Some expiry ->
+      cancel_renewal entry;
+      let renew_at_local = Time.add expiry (Time.Span.neg lead) in
+      let fire () =
+        if t.up && (match File_id.Tbl.find_opt t.cache file with Some e -> e == entry | None -> false)
+        then send_renewal t
+      in
+      entry.renewal_timer <- Some (Clock.schedule_at_local t.clock renew_at_local fire))
 
-let apply_grant_to t (line : Messages.grant_line) entry =
+let apply_grant_to t (line : Messages.grant_line) entry expiry =
   (* Guard against resurrecting state that predates a write we already know
      about: server versions are monotone, so a grant carrying an older
      version was issued before that write and its lease died with it.  (The
@@ -344,24 +337,15 @@ let apply_grant_to t (line : Messages.grant_line) entry =
   if Vstore.Version.compare line.g_version entry.version < 0 then ()
   else begin
   entry.version <- line.g_version;
-  let now = local_now t in
-  (match line.g_lease with
-  | Some grant ->
-    entry.expiry <-
-      Lease.client_expiry grant ~received_at:now ~transit_allowance:(Netsim.Net.transit t.net)
-        ~skew_allowance:t.config.skew_allowance
-  | None ->
-    (* No lease came back (zero term or a write is pending): make sure we
-       do not keep trusting an older one. *)
-    entry.expiry <- Lease.At now);
-  note_expiry t entry.expiry;
+  entry.expiry <- expiry;
+  note_expiry t expiry;
   if tracing t then emit_client_lease t line.g_file entry;
   arm_renewal t line.g_file entry
   end
 
-let apply_grant t (line : Messages.grant_line) =
+let apply_grant t (line : Messages.grant_line) expiry =
   match File_id.Tbl.find t.cache line.g_file with
-  | entry -> apply_grant_to t line entry
+  | entry -> apply_grant_to t line entry expiry
   | exception Not_found -> (
     match line.g_lease with
     | None ->
@@ -371,7 +355,31 @@ let apply_grant t (line : Messages.grant_line) =
          never-leased probe as a cached file, permanently inflating
          [cache_size] and the telemetry occupancy series. *)
       ()
-    | Some _ -> apply_grant_to t line (add_entry t line.g_file))
+    | Some _ -> apply_grant_to t line (add_entry t line.g_file) expiry)
+
+(* Apply one reply's grant lines, all received now.  The server hands every
+   line of one term the same lease value, so the client expiry is computed
+   once per reply and term, and each line costs one field write. *)
+let apply_grants t (granted : Messages.grant_line list) =
+  let now = local_now t in
+  let rec go last expiry = function
+    | [] -> ()
+    | (line : Messages.grant_line) :: rest ->
+      let expiry =
+        match line.g_lease with
+        | Some _ when line.g_lease == last -> expiry
+        | Some { Lease.term } ->
+          Lease.client_expiry term ~received_at:now ~transit_allowance:(Netsim.Net.transit t.net)
+            ~skew_allowance:t.config.skew_allowance
+        | None ->
+          (* No lease came back (zero term or a write is pending): make sure
+             we do not keep trusting an older one. *)
+          Lease.at now
+      in
+      apply_grant t line expiry;
+      go line.g_lease expiry rest
+  in
+  go None Lease.never granted
 
 (* ------------------------------------------------------------------ *)
 (* Operations
@@ -483,7 +491,7 @@ and drain_queue t file =
 (* Message handling                                                    *)
 
 let complete_read t rpc (granted : Messages.grant_line list) =
-  List.iter (apply_grant t) granted;
+  apply_grants t granted;
   match rpc.kind with
   | Rpc_read { file; k } -> (
     finish_rpc t rpc;
@@ -518,11 +526,11 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
     | Messages.Read_reply { req; granted } -> (
       match find_rpc t req with
       | Some rpc -> complete_read t rpc [ granted ]
-      | None -> apply_grant t granted (* late duplicate: still fresh info *))
+      | None -> apply_grants t [ granted ] (* late duplicate: still fresh info *))
     | Messages.Extend_reply { req; granted } -> (
       match find_rpc t req with
       | Some rpc -> complete_read t rpc granted
-      | None -> List.iter (apply_grant t) granted)
+      | None -> apply_grants t granted)
     | Messages.Write_reply { req; file; version } -> (
       match find_rpc t req with
       | Some ({ kind = Rpc_write { file = wfile; k }; _ } as rpc) when File_id.equal file wfile ->
@@ -532,7 +540,7 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
         let entry = entry_for t file in
         if Vstore.Version.compare version entry.version >= 0 then begin
           entry.version <- version;
-          entry.expiry <- Lease.At (local_now t);
+          entry.expiry <- Lease.at (local_now t);
           note_expiry t entry.expiry
         end;
         if tracing t then emit_client_lease t file entry;
@@ -546,16 +554,14 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
          file's owner, not necessarily our default server. *)
       send_to t ~dst:envelope.src (Messages.Approval_reply { write; file })
     | Messages.Installed_refresh { covered; term } ->
-      let now = local_now t in
+      let refreshed =
+        Lease.client_expiry (Lease.Finite term) ~received_at:(local_now t)
+          ~transit_allowance:(Netsim.Net.transit t.net) ~skew_allowance:t.config.skew_allowance
+      in
       List.iter
         (fun (file, version) ->
           match File_id.Tbl.find_opt t.cache file with
           | Some entry when Vstore.Version.equal entry.version version ->
-            let refreshed =
-              Lease.client_expiry { Lease.term = Lease.Finite term } ~received_at:now
-                ~transit_allowance:(Netsim.Net.transit t.net)
-                ~skew_allowance:t.config.skew_allowance
-            in
             entry.expiry <- Lease.expiry_max entry.expiry refreshed;
             note_expiry t entry.expiry;
             if tracing t then emit_client_lease t file entry;
@@ -585,7 +591,7 @@ let on_crash t =
   File_id.Tbl.reset t.busy;
   File_id.Tbl.reset t.op_queue;
   Host_id.Tbl.reset t.renewals_in_flight;
-  t.evict_next <- horizon
+  t.evict_next <- Lease.never
 
 let on_recover t = t.up <- true
 
@@ -630,7 +636,7 @@ let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
         (match req_origin with
         | Some origin -> origin
         | None -> Host.Host_id.to_int host lsl 32);
-      evict_next = horizon;
+      evict_next = Lease.never;
       up = true;
     }
   in

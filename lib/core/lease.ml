@@ -4,7 +4,13 @@ type term = Finite of Time.Span.t | Infinite
 
 type grant = { term : term }
 
-type expiry = At of Time.t | Never
+(* An expiry is its deadline's microsecond count on the clock that holds it
+   ([Time] is microseconds in an int63), or [never] = [max_int], which no
+   simulated clock reaches.  Being an int, it is stored into long-lived
+   records with a plain write (no boxed deadline to promote, no write
+   barrier), and ordered by one machine compare; [never] is the largest
+   value, so [Int.max] and [Int.min] are the expiry max and min. *)
+type expiry = int
 
 let term_zero = Finite Time.Span.zero
 
@@ -27,31 +33,32 @@ let pp_term ppf = function
   | Finite span -> Time.Span.pp ppf span
   | Infinite -> Format.pp_print_string ppf "infinite"
 
-let server_expiry grant ~granted_at =
-  match grant.term with
-  | Infinite -> Never
-  | Finite span -> At (Time.add granted_at span)
+let never = max_int
+let at deadline = Time.to_us deadline
+let is_never (e : expiry) = e = never
+let deadline e = if is_never e then None else Some (Time.of_us e)
+let expiry_sec e = if is_never e then None else Some (Time.to_sec (Time.of_us e))
 
-let client_expiry grant ~received_at ~transit_allowance ~skew_allowance =
-  match grant.term with
-  | Infinite -> Never
+let server_expiry term ~granted_at =
+  match term with
+  | Infinite -> never
+  | Finite span -> at (Time.add granted_at span)
+
+let client_expiry term ~received_at ~transit_allowance ~skew_allowance =
+  match term with
+  | Infinite -> never
   | Finite span ->
     let effective =
       Time.Span.clamp_non_negative
         (Time.Span.sub (Time.Span.sub span transit_allowance) skew_allowance)
     in
-    At (Time.add received_at effective)
+    at (Time.add received_at effective)
 
-let expired expiry ~now =
-  match expiry with
-  | Never -> false
-  | At deadline -> Time.(deadline <= now)
+let expired (e : expiry) ~now = e <= Time.to_us now
+let expiry_max (a : expiry) b = Int.max a b
+let expiry_min (a : expiry) b = Int.min a b
 
-let expiry_max a b =
-  match a, b with
-  | Never, _ | _, Never -> Never
-  | At a, At b -> At (Time.max a b)
-
-let pp_expiry ppf = function
-  | At t -> Time.pp ppf t
-  | Never -> Format.pp_print_string ppf "never"
+let pp_expiry ppf e =
+  match deadline e with
+  | Some t -> Time.pp ppf t
+  | None -> Format.pp_print_string ppf "never"

@@ -22,9 +22,12 @@ type term =
 
 type grant = { term : term }
 
-type expiry =
-  | At of Simtime.Time.t
-  | Never
+type expiry [@@immediate]
+(** A deadline on the clock of the host that holds the lease, or never.
+    Unboxed: the deadline's microseconds, with {!never} above every instant
+    a simulated clock reaches.  Storing one into a long-lived record is a
+    plain write and comparing two is an int compare, which keeps a renewal
+    at one table write on each side.  This module owns the encoding. *)
 
 val term_zero : term
 val term_of_sec : float -> term
@@ -32,11 +35,25 @@ val term_is_zero : term -> bool
 val compare_term : term -> term -> int
 val pp_term : Format.formatter -> term -> unit
 
-val server_expiry : grant -> granted_at:Simtime.Time.t -> expiry
+val never : expiry
+(** The expiry of an infinite term: never expired, the largest expiry. *)
+
+val at : Simtime.Time.t -> expiry
+(** The expiry at a finite deadline. *)
+
+val is_never : expiry -> bool
+
+val deadline : expiry -> Simtime.Time.t option
+(** [None] for {!never}. *)
+
+val expiry_sec : expiry -> float option
+(** The deadline in seconds, [None] for {!never}: the trace encoding. *)
+
+val server_expiry : term -> granted_at:Simtime.Time.t -> expiry
 (** Deadline on the server's clock, measured from the grant instant. *)
 
 val client_expiry :
-  grant ->
+  term ->
   received_at:Simtime.Time.t ->
   transit_allowance:Simtime.Time.Span.t ->
   skew_allowance:Simtime.Time.Span.t ->
@@ -47,5 +64,8 @@ val client_expiry :
     helping reads). *)
 
 val expired : expiry -> now:Simtime.Time.t -> bool
+(** The deadline has been reached: [deadline <= now]. *)
+
 val expiry_max : expiry -> expiry -> expiry
+val expiry_min : expiry -> expiry -> expiry
 val pp_expiry : Format.formatter -> expiry -> unit

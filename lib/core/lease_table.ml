@@ -1,14 +1,9 @@
 module Host_id = Host.Host_id
 module File_id = Vstore.File_id
-open Simtime
 
-(* Expiries are stored as server-clock microseconds.  [never] stands for
-   [Lease.Never] and doubles as the "no finite expiry resident" sentinel:
-   no simulated clock reaches it (Time is microseconds in an int63). *)
-let never = max_int
-
-let us_of_expiry = function Lease.At at -> Time.to_us at | Lease.Never -> never
-let expiry_of_us us = if us = never then Lease.Never else Lease.At (Time.of_us us)
+(* Expiries are [Lease.expiry] values on the server's clock: unboxed ints,
+   so slots, holder tables and heaps store them without allocating.
+   [Lease.never] doubles as the "no finite expiry resident" sentinel. *)
 
 (* Holders of a promoted slot.  [tbl] maps each holder to its expiry; the
    heap holds (expiry, holder) entries in two parallel arrays, a min-heap
@@ -19,8 +14,8 @@ let expiry_of_us us = if us = never then Lease.Never else Lease.At (Time.of_us u
    bounded: once the heap holds more than twice the live records plus 8, it
    is rebuilt from the table. *)
 type shared = {
-  tbl : int Host_id.Tbl.t;
-  mutable heap_at : int array;
+  tbl : Lease.expiry Host_id.Tbl.t;
+  mutable heap_at : Lease.expiry array;
   mutable heap_holder : int array;  (** [Host_id.to_int] of the holder *)
   mutable heap_len : int;
 }
@@ -32,7 +27,7 @@ type shared = {
    slot never demotes: shared files stay shared. *)
 type holders =
   | No_holder
-  | One of { holder : Host_id.t; mutable h_expiry : int }
+  | One of { holder : Host_id.t; mutable h_expiry : Lease.expiry }
   | Many of shared
 
 (* Per-file slot.  [holders] contains only records that have not been
@@ -44,7 +39,7 @@ type holders =
    history. *)
 type slot = {
   mutable holders : holders;
-  mutable min_next : int;
+  mutable min_next : Lease.expiry;
 }
 
 type t = {
@@ -85,8 +80,10 @@ let slot_opt t file =
 
 (* Entries are ordered by (expiry, holder), a total order on distinct
    records, so the pop order — and with it the order of [lease-expire]
-   events — does not depend on heap layout or on the table's hash. *)
-let entry_before at h at' h' = at < at' || (at = at' && h < h')
+   events — does not depend on heap layout or on the table's hash.  The
+   annotations make both compares single int compares: left polymorphic,
+   [<] and [=] call into the runtime's generic comparison. *)
+let entry_before (at : Lease.expiry) (h : int) at' h' = at < at' || (at = at' && h < h')
 
 (* Place (at, h) in the hole at [i], moving larger parents down.  Indices
    below [heap_len] are in bounds by construction, so the sifts read and
@@ -137,7 +134,7 @@ let heap_push s at h =
   let cap = Array.length s.heap_at in
   if s.heap_len = cap then begin
     let cap' = Int.max 4 (2 * cap) in
-    let at' = Array.make cap' 0 and holder' = Array.make cap' 0 in
+    let at' = Array.make cap' Lease.never and holder' = Array.make cap' 0 in
     Array.blit s.heap_at 0 at' 0 s.heap_len;
     Array.blit s.heap_holder 0 holder' 0 s.heap_len;
     s.heap_at <- at';
@@ -158,7 +155,7 @@ let rebuild s =
   s.heap_len <- 0;
   Host_id.Tbl.iter
     (fun holder at ->
-      if at <> never then begin
+      if not (Lease.is_never at) then begin
         s.heap_at.(s.heap_len) <- at;
         s.heap_holder.(s.heap_len) <- Host_id.to_int holder;
         s.heap_len <- s.heap_len + 1
@@ -169,13 +166,13 @@ let rebuild s =
   done
 
 let push_entry s at holder =
-  if at <> never then begin
+  if not (Lease.is_never at) then begin
     heap_push s at (Host_id.to_int holder);
     if s.heap_len > (2 * Host_id.Tbl.length s.tbl) + 8 then rebuild s
   end
 
 (* Whether the table still maps [h] to [at], i.e. the entry is not stale. *)
-let current s at h =
+let current s (at : Lease.expiry) h =
   match Host_id.Tbl.find s.tbl (Host_id.of_int h) with
   | cur -> cur = at
   | exception Not_found -> false
@@ -189,23 +186,23 @@ let current s at h =
    reaps a holder only for a current entry; it then drops stale entries
    off the top, so the top is the earliest live finite expiry. *)
 let reap_slot t file slot ~now =
-  if slot.min_next <= now then begin
+  if Lease.expired slot.min_next ~now then begin
     match slot.holders with
-    | No_holder -> slot.min_next <- never
+    | No_holder -> slot.min_next <- Lease.never
     | One r ->
-      if r.h_expiry <= now then begin
+      if Lease.expired r.h_expiry ~now then begin
         t.records <- t.records - 1;
         t.reaped_total <- t.reaped_total + 1;
         t.files <- t.files - 1;
         let holder = r.holder and expiry = r.h_expiry in
         slot.holders <- No_holder;
-        slot.min_next <- never;
-        t.on_reap file holder (Lease.At (Time.of_us expiry))
+        slot.min_next <- Lease.never;
+        t.on_reap file holder expiry
       end
       else slot.min_next <- r.h_expiry
     | Many s ->
       let had = Host_id.Tbl.length s.tbl in
-      while s.heap_len > 0 && s.heap_at.(0) <= now do
+      while s.heap_len > 0 && Lease.expired s.heap_at.(0) ~now do
         let at = s.heap_at.(0) and h = s.heap_holder.(0) in
         heap_drop_top s;
         if current s at h then begin
@@ -213,13 +210,13 @@ let reap_slot t file slot ~now =
           Host_id.Tbl.remove s.tbl holder;
           t.records <- t.records - 1;
           t.reaped_total <- t.reaped_total + 1;
-          t.on_reap file holder (Lease.At (Time.of_us at))
+          t.on_reap file holder at
         end
       done;
       while s.heap_len > 0 && not (current s s.heap_at.(0) s.heap_holder.(0)) do
         heap_drop_top s
       done;
-      slot.min_next <- (if s.heap_len > 0 then s.heap_at.(0) else never);
+      slot.min_next <- (if s.heap_len > 0 then s.heap_at.(0) else Lease.never);
       if had > 0 && Host_id.Tbl.length s.tbl = 0 then t.files <- t.files - 1
   end
 
@@ -232,18 +229,17 @@ let live_slot t file ~now =
     reap_slot t file slot ~now;
     if holders_len slot.holders = 0 then None else Some slot
 
-let record t file holder expiry =
+let record t file holder at =
   let idx = File_id.to_int file in
   ensure t idx;
   let slot =
     match t.slots.(idx) with
     | Some slot -> slot
     | None ->
-      let slot = { holders = No_holder; min_next = never } in
+      let slot = { holders = No_holder; min_next = Lease.never } in
       t.slots.(idx) <- Some slot;
       slot
   in
-  let at = us_of_expiry expiry in
   (match slot.holders with
   | No_holder ->
     t.files <- t.files + 1;
@@ -269,7 +265,7 @@ let record t file holder expiry =
       t.records <- t.records + 1
     end;
     push_entry s at holder);
-  if at < slot.min_next then slot.min_next <- at
+  slot.min_next <- Lease.expiry_min at slot.min_next
 
 let remove_holder t file holder =
   match slot_opt t file with
@@ -280,7 +276,7 @@ let remove_holder t file holder =
       slot.holders <- No_holder;
       t.records <- t.records - 1;
       t.files <- t.files - 1;
-      slot.min_next <- never
+      slot.min_next <- Lease.never
     | One _ -> ()
     | Many s ->
       let before = Host_id.Tbl.length s.tbl in
@@ -290,7 +286,7 @@ let remove_holder t file holder =
         if before = 1 then begin
           t.files <- t.files - 1;
           s.heap_len <- 0;
-          slot.min_next <- never
+          slot.min_next <- Lease.never
         end
       end)
   | None -> ()
@@ -310,17 +306,15 @@ let drop_file t file =
     | Many s ->
       Host_id.Tbl.reset s.tbl;
       s.heap_len <- 0);
-    slot.min_next <- never
+    slot.min_next <- Lease.never
   | None -> ()
 
 (* Iteration order over a holder table is unspecified, so every aggregate
    below is either order-independent (count, max, set union) or explicitly
    sorted — simulation determinism must not depend on hash layout. *)
 
-(* Fold over the live records with expiries as microseconds ([never] for
-   [Lease.Never]), so aggregates box no expiry per visited holder. *)
-let fold_live_us t file ~now ~init ~f =
-  match live_slot t file ~now:(Time.to_us now) with
+let fold_live t file ~now ~init ~f =
+  match live_slot t file ~now with
   | None -> init
   | Some slot -> (
     match slot.holders with
@@ -328,51 +322,51 @@ let fold_live_us t file ~now ~init ~f =
     | One r -> f r.holder r.h_expiry init
     | Many s -> Host_id.Tbl.fold f s.tbl init)
 
-let fold_live t file ~now ~init ~f =
-  fold_live_us t file ~now ~init ~f:(fun holder at acc -> f holder (expiry_of_us at) acc)
-
 (* After the reap every resident record is live, so the count is the slot
    length — the grant path's O(1). *)
 let live_count t file ~now =
-  match live_slot t file ~now:(Time.to_us now) with
+  match live_slot t file ~now with
   | None -> 0
   | Some slot -> holders_len slot.holders
 
 let live_holders t file ~now =
-  fold_live_us t file ~now ~init:[] ~f:(fun holder _ acc -> holder :: acc)
+  fold_live t file ~now ~init:[] ~f:(fun holder _ acc -> holder :: acc)
   |> List.sort Host_id.compare
 
 let live_holder_set t file ~now =
-  fold_live_us t file ~now ~init:Host_id.Set.empty ~f:(fun holder _ acc ->
+  fold_live t file ~now ~init:Host_id.Set.empty ~f:(fun holder _ acc ->
       Host_id.Set.add holder acc)
 
-(* [never] is the largest int, so [Int.max] is [Lease.expiry_max]. *)
 let live_deadline t file ~now ~init =
-  expiry_of_us
-    (fold_live_us t file ~now ~init:(us_of_expiry init) ~f:(fun _ at acc -> Int.max at acc))
+  fold_live t file ~now ~init ~f:(fun _ at acc -> Lease.expiry_max at acc)
 
 (* One pass for the write path: the latest live expiry and the live holder
    set together, instead of two reap-check-and-fold rounds. *)
 let write_snapshot t file ~now ~init =
-  let deadline = ref (us_of_expiry init) in
+  let deadline = ref init in
   let holders =
-    fold_live_us t file ~now ~init:Host_id.Set.empty ~f:(fun holder at acc ->
-        if at > !deadline then deadline := at;
+    fold_live t file ~now ~init:Host_id.Set.empty ~f:(fun holder at acc ->
+        deadline := Lease.expiry_max at !deadline;
         Host_id.Set.add holder acc)
   in
-  (expiry_of_us !deadline, holders)
+  (!deadline, holders)
 
+(* One pass: reap each resident slot and take the minimum of the bounds it
+   leaves.  Skipping empty slots loses nothing, because an empty slot's
+   [min_next] is always [Lease.never]. *)
 let sweep t ~now =
-  let now = Time.to_us now in
-  let before = t.reaped_total in
+  let next = ref Lease.never in
   Array.iteri
     (fun idx slot ->
       match slot with
       | Some slot ->
-        if holders_len slot.holders > 0 then reap_slot t (File_id.of_int idx) slot ~now
+        if holders_len slot.holders > 0 then begin
+          reap_slot t (File_id.of_int idx) slot ~now;
+          next := Lease.expiry_min slot.min_next !next
+        end
       | None -> ())
     t.slots;
-  t.reaped_total - before
+  not (Lease.is_never !next)
 
 type occupancy = { files : int; records : int; live_records : int }
 
@@ -382,16 +376,6 @@ type occupancy = { files : int; records : int; live_records : int }
 let occupancy (t : t) ~now =
   ignore (sweep t ~now);
   { files = t.files; records = t.records; live_records = t.records }
-
-(* Earliest finite expiry lower bound across all slots — [None] when every
-   resident record is infinite (or the table is empty), i.e. nothing will
-   ever become reapable.  O(slot array). *)
-let next_finite_expiry t =
-  let best = ref never in
-  Array.iter
-    (function Some slot -> if slot.min_next < !best then best := slot.min_next | None -> ())
-    t.slots;
-  if !best < never then Some (Time.of_us !best) else None
 
 let resident_records (t : t) = t.records
 let resident_files (t : t) = t.files

@@ -42,7 +42,8 @@ val set_on_reap : t -> (Vstore.File_id.t -> Host.Host_id.t -> Lease.expiry -> un
     order.  The server uses it to emit [lease-expire] trace events. *)
 
 val record : t -> Vstore.File_id.t -> Host.Host_id.t -> Lease.expiry -> unit
-(** Upsert one holder's lease on a file. *)
+(** Upsert one holder's lease on a file, at its server-clock expiry.  A
+    renewal (same holder) overwrites the record in place. *)
 
 val remove_holder : t -> Vstore.File_id.t -> Host.Host_id.t -> unit
 (** Drop one holder's record (approval received, or implicit writer
@@ -83,11 +84,15 @@ val write_snapshot :
 (** [live_deadline] and [live_holder_set] in one reap-and-fold pass — the
     write path's single visit. *)
 
-val sweep : t -> now:Simtime.Time.t -> int
-(** Reap every slot whose earliest expiry has passed; returns the number
-    of records reaped.  O(files) comparisons plus the amortized reap work.
-    Driven periodically from the server clock so idle files do not hold
-    their expired records until the next access. *)
+val sweep : t -> now:Simtime.Time.t -> bool
+(** Reap every slot whose earliest expiry has passed, in one pass over the
+    slots: O(files) comparisons plus the amortized reap work.  Driven
+    periodically from the server clock so idle files do not hold their
+    expired records until the next access.  Returns whether a resident
+    record can still expire (some finite expiry remains); the server
+    re-arms its sweep timer only then, because a timer that re-armed
+    unconditionally would keep the simulation's event queue alive
+    forever. *)
 
 type occupancy = { files : int; records : int; live_records : int }
 
@@ -96,13 +101,6 @@ val occupancy : t -> now:Simtime.Time.t -> occupancy
     one live record and the live record count ([records] =
     [live_records] — both fields are kept so existing consumers see the
     same shape).  O(files), not O(lifetime records). *)
-
-val next_finite_expiry : t -> Simtime.Time.t option
-(** Lower bound on the earliest finite expiry among resident records;
-    [None] when nothing resident can ever expire.  The server uses it to
-    decide whether the periodic sweep still has work coming — a sweep
-    timer that re-armed unconditionally would keep the simulation's event
-    queue alive forever. *)
 
 val resident_records : t -> int
 (** O(1): records currently resident (live plus not-yet-reaped). *)

@@ -56,6 +56,8 @@ type t = {
   tracker : Term_policy.Tracker.t option;
   tracer : Trace.Sink.t;
   on_commit : Vstore.File_id.t -> Vstore.Version.t -> unit;
+  mutable last_lease : Lease.grant option;
+      (** the lease of the last line granted; see [lease_of_term] *)
   (* --- volatile state, reset by the crash hook --- *)
   leases : Lease_table.t;
   pending : pending File_id.Tbl.t;
@@ -107,7 +109,6 @@ let profile_mark t center =
   let p = Engine.profiler t.engine in
   if Profile.Recorder.enabled p then Profile.Recorder.mark p center
 let local_sec t = Time.to_sec (local_now t)
-let expiry_sec = function Lease.At at -> Some (Time.to_sec at) | Lease.Never -> None
 
 let term_sec = function
   | Lease.Finite span -> Some (Time.Span.to_sec span)
@@ -171,10 +172,8 @@ let rec run_sweep t =
     let fire () =
       profile_mark t Profile.Center.Server_expiry;
       if t.up then begin
-        ignore (Lease_table.sweep t.leases ~now:(local_now t));
-        match Lease_table.next_finite_expiry t.leases with
-        | Some _ -> run_sweep t
-        | None -> t.sweep_timer <- None
+        if Lease_table.sweep t.leases ~now:(local_now t) then run_sweep t
+        else t.sweep_timer <- None
       end
     in
     t.sweep_timer <-
@@ -185,13 +184,27 @@ let rec run_sweep t =
 
 let record_lease t file holder expiry =
   Lease_table.record t.leases file holder expiry;
-  match expiry, t.sweep_timer with
-  | Lease.At _, None -> run_sweep t
-  | (Lease.At _ | Lease.Never), _ -> ()
+  match t.sweep_timer with
+  | None when not (Lease.is_never expiry) -> run_sweep t
+  | Some _ | None -> ()
 
-(* Each branch below builds its reply line exactly once — the hot path
-   allocates one [grant_line] (plus the lease option when one is granted),
-   never a template record that a second allocation then copies. *)
+(* The lease a grant line carries, shared by every line whose term equals
+   the last one granted.  Lines are immutable, so under a fixed term one
+   value serves the server's whole life, and a batched renewal allocates
+   only its reply lines.  Every term policy, compensated terms and
+   installed coverage take this one path; a new term allocates once. *)
+let lease_of_term t term =
+  match t.last_lease with
+  | Some { Lease.term = last } as lease when Lease.compare_term last term = 0 -> lease
+  | Some _ | None ->
+    let lease = Some { Lease.term } in
+    t.last_lease <- lease;
+    lease
+
+(* Each branch below builds its reply line exactly once: a granted line
+   allocates the [grant_line] and nothing else that outlives the reply.
+   The server-side expiry is an unboxed [Lease.expiry], so recording it is
+   one table write. *)
 let grant_for t ~holder ~renewal file : Messages.grant_line =
   let version = Vstore.Store.current t.store file in
   if has_pending_write t file then { Messages.g_file = file; g_version = version; g_lease = None }
@@ -208,7 +221,7 @@ let grant_for t ~holder ~renewal file : Messages.grant_line =
           (Trace.Event.Installed_cover
              { file = File_id.to_int file; until = Time.to_sec until });
       Vstore.Wal.record_grant t.wal file ~term ~expiry:until;
-      { Messages.g_file = file; g_version = version; g_lease = Some { Lease.term = Lease.Finite term } }
+      { Messages.g_file = file; g_version = version; g_lease = lease_of_term t (Lease.Finite term) }
     | Some _ | None -> { Messages.g_file = file; g_version = version; g_lease = None }
   end
   else begin
@@ -228,8 +241,7 @@ let grant_for t ~holder ~renewal file : Messages.grant_line =
     in
     if Lease.term_is_zero term then { Messages.g_file = file; g_version = version; g_lease = None }
     else begin
-      let grant = { Lease.term } in
-      let expiry = Lease.server_expiry grant ~granted_at:now in
+      let expiry = Lease.server_expiry term ~granted_at:now in
       record_lease t file holder expiry;
       if tracing t then
         emit t
@@ -238,17 +250,15 @@ let grant_for t ~holder ~renewal file : Messages.grant_line =
                file = File_id.to_int file;
                holder = Host_id.to_int holder;
                term_s = term_sec term;
-               server_expiry = expiry_sec expiry;
+               server_expiry = Lease.expiry_sec expiry;
                server_now = Time.to_sec now;
                renewal;
              });
       (match term with
-      | Lease.Finite span -> (
-        match expiry with
-        | Lease.At at -> Vstore.Wal.record_grant t.wal file ~term:span ~expiry:at
-        | Lease.Never -> ())
+      | Lease.Finite span ->
+        Vstore.Wal.record_grant t.wal file ~term:span ~expiry:(Time.add now span)
       | Lease.Infinite -> ());
-      { Messages.g_file = file; g_version = version; g_lease = Some grant }
+      { Messages.g_file = file; g_version = version; g_lease = lease_of_term t term }
     end
   end
 
@@ -266,7 +276,7 @@ let rec start_write t ~writer ~req file =
       (* Drop the file from future refreshes and wait out the coverage. *)
       t.installed_suspended <- File_id.Set.add file t.installed_suspended;
       let coverage = installed_coverage_end t file in
-      (Lease.At (Time.max coverage recovery), Host_id.Set.empty, Host_id.Set.empty)
+      (Lease.at (Time.max coverage recovery), Host_id.Set.empty, Host_id.Set.empty)
     end
     else begin
       (* The writer's own lease is invalidated by the implicit approval
@@ -281,7 +291,7 @@ let rec start_write t ~writer ~req file =
                cause = Trace.Event.Writer_self;
              });
       let deadline, holders =
-        Lease_table.write_snapshot t.leases file ~now ~init:(Lease.At recovery)
+        Lease_table.write_snapshot t.leases file ~now ~init:(Lease.at recovery)
       in
       let waiting = if t.config.callback_on_write then holders else Host_id.Set.empty in
       (deadline, waiting, holders)
@@ -321,7 +331,7 @@ let rec start_write t ~writer ~req file =
              file = File_id.to_int file;
              writer = Host_id.to_int writer;
              waiting = List.map Host_id.to_int (Host_id.Set.elements holders);
-             deadline = expiry_sec lease_deadline;
+             deadline = Lease.expiry_sec lease_deadline;
              server_now = Time.to_sec now;
            });
     arm_expiry_timer t p;
@@ -330,9 +340,9 @@ let rec start_write t ~writer ~req file =
 
 and arm_expiry_timer t p =
   (match p.expiry_timer with Some h -> Clock.cancel_timer h | None -> ());
-  match p.lease_deadline with
-  | Lease.Never -> p.expiry_timer <- None
-  | Lease.At deadline ->
+  match Lease.deadline p.lease_deadline with
+  | None -> p.expiry_timer <- None
+  | Some deadline ->
     let fire () =
       profile_mark t Profile.Center.Server_expiry;
       if t.up && (match File_id.Tbl.find_opt t.pending p.p_file with Some q -> q == p | None -> false)
@@ -380,7 +390,7 @@ and finish_pending t p =
     if Time.(now < recovery) then begin
       (* All approvals in, but the post-crash quiet period is still
          running: keep waiting on the recovery deadline alone. *)
-      p.lease_deadline <- Lease.At recovery;
+      p.lease_deadline <- Lease.at recovery;
       arm_expiry_timer t p
     end
     else begin
@@ -644,6 +654,7 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
       tracker;
       tracer;
       on_commit;
+      last_lease = None;
       leases = Lease_table.create ();
       pending = File_id.Tbl.create 32;
       pending_by_id = Write_tbl.create 32;
@@ -676,7 +687,7 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
              {
                file = File_id.to_int file;
                holder = Host_id.to_int holder;
-               expired_at = expiry_sec expiry;
+               expired_at = Lease.expiry_sec expiry;
              }));
   Netsim.Net.register net host (handle_message t);
   Host.Liveness.register liveness host ~on_crash:(fun () -> on_crash t)

@@ -85,7 +85,7 @@ module Tracker = struct
   let term_for t file ~now ~holders =
     let r = read_rate t file ~now in
     let w = write_rate t file ~now in
-    let s = float_of_int (Stdlib.max 1 holders) in
+    let s = float_of_int (Int.max 1 holders) in
     if r <= 0. then Lease.Finite t.config.min_term
     else if w <= 0. then Lease.Finite t.config.max_term
     else begin

@@ -10,7 +10,7 @@ let create () = { slots = [||] }
 let ensure t idx =
   let cap = Array.length t.slots in
   if idx >= cap then begin
-    let cap' = Stdlib.max 16 (Stdlib.max (idx + 1) (2 * cap)) in
+    let cap' = Int.max 16 (Int.max (idx + 1) (2 * cap)) in
     let slots' = Array.make cap' None in
     Array.blit t.slots 0 slots' 0 cap;
     t.slots <- slots'

@@ -52,7 +52,7 @@ let register t host handler =
   let idx = Host.Host_id.to_int host in
   let cap = Array.length t.handlers in
   if idx >= cap then begin
-    let cap' = Stdlib.max 16 (Stdlib.max (idx + 1) (2 * cap)) in
+    let cap' = Int.max 16 (Int.max (idx + 1) (2 * cap)) in
     let handlers' = Array.make cap' None in
     Array.blit t.handlers 0 handlers' 0 cap;
     t.handlers <- handlers'

@@ -54,7 +54,7 @@ let create () =
 let grow q dummy =
   let capacity = Array.length q.heap in
   if q.size >= capacity then begin
-    let capacity' = Stdlib.max 16 (2 * capacity) in
+    let capacity' = Int.max 16 (2 * capacity) in
     let heap' = Array.make capacity' dummy in
     let ats' = Array.make capacity' 0 in
     let seqs' = Array.make capacity' 0 in

@@ -30,7 +30,7 @@ let bucket_index t x =
   else begin
     let n = Array.length t.bounds in
     let raw = log (x /. t.least) /. log t.growth in
-    let i = Stdlib.max 1 (int_of_float (Float.floor raw) + 1) in
+    let i = Int.max 1 (int_of_float (Float.floor raw) + 1) in
     if i > n then n + 1
     else begin
       let i = if x >= bucket_hi t i then i + 1 else i in

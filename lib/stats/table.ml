@@ -7,13 +7,13 @@ let rstrip line =
 
 let render ~header ~rows =
   let columns =
-    List.fold_left (fun acc row -> Stdlib.max acc (List.length row)) (List.length header) rows
+    List.fold_left (fun acc row -> Int.max acc (List.length row)) (List.length header) rows
   in
   let pad row = row @ List.init (columns - List.length row) (fun _ -> "") in
   let all = List.map pad (header :: rows) in
   let widths = Array.make columns 0 in
   let record_widths row =
-    List.iteri (fun i cell -> widths.(i) <- Stdlib.max widths.(i) (String.length cell)) row
+    List.iteri (fun i cell -> widths.(i) <- Int.max widths.(i) (String.length cell)) row
   in
   List.iter record_widths all;
   let format_row row =

@@ -15,7 +15,7 @@ let create () = { histories = [||]; commits = 0 }
 let ensure t idx =
   let cap = Array.length t.histories in
   if idx >= cap then begin
-    let cap' = Stdlib.max 64 (Stdlib.max (idx + 1) (2 * cap)) in
+    let cap' = Int.max 64 (Int.max (idx + 1) (2 * cap)) in
     let histories' = Array.make cap' [] in
     Array.blit t.histories 0 histories' 0 cap;
     t.histories <- histories'

@@ -48,7 +48,7 @@ let summarize t =
         | Op.Write -> incr writes)
     t.ops;
   let duration_sec = Time.Span.to_sec (duration t) in
-  let client_count = Stdlib.max 1 (Hashtbl.length clients) in
+  let client_count = Int.max 1 (Hashtbl.length clients) in
   let per_client count =
     if duration_sec <= 0. then 0.
     else float_of_int count /. duration_sec /. float_of_int client_count

@@ -8,6 +8,13 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build
 
+echo "== no polymorphic compare on the hot path (objdump of perfbench/main.exe) =="
+# DESIGN.md section 13: the simulation libraries compare ints with int
+# compares, never through caml_compare/caml_lessthan/... or Stdlib's
+# out-of-line min/max/compare.  Fails naming each offending function, and
+# fails when objdump is missing rather than skipping.
+sh scripts/poly_compare_guard.sh _build/default/perfbench/main.exe
+
 echo "== dune runtest =="
 dune runtest
 

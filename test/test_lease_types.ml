@@ -19,52 +19,50 @@ let test_terms () =
     (fun () -> ignore (Leases.Lease.term_of_sec (-1.)))
 
 let test_server_expiry () =
-  let grant = { Leases.Lease.term = Leases.Lease.term_of_sec 10. } in
-  (match Leases.Lease.server_expiry grant ~granted_at:(sec 5.) with
-  | Leases.Lease.At t -> Alcotest.(check (float 1e-9)) "granted_at + term" 15. (Time.to_sec t)
-  | Leases.Lease.Never -> Alcotest.fail "finite grant");
-  match Leases.Lease.server_expiry { Leases.Lease.term = Leases.Lease.Infinite } ~granted_at:(sec 5.) with
-  | Leases.Lease.Never -> ()
-  | Leases.Lease.At _ -> Alcotest.fail "infinite grant"
+  let finite = Leases.Lease.server_expiry (Leases.Lease.term_of_sec 10.) ~granted_at:(sec 5.) in
+  (match Leases.Lease.deadline finite with
+  | Some t -> Alcotest.(check (float 1e-9)) "granted_at + term" 15. (Time.to_sec t)
+  | None -> Alcotest.fail "finite grant");
+  Alcotest.(check bool) "infinite grant" true
+    (Leases.Lease.is_never (Leases.Lease.server_expiry Leases.Lease.Infinite ~granted_at:(sec 5.)))
 
 let test_client_expiry_shortening () =
-  let grant = { Leases.Lease.term = Leases.Lease.term_of_sec 10. } in
   let expiry =
-    Leases.Lease.client_expiry grant ~received_at:(sec 100.) ~transit_allowance:(span 0.0025)
-      ~skew_allowance:(span 0.1)
+    Leases.Lease.client_expiry (Leases.Lease.term_of_sec 10.) ~received_at:(sec 100.)
+      ~transit_allowance:(span 0.0025) ~skew_allowance:(span 0.1)
   in
-  (match expiry with
-  | Leases.Lease.At t ->
+  (match Leases.Lease.deadline expiry with
+  | Some t ->
     Alcotest.(check (float 1e-9)) "t_c = term - transit - eps" (100. +. 10. -. 0.0025 -. 0.1)
       (Time.to_sec t)
-  | Leases.Lease.Never -> Alcotest.fail "finite");
+  | None -> Alcotest.fail "finite");
   (* a term shorter than the allowances is already expired on arrival:
      the paper's "non-zero t_s, zero t_c" *)
-  let tiny = { Leases.Lease.term = Leases.Lease.term_of_sec 0.05 } in
-  match
-    Leases.Lease.client_expiry tiny ~received_at:(sec 100.) ~transit_allowance:(span 0.0025)
-      ~skew_allowance:(span 0.1)
-  with
-  | Leases.Lease.At t ->
+  let tiny =
+    Leases.Lease.client_expiry (Leases.Lease.term_of_sec 0.05) ~received_at:(sec 100.)
+      ~transit_allowance:(span 0.0025) ~skew_allowance:(span 0.1)
+  in
+  match Leases.Lease.deadline tiny with
+  | Some t ->
     Alcotest.(check (float 1e-9)) "clamped to receive instant" 100. (Time.to_sec t);
     Alcotest.(check bool) "immediately expired" true
-      (Leases.Lease.expired (Leases.Lease.At t) ~now:(sec 100.))
-  | Leases.Lease.Never -> Alcotest.fail "finite"
+      (Leases.Lease.expired (Leases.Lease.at t) ~now:(sec 100.))
+  | None -> Alcotest.fail "finite"
 
 let test_client_never_outlives_server () =
   (* the safety inequality behind leases: for any finite grant, the client
      deadline precedes the server deadline by transit + skew *)
   List.iter
     (fun term_s ->
-      let grant = { Leases.Lease.term = Leases.Lease.term_of_sec term_s } in
-      let server = Leases.Lease.server_expiry grant ~granted_at:(sec 50.) in
+      let term = Leases.Lease.term_of_sec term_s in
+      let server = Leases.Lease.server_expiry term ~granted_at:(sec 50.) in
       let client =
         (* the grant is received transit later than it was made *)
-        Leases.Lease.client_expiry grant ~received_at:(sec 50.0025)
+        Leases.Lease.client_expiry term ~received_at:(sec 50.0025)
           ~transit_allowance:(span 0.0025) ~skew_allowance:(span 0.1)
       in
-      match server, client with
-      | Leases.Lease.At s, Leases.Lease.At c ->
+      match Leases.Lease.deadline server, Leases.Lease.deadline client with
+      | Some s, Some c ->
         (* either the client deadline precedes the server's, or the clamp
            made the lease dead on arrival (client deadline = receive
            instant), which opens no trust window *)
@@ -75,17 +73,23 @@ let test_client_never_outlives_server () =
 
 let test_expired_and_max () =
   Alcotest.(check bool) "never not expired" false
-    (Leases.Lease.expired Leases.Lease.Never ~now:(sec 1e9));
+    (Leases.Lease.expired Leases.Lease.never ~now:(sec 1e9));
   Alcotest.(check bool) "deadline inclusive" true
-    (Leases.Lease.expired (Leases.Lease.At (sec 5.)) ~now:(sec 5.));
+    (Leases.Lease.expired (Leases.Lease.at (sec 5.)) ~now:(sec 5.));
   Alcotest.(check bool) "before deadline" false
-    (Leases.Lease.expired (Leases.Lease.At (sec 5.)) ~now:(sec 4.999));
-  (match Leases.Lease.expiry_max (Leases.Lease.At (sec 3.)) (Leases.Lease.At (sec 7.)) with
-  | Leases.Lease.At t -> Alcotest.(check (float 1e-9)) "max" 7. (Time.to_sec t)
-  | Leases.Lease.Never -> Alcotest.fail "finite max");
-  match Leases.Lease.expiry_max (Leases.Lease.At (sec 3.)) Leases.Lease.Never with
-  | Leases.Lease.Never -> ()
-  | Leases.Lease.At _ -> Alcotest.fail "never dominates"
+    (Leases.Lease.expired (Leases.Lease.at (sec 5.)) ~now:(sec 4.999));
+  (match
+     Leases.Lease.deadline
+       (Leases.Lease.expiry_max (Leases.Lease.at (sec 3.)) (Leases.Lease.at (sec 7.)))
+   with
+  | Some t -> Alcotest.(check (float 1e-9)) "max" 7. (Time.to_sec t)
+  | None -> Alcotest.fail "finite max");
+  Alcotest.(check bool) "never dominates" true
+    (Leases.Lease.is_never (Leases.Lease.expiry_max (Leases.Lease.at (sec 3.)) Leases.Lease.never));
+  Alcotest.(check (option (float 1e-9))) "trace seconds" (Some 3.)
+    (Leases.Lease.expiry_sec (Leases.Lease.at (sec 3.)));
+  Alcotest.(check (option (float 1e-9))) "never has no seconds" None
+    (Leases.Lease.expiry_sec Leases.Lease.never)
 
 (* --- Term policies ----------------------------------------------------- *)
 

@@ -157,7 +157,6 @@ let prop_lease_table_model =
       let ok = ref true in
       let file i = Vstore.File_id.of_int i in
       let host i = Host.Host_id.of_int i in
-      let us = function Lease.At at -> Time.to_us at | Lease.Never -> max_int in
       let model_live f =
         List.filter_map
           (fun ((f', h), e) ->
@@ -171,9 +170,9 @@ let prop_lease_table_model =
         if List.map Host.Host_id.to_int (Lease_table.live_holders t (file f) ~now:!now) <> holders
         then ok := false;
         let deadline =
-          List.fold_left (fun acc (_, e) -> Lease.expiry_max acc e) (Lease.At !now) live
+          List.fold_left (fun acc (_, e) -> Lease.expiry_max acc e) (Lease.at !now) live
         in
-        if Lease_table.live_deadline t (file f) ~now:!now ~init:(Lease.At !now) <> deadline then
+        if Lease_table.live_deadline t (file f) ~now:!now ~init:(Lease.at !now) <> deadline then
           ok := false
       in
       let check_occupancy () =
@@ -197,7 +196,7 @@ let prop_lease_table_model =
         | 0 ->
           (* occasionally Never; an offset of 0 records an already-expired lease *)
           let e =
-            if x mod 7 = 0 then Lease.Never else Lease.At (Time.add !now (span (float_of_int x)))
+            if x mod 7 = 0 then Lease.never else Lease.at (Time.add !now (span (float_of_int x)))
           in
           record f h e
         | 1 -> (
@@ -208,11 +207,10 @@ let prop_lease_table_model =
           | live ->
             let h, e = List.nth live (h mod List.length live) in
             let e =
-              match e with
-              | Lease.At _ when x mod 3 = 0 -> Lease.Never
-              | Lease.At at ->
-                Lease.At (Time.of_us (Int.max 0 (Time.to_us at - ((x + 1) * 100_000))))
-              | Lease.Never -> Lease.At (Time.add !now (span (float_of_int x /. 10.)))
+              match Lease.deadline e with
+              | Some _ when x mod 3 = 0 -> Lease.never
+              | Some at -> Lease.at (Time.of_us (Int.max 0 (Time.to_us at - ((x + 1) * 100_000))))
+              | None -> Lease.at (Time.add !now (span (float_of_int x /. 10.)))
             in
             record f h e)
         | 2 ->
@@ -237,7 +235,7 @@ let prop_lease_table_model =
         List.iter
           (fun f ->
             let keys =
-              List.filter_map (fun ((f', h), e) -> if f' = f then Some (us e, h) else None) calls
+              List.filter_map (fun ((f', h), e) -> if f' = f then Some (e, h) else None) calls
             in
             if not (ascending keys) then ok := false)
           [ 0; 1; 2; 3 ];
@@ -253,17 +251,17 @@ let prop_client_never_outlives_server =
   QCheck.Test.make ~name:"client deadline <= server deadline" ~count:500
     QCheck.(triple (float_bound_inclusive 100.) (float_bound_inclusive 1.) (float_bound_inclusive 1.))
     (fun (term_s, transit_s, skew_s) ->
-      let grant = { Leases.Lease.term = Leases.Lease.term_of_sec term_s } in
+      let term = Leases.Lease.term_of_sec term_s in
       let granted_at = sec 50. in
       (* the client receives the grant no earlier than it was made *)
       let received_at = Time.add granted_at (span transit_s) in
-      let server = Leases.Lease.server_expiry grant ~granted_at in
+      let server = Leases.Lease.server_expiry term ~granted_at in
       let client =
-        Leases.Lease.client_expiry grant ~received_at ~transit_allowance:(span transit_s)
+        Leases.Lease.client_expiry term ~received_at ~transit_allowance:(span transit_s)
           ~skew_allowance:(span skew_s)
       in
-      match server, client with
-      | Leases.Lease.At s, Leases.Lease.At c ->
+      match Leases.Lease.deadline server, Leases.Lease.deadline client with
+      | Some s, Some c ->
         (* either the client deadline precedes the server's, or the lease
            was already expired when it arrived (clamped effective term):
            in both cases there is no instant where the client trusts a

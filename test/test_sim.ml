@@ -166,6 +166,101 @@ let test_metrics_printing () =
     contains 0);
   Alcotest.(check bool) "brief is one line" true (not (String.contains brief '\n'))
 
+(* --- grant-path pins ------------------------------------------------------ *)
+
+(* One seeded, faulted run (V trace, 20 clients, 300 s, 5 % loss, a client
+   crash and a server clock drift) per way the server can choose a term and
+   the client can set an expiry: a fixed, zero, infinite, adaptive or
+   compensated term, an anticipatory renewal timer, and installed-file
+   coverage.  Each pins the event count, the MD5 of the encoded trace stream
+   and the MD5 of [Metrics.to_json]; the trace-order golden in [test_trace]
+   covers the default config only. *)
+let grant_pin_run config =
+  let { Experiments.V_trace.trace; _ } =
+    Experiments.V_trace.poisson ~seed:5L ~clients:20 ~duration:(span 300.) ()
+  in
+  let events = ref 0 in
+  let stream = Buffer.create (1 lsl 20) in
+  let sink =
+    {
+      Trace.Sink.enabled = true;
+      push =
+        (fun e ->
+          incr events;
+          Buffer.add_string stream (Trace.Codec.encode e);
+          Buffer.add_char stream '\n');
+      flush = ignore;
+    }
+  in
+  let setup =
+    {
+      Leases.Sim.default_setup with
+      Leases.Sim.seed = 5L;
+      n_clients = 20;
+      config;
+      loss = 0.05;
+      tracer = sink;
+      faults =
+        [
+          Leases.Sim.Server_drift { shard = 0; at = Time.of_sec 100.; drift = 0.01 };
+          Leases.Sim.Crash_client { client = 3; at = Time.of_sec 200.; duration = span 30. };
+        ];
+    }
+  in
+  let outcome = Leases.Sim.run setup ~trace in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  (!events, md5 (Buffer.contents stream), md5 (Leases.Metrics.to_json outcome.Leases.Sim.metrics))
+
+let grant_pin_configs =
+  let base = Leases.Config.default in
+  let installed_files =
+    Array.to_list (Workload.Fileset.installed (Experiments.V_trace.fileset ~clients:20 ()))
+  in
+  [
+    ( "fixed 10 s",
+      base,
+      (132_074, "6dacf50f15acfab46e0a47e17a818377", "44352ae50544787f5b85a2864c60b0e0") );
+    ( "zero term",
+      Leases.Config.with_term base Leases.Lease.term_zero,
+      (54_332, "7f1e7dd21c4c70a0935b8553b6da09af", "a0392a741b1caa05592d0d5f40c9aaea") );
+    ( "infinite term",
+      Leases.Config.with_term base Leases.Lease.Infinite,
+      (104_902, "b263d1443aa20bba6a701972d0fe98dd", "db96bedd78e76c8c361eaedde7e7595c") );
+    ( "adaptive",
+      {
+        base with
+        Leases.Config.term_policy = Leases.Term_policy.Adaptive Leases.Term_policy.default_adaptive;
+      },
+      (156_689, "a40e9e27d2fea632d837b3012f6acb03", "21efae1d6b6579bc248ae53fde240676") );
+    ( "term compensation",
+      {
+        base with
+        Leases.Config.term_compensation =
+          Some (fun host -> Time.Span.of_ms (float_of_int (5 * (Host.Host_id.to_int host mod 3))));
+      },
+      (131_822, "c849c583e9d1f5ebafdfec21e4469266", "6a41fc73b3c228acc89617d0c584b051") );
+    ( "anticipatory 2 s",
+      { base with Leases.Config.anticipatory_renewal = Some (span 2.) },
+      (175_471, "a624d642134cb409fc4c176e39c01d94", "349097d6b4404f27a0728e6b107c912c") );
+    ( "installed",
+      {
+        base with
+        Leases.Config.installed =
+          Some { Leases.Config.files = installed_files; period = span 5.; term = span 12. };
+      },
+      (156_610, "e8e673312f9b91308890315d1a25e3d3", "19a65f6f4c2411357f84d4141adf7ec3") );
+  ]
+
+let grant_pin_cases =
+  List.map
+    (fun (name, config, (want_events, want_stream, want_metrics)) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let events, stream, metrics = grant_pin_run config in
+          Alcotest.(check int) "event count" want_events events;
+          Alcotest.(check string) "stream digest" want_stream stream;
+          Alcotest.(check string) "metrics digest" want_metrics metrics))
+    grant_pin_configs
+
 let () =
   Alcotest.run "sim"
     [
@@ -191,4 +286,5 @@ let () =
           Alcotest.test_case "adaptive policy" `Quick test_adaptive_policy_runs;
           Alcotest.test_case "metrics printing" `Quick test_metrics_printing;
         ] );
+      ("grant pins", grant_pin_cases);
     ]
