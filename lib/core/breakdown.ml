@@ -1,4 +1,4 @@
-type axis = (int, int ref) Hashtbl.t
+type axis = int ref Int_tbl.t
 
 type t = {
   reads_by_file : axis;
@@ -11,7 +11,7 @@ type t = {
   write_waits_by_client : axis;
 }
 
-let make_axis () = Hashtbl.create 32
+let make_axis () = Int_tbl.create 32
 
 let create () =
   {
@@ -26,15 +26,15 @@ let create () =
   }
 
 let bump axis key =
-  match Hashtbl.find_opt axis key with
+  match Int_tbl.find_opt axis key with
   | Some cell -> incr cell
-  | None -> Hashtbl.add axis key (ref 1)
+  | None -> Int_tbl.add axis key (ref 1)
 
 let dump axis =
-  Hashtbl.fold (fun key cell acc -> (key, !cell) :: acc) axis []
+  Int_tbl.fold (fun key cell acc -> (key, !cell) :: acc) axis []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let total axis = Hashtbl.fold (fun _ cell acc -> acc + !cell) axis 0
+let total axis = Int_tbl.fold (fun _ cell acc -> acc + !cell) axis 0
 
 let axes t =
   [

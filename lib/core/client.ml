@@ -31,6 +31,9 @@ type rpc = {
   mutable timer : Engine.handle option;
 }
 
+(* The cached files one server owns, in ascending id order. *)
+type server_files = { mutable files : File_id.t list }
+
 (* Operations waiting for an in-flight RPC on the same file. *)
 type queued_op =
   | Q_read of (read_result -> unit)
@@ -60,8 +63,13 @@ type t = {
   tracer : Trace.Sink.t;
   (* --- volatile state, reset by the crash hook --- *)
   cache : entry File_id.Tbl.t;
-  mutable files_sorted : File_id.t list option;
-      (** memoized [cached_files]; invalidated on cache membership change *)
+  by_server : server_files Host_id.Tbl.t;
+      (** [cache]'s files grouped by owning server, each group sorted;
+          updated by one insert or remove per cache membership change, and
+          only when [indexed] *)
+  indexed : bool;
+      (** whether anything reads [by_server]: piggybacked renewals on a
+          miss, or anticipatory renewal *)
   mutable rpcs : rpc list;
       (** in-flight RPCs, newest first.  Per-file serialisation keeps this
           to one entry per busy file — a handful at most — so a list scan
@@ -112,6 +120,7 @@ let holds_valid_lease t file =
 
 let cached_version t file = Option.map (fun e -> e.version) (File_id.Tbl.find_opt t.cache file)
 let cache_size t = File_id.Tbl.length t.cache
+let eviction_bound t = t.evict_next
 let inflight_rpcs t = List.length t.rpcs
 let queued_ops t = File_id.Tbl.fold (fun _ q acc -> acc + Queue.length q) t.op_queue 0
 
@@ -193,6 +202,48 @@ let cancel_renewal entry =
    per-file [min_next]. *)
 let note_expiry t expiry = t.evict_next <- Lease.expiry_min expiry t.evict_next
 
+(* --- the per-server sorted file lists ---------------------------------- *)
+
+let rec insert_sorted file = function
+  | [] -> [ file ]
+  | f :: rest as files ->
+    let c = File_id.compare file f in
+    if c < 0 then file :: files else if c = 0 then files else f :: insert_sorted file rest
+
+(* [files] without [file].  The cells after [file] are shared, not copied,
+   and a list without [file] comes back as itself. *)
+let rec remove_sorted file = function
+  | [] -> []
+  | f :: rest as files ->
+    let c = File_id.compare file f in
+    if c < 0 then files
+    else if c = 0 then rest
+    else begin
+      let rest' = remove_sorted file rest in
+      if rest' == rest then files else f :: rest'
+    end
+
+(* The cached files [dst] owns, sorted. *)
+let server_files t dst =
+  match Host_id.Tbl.find t.by_server dst with
+  | group -> group.files
+  | exception Not_found -> []
+
+let index_file t file =
+  if t.indexed then begin
+    let dst = t.route file in
+    match Host_id.Tbl.find t.by_server dst with
+    | group -> group.files <- insert_sorted file group.files
+    | exception Not_found -> Host_id.Tbl.add t.by_server dst { files = [ file ] }
+  end
+
+let unindex_file t file =
+  if t.indexed then begin
+    match Host_id.Tbl.find t.by_server (t.route file) with
+    | group -> group.files <- remove_sorted file group.files
+    | exception Not_found -> ()
+  end
+
 (* Amortized eviction of long-dead cache entries, run from the miss path.
    An entry whose lease lapsed is protocol-inert — it never serves a read —
    but it used to live forever unless an invalidation or a crash happened
@@ -232,22 +283,25 @@ let maybe_evict t =
           (fun (file, entry) ->
             cancel_renewal entry;
             File_id.Tbl.remove t.cache file;
+            unindex_file t file;
             Stats.Counter.incr t.c_evictions;
             if tracing t then
               emit t
                 (Trace.Event.Cache_invalidate
                    { host = Host_id.to_int t.host; file = File_id.to_int file }))
-          victims;
-        t.files_sorted <- None
+          victims
       end;
       t.evict_next <- !min_next
     end
 
+(* The placeholder expiry is not noted into [evict_next]: both callers
+   overwrite it at once and note the real one.  Noting it would pin the
+   bound at time zero, so that past the first grace every later miss ran an
+   eviction pass with nothing to evict. *)
 let add_entry t file =
   let entry = { version = Vstore.Version.initial; expiry = Lease.at Time.zero; renewal_timer = None } in
   File_id.Tbl.add t.cache file entry;
-  t.files_sorted <- None;
-  note_expiry t entry.expiry;
+  index_file t file;
   entry
 
 let entry_for t file =
@@ -260,57 +314,42 @@ let invalidate t file =
   | Some entry ->
     cancel_renewal entry;
     File_id.Tbl.remove t.cache file;
-    t.files_sorted <- None;
+    unindex_file t file;
     if tracing t then
       emit t
         (Trace.Event.Cache_invalidate
            { host = Host_id.to_int t.host; file = File_id.to_int file })
   | None -> ()
 
-(* Everything in the cache, lease live or lapsed: an extension request may
-   renew a lapsed lease (the server refreshes the version if the datum
-   changed), and the paper's batching advice is to extend "all leases over
-   all files that it still holds".  Memoized: batched reads and renewals
-   consult this on every operation, while membership changes rarely. *)
-let cached_files t =
-  match t.files_sorted with
-  | Some files -> files
-  | None ->
-    let files =
-      File_id.Tbl.fold (fun file _ acc -> file :: acc) t.cache [] |> List.sort File_id.compare
-    in
-    t.files_sorted <- Some files;
-    files
-
 (* Renew every held lease in one batched extension per owning server with
-   no waiting read — the anticipatory option of Section 4.  One renewal
-   covers every cached file routed to that server, so when many per-entry
-   timers fire at the same instant only the first sends; the reply re-arms
-   them all.  The in-flight guard is per server: a slow shard must not
-   starve renewals toward the others. *)
+   no waiting read — the anticipatory option of Section 4.  The extension
+   covers everything in the cache, lease live or lapsed: it may renew a
+   lapsed lease (the server refreshes the version if the datum changed),
+   and the paper's batching advice is to extend "all leases over all files
+   that it still holds".  One renewal covers every cached file routed to
+   that server, so when many per-entry timers fire at the same instant only
+   the first sends; the reply re-arms them all.  Servers are visited in
+   order of their smallest cached file.  The in-flight guard is per
+   server: a slow shard must not starve renewals toward the others. *)
 let rec send_renewal t =
   profile_mark t Profile.Center.Client_renewal;
   if t.up then begin
-    let groups = Host_id.Tbl.create 4 in
-    let order = ref [] in
+    let groups =
+      Host_id.Tbl.fold
+        (fun dst group acc ->
+          match group.files with [] -> acc | first :: _ -> (first, dst, group.files) :: acc)
+        t.by_server []
+      (* slot order must not leak into the message order *)
+      |> List.sort (fun (a, _, _) (b, _, _) -> File_id.compare a b)
+    in
     List.iter
-      (fun file ->
-        let dst = t.route file in
-        match Host_id.Tbl.find_opt groups dst with
-        | Some files -> Host_id.Tbl.replace groups dst (file :: files)
-        | None ->
-          order := dst :: !order;
-          Host_id.Tbl.replace groups dst [ file ])
-      (cached_files t);
-    List.iter
-      (fun dst ->
+      (fun (_, dst, files) ->
         if not (Host_id.Tbl.mem t.renewals_in_flight dst) then begin
           Stats.Counter.incr t.c_renewals_sent;
           Host_id.Tbl.replace t.renewals_in_flight dst ();
-          let files = List.rev (Host_id.Tbl.find groups dst) in
           start_rpc t ~dst Rpc_renewal (Messages.Extend_request { req = fresh_req t; files })
         end)
-      (List.rev !order)
+      groups
   end
 
 and arm_renewal t file entry =
@@ -426,7 +465,7 @@ let rec read t file ~k =
     | _ | (exception Not_found) ->
       Stats.Counter.incr t.c_misses;
       (* a miss is already a slow path: settle any long-overdue evictions
-         before the piggyback list below is built from [cached_files] *)
+         before the piggyback list below is taken from [by_server] *)
       maybe_evict t;
       if tracing t then
         emit t
@@ -437,12 +476,9 @@ let rec read t file ~k =
       let message =
         if t.config.Config.batch_extensions then begin
           (* Piggyback renewals only for files the same server owns: a
-             batched extension is one RPC to one host. *)
-          let others =
-            List.filter
-              (fun f -> (not (File_id.equal f file)) && Host_id.equal (t.route f) dst)
-              (cached_files t)
-          in
+             batched extension is one RPC to one host.  The list after
+             [file] is shared with the server's group, not copied. *)
+          let others = remove_sorted file (server_files t dst) in
           match others with
           | [] -> Messages.Read_request { req; file }
           | _ -> Messages.Extend_request { req; files = file :: others }
@@ -585,7 +621,7 @@ let on_crash t =
   t.up <- false;
   File_id.Tbl.iter (fun _ entry -> cancel_renewal entry) t.cache;
   File_id.Tbl.reset t.cache;
-  t.files_sorted <- None;
+  Host_id.Tbl.reset t.by_server;
   List.iter (fun rpc -> match rpc.timer with Some h -> Engine.cancel h | None -> ()) t.rpcs;
   t.rpcs <- [];
   File_id.Tbl.reset t.busy;
@@ -619,7 +655,8 @@ let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
       c_approvals_answered = Stats.Counter.Registry.counter counters "approvals-answered";
       tracer;
       cache = File_id.Tbl.create 16;
-      files_sorted = None;
+      by_server = Host_id.Tbl.create 1;
+      indexed = config.batch_extensions || Option.is_some config.anticipatory_renewal;
       rpcs = [];
       busy = File_id.Tbl.create 8;
       op_queue = File_id.Tbl.create 8;

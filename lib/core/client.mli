@@ -74,6 +74,12 @@ val cached_version : t -> Vstore.File_id.t -> Vstore.Version.t option
 
 val cache_size : t -> int
 
+val eviction_bound : t -> Lease.expiry
+(** The miss-path eviction pass's lower bound on the earliest local expiry
+    among cached entries ({!Lease.never} when nothing can expire): a miss
+    runs a pass once this is a full [Config.cache_eviction_grace] behind
+    the client's clock. *)
+
 val inflight_rpcs : t -> int
 (** RPCs on the wire (retransmission timers armed). *)
 

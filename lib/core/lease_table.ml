@@ -20,30 +20,39 @@ type shared = {
   mutable heap_len : int;
 }
 
-(* Resident records of one file.  Most files only ever see a single holder
-   (private and temporary files dominate real traces), so the single-record
-   case is stored inline — three words, no hash table — and a slot is only
-   promoted to [Many] when a second distinct holder shows up.  A promoted
-   slot never demotes: shared files stay shared. *)
-type holders =
-  | No_holder
-  | One of { holder : Host_id.t; mutable h_expiry : Lease.expiry }
-  | Many of shared
+(* Per-file slot, one mutable block per granted file.  Most files only
+   ever see a single holder (private and temporary files dominate real
+   traces), so that holder and its expiry sit inline in the slot: a renewal
+   of a private file touches this one block.  A slot is promoted to a
+   [shared] table and heap when a second distinct holder shows up, and
+   never demotes: shared files stay shared.  While [shared] is [None], the
+   slot holds one record when [holder >= 0] and none when it is
+   [no_holder]; once promoted, every record is in the shared table and
+   [holder] stays [no_holder].
 
-(* Per-file slot.  [holders] contains only records that have not been
-   reaped yet; [min_next] is a lower bound on the earliest finite expiry
-   among them (monotone under [record], exact after a reap).  When the
-   server clock passes [min_next] the slot is reaped on the next access, so
-   every aggregate below runs over records that are live *now* — the cost
-   of a grant tracks live sharing, not the file's lifetime holder
-   history. *)
+   The slot contains only records that have not been reaped yet;
+   [min_next] is a lower bound on the earliest finite expiry among them
+   (monotone under [record], exact after a reap).  When the server clock
+   passes [min_next] the slot is reaped on the next access, so every
+   aggregate below runs over records that are live *now* — the cost of a
+   grant tracks live sharing, not the file's lifetime holder history. *)
 type slot = {
-  mutable holders : holders;
+  mutable holder : int;  (** [Host_id.to_int] of the inline holder, or [no_holder] *)
+  mutable h_expiry : Lease.expiry;
   mutable min_next : Lease.expiry;
+  mutable shared : shared option;
 }
 
+let no_holder = -1
+
+(* The slot of every file never granted: all its fields say "no records",
+   so reads go through it unchanged, and [record] replaces it with a fresh
+   slot before writing.  Nothing ever writes to it, so tables in different
+   domains can share it. *)
+let vacant = { holder = no_holder; h_expiry = Lease.never; min_next = Lease.never; shared = None }
+
 type t = {
-  mutable slots : slot option array;  (** indexed by [File_id.to_int] *)
+  mutable slots : slot array;  (** indexed by [File_id.to_int]; [vacant] when never granted *)
   mutable files : int;  (** slots with at least one resident record *)
   mutable records : int;  (** resident records across all slots *)
   mutable reaped_total : int;  (** lifetime reaped records, never reset *)
@@ -58,23 +67,23 @@ let create () =
 
 let set_on_reap t f = t.on_reap <- f
 
-let holders_len = function
-  | No_holder -> 0
-  | One _ -> 1
-  | Many s -> Host_id.Tbl.length s.tbl
+let holders_len slot =
+  match slot.shared with
+  | Some s -> Host_id.Tbl.length s.tbl
+  | None -> if slot.holder >= 0 then 1 else 0
 
 let ensure t idx =
   let cap = Array.length t.slots in
   if idx >= cap then begin
     let cap' = Int.max 16 (Int.max (idx + 1) (2 * cap)) in
-    let slots' = Array.make cap' None in
+    let slots' = Array.make cap' vacant in
     Array.blit t.slots 0 slots' 0 cap;
     t.slots <- slots'
   end
 
-let slot_opt t file =
+let slot t file =
   let idx = File_id.to_int file in
-  if idx < Array.length t.slots then t.slots.(idx) else None
+  if idx < Array.length t.slots then Array.unsafe_get t.slots idx else vacant
 
 (* --- the expiry heap of a shared slot -------------------------------- *)
 
@@ -187,20 +196,19 @@ let current s (at : Lease.expiry) h =
    off the top, so the top is the earliest live finite expiry. *)
 let reap_slot t file slot ~now =
   if Lease.expired slot.min_next ~now then begin
-    match slot.holders with
-    | No_holder -> slot.min_next <- Lease.never
-    | One r ->
-      if Lease.expired r.h_expiry ~now then begin
+    match slot.shared with
+    | None ->
+      if slot.holder >= 0 && Lease.expired slot.h_expiry ~now then begin
         t.records <- t.records - 1;
         t.reaped_total <- t.reaped_total + 1;
         t.files <- t.files - 1;
-        let holder = r.holder and expiry = r.h_expiry in
-        slot.holders <- No_holder;
+        let holder = Host_id.of_int slot.holder and expiry = slot.h_expiry in
+        slot.holder <- no_holder;
         slot.min_next <- Lease.never;
         t.on_reap file holder expiry
       end
-      else slot.min_next <- r.h_expiry
-    | Many s ->
+      else slot.min_next <- (if slot.holder >= 0 then slot.h_expiry else Lease.never)
+    | Some s ->
       let had = Host_id.Tbl.length s.tbl in
       while s.heap_len > 0 && Lease.expired s.heap_at.(0) ~now do
         let at = s.heap_at.(0) and h = s.heap_holder.(0) in
@@ -220,43 +228,53 @@ let reap_slot t file slot ~now =
       if had > 0 && Host_id.Tbl.length s.tbl = 0 then t.files <- t.files - 1
   end
 
-(* The slot with every expired record removed, or [None] when the file has
-   no live records at [now]. *)
+(* The file's slot with every expired record removed; [vacant] or an empty
+   slot when the file has no live records at [now]. *)
 let live_slot t file ~now =
-  match slot_opt t file with
-  | None -> None
-  | Some slot ->
-    reap_slot t file slot ~now;
-    if holders_len slot.holders = 0 then None else Some slot
+  let slot = slot t file in
+  reap_slot t file slot ~now;
+  slot
 
-let record t file holder at =
+(* The reap check comes first, so the expired records of the file are
+   reaped — and reported — before the write, in the order a query would
+   reap them, and a renewal visits its slot once. *)
+let record t file holder at ~now =
   let idx = File_id.to_int file in
   ensure t idx;
   let slot =
-    match t.slots.(idx) with
-    | Some slot -> slot
-    | None ->
-      let slot = { holders = No_holder; min_next = Lease.never } in
-      t.slots.(idx) <- Some slot;
+    let slot = Array.unsafe_get t.slots idx in
+    if slot == vacant then begin
+      let slot =
+        { holder = no_holder; h_expiry = Lease.never; min_next = Lease.never; shared = None }
+      in
+      t.slots.(idx) <- slot;
       slot
+    end
+    else slot
   in
-  (match slot.holders with
-  | No_holder ->
+  reap_slot t file slot ~now;
+  let h = Host_id.to_int holder in
+  (match slot.shared with
+  | None when slot.holder = h -> slot.h_expiry <- at
+  | None when slot.holder = no_holder ->
     t.files <- t.files + 1;
     t.records <- t.records + 1;
-    slot.holders <- One { holder; h_expiry = at }
-  | One r when Host_id.equal r.holder holder -> r.h_expiry <- at
-  | One r ->
+    slot.holder <- h;
+    slot.h_expiry <- at
+  | None ->
     let s =
       { tbl = Host_id.Tbl.create 8; heap_at = [||]; heap_holder = [||]; heap_len = 0 }
     in
-    Host_id.Tbl.replace s.tbl r.holder r.h_expiry;
+    let first = Host_id.of_int slot.holder in
+    Host_id.Tbl.replace s.tbl first slot.h_expiry;
     Host_id.Tbl.replace s.tbl holder at;
-    push_entry s r.h_expiry r.holder;
+    push_entry s slot.h_expiry first;
     push_entry s at holder;
     t.records <- t.records + 1;
-    slot.holders <- Many s
-  | Many s ->
+    slot.holder <- no_holder;
+    slot.h_expiry <- Lease.never;
+    slot.shared <- Some s
+  | Some s ->
     (* one probe: the length tells whether [replace] added a holder *)
     let before = Host_id.Tbl.length s.tbl in
     Host_id.Tbl.replace s.tbl holder at;
@@ -268,66 +286,56 @@ let record t file holder at =
   slot.min_next <- Lease.expiry_min at slot.min_next
 
 let remove_holder t file holder =
-  match slot_opt t file with
-  | Some slot -> (
-    match slot.holders with
-    | No_holder -> ()
-    | One r when Host_id.equal r.holder holder ->
-      slot.holders <- No_holder;
+  let slot = slot t file in
+  match slot.shared with
+  | None ->
+    if slot.holder = Host_id.to_int holder then begin
+      slot.holder <- no_holder;
       t.records <- t.records - 1;
       t.files <- t.files - 1;
       slot.min_next <- Lease.never
-    | One _ -> ()
-    | Many s ->
-      let before = Host_id.Tbl.length s.tbl in
-      Host_id.Tbl.remove s.tbl holder;
-      if Host_id.Tbl.length s.tbl < before then begin
-        t.records <- t.records - 1;
-        if before = 1 then begin
-          t.files <- t.files - 1;
-          s.heap_len <- 0;
-          slot.min_next <- Lease.never
-        end
-      end)
-  | None -> ()
+    end
+  | Some s ->
+    let before = Host_id.Tbl.length s.tbl in
+    Host_id.Tbl.remove s.tbl holder;
+    if Host_id.Tbl.length s.tbl < before then begin
+      t.records <- t.records - 1;
+      if before = 1 then begin
+        t.files <- t.files - 1;
+        s.heap_len <- 0;
+        slot.min_next <- Lease.never
+      end
+    end
 
 let drop_file t file =
-  match slot_opt t file with
-  | Some slot ->
-    let n = holders_len slot.holders in
-    if n > 0 then begin
-      t.records <- t.records - n;
-      t.files <- t.files - 1
-    end;
+  let slot = slot t file in
+  let n = holders_len slot in
+  if n > 0 then begin
+    t.records <- t.records - n;
+    t.files <- t.files - 1;
     (* Keep a promoted slot's table and heap allocated: commits drop files
        that are about to be re-read, so they are hot again immediately. *)
-    (match slot.holders with
-    | No_holder | One _ -> slot.holders <- No_holder
-    | Many s ->
+    (match slot.shared with
+    | None -> slot.holder <- no_holder
+    | Some s ->
       Host_id.Tbl.reset s.tbl;
       s.heap_len <- 0);
     slot.min_next <- Lease.never
-  | None -> ()
+  end
 
 (* Iteration order over a holder table is unspecified, so every aggregate
    below is either order-independent (count, max, set union) or explicitly
    sorted — simulation determinism must not depend on hash layout. *)
 
 let fold_live t file ~now ~init ~f =
-  match live_slot t file ~now with
-  | None -> init
-  | Some slot -> (
-    match slot.holders with
-    | No_holder -> init
-    | One r -> f r.holder r.h_expiry init
-    | Many s -> Host_id.Tbl.fold f s.tbl init)
+  let slot = live_slot t file ~now in
+  match slot.shared with
+  | Some s -> Host_id.Tbl.fold f s.tbl init
+  | None -> if slot.holder >= 0 then f (Host_id.of_int slot.holder) slot.h_expiry init else init
 
 (* After the reap every resident record is live, so the count is the slot
    length — the grant path's O(1). *)
-let live_count t file ~now =
-  match live_slot t file ~now with
-  | None -> 0
-  | Some slot -> holders_len slot.holders
+let live_count t file ~now = holders_len (live_slot t file ~now)
 
 let live_holders t file ~now =
   fold_live t file ~now ~init:[] ~f:(fun holder _ acc -> holder :: acc)
@@ -358,13 +366,10 @@ let sweep t ~now =
   let next = ref Lease.never in
   Array.iteri
     (fun idx slot ->
-      match slot with
-      | Some slot ->
-        if holders_len slot.holders > 0 then begin
-          reap_slot t (File_id.of_int idx) slot ~now;
-          next := Lease.expiry_min slot.min_next !next
-        end
-      | None -> ())
+      if holders_len slot > 0 then begin
+        reap_slot t (File_id.of_int idx) slot ~now;
+        next := Lease.expiry_min slot.min_next !next
+      end)
     t.slots;
   not (Lease.is_never !next)
 

@@ -1,18 +1,20 @@
 (** The server's volatile per-file lease-holder table.
 
-    An int-keyed mutable layout: a growable array indexed by file id, each
-    slot holding its records inline while the file has one holder, and a
-    holder -> server-local-expiry table plus an expiry min-heap once it has
-    had two.  Records whose expiry the server clock has passed are
-    {e reaped} — removed for good — lazily on the next access to the file
-    and in bulk by the server's periodic {!sweep}.  A shared file reaps by
-    popping its heap's expired (expiry, holder) entries, not by rescanning
-    its holders, so a reap costs O(log n) per popped entry and every
-    aggregate here costs time proportional to the file's {e live} holders,
-    never to its lifetime holder history.  The per-message hot path
-    ([record]/[remove_holder]/[drop_file]) is O(1) amortized plus one heap
-    push, and [live_count] — the grant path's only aggregate — is a reap
-    check plus a table length.
+    An int-keyed mutable layout: a growable array indexed by file id with
+    one mutable slot per granted file (files never granted share one empty
+    slot that is never written).  A slot holds its record inline while the
+    file has one holder, and a holder -> server-local-expiry table plus an
+    expiry min-heap once it has had two.  Records whose expiry the server
+    clock has passed are {e reaped} — removed for good — lazily on the next
+    access to the file and in bulk by the server's periodic {!sweep}.  A
+    shared file reaps by popping its heap's expired (expiry, holder)
+    entries, not by rescanning its holders, so a reap costs O(log n) per
+    popped entry and every aggregate here costs time proportional to the
+    file's {e live} holders, never to its lifetime holder history.  The
+    per-message hot path ([record]/[remove_holder]/[drop_file]) is a reap
+    check plus O(1) amortized work and one heap push, and [live_count] —
+    the adaptive grant path's only aggregate — is a reap check plus a
+    table length.
 
     Reaping is semantically invisible to every query (an expired record
     was already excluded from all of them); its one observable effect is
@@ -41,9 +43,12 @@ val set_on_reap : t -> (Vstore.File_id.t -> Host.Host_id.t -> Lease.expiry -> un
     (expiry, holder) order; a {!sweep} passes over files in ascending id
     order.  The server uses it to emit [lease-expire] trace events. *)
 
-val record : t -> Vstore.File_id.t -> Host.Host_id.t -> Lease.expiry -> unit
-(** Upsert one holder's lease on a file, at its server-clock expiry.  A
-    renewal (same holder) overwrites the record in place. *)
+val record :
+  t -> Vstore.File_id.t -> Host.Host_id.t -> Lease.expiry -> now:Simtime.Time.t -> unit
+(** Upsert one holder's lease on a file, at its server-clock expiry.  The
+    file's expired records are reaped at [now] first, exactly as a query
+    would reap them; then a renewal (same holder) overwrites its record in
+    place. *)
 
 val remove_holder : t -> Vstore.File_id.t -> Host.Host_id.t -> unit
 (** Drop one holder's record (approval received, or implicit writer

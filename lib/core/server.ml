@@ -16,14 +16,15 @@ type pending = {
 
 type queued_write = { q_writer : Host_id.t; q_req : Messages.req_id }
 
-(* Per-message tables are probed, or iterated only order-independently, so
-   they hash ints by identity instead of through the polymorphic hash. *)
-module Write_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Fun.id
-end)
+(* The float fields of a [lease-grant] trace event, as computed for one
+   term at one server instant (the expiry follows from the two). *)
+type grant_floats = {
+  f_term : Lease.term;
+  f_now : Time.t;
+  term_s : float option;
+  expiry_s : float option;
+  now_s : float;
+}
 
 (* Committed writes by (writer, request id). *)
 module Applied_tbl = Hashtbl.Make (struct
@@ -54,14 +55,17 @@ type t = {
   c_commits : Stats.Counter.t;
   write_wait : Stats.Histogram.t;
   tracker : Term_policy.Tracker.t option;
+  term : Host_id.t -> File_id.t -> now:Time.t -> Lease.term;
+      (** the term policy, resolved once at creation; see [term_fn] *)
   tracer : Trace.Sink.t;
   on_commit : Vstore.File_id.t -> Vstore.Version.t -> unit;
   mutable last_lease : Lease.grant option;
       (** the lease of the last line granted; see [lease_of_term] *)
+  mutable last_floats : grant_floats;  (** see [grant_floats]; read only when tracing *)
   (* --- volatile state, reset by the crash hook --- *)
   leases : Lease_table.t;
   pending : pending File_id.Tbl.t;
-  pending_by_id : pending Write_tbl.t;
+  pending_by_id : pending Int_tbl.t;  (** by [write_id] *)
   queued : queued_write Queue.t File_id.Tbl.t;
   applied : Vstore.Version.t Applied_tbl.t;
   mutable next_write_id : int;
@@ -182,8 +186,8 @@ let rec run_sweep t =
 (* ------------------------------------------------------------------ *)
 (* Granting                                                            *)
 
-let record_lease t file holder expiry =
-  Lease_table.record t.leases file holder expiry;
+let record_lease t file holder expiry ~now =
+  Lease_table.record t.leases file holder expiry ~now;
   match t.sweep_timer with
   | None when not (Lease.is_never expiry) -> run_sweep t
   | Some _ | None -> ()
@@ -195,17 +199,66 @@ let record_lease t file holder expiry =
    installed coverage take this one path; a new term allocates once. *)
 let lease_of_term t term =
   match t.last_lease with
-  | Some { Lease.term = last } as lease when Lease.compare_term last term = 0 -> lease
+  | Some { Lease.term = last } as lease when last == term || Lease.compare_term last term = 0 ->
+    lease
   | Some _ | None ->
     let lease = Some { Lease.term } in
     t.last_lease <- lease;
     lease
 
+(* The term policy resolved once, when the server is created, into the
+   function [grant_for] calls per line.  A policy whose term depends on
+   nothing — zero, infinite, or fixed without [term_compensation] — answers
+   with one preallocated term, so a line costs no term allocation and no
+   holder count; the table's reap check then runs inside [record].  Every
+   other policy counts the file's live holders (reaping first), asks the
+   policy, and compensates a distant client for the transit its grant
+   loses. *)
+let term_fn (config : Config.t) ~leases ~tracker =
+  match config.term_policy, config.term_compensation with
+  | Term_policy.Zero, _ -> fun _ _ ~now:_ -> Lease.term_zero
+  | Term_policy.Infinite, _ -> fun _ _ ~now:_ -> Lease.Infinite
+  | Term_policy.Fixed span, None ->
+    let term = Lease.Finite span in
+    fun _ _ ~now:_ -> term
+  | (Term_policy.Fixed _ | Term_policy.Adaptive _), compensation ->
+    fun holder file ~now ->
+      (* O(1) after the table's reap check: post-reap resident = live. *)
+      let holders = Lease_table.live_count leases file ~now in
+      let term =
+        Term_policy.term_for config.term_policy ~tracker ~file ~now ~holders:(holders + 1)
+      in
+      (match term, compensation with
+      | Lease.Finite span, Some compensation when not (Lease.term_is_zero term) ->
+        Lease.Finite (Time.Span.add span (Time.Span.clamp_non_negative (compensation holder)))
+      | (Lease.Finite _ | Lease.Infinite), _ -> term)
+
+(* The trace floats of a grant, shared by every traced line whose term is
+   physically the last one's and whose instant is the same: under a term
+   that depends on nothing, one batch boxes its floats once instead of
+   three times per line. *)
+let grant_floats t term ~now ~expiry =
+  let f = t.last_floats in
+  if f.f_term == term && Time.equal f.f_now now then f
+  else begin
+    let f =
+      {
+        f_term = term;
+        f_now = now;
+        term_s = term_sec term;
+        expiry_s = Lease.expiry_sec expiry;
+        now_s = Time.to_sec now;
+      }
+    in
+    t.last_floats <- f;
+    f
+  end
+
 (* Each branch below builds its reply line exactly once: a granted line
    allocates the [grant_line] and nothing else that outlives the reply.
    The server-side expiry is an unboxed [Lease.expiry], so recording it is
-   one table write. *)
-let grant_for t ~holder ~renewal file : Messages.grant_line =
+   one table write.  [now] is the server clock, read once per request. *)
+let grant_for t ~holder ~renewal ~now file : Messages.grant_line =
   let version = Vstore.Store.current t.store file in
   if has_pending_write t file then { Messages.g_file = file; g_version = version; g_lease = None }
   else if is_installed t file then begin
@@ -213,7 +266,6 @@ let grant_for t ~holder ~renewal file : Messages.grant_line =
     | Some { term; _ } when not (File_id.Set.mem file t.installed_suspended) ->
       (* Individual grant over an installed file: same term as the refresh,
          no per-client record — only the coverage horizon moves. *)
-      let now = local_now t in
       let until = Time.add now term in
       note_installed_cover t file ~until;
       if tracing t then
@@ -225,35 +277,24 @@ let grant_for t ~holder ~renewal file : Messages.grant_line =
     | Some _ | None -> { Messages.g_file = file; g_version = version; g_lease = None }
   end
   else begin
-    let now = local_now t in
-    (* O(1) after the table's reap check: post-reap resident = live. *)
-    let holders = Lease_table.live_count t.leases file ~now in
-    let term =
-      Term_policy.term_for t.config.term_policy ~tracker:t.tracker ~file ~now
-        ~holders:(holders + 1)
-    in
-    let term =
-      (* compensate a distant client for the transit its grant loses *)
-      match term, t.config.Config.term_compensation with
-      | Lease.Finite span, Some compensation when not (Lease.term_is_zero term) ->
-        Lease.Finite (Time.Span.add span (Time.Span.clamp_non_negative (compensation holder)))
-      | (Lease.Finite _ | Lease.Infinite), _ -> term
-    in
+    let term = t.term holder file ~now in
     if Lease.term_is_zero term then { Messages.g_file = file; g_version = version; g_lease = None }
     else begin
       let expiry = Lease.server_expiry term ~granted_at:now in
-      record_lease t file holder expiry;
-      if tracing t then
+      record_lease t file holder expiry ~now;
+      if tracing t then begin
+        let f = grant_floats t term ~now ~expiry in
         emit t
           (Trace.Event.Lease_grant
              {
                file = File_id.to_int file;
                holder = Host_id.to_int holder;
-               term_s = term_sec term;
-               server_expiry = Lease.expiry_sec expiry;
-               server_now = Time.to_sec now;
+               term_s = f.term_s;
+               server_expiry = f.expiry_s;
+               server_now = f.now_s;
                renewal;
-             });
+             })
+      end;
       (match term with
       | Lease.Finite span ->
         Vstore.Wal.record_grant t.wal file ~term:span ~expiry:(Time.add now span)
@@ -316,7 +357,7 @@ let rec start_write t ~writer ~req file =
     in
     t.next_write_id <- t.next_write_id + 1;
     File_id.Tbl.replace t.pending file p;
-    Write_tbl.replace t.pending_by_id p.write_id p;
+    Int_tbl.replace t.pending_by_id p.write_id p;
     (match t.obs with
     | Some o ->
       Breakdown.bump o.Breakdown.write_waits_by_file (File_id.to_int file);
@@ -397,7 +438,7 @@ and finish_pending t p =
       (match p.expiry_timer with Some h -> Clock.cancel_timer h | None -> ());
       (match p.retry_timer with Some h -> Engine.cancel h | None -> ());
       File_id.Tbl.remove t.pending p.p_file;
-      Write_tbl.remove t.pending_by_id p.write_id;
+      Int_tbl.remove t.pending_by_id p.write_id;
       commit_write t ~writer:p.writer ~req:p.writer_req ~write_id:(Some p.write_id) p.p_file
         ~arrived:p.arrived
     end
@@ -471,7 +512,7 @@ let handle_write t ~writer ~req file =
     else start_write t ~writer ~req file
 
 let handle_approval t ~holder ~write_id file =
-  match Write_tbl.find_opt t.pending_by_id write_id with
+  match Int_tbl.find_opt t.pending_by_id write_id with
   | Some p when File_id.equal p.p_file file ->
     if Host_id.Set.mem holder p.waiting then begin
       p.waiting <- Host_id.Set.remove holder p.waiting;
@@ -502,20 +543,21 @@ let handle_approval t ~holder ~write_id file =
 (* ------------------------------------------------------------------ *)
 (* Reads and extensions                                                *)
 
-let note_read t file =
+let note_read t file ~now =
   match t.tracker with
-  | Some tracker -> Term_policy.Tracker.note_read tracker file ~now:(local_now t)
+  | Some tracker -> Term_policy.Tracker.note_read tracker file ~now
   | None -> ()
 
 let handle_read t ~src ~req file =
-  note_read t file;
+  let now = local_now t in
+  note_read t file ~now;
   (match t.obs with
   | Some o ->
     Breakdown.bump o.Breakdown.reads_by_file (File_id.to_int file);
     Breakdown.bump o.Breakdown.reads_by_client (Host_id.to_int src)
   | None -> ());
   send t ~dst:src
-    (Messages.Read_reply { req; granted = grant_for t ~holder:src ~renewal:false file })
+    (Messages.Read_reply { req; granted = grant_for t ~holder:src ~renewal:false ~now file })
 
 let handle_extend t ~src ~req files =
   (match t.obs with
@@ -525,11 +567,12 @@ let handle_extend t ~src ~req files =
       (fun file -> Breakdown.bump o.Breakdown.extensions_by_file (File_id.to_int file))
       files
   | None -> ());
+  let now = local_now t in
   let granted =
     List.map
       (fun file ->
-        note_read t file;
-        grant_for t ~holder:src ~renewal:true file)
+        note_read t file ~now;
+        grant_for t ~holder:src ~renewal:true ~now file)
       files
   in
   send t ~dst:src (Messages.Extend_reply { req; granted })
@@ -600,7 +643,7 @@ let on_crash t =
       match p.retry_timer with Some h -> Engine.cancel h | None -> ())
     t.pending;
   File_id.Tbl.reset t.pending;
-  Write_tbl.reset t.pending_by_id;
+  Int_tbl.reset t.pending_by_id;
   File_id.Tbl.reset t.queued;
   Applied_tbl.reset t.applied;
   t.installed_suspended <- File_id.Set.empty;
@@ -633,6 +676,7 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
     | None -> File_id.Set.empty
   in
   let counters = Stats.Counter.Registry.create () in
+  let leases = Lease_table.create () in
   let t =
     {
       engine;
@@ -652,12 +696,15 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
       c_commits = Stats.Counter.Registry.counter counters "commits";
       write_wait = Stats.Histogram.create ();
       tracker;
+      term = term_fn config ~leases ~tracker;
       tracer;
       on_commit;
       last_lease = None;
-      leases = Lease_table.create ();
+      last_floats =
+        { f_term = Lease.Infinite; f_now = Time.zero; term_s = None; expiry_s = None; now_s = 0. };
+      leases;
       pending = File_id.Tbl.create 32;
-      pending_by_id = Write_tbl.create 32;
+      pending_by_id = Int_tbl.create 32;
       queued = File_id.Tbl.create 32;
       applied = Applied_tbl.create 256;
       (* Write ids are globally unique across shards: the server's host

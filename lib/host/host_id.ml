@@ -13,9 +13,4 @@ let pp ppf t = Format.fprintf ppf "host-%d" t
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
 
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = Int.equal
-  let hash = hash
-end)
+module Tbl = Int_tbl

@@ -8,12 +8,12 @@ type ('k, 'm) t = {
   every : Time.Span.t;
   send : 'm -> unit;
   retransmissions : Stats.Counter.t;
-  calls : (int, ('k, 'm) entry) Hashtbl.t;
+  calls : ('k, 'm) entry Int_tbl.t;  (** by request id *)
   mutable next_req : int;
 }
 
 let create engine ~every ~send ~retransmissions =
-  { engine; every; send; retransmissions; calls = Hashtbl.create 32; next_req = 0 }
+  { engine; every; send; retransmissions; calls = Int_tbl.create 32; next_req = 0 }
 
 let fresh_req t =
   let req = t.next_req in
@@ -32,18 +32,18 @@ let rec arm t e =
 
 let start t ~req kind message =
   let e = { call = { req; started = Engine.now t.engine; kind }; message; timer = None } in
-  Hashtbl.replace t.calls req e;
+  Int_tbl.replace t.calls req e;
   t.send message;
   arm t e
 
-let find t req = Option.map (fun e -> e.call) (Hashtbl.find_opt t.calls req)
+let find t req = Option.map (fun e -> e.call) (Int_tbl.find_opt t.calls req)
 
 let cancel e = match e.timer with Some h -> Engine.cancel h | None -> ()
 
 let finish t req =
-  Option.iter cancel (Hashtbl.find_opt t.calls req);
-  Hashtbl.remove t.calls req
+  Option.iter cancel (Int_tbl.find_opt t.calls req);
+  Int_tbl.remove t.calls req
 
 let cancel_all t =
-  Hashtbl.iter (fun _ e -> cancel e) t.calls;
-  Hashtbl.reset t.calls
+  Int_tbl.iter (fun _ e -> cancel e) t.calls;
+  Int_tbl.reset t.calls

@@ -7,15 +7,9 @@ let of_int i =
 let to_int t = t
 let equal = Int.equal
 let compare = Int.compare
-let hash = Fun.id
 let pp ppf t = Format.fprintf ppf "file-%d" t
 
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
 
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = Int.equal
-  let hash = hash
-end)
+module Tbl = Int_tbl

@@ -13,14 +13,15 @@ val of_int : int -> t
 val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
-module Tbl : Hashtbl.S with type key = t
-(** Identity-hashed tables: a probe is an int mask and an int compare, with
-    no call into the polymorphic hash or compare.  Bucket order differs from
-    a stdlib [Hashtbl]'s, so use [Tbl] only for tables that are probed, or
-    iterated in an order-independent way (sums, minima, sorted dumps). *)
+module Tbl : Int_tbl.S with type key = t
+(** Open-addressing tables over the id's int (see {!Int_tbl}): a probe is a
+    multiply, a shift and an int compare, with no call into the polymorphic
+    hash or compare.  Iteration follows slot order, which depends on the
+    keys' hashes and the insertion history, so use [Tbl] only for tables
+    that are probed, or iterated in an order-independent way (sums, minima,
+    sorted dumps). *)

@@ -183,7 +183,7 @@ let prop_lease_table_model =
         if live_records <> records then ok := false
       in
       let record f h e =
-        Lease_table.record t (file f) (host h) e;
+        Lease_table.record t (file f) (host h) e ~now:!now;
         model := ((f, h), e) :: List.remove_assoc (f, h) !model
       in
       let rec ascending = function
@@ -243,6 +243,74 @@ let prop_lease_table_model =
       in
       List.iter step script;
       check_occupancy ();
+      !ok)
+
+(* --- the int table agrees with a map ----------------------------------- *)
+
+(* [Int_tbl] against [Map.Make (Int)] under random programs of binds,
+   removals, lookups, folds and resets.  Each program draws its keys from a
+   pool of 48 random ints: consecutive ids would spread evenly under the
+   table's multiplicative hash, random ones collide, so probe runs form,
+   runs wrap past the end of the array, and removals shift entries back,
+   across the wrap too.  After every step the table must have the model's
+   length and find every model binding (a removal that left a hole inside
+   a run would strand the keys behind it); a fold or iter must visit every
+   binding exactly once. *)
+let int_tbl_script =
+  let open QCheck.Gen in
+  (* 0 replace, 1 add, 2 remove, 3 look up, 4 fold and iter, 5 reset;
+     the key is an index into the pool *)
+  let op =
+    frequency
+      [ (6, return 0); (2, return 1); (5, return 2); (3, return 3); (1, return 4); (1, return 5) ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(triple int (array int) (list (triple int int int)))
+    ~shrink:QCheck.Shrink.(triple nil nil list)
+    (triple (int_bound 40)
+       (array_size (return 48) (int_bound 1_000_000))
+       (list_size (int_range 50 400) (triple op (int_bound 47) small_nat)))
+
+let prop_int_tbl_model =
+  QCheck.Test.make ~name:"int table agrees with a model map" ~count:1000 int_tbl_script
+    (fun (initial, pool, script) ->
+      let module M = Map.Make (Int) in
+      let t = Int_tbl.create initial in
+      let model = ref M.empty in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let visits () =
+        let folded = Int_tbl.fold (fun k v acc -> (k, v) :: acc) t [] in
+        let iterated = ref [] in
+        Int_tbl.iter (fun k v -> iterated := (k, v) :: !iterated) t;
+        check (List.sort compare folded = M.bindings !model);
+        check (List.sort compare !iterated = M.bindings !model)
+      in
+      let step (op, i, v) =
+        let k = pool.(i) in
+        (match op with
+        | 0 ->
+          Int_tbl.replace t k v;
+          model := M.add k v !model
+        | 1 ->
+          Int_tbl.add t k v;
+          model := M.add k v !model
+        | 2 ->
+          Int_tbl.remove t k;
+          model := M.remove k !model
+        | 3 ->
+          check (Int_tbl.find_opt t k = M.find_opt k !model);
+          check (Int_tbl.mem t k = M.mem k !model);
+          check ((try Some (Int_tbl.find t k) with Not_found -> None) = M.find_opt k !model)
+        | 4 -> visits ()
+        | _ ->
+          Int_tbl.reset t;
+          model := M.empty);
+        check (Int_tbl.length t = M.cardinal !model);
+        M.iter (fun k v -> check (Int_tbl.find_opt t k = Some v)) !model
+      in
+      List.iter step script;
+      visits ();
       !ok)
 
 (* --- the lease safety inequality --------------------------------------- *)
@@ -595,6 +663,7 @@ let () =
           [ prop_event_queue_sorted; prop_event_queue_cancel; prop_event_queue_interleaved ] );
       ("lease", List.map to_alcotest [ prop_client_never_outlives_server ]);
       ("lease-table", List.map to_alcotest [ prop_lease_table_model ]);
+      ("int-table", List.map to_alcotest [ prop_int_tbl_model ]);
       ( "store",
         List.map to_alcotest
           [ prop_store_current_at_implies_was_current; prop_store_stale_version_rejected ] );

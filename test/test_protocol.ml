@@ -522,11 +522,25 @@ let test_cache_eviction_reclaims_expired_entries () =
   (* default term 10 s: everything granted at ~1 lapses by ~11; grace 2 s
      makes the entries reclaimable from ~13; the next miss is at 30 *)
   at rig 30. (fun () -> read_into rig 0 (file 9) results);
+  at rig 31. (fun () ->
+      Alcotest.(check int) "the miss evicted every lapsed entry" 1
+        (Leases.Client.cache_size rig.clients.(0));
+      Alcotest.(check int) "evictions counted" 5 (Leases.Client.evictions rig.clients.(0)));
+  (* Past the grace, with a warm cache, a miss on a new file must leave the
+     eviction bound at the earliest expiry the client recorded: file 9's
+     first one, 30.005 s + 10 s - 2.5 ms transit - 100 ms skew.  Inserting
+     the new entry used to note its placeholder expiry (time zero), which
+     pinned the bound below every cutoff, so each later miss ran an
+     eviction pass that found nothing to evict. *)
+  at rig 32. (fun () -> read_into rig 0 (file 10) results);
+  at rig 33. (fun () ->
+      Alcotest.(check int) "the new file is cached" 2 (Leases.Client.cache_size rig.clients.(0));
+      Alcotest.(check (option (float 1e-6)))
+        "the bound is the earliest real expiry" (Some 39.9025)
+        (Leases.Lease.expiry_sec (Leases.Client.eviction_bound rig.clients.(0))));
   Engine.run rig.engine;
-  Alcotest.(check int) "all reads completed" 6 (List.length !results);
-  Alcotest.(check int) "the miss evicted every lapsed entry" 1
-    (Leases.Client.cache_size rig.clients.(0));
-  Alcotest.(check int) "evictions counted" 5 (Leases.Client.evictions rig.clients.(0))
+  Alcotest.(check int) "all reads completed" 7 (List.length !results);
+  Alcotest.(check int) "nothing else evicted" 5 (Leases.Client.evictions rig.clients.(0))
 
 let test_sweep_cadence_never_perturbs_trace () =
   (* The server's periodic lease-table sweep only reaps records every
