@@ -21,16 +21,21 @@ let classification_name = function
   | Degraded -> "degraded"
   | Safety -> "safety"
 
-(* Telemetry windows per schedule: aim for ~24 windows but keep each wide
-   enough (>= 2.5 s) that per-window counts are not all-noise, and never
-   wider than the 30 s the standalone runs use. *)
+(* Telemetry windows per schedule: aim for ~24 windows over the workload
+   but keep each wide enough (>= 2.5 s) that per-window counts are not
+   all-noise, and never wider than the 30 s the standalone runs use.
+   Sampling continues through the drain. *)
 let telemetry_interval_s duration_s = Float.max 2.5 (Float.min 30. (duration_s /. 24.))
 
-(* Replay the schedule's buffered trace through the critical-path
-   analyzer and render its slowest completed write's causal explanation. *)
-let worst_write_of events =
+(* The schedule's trace observers, fed live from the run's tracer: the
+   invariant checker and the critical-path analyzer.  Nothing is
+   buffered. *)
+let observe checker =
   let analyzer = Trace.Critical_path.create () in
-  List.iter (Trace.Critical_path.feed analyzer) events;
+  (Trace.Sink.tee [ Trace.Checker.sink checker; Trace.Critical_path.sink analyzer ], analyzer)
+
+(* The causal explanation of the schedule's slowest completed write. *)
+let worst_write_of analyzer =
   match (Trace.Critical_path.report ~k:1 analyzer).Trace.Critical_path.r_worst with
   | w :: _ -> Some w.Trace.Critical_path.w_explain
   | [] -> None
@@ -72,8 +77,9 @@ let conclude ~schedule ~(m : Leases.Metrics.t) ~(report : Trace.Checker.report) 
 
 let run_single schedule =
   let trace = Schedule.trace schedule in
-  let buf = Trace.Sink.buffer () in
-  let setup = Schedule.setup ~tracer:(Trace.Sink.buffer_sink buf) schedule in
+  let checker = Trace.Checker.create ~server:0 () in
+  let tracer, analyzer = observe checker in
+  let setup = Schedule.setup ~tracer schedule in
   let sampler =
     Telemetry.Sampler.create ~interval_s:(telemetry_interval_s schedule.Schedule.duration_s) ()
   in
@@ -88,20 +94,25 @@ let run_single schedule =
     Telemetry.Residual.summarize residual_params
       (Telemetry.Residual.evaluate residual_params sampler)
   in
-  let events = Trace.Sink.buffer_contents buf in
-  let report = Trace.Checker.check ~server:0 events in
-  conclude ~schedule ~m:outcome.Leases.Sim.metrics ~report ~oracle:outcome.Leases.Sim.oracle
-    ~telemetry ~worst_write:(worst_write_of events)
+  conclude ~schedule ~m:outcome.Leases.Sim.metrics ~report:(Trace.Checker.report checker)
+    ~oracle:outcome.Leases.Sim.oracle ~telemetry ~worst_write:(worst_write_of analyzer)
 
 let run_sharded schedule =
   let trace = Schedule.trace schedule in
-  let buf = Trace.Sink.buffer () in
-  let setup = Schedule.deploy_setup ~tracer:(Trace.Sink.buffer_sink buf) schedule in
+  let setup = Schedule.deploy_setup schedule in
+  let map = Shard.Deploy.shard_map setup in
+  let checker =
+    Trace.Checker.create
+      ~servers:(Shard.Deploy.server_hosts setup)
+      ~owner:(fun f -> Shard.Shard_map.owner map (Vstore.File_id.of_int f))
+      ()
+  in
+  let tracer, analyzer = observe checker in
   let setup =
     {
       setup with
-      Shard.Deploy.telemetry_interval_s =
-        Some (telemetry_interval_s schedule.Schedule.duration_s);
+      Shard.Deploy.tracer;
+      telemetry_interval_s = Some (telemetry_interval_s schedule.Schedule.duration_s);
     }
   in
   let outcome = Shard.Deploy.run setup ~trace in
@@ -116,16 +127,8 @@ let run_sharded schedule =
          (fun r -> r.Shard.Shard_telemetry.sr_evals)
          (Array.to_list reports))
   in
-  let events = Trace.Sink.buffer_contents buf in
-  let report =
-    Trace.Checker.check
-      ~servers:(Shard.Deploy.server_hosts setup)
-      ~owner:(fun f ->
-        Shard.Shard_map.owner outcome.Shard.Deploy.map (Vstore.File_id.of_int f))
-      events
-  in
-  conclude ~schedule ~m:outcome.Shard.Deploy.metrics ~report ~oracle:outcome.Shard.Deploy.oracle
-    ~telemetry ~worst_write:(worst_write_of events)
+  conclude ~schedule ~m:outcome.Shard.Deploy.metrics ~report:(Trace.Checker.report checker)
+    ~oracle:outcome.Shard.Deploy.oracle ~telemetry ~worst_write:(worst_write_of analyzer)
 
 let run schedule =
   if schedule.Schedule.n_shards > 1 then run_sharded schedule else run_single schedule

@@ -1,4 +1,8 @@
-type axis = int ref Int_tbl.t
+type cell = { key : int; mutable count : int; mutable sampled : int }
+
+(* [moved] holds exactly the cells whose [count] differs from [sampled]:
+   counts only grow, so a cell joins it on its first bump after a sample. *)
+type axis = { cells : cell Int_tbl.t; mutable moved : cell list }
 
 type t = {
   reads_by_file : axis;
@@ -11,7 +15,7 @@ type t = {
   write_waits_by_client : axis;
 }
 
-let make_axis () = Int_tbl.create 32
+let make_axis () = { cells = Int_tbl.create 32; moved = [] }
 
 let create () =
   {
@@ -26,15 +30,26 @@ let create () =
   }
 
 let bump axis key =
-  match Int_tbl.find_opt axis key with
-  | Some cell -> incr cell
-  | None -> Int_tbl.add axis key (ref 1)
+  match Int_tbl.find axis.cells key with
+  | cell ->
+    if cell.count = cell.sampled then axis.moved <- cell :: axis.moved;
+    cell.count <- cell.count + 1
+  | exception Not_found ->
+    let cell = { key; count = 1; sampled = 0 } in
+    Int_tbl.add axis.cells key cell;
+    axis.moved <- cell :: axis.moved
 
-let dump axis =
-  Int_tbl.fold (fun key cell acc -> (key, !cell) :: acc) axis []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let sample axis =
+  let moved = List.sort (fun a b -> Int.compare a.key b.key) axis.moved in
+  axis.moved <- [];
+  List.map
+    (fun cell ->
+      let delta = cell.count - cell.sampled in
+      cell.sampled <- cell.count;
+      (cell.key, delta))
+    moved
 
-let total axis = Int_tbl.fold (fun _ cell acc -> acc + !cell) axis 0
+let total axis = Int_tbl.fold (fun _ cell acc -> acc + cell.count) axis.cells 0
 
 let axes t =
   [

@@ -27,9 +27,12 @@ val create : unit -> t
 val bump : axis -> int -> unit
 (** Increment the count under [key], creating it at 1 on first use. *)
 
-val dump : axis -> (int * int) list
-(** All (key, count) pairs, sorted by key — deterministic regardless of
-    hash layout. *)
+val sample : axis -> (int * int) list
+(** The keys bumped since the previous [sample] (or since creation), each
+    with its increment over that span, sorted by key — deterministic
+    regardless of hash layout, with no zero increments.  Costs the keys
+    that moved, not every key the axis has seen.  An axis has one reader:
+    the telemetry sampler that attached it. *)
 
 val total : axis -> int
 

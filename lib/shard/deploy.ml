@@ -38,6 +38,7 @@ let default_setup =
 let server_host s = Host_id.of_int s
 let client_host setup i = Host_id.of_int (setup.n_shards + i)
 let server_hosts setup = List.init setup.n_shards (fun s -> Host_id.to_int (server_host s))
+let shard_map setup = Shard_map.create ~seed:setup.seed ~shards:setup.n_shards ()
 
 type shard_load = {
   sl_shard : int;
@@ -156,7 +157,7 @@ let run setup ~trace =
   Leases.Cluster.check ~who:"Deploy.run" ~n_clients:setup.n_clients setup.faults trace;
   if setup.n_shards < 1 then invalid_arg "Deploy.run: need at least one shard";
   let k = setup.n_shards in
-  let map = Shard_map.create ~seed:setup.seed ~shards:k () in
+  let map = shard_map setup in
   (* One shared store, disjoint ownership: each server only ever grants and
      commits the files the map routes to it, and each keeps its own WAL so
      the max-term recovery wait is per shard. *)
@@ -292,7 +293,7 @@ let run_split ?(domains = 1) setup ~trace =
   Leases.Cluster.check ~who:"Deploy.run_split" ~n_clients:setup.n_clients setup.faults trace;
   if setup.n_shards < 1 then invalid_arg "Deploy.run_split: need at least one shard";
   if domains < 1 then invalid_arg "Deploy.run_split: need at least one domain";
-  let map = Shard_map.create ~seed:setup.seed ~shards:setup.n_shards () in
+  let map = shard_map setup in
   (* RNG streams pre-split in shard order before any domain spawns: the
      draw sequence is fixed by construction, so domain scheduling cannot
      perturb seeded determinism. *)

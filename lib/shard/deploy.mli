@@ -63,6 +63,11 @@ val client_host : setup -> int -> Host.Host_id.t
 val server_hosts : setup -> int list
 (** All server host ids, for the trace checker's [servers] argument. *)
 
+val shard_map : setup -> Shard_map.t
+(** The map {!run} and {!run_split} place files with, a pure function of
+    [seed] and [n_shards]: a checker fed live during the run takes its
+    [owner] from it.  Raises [Invalid_argument] when [n_shards] is below 1. *)
+
 type shard_load = {
   sl_shard : int;
   sl_host : int;

@@ -22,12 +22,13 @@ module Registry = struct
       Hashtbl.add registry name counter;
       counter
 
-  let to_list registry =
-    Hashtbl.fold (fun name counter acc -> (name, counter.value) :: acc) registry []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let size = Hashtbl.length
 
-  let dump ?(prefix = "") registry =
-    List.map (fun (name, value) -> (prefix ^ name, value)) (to_list registry)
+  let counters registry =
+    Hashtbl.fold (fun _ counter acc -> counter :: acc) registry []
+    |> List.sort (fun a b -> String.compare a.name b.name)
+
+  let to_list registry = List.map (fun c -> (c.name, c.value)) (counters registry)
 
   let find registry name =
     match Hashtbl.find_opt registry name with

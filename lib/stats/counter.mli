@@ -19,15 +19,22 @@ module Registry : sig
   (** The counter registered under [name], creating it at zero on first
       use.  Repeated calls with the same name return the same counter. *)
 
-  val to_list : t -> (string * int) list
-  (** All counters, sorted by name.  Every dump path ({!to_list}, {!dump},
-      {!pp}) is deterministically ordered so registry output is byte-stable
-      across runs regardless of hash-table layout. *)
+  val size : t -> int
+  (** Counters registered so far; it grows only when {!counter} registers
+      a new name. *)
 
-  val dump : ?prefix:string -> t -> (string * int) list
-  (** Like {!to_list} with [prefix] prepended to every name — the form the
-      telemetry sampler uses to merge several registries ("server/",
-      "client/0/", ...) into one deterministically ordered namespace. *)
+  val counters : t -> counter list
+  (** Every registered counter, sorted by name.  A reader that samples a
+      registry repeatedly resolves its cells once and re-resolves only
+      when {!size} grows — what the telemetry sampler does to merge
+      several registries ("server/", "client/0/", ...) into one
+      deterministically ordered namespace. *)
+
+  val to_list : t -> (string * int) list
+  (** All counters with their values, sorted by name.  Every listing
+      ({!counters}, {!to_list}, {!pp}) is deterministically ordered so
+      registry output is byte-stable across runs regardless of hash-table
+      layout. *)
 
   val find : t -> string -> int
   (** Current value under [name]; 0 if never touched. *)

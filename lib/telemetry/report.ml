@@ -290,7 +290,7 @@ let sparkline values =
         let level =
           if span <= 0. then 0
           else
-            Stdlib.min
+            Int.min
               (Array.length spark_chars - 1)
               (int_of_float ((v -. lo) /. span *. float_of_int (Array.length spark_chars)))
         in

@@ -67,7 +67,7 @@ let evaluate_window p (w : Sampler.window) =
   let sharing =
     if w.Sampler.commits <= 0 || w.Sampler.approval_msgs <= 0 then 1
     else
-      Stdlib.max 1
+      Int.max 1
         (int_of_float
            (Float.round (float_of_int w.Sampler.approval_msgs /. float_of_int w.Sampler.commits)))
   in

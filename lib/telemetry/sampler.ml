@@ -50,17 +50,35 @@ type scalars = {
   mutable p_write_count : int;
 }
 
+(* The merged counter namespace -- the server registry under "server/",
+   client i's under "client/<i>/" -- resolved into parallel arrays sorted
+   by name, with each counter's value at the previous sample. *)
+type namespace = {
+  sizes : int array;  (* each registry's size when resolved *)
+  names : string array;
+  cells : Stats.Counter.t array;
+  prev : int array;
+}
+
+let unresolved = { sizes = [||]; names = [||]; cells = [||]; prev = [||] }
+
+(* What [attach] resolves once, so a sample reads ints. *)
+type attached = {
+  inst : Leases.Sim.instruments;
+  registries : (string * Stats.Counter.Registry.t) array;  (* prefix, registry *)
+  mutable namespace : namespace;
+  client_labels : string array;  (* skew keys: "client/0", ... *)
+  axes : (string * Breakdown.axis) list;
+}
+
 type t = {
   interval_s : float;
-  mutable inst : Leases.Sim.instruments option;
-  mutable breakdown : Breakdown.t option;
+  mutable attached : attached option;
   mutable phase_source : (unit -> (string * float) list) option;
   mutable rev_windows : window list;
   mutable closed : int;
   mutable last_t : float;
   mutable finalized : bool;
-  prev_counters : (string, int) Hashtbl.t;
-  prev_entity : (string, (int, int) Hashtbl.t) Hashtbl.t;
   prev_phases : (string, float) Hashtbl.t;
   prev : scalars;
 }
@@ -70,15 +88,12 @@ let create ?(interval_s = 10.) () =
     invalid_arg "Telemetry.Sampler.create: interval must be positive and finite";
   {
     interval_s;
-    inst = None;
-    breakdown = None;
+    attached = None;
     phase_source = None;
     rev_windows = [];
     closed = 0;
     last_t = 0.;
     finalized = false;
-    prev_counters = Hashtbl.create 64;
-    prev_entity = Hashtbl.create 16;
     prev_phases = Hashtbl.create 8;
     prev =
       {
@@ -113,67 +128,73 @@ let phase_deltas t =
         if value <> prev then Some (name, value -. prev) else None)
       (source ())
 
-(* Merged cumulative counter dump: server registry under "server/", each
-   client's under "client/<i>/", globally sorted so exports are
-   byte-stable. *)
-let cumulative_counters (inst : Leases.Sim.instruments) =
-  let server = Stats.Counter.Registry.dump ~prefix:"server/" (Server.counters inst.i_server) in
-  let clients =
-    Array.to_list
-      (Array.mapi
-         (fun i c ->
-           Stats.Counter.Registry.dump ~prefix:(Printf.sprintf "client/%d/" i)
-             (Client.counters c))
-         inst.i_clients)
-    |> List.concat
+(* Sort every registry's counters into one namespace by prefixed name.  A
+   name already resolved keeps its previous value; a new one starts from
+   zero, so its first delta is its whole value. *)
+let resolve registries (before : namespace) =
+  let entries =
+    Array.to_list registries
+    |> List.concat_map (fun (prefix, registry) ->
+           List.map
+             (fun c -> (prefix ^ Stats.Counter.name c, c))
+             (Stats.Counter.Registry.counters registry))
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> Array.of_list
   in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) (server @ clients)
+  let prev = Hashtbl.create (Array.length before.names) in
+  Array.iteri (fun i name -> Hashtbl.replace prev name before.prev.(i)) before.names;
+  {
+    sizes = Array.map (fun (_, registry) -> Stats.Counter.Registry.size registry) registries;
+    names = Array.map fst entries;
+    cells = Array.map snd entries;
+    prev = Array.map (fun (name, _) -> Option.value (Hashtbl.find_opt prev name) ~default:0) entries;
+  }
 
-let counter_deltas t counters =
-  List.filter_map
-    (fun (name, value) ->
-      let prev = Option.value (Hashtbl.find_opt t.prev_counters name) ~default:0 in
-      Hashtbl.replace t.prev_counters name value;
-      if value <> prev then Some (name, value - prev) else None)
-    counters
+let grown a =
+  let sizes = a.namespace.sizes in
+  let rec from i =
+    i < Array.length sizes
+    && (Stats.Counter.Registry.size (snd a.registries.(i)) <> sizes.(i) || from (i + 1))
+  in
+  from 0
 
-let entity_deltas t breakdown =
+(* The cumulative merged counters, sorted by name, and the ones that moved
+   since the previous sample with their increments. *)
+let counter_sample a =
+  if grown a then a.namespace <- resolve a.registries a.namespace;
+  let ns = a.namespace in
+  let counters = ref [] and deltas = ref [] in
+  for i = Array.length ns.names - 1 downto 0 do
+    let name = ns.names.(i) and value = Stats.Counter.value ns.cells.(i) in
+    counters := (name, value) :: !counters;
+    if value <> ns.prev.(i) then deltas := (name, value - ns.prev.(i)) :: !deltas;
+    ns.prev.(i) <- value
+  done;
+  (!counters, !deltas)
+
+let entity_deltas a =
   List.filter_map
     (fun (label, axis) ->
-      let prev =
-        match Hashtbl.find_opt t.prev_entity label with
-        | Some table -> table
-        | None ->
-          let table = Hashtbl.create 32 in
-          Hashtbl.add t.prev_entity label table;
-          table
-      in
-      let moved =
-        List.filter_map
-          (fun (key, value) ->
-            let before = Option.value (Hashtbl.find_opt prev key) ~default:0 in
-            Hashtbl.replace prev key value;
-            if value <> before then Some (key, value - before) else None)
-          (Breakdown.dump axis)
-      in
-      if moved = [] then None else Some (label, moved))
-    (Breakdown.axes breakdown)
+      match Breakdown.sample axis with [] -> None | moved -> Some (label, moved))
+    a.axes
 
 let in_flight_msgs (inst : Leases.Sim.instruments) =
   let net = inst.i_net in
   Netsim.Net.attempts net - Netsim.Net.deliveries net - Netsim.Net.dropped_loss net
   - Netsim.Net.dropped_partition net - Netsim.Net.dropped_down net
 
-let skews (inst : Leases.Sim.instruments) =
+let skews a =
+  let inst = a.inst in
   let engine_now = Engine.now inst.i_engine in
   let skew clock = Time.Span.to_sec (Time.diff (Clock.now clock) engine_now) in
   ("server", skew inst.i_server_clock)
-  :: Array.to_list (Array.mapi (fun i c -> (Printf.sprintf "client/%d" i, skew c)) inst.i_client_clocks)
+  :: List.init (Array.length inst.i_client_clocks) (fun i ->
+         (a.client_labels.(i), skew inst.i_client_clocks.(i)))
 
-let take_sample t (inst : Leases.Sim.instruments) =
+let take_sample t a =
+  let inst = a.inst in
   let t_end = Time.to_sec (Engine.now inst.i_engine) in
-  let counters = cumulative_counters inst in
-  let deltas = counter_deltas t counters in
+  let counters, deltas = counter_sample a in
   let sum f = Array.fold_left (fun acc c -> acc + f c) 0 inst.i_clients in
   let hits = sum Client.hits and misses = sum Client.misses in
   let ext = Server.messages_handled inst.i_server Leases.Messages.Extension in
@@ -216,9 +237,8 @@ let take_sample t (inst : Leases.Sim.instruments) =
       in_flight_msgs = in_flight_msgs inst;
       server_up = snap.Server.up;
       server_recovering = snap.Server.recovering;
-      skews = skews inst;
-      by_entity =
-        (match t.breakdown with Some b -> entity_deltas t b | None -> []);
+      skews = skews a;
+      by_entity = entity_deltas a;
       write_phase_sums = phase_deltas t;
     }
   in
@@ -238,11 +258,25 @@ let take_sample t (inst : Leases.Sim.instruments) =
   t.last_t <- t_end
 
 let attach t (inst : Leases.Sim.instruments) =
-  if t.inst <> None then invalid_arg "Telemetry.Sampler.attach: sampler already attached";
-  t.inst <- Some inst;
+  if Option.is_some t.attached then
+    invalid_arg "Telemetry.Sampler.attach: sampler already attached";
   let breakdown = Breakdown.create () in
-  t.breakdown <- Some breakdown;
   Server.set_breakdown inst.i_server (Some breakdown);
+  let registries =
+    Array.append
+      [| ("server/", Server.counters inst.i_server) |]
+      (Array.mapi (fun i c -> (Printf.sprintf "client/%d/" i, Client.counters c)) inst.i_clients)
+  in
+  let a =
+    {
+      inst;
+      registries;
+      namespace = resolve registries unresolved;
+      client_labels = Array.init (Array.length inst.i_client_clocks) (Printf.sprintf "client/%d");
+      axes = Breakdown.axes breakdown;
+    }
+  in
+  t.attached <- Some a;
   let engine = inst.i_engine in
   let rec arm k =
     let boundary = Time.of_sec (float_of_int k *. t.interval_s) in
@@ -252,20 +286,20 @@ let attach t (inst : Leases.Sim.instruments) =
              (let p = Engine.profiler engine in
               if Profile.Recorder.enabled p then
                 Profile.Recorder.mark p Profile.Center.Telemetry_sample);
-             take_sample t inst;
+             take_sample t a;
              arm (k + 1)))
     else arm (k + 1)
   in
   arm 1
 
 let finalize t =
-  match t.inst with
+  match t.attached with
   | None -> ()
-  | Some inst ->
+  | Some a ->
     if not t.finalized then begin
       t.finalized <- true;
-      let now = Time.to_sec (Engine.now inst.i_engine) in
-      if now > t.last_t then take_sample t inst
+      let now = Time.to_sec (Engine.now a.inst.i_engine) in
+      if now > t.last_t then take_sample t a
     end
 
 let windows t = List.rev t.rev_windows

@@ -21,7 +21,13 @@
     Sampling is pull-only: the sampler reads accessors ({!Leases.Server.snapshot},
     counter registries, clock readings) and never mutates protocol state,
     so an attached sampler cannot perturb the schedule beyond its own
-    boundary callbacks (which run no protocol code). *)
+    boundary callbacks (which run no protocol code).
+
+    A sample reads ints.  {!attach} resolves the merged counter namespace
+    once, into arrays of sorted names, counter cells and previous values,
+    and resolves it again only when a registry has grown; it also builds
+    the skew labels once.  The per-entity deltas come from
+    {!Leases.Breakdown.sample}, which costs the keys that moved. *)
 
 type window = {
   w_index : int;

@@ -11,128 +11,159 @@ let epsilon_s = 1e-5
 
 type client_entry = { cl_version : int; cl_expiry : float option }
 
-let check ?(server = 0) ?servers ?owner events =
-  let server_hosts = match servers with Some hosts -> hosts | None -> [ server ] in
-  let is_server host = List.mem host server_hosts in
-  (* file -> owning server host; the default (every file on [server])
-     reproduces the single-server sweep-everything semantics. *)
-  let owner = match owner with Some f -> f | None -> fun _ -> server in
-  let violations = ref [] in
-  let n_events = ref 0 in
-  let hits = ref 0 in
-  let commits = ref 0 in
-  (* (host, file) -> the client's recorded local lease *)
-  let client_leases : (int * int, client_entry) Hashtbl.t = Hashtbl.create 64 in
-  (* (file, holder) -> server-local expiry ([None] = never) *)
-  let server_leases : (int * int, float option) Hashtbl.t = Hashtbl.create 64 in
+type t = {
+  servers : int list;
+  owner : int -> int;
+  mutable rev_violations : violation list;
+  mutable n_events : int;
+  mutable hits : int;
+  mutable commits : int;
+  (* client host -> file -> the client's recorded local lease *)
+  client_leases : client_entry Int_tbl.t Int_tbl.t;
+  (* file -> holder -> server-local expiry ([None] = never) *)
+  server_leases : float option Int_tbl.t Int_tbl.t;
   (* file -> installed-coverage horizon, server-local *)
-  let cover : (int, float) Hashtbl.t = Hashtbl.create 8 in
+  cover : float Int_tbl.t;
   (* file -> latest committed version *)
-  let committed : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let flag at invariant detail = violations := { at; invariant; detail } :: !violations in
-  let drop_host tbl host =
-    let stale = Hashtbl.fold (fun ((h, _) as k) _ acc -> if h = host then k :: acc else acc) tbl [] in
-    List.iter (Hashtbl.remove tbl) stale
-  in
-  List.iter
-    (fun ({ at; ev } : Event.t) ->
-      incr n_events;
-      match ev with
-      | Event.Client_lease { host; file; version; expiry; _ } ->
-        Hashtbl.replace client_leases (host, file) { cl_version = version; cl_expiry = expiry }
-      | Event.Cache_invalidate { host; file } -> Hashtbl.remove client_leases (host, file)
-      | Event.Cache_hit { host; file; version; local_now } -> (
-        incr hits;
-        (match Hashtbl.find_opt client_leases (host, file) with
-        | None ->
-          flag at "local-read-validity"
-            (Printf.sprintf "host %d hit file %d with no recorded lease" host file)
-        | Some { cl_version; _ } when cl_version <> version ->
-          flag at "local-read-validity"
-            (Printf.sprintf "host %d hit file %d at v%d but lease recorded v%d" host file
-               version cl_version)
-        | Some { cl_expiry = Some e; _ } when local_now >= e ->
-          flag at "local-read-validity"
-            (Printf.sprintf
-               "host %d hit file %d after local expiry (local clock %.6f >= expiry %.6f)" host
-               file local_now e)
-        | Some _ -> ());
-        match Hashtbl.find_opt committed file with
-        | Some v when version < v ->
-          flag at "stale-hit"
-            (Printf.sprintf "host %d read file %d at v%d but v%d is committed" host file version
-               v)
-        | _ -> ())
-      | Event.Lease_grant { file; holder; server_expiry; _ } ->
-        Hashtbl.replace server_leases (file, holder) server_expiry
-      | Event.Lease_release { file; holder; _ } -> Hashtbl.remove server_leases (file, holder)
-      (* A reap means the server genuinely forgot the record: the lease
-         expired on the server clock, so it can no longer block a commit.
-         Client-side staleness is still caught by local-read-validity and
-         stale-hit, which do not depend on the server's table. *)
-      | Event.Lease_expire { file; holder; _ } -> Hashtbl.remove server_leases (file, holder)
-      | Event.Installed_cover { file; until } ->
-        let prev = Option.value (Hashtbl.find_opt cover file) ~default:neg_infinity in
-        Hashtbl.replace cover file (Float.max prev until)
-      | Event.Commit { file; writer; version; server_now; _ } ->
-        incr commits;
-        Hashtbl.iter
-          (fun (f, holder) expiry ->
-            if f = file && holder <> writer then
-              match expiry with
-              | None ->
-                flag at "commit-vs-lease"
-                  (Printf.sprintf "commit of file %d v%d with infinite lease held by %d" file
-                     version holder)
-              | Some e when e > server_now +. epsilon_s ->
-                flag at "commit-vs-lease"
-                  (Printf.sprintf
-                     "commit of file %d v%d while host %d's lease runs to %.6f (server clock \
-                      %.6f)"
-                     file version holder e server_now)
-              | Some _ -> ())
-          server_leases;
-        (match Hashtbl.find_opt cover file with
-        | Some until when until > server_now +. epsilon_s ->
-          flag at "commit-vs-lease"
-            (Printf.sprintf
-               "commit of file %d v%d inside installed coverage to %.6f (server clock %.6f)"
-               file version until server_now)
-        | _ -> ());
-        (* The commit drops every lease on the file and resets coverage. *)
-        let swept =
-          Hashtbl.fold
-            (fun ((f, _) as k) _ acc -> if f = file then k :: acc else acc)
-            server_leases []
-        in
-        List.iter (Hashtbl.remove server_leases) swept;
-        Hashtbl.remove cover file;
-        Hashtbl.replace committed file version
-      | Event.Crash { host } when is_server host ->
-        (* A crashed server loses only its own lease table and coverage:
-           sweep the files it owns, leave the other shards' state intact. *)
-        let swept =
-          Hashtbl.fold
-            (fun ((f, _) as k) _ acc -> if owner f = host then k :: acc else acc)
-            server_leases []
-        in
-        List.iter (Hashtbl.remove server_leases) swept;
-        let covered =
-          Hashtbl.fold (fun f _ acc -> if owner f = host then f :: acc else acc) cover []
-        in
-        List.iter (Hashtbl.remove cover) covered;
-        drop_host client_leases host
-      | Event.Crash { host } -> drop_host client_leases host
-      | _ -> ())
-    events;
+  committed : int Int_tbl.t;
+}
+
+let create ?(server = 0) ?servers ?owner () =
   {
-    events = !n_events;
-    checked_hits = !hits;
-    checked_commits = !commits;
-    violations = List.rev !violations;
+    servers = (match servers with Some hosts -> hosts | None -> [ server ]);
+    (* file -> owning server host; the default (every file on [server])
+       reproduces the single-server sweep-everything semantics. *)
+    owner = (match owner with Some f -> f | None -> fun _ -> server);
+    rev_violations = [];
+    n_events = 0;
+    hits = 0;
+    commits = 0;
+    client_leases = Int_tbl.create 64;
+    server_leases = Int_tbl.create 64;
+    cover = Int_tbl.create 8;
+    committed = Int_tbl.create 16;
   }
 
-let ok r = r.violations = []
+let flag t at invariant detail =
+  t.rev_violations <- { at; invariant; detail } :: t.rev_violations
+
+(* The inner table under [key], created empty on first use. *)
+let inner tbl key =
+  match Int_tbl.find tbl key with
+  | inner -> inner
+  | exception Not_found ->
+    let inner = Int_tbl.create 4 in
+    Int_tbl.add tbl key inner;
+    inner
+
+let remove_inner tbl key inner_key =
+  match Int_tbl.find tbl key with
+  | inner -> Int_tbl.remove inner inner_key
+  | exception Not_found -> ()
+
+let check_hit t at ~host ~file ~version ~local_now =
+  t.hits <- t.hits + 1;
+  (match Int_tbl.find (Int_tbl.find t.client_leases host) file with
+  | exception Not_found ->
+    flag t at "local-read-validity"
+      (Printf.sprintf "host %d hit file %d with no recorded lease" host file)
+  | { cl_version; _ } when cl_version <> version ->
+    flag t at "local-read-validity"
+      (Printf.sprintf "host %d hit file %d at v%d but lease recorded v%d" host file version
+         cl_version)
+  | { cl_expiry = Some e; _ } when local_now >= e ->
+    flag t at "local-read-validity"
+      (Printf.sprintf "host %d hit file %d after local expiry (local clock %.6f >= expiry %.6f)"
+         host file local_now e)
+  | _ -> ());
+  match Int_tbl.find_opt t.committed file with
+  | Some v when version < v ->
+    flag t at "stale-hit"
+      (Printf.sprintf "host %d read file %d at v%d but v%d is committed" host file version v)
+  | _ -> ()
+
+(* Every lease a non-writer holds on the file must have expired at the
+   server clock, checked in ascending holder order; the commit then drops
+   every lease on the file and resets its coverage. *)
+let check_commit t at ~file ~writer ~version ~server_now =
+  t.commits <- t.commits + 1;
+  (match Int_tbl.find_opt t.server_leases file with
+  | None -> ()
+  | Some holders ->
+    Int_tbl.fold (fun holder expiry acc -> (holder, expiry) :: acc) holders []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.iter (fun (holder, expiry) ->
+           if holder <> writer then
+             match expiry with
+             | None ->
+               flag t at "commit-vs-lease"
+                 (Printf.sprintf "commit of file %d v%d with infinite lease held by %d" file
+                    version holder)
+             | Some e when e > server_now +. epsilon_s ->
+               flag t at "commit-vs-lease"
+                 (Printf.sprintf
+                    "commit of file %d v%d while host %d's lease runs to %.6f (server clock %.6f)"
+                    file version holder e server_now)
+             | Some _ -> ());
+    Int_tbl.remove t.server_leases file);
+  (match Int_tbl.find_opt t.cover file with
+  | Some until when until > server_now +. epsilon_s ->
+    flag t at "commit-vs-lease"
+      (Printf.sprintf "commit of file %d v%d inside installed coverage to %.6f (server clock %.6f)"
+         file version until server_now)
+  | _ -> ());
+  Int_tbl.remove t.cover file;
+  Int_tbl.replace t.committed file version
+
+(* A crashed server loses only its own lease table and coverage: sweep the
+   files it owns, leave the other shards' state intact. *)
+let sweep_server t host =
+  let owned tbl = Int_tbl.fold (fun f _ acc -> if t.owner f = host then f :: acc else acc) tbl [] in
+  List.iter (Int_tbl.remove t.server_leases) (owned t.server_leases);
+  List.iter (Int_tbl.remove t.cover) (owned t.cover)
+
+let feed t ({ at; ev } : Event.t) =
+  t.n_events <- t.n_events + 1;
+  match ev with
+  | Event.Client_lease { host; file; version; expiry; _ } ->
+    Int_tbl.replace (inner t.client_leases host) file { cl_version = version; cl_expiry = expiry }
+  | Event.Cache_invalidate { host; file } -> remove_inner t.client_leases host file
+  | Event.Cache_hit { host; file; version; local_now } ->
+    check_hit t at ~host ~file ~version ~local_now
+  | Event.Lease_grant { file; holder; server_expiry; _ } ->
+    Int_tbl.replace (inner t.server_leases file) holder server_expiry
+  | Event.Lease_release { file; holder; _ } -> remove_inner t.server_leases file holder
+  (* A reap means the server genuinely forgot the record: the lease
+     expired on the server clock, so it can no longer block a commit.
+     Client-side staleness is still caught by local-read-validity and
+     stale-hit, which do not depend on the server's table. *)
+  | Event.Lease_expire { file; holder; _ } -> remove_inner t.server_leases file holder
+  | Event.Installed_cover { file; until } ->
+    let prev = match Int_tbl.find_opt t.cover file with Some u -> u | None -> neg_infinity in
+    Int_tbl.replace t.cover file (Float.max prev until)
+  | Event.Commit { file; writer; version; server_now; _ } ->
+    check_commit t at ~file ~writer ~version ~server_now
+  | Event.Crash { host } ->
+    if List.exists (fun (s : int) -> s = host) t.servers then sweep_server t host;
+    Int_tbl.remove t.client_leases host
+  | _ -> ()
+
+let report t =
+  {
+    events = t.n_events;
+    checked_hits = t.hits;
+    checked_commits = t.commits;
+    violations = List.rev t.rev_violations;
+  }
+
+let sink t = { Sink.enabled = true; push = feed t; flush = ignore }
+
+let check ?server ?servers ?owner events =
+  let t = create ?server ?servers ?owner () in
+  List.iter (feed t) events;
+  report t
+
+let ok r = match r.violations with [] -> true | _ :: _ -> false
 
 let pp_violation ppf v =
   Format.fprintf ppf "@[<h>[%12.6f] %-20s %s@]" v.at v.invariant v.detail

@@ -1,7 +1,12 @@
 (** Trace-driven invariant checker.
 
-    Replays an event stream and asserts the paper's two safety conditions,
-    independently of the in-simulator oracle:
+    Folds an event stream, one event at a time, and asserts the paper's
+    two safety conditions independently of the in-simulator oracle.  Feed
+    it live through {!sink} (tee'd next to the run's tracer) or replay a
+    buffered or decoded stream with {!check}; both paths run {!feed}, so
+    they give equal reports.  The checker keeps its server-side leases
+    indexed by file, so a commit costs the file's holders and a server
+    crash the files with lease or coverage state, not the whole table.
 
     - {b local-read-validity}: a cache hit must be backed by a lease the
       client recorded, matching version, unexpired on the {e client's}
@@ -27,15 +32,34 @@ type report = {
   events : int;
   checked_hits : int;
   checked_commits : int;
-  violations : violation list;  (** in stream order *)
+  violations : violation list;
+      (** in stream order; the holders one commit overlaps are flagged in
+          ascending holder order, then its installed coverage *)
 }
 
-val check : ?server:int -> ?servers:int list -> ?owner:(int -> int) -> Event.t list -> report
+type t
+(** A checker part-way through a stream. *)
+
+val create : ?server:int -> ?servers:int list -> ?owner:(int -> int) -> unit -> t
 (** [server] is the server's host id (default 0).  Sharded deployments pass
     [servers] (every server host; defaults to [[server]]) and [owner]
     (file id -> owning server host; defaults to the constant [server]):
     a server crash then sweeps only the leases and installed coverage of
-    the files that server owns, while the other shards' state survives. *)
+    the files that server owns, while the other shards' state survives.
+    File and host ids must be non-negative. *)
+
+val feed : t -> Event.t -> unit
+
+val sink : t -> Sink.t
+(** A live sink feeding the checker. *)
+
+val report : t -> report
+(** The verdict over every event fed so far; the checker may be fed
+    further afterwards. *)
+
+val check : ?server:int -> ?servers:int list -> ?owner:(int -> int) -> Event.t list -> report
+(** [check events] is {!feed} folded over [events] from {!create}, then
+    {!report}. *)
 
 val ok : report -> bool
 val pp_violation : Format.formatter -> violation -> unit

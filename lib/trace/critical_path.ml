@@ -308,7 +308,7 @@ let feed t { Event.at; ev } =
     if req_kind kind <> None then
       with_op t corr (fun op ->
           cut op at;
-          op.o_inflight_req <- Stdlib.max 0 (op.o_inflight_req - 1);
+          op.o_inflight_req <- Int.max 0 (op.o_inflight_req - 1);
           if dst = op.o_server then op.o_delivered <- true)
     else if is_reply kind then
       with_op t corr (fun op -> if dst = op.o_client then complete t op at)
@@ -316,11 +316,11 @@ let feed t { Event.at; ev } =
     if req_kind kind <> None then
       with_op t corr (fun op ->
           cut op at;
-          op.o_inflight_req <- Stdlib.max 0 (op.o_inflight_req - 1))
+          op.o_inflight_req <- Int.max 0 (op.o_inflight_req - 1))
     else if is_reply kind then
       with_op t corr (fun op ->
           cut op at;
-          op.o_inflight_reply <- Stdlib.max 0 (op.o_inflight_reply - 1))
+          op.o_inflight_reply <- Int.max 0 (op.o_inflight_reply - 1))
     else if is_approval kind then note_approval_drop t ~at ~src ~dst ~kind ~corr ~cause
   | Event.Wait_begin { write; op = op_id; waiting; file; _ } ->
     with_op t op_id (fun op ->

@@ -129,8 +129,6 @@ let release_cause_name = function
   | Approved -> "approved"
   | Writer_self -> "writer-self"
 
-let equal a b = compare a b = 0
-
 let pp_opt ppf = function
   | None -> Format.pp_print_string ppf "inf"
   | Some v -> Format.fprintf ppf "%g" v

@@ -115,5 +115,4 @@ val kind_name : kind -> string
 val drop_cause_name : drop_cause -> string
 val release_cause_name : release_cause -> string
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

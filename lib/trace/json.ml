@@ -148,13 +148,14 @@ let parse s =
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '"' -> Str (parse_string ())
-    | Some '{' ->
+    | Some '{' -> (
       advance ();
       skip_ws ();
-      if peek () = Some '}' then (
+      match peek () with
+      | Some '}' ->
         advance ();
-        Obj [])
-      else (
+        Obj []
+      | _ ->
         let fields = ref [] in
         let rec members () =
           skip_ws ();
@@ -171,13 +172,14 @@ let parse s =
         in
         members ();
         Obj (List.rev !fields))
-    | Some '[' ->
+    | Some '[' -> (
       advance ();
       skip_ws ();
-      if peek () = Some ']' then (
+      match peek () with
+      | Some ']' ->
         advance ();
-        Arr [])
-      else (
+        Arr []
+      | _ ->
         let items = ref [] in
         let rec elements () =
           let v = parse_value () in

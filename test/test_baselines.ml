@@ -298,6 +298,20 @@ let test_control_leases_partition () =
              Leases.Sim.seed = 3L; faults = control_partition (); tracer }
            (control_trace ())))
 
+(* A checker fed live from the run's tracer and one replaying a buffer
+   tee'd from the same tracer must agree, violation for violation. *)
+let test_control_live_equals_replay () =
+  let live = Trace.Checker.create () in
+  let buf = Trace.Sink.buffer () in
+  ignore
+    (callback_control (control_partition ())
+       (Trace.Sink.tee [ Trace.Checker.sink live; Trace.Sink.buffer_sink buf ]));
+  let replay = Trace.Checker.check (Trace.Sink.buffer_contents buf) in
+  Alcotest.(check int) "the control's violations" 5 (List.length replay.Trace.Checker.violations);
+  Alcotest.check
+    (Alcotest.testable Trace.Checker.pp_report ( = ))
+    "live report = replayed report" replay (Trace.Checker.report live)
+
 (* --- the paper's two-axis comparison ------------------------------------ *)
 
 let test_leases_dominate () =
@@ -360,6 +374,7 @@ let () =
             test_control_callback_partition;
           Alcotest.test_case "TTL hints are flagged" `Quick test_control_ttl;
           Alcotest.test_case "partitioned leases are clean" `Quick test_control_leases_partition;
+          Alcotest.test_case "live checker = replay" `Quick test_control_live_equals_replay;
         ] );
       ( "comparison",
         [ Alcotest.test_case "leases dominate" `Slow test_leases_dominate ] );

@@ -147,6 +147,23 @@ let test_campaign_report_byte_identical () =
   let a = report () in
   Alcotest.(check string) "same seed, same bytes" a (report ())
 
+(* Pins the whole seed-1 campaign report (25 schedules: single-server,
+   sharded and degraded ones), as [campaign --seed 1 --schedules 25 --json]
+   prints it.  The runner's observers (checker, critical path, telemetry)
+   feed every field but the schedule itself, so a change in how they are
+   attached or fed shows up here. *)
+let test_campaign_report_golden () =
+  let s = Fault_campaign.Harness.run ~seed:1 ~schedules:25 () in
+  let outcomes = List.map (fun r -> r.Fault_campaign.Harness.outcome) s.Fault_campaign.Harness.results in
+  let count p = List.length (List.filter p outcomes) in
+  Alcotest.(check bool) "covers sharded schedules" true
+    (count (fun o -> o.Fault_campaign.Runner.schedule.Fault_campaign.Schedule.n_shards > 1) > 0);
+  Alcotest.(check bool) "covers single-server schedules" true
+    (count (fun o -> o.Fault_campaign.Runner.schedule.Fault_campaign.Schedule.n_shards = 1) > 0);
+  Alcotest.(check bool) "covers degraded schedules" true (s.Fault_campaign.Harness.degraded > 0);
+  Alcotest.(check string) "report MD5" "0427717a9cca7dd24bab802dc24bd6fe"
+    (Digest.to_hex (Digest.string (Trace.Json.to_string (Fault_campaign.Harness.to_json s))))
+
 let test_sharded_schedules_generated () =
   (* ~25% of schedules shard the namespace; each sharded schedule carries a
      shard-failover fault and reproduces via --shards *)
@@ -242,6 +259,9 @@ let () =
           Alcotest.test_case "unsafe budget bounded" `Quick test_unsafe_budget_small_vs_allowance;
         ] );
       ( "harness",
-        [ Alcotest.test_case "report byte-identical" `Slow test_campaign_report_byte_identical ] );
+        [
+          Alcotest.test_case "report byte-identical" `Slow test_campaign_report_byte_identical;
+          Alcotest.test_case "golden: seed 1 report" `Quick test_campaign_report_golden;
+        ] );
       ("server", [ QCheck_alcotest.to_alcotest queued_drains_to_zero ]);
     ]

@@ -313,6 +313,62 @@ let prop_int_tbl_model =
       visits ();
       !ok)
 
+(* --- a breakdown axis agrees with a map --------------------------------- *)
+
+(* [Leases.Breakdown] against a model map of counts under random programs
+   of bumps and samples, keys drawn from a pool of random ints as above.
+   Every sample must return exactly the keys bumped since the previous
+   one, each with its increment, in ascending key order and with no zero
+   increment, and the increments of all samples so far must sum to the
+   axis total. *)
+let breakdown_script =
+  let open QCheck.Gen in
+  (* [None] samples; [Some i] bumps the pool's key [i] *)
+  let op = frequency [ (1, return None); (6, map Option.some (int_bound 23)) ] in
+  QCheck.make
+    ~print:QCheck.Print.(pair (array int) (list (option int)))
+    ~shrink:QCheck.Shrink.(pair nil list)
+    (pair (array_size (return 24) (int_bound 1_000_000)) (list_size (int_range 20 300) op))
+
+let prop_breakdown_model =
+  QCheck.Test.make ~name:"breakdown samples agree with a model map" ~count:500 breakdown_script
+    (fun (pool, script) ->
+      let module M = Map.Make (Int) in
+      let axis = (Leases.Breakdown.create ()).Leases.Breakdown.reads_by_file in
+      let counts = ref M.empty and at_sample = ref M.empty and sampled = ref 0 in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let rec ascending = function
+        | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+        | _ -> true
+      in
+      let sample () =
+        let deltas = Leases.Breakdown.sample axis in
+        let expected =
+          M.fold
+            (fun k n acc ->
+              let before = Option.value (M.find_opt k !at_sample) ~default:0 in
+              if n <> before then (k, n - before) :: acc else acc)
+            !counts []
+        in
+        check (deltas = List.rev expected);
+        check (ascending deltas);
+        check (List.for_all (fun (_, d) -> d <> 0) deltas);
+        sampled := List.fold_left (fun acc (_, d) -> acc + d) !sampled deltas;
+        check (!sampled = Leases.Breakdown.total axis);
+        at_sample := !counts
+      in
+      List.iter
+        (function
+          | None -> sample ()
+          | Some i ->
+            let k = pool.(i) in
+            Leases.Breakdown.bump axis k;
+            counts := M.update k (fun n -> Some (1 + Option.value n ~default:0)) !counts)
+        script;
+      sample ();
+      !ok)
+
 (* --- the lease safety inequality --------------------------------------- *)
 
 let prop_client_never_outlives_server =
@@ -664,6 +720,7 @@ let () =
       ("lease", List.map to_alcotest [ prop_client_never_outlives_server ]);
       ("lease-table", List.map to_alcotest [ prop_lease_table_model ]);
       ("int-table", List.map to_alcotest [ prop_int_tbl_model ]);
+      ("breakdown", List.map to_alcotest [ prop_breakdown_model ]);
       ( "store",
         List.map to_alcotest
           [ prop_store_current_at_implies_was_current; prop_store_stale_version_rejected ] );

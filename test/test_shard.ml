@@ -189,6 +189,42 @@ let test_shard_failover () =
     (List.length report.Trace.Checker.violations);
   Alcotest.(check bool) "checker saw hits" true (report.Trace.Checker.checked_hits > 0)
 
+(* The campaign checks sharded schedules live: a checker built before the
+   run from [Deploy.shard_map] and fed from the run's tracer must report
+   exactly what a replay of the same stream reports, through a shard
+   crash. *)
+let test_live_checker_equals_replay () =
+  let faults =
+    [ Leases.Sim.Crash_shard { shard = 1; at = Time.of_sec 100.; duration = span 10. } ]
+  in
+  let setup = sharded_setup ~faults () in
+  let map = Shard.Deploy.shard_map setup in
+  let owner f = Shard.Shard_map.owner map (Vstore.File_id.of_int f) in
+  let servers = Shard.Deploy.server_hosts setup in
+  let live = Trace.Checker.create ~servers ~owner () in
+  let buf = Trace.Sink.buffer () in
+  let setup =
+    { setup with
+      Shard.Deploy.tracer = Trace.Sink.tee [ Trace.Checker.sink live; Trace.Sink.buffer_sink buf ] }
+  in
+  let outcome = Shard.Deploy.run setup ~trace:(v_trace ~duration:400. ()) in
+  for f = 0 to 999 do
+    Alcotest.(check int) "the run placed files by Deploy.shard_map" (owner f)
+      (Shard.Shard_map.owner outcome.Shard.Deploy.map (file f))
+  done;
+  let events = Trace.Sink.buffer_contents buf in
+  Alcotest.(check bool) "the shard crashed" true
+    (List.exists
+       (fun (e : Trace.Event.t) ->
+         match e.Trace.Event.ev with Trace.Event.Crash { host = 1 } -> true | _ -> false)
+       events);
+  let replay = Trace.Checker.check ~servers ~owner events in
+  Alcotest.check
+    (Alcotest.testable Trace.Checker.pp_report ( = ))
+    "live report = replayed report" replay (Trace.Checker.report live);
+  Alcotest.(check bool) "checker saw hits and commits" true
+    (replay.Trace.Checker.checked_hits > 0 && replay.Trace.Checker.checked_commits > 0)
+
 let test_failover_other_shards_keep_serving () =
   (* during the outage window, commits still happen on the surviving
      shards *)
@@ -473,6 +509,7 @@ let () =
         [
           Alcotest.test_case "zero stale reads through crash" `Quick test_shard_failover;
           Alcotest.test_case "others keep serving" `Quick test_failover_other_shards_keep_serving;
+          Alcotest.test_case "live checker = replay" `Quick test_live_checker_equals_replay;
         ] );
       ( "telemetry",
         [

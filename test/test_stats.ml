@@ -30,9 +30,10 @@ let test_counter_listing () =
   Alcotest.(check (list (pair string int))) "reset" [ ("a", 0); ("b", 0) ]
     (Stats.Counter.Registry.to_list registry)
 
-(* Registry dumps must be deterministically ordered and byte-stable
-   regardless of registration order, including under the prefixed merge
-   the telemetry sampler uses. *)
+(* Registry listings must be deterministically ordered and byte-stable
+   regardless of registration order: the telemetry sampler merges the
+   sorted cells of several registries into one namespace, and re-resolves
+   it only when a registry's size grows. *)
 let test_counter_dump () =
   let build names =
     let registry = Stats.Counter.Registry.create () in
@@ -42,13 +43,22 @@ let test_counter_dump () =
     registry
   in
   let a = build [ "zeta"; "alpha"; "mid" ] in
-  Alcotest.(check (list (pair string int))) "prefixed and sorted"
-    [ ("server/alpha", 2); ("server/mid", 3); ("server/zeta", 1) ]
-    (Stats.Counter.Registry.dump ~prefix:"server/" a);
-  Alcotest.(check (list (pair string int))) "no prefix = to_list"
+  let cells registry =
+    List.map
+      (fun c -> (Stats.Counter.name c, Stats.Counter.value c))
+      (Stats.Counter.Registry.counters registry)
+  in
+  Alcotest.(check (list (pair string int))) "cells sorted by name"
+    [ ("alpha", 2); ("mid", 3); ("zeta", 1) ]
+    (cells a);
+  Alcotest.(check (list (pair string int))) "cells = to_list"
     (Stats.Counter.Registry.to_list a)
-    (Stats.Counter.Registry.dump a);
-  (* same counters registered in a different order dump identically *)
+    (cells a);
+  Alcotest.(check int) "size" 3 (Stats.Counter.Registry.size a);
+  ignore (Stats.Counter.Registry.counter a "mid");
+  Alcotest.(check int) "a known name does not grow the registry" 3
+    (Stats.Counter.Registry.size a);
+  (* same counters registered in a different order list identically *)
   let b = build [ "mid"; "zeta"; "alpha" ] in
   Stats.Counter.Registry.reset a;
   Stats.Counter.Registry.reset b;
@@ -57,9 +67,7 @@ let test_counter_dump () =
       Stats.Counter.add (Stats.Counter.Registry.counter a name) 7;
       Stats.Counter.add (Stats.Counter.Registry.counter b name) 7)
     [ "alpha"; "mid"; "zeta" ];
-  Alcotest.(check (list (pair string int))) "registration order irrelevant"
-    (Stats.Counter.Registry.dump ~prefix:"x/" a)
-    (Stats.Counter.Registry.dump ~prefix:"x/" b)
+  Alcotest.(check (list (pair string int))) "registration order irrelevant" (cells a) (cells b)
 
 let test_welford () =
   let w = Stats.Welford.create () in

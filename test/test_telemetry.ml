@@ -228,6 +228,45 @@ let test_sampler_is_passive () =
   in
   Alcotest.(check string) "metrics unchanged by sampling" (run false) (run true)
 
+(* Pins the full JSON export of a faulted 5-client run sampled every 2.5 s:
+   cumulative counters, per-window deltas, per-entity breakdowns and
+   per-host skews, under a server crash, a client crash and clock faults on
+   both sides. *)
+let test_export_golden () =
+  let at = Simtime.Time.of_sec in
+  let faults =
+    [
+      Leases.Sim.Crash_server { at = at 40.; duration = span_sec 15. };
+      Leases.Sim.Crash_client { client = 3; at = at 70.; duration = span_sec 20. };
+      Leases.Sim.Client_drift { client = 1; at = at 10.; drift = 0.001 };
+      Leases.Sim.Server_step { shard = 0; at = at 95.; step = Simtime.Time.Span.of_ms 30. };
+    ]
+  in
+  let sampler, setup, _, _ =
+    run_sampled ~interval_s:2.5 ~n_clients:5 ~duration:120. ~seed:13L ~faults ()
+  in
+  let windows = Telemetry.Sampler.windows sampler in
+  let some f = List.exists f windows in
+  Alcotest.(check bool) "deltas recorded" true (some (fun w -> w.Telemetry.Sampler.deltas <> []));
+  Alcotest.(check bool) "by_entity recorded" true
+    (some (fun w -> w.Telemetry.Sampler.by_entity <> []));
+  Alcotest.(check bool) "skews recorded" true
+    (some (fun w -> Telemetry.Sampler.max_abs_skew w > 0.));
+  let params = Telemetry.Residual.params_of_setup ~term:(Analytic.Model.Finite 10.) setup in
+  Alcotest.(check string) "export MD5" "4190426f37829a7caf34c9be7fa821af"
+    (Digest.to_hex (Digest.string (Telemetry.Report.to_json_string ~params sampler)));
+  (* the export carries only the last window's cumulative counters *)
+  let counters =
+    String.concat "\n"
+      (List.map
+         (fun w ->
+           String.concat " "
+             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) w.Telemetry.Sampler.counters))
+         windows)
+  in
+  Alcotest.(check string) "every window's counters MD5" "0f21fee05bd5eb49be882fa205b993ee"
+    (Digest.to_hex (Digest.string counters))
+
 let test_sparkline () =
   Alcotest.(check string) "empty" "" (Telemetry.Report.sparkline []);
   let flat = Telemetry.Report.sparkline [ 1.; 1.; 1. ] in
@@ -248,6 +287,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_export_determinism;
           Alcotest.test_case "sparkline" `Quick test_sparkline;
+          Alcotest.test_case "golden: faulted 5-client export" `Quick test_export_golden;
         ] );
       ( "residuals",
         [

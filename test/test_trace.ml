@@ -78,10 +78,14 @@ let gen_event =
 let event_arb =
   QCheck.make gen_event ~print:(fun e -> Format.asprintf "%a" Trace.Event.pp e)
 
+(* Structural equality, kept here so the trace library itself carries no
+   polymorphic compare. *)
+let event_equal (a : Trace.Event.t) b = compare a b = 0
+
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"codec decode . encode = id" ~count:500 event_arb (fun e ->
       match Trace.Codec.decode (Trace.Codec.encode e) with
-      | Ok back -> Trace.Event.equal e back
+      | Ok back -> event_equal e back
       | Error _ -> false)
 
 let test_codec_rejects_garbage () =
@@ -232,7 +236,37 @@ let test_checker_flags_commit_over_live_lease () =
         ev 2.0 (Commit { write = None; op = -1; file = 3; writer = 2; version = 1; server_now = 2.0; waited_s = 0. });
       ]
   in
-  Alcotest.(check (list string)) "as commit-vs-lease" [ "commit-vs-lease" ] (invariants report)
+  Alcotest.(check (list string)) "as commit-vs-lease" [ "commit-vs-lease" ] (invariants report);
+  (* One commit flags the non-writers in ascending holder order and drops
+     every lease on its file, but only on its file. *)
+  let grant at file holder =
+    ev at (Lease_grant { file; holder; term_s = Some 10.; server_expiry = Some (at +. 10.); server_now = at; renewal = false })
+  in
+  let commit at file writer version =
+    ev at (Commit { write = None; op = -1; file; writer; version; server_now = at; waited_s = 0. })
+  in
+  let flagged_holders report =
+    List.map
+      (fun v -> Scanf.sscanf v.Trace.Checker.detail "commit of file %d v%d while host %d" (fun _ _ h -> h))
+      report.Trace.Checker.violations
+  in
+  let report =
+    Trace.Checker.check
+      [ grant 1.0 3 7; grant 1.1 3 2; grant 1.2 3 5; grant 1.3 4 9; commit 2.0 3 5 1; commit 2.1 3 6 2;
+        commit 2.2 4 6 1 ]
+  in
+  Alcotest.(check (list int)) "holders in ascending order, then only file 4's" [ 2; 7; 9 ]
+    (flagged_holders report);
+  (* A server crash sweeps only the files that server owns. *)
+  let report =
+    Trace.Checker.check ~servers:[ 0; 1 ] ~owner:(fun f -> f mod 2)
+      [ grant 1.0 3 9; grant 1.0 4 9; ev 1.5 (Crash { host = 1 }); commit 2.0 3 6 1; commit 2.0 4 6 1 ]
+  in
+  Alcotest.(check (list int)) "the other shard's lease survives the crash" [ 9 ] (flagged_holders report);
+  Alcotest.(check bool) "and it is file 4's" true
+    (List.for_all
+       (fun v -> Scanf.sscanf v.Trace.Checker.detail "commit of file %d" (fun f -> f = 4))
+       report.Trace.Checker.violations)
 
 let test_checker_flags_unbacked_hit () =
   let open Trace.Event in
