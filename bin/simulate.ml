@@ -49,7 +49,7 @@ let trace_sink trace_out trace_format =
           close_out oc )
     | other -> failwith (Printf.sprintf "unknown trace format %S (jsonl|chrome)" other))
 
-(* --telemetry wires a Telemetry.Sampler into the run via the
+(* --telemetry attaches a Telemetry.Sampler to the run's world through the
    on_instruments hook; the report is written after the run drains so the
    final partial window is included. *)
 let finish_telemetry sampler ~term ~setup ~telemetry_out ~telemetry_format ~json =
@@ -130,18 +130,15 @@ let print_shard_loads per_shard =
         sl.Shard.Deploy.sl_total_msgs sl.Shard.Deploy.sl_commits)
     per_shard
 
-let print_shard_telemetry reports =
-  Array.iter
-    (fun r ->
-      let s = r.Shard.Shard_telemetry.sr_summary in
+let print_shard_telemetry summaries =
+  Array.iteri
+    (fun shard (s : Telemetry.Residual.summary) ->
       Format.printf
         "shard %d telemetry: %d windows (%d flagged), load %.3f msg/s measured vs %.3f \
          predicted, steady residual %+.1f%%@."
-        r.Shard.Shard_telemetry.sr_shard s.Telemetry.Residual.windows
-        s.Telemetry.Residual.flagged_windows s.Telemetry.Residual.mean_measured_load
-        s.Telemetry.Residual.mean_predicted_load
-        (100. *. s.Telemetry.Residual.steady_load_residual))
-    reports
+        shard s.windows s.flagged_windows s.mean_measured_load s.mean_predicted_load
+        (100. *. s.steady_load_residual))
+    summaries
 
 (* Split-mode per-shard profiles: one leases-profile/1 document per shard,
    wrapped in a leases-profile-shards/1 envelope keyed by shard index. *)
@@ -207,7 +204,9 @@ let run_sharded ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~term ~fau
     let print_extra () =
       if not json then begin
         print_shard_loads outcome.Shard.Deploy.per_shard;
-        Option.iter print_shard_telemetry (Shard.Deploy.telemetry_report setup outcome)
+        Option.iter
+          (fun sampler -> print_shard_telemetry (Shard.Deploy.telemetry_report setup sampler))
+          outcome.Shard.Deploy.telemetry
       end
     in
     (outcome.Shard.Deploy.metrics, print_extra)
@@ -216,7 +215,13 @@ let run_sharded ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~term ~fau
     let print_extra () =
       if not json then begin
         print_shard_loads outcome.Shard.Deploy.sp_per_shard;
-        Option.iter print_shard_telemetry (Shard.Deploy.split_telemetry_report setup outcome)
+        (* each part samples its own shard: the reports concatenate in shard order *)
+        let report p =
+          Shard.Deploy.telemetry_report setup (Option.get p.Shard.Deploy.p_telemetry)
+        in
+        if telemetry_s <> None then
+          print_shard_telemetry
+            (Array.concat (List.map report (Array.to_list outcome.Shard.Deploy.sp_parts)))
       end;
       if profile then finish_shard_profiles profilers ~profile_out ~profile_format ~json
     in
@@ -314,17 +319,15 @@ and run_single ~protocol ~term ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~fau
         let setup = Experiments.Runner.lease_setup ~n_clients:clients ~m_prop ~m_proc ~term () in
         let setup = { setup with Leases.Sim.loss; seed; tracer; faults } in
         let sampler =
-          Option.map (fun interval_s -> Telemetry.Sampler.create ~interval_s ()) telemetry_s
+          Option.map
+            (fun interval_s -> Telemetry.Sampler.create ~interval_s ?latency:analyzer ())
+            telemetry_s
         in
         let setup =
           match sampler with
           | None -> setup
           | Some s -> { setup with Leases.Sim.on_instruments = Telemetry.Sampler.attach s }
         in
-        (match (sampler, analyzer) with
-        | Some s, Some a ->
-          Telemetry.Sampler.set_phase_source s (fun () -> Trace.Critical_path.phase_sums a)
-        | _ -> ());
         let recorder =
           if profile then
             (* Engine-health samples share the telemetry cadence when one

@@ -41,9 +41,13 @@ let worst_write_of analyzer =
   | [] -> None
 
 (* Classification and reporting shared by the single-server and sharded
-   paths once each has produced metrics, a checker report and an oracle. *)
+   paths once each has produced metrics, a checker report, an oracle and a
+   telemetry sampler.  A sharded sampler's windows come shard by shard, so
+   its summary pools them: each window is judged against its own shard's
+   predicted load, and the pooled worst/steady residuals flag whichever
+   shard diverges. *)
 let conclude ~schedule ~(m : Leases.Metrics.t) ~(report : Trace.Checker.report) ~oracle
-    ~telemetry ~worst_write =
+    ~residual_params ~sampler ~worst_write =
   let oracle_violations = m.Leases.Metrics.oracle_violations in
   let checker_violations = List.length report.Trace.Checker.violations in
   let first_violation =
@@ -71,7 +75,9 @@ let conclude ~schedule ~(m : Leases.Metrics.t) ~(report : Trace.Checker.report) 
     dropped_ops = m.Leases.Metrics.dropped_ops;
     commits = m.Leases.Metrics.commits;
     checked_events = report.Trace.Checker.events;
-    telemetry;
+    telemetry =
+      Telemetry.Residual.summarize residual_params
+        (Telemetry.Residual.evaluate residual_params sampler);
     worst_write;
   }
 
@@ -90,12 +96,9 @@ let run_single schedule =
     Telemetry.Residual.params_of_setup
       ~term:(Analytic.Model.Finite schedule.Schedule.term_s) setup
   in
-  let telemetry =
-    Telemetry.Residual.summarize residual_params
-      (Telemetry.Residual.evaluate residual_params sampler)
-  in
   conclude ~schedule ~m:outcome.Leases.Sim.metrics ~report:(Trace.Checker.report checker)
-    ~oracle:outcome.Leases.Sim.oracle ~telemetry ~worst_write:(worst_write_of analyzer)
+    ~oracle:outcome.Leases.Sim.oracle ~residual_params ~sampler
+    ~worst_write:(worst_write_of analyzer)
 
 let run_sharded schedule =
   let trace = Schedule.trace schedule in
@@ -116,19 +119,11 @@ let run_sharded schedule =
     }
   in
   let outcome = Shard.Deploy.run setup ~trace in
-  (* Pool every shard's windows into one summary: each window is judged
-     against its own shard's predicted load, so the pooled worst/steady
-     residuals flag whichever shard diverges. *)
-  let telemetry =
-    let params = Shard.Deploy.residual_params setup in
-    let reports = Option.get (Shard.Deploy.telemetry_report setup outcome) in
-    Telemetry.Residual.summarize params
-      (List.concat_map
-         (fun r -> r.Shard.Shard_telemetry.sr_evals)
-         (Array.to_list reports))
-  in
   conclude ~schedule ~m:outcome.Shard.Deploy.metrics ~report:(Trace.Checker.report checker)
-    ~oracle:outcome.Shard.Deploy.oracle ~telemetry ~worst_write:(worst_write_of analyzer)
+    ~oracle:outcome.Shard.Deploy.oracle
+    ~residual_params:(Shard.Deploy.residual_params setup)
+    ~sampler:(Option.get outcome.Shard.Deploy.telemetry)
+    ~worst_write:(worst_write_of analyzer)
 
 let run schedule =
   if schedule.Schedule.n_shards > 1 then run_sharded schedule else run_single schedule

@@ -2,6 +2,17 @@ open Simtime
 
 include Cluster.Faults
 
+type world = {
+  fabric : Messages.payload Cluster.fabric;
+  servers : Server.t array;
+  route : Vstore.File_id.t -> int;
+  clients : Client.t array;
+  store : Vstore.Store.t;
+  oracle : Oracle.Register_oracle.t;
+  mutable on_read : Workload.Op.t -> Client.read_result -> unit;
+  mutable on_write : Workload.Op.t -> Client.write_result -> unit;
+}
+
 type setup = {
   seed : int64;
   n_clients : int;
@@ -13,18 +24,7 @@ type setup = {
   drain : Time.Span.t;
   tracer : Trace.Sink.t;
   profiler : Profile.Recorder.t;
-  on_instruments : instruments -> unit;
-}
-
-and instruments = {
-  i_engine : Engine.t;
-  i_net : Messages.payload Netsim.Net.t;
-  i_server : Server.t;
-  i_clients : Client.t array;
-  i_server_clock : Clock.t;
-  i_client_clocks : Clock.t array;
-  i_read_latency : Stats.Histogram.t;
-  i_write_latency : Stats.Histogram.t;
+  on_instruments : world -> Cluster.tally -> unit;
 }
 
 let default_setup =
@@ -39,7 +39,7 @@ let default_setup =
     drain = Time.Span.of_sec 120.;
     tracer = Trace.Sink.null;
     profiler = Profile.Recorder.null;
-    on_instruments = ignore;
+    on_instruments = (fun _ _ -> ());
   }
 
 type outcome = {
@@ -50,14 +50,6 @@ type outcome = {
 
 (* --- lease worlds --------------------------------------------------- *)
 
-type world = {
-  fabric : Messages.payload Cluster.fabric;
-  servers : Server.t array;
-  clients : Client.t array;
-  store : Vstore.Store.t;
-  oracle : Oracle.Register_oracle.t;
-}
-
 let world setup ~rng ~servers ~client_host ?route ?req_origin () =
   let fabric =
     Cluster.fabric ~tracer:setup.tracer ~profiler:setup.profiler
@@ -67,6 +59,7 @@ let world setup ~rng ~servers ~client_host ?route ?req_origin () =
   let { Cluster.engine; net; liveness; tracer; _ } = fabric in
   let store = Vstore.Store.create () in
   let client_hosts = List.init setup.n_clients client_host in
+  let server_hosts = Array.map fst servers in
   let server_objs =
     Array.map
       (fun (host, config) ->
@@ -80,12 +73,23 @@ let world setup ~rng ~servers ~client_host ?route ?req_origin () =
     Array.init setup.n_clients (fun i ->
         let host = client_host i in
         Client.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host
-          ~server:(fst servers.(0)) ?route ~rng:(Prng.Splitmix.split rng) ~config:setup.config
+          ~server:server_hosts.(0)
+          ?route:(Option.map (fun route file -> server_hosts.(route file)) route)
+          ~rng:(Prng.Splitmix.split rng) ~config:setup.config
           ~tracer
           ?req_origin:(Option.map (fun origin -> origin host) req_origin)
           ())
   in
-  { fabric; servers = server_objs; clients; store; oracle = Oracle.Register_oracle.create ~store }
+  {
+    fabric;
+    servers = server_objs;
+    route = Option.value route ~default:(fun _ -> 0);
+    clients;
+    store;
+    oracle = Oracle.Register_oracle.create ~store;
+    on_read = (fun _ _ -> ());
+    on_write = (fun _ _ -> ());
+  }
 
 let schedule_faults w ~server_of_shard ~trace_clients faults =
   Cluster.schedule_faults w.fabric
@@ -100,16 +104,16 @@ let schedule_faults w ~server_of_shard ~trace_clients faults =
     }
     faults
 
-let drive ?(on_read = fun _ _ -> ()) ?(on_write = fun _ _ -> ()) w ops =
+let drive w ops =
   Cluster.drive w.fabric ~oracle:w.oracle
     ~read:(fun t (op : Workload.Op.t) ->
       Client.read w.clients.(op.client) op.file ~k:(fun r ->
           Cluster.read_done t op r.Client.r_version r.Client.r_latency;
-          on_read op r))
+          w.on_read op r))
     ~write:(fun t (op : Workload.Op.t) ->
       Client.write w.clients.(op.client) op.file ~k:(fun r ->
           Cluster.write_done t r.Client.w_latency;
-          on_write op r))
+          w.on_write op r))
     ops
 
 (* Client counters summed over the clients, server counters over whatever
@@ -153,16 +157,6 @@ let run setup ~trace =
   (* one server: every shard index names it *)
   schedule_faults w ~server_of_shard:(fun _ -> Some 0) ~trace_clients:true setup.faults;
   let tally = drive w (Workload.Trace.ops trace) in
-  setup.on_instruments
-    {
-      i_engine = w.fabric.Cluster.engine;
-      i_net = w.fabric.Cluster.net;
-      i_server = w.servers.(0);
-      i_clients = w.clients;
-      i_server_clock = Server.clock w.servers.(0);
-      i_client_clocks = Array.map Client.clock w.clients;
-      i_read_latency = tally.Cluster.read_latency;
-      i_write_latency = tally.Cluster.write_latency;
-    };
+  setup.on_instruments w tally;
   Cluster.run w.fabric ~until:(Cluster.horizon trace ~drain:setup.drain);
   { metrics = metrics w tally; oracle = w.oracle; store = w.store }

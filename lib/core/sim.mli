@@ -13,6 +13,25 @@ include module type of struct
   include Cluster.Faults
 end
 
+type world = {
+  fabric : Messages.payload Cluster.fabric;
+  servers : Server.t array;
+  route : Vstore.File_id.t -> int;
+      (** the index in [servers] of the server owning a file: clients send
+          its operations there *)
+  clients : Client.t array;
+  store : Vstore.Store.t;  (** shared by the servers; their file sets are disjoint *)
+  oracle : Oracle.Register_oracle.t;
+  mutable on_read : Workload.Op.t -> Client.read_result -> unit;
+  mutable on_write : Workload.Op.t -> Client.write_result -> unit;
+      (** completion listeners: {!drive} calls them on each completion,
+          after the tally has counted it.  They do nothing until an
+          observer sets them (the telemetry sampler of a K-server world
+          does). *)
+}
+(** A lease world: a {!Cluster} fabric carrying lease servers and clients.
+    Observers read it; they must not mutate protocol state. *)
+
 type setup = {
   seed : int64;
   n_clients : int;
@@ -34,26 +53,12 @@ type setup = {
       alongside tracing, sink pushes are bracketed so emission cost lands
       in the [trace/emit] center.  {!Profile.Recorder.null} — the default —
       keeps the dispatch loop on its one-branch fast path. *)
-  on_instruments : instruments -> unit;
-  (** called once per run, after the cluster is built and the workload and
-      faults are scheduled but before the engine starts — the hook a
-      telemetry sampler uses to attach itself.  Default [ignore]. *)
+  on_instruments : world -> Cluster.tally -> unit;
+  (** called once per run with the world and the op driver's tally, after
+      the faults and the first op are scheduled but before the engine
+      starts: the hook a telemetry sampler attaches through.  The default
+      does nothing. *)
 }
-
-and instruments = {
-  i_engine : Simtime.Engine.t;
-  i_net : Messages.payload Netsim.Net.t;
-  i_server : Server.t;
-  i_clients : Client.t array;
-  i_server_clock : Clock.t;
-  i_client_clocks : Clock.t array;
-  i_read_latency : Stats.Histogram.t;
-      (** the driver's read-latency histogram, live while the run executes *)
-  i_write_latency : Stats.Histogram.t;
-}
-(** Read-only handles on every layer of a running cluster.  Consumers must
-    not mutate protocol state; sampling through {!Server.snapshot},
-    counter registries and clock readings is the intended use. *)
 
 val default_setup : setup
 (** Seed 1, one client, {!Config.default}, the V LAN message times
@@ -72,20 +77,12 @@ val run : setup -> trace:Workload.Trace.t -> outcome
 
 (** {1 Lease worlds} *)
 
-type world = {
-  fabric : Messages.payload Cluster.fabric;
-  servers : Server.t array;
-  clients : Client.t array;
-  store : Vstore.Store.t;  (** shared by the servers; their file sets are disjoint *)
-  oracle : Oracle.Register_oracle.t;
-}
-
 val world :
   setup ->
   rng:Prng.Splitmix.t ->
   servers:(Host.Host_id.t * Config.t) array ->
   client_host:(int -> Host.Host_id.t) ->
-  ?route:(Vstore.File_id.t -> Host.Host_id.t) ->
+  ?route:(Vstore.File_id.t -> int) ->
   ?req_origin:(Host.Host_id.t -> int) ->
   unit ->
   world
@@ -93,23 +90,19 @@ val world :
     (its network stream split from [rng]); the [servers] in order, each
     with its own clock and WAL over one shared store; then client [i] at
     [client_host i] with its own clock and an RNG stream split from [rng],
-    sending to the first server unless [route] names a file's owner, its
-    request ids starting at [req_origin host] when given.  Ignores
-    [setup.seed], [faults], [drain] and [on_instruments]. *)
+    sending each file's operations to the server at index [route file]
+    (default: the first server), its request ids starting at
+    [req_origin host] when given.  Ignores [setup.seed], [faults], [drain]
+    and [on_instruments]. *)
 
 val schedule_faults :
   world -> server_of_shard:(int -> int option) -> trace_clients:bool -> fault list -> unit
 (** {!Cluster.schedule_faults} with each client at its host and clock and
     shard [s] at [servers.(i)] when [server_of_shard s = Some i]. *)
 
-val drive :
-  ?on_read:(Workload.Op.t -> Client.read_result -> unit) ->
-  ?on_write:(Workload.Op.t -> Client.write_result -> unit) ->
-  world ->
-  Workload.Op.t list ->
-  Cluster.tally
-(** {!Cluster.drive} through the world's clients; [on_read] and [on_write]
-    also see each completion. *)
+val drive : world -> Workload.Op.t list -> Cluster.tally
+(** {!Cluster.drive} through the world's clients; the world's
+    [on_read] and [on_write] also see each completion. *)
 
 val metrics : world -> Cluster.tally -> Metrics.t
 (** {!Cluster.metrics} with client counters summed over the clients and

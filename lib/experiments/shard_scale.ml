@@ -64,16 +64,12 @@ let sweep ~term_s ~duration ~client_counts ~shard_counts =
           let per_server = total /. float_of_int n_shards in
           if n_shards = 1 then baseline := per_server;
           let worst_steady_residual =
-            match Shard.Deploy.telemetry_report setup outcome with
-            | None -> nan
-            | Some reports ->
-              Array.fold_left
-                (fun worst r ->
-                  let s =
-                    r.Shard.Shard_telemetry.sr_summary.Telemetry.Residual.steady_load_residual
-                  in
-                  if Float.abs s > Float.abs worst then s else worst)
-                0. reports
+            Array.fold_left
+              (fun worst (summary : Telemetry.Residual.summary) ->
+                let s = summary.steady_load_residual in
+                if Float.abs s > Float.abs worst then s else worst)
+              0.
+              (Shard.Deploy.telemetry_report setup (Option.get outcome.Shard.Deploy.telemetry))
           in
           {
             clients;

@@ -58,7 +58,7 @@ type outcome = {
   map : Shard_map.t;
   oracle : Oracle.Register_oracle.t;
   store : Vstore.Store.t;
-  telemetry : Shard_telemetry.t option;
+  telemetry : Telemetry.Sampler.t option;
 }
 
 (* A shard server multicasts installed-file refreshes only for the files
@@ -98,7 +98,7 @@ let load_of_server ~shard ~sim_duration server =
    Telemetry attaches where [Sim.run] calls [on_instruments]: after the
    faults and the first op are scheduled. *)
 let run_world setup ~tracer ~profiler ~rng ~servers ?route ?req_origin ?latency ~server_of_shard
-    ~trace_clients ~shard_of ~until ops =
+    ~trace_clients ~until ops =
   let w =
     Leases.Sim.world
       {
@@ -114,43 +114,17 @@ let run_world setup ~tracer ~profiler ~rng ~servers ?route ?req_origin ?latency 
       ~rng ~servers ~client_host:(client_host setup) ?route ?req_origin ()
   in
   Leases.Sim.schedule_faults w ~server_of_shard ~trace_clients setup.faults;
+  let tally = Leases.Sim.drive w ops in
   let telemetry =
     Option.map
-      (fun interval_s -> Shard_telemetry.create ~interval_s ~n_shards:(Array.length servers) ())
+      (fun interval_s ->
+        let sampler = Telemetry.Sampler.create ~interval_s ?latency () in
+        Telemetry.Sampler.attach sampler w tally;
+        sampler)
       setup.telemetry_interval_s
   in
-  let tally =
-    Leases.Sim.drive w ops
-      ?on_read:
-        (Option.map
-           (fun c (op : Workload.Op.t) (r : Leases.Client.read_result) ->
-             Shard_telemetry.note_read c ~shard:(shard_of op.file)
-               ~latency_s:(Time.Span.to_sec r.r_latency) ~hit:r.r_from_cache)
-           telemetry)
-      ?on_write:
-        (Option.map
-           (fun c (op : Workload.Op.t) (r : Leases.Client.write_result) ->
-             Shard_telemetry.note_write c ~shard:(shard_of op.file)
-               ~latency_s:(Time.Span.to_sec r.w_latency))
-           telemetry)
-  in
-  Option.iter
-    (fun c ->
-      Shard_telemetry.attach c ~engine:w.fabric.Leases.Cluster.engine ~servers:w.servers;
-      (* The caller tees the analyzer's sink into [setup.tracer]; here each
-         shard's telemetry stream just learns where its phase sums live. *)
-      Option.iter
-        (fun analyzer ->
-          Array.iteri
-            (fun s (host, _) ->
-              let server = Host_id.to_int host in
-              Shard_telemetry.set_phase_source c ~shard:s (fun () ->
-                  Trace.Critical_path.phase_sums_for analyzer ~server))
-            servers)
-        latency)
-    telemetry;
   Leases.Cluster.run w.fabric ~until;
-  Option.iter Shard_telemetry.finalize telemetry;
+  Option.iter Telemetry.Sampler.finalize telemetry;
   (w, Leases.Sim.metrics w tally, telemetry)
 
 let run setup ~trace =
@@ -165,10 +139,9 @@ let run setup ~trace =
     run_world setup ~tracer:setup.tracer ~profiler:Profile.Recorder.null
       ~rng:(Prng.Splitmix.create ~seed:setup.seed)
       ~servers:(Array.init k (fun s -> (server_host s, config_for_shard setup map s)))
-      ~route:(fun file -> server_host (Shard_map.owner map file))
-      ?latency:setup.latency
+      ~route:(Shard_map.owner map) ?latency:setup.latency
       ~server_of_shard:(fun s -> Some (s mod k))
-      ~trace_clients:true ~shard_of:(Shard_map.owner map)
+      ~trace_clients:true
       ~until:(Leases.Cluster.horizon trace ~drain:setup.drain)
       (Workload.Trace.ops trace)
   in
@@ -191,7 +164,7 @@ type part = {
   p_load : shard_load;
   p_oracle : Oracle.Register_oracle.t;
   p_store : Vstore.Store.t;
-  p_telemetry : Shard_telemetry.t option;
+  p_telemetry : Telemetry.Sampler.t option;
   p_events : Trace.Event.t list;
   p_rtt_s : float;
 }
@@ -200,7 +173,6 @@ type split_outcome = {
   sp_metrics : Leases.Metrics.t;
   sp_per_shard : shard_load array;
   sp_map : Shard_map.t;
-  sp_telemetry : Shard_telemetry.t option;
   sp_parts : part array;
 }
 
@@ -227,9 +199,7 @@ let run_split_part setup ~map ~rng ~horizon ~part_ops ~shard:s =
       ~servers:[| (server_host s, config_for_shard setup map s) |]
       ~req_origin
       ~server_of_shard:(fun shard -> if shard mod setup.n_shards = s then Some 0 else None)
-      ~trace_clients:(s = 0)
-      ~shard_of:(fun _ -> 0)
-      ~until:horizon part_ops
+      ~trace_clients:(s = 0) ~until:horizon part_ops
   in
   {
     p_shard = s;
@@ -311,7 +281,7 @@ let run_split ?(domains = 1) setup ~trace =
     run_split_part setup ~map ~rng:rngs.(s) ~horizon ~part_ops:part_ops.(s) ~shard:s
   in
   let parts =
-    let n_dom = Stdlib.min domains setup.n_shards in
+    let n_dom = Int.min domains setup.n_shards in
     if n_dom <= 1 then Array.init setup.n_shards run_part
     else begin
       (* Work-stealing over the shard indices: each slot is written by
@@ -350,18 +320,10 @@ let run_split ?(domains = 1) setup ~trace =
     List.iter setup.tracer.Trace.Sink.push all;
     Trace.Sink.flush setup.tracer
   end;
-  let sp_telemetry =
-    Option.map
-      (fun interval_s ->
-        Shard_telemetry.gather ~interval_s
-          ~parts:(Array.map (fun p -> Option.get p.p_telemetry) parts))
-      setup.telemetry_interval_s
-  in
   {
     sp_metrics = merge_split_metrics ~rtt_s:parts.(0).p_rtt_s parts;
     sp_per_shard = Array.map (fun p -> p.p_load) parts;
     sp_map = map;
-    sp_telemetry;
     sp_parts = parts;
   }
 
@@ -378,12 +340,7 @@ let residual_params ?tolerance ?warmup_s setup =
     ~epsilon_s:(Time.Span.to_sec setup.config.Leases.Config.skew_allowance)
     ~term ()
 
-let telemetry_report setup outcome =
-  Option.map
-    (fun collector -> Shard_telemetry.report collector ~params:(residual_params setup))
-    outcome.telemetry
-
-let split_telemetry_report setup outcome =
-  Option.map
-    (fun collector -> Shard_telemetry.report collector ~params:(residual_params setup))
-    outcome.sp_telemetry
+let telemetry_report setup sampler =
+  let params = residual_params setup in
+  Array.init (Telemetry.Sampler.servers sampler) (fun server ->
+      Telemetry.Residual.summarize params (Telemetry.Residual.evaluate ~server params sampler))

@@ -11,7 +11,7 @@
     keep independent WALs, lease tables and clocks, so a crashed shard
     runs the max-term recovery wait on its own while the others keep
     serving.  With one shard, {!run} is [Leases.Sim.run]: same metrics,
-    same event stream.
+    same event stream, same telemetry windows.
 
     Fault vocabulary: [Leases.Sim.Crash_shard] and the server clock faults
     name the owning server of a shard (index taken modulo the shard
@@ -32,8 +32,8 @@ type setup = {
   drain : Simtime.Time.Span.t;
   tracer : Trace.Sink.t;
   telemetry_interval_s : float option;
-      (** when set, collect per-shard {!Shard_telemetry} windows at this
-          interval *)
+      (** when set, attach a {!Telemetry.Sampler} at this interval to the
+          run's world ({!run}) or to each part's ({!run_split}) *)
   latency : Trace.Critical_path.t option;
       (** a live critical-path analyzer whose sink the caller has already
           tee'd into [tracer]; when telemetry is also on, each shard's
@@ -88,7 +88,10 @@ type outcome = {
   map : Shard_map.t;
   oracle : Oracle.Register_oracle.t;
   store : Vstore.Store.t;
-  telemetry : Shard_telemetry.t option;  (** finalized when present *)
+  telemetry : Telemetry.Sampler.t option;
+      (** finalized when present; server [s] is shard [s], so with several
+          shards the windows follow the K-server read-count rule and with
+          one they equal [Leases.Sim.run]'s *)
 }
 
 val run : setup -> trace:Workload.Trace.t -> outcome
@@ -102,7 +105,7 @@ val run : setup -> trace:Workload.Trace.t -> outcome
     {!run_split} partitions the workload by file ownership and runs shard
     [s] as a complete, isolated simulation: its own engine, clocks,
     network, liveness and partition state, store, WAL, trace buffer,
-    telemetry collector and profile recorder, with per-shard RNG streams
+    telemetry sampler and profile recorder, with per-shard RNG streams
     pre-split from the master seed in shard order before any domain
     starts.  All [n_clients] client machines exist in every part (an op
     reaches the part owning its file; an idle client contributes
@@ -111,7 +114,7 @@ val run : setup -> trace:Workload.Trace.t -> outcome
 
     The result is deterministic in the seed and independent of [domains]:
     metrics sum, latency histograms fold with {!Stats.Histogram.merge} in
-    shard order, telemetry windows are keyed by shard, and the per-part
+    shard order, each part keeps its own telemetry windows, and the per-part
     trace streams are merged by [(timestamp, shard)] and replayed into
     [setup.tracer] after the parts join.
 
@@ -126,7 +129,9 @@ type part = {
   p_load : shard_load;
   p_oracle : Oracle.Register_oracle.t;
   p_store : Vstore.Store.t;  (** this shard's slice of the namespace *)
-  p_telemetry : Shard_telemetry.t option;  (** single-shard collector, finalized *)
+  p_telemetry : Telemetry.Sampler.t option;
+      (** this part's one-server sampler, finalized: full windows (counters,
+          skews, client queues, breakdown) but no phase sums *)
   p_events : Trace.Event.t list;
       (** this part's trace, time-ordered; empty when [setup.tracer] is
           disabled *)
@@ -137,8 +142,6 @@ type split_outcome = {
   sp_metrics : Leases.Metrics.t;  (** deterministic merge over the parts *)
   sp_per_shard : shard_load array;
   sp_map : Shard_map.t;
-  sp_telemetry : Shard_telemetry.t option;
-      (** per-shard windows gathered from the parts, keyed by shard *)
   sp_parts : part array;
 }
 
@@ -155,10 +158,7 @@ val residual_params :
     configured message times and skew allowance, and the term implied by
     the term policy (an adaptive policy evaluates at its max term). *)
 
-val telemetry_report : setup -> outcome -> Shard_telemetry.shard_report array option
-(** Per-shard windows, residual evaluations and summaries; [None] when the
-    setup collected no telemetry. *)
-
-val split_telemetry_report :
-  setup -> split_outcome -> Shard_telemetry.shard_report array option
-(** {!telemetry_report} for a split run. *)
+val telemetry_report : setup -> Telemetry.Sampler.t -> Telemetry.Residual.summary array
+(** The §3.1 residual summary of each server the sampler watched, in server
+    order, against {!residual_params}: shard [s]'s at index [s] for
+    {!run}'s sampler, and a split part's one shard for its [p_telemetry]. *)

@@ -41,9 +41,10 @@ type eval = {
 
 let unicast_rtt p = (2. *. p.m_prop_s) +. (4. *. p.m_proc_s)
 
-(* The §3.1 model takes per-client rates; per-window we measure them from
-   the actual completions, so the prediction tracks load swings (fault
-   windows, warm-up) instead of assuming the configured workload rates. *)
+(* The §3.1 model takes per-client rates; per window we measure them from
+   the window's own reads and commits (see [Sampler] for when a read
+   counts), so the prediction tracks load swings (fault windows, warm-up)
+   instead of assuming the configured workload rates. *)
 let analytic_params p ~r_rate ~w_rate ~sharing =
   {
     Analytic.Params.n_clients = p.n_clients;
@@ -114,7 +115,7 @@ let evaluate_window p (w : Sampler.window) =
     flagged = Float.abs load_residual > p.tolerance;
   }
 
-let evaluate p sampler = List.map (evaluate_window p) (Sampler.windows sampler)
+let evaluate ?server p sampler = List.map (evaluate_window p) (Sampler.windows ?server sampler)
 
 type summary = {
   windows : int;

@@ -2,7 +2,8 @@
 
     For each closed sampler window the reporter re-evaluates the paper's
     closed-form model from the rates {e measured in that window} — R from
-    read completions, W from commits, S recovered from the approval/commit
+    the window's reads (see {!Sampler} for when a read counts), W from
+    commits, S recovered from the approval/commit
     ratio — and compares its predicted consistency load and delay with the
     window's measured values.  The residual is the relative error,
     [(measured - predicted) / max predicted floor], where the floor is one
@@ -12,7 +13,7 @@
     Windows whose absolute load residual exceeds the tolerance are
     {e flagged}: a fault window shows a large negative residual while the
     server is down (no messages flow but the model still predicts load from
-    pre-fault completions in flight) followed by a positive recovery spike.
+    the reads the window counts) followed by a positive recovery spike.
 
     The {e steady} residual pools measured and predicted message totals
     over all read-active windows past the warm-up cutoff, which averages
@@ -77,8 +78,9 @@ type eval = {
 }
 
 val evaluate_window : params -> Sampler.window -> eval
-val evaluate : params -> Sampler.t -> eval list
-(** One {!eval} per closed window, in time order. *)
+val evaluate : ?server:int -> params -> Sampler.t -> eval list
+(** One {!eval} per closed window of {!Sampler.windows}: one server's, in
+    time order, or every server's, server by server. *)
 
 type summary = {
   windows : int;

@@ -36,18 +36,31 @@ type window = {
   write_phase_sums : (string * float) list;
 }
 
-type scalars = {
-  mutable p_hits : int;
-  mutable p_misses : int;
-  mutable p_commits : int;
-  mutable p_ext : int;
-  mutable p_app : int;
-  mutable p_inst : int;
-  mutable p_wt : int;
-  mutable p_read_sum : float;
-  mutable p_read_count : int;
-  mutable p_write_sum : float;
-  mutable p_write_count : int;
+(* One server's cumulative read side: hits, misses and the delay sums.
+   Under the K-server rule the world's completion listeners bump it; under
+   the one-server rule each sample refills it from the clients' counters
+   and the op driver's tally. *)
+type reads = {
+  mutable hits : int;
+  mutable misses : int;
+  mutable read_sum : float;
+  mutable read_count : int;
+  mutable write_sum : float;
+  mutable write_count : int;
+}
+
+let no_reads () =
+  { hits = 0; misses = 0; read_sum = 0.; read_count = 0; write_sum = 0.; write_count = 0 }
+
+(* One server's cumulative counts at the previous boundary; closing a
+   window overwrites them. *)
+type prev = {
+  p_reads : reads;
+  mutable commits : int;
+  mutable ext : int;
+  mutable app : int;
+  mutable inst : int;
+  mutable wt : int;
 }
 
 (* The merged counter namespace -- the server registry under "server/",
@@ -62,71 +75,39 @@ type namespace = {
 
 let unresolved = { sizes = [||]; names = [||]; cells = [||]; prev = [||] }
 
-(* What [attach] resolves once, so a sample reads ints. *)
-type attached = {
-  inst : Leases.Sim.instruments;
+(* What the one-server rule resolves once, so a sample reads ints. *)
+type one_server = {
   registries : (string * Stats.Counter.Registry.t) array;  (* prefix, registry *)
   mutable namespace : namespace;
   client_labels : string array;  (* skew keys: "client/0", ... *)
   axes : (string * Breakdown.axis) list;
+  side : reads;  (* refilled at each sample *)
+}
+
+type rule = One_server of one_server | Per_server of reads array
+
+type attached = {
+  world : Leases.Sim.world;
+  tally : Leases.Cluster.tally;
+  rule : rule;
+  prev : prev array;  (* per server *)
+  prev_phases : float array array;  (* per server, by phase *)
+  rev_windows : window list array;  (* per server, newest first *)
 }
 
 type t = {
   interval_s : float;
+  latency : Trace.Critical_path.t option;
   mutable attached : attached option;
-  mutable phase_source : (unit -> (string * float) list) option;
-  mutable rev_windows : window list;
   mutable closed : int;
   mutable last_t : float;
   mutable finalized : bool;
-  prev_phases : (string, float) Hashtbl.t;
-  prev : scalars;
 }
 
-let create ?(interval_s = 10.) () =
+let create ?(interval_s = 10.) ?latency () =
   if interval_s <= 0. || not (Float.is_finite interval_s) then
     invalid_arg "Telemetry.Sampler.create: interval must be positive and finite";
-  {
-    interval_s;
-    attached = None;
-    phase_source = None;
-    rev_windows = [];
-    closed = 0;
-    last_t = 0.;
-    finalized = false;
-    prev_phases = Hashtbl.create 8;
-    prev =
-      {
-        p_hits = 0;
-        p_misses = 0;
-        p_commits = 0;
-        p_ext = 0;
-        p_app = 0;
-        p_inst = 0;
-        p_wt = 0;
-        p_read_sum = 0.;
-        p_read_count = 0;
-        p_write_sum = 0.;
-        p_write_count = 0;
-      };
-  }
-
-let interval_s t = t.interval_s
-
-let set_phase_source t source = t.phase_source <- Some source
-
-(* The source reports cumulative per-phase sums; windows carry the
-   increments, sparse like [deltas]. *)
-let phase_deltas t =
-  match t.phase_source with
-  | None -> []
-  | Some source ->
-    List.filter_map
-      (fun (name, value) ->
-        let prev = Option.value (Hashtbl.find_opt t.prev_phases name) ~default:0. in
-        Hashtbl.replace t.prev_phases name value;
-        if value <> prev then Some (name, value -. prev) else None)
-      (source ())
+  { interval_s; latency; attached = None; closed = 0; last_t = 0.; finalized = false }
 
 (* Sort every registry's counters into one namespace by prefixed name.  A
    name already resolved keeps its previous value; a new one starts from
@@ -150,19 +131,19 @@ let resolve registries (before : namespace) =
     prev = Array.map (fun (name, _) -> Option.value (Hashtbl.find_opt prev name) ~default:0) entries;
   }
 
-let grown a =
-  let sizes = a.namespace.sizes in
+let grown o =
+  let sizes = o.namespace.sizes in
   let rec from i =
     i < Array.length sizes
-    && (Stats.Counter.Registry.size (snd a.registries.(i)) <> sizes.(i) || from (i + 1))
+    && (Stats.Counter.Registry.size (snd o.registries.(i)) <> sizes.(i) || from (i + 1))
   in
   from 0
 
 (* The cumulative merged counters, sorted by name, and the ones that moved
    since the previous sample with their increments. *)
-let counter_sample a =
-  if grown a then a.namespace <- resolve a.registries a.namespace;
-  let ns = a.namespace in
+let counter_sample o =
+  if grown o then o.namespace <- resolve o.registries o.namespace;
+  let ns = o.namespace in
   let counters = ref [] and deltas = ref [] in
   for i = Array.length ns.names - 1 downto 0 do
     let name = ns.names.(i) and value = Stats.Counter.value ns.cells.(i) in
@@ -172,42 +153,56 @@ let counter_sample a =
   done;
   (!counters, !deltas)
 
-let entity_deltas a =
+let entity_deltas o =
   List.filter_map
     (fun (label, axis) ->
       match Breakdown.sample axis with [] -> None | moved -> Some (label, moved))
-    a.axes
+    o.axes
 
-let in_flight_msgs (inst : Leases.Sim.instruments) =
-  let net = inst.i_net in
+let in_flight_msgs net =
   Netsim.Net.attempts net - Netsim.Net.deliveries net - Netsim.Net.dropped_loss net
   - Netsim.Net.dropped_partition net - Netsim.Net.dropped_down net
 
-let skews a =
-  let inst = a.inst in
-  let engine_now = Engine.now inst.i_engine in
+let skews o (w : Leases.Sim.world) =
+  let engine_now = Engine.now w.fabric.Leases.Cluster.engine in
   let skew clock = Time.Span.to_sec (Time.diff (Clock.now clock) engine_now) in
-  ("server", skew inst.i_server_clock)
-  :: List.init (Array.length inst.i_client_clocks) (fun i ->
-         (a.client_labels.(i), skew inst.i_client_clocks.(i)))
+  ("server", skew (Server.clock w.servers.(0)))
+  :: List.init (Array.length w.clients) (fun i ->
+         (o.client_labels.(i), skew (Client.clock w.clients.(i))))
 
-let take_sample t a =
-  let inst = a.inst in
-  let t_end = Time.to_sec (Engine.now inst.i_engine) in
-  let counters, deltas = counter_sample a in
-  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 inst.i_clients in
-  let hits = sum Client.hits and misses = sum Client.misses in
-  let ext = Server.messages_handled inst.i_server Leases.Messages.Extension in
-  let app = Server.messages_handled inst.i_server Leases.Messages.Approval in
-  let ins = Server.messages_handled inst.i_server Leases.Messages.Installed in
-  let wt = Server.messages_handled inst.i_server Leases.Messages.Write_transfer in
-  let commits = Server.commits inst.i_server in
-  let read_sum = Stats.Histogram.sum inst.i_read_latency in
-  let read_count = Stats.Histogram.count inst.i_read_latency in
-  let write_sum = Stats.Histogram.sum inst.i_write_latency in
-  let write_count = Stats.Histogram.count inst.i_write_latency in
-  let snap = Server.snapshot inst.i_server in
-  let p = t.prev in
+(* The analyzer's sums are cumulative, in phase order; a window carries
+   the phases that moved since the previous boundary, with their
+   increments. *)
+let phase_deltas t a s =
+  match t.latency with
+  | None -> []
+  | Some analyzer ->
+    let prev = a.prev_phases.(s) in
+    let server = Host.Host_id.to_int (Server.host a.world.servers.(s)) in
+    let rec moved i = function
+      | [] -> []
+      | (name, value) :: rest ->
+        let before = prev.(i) in
+        prev.(i) <- value;
+        if value <> before then (name, value -. before) :: moved (i + 1) rest
+        else moved (i + 1) rest
+    in
+    moved 0 (Trace.Critical_path.phase_sums_for analyzer ~server)
+
+(* Close server [s]'s window at [t_end] from its read side [r] and its own
+   counters, against the previous boundary's counts, which it then
+   overwrites.  The one-server rule passes the fields a K-server window
+   leaves empty. *)
+let close_window t a s ~t_end (r : reads) ~counters ~deltas ~client_inflight ~client_queued_ops
+    ~in_flight_msgs ~skews ~by_entity =
+  let server = a.world.servers.(s) and p = a.prev.(s) in
+  let pr = p.p_reads in
+  let handled kind = Server.messages_handled server kind in
+  let commits = Server.commits server in
+  let ext = handled Leases.Messages.Extension and app = handled Leases.Messages.Approval in
+  let inst = handled Leases.Messages.Installed in
+  let wt = handled Leases.Messages.Write_transfer in
+  let snap = Server.snapshot server in
   let window =
     {
       w_index = t.closed;
@@ -215,78 +210,137 @@ let take_sample t a =
       t_end;
       counters;
       deltas;
-      reads = hits + misses - p.p_hits - p.p_misses;
-      hits = hits - p.p_hits;
-      misses = misses - p.p_misses;
-      commits = commits - p.p_commits;
-      extension_msgs = ext - p.p_ext;
-      approval_msgs = app - p.p_app;
-      installed_msgs = ins - p.p_inst;
-      write_transfer_msgs = wt - p.p_wt;
-      read_delay_sum = read_sum -. p.p_read_sum;
-      read_delay_count = read_count - p.p_read_count;
-      write_delay_sum = write_sum -. p.p_write_sum;
-      write_delay_count = write_count - p.p_write_count;
+      reads = r.hits + r.misses - pr.hits - pr.misses;
+      hits = r.hits - pr.hits;
+      misses = r.misses - pr.misses;
+      commits = commits - p.commits;
+      extension_msgs = ext - p.ext;
+      approval_msgs = app - p.app;
+      installed_msgs = inst - p.inst;
+      write_transfer_msgs = wt - p.wt;
+      read_delay_sum = r.read_sum -. pr.read_sum;
+      read_delay_count = r.read_count - pr.read_count;
+      write_delay_sum = r.write_sum -. pr.write_sum;
+      write_delay_count = r.write_count - pr.write_count;
       lease_files = snap.Server.lease_files;
       lease_records = snap.Server.lease_records;
       lease_records_live = snap.Server.lease_records_live;
       pending_writes = snap.Server.pending_writes;
       queued_writes = snap.Server.queued_writes;
-      client_inflight = sum Client.inflight_rpcs;
-      client_queued_ops = sum Client.queued_ops;
-      in_flight_msgs = in_flight_msgs inst;
+      client_inflight;
+      client_queued_ops;
+      in_flight_msgs;
       server_up = snap.Server.up;
       server_recovering = snap.Server.recovering;
-      skews = skews a;
-      by_entity = entity_deltas a;
-      write_phase_sums = phase_deltas t;
+      skews;
+      by_entity;
+      write_phase_sums = phase_deltas t a s;
     }
   in
-  p.p_hits <- hits;
-  p.p_misses <- misses;
-  p.p_commits <- commits;
-  p.p_ext <- ext;
-  p.p_app <- app;
-  p.p_inst <- ins;
-  p.p_wt <- wt;
-  p.p_read_sum <- read_sum;
-  p.p_read_count <- read_count;
-  p.p_write_sum <- write_sum;
-  p.p_write_count <- write_count;
-  t.rev_windows <- window :: t.rev_windows;
+  pr.hits <- r.hits;
+  pr.misses <- r.misses;
+  pr.read_sum <- r.read_sum;
+  pr.read_count <- r.read_count;
+  pr.write_sum <- r.write_sum;
+  pr.write_count <- r.write_count;
+  p.commits <- commits;
+  p.ext <- ext;
+  p.app <- app;
+  p.inst <- inst;
+  p.wt <- wt;
+  a.rev_windows.(s) <- window :: a.rev_windows.(s)
+
+let take_sample t a ~t_end =
+  let w = a.world in
+  (match a.rule with
+  | One_server o ->
+    let clients f = Array.fold_left (fun acc c -> acc + f c) 0 w.clients in
+    let r = o.side and tally = a.tally in
+    r.hits <- clients Client.hits;
+    r.misses <- clients Client.misses;
+    r.read_sum <- Stats.Histogram.sum tally.Leases.Cluster.read_latency;
+    r.read_count <- Stats.Histogram.count tally.Leases.Cluster.read_latency;
+    r.write_sum <- Stats.Histogram.sum tally.Leases.Cluster.write_latency;
+    r.write_count <- Stats.Histogram.count tally.Leases.Cluster.write_latency;
+    let counters, deltas = counter_sample o in
+    close_window t a 0 ~t_end r ~counters ~deltas ~client_inflight:(clients Client.inflight_rpcs)
+      ~client_queued_ops:(clients Client.queued_ops)
+      ~in_flight_msgs:(in_flight_msgs w.fabric.Leases.Cluster.net)
+      ~skews:(skews o w) ~by_entity:(entity_deltas o)
+  | Per_server live ->
+    Array.iteri
+      (fun s r ->
+        close_window t a s ~t_end r ~counters:[] ~deltas:[] ~client_inflight:0
+          ~client_queued_ops:0 ~in_flight_msgs:0 ~skews:[] ~by_entity:[])
+      live);
   t.closed <- t.closed + 1;
   t.last_t <- t_end
 
-let attach t (inst : Leases.Sim.instruments) =
-  if Option.is_some t.attached then
-    invalid_arg "Telemetry.Sampler.attach: sampler already attached";
+let one_server (w : Leases.Sim.world) =
   let breakdown = Breakdown.create () in
-  Server.set_breakdown inst.i_server (Some breakdown);
+  Server.set_breakdown w.servers.(0) (Some breakdown);
   let registries =
     Array.append
-      [| ("server/", Server.counters inst.i_server) |]
-      (Array.mapi (fun i c -> (Printf.sprintf "client/%d/" i, Client.counters c)) inst.i_clients)
+      [| ("server/", Server.counters w.servers.(0)) |]
+      (Array.mapi (fun i c -> (Printf.sprintf "client/%d/" i, Client.counters c)) w.clients)
   in
+  {
+    registries;
+    namespace = resolve registries unresolved;
+    client_labels = Array.init (Array.length w.clients) (Printf.sprintf "client/%d");
+    axes = Breakdown.axes breakdown;
+    side = no_reads ();
+  }
+
+(* Credit each completion to the server owning its file. *)
+let per_server (w : Leases.Sim.world) =
+  let live = Array.map (fun _ -> no_reads ()) w.servers in
+  w.on_read <-
+    (fun op r ->
+      let c = live.(w.route op.Workload.Op.file) in
+      if r.Client.r_from_cache then c.hits <- c.hits + 1 else c.misses <- c.misses + 1;
+      c.read_sum <- c.read_sum +. Time.Span.to_sec r.Client.r_latency;
+      c.read_count <- c.read_count + 1);
+  w.on_write <-
+    (fun op r ->
+      let c = live.(w.route op.Workload.Op.file) in
+      c.write_sum <- c.write_sum +. Time.Span.to_sec r.Client.w_latency;
+      c.write_count <- c.write_count + 1);
+  live
+
+let attach t (w : Leases.Sim.world) tally =
+  if Option.is_some t.attached then
+    invalid_arg "Telemetry.Sampler.attach: sampler already attached";
+  let n = Array.length w.servers in
+  let rule = if n = 1 then One_server (one_server w) else Per_server (per_server w) in
   let a =
     {
-      inst;
-      registries;
-      namespace = resolve registries unresolved;
-      client_labels = Array.init (Array.length inst.i_client_clocks) (Printf.sprintf "client/%d");
-      axes = Breakdown.axes breakdown;
+      world = w;
+      tally;
+      rule;
+      prev =
+        Array.init n (fun _ ->
+            { p_reads = no_reads (); commits = 0; ext = 0; app = 0; inst = 0; wt = 0 });
+      prev_phases =
+        Array.init n (fun _ -> Array.make (List.length Trace.Critical_path.phases) 0.);
+      rev_windows = Array.make n [];
     }
   in
   t.attached <- Some a;
-  let engine = inst.i_engine in
+  let engine = w.fabric.Leases.Cluster.engine in
   let rec arm k =
-    let boundary = Time.of_sec (float_of_int k *. t.interval_s) in
+    let nominal = float_of_int k *. t.interval_s in
+    let boundary = Time.of_sec nominal in
     if Time.(boundary > Engine.now engine) then
       ignore
         (Engine.schedule_at engine boundary (fun () ->
              (let p = Engine.profiler engine in
               if Profile.Recorder.enabled p then
                 Profile.Recorder.mark p Profile.Center.Telemetry_sample);
-             take_sample t a;
+             let t_end =
+               match rule with One_server _ -> Time.to_sec boundary | Per_server _ -> nominal
+             in
+             take_sample t a ~t_end;
              arm (k + 1)))
     else arm (k + 1)
   in
@@ -298,11 +352,20 @@ let finalize t =
   | Some a ->
     if not t.finalized then begin
       t.finalized <- true;
-      let now = Time.to_sec (Engine.now a.inst.i_engine) in
-      if now > t.last_t then take_sample t a
+      let now = Time.to_sec (Engine.now a.world.fabric.Leases.Cluster.engine) in
+      if now > t.last_t then take_sample t a ~t_end:now
     end
 
-let windows t = List.rev t.rev_windows
+let server_windows t = match t.attached with None -> [||] | Some a -> a.rev_windows
+
+let servers t = Array.length (server_windows t)
+
+let windows ?server t =
+  let per_server = server_windows t in
+  match server with
+  | None -> List.concat_map List.rev (Array.to_list per_server)
+  | Some s when s >= 0 && s < Array.length per_server -> List.rev per_server.(s)
+  | Some s -> invalid_arg (Printf.sprintf "Telemetry.Sampler.windows: no server %d" s)
 
 let max_abs_skew w =
   List.fold_left (fun acc (_, s) -> Float.max acc (Float.abs s)) 0. w.skews
@@ -310,21 +373,3 @@ let max_abs_skew w =
 let consistency_msgs w = w.extension_msgs + w.approval_msgs + w.installed_msgs
 
 let duration_s w = w.t_end -. w.t_start
-
-let consistency_rate w =
-  let d = duration_s w in
-  if d <= 0. then 0. else float_of_int (consistency_msgs w) /. d
-
-let series t =
-  let mk label f =
-    let s = Stats.Series.create ~label in
-    List.iter (fun w -> Stats.Series.add s ~x:w.t_end ~y:(f w)) (windows t);
-    s
-  in
-  [
-    mk "consistency msgs/s" consistency_rate;
-    mk "live lease records" (fun w -> float_of_int w.lease_records_live);
-    mk "pending+queued writes" (fun w -> float_of_int (w.pending_writes + w.queued_writes));
-    mk "in-flight msgs" (fun w -> float_of_int w.in_flight_msgs);
-    mk "max |clock skew| (s)" max_abs_skew;
-  ]

@@ -85,35 +85,3 @@ let jsonl oc =
         output_char oc '\n');
     flush = (fun () -> Stdlib.flush oc);
   }
-
-(* Time-series aggregation *)
-
-type bucket = { mutable start : float; mutable count : int; mutable closed : (float * int) list }
-type timeline = { interval : float; kinds : (string, bucket) Hashtbl.t }
-
-let timeline ?(interval_s = 1.0) () =
-  if interval_s <= 0. then invalid_arg "Trace.Sink.timeline: interval must be positive";
-  { interval = interval_s; kinds = Hashtbl.create 24 }
-
-let timeline_push tl (e : Event.t) =
-  let key = Event.kind_name e.ev in
-  let bucket_start = Float.of_int (int_of_float (e.at /. tl.interval)) *. tl.interval in
-  match Hashtbl.find_opt tl.kinds key with
-  | None -> Hashtbl.add tl.kinds key { start = bucket_start; count = 1; closed = [] }
-  | Some b when b.start = bucket_start -> b.count <- b.count + 1
-  | Some b ->
-    (* Events arrive in engine order, so a new bucket closes the old one. *)
-    b.closed <- (b.start, b.count) :: b.closed;
-    b.start <- bucket_start;
-    b.count <- 1
-
-let timeline_sink tl = { enabled = true; push = timeline_push tl; flush = ignore }
-
-let timeline_series tl =
-  Hashtbl.fold (fun key b acc -> (key, b) :: acc) tl.kinds []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map (fun (key, b) ->
-         let s = Stats.Series.create ~label:key in
-         List.iter (fun (x, y) -> Stats.Series.add s ~x ~y:(float_of_int y))
-           (List.rev ((b.start, b.count) :: b.closed));
-         s)

@@ -9,8 +9,8 @@
     because OCaml evaluates the payload argument eagerly; with the guard,
     the {!null} sink costs one load and one branch per potential event.
 
-    Sinks buffer without synchronization ({!buffer}, {!ring}, {!timeline},
-    and the [jsonl] writer's channel): one domain owns a sink for the
+    Sinks buffer without synchronization ({!buffer}, {!ring} and the
+    [jsonl] writer's channel): one domain owns a sink for the
     duration of a run.  A parallel harness gives each sub-simulation a
     private buffer and interleaves the captured streams after the domains
     join — see [Shard.Deploy.run_split]. *)
@@ -62,17 +62,3 @@ val buffer_contents : buffer -> Event.t list
 (** {1 JSONL writer} — one {!Codec.encode}d line per event. *)
 
 val jsonl : out_channel -> t
-
-(** {1 Time-series aggregation} — buckets per-kind event counts into
-    {!Stats.Series} for plotting alongside the existing figures. *)
-
-type timeline
-
-val timeline : ?interval_s:float -> unit -> timeline
-(** Default bucket width 1 s. *)
-
-val timeline_sink : timeline -> t
-
-val timeline_series : timeline -> Stats.Series.t list
-(** One series per event kind seen, labelled by {!Event.kind_name},
-    sorted by label; x = bucket start (s), y = events in bucket. *)

@@ -101,6 +101,17 @@ dune exec bin/simulate.exe -- -p leases -t 10 -n 6 -d 120 -s 3 --shards 4 \
 dune exec bin/tracedump.exe -- /tmp/leases_shard_smoke.jsonl \
   --shards 4 --map-seed 3 --check-only
 
+echo "== split-mode smoke sim + invariant checker =="
+# The split deployment runs each shard as its own sub-simulation, here two
+# at a time on parallel domains, with a telemetry sampler on every part.
+# Through a shard crash and a client crash its merged trace must replay
+# through the multi-server checker with zero violations.
+dune exec bin/simulate.exe -- -p leases -t 10 -n 6 -d 120 -s 3 --shards 4 --domains 2 \
+  --telemetry 10 --fault crash-shard=1,40,8 --fault crash-client=2,30,10 \
+  --trace /tmp/leases_split_smoke.jsonl > /dev/null
+dune exec bin/tracedump.exe -- /tmp/leases_split_smoke.jsonl \
+  --shards 4 --map-seed 3 --check-only
+
 echo "== fault campaign (25 seeded schedules) =="
 # A pinned random fault campaign with the register oracle and the trace
 # invariant checker armed on every schedule; leases-campaign exits

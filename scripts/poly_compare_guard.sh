@@ -2,9 +2,9 @@
 # Hot-path guard: no polymorphic comparison in the simulator's core.
 #
 # Disassembles the benchmark binary and fails, naming each function, when
-# code from the simulation libraries (Leases, Simtime, Clock, Netsim,
-# Vstore, Host, Int_tbl, Oracle, Prng, Stats, Workload) or from the
-# observers a campaign runs on every event (Trace, Telemetry,
+# code from the simulation libraries (Leases, Shard, Simtime, Clock,
+# Netsim, Vstore, Host, Int_tbl, Oracle, Prng, Stats, Workload) or from
+# the observers a campaign runs on every event (Trace, Telemetry,
 # Fault_campaign) calls the runtime's generic comparison (caml_compare,
 # caml_equal, caml_notequal, caml_lessthan, caml_lessequal,
 # caml_greaterthan, caml_greaterequal) or Stdlib's out-of-line
@@ -30,7 +30,7 @@ command -v objdump > /dev/null 2>&1 || {
 }
 [ -f "$BIN" ] || { echo "poly_compare_guard.sh: no binary at $BIN (run dune build)" >&2; exit 1; }
 
-LIBS="Leases Simtime Clock Netsim Vstore Host Int_tbl Oracle Prng Stats Workload Trace Telemetry Fault_campaign"
+LIBS="Leases Shard Simtime Clock Netsim Vstore Host Int_tbl Oracle Prng Stats Workload Trace Telemetry Fault_campaign"
 
 # One line per (function, callee): the call count, the function as
 # Module.Sub.name, its symbol, and the callee.  Generic comparisons are

@@ -107,11 +107,36 @@ let fault_exn spec =
 
 let encoded buf = List.map Trace.Codec.encode (Trace.Sink.buffer_contents buf)
 
+(* Every field of a window, floats in hex so the line is exact. *)
+let window_line (w : Telemetry.Sampler.window) =
+  let ints l = String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) l) in
+  let floats l = String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%h" k v) l) in
+  let entities =
+    String.concat ";"
+      (List.map
+         (fun (axis, moved) ->
+           axis ^ ":"
+           ^ String.concat "," (List.map (fun (e, d) -> Printf.sprintf "%d=%d" e d) moved))
+         w.Telemetry.Sampler.by_entity)
+  in
+  let open Telemetry.Sampler in
+  Printf.sprintf
+    "i=%d t=%h..%h counters=[%s] deltas=[%s] reads=%d hits=%d misses=%d commits=%d ext=%d \
+     app=%d inst=%d wt=%d rd=%h/%d wd=%h/%d lease=%d/%d/%d pending=%d queued=%d inflight=%d \
+     cqueued=%d net=%d up=%b recovering=%b skews=[%s] entities=[%s] phases=[%s]"
+    w.w_index w.t_start w.t_end (ints w.counters) (ints w.deltas) w.reads w.hits w.misses
+    w.commits w.extension_msgs w.approval_msgs w.installed_msgs w.write_transfer_msgs
+    w.read_delay_sum w.read_delay_count w.write_delay_sum w.write_delay_count w.lease_files
+    w.lease_records w.lease_records_live w.pending_writes w.queued_writes w.client_inflight
+    w.client_queued_ops w.in_flight_msgs w.server_up w.server_recovering (floats w.skews)
+    entities (floats w.write_phase_sums)
+
 let test_single_shard_matches_sim_load () =
   (* one shard routes everything to host 0 and lays client i out as host
      1 + i, exactly as the single-server harness does, so the two must run
-     the same simulation: same metrics, same event stream, under loss and
-     every kind of fault *)
+     the same simulation: same metrics, same event stream and, both being
+     one-server worlds, the same telemetry windows, under loss and every
+     kind of fault *)
   let trace = v_trace ~duration:200. () in
   let faults =
     List.map fault_exn
@@ -129,6 +154,7 @@ let test_single_shard_matches_sim_load () =
     (Experiments.Runner.lease_setup ~term:(Analytic.Model.Finite 10.) ()).Leases.Sim.config
   in
   let sim_buf = Trace.Sink.buffer () and dep_buf = Trace.Sink.buffer () in
+  let sampler = Telemetry.Sampler.create ~interval_s:7.5 () in
   let sim =
     Leases.Sim.run
       {
@@ -138,13 +164,17 @@ let test_single_shard_matches_sim_load () =
         loss = 0.05;
         faults;
         tracer = Trace.Sink.buffer_sink sim_buf;
+        on_instruments = Telemetry.Sampler.attach sampler;
       }
       ~trace
   in
+  Telemetry.Sampler.finalize sampler;
   let sharded =
     Shard.Deploy.run
       {
-        (sharded_setup ~n_shards:1 ~faults ~tracer:(Trace.Sink.buffer_sink dep_buf) ()) with
+        (sharded_setup ~n_shards:1 ~faults ~tracer:(Trace.Sink.buffer_sink dep_buf)
+           ~telemetry:7.5 ())
+        with
         Shard.Deploy.config;
         loss = 0.05;
       }
@@ -160,7 +190,10 @@ let test_single_shard_matches_sim_load () =
     (Leases.Metrics.to_json m);
   Alcotest.(check bool) "faults fired" true (m.Leases.Metrics.net_dropped_down > 0);
   Alcotest.(check (list string)) "same event stream as Sim.run" (encoded sim_buf)
-    (encoded dep_buf)
+    (encoded dep_buf);
+  let windows sampler = List.map window_line (Telemetry.Sampler.windows sampler) in
+  Alcotest.(check (list string)) "same telemetry windows as Sim.run" (windows sampler)
+    (windows (Option.get sharded.Shard.Deploy.telemetry))
 
 let test_shard_failover () =
   (* crash one shard's server mid-run: its files stall through the crash
@@ -236,14 +269,14 @@ let test_failover_other_shards_keep_serving () =
   let outcome = Shard.Deploy.run setup ~trace in
   (match outcome.Shard.Deploy.telemetry with
   | None -> Alcotest.fail "telemetry expected"
-  | Some collector ->
+  | Some sampler ->
     (* shard 0's windows show the outage (server down), the others never
        go down *)
-    let down_windows shard =
+    let down_windows server =
       List.length
         (List.filter
            (fun (w : Telemetry.Sampler.window) -> not w.Telemetry.Sampler.server_up)
-           (Shard.Shard_telemetry.windows collector ~shard))
+           (Telemetry.Sampler.windows ~server sampler))
     in
     Alcotest.(check bool) "crashed shard shows down windows" true (down_windows 0 > 0);
     for s = 1 to 3 do
@@ -266,21 +299,20 @@ let test_per_shard_residuals () =
   let setup = sharded_setup ~telemetry:30. () in
   let trace = v_trace ~duration:600. () in
   let outcome = Shard.Deploy.run setup ~trace in
-  match Shard.Deploy.telemetry_report setup outcome with
+  match outcome.Shard.Deploy.telemetry with
   | None -> Alcotest.fail "telemetry expected"
-  | Some reports ->
+  | Some sampler ->
+    let reports = Shard.Deploy.telemetry_report setup sampler in
     Alcotest.(check int) "one report per shard" 4 (Array.length reports);
-    Array.iter
-      (fun r ->
+    Array.iteri
+      (fun shard (summary : Telemetry.Residual.summary) ->
         Alcotest.(check bool)
-          (Printf.sprintf "shard %d has windows" r.Shard.Shard_telemetry.sr_shard)
-          true
-          (r.Shard.Shard_telemetry.sr_summary.Telemetry.Residual.windows > 0);
+          (Printf.sprintf "shard %d has windows" shard)
+          true (summary.windows > 0);
         Alcotest.(check bool)
-          (Printf.sprintf "shard %d residual is finite" r.Shard.Shard_telemetry.sr_shard)
+          (Printf.sprintf "shard %d residual is finite" shard)
           true
-          (Float.is_finite
-             r.Shard.Shard_telemetry.sr_summary.Telemetry.Residual.steady_load_residual))
+          (Float.is_finite summary.steady_load_residual))
       reports
 
 (* --- sequential goldens -------------------------------------------- *)
@@ -401,11 +433,10 @@ let split_observables ~domains ~faults ~duration () =
   let trace = v_trace ~duration () in
   let outcome = Shard.Deploy.run_split ~domains setup ~trace in
   let windows =
-    match outcome.Shard.Deploy.sp_telemetry with
-    | None -> []
-    | Some collector ->
-      List.init setup.Shard.Deploy.n_shards (fun s ->
-          Shard.Shard_telemetry.windows collector ~shard:s)
+    Array.to_list
+      (Array.map
+         (fun p -> Telemetry.Sampler.windows (Option.get p.Shard.Deploy.p_telemetry))
+         outcome.Shard.Deploy.sp_parts)
   in
   ( Leases.Metrics.to_json outcome.Shard.Deploy.sp_metrics,
     outcome.Shard.Deploy.sp_per_shard,
@@ -419,6 +450,30 @@ let split_faults () =
     fault_exn "crash-client=3,50,15";
   ]
 
+(* The faulted 4-shard run's per-shard windows, with a live critical-path
+   analyzer feeding each shard's phase sums.  The digest was recorded with
+   the dedicated shard collector [Telemetry.Sampler] replaced, so it holds
+   the K-server read-count rule and window shape to that collector's. *)
+let test_golden_shard_windows () =
+  let analyzer = Trace.Critical_path.create () in
+  let setup =
+    {
+      (sharded_setup ~faults:(split_faults ()) ~tracer:(Trace.Critical_path.sink analyzer)
+         ~telemetry:10. ())
+      with
+      Shard.Deploy.latency = Some analyzer;
+    }
+  in
+  let outcome = Shard.Deploy.run setup ~trace:(v_trace ~duration:200. ()) in
+  (* every window of every shard, shard by shard *)
+  let windows = Telemetry.Sampler.windows (Option.get outcome.Shard.Deploy.telemetry) in
+  Alcotest.(check bool) "phase sums sampled" true
+    (List.exists (fun (w : Telemetry.Sampler.window) -> w.write_phase_sums <> []) windows);
+  let lines = List.map window_line windows in
+  Alcotest.(check int) "windows" 128 (List.length lines);
+  Alcotest.(check string) "every field of every window, MD5" "a20cdf15c8bd76d148bdda7ce8557c24"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let test_split_domains_equivalent () =
   (* the tentpole's correctness spine: the same seeded split deployment —
      faults, loss-free network, telemetry, tracing — produces identical
@@ -429,6 +484,21 @@ let test_split_domains_equivalent () =
   Alcotest.(check string) "metrics identical across domain counts" m1 m4;
   Alcotest.(check bool) "per-shard loads identical" true (l1 = l4);
   Alcotest.(check bool) "telemetry windows identical" true (w1 = w4);
+  (* each part is a one-server world, so its windows are full ones *)
+  List.iteri
+    (fun shard windows ->
+      Alcotest.(check bool)
+        (Printf.sprintf "part %d's windows carry skews and counters" shard)
+        true
+        (windows <> []
+        && List.for_all
+             (fun (w : Telemetry.Sampler.window) -> w.skews <> [] && w.counters <> [])
+             windows))
+    w1;
+  Alcotest.(check bool) "the drifted shard's server clock shows skew" true
+    (List.exists
+       (fun (w : Telemetry.Sampler.window) -> Float.abs (List.assoc "server" w.skews) > 1.)
+       (List.nth w1 2));
   Alcotest.(check bool) "traces non-empty" true (t1 <> []);
   Alcotest.(check (list string)) "merged traces identical" t1 t4
 
@@ -514,5 +584,6 @@ let () =
       ( "telemetry",
         [
           Alcotest.test_case "per-shard residuals" `Quick test_per_shard_residuals;
+          Alcotest.test_case "golden: faulted per-shard windows" `Quick test_golden_shard_windows;
         ] );
     ]

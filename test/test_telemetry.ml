@@ -16,25 +16,25 @@ let run_sampled ?(interval_s = 10.) ?(n_clients = 2) ?(duration = 120.) ?(seed =
     Experiments.Runner.lease_setup ~n_clients ~term:(Analytic.Model.Finite 10.) ()
   in
   let sampler = Telemetry.Sampler.create ~interval_s () in
-  let instruments = ref None in
+  let world = ref None in
   let setup =
     { setup with
       Leases.Sim.seed;
       faults;
       on_instruments =
-        (fun i ->
-          instruments := Some i;
-          Telemetry.Sampler.attach sampler i);
+        (fun w tally ->
+          world := Some w;
+          Telemetry.Sampler.attach sampler w tally);
     }
   in
   let outcome = Leases.Sim.run setup ~trace in
   Telemetry.Sampler.finalize sampler;
-  (sampler, setup, outcome, Option.get !instruments)
+  (sampler, setup, outcome, Option.get !world)
 
 (* Every window's counter deltas must sum to the final cumulative dump, and
    the window chain must tile the run without gaps. *)
 let test_window_accounting () =
-  let sampler, _, _, inst = run_sampled () in
+  let sampler, _, _, world = run_sampled () in
   let windows = Telemetry.Sampler.windows sampler in
   Alcotest.(check bool) "closed several windows" true (List.length windows >= 12);
   List.iteri
@@ -95,7 +95,7 @@ let test_window_accounting () =
     (entity_total "reads/client");
   Alcotest.(check bool) "breakdown saw the reads" true (entity_total "reads/client" > 0);
   (* the breakdown attached by the sampler is the one the server used *)
-  (match Leases.Server.breakdown (Leases.Sim.(inst.i_server)) with
+  (match Leases.Server.breakdown world.Leases.Sim.servers.(0) with
   | None -> Alcotest.fail "sampler left no breakdown on the server"
   | Some b ->
     Alcotest.(check int) "server-side axis total matches"
@@ -220,7 +220,7 @@ let test_sampler_is_passive () =
       if attach then
         { setup with
           Leases.Sim.on_instruments =
-            (fun i -> Telemetry.Sampler.attach (Telemetry.Sampler.create ~interval_s:7. ()) i)
+            Telemetry.Sampler.attach (Telemetry.Sampler.create ~interval_s:7. ())
         }
       else setup
     in

@@ -99,10 +99,6 @@ let test_codec_rejects_garbage () =
 
 (* --- sinks -------------------------------------------------------------- *)
 
-let hit ~at host =
-  { Trace.Event.at;
-    ev = Trace.Event.Cache_hit { host; file = 0; version = 0; local_now = at } }
-
 let test_ring_overwrites_oldest () =
   let ring = Trace.Sink.ring ~capacity:4 in
   let sink = Trace.Sink.ring_sink ring in
@@ -124,20 +120,6 @@ let test_null_sink_disabled () =
   Alcotest.(check bool) "null disabled" false (Trace.Sink.enabled Trace.Sink.null);
   Alcotest.(check bool) "tee of nulls disabled" false
     (Trace.Sink.enabled (Trace.Sink.tee [ Trace.Sink.null; Trace.Sink.null ]))
-
-let test_timeline_buckets () =
-  let tl = Trace.Sink.timeline ~interval_s:1.0 () in
-  let sink = Trace.Sink.timeline_sink tl in
-  List.iter
-    (fun e -> Trace.Sink.emit sink e.Trace.Event.at e.Trace.Event.ev)
-    [ hit ~at:0.1 1; hit ~at:0.9 1; hit ~at:2.5 1;
-      { Trace.Event.at = 0.5; ev = Trace.Event.Cache_miss { host = 1; file = 0 } } ];
-  let series = Trace.Sink.timeline_series tl in
-  Alcotest.(check (list string)) "one series per kind, sorted" [ "cache-hit"; "cache-miss" ]
-    (List.map Stats.Series.label series);
-  let hits = List.hd series in
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "hits bucketed per second" [ (0., 2.); (2., 1.) ] (Stats.Series.points hits)
 
 (* --- lifecycle reconstruction on a hand-built stream -------------------- *)
 
@@ -483,7 +465,6 @@ let () =
         [
           Alcotest.test_case "ring overwrites oldest" `Quick test_ring_overwrites_oldest;
           Alcotest.test_case "null disabled" `Quick test_null_sink_disabled;
-          Alcotest.test_case "timeline buckets" `Quick test_timeline_buckets;
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "reconstruction" `Quick test_lifecycle_reconstruction ] );
