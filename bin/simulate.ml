@@ -49,75 +49,92 @@ let trace_sink trace_out trace_format =
           close_out oc )
     | other -> failwith (Printf.sprintf "unknown trace format %S (jsonl|chrome)" other))
 
-(* --telemetry attaches a Telemetry.Sampler to the run's world through the
-   on_instruments hook; the report is written after the run drains so the
-   final partial window is included. *)
-let finish_telemetry sampler ~term ~setup ~telemetry_out ~telemetry_format ~json =
-  Telemetry.Sampler.finalize sampler;
-  let params = Telemetry.Residual.params_of_setup ~term setup in
-  (match telemetry_out with
-  | None -> ()
-  | Some path ->
-    let data =
-      match telemetry_format with
-      | "json" -> Telemetry.Report.to_json_string ~params sampler
-      | "csv" -> Telemetry.Report.to_csv_string ~params sampler
-      | other -> failwith (Printf.sprintf "unknown telemetry format %S (json|csv)" other)
-    in
-    let oc = open_out path in
-    output_string oc data;
-    close_out oc);
-  if not json then begin
-    let summary =
-      Telemetry.Residual.summarize params (Telemetry.Residual.evaluate params sampler)
-    in
-    Format.printf
-      "telemetry: %d windows (%d flagged), consistency load %.3f msg/s measured vs %.3f \
-       predicted, steady residual %+.1f%%@."
-      summary.Telemetry.Residual.windows summary.Telemetry.Residual.flagged_windows
-      summary.Telemetry.Residual.mean_measured_load
-      summary.Telemetry.Residual.mean_predicted_load
-      (100. *. summary.Telemetry.Residual.steady_load_residual)
-  end
+let write_file path data =
+  let oc = open_out path in
+  output_string oc data;
+  close_out oc
 
 (* --latency tees a live critical-path analyzer next to the tracer; the
    report is rendered (and optionally exported) after the run drains so
    still-open operations are counted as incomplete, not lost. *)
 let finish_latency analyzer ~latency_out ~latency_k ~json =
   let report = Trace.Critical_path.report ~k:latency_k analyzer in
-  (match latency_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Trace.Critical_path.export report);
-    close_out oc);
+  Option.iter (fun path -> write_file path (Trace.Critical_path.export report)) latency_out;
   if not json then Format.printf "%a@." Trace.Critical_path.pp_report report
 
-(* --profile attaches a Profile.Recorder to the engine; the report is
-   rendered after the run drains.  The hotspot table goes to stdout unless
-   --json asked for machine-readable output only. *)
-let finish_profile recorder ~profile_out ~profile_format ~json =
-  let report = Profile.Report.of_recorder recorder in
-  (match profile_out with
-  | None -> ()
-  | Some path ->
-    let data =
-      match profile_format with
-      | "json" -> Profile.Report.to_json_string report
-      | "speedscope" -> Profile.Report.to_speedscope report
-      | "chrome" -> Profile.Report.to_chrome report
-      | other -> failwith (Printf.sprintf "unknown profile format %S (json|speedscope|chrome)" other)
+(* --telemetry: the report of a one-server run, written after the run
+   drains so the final partial window is included, or the per-shard
+   residual summaries of a sharded one. *)
+let finish_telemetry samplers ~params ~shards ~telemetry_out ~telemetry_format ~json =
+  Option.iter
+    (fun path ->
+      write_file path
+        (match telemetry_format with
+        | "json" -> Telemetry.Report.to_json_string ~params samplers.(0)
+        | "csv" -> Telemetry.Report.to_csv_string ~params samplers.(0)
+        | other -> failwith (Printf.sprintf "unknown telemetry format %S (json|csv)" other)))
+    telemetry_out;
+  if not json then begin
+    (* a split run's parts each sample their own shard: the summaries
+       concatenate in shard order *)
+    let summaries =
+      Array.concat (List.map (Telemetry.Residual.summaries params) (Array.to_list samplers))
     in
-    let oc = open_out path in
-    output_string oc data;
-    close_out oc);
-  if not json then print_string (Profile.Report.hotspot_table report)
+    if shards = 1 then
+      let s = summaries.(0) in
+      Format.printf
+        "telemetry: %d windows (%d flagged), consistency load %.3f msg/s measured vs %.3f \
+         predicted, steady residual %+.1f%%@."
+        s.windows s.flagged_windows s.mean_measured_load s.mean_predicted_load
+        (100. *. s.steady_load_residual)
+    else
+      Array.iteri
+        (fun shard (s : Telemetry.Residual.summary) ->
+          Format.printf
+            "shard %d telemetry: %d windows (%d flagged), load %.3f msg/s measured vs %.3f \
+             predicted, steady residual %+.1f%%@."
+            shard s.windows s.flagged_windows s.mean_measured_load s.mean_predicted_load
+            (100. *. s.steady_load_residual))
+        summaries
+  end
 
-(* --shards N runs the multi-server deployment: per-shard loads after the
-   aggregate metrics, and per-shard residual summaries when telemetry is
-   on.  --domains K switches to the split deployment (one sub-simulation
-   per shard, up to K of them on parallel OCaml domains) and additionally
-   allows --profile, recording each shard's engine separately. *)
+(* --profile: the run's one engine gets one recorder, or each split part's
+   its own, reported as one leases-profile/1 document per shard wrapped in
+   a leases-profile-shards/1 envelope keyed by shard index.  The hotspot
+   tables go to stdout unless --json asked for machine-readable output
+   only. *)
+let finish_profile profilers ~split ~profile_out ~profile_format ~json =
+  let reports = Array.map Profile.Report.of_recorder profilers in
+  Option.iter
+    (fun path ->
+      write_file path
+        (match profile_format with
+        | "json" when split ->
+          let sections =
+            Array.to_list
+              (Array.mapi
+                 (fun s r ->
+                   Printf.sprintf "%S:%s" (string_of_int s) (Profile.Report.to_json_string r))
+                 reports)
+          in
+          Printf.sprintf "{\"schema\":\"leases-profile-shards/1\",\"shards\":{%s}}"
+            (String.concat "," sections)
+        | other when split ->
+          failwith
+            (Printf.sprintf "per-shard profiles support --profile-format json only, not %S" other)
+        | "json" -> Profile.Report.to_json_string reports.(0)
+        | "speedscope" -> Profile.Report.to_speedscope reports.(0)
+        | "chrome" -> Profile.Report.to_chrome reports.(0)
+        | other ->
+          failwith (Printf.sprintf "unknown profile format %S (json|speedscope|chrome)" other)))
+    profile_out;
+  if not json then
+    Array.iteri
+      (fun s r ->
+        if split then Format.printf "shard %d profile:@." s;
+        print_string (Profile.Report.hotspot_table r))
+      reports
+
 let print_shard_loads per_shard =
   Array.iter
     (fun sl ->
@@ -130,56 +147,40 @@ let print_shard_loads per_shard =
         sl.Shard.Deploy.sl_total_msgs sl.Shard.Deploy.sl_commits)
     per_shard
 
-let print_shard_telemetry summaries =
-  Array.iteri
-    (fun shard (s : Telemetry.Residual.summary) ->
-      Format.printf
-        "shard %d telemetry: %d windows (%d flagged), load %.3f msg/s measured vs %.3f \
-         predicted, steady residual %+.1f%%@."
-        shard s.windows s.flagged_windows s.mean_measured_load s.mean_predicted_load
-        (100. *. s.steady_load_residual))
-    summaries
-
-(* Split-mode per-shard profiles: one leases-profile/1 document per shard,
-   wrapped in a leases-profile-shards/1 envelope keyed by shard index. *)
-let finish_shard_profiles profilers ~profile_out ~profile_format ~json =
-  (match profile_out with
-  | None -> ()
-  | Some path ->
-    (match profile_format with
-    | "json" -> ()
-    | other ->
-      failwith
-        (Printf.sprintf "per-shard profiles support --profile-format json only, not %S" other));
-    let sections =
-      Array.to_list
-        (Array.mapi
-           (fun s r ->
-             Printf.sprintf "%S:%s" (string_of_int s)
-               (Profile.Report.to_json_string (Profile.Report.of_recorder r)))
-           profilers)
-    in
-    let oc = open_out path in
-    output_string oc
-      (Printf.sprintf "{\"schema\":\"leases-profile-shards/1\",\"shards\":{%s}}"
-         (String.concat "," sections));
-    close_out oc);
-  if not json then
-    Array.iteri
-      (fun s r ->
-        Format.printf "shard %d profile:@." s;
-        print_string (Profile.Report.hotspot_table (Profile.Report.of_recorder r)))
-      profilers
-
-let run_sharded ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~term ~faults ~tracer
-    ~telemetry_s ~analyzer ~json ~trace ~profile ~profile_out ~profile_format =
-  let base = Experiments.Runner.lease_setup ~n_clients:clients ~m_prop ~m_proc ~term () in
+(* The lease protocol (-p polling is its zero term) on --shards N servers:
+   one shared-fabric world, or with --domains one sub-simulation per shard.
+   Samplers and recorders attach per world: part [s]'s one server is host
+   [s], the shared world's first is host 0.  Per-shard loads follow the
+   aggregate metrics when there are several shards. *)
+let run_leases ~term ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer
+    ~telemetry_s ~telemetry_out ~telemetry_format ~analyzer ~json ~trace ~profile ~profile_out
+    ~profile_format =
+  let config = (Experiments.Runner.lease_setup ~term ()).Leases.Sim.config in
+  let split = domains <> None in
+  let worlds = if split then shards else 1 in
+  (* a split part cannot poll the analyzer: it is fed the merged stream
+     after the parts join *)
+  let latency = if split then None else analyzer in
+  let samplers =
+    Option.map
+      (fun interval_s ->
+        Array.init worlds (fun _ -> Telemetry.Sampler.create ~interval_s ?latency ()))
+      telemetry_s
+  in
   let profilers =
     if profile then
+      (* engine-health samples share the telemetry cadence when one was
+         asked for, 10 s otherwise *)
       let interval_s = Option.value telemetry_s ~default:10. in
-      Array.init shards (fun _ ->
-          Profile.Recorder.create ~interval_s ~timer:Unix.gettimeofday ())
+      Array.init worlds (fun _ -> Profile.Recorder.create ~interval_s ~timer:Unix.gettimeofday ())
     else [||]
+  in
+  let on_instruments (w : Leases.Sim.world) tally =
+    Option.iter
+      (fun samplers ->
+        let world = Host.Host_id.to_int (Leases.Server.host w.servers.(0)) in
+        Telemetry.Sampler.attach samplers.(world) w tally)
+      samplers
   in
   let setup =
     {
@@ -187,51 +188,76 @@ let run_sharded ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~term ~fau
       Shard.Deploy.seed;
       n_clients = clients;
       n_shards = shards;
-      config = base.Leases.Sim.config;
+      config;
       m_prop;
       m_proc;
       loss;
       faults;
       tracer;
-      telemetry_interval_s = telemetry_s;
-      latency = analyzer;
+      on_instruments;
       profilers;
     }
   in
-  match domains with
-  | None ->
-    let outcome = Shard.Deploy.run setup ~trace in
-    let print_extra () =
-      if not json then begin
-        print_shard_loads outcome.Shard.Deploy.per_shard;
-        Option.iter
-          (fun sampler -> print_shard_telemetry (Shard.Deploy.telemetry_report setup sampler))
-          outcome.Shard.Deploy.telemetry
-      end
-    in
-    (outcome.Shard.Deploy.metrics, print_extra)
-  | Some domains ->
-    let outcome = Shard.Deploy.run_split ~domains setup ~trace in
-    let print_extra () =
-      if not json then begin
-        print_shard_loads outcome.Shard.Deploy.sp_per_shard;
-        (* each part samples its own shard: the reports concatenate in shard order *)
-        let report p =
-          Shard.Deploy.telemetry_report setup (Option.get p.Shard.Deploy.p_telemetry)
+  let metrics, per_shard =
+    match domains with
+    | None ->
+      let o = Shard.Deploy.run setup ~trace in
+      (o.Shard.Deploy.metrics, o.Shard.Deploy.per_shard)
+    | Some domains ->
+      let o = Shard.Deploy.run_split ~domains setup ~trace in
+      (o.Shard.Deploy.sp_metrics, o.Shard.Deploy.sp_per_shard)
+  in
+  Option.iter (Array.iter Telemetry.Sampler.finalize) samplers;
+  let print_extra () =
+    if shards > 1 && not json then print_shard_loads per_shard;
+    Option.iter
+      (fun samplers ->
+        let params =
+          Telemetry.Residual.params_of_config ~n_clients:clients ~m_prop ~m_proc config
         in
-        if telemetry_s <> None then
-          print_shard_telemetry
-            (Array.concat (List.map report (Array.to_list outcome.Shard.Deploy.sp_parts)))
-      end;
-      if profile then finish_shard_profiles profilers ~profile_out ~profile_format ~json
-    in
-    (outcome.Shard.Deploy.sp_metrics, print_extra)
+        finish_telemetry samplers ~params ~shards ~telemetry_out ~telemetry_format ~json)
+      samplers;
+    if profile then finish_profile profilers ~split ~profile_out ~profile_format ~json
+  in
+  (metrics, print_extra)
 
-let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file json trace_out
+(* The Section 6 baselines: one server, no instruments. *)
+let run_baseline ~protocol ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer ~trace =
+  match protocol with
+  | "callback" ->
+    let setup =
+      { Baselines.Callback.default_setup with
+        Baselines.Callback.n_clients = clients; m_prop; m_proc; loss; seed; tracer; faults }
+    in
+    (Baselines.Callback.run setup ~trace).Leases.Sim.metrics
+  | "ttl" ->
+    if term_s < 0. then
+      failwith
+        (Printf.sprintf
+           "--term %g: a TTL hint is not a promise and never lasts forever; give a TTL of 0 s or \
+            more"
+           term_s);
+    let setup =
+      { Baselines.Ttl_hints.default_setup with
+        Baselines.Ttl_hints.n_clients = clients; m_prop; m_proc; loss; seed; ttl = span_sec term_s;
+        tracer; faults }
+    in
+    (Baselines.Ttl_hints.run setup ~trace).Leases.Sim.metrics
+  | other -> failwith (Printf.sprintf "unknown protocol %S (leases|polling|callback|ttl)" other)
+
+let main protocol term_s clients duration seed loss rtt_ms workload ops_file json trace_out
     trace_format fault_specs telemetry_s telemetry_out telemetry_format shards domains profile
     profile_out profile_format latency latency_out latency_k =
   try
     let faults = List.map parse_fault fault_specs in
+    (* check-on-use is exactly a lease of term zero *)
+    let lease_term =
+      match protocol with
+      | "leases" ->
+        Some (if term_s < 0. then Analytic.Model.Infinite else Analytic.Model.Finite term_s)
+      | "polling" -> Some (Analytic.Model.Finite 0.)
+      | _ -> None
+    in
     if shards < 1 then failwith "--shards must be at least 1";
     (match domains with
     | Some d when d < 1 -> failwith "--domains must be at least 1"
@@ -240,24 +266,24 @@ let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file
     | _ -> ());
     if latency_out <> None && not latency then failwith "--latency-out requires --latency";
     if latency_k < 1 then failwith "--latency-k must be at least 1";
-    if latency && protocol <> "leases" then
-      failwith
-        (Printf.sprintf
-           "--latency attributes the lease protocol's phases; protocol %S does not emit the \
-            correlated events it needs"
-           protocol);
-    if shards > 1 && protocol <> "leases" then
-      failwith "--shards runs the sharded lease deployment; it needs --protocol leases";
     if profile_out <> None && not profile then failwith "--profile-out requires --profile";
-    if profile && protocol <> "leases" then
-      failwith
-        (Printf.sprintf
-           "--profile instruments the lease protocol's engine; protocol %S does not expose it"
-           protocol);
-    if profile && shards > 1 && domains = None then
-      failwith
-        "--profile records the single-server engine; with --shards it needs --domains (one \
-         recorder per shard sub-simulation)";
+    (* the baselines build no lease deployment to shard or instrument *)
+    (if lease_term = None then
+       match
+         List.find_opt snd
+           [
+             ("--shards", shards > 1);
+             ("--telemetry", telemetry_s <> None);
+             ("--latency", latency);
+             ("--profile", profile);
+           ]
+       with
+       | Some (flag, _) ->
+         failwith
+           (Printf.sprintf "%s runs the lease deployment; it needs --protocol leases or polling, \
+                            not %S"
+              flag protocol)
+       | None -> ());
     if shards > 1 && telemetry_out <> None then
       failwith
         "--telemetry-out writes a single-server report; with --shards use the printed per-shard \
@@ -267,12 +293,6 @@ let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file
     (match telemetry_s with
     | Some i when i <= 0. -> failwith "--telemetry interval must be positive"
     | _ -> ());
-    if telemetry_s <> None && protocol <> "leases" then
-      failwith
-        (Printf.sprintf
-           "--telemetry instruments the lease protocol's server and clients; protocol %S does \
-            not expose them"
-           protocol);
     let trace =
       match ops_file with
       | Some path ->
@@ -292,16 +312,16 @@ let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file
       | None -> tracer
       | Some a -> Trace.Sink.tee [ tracer; Trace.Critical_path.sink a ]
     in
-    let term = if term_s < 0. then Analytic.Model.Infinite else Analytic.Model.Finite term_s in
     let metrics, print_extra =
-      if shards > 1 then
-        run_sharded ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~term ~faults ~tracer
-          ~telemetry_s ~analyzer ~json ~trace ~profile ~profile_out ~profile_format
-      else
-        ( run_single ~protocol ~term ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer
-            ~telemetry_s ~telemetry_out ~telemetry_format ~analyzer ~json ~trace ~profile
-            ~profile_out ~profile_format,
-          fun () -> () )
+      match lease_term with
+      | Some term ->
+        run_leases ~term ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer
+          ~telemetry_s ~telemetry_out ~telemetry_format ~analyzer ~json ~trace ~profile
+          ~profile_out ~profile_format
+      | None ->
+        ( run_baseline ~protocol ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer
+            ~trace,
+          ignore )
     in
     finish_trace ();
     if json then print_endline (Leases.Metrics.to_json metrics)
@@ -311,74 +331,15 @@ let rec main protocol term_s clients duration seed loss rtt_ms workload ops_file
     `Ok ()
   with Failure why | Sys_error why | Invalid_argument why -> `Error (false, why)
 
-and run_single ~protocol ~term ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer
-    ~telemetry_s ~telemetry_out ~telemetry_format ~analyzer ~json ~trace ~profile ~profile_out
-    ~profile_format =
-  match protocol with
-  | "leases" ->
-        let setup = Experiments.Runner.lease_setup ~n_clients:clients ~m_prop ~m_proc ~term () in
-        let setup = { setup with Leases.Sim.loss; seed; tracer; faults } in
-        let sampler =
-          Option.map
-            (fun interval_s -> Telemetry.Sampler.create ~interval_s ?latency:analyzer ())
-            telemetry_s
-        in
-        let setup =
-          match sampler with
-          | None -> setup
-          | Some s -> { setup with Leases.Sim.on_instruments = Telemetry.Sampler.attach s }
-        in
-        let recorder =
-          if profile then
-            (* Engine-health samples share the telemetry cadence when one
-               was asked for, 10 s otherwise. *)
-            let interval_s = Option.value telemetry_s ~default:10. in
-            Some (Profile.Recorder.create ~interval_s ~timer:Unix.gettimeofday ())
-          else None
-        in
-        let setup =
-          match recorder with
-          | None -> setup
-          | Some r -> { setup with Leases.Sim.profiler = r }
-        in
-        let metrics = (Leases.Sim.run setup ~trace).Leases.Sim.metrics in
-        Option.iter
-          (fun s -> finish_telemetry s ~term ~setup ~telemetry_out ~telemetry_format ~json)
-          sampler;
-        Option.iter (fun r -> finish_profile r ~profile_out ~profile_format ~json) recorder;
-        metrics
-      | "polling" ->
-        (* check-on-use is exactly a lease of term zero *)
-        let setup =
-          Experiments.Runner.lease_setup ~n_clients:clients ~m_prop ~m_proc
-            ~term:(Analytic.Model.Finite 0.) ()
-        in
-        let setup = { setup with Leases.Sim.loss; seed; tracer; faults } in
-        (Leases.Sim.run setup ~trace).Leases.Sim.metrics
-      | "callback" ->
-        let setup =
-          { Baselines.Callback.default_setup with
-            Baselines.Callback.n_clients = clients; m_prop; m_proc; loss; seed; tracer; faults }
-        in
-        (Baselines.Callback.run setup ~trace).Leases.Sim.metrics
-      | "ttl" ->
-        let ttl = if term_s <= 0. then span_sec 10. else span_sec term_s in
-        let setup =
-          { Baselines.Ttl_hints.default_setup with
-            Baselines.Ttl_hints.n_clients = clients; m_prop; m_proc; loss; seed; ttl; tracer;
-            faults }
-        in
-        (Baselines.Ttl_hints.run setup ~trace).Leases.Sim.metrics
-      | other ->
-        failwith (Printf.sprintf "unknown protocol %S (leases|polling|callback|ttl)" other)
-
 let protocol =
   Arg.(value & opt string "leases"
        & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:"leases, polling, callback or ttl.")
 
 let term =
   Arg.(value & opt float 10.
-       & info [ "t"; "term" ] ~docv:"SEC" ~doc:"Lease term (or TTL) in seconds; negative = infinite.")
+       & info [ "t"; "term" ] ~docv:"SEC"
+           ~doc:"Lease term (or TTL) in seconds; a negative lease term is infinite, a negative \
+                 TTL an error.")
 
 let clients =
   Arg.(value & opt int 1 & info [ "n"; "clients" ] ~docv:"N" ~doc:"Number of client caches.")
@@ -434,7 +395,7 @@ let faults =
 let telemetry =
   Arg.(value & opt (some float) None
        & info [ "telemetry" ] ~docv:"SEC"
-           ~doc:"Sample telemetry every $(docv) virtual seconds (leases protocol only): counter \
+           ~doc:"Sample telemetry every $(docv) virtual seconds (leases or polling): counter \
                  registries, lease-table occupancy, write queues, in-flight messages, clock \
                  skew, and live analytic-model residuals per window.")
 
@@ -455,7 +416,7 @@ let shards =
        & info [ "shards" ] ~docv:"N"
            ~doc:"Partition the file namespace across $(docv) independent lease servers \
                  (consistent hashing; servers are hosts 0..N-1) and route every client \
-                 operation to the owning shard.  Leases protocol only.  Adds crash-shard=\
+                 operation to the owning shard.  Leases or polling.  Adds crash-shard=\
                  SHARD,AT,DUR to the --fault vocabulary and prints per-shard load lines \
                  after the aggregate metrics.")
 
@@ -471,10 +432,11 @@ let domains =
 let profile =
   Arg.(value & flag
        & info [ "profile" ]
-           ~doc:"Self-profile the run (leases protocol, single server): attribute wall time and \
-                 GC allocation to per-subsystem cost centers and sample engine health (queue \
-                 depth, live/occupied slots, cancel ratio, events per sim-second) on the \
-                 telemetry cadence.  Prints a hotspot table; see leases-profile-view.")
+           ~doc:"Self-profile the run (leases or polling; with --domains one profile per shard): \
+                 attribute wall time and GC allocation to per-subsystem cost centers and sample \
+                 engine health (queue depth, live/occupied slots, cancel ratio, events per \
+                 sim-second) on the telemetry cadence.  Prints a hotspot table; see \
+                 leases-profile-view.")
 
 let profile_out =
   Arg.(value & opt (some string) None
@@ -492,7 +454,7 @@ let latency =
        & info [ "latency" ]
            ~doc:"Attribute every operation's client-observed latency to causal phases (request \
                  transit, backoff, server queueing, lease waits split by approval vs expiry, \
-                 reply transit) with a live critical-path analyzer (leases protocol only).  \
+                 reply transit) with a live critical-path analyzer (leases or polling).  \
                  Prints per-phase tail summaries and worst-write explanations; see \
                  leases-latency.")
 
@@ -515,4 +477,21 @@ let cmd =
                $ telemetry_format $ shards $ domains $ profile $ profile_out $ profile_format
                $ latency $ latency_out $ latency_k))
 
-let () = exit (Cmd.eval cmd)
+(* cmdliner reads every token that starts with '-' as an option, so a
+   negative seed or term after its flag is refused ("unknown option '-6'").
+   Join such a value to its flag first: "-s" "-6" becomes "-s-6" and
+   "--seed" "-6" becomes "--seed=-6", the forms cmdliner parses as a value. *)
+let join_negative_values argv =
+  let negative tok =
+    String.length tok > 1 && tok.[0] = '-' && Option.is_some (float_of_string_opt tok)
+  in
+  let rec go = function
+    | (("-s" | "-t") as flag) :: value :: rest when negative value -> (flag ^ value) :: go rest
+    | (("--seed" | "--term") as flag) :: value :: rest when negative value ->
+      (flag ^ "=" ^ value) :: go rest
+    | tok :: rest -> tok :: go rest
+    | [] -> []
+  in
+  Array.of_list (go (Array.to_list argv))
+
+let () = exit (Cmd.eval ~argv:(join_negative_values Sys.argv) cmd)

@@ -27,27 +27,40 @@ let classification_name = function
    Sampling continues through the drain. *)
 let telemetry_interval_s duration_s = Float.max 2.5 (Float.min 30. (duration_s /. 24.))
 
-(* The schedule's trace observers, fed live from the run's tracer: the
-   invariant checker and the critical-path analyzer.  Nothing is
-   buffered. *)
-let observe checker =
+(* The schedule through [Deploy.run], one server or K.  The run's tracer
+   feeds the invariant checker and the critical-path analyzer live, and
+   nothing is buffered; the checker takes its file owners from
+   [Deploy.shard_map], the map the run itself places files with.  A
+   sharded sampler's windows come shard by shard, so the telemetry summary
+   pools them: each window is judged against its own shard's predicted
+   load, and the pooled worst/steady residuals flag whichever shard
+   diverges. *)
+let run schedule =
+  let setup = Schedule.deploy_setup schedule in
+  let map = Shard.Deploy.shard_map setup in
+  let checker =
+    Trace.Checker.create
+      ~servers:(Shard.Deploy.server_hosts setup)
+      ~owner:(fun f -> Shard.Shard_map.owner map (Vstore.File_id.of_int f))
+      ()
+  in
   let analyzer = Trace.Critical_path.create () in
-  (Trace.Sink.tee [ Trace.Checker.sink checker; Trace.Critical_path.sink analyzer ], analyzer)
-
-(* The causal explanation of the schedule's slowest completed write. *)
-let worst_write_of analyzer =
-  match (Trace.Critical_path.report ~k:1 analyzer).Trace.Critical_path.r_worst with
-  | w :: _ -> Some w.Trace.Critical_path.w_explain
-  | [] -> None
-
-(* Classification and reporting shared by the single-server and sharded
-   paths once each has produced metrics, a checker report, an oracle and a
-   telemetry sampler.  A sharded sampler's windows come shard by shard, so
-   its summary pools them: each window is judged against its own shard's
-   predicted load, and the pooled worst/steady residuals flag whichever
-   shard diverges. *)
-let conclude ~schedule ~(m : Leases.Metrics.t) ~(report : Trace.Checker.report) ~oracle
-    ~residual_params ~sampler ~worst_write =
+  let sampler =
+    Telemetry.Sampler.create ~interval_s:(telemetry_interval_s schedule.Schedule.duration_s) ()
+  in
+  let outcome =
+    Shard.Deploy.run
+      {
+        setup with
+        Shard.Deploy.tracer =
+          Trace.Sink.tee [ Trace.Checker.sink checker; Trace.Critical_path.sink analyzer ];
+        on_instruments = Telemetry.Sampler.attach sampler;
+      }
+      ~trace:(Schedule.trace schedule)
+  in
+  Telemetry.Sampler.finalize sampler;
+  let m = outcome.Shard.Deploy.metrics in
+  let report = Trace.Checker.report checker in
   let oracle_violations = m.Leases.Metrics.oracle_violations in
   let checker_violations = List.length report.Trace.Checker.violations in
   let first_violation =
@@ -58,12 +71,16 @@ let conclude ~schedule ~(m : Leases.Metrics.t) ~(report : Trace.Checker.report) 
         (fun (file, version, at) ->
           Format.asprintf "oracle: stale read of file %d v%d completed at %a"
             (Vstore.File_id.to_int file) (Vstore.Version.to_int version) Simtime.Time.pp at)
-        (Oracle.Register_oracle.first_violation oracle)
+        (Oracle.Register_oracle.first_violation outcome.Shard.Deploy.oracle)
   in
   let classification =
     if oracle_violations > 0 || checker_violations > 0 then Safety
     else if m.Leases.Metrics.dropped_ops > 0 then Degraded
     else Clean
+  in
+  let residual_params =
+    Telemetry.Residual.params_of_config ~n_clients:setup.n_clients ~m_prop:setup.m_prop
+      ~m_proc:setup.m_proc setup.config
   in
   {
     schedule;
@@ -78,55 +95,12 @@ let conclude ~schedule ~(m : Leases.Metrics.t) ~(report : Trace.Checker.report) 
     telemetry =
       Telemetry.Residual.summarize residual_params
         (Telemetry.Residual.evaluate residual_params sampler);
-    worst_write;
+    worst_write =
+      (* the causal explanation of the schedule's slowest completed write *)
+      (match (Trace.Critical_path.report ~k:1 analyzer).Trace.Critical_path.r_worst with
+      | w :: _ -> Some w.Trace.Critical_path.w_explain
+      | [] -> None);
   }
-
-let run_single schedule =
-  let trace = Schedule.trace schedule in
-  let checker = Trace.Checker.create ~server:0 () in
-  let tracer, analyzer = observe checker in
-  let setup = Schedule.setup ~tracer schedule in
-  let sampler =
-    Telemetry.Sampler.create ~interval_s:(telemetry_interval_s schedule.Schedule.duration_s) ()
-  in
-  let setup = { setup with Leases.Sim.on_instruments = Telemetry.Sampler.attach sampler } in
-  let outcome = Leases.Sim.run setup ~trace in
-  Telemetry.Sampler.finalize sampler;
-  let residual_params =
-    Telemetry.Residual.params_of_setup
-      ~term:(Analytic.Model.Finite schedule.Schedule.term_s) setup
-  in
-  conclude ~schedule ~m:outcome.Leases.Sim.metrics ~report:(Trace.Checker.report checker)
-    ~oracle:outcome.Leases.Sim.oracle ~residual_params ~sampler
-    ~worst_write:(worst_write_of analyzer)
-
-let run_sharded schedule =
-  let trace = Schedule.trace schedule in
-  let setup = Schedule.deploy_setup schedule in
-  let map = Shard.Deploy.shard_map setup in
-  let checker =
-    Trace.Checker.create
-      ~servers:(Shard.Deploy.server_hosts setup)
-      ~owner:(fun f -> Shard.Shard_map.owner map (Vstore.File_id.of_int f))
-      ()
-  in
-  let tracer, analyzer = observe checker in
-  let setup =
-    {
-      setup with
-      Shard.Deploy.tracer;
-      telemetry_interval_s = Some (telemetry_interval_s schedule.Schedule.duration_s);
-    }
-  in
-  let outcome = Shard.Deploy.run setup ~trace in
-  conclude ~schedule ~m:outcome.Shard.Deploy.metrics ~report:(Trace.Checker.report checker)
-    ~oracle:outcome.Shard.Deploy.oracle
-    ~residual_params:(Shard.Deploy.residual_params setup)
-    ~sampler:(Option.get outcome.Shard.Deploy.telemetry)
-    ~worst_write:(worst_write_of analyzer)
-
-let run schedule =
-  if schedule.Schedule.n_shards > 1 then run_sharded schedule else run_single schedule
 
 let to_json o =
   Trace.Json.Obj

@@ -34,12 +34,13 @@ val telemetry_interval_s : float -> float
 (** The sampling interval used for a schedule of the given duration. *)
 
 val run : Schedule.t -> outcome
-(** Runs {!Schedule.trace} through [Sim.run] ([Shard.Deploy.run] when the
-    schedule has several shards) with the register oracle and a telemetry
-    sampler evaluating the Section 3.1 residuals per window.  The run's
-    tracer feeds a {!Trace.Checker} and a {!Trace.Critical_path} analyzer
-    live, event by event; nothing is buffered, so memory does not grow
-    with the trace.  A sharded schedule's checker takes its file owners
-    from {!Shard.Deploy.shard_map}, the map the run itself uses. *)
+(** Runs {!Schedule.trace} through [Shard.Deploy.run] on the schedule's
+    {!Schedule.deploy_setup} (one server or several) with the register
+    oracle and a telemetry sampler evaluating the Section 3.1 residuals
+    per window.  The run's tracer feeds a {!Trace.Checker} and a
+    {!Trace.Critical_path} analyzer live, event by event; nothing is
+    buffered, so memory does not grow with the trace.  The checker takes
+    its file owners from {!Shard.Deploy.shard_map}, the map the run itself
+    uses. *)
 
 val to_json : outcome -> Trace.Json.t

@@ -10,8 +10,8 @@ type t = {
   workload : workload;
   n_clients : int;
   n_shards : int;
-      (** 1 = the single-server harness ({!setup}); > 1 = the sharded
-          deployment ({!deploy_setup}) *)
+      (** servers the namespace is split across ({!deploy_setup}); 1 =
+          one server, the world {!setup} builds *)
   duration_s : float;  (** virtual seconds of workload *)
   term_s : float;
   loss : float;  (** per-delivery drop probability *)
@@ -26,12 +26,15 @@ val trace : t -> Workload.Trace.t
     [leases-sim] builds from {!to_command}. *)
 
 val setup : ?tracer:Trace.Sink.t -> t -> Leases.Sim.setup
-(** The simulation setup (V LAN message times, the schedule's seed, loss
-    and faults).  Only meaningful when [n_shards = 1]. *)
+(** The one-server [Leases.Sim.run] setup (V LAN message times, the
+    schedule's seed, loss and faults), for callers that run a one-shard
+    schedule on [Sim.run] themselves.  Only meaningful when
+    [n_shards = 1]. *)
 
 val deploy_setup : ?tracer:Trace.Sink.t -> t -> Shard.Deploy.setup
-(** The sharded deployment setup for the same schedule: same seed, config,
-    loss and faults, with the namespace split across [n_shards] servers. *)
+(** The deployment setup the campaign runs the schedule on: same seed,
+    config, loss and faults as {!setup}, with the namespace split across
+    [n_shards] servers. *)
 
 val to_command : t -> string
 (** A [leases-sim] invocation reproducing this schedule exactly:

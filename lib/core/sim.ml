@@ -144,19 +144,28 @@ let metrics w tally =
         approvals_answered = clients Client.approvals_answered;
       })
 
+let run_world setup ~rng ~servers ~client_host ?route ?req_origin ~server_of_shard ~trace_clients
+    ~until ops =
+  let w = world setup ~rng ~servers ~client_host ?route ?req_origin () in
+  schedule_faults w ~server_of_shard ~trace_clients setup.faults;
+  let tally = drive w ops in
+  setup.on_instruments w tally;
+  Cluster.run w.fabric ~until;
+  (w, metrics w tally)
+
 (* --- the single-server harness -------------------------------------- *)
 
 let run setup ~trace =
   Cluster.check ~who:"Sim.run" ~n_clients:setup.n_clients setup.faults trace;
-  let w =
-    world setup
+  let w, metrics =
+    run_world setup
       ~rng:(Prng.Splitmix.create ~seed:setup.seed)
       ~servers:[| (Cluster.server_host, setup.config) |]
-      ~client_host:Cluster.client_host ()
+      ~client_host:Cluster.client_host
+      (* one server: every shard index names it *)
+      ~server_of_shard:(fun _ -> Some 0)
+      ~trace_clients:true
+      ~until:(Cluster.horizon trace ~drain:setup.drain)
+      (Workload.Trace.ops trace)
   in
-  (* one server: every shard index names it *)
-  schedule_faults w ~server_of_shard:(fun _ -> Some 0) ~trace_clients:true setup.faults;
-  let tally = drive w (Workload.Trace.ops trace) in
-  setup.on_instruments w tally;
-  Cluster.run w.fabric ~until:(Cluster.horizon trace ~drain:setup.drain);
-  { metrics = metrics w tally; oracle = w.oracle; store = w.store }
+  { metrics; oracle = w.oracle; store = w.store }

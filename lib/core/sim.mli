@@ -1,7 +1,8 @@
 (** The lease protocol's harness.  A lease {!world} is a {!Cluster} fabric
-    carrying lease servers and clients; {!run} is the one-server world,
-    [Shard.Deploy.run] the K-server one and [Shard.Deploy.run_split] one
-    one-server world per shard.  The consistency oracle always observes.
+    carrying lease servers and clients, built and run by {!run_world}:
+    {!run} is the one-server world, [Shard.Deploy.run] the one- or
+    K-server one and [Shard.Deploy.run_split] one one-server world per
+    shard.  The consistency oracle always observes.
 
     Host layout: the server is host 0; client index [i] is host [i + 1]
     (the one-shard case of [Shard.Deploy]'s layout). *)
@@ -24,7 +25,7 @@ type world = {
   oracle : Oracle.Register_oracle.t;
   mutable on_read : Workload.Op.t -> Client.read_result -> unit;
   mutable on_write : Workload.Op.t -> Client.write_result -> unit;
-      (** completion listeners: {!drive} calls them on each completion,
+      (** completion listeners: the op driver calls them on each completion,
           after the tally has counted it.  They do nothing until an
           observer sets them (the telemetry sampler of a K-server world
           does). *)
@@ -77,33 +78,32 @@ val run : setup -> trace:Workload.Trace.t -> outcome
 
 (** {1 Lease worlds} *)
 
-val world :
+val run_world :
   setup ->
   rng:Prng.Splitmix.t ->
   servers:(Host.Host_id.t * Config.t) array ->
   client_host:(int -> Host.Host_id.t) ->
   ?route:(Vstore.File_id.t -> int) ->
   ?req_origin:(Host.Host_id.t -> int) ->
-  unit ->
-  world
-(** A fabric with the setup's tracer, profiler, loss and message times
-    (its network stream split from [rng]); the [servers] in order, each
-    with its own clock and WAL over one shared store; then client [i] at
-    [client_host i] with its own clock and an RNG stream split from [rng],
-    sending each file's operations to the server at index [route file]
-    (default: the first server), its request ids starting at
-    [req_origin host] when given.  Ignores [setup.seed], [faults], [drain]
-    and [on_instruments]. *)
-
-val schedule_faults :
-  world -> server_of_shard:(int -> int option) -> trace_clients:bool -> fault list -> unit
-(** {!Cluster.schedule_faults} with each client at its host and clock and
-    shard [s] at [servers.(i)] when [server_of_shard s = Some i]. *)
-
-val drive : world -> Workload.Op.t list -> Cluster.tally
-(** {!Cluster.drive} through the world's clients; the world's
-    [on_read] and [on_write] also see each completion. *)
-
-val metrics : world -> Cluster.tally -> Metrics.t
-(** {!Cluster.metrics} with client counters summed over the clients and
-    server counters over the servers. *)
+  server_of_shard:(int -> int option) ->
+  trace_clients:bool ->
+  until:Simtime.Time.t ->
+  Workload.Op.t list ->
+  world * Metrics.t
+(** Build a lease world, run it to [until] and assemble its metrics.  The
+    fabric carries the setup's tracer, profiler,
+    loss and message times (its network stream split from [rng]); the
+    [servers] come in order, each with its own clock and WAL over one
+    shared store; then client [i] sits at [client_host i] with its own
+    clock and an RNG stream split from [rng], sending each file's
+    operations to the server at index [route file] (default: the first
+    server), its request ids starting at [req_origin host] when given.
+    The setup's faults go to {!Cluster.schedule_faults}, with each client
+    at its host and clock and shard [s] at [servers.(i)] when
+    [server_of_shard s = Some i] (client faults traced only when
+    [trace_clients]).  The ops are issued through {!Cluster.drive}, and
+    the world's [on_read] and [on_write] also see each completion.
+    [setup.on_instruments] then gets the world and the driver's tally
+    before the engine starts.  Client counters in the metrics are summed
+    over the clients and server counters over the servers.  Ignores
+    [setup.seed] and [drain]. *)

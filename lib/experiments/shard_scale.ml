@@ -46,16 +46,18 @@ let sweep ~term_s ~duration ~client_counts ~shard_counts =
       let baseline = ref nan in
       List.map
         (fun n_shards ->
+          let sampler = Telemetry.Sampler.create ~interval_s:30. () in
           let setup =
             {
               Shard.Deploy.default_setup with
               Shard.Deploy.n_clients = clients;
               n_shards;
               config;
-              telemetry_interval_s = Some 30.;
+              on_instruments = Telemetry.Sampler.attach sampler;
             }
           in
           let outcome = Shard.Deploy.run setup ~trace in
+          Telemetry.Sampler.finalize sampler;
           let total =
             Array.fold_left
               (fun acc sl -> acc +. sl.Shard.Deploy.sl_consistency_rate)
@@ -69,7 +71,10 @@ let sweep ~term_s ~duration ~client_counts ~shard_counts =
                 let s = summary.steady_load_residual in
                 if Float.abs s > Float.abs worst then s else worst)
               0.
-              (Shard.Deploy.telemetry_report setup (Option.get outcome.Shard.Deploy.telemetry))
+              (Telemetry.Residual.summaries
+                 (Telemetry.Residual.params_of_config ~n_clients:clients ~m_prop:setup.m_prop
+                    ~m_proc:setup.m_proc config)
+                 sampler)
           in
           {
             clients;

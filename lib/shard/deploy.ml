@@ -12,8 +12,7 @@ type setup = {
   faults : Leases.Sim.fault list;
   drain : Time.Span.t;
   tracer : Trace.Sink.t;
-  telemetry_interval_s : float option;
-  latency : Trace.Critical_path.t option;
+  on_instruments : Leases.Sim.world -> Leases.Cluster.tally -> unit;
   profilers : Profile.Recorder.t array;
 }
 
@@ -29,8 +28,7 @@ let default_setup =
     faults = [];
     drain = Time.Span.of_sec 120.;
     tracer = Trace.Sink.null;
-    telemetry_interval_s = None;
-    latency = None;
+    on_instruments = (fun _ _ -> ());
     profilers = [||];
   }
 
@@ -58,7 +56,6 @@ type outcome = {
   map : Shard_map.t;
   oracle : Oracle.Register_oracle.t;
   store : Vstore.Store.t;
-  telemetry : Telemetry.Sampler.t option;
 }
 
 (* A shard server multicasts installed-file refreshes only for the files
@@ -93,39 +90,23 @@ let load_of_server ~shard ~sim_duration server =
       (if sim_duration <= 0. then 0. else float_of_int shard_consistency /. sim_duration);
   }
 
-(* One lease world of this deployment (the shared-fabric cluster, or one
-   split part), faulted, driven through [ops] and run to [until].
-   Telemetry attaches where [Sim.run] calls [on_instruments]: after the
-   faults and the first op are scheduled. *)
-let run_world setup ~tracer ~profiler ~rng ~servers ?route ?req_origin ?latency ~server_of_shard
-    ~trace_clients ~until ops =
-  let w =
-    Leases.Sim.world
-      {
-        Leases.Sim.default_setup with
-        n_clients = setup.n_clients;
-        config = setup.config;
-        m_prop = setup.m_prop;
-        m_proc = setup.m_proc;
-        loss = setup.loss;
-        tracer;
-        profiler;
-      }
-      ~rng ~servers ~client_host:(client_host setup) ?route ?req_origin ()
-  in
-  Leases.Sim.schedule_faults w ~server_of_shard ~trace_clients setup.faults;
-  let tally = Leases.Sim.drive w ops in
-  let telemetry =
-    Option.map
-      (fun interval_s ->
-        let sampler = Telemetry.Sampler.create ~interval_s ?latency () in
-        Telemetry.Sampler.attach sampler w tally;
-        sampler)
-      setup.telemetry_interval_s
-  in
-  Leases.Cluster.run w.fabric ~until;
-  Option.iter Telemetry.Sampler.finalize telemetry;
-  (w, Leases.Sim.metrics w tally, telemetry)
+(* The [Sim] setup of one lease world of this deployment: the shared-fabric
+   cluster, whose engine [profilers.(0)] records, or split part [shard]. *)
+let world_setup setup ~tracer ~shard =
+  {
+    Leases.Sim.default_setup with
+    n_clients = setup.n_clients;
+    config = setup.config;
+    m_prop = setup.m_prop;
+    m_proc = setup.m_proc;
+    loss = setup.loss;
+    faults = setup.faults;
+    tracer;
+    profiler =
+      (if shard < Array.length setup.profilers then setup.profilers.(shard)
+       else Profile.Recorder.null);
+    on_instruments = setup.on_instruments;
+  }
 
 let run setup ~trace =
   Leases.Cluster.check ~who:"Deploy.run" ~n_clients:setup.n_clients setup.faults trace;
@@ -134,12 +115,15 @@ let run setup ~trace =
   let map = shard_map setup in
   (* One shared store, disjoint ownership: each server only ever grants and
      commits the files the map routes to it, and each keeps its own WAL so
-     the max-term recovery wait is per shard. *)
-  let w, metrics, telemetry =
-    run_world setup ~tracer:setup.tracer ~profiler:Profile.Recorder.null
+     the max-term recovery wait is per shard.  One server needs no route,
+     so a one-shard run builds exactly [Sim.run]'s world. *)
+  let w, metrics =
+    Leases.Sim.run_world
+      (world_setup setup ~tracer:setup.tracer ~shard:0)
+      ~client_host:(client_host setup)
       ~rng:(Prng.Splitmix.create ~seed:setup.seed)
       ~servers:(Array.init k (fun s -> (server_host s, config_for_shard setup map s)))
-      ~route:(Shard_map.owner map) ?latency:setup.latency
+      ?route:(if k > 1 then Some (Shard_map.owner map) else None)
       ~server_of_shard:(fun s -> Some (s mod k))
       ~trace_clients:true
       ~until:(Leases.Cluster.horizon trace ~drain:setup.drain)
@@ -152,7 +136,6 @@ let run setup ~trace =
     map;
     oracle = w.oracle;
     store = w.store;
-    telemetry;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -164,7 +147,6 @@ type part = {
   p_load : shard_load;
   p_oracle : Oracle.Register_oracle.t;
   p_store : Vstore.Store.t;
-  p_telemetry : Telemetry.Sampler.t option;
   p_events : Trace.Event.t list;
   p_rtt_s : float;
 }
@@ -178,26 +160,23 @@ type split_outcome = {
 
 (* One shard as a complete, isolated simulation: a one-server world at
    host [s] with its own engine, clocks, network, store, WAL, trace
-   buffer, telemetry collector and profile recorder, so parts may run on
-   separate domains; [rng] was pre-split from the master seed before any
-   domain started.  All [n_clients] client machines exist in every part
-   (a client idle on this shard contributes nothing), so client-level
-   faults apply in every part but only part 0 traces them; server faults
-   apply, and are traced, only in the part owning their shard. *)
+   buffer and profile recorder, so parts may run on separate domains;
+   [rng] was pre-split from the master seed before any domain started.
+   All [n_clients] client machines exist in every part (a client idle on
+   this shard contributes nothing), so client-level faults apply in every
+   part but only part 0 traces them; server faults apply, and are traced,
+   only in the part owning their shard.  The setup's [on_instruments]
+   hook sees the part's world on the part's domain. *)
 let run_split_part setup ~map ~rng ~horizon ~part_ops ~shard:s =
   let buf = if Trace.Sink.enabled setup.tracer then Some (Trace.Sink.buffer ()) else None in
   let tracer = match buf with Some b -> Trace.Sink.buffer_sink b | None -> Trace.Sink.null in
-  let profiler =
-    if s < Array.length setup.profilers then setup.profilers.(s) else Profile.Recorder.null
-  in
   (* Distinct request-id origins per part: the shard index sits above a
      26-bit per-part sequence, below the host bits, so correlation ids stay
      unique in the merged stream. *)
   let req_origin host = (Host_id.to_int host lsl 32) lor (s lsl 26) in
-  let w, metrics, telemetry =
-    run_world setup ~tracer ~profiler ~rng
-      ~servers:[| (server_host s, config_for_shard setup map s) |]
-      ~req_origin
+  let w, metrics =
+    Leases.Sim.run_world (world_setup setup ~tracer ~shard:s) ~client_host:(client_host setup)
+      ~rng ~servers:[| (server_host s, config_for_shard setup map s) |] ~req_origin
       ~server_of_shard:(fun shard -> if shard mod setup.n_shards = s then Some 0 else None)
       ~trace_clients:(s = 0) ~until:horizon part_ops
   in
@@ -207,7 +186,6 @@ let run_split_part setup ~map ~rng ~horizon ~part_ops ~shard:s =
     p_load = load_of_server ~shard:s ~sim_duration:metrics.Leases.Metrics.sim_duration w.servers.(0);
     p_oracle = w.oracle;
     p_store = w.store;
-    p_telemetry = telemetry;
     p_events = (match buf with Some b -> Trace.Sink.buffer_contents b | None -> []);
     p_rtt_s = Time.Span.to_sec (Netsim.Net.unicast_rtt w.fabric.Leases.Cluster.net);
   }
@@ -326,21 +304,3 @@ let run_split ?(domains = 1) setup ~trace =
     sp_map = map;
     sp_parts = parts;
   }
-
-let residual_params ?tolerance ?warmup_s setup =
-  let term =
-    match setup.config.Leases.Config.term_policy with
-    | Leases.Term_policy.Zero -> Analytic.Model.Finite 0.
-    | Leases.Term_policy.Fixed span -> Analytic.Model.Finite (Time.Span.to_sec span)
-    | Leases.Term_policy.Infinite -> Analytic.Model.Infinite
-    | Leases.Term_policy.Adaptive a -> Analytic.Model.Finite (Time.Span.to_sec a.Leases.Term_policy.max_term)
-  in
-  Telemetry.Residual.make_params ?tolerance ?warmup_s ~n_clients:setup.n_clients
-    ~m_prop_s:(Time.Span.to_sec setup.m_prop) ~m_proc_s:(Time.Span.to_sec setup.m_proc)
-    ~epsilon_s:(Time.Span.to_sec setup.config.Leases.Config.skew_allowance)
-    ~term ()
-
-let telemetry_report setup sampler =
-  let params = residual_params setup in
-  Array.init (Telemetry.Sampler.servers sampler) (fun server ->
-      Telemetry.Residual.summarize params (Telemetry.Residual.evaluate ~server params sampler))

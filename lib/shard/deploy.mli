@@ -4,14 +4,15 @@
     a {!Shard_map} and runs them as one [Leases.Sim] lease world on the
     shared [Leases.Cluster] harness (fabric, fault scheduler, op issue):
     shard [s]'s server is host [s], client [i] is host [n_shards + i], and
-    every client routes each operation to the owning server through
-    [Leases.Client]'s [route] hook — per-server retry state, per-server
-    renewal batching, approval replies to whichever server asked.  The
-    servers share one versioned store (their file sets are disjoint) but
-    keep independent WALs, lease tables and clocks, so a crashed shard
-    runs the max-term recovery wait on its own while the others keep
-    serving.  With one shard, {!run} is [Leases.Sim.run]: same metrics,
-    same event stream, same telemetry windows.
+    with several shards every client routes each operation to the owning
+    server through [Leases.Client]'s [route] hook — per-server retry
+    state, per-server renewal batching, approval replies to whichever
+    server asked.  The servers share one versioned store (their file sets
+    are disjoint) but keep independent WALs, lease tables and clocks, so a
+    crashed shard runs the max-term recovery wait on its own while the
+    others keep serving.  With one shard there is nothing to route, and
+    {!run} builds exactly [Leases.Sim.run]'s world: same metrics, same
+    event stream, same telemetry windows.
 
     Fault vocabulary: [Leases.Sim.Crash_shard] and the server clock faults
     name the owning server of a shard (index taken modulo the shard
@@ -31,28 +32,25 @@ type setup = {
   faults : Leases.Sim.fault list;
   drain : Simtime.Time.Span.t;
   tracer : Trace.Sink.t;
-  telemetry_interval_s : float option;
-      (** when set, attach a {!Telemetry.Sampler} at this interval to the
-          run's world ({!run}) or to each part's ({!run_split}) *)
-  latency : Trace.Critical_path.t option;
-      (** a live critical-path analyzer whose sink the caller has already
-          tee'd into [tracer]; when telemetry is also on, each shard's
-          windows carry that shard's per-phase write-delay sums.
-          {!run_split} cannot poll the analyzer during the run (it feeds
-          the merged stream after the parts join), so split-mode windows
-          carry no per-phase sums whatever this field holds. *)
+  on_instruments : Leases.Sim.world -> Leases.Cluster.tally -> unit;
+      (** [Leases.Sim.setup.on_instruments]: called once per world, with
+          the world and the op driver's tally, after the faults and the
+          first op are scheduled and before the engine starts — once for
+          {!run}, once per part for {!run_split}, on the part's domain
+          (part [s]'s one server is host [s]).  The hook a telemetry
+          sampler attaches through; the default does nothing. *)
   profilers : Profile.Recorder.t array;
-      (** {!run_split} only: recorder installed on sub-simulation [s]'s
-          engine is [profilers.(s)] (out-of-range shards get
-          {!Profile.Recorder.null}).  The caller creates them because the
-          recorder needs a wallclock timer this library does not have.
-          Empty — the default — profiles nothing; ignored by {!run}. *)
+      (** the recorder installed on {!run}'s one engine is [profilers.(0)],
+          and on sub-simulation [s]'s engine [profilers.(s)]
+          (out-of-range indices get {!Profile.Recorder.null}).  The caller
+          creates them because the recorder needs a wallclock timer this
+          library does not have.  Empty — the default — profiles nothing. *)
 }
 
 val default_setup : setup
 (** Seed 1, one client, four shards, {!Leases.Config.default},
     V LAN message times, no loss, no faults, 120 s drain, no tracing, no
-    telemetry. *)
+    instruments. *)
 
 val server_host : int -> Host.Host_id.t
 (** Shard [s]'s server is host [s]. *)
@@ -88,10 +86,6 @@ type outcome = {
   map : Shard_map.t;
   oracle : Oracle.Register_oracle.t;
   store : Vstore.Store.t;
-  telemetry : Telemetry.Sampler.t option;
-      (** finalized when present; server [s] is shard [s], so with several
-          shards the windows follow the K-server read-count rule and with
-          one they equal [Leases.Sim.run]'s *)
 }
 
 val run : setup -> trace:Workload.Trace.t -> outcome
@@ -104,8 +98,8 @@ val run : setup -> trace:Workload.Trace.t -> outcome
 
     {!run_split} partitions the workload by file ownership and runs shard
     [s] as a complete, isolated simulation: its own engine, clocks,
-    network, liveness and partition state, store, WAL, trace buffer,
-    telemetry sampler and profile recorder, with per-shard RNG streams
+    network, liveness and partition state, store, WAL, trace buffer and
+    profile recorder, with per-shard RNG streams
     pre-split from the master seed in shard order before any domain
     starts.  All [n_clients] client machines exist in every part (an op
     reaches the part owning its file; an idle client contributes
@@ -114,8 +108,7 @@ val run : setup -> trace:Workload.Trace.t -> outcome
 
     The result is deterministic in the seed and independent of [domains]:
     metrics sum, latency histograms fold with {!Stats.Histogram.merge} in
-    shard order, each part keeps its own telemetry windows, and the per-part
-    trace streams are merged by [(timestamp, shard)] and replayed into
+    shard order, and the per-part trace streams are merged by [(timestamp, shard)] and replayed into
     [setup.tracer] after the parts join.
 
     This is a different cluster model from {!run} — independent network
@@ -129,9 +122,6 @@ type part = {
   p_load : shard_load;
   p_oracle : Oracle.Register_oracle.t;
   p_store : Vstore.Store.t;  (** this shard's slice of the namespace *)
-  p_telemetry : Telemetry.Sampler.t option;
-      (** this part's one-server sampler, finalized: full windows (counters,
-          skews, client queues, breakdown) but no phase sums *)
   p_events : Trace.Event.t list;
       (** this part's trace, time-ordered; empty when [setup.tracer] is
           disabled *)
@@ -151,14 +141,3 @@ val run_split : ?domains:int -> setup -> trace:Workload.Trace.t -> split_outcome
     from a shared counter.  [~domains:1] runs the parts sequentially on
     the calling domain and produces bit-identical results to any other
     domain count. *)
-
-val residual_params :
-  ?tolerance:float -> ?warmup_s:float -> setup -> Telemetry.Residual.params
-(** §3.1 residual parameters for this deployment: total client count, the
-    configured message times and skew allowance, and the term implied by
-    the term policy (an adaptive policy evaluates at its max term). *)
-
-val telemetry_report : setup -> Telemetry.Sampler.t -> Telemetry.Residual.summary array
-(** The §3.1 residual summary of each server the sampler watched, in server
-    order, against {!residual_params}: shard [s]'s at index [s] for
-    {!run}'s sampler, and a split part's one shard for its [p_telemetry]. *)

@@ -11,19 +11,29 @@ type params = {
 let default_tolerance = 0.5
 let default_warmup_s = 300.
 
-let make_params ?(tolerance = default_tolerance) ?(warmup_s = default_warmup_s) ~n_clients
-    ~m_prop_s ~m_proc_s ~epsilon_s ~term () =
-  if n_clients < 1 then invalid_arg "Telemetry.Residual.make_params: n_clients must be positive";
-  if tolerance <= 0. then invalid_arg "Telemetry.Residual.make_params: tolerance must be positive";
-  if warmup_s < 0. then invalid_arg "Telemetry.Residual.make_params: warmup must be non-negative";
-  { n_clients; m_prop_s; m_proc_s; epsilon_s; term; tolerance; warmup_s }
-
-let params_of_setup ?tolerance ?warmup_s ~term (setup : Leases.Sim.setup) =
-  make_params ?tolerance ?warmup_s ~n_clients:setup.Leases.Sim.n_clients
-    ~m_prop_s:(Simtime.Time.Span.to_sec setup.Leases.Sim.m_prop)
-    ~m_proc_s:(Simtime.Time.Span.to_sec setup.Leases.Sim.m_proc)
-    ~epsilon_s:(Simtime.Time.Span.to_sec setup.Leases.Sim.config.Leases.Config.skew_allowance)
-    ~term ()
+let params_of_config ?(tolerance = default_tolerance) ?(warmup_s = default_warmup_s) ~n_clients
+    ~m_prop ~m_proc (config : Leases.Config.t) =
+  let who = "Telemetry.Residual.params_of_config" in
+  if n_clients < 1 then invalid_arg (who ^ ": n_clients must be positive");
+  if tolerance <= 0. then invalid_arg (who ^ ": tolerance must be positive");
+  if warmup_s < 0. then invalid_arg (who ^ ": warmup must be non-negative");
+  let sec = Simtime.Time.Span.to_sec in
+  let term =
+    match config.Leases.Config.term_policy with
+    | Leases.Term_policy.Zero -> Analytic.Model.Finite 0.
+    | Leases.Term_policy.Fixed span -> Analytic.Model.Finite (sec span)
+    | Leases.Term_policy.Infinite -> Analytic.Model.Infinite
+    | Leases.Term_policy.Adaptive a -> Analytic.Model.Finite (sec a.Leases.Term_policy.max_term)
+  in
+  {
+    n_clients;
+    m_prop_s = sec m_prop;
+    m_proc_s = sec m_proc;
+    epsilon_s = sec config.Leases.Config.skew_allowance;
+    term;
+    tolerance;
+    warmup_s;
+  }
 
 type eval = {
   e_window : Sampler.window;
@@ -189,3 +199,6 @@ let summarize p evals =
       steady_load_residual = steady_residual p evals;
     }
   end
+
+let summaries p sampler =
+  Array.init (Sampler.servers sampler) (fun server -> summarize p (evaluate ~server p sampler))

@@ -44,21 +44,19 @@ val default_warmup_s : float
 (** 300 s — where the seeded V-workload cold-cache ramp has decayed into
     the Poisson noise (see EXPERIMENTS.md). *)
 
-val make_params :
+val params_of_config :
   ?tolerance:float ->
   ?warmup_s:float ->
   n_clients:int ->
-  m_prop_s:float ->
-  m_proc_s:float ->
-  epsilon_s:float ->
-  term:Analytic.Model.term ->
-  unit ->
+  m_prop:Simtime.Time.Span.t ->
+  m_proc:Simtime.Time.Span.t ->
+  Leases.Config.t ->
   params
-
-val params_of_setup :
-  ?tolerance:float -> ?warmup_s:float -> term:Analytic.Model.term -> Leases.Sim.setup -> params
-(** Read N, the message times and the skew allowance from a simulation
-    setup; only the term (a policy, not a setup field) must be supplied. *)
+(** The parameters of a lease run with [n_clients] clients, these message
+    times and this config: its skew allowance, and the term its policy
+    grants (an adaptive policy evaluates at its max term).  Raises
+    [Invalid_argument] unless [n_clients] and [tolerance] are positive
+    and [warmup_s] is non-negative. *)
 
 type eval = {
   e_window : Sampler.window;
@@ -97,3 +95,7 @@ type summary = {
 }
 
 val summarize : params -> eval list -> summary
+
+val summaries : params -> Sampler.t -> summary array
+(** The summary of each server the sampler watched, in server order: a
+    K-server world's shard [s] at index [s], a one-server world's at 0. *)

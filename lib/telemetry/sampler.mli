@@ -1,12 +1,12 @@
 (** Periodic telemetry sampler driven by the simulation clock: the one
     collector of every lease world.
 
-    A sampler attaches to a world through {!Leases.Sim.setup.on_instruments}
-    ([Shard.Deploy] attaches one itself when its setup asks for telemetry)
-    and closes one window per server of the world at every multiple of the
-    sampling interval.  A window carries the deltas since the previous
-    boundary and the server's gauges at this one: lease-table occupancy,
-    pending and queued writes, and whether it is up.
+    A sampler attaches to a world through the [on_instruments] hook of a
+    [Leases.Sim.setup] or a [Shard.Deploy.setup] and closes one window
+    per server of the world at every multiple of the sampling interval.
+    A window carries the deltas since the previous boundary and the
+    server's gauges at this one: lease-table occupancy, pending and queued
+    writes, and whether it is up.
 
     Window semantics: boundaries sit at [k * interval] of {e engine} time,
     one boundary event for the whole world, armed after the faults and the
@@ -121,8 +121,9 @@ val attach : t -> Leases.Sim.world -> Leases.Cluster.tally -> unit
     {!Leases.Breakdown.t} installed on its server; a K-server world gets
     the sampler's completion listeners.  Pass
     [{ setup with on_instruments = Sampler.attach sampler }] to
-    {!Leases.Sim.run}.  A sampler attaches to exactly one run; reattaching
-    raises [Invalid_argument]. *)
+    [Leases.Sim.run] or [Shard.Deploy.run]; a split run builds one world
+    per part, so it needs one sampler per part.  A sampler attaches to
+    exactly one run; reattaching raises [Invalid_argument]. *)
 
 val finalize : t -> unit
 (** Close the trailing partial window at the current engine instant, if any

@@ -32,37 +32,6 @@ let tee sinks =
       flush = (fun () -> List.iter (fun s -> s.flush ()) live);
     }
 
-(* Ring buffer *)
-
-type ring = {
-  cap : int;
-  buf : Event.t option array;
-  mutable next : int;  (* slot the next event lands in *)
-  mutable len : int;
-  mutable dropped : int;
-}
-
-let ring ~capacity =
-  if capacity <= 0 then invalid_arg "Trace.Sink.ring: capacity must be positive";
-  { cap = capacity; buf = Array.make capacity None; next = 0; len = 0; dropped = 0 }
-
-let ring_push r e =
-  if r.len = r.cap then r.dropped <- r.dropped + 1 else r.len <- r.len + 1;
-  r.buf.(r.next) <- Some e;
-  r.next <- (r.next + 1) mod r.cap
-
-let ring_sink r = { enabled = true; push = ring_push r; flush = ignore }
-
-let ring_contents r =
-  (* Oldest slot: [next - len] modulo capacity. *)
-  let start = (r.next - r.len + r.cap) mod r.cap in
-  List.init r.len (fun i ->
-      match r.buf.((start + i) mod r.cap) with
-      | Some e -> e
-      | None -> assert false)
-
-let ring_dropped r = r.dropped
-
 (* Unbounded buffer *)
 
 type buffer = { mutable events : Event.t list }

@@ -9,8 +9,8 @@
     because OCaml evaluates the payload argument eagerly; with the guard,
     the {!null} sink costs one load and one branch per potential event.
 
-    Sinks buffer without synchronization ({!buffer}, {!ring} and the
-    [jsonl] writer's channel): one domain owns a sink for the
+    Sinks buffer without synchronization ({!buffer} and the [jsonl]
+    writer's channel): one domain owns a sink for the
     duration of a run.  A parallel harness gives each sub-simulation a
     private buffer and interleaves the captured streams after the domains
     join — see [Shard.Deploy.run_split]. *)
@@ -35,20 +35,6 @@ val observe : enter:(unit -> unit) -> leave:(unit -> unit) -> t -> t
 (** Bracket every push with [enter]/[leave] — the profiler wraps the run's
     sink this way to account emission as a nested cost-center span.  A
     disabled sink is returned untouched. *)
-
-(** {1 Ring buffer} — bounded, overwrites oldest. *)
-
-type ring
-
-val ring : capacity:int -> ring
-(** [capacity] must be positive; raises [Invalid_argument] otherwise. *)
-
-val ring_sink : ring -> t
-val ring_contents : ring -> Event.t list
-(** Oldest to newest, at most [capacity] events. *)
-
-val ring_dropped : ring -> int
-(** Events overwritten so far. *)
 
 (** {1 Unbounded buffer} — keeps everything, for tests and in-process
     consumers (checker, lifecycle, Chrome export). *)

@@ -119,4 +119,31 @@ echo "== fault campaign (25 seeded schedules) =="
 # to a minimal reproducer command line.
 dune exec bin/campaign.exe -- --seed 1 --schedules 25 --shrink
 
+echo "== campaign reproducers replay through leases-sim =="
+# Every schedule of the same campaign prints the leases-sim command that
+# reproduces it.  Run each one, one-shard and sharded alike, and require
+# the schedule's ops_issued, dropped_ops and commits back.
+dune exec bin/campaign.exe -- --seed 1 --schedules 25 --json > /tmp/leases_campaign.json
+jq -r '.results[].outcome | [.ops_issued, .dropped_ops, .commits, .schedule.command] | @tsv' \
+  /tmp/leases_campaign.json > /tmp/leases_reproducers.tsv
+tab=$(printf '\t')
+replayed=0
+mismatched=0
+while IFS="$tab" read -r ops dropped commits cmd; do
+  replayed=$((replayed + 1))
+  out=$(eval "_build/default/bin/simulate.exe ${cmd#leases-sim } --json" 2>&1) || true
+  got=$(printf '%s\n' "$out" | jq -r '[.ops_issued, .dropped_ops, .commits] | @tsv' 2>/dev/null) \
+    || got=$out
+  if [ "$got" != "$ops$tab$dropped$tab$commits" ]; then
+    echo "reproducer does not replay: $cmd" >&2
+    echo "  campaign: ops_issued dropped_ops commits = $ops $dropped $commits; leases-sim: $got" >&2
+    mismatched=$((mismatched + 1))
+  fi
+done < /tmp/leases_reproducers.tsv
+if [ "$replayed" -ne 25 ] || [ "$mismatched" -ne 0 ]; then
+  echo "$mismatched of $replayed campaign reproducers failed to replay" >&2
+  exit 1
+fi
+echo "$replayed reproducers replayed"
+
 echo "== all checks passed =="

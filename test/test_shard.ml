@@ -62,7 +62,7 @@ let test_map_stability_under_growth () =
 
 (* --- deployment ---------------------------------------------------- *)
 
-let sharded_setup ?(n_clients = 6) ?(n_shards = 4) ?(faults = []) ?tracer ?telemetry () =
+let sharded_setup ?(n_clients = 6) ?(n_shards = 4) ?(faults = []) ?tracer ?on_instruments () =
   let base = Shard.Deploy.default_setup in
   {
     base with
@@ -70,8 +70,20 @@ let sharded_setup ?(n_clients = 6) ?(n_shards = 4) ?(faults = []) ?tracer ?telem
     n_shards;
     faults;
     tracer = Option.value tracer ~default:base.Shard.Deploy.tracer;
-    telemetry_interval_s = telemetry;
+    on_instruments = Option.value on_instruments ~default:base.Shard.Deploy.on_instruments;
   }
+
+(* One sampler per world a run builds, attached through the setup's hook:
+   [worlds] is 1 for [Deploy.run] and the shard count for [run_split],
+   whose part [s] has one server, at host [s] (and may run on another
+   domain). *)
+let samplers ?latency ~worlds interval_s =
+  let samplers = Array.init worlds (fun _ -> Telemetry.Sampler.create ~interval_s ?latency ()) in
+  let attach (w : Leases.Sim.world) tally =
+    let world = Host.Host_id.to_int (Leases.Server.host w.Leases.Sim.servers.(0)) in
+    Telemetry.Sampler.attach samplers.(world) w tally
+  in
+  (samplers, attach)
 
 let v_trace ?(duration = 300.) ?(clients = 6) () =
   (Experiments.V_trace.poisson ~clients ~duration:(span duration) ()).Experiments.V_trace.trace
@@ -132,11 +144,11 @@ let window_line (w : Telemetry.Sampler.window) =
     entities (floats w.write_phase_sums)
 
 let test_single_shard_matches_sim_load () =
-  (* one shard routes everything to host 0 and lays client i out as host
-     1 + i, exactly as the single-server harness does, so the two must run
-     the same simulation: same metrics, same event stream and, both being
-     one-server worlds, the same telemetry windows, under loss and every
-     kind of fault *)
+  (* one shard lays client i out as host 1 + i and routes nothing, exactly
+     as the single-server harness does, so the two must run the same
+     simulation: same metrics, same event stream and the same telemetry
+     windows, phase sums included, from samplers attached through the same
+     hook, under loss and every kind of fault *)
   let trace = v_trace ~duration:200. () in
   let faults =
     List.map fault_exn
@@ -153,8 +165,18 @@ let test_single_shard_matches_sim_load () =
   let config =
     (Experiments.Runner.lease_setup ~term:(Analytic.Model.Finite 10.) ()).Leases.Sim.config
   in
-  let sim_buf = Trace.Sink.buffer () and dep_buf = Trace.Sink.buffer () in
-  let sampler = Telemetry.Sampler.create ~interval_s:7.5 () in
+  (* a buffer and a live critical-path analyzer behind one tracer, and a
+     sampler reading the analyzer *)
+  let instruments () =
+    let buf = Trace.Sink.buffer () and analyzer = Trace.Critical_path.create () in
+    let samplers, attach = samplers ~latency:analyzer ~worlds:1 7.5 in
+    ( buf,
+      Trace.Sink.tee [ Trace.Sink.buffer_sink buf; Trace.Critical_path.sink analyzer ],
+      samplers.(0),
+      attach )
+  in
+  let sim_buf, sim_tracer, sim_sampler, sim_attach = instruments () in
+  let dep_buf, dep_tracer, dep_sampler, dep_attach = instruments () in
   let sim =
     Leases.Sim.run
       {
@@ -163,23 +185,22 @@ let test_single_shard_matches_sim_load () =
         config;
         loss = 0.05;
         faults;
-        tracer = Trace.Sink.buffer_sink sim_buf;
-        on_instruments = Telemetry.Sampler.attach sampler;
+        tracer = sim_tracer;
+        on_instruments = sim_attach;
       }
       ~trace
   in
-  Telemetry.Sampler.finalize sampler;
   let sharded =
     Shard.Deploy.run
       {
-        (sharded_setup ~n_shards:1 ~faults ~tracer:(Trace.Sink.buffer_sink dep_buf)
-           ~telemetry:7.5 ())
-        with
+        (sharded_setup ~n_shards:1 ~faults ~tracer:dep_tracer ~on_instruments:dep_attach ()) with
         Shard.Deploy.config;
         loss = 0.05;
       }
       ~trace
   in
+  Telemetry.Sampler.finalize sim_sampler;
+  Telemetry.Sampler.finalize dep_sampler;
   let m = sharded.Shard.Deploy.metrics in
   Alcotest.(check int) "zero violations" 0 m.Leases.Metrics.oracle_violations;
   Alcotest.(check int) "one shard carries everything"
@@ -191,9 +212,34 @@ let test_single_shard_matches_sim_load () =
   Alcotest.(check bool) "faults fired" true (m.Leases.Metrics.net_dropped_down > 0);
   Alcotest.(check (list string)) "same event stream as Sim.run" (encoded sim_buf)
     (encoded dep_buf);
+  Alcotest.(check bool) "phase sums sampled" true
+    (List.exists
+       (fun (w : Telemetry.Sampler.window) -> w.write_phase_sums <> [])
+       (Telemetry.Sampler.windows dep_sampler));
   let windows sampler = List.map window_line (Telemetry.Sampler.windows sampler) in
-  Alcotest.(check (list string)) "same telemetry windows as Sim.run" (windows sampler)
-    (windows (Option.get sharded.Shard.Deploy.telemetry))
+  Alcotest.(check (list string)) "same telemetry windows as Sim.run" (windows sim_sampler)
+    (windows dep_sampler)
+
+(* [Deploy.run] installs [profilers.(0)] on its one engine, whatever the
+   shard count; at one shard that engine dispatches what [Sim.run]'s
+   does. *)
+let test_run_profiles_its_engine () =
+  let trace = v_trace ~duration:60. () in
+  let recorder () = Profile.Recorder.create ~words:(fun () -> (0., 0.)) ~timer:(fun () -> 0.) () in
+  let deploy n_shards =
+    let r = recorder () in
+    ignore (Shard.Deploy.run { (sharded_setup ~n_shards ()) with profilers = [| r |] } ~trace);
+    Profile.Recorder.events_total r
+  in
+  let sim = recorder () in
+  ignore
+    (Leases.Sim.run
+       { Leases.Sim.default_setup with Leases.Sim.n_clients = 6; profiler = sim }
+       ~trace);
+  Alcotest.(check bool) "Sim.run recorded its engine" true (Profile.Recorder.events_total sim > 0);
+  Alcotest.(check int) "one shard records Sim.run's dispatches"
+    (Profile.Recorder.events_total sim) (deploy 1);
+  Alcotest.(check bool) "four shards record their engine" true (deploy 4 > 0)
 
 let test_shard_failover () =
   (* crash one shard's server mid-run: its files stall through the crash
@@ -264,24 +310,24 @@ let test_failover_other_shards_keep_serving () =
   let faults =
     [ Leases.Sim.Crash_shard { shard = 0; at = Time.of_sec 50.; duration = span 200. } ]
   in
-  let setup = sharded_setup ~faults ~telemetry:10. () in
+  let samplers, on_instruments = samplers ~worlds:1 10. in
+  let sampler = samplers.(0) in
+  let setup = sharded_setup ~faults ~on_instruments () in
   let trace = v_trace ~duration:300. () in
   let outcome = Shard.Deploy.run setup ~trace in
-  (match outcome.Shard.Deploy.telemetry with
-  | None -> Alcotest.fail "telemetry expected"
-  | Some sampler ->
-    (* shard 0's windows show the outage (server down), the others never
-       go down *)
-    let down_windows server =
-      List.length
-        (List.filter
-           (fun (w : Telemetry.Sampler.window) -> not w.Telemetry.Sampler.server_up)
-           (Telemetry.Sampler.windows ~server sampler))
-    in
-    Alcotest.(check bool) "crashed shard shows down windows" true (down_windows 0 > 0);
-    for s = 1 to 3 do
-      Alcotest.(check int) (Printf.sprintf "shard %d stayed up" s) 0 (down_windows s)
-    done);
+  Telemetry.Sampler.finalize sampler;
+  (* shard 0's windows show the outage (server down), the others never
+     go down *)
+  let down_windows server =
+    List.length
+      (List.filter
+         (fun (w : Telemetry.Sampler.window) -> not w.Telemetry.Sampler.server_up)
+         (Telemetry.Sampler.windows ~server sampler))
+  in
+  Alcotest.(check bool) "crashed shard shows down windows" true (down_windows 0 > 0);
+  for s = 1 to 3 do
+    Alcotest.(check int) (Printf.sprintf "shard %d stayed up" s) 0 (down_windows s)
+  done;
   Alcotest.(check int) "zero oracle violations" 0
     outcome.Shard.Deploy.metrics.Leases.Metrics.oracle_violations;
   (* surviving shards committed during the outage: compare their commits
@@ -296,24 +342,27 @@ let test_failover_other_shards_keep_serving () =
     outcome.Shard.Deploy.per_shard
 
 let test_per_shard_residuals () =
-  let setup = sharded_setup ~telemetry:30. () in
+  let samplers, on_instruments = samplers ~worlds:1 30. in
+  let setup = sharded_setup ~on_instruments () in
   let trace = v_trace ~duration:600. () in
-  let outcome = Shard.Deploy.run setup ~trace in
-  match outcome.Shard.Deploy.telemetry with
-  | None -> Alcotest.fail "telemetry expected"
-  | Some sampler ->
-    let reports = Shard.Deploy.telemetry_report setup sampler in
-    Alcotest.(check int) "one report per shard" 4 (Array.length reports);
-    Array.iteri
-      (fun shard (summary : Telemetry.Residual.summary) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "shard %d has windows" shard)
-          true (summary.windows > 0);
-        Alcotest.(check bool)
-          (Printf.sprintf "shard %d residual is finite" shard)
-          true
-          (Float.is_finite summary.steady_load_residual))
-      reports
+  ignore (Shard.Deploy.run setup ~trace);
+  Telemetry.Sampler.finalize samplers.(0);
+  let params =
+    Telemetry.Residual.params_of_config ~n_clients:setup.n_clients ~m_prop:setup.m_prop
+      ~m_proc:setup.m_proc setup.config
+  in
+  let reports = Telemetry.Residual.summaries params samplers.(0) in
+  Alcotest.(check int) "one report per shard" 4 (Array.length reports);
+  Array.iteri
+    (fun shard (summary : Telemetry.Residual.summary) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d has windows" shard)
+        true (summary.windows > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d residual is finite" shard)
+        true
+        (Float.is_finite summary.steady_load_residual))
+    reports
 
 (* --- sequential goldens -------------------------------------------- *)
 
@@ -429,15 +478,12 @@ let test_golden_trace_split_faults () =
    (encoded lines, in stream order). *)
 let split_observables ~domains ~faults ~duration () =
   let buf = Trace.Sink.buffer () in
-  let setup = sharded_setup ~faults ~tracer:(Trace.Sink.buffer_sink buf) ~telemetry:10. () in
+  let samplers, on_instruments = samplers ~worlds:4 10. in
+  let setup = sharded_setup ~faults ~tracer:(Trace.Sink.buffer_sink buf) ~on_instruments () in
   let trace = v_trace ~duration () in
   let outcome = Shard.Deploy.run_split ~domains setup ~trace in
-  let windows =
-    Array.to_list
-      (Array.map
-         (fun p -> Telemetry.Sampler.windows (Option.get p.Shard.Deploy.p_telemetry))
-         outcome.Shard.Deploy.sp_parts)
-  in
+  Array.iter Telemetry.Sampler.finalize samplers;
+  let windows = Array.to_list (Array.map Telemetry.Sampler.windows samplers) in
   ( Leases.Metrics.to_json outcome.Shard.Deploy.sp_metrics,
     outcome.Shard.Deploy.sp_per_shard,
     windows,
@@ -456,17 +502,15 @@ let split_faults () =
    the K-server read-count rule and window shape to that collector's. *)
 let test_golden_shard_windows () =
   let analyzer = Trace.Critical_path.create () in
+  let samplers, on_instruments = samplers ~latency:analyzer ~worlds:1 10. in
   let setup =
-    {
-      (sharded_setup ~faults:(split_faults ()) ~tracer:(Trace.Critical_path.sink analyzer)
-         ~telemetry:10. ())
-      with
-      Shard.Deploy.latency = Some analyzer;
-    }
+    sharded_setup ~faults:(split_faults ()) ~tracer:(Trace.Critical_path.sink analyzer)
+      ~on_instruments ()
   in
-  let outcome = Shard.Deploy.run setup ~trace:(v_trace ~duration:200. ()) in
+  ignore (Shard.Deploy.run setup ~trace:(v_trace ~duration:200. ()));
+  Telemetry.Sampler.finalize samplers.(0);
   (* every window of every shard, shard by shard *)
-  let windows = Telemetry.Sampler.windows (Option.get outcome.Shard.Deploy.telemetry) in
+  let windows = Telemetry.Sampler.windows samplers.(0) in
   Alcotest.(check bool) "phase sums sampled" true
     (List.exists (fun (w : Telemetry.Sampler.window) -> w.write_phase_sums <> []) windows);
   let lines = List.map window_line windows in
@@ -561,6 +605,7 @@ let () =
         [
           Alcotest.test_case "clean sharded run" `Quick test_sharded_run_clean;
           Alcotest.test_case "single shard degenerates" `Quick test_single_shard_matches_sim_load;
+          Alcotest.test_case "run profiles its engine" `Quick test_run_profiles_its_engine;
           Alcotest.test_case "deterministic" `Quick test_deploy_deterministic;
           Alcotest.test_case "golden: clean run unchanged" `Quick test_golden_sequential_clean;
           Alcotest.test_case "golden: faulted run unchanged" `Quick test_golden_sequential_faults;

@@ -31,6 +31,11 @@ let run_sampled ?(interval_s = 10.) ?(n_clients = 2) ?(duration = 120.) ?(seed =
   Telemetry.Sampler.finalize sampler;
   (sampler, setup, outcome, Option.get !world)
 
+(* The residual parameters of a run: its term is the config's. *)
+let params_of (setup : Leases.Sim.setup) =
+  Telemetry.Residual.params_of_config ~n_clients:setup.n_clients ~m_prop:setup.m_prop
+    ~m_proc:setup.m_proc setup.config
+
 (* Every window's counter deltas must sum to the final cumulative dump, and
    the window chain must tile the run without gaps. *)
 let test_window_accounting () =
@@ -110,9 +115,7 @@ let test_window_accounting () =
 let test_export_determinism () =
   let report kind =
     let sampler, setup, _, _ = run_sampled () in
-    let params =
-      Telemetry.Residual.params_of_setup ~term:(Analytic.Model.Finite 10.) setup
-    in
+    let params = params_of setup in
     match kind with
     | `Json -> Telemetry.Report.to_json_string ~params sampler
     | `Csv -> Telemetry.Report.to_csv_string ~params sampler
@@ -133,7 +136,7 @@ let test_steady_residual () =
   let sampler, setup, _, _ =
     run_sampled ~interval_s:30. ~n_clients:1 ~duration:1500. ()
   in
-  let params = Telemetry.Residual.params_of_setup ~term:(Analytic.Model.Finite 10.) setup in
+  let params = params_of setup in
   let summary =
     Telemetry.Residual.summarize params (Telemetry.Residual.evaluate params sampler)
   in
@@ -154,7 +157,7 @@ let test_fault_degradation_and_recovery () =
   let sampler, setup, _, _ =
     run_sampled ~interval_s:30. ~n_clients:4 ~duration:300. ~faults ()
   in
-  let params = Telemetry.Residual.params_of_setup ~term:(Analytic.Model.Finite 10.) setup in
+  let params = params_of setup in
   let evals = Telemetry.Residual.evaluate params sampler in
   let during_fault =
     List.filter
@@ -252,7 +255,7 @@ let test_export_golden () =
     (some (fun w -> w.Telemetry.Sampler.by_entity <> []));
   Alcotest.(check bool) "skews recorded" true
     (some (fun w -> Telemetry.Sampler.max_abs_skew w > 0.));
-  let params = Telemetry.Residual.params_of_setup ~term:(Analytic.Model.Finite 10.) setup in
+  let params = params_of setup in
   Alcotest.(check string) "export MD5" "4190426f37829a7caf34c9be7fa821af"
     (Digest.to_hex (Digest.string (Telemetry.Report.to_json_string ~params sampler)));
   (* the export carries only the last window's cumulative counters *)

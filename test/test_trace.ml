@@ -99,23 +99,6 @@ let test_codec_rejects_garbage () =
 
 (* --- sinks -------------------------------------------------------------- *)
 
-let test_ring_overwrites_oldest () =
-  let ring = Trace.Sink.ring ~capacity:4 in
-  let sink = Trace.Sink.ring_sink ring in
-  for i = 0 to 9 do
-    Trace.Sink.emit sink (float_of_int i) (Trace.Event.Heartbeat { pending = i })
-  done;
-  let pending = function
-    | { Trace.Event.ev = Trace.Event.Heartbeat { pending }; _ } -> pending
-    | _ -> Alcotest.fail "unexpected event kind in ring"
-  in
-  Alcotest.(check (list int)) "keeps the newest, oldest first" [ 6; 7; 8; 9 ]
-    (List.map pending (Trace.Sink.ring_contents ring));
-  Alcotest.(check int) "counts overwrites" 6 (Trace.Sink.ring_dropped ring);
-  Alcotest.check_raises "rejects non-positive capacity"
-    (Invalid_argument "Trace.Sink.ring: capacity must be positive") (fun () ->
-      ignore (Trace.Sink.ring ~capacity:0))
-
 let test_null_sink_disabled () =
   Alcotest.(check bool) "null disabled" false (Trace.Sink.enabled Trace.Sink.null);
   Alcotest.(check bool) "tee of nulls disabled" false
@@ -463,7 +446,6 @@ let () =
         :: [ Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage ] );
       ( "sinks",
         [
-          Alcotest.test_case "ring overwrites oldest" `Quick test_ring_overwrites_oldest;
           Alcotest.test_case "null disabled" `Quick test_null_sink_disabled;
         ] );
       ( "lifecycle",
