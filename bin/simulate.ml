@@ -2,10 +2,8 @@
 
 open Cmdliner
 
-let span_sec = Simtime.Time.Span.of_sec
-
 let make_trace workload clients duration seed =
-  let duration = span_sec duration in
+  let duration = Simtime.Time.Span.of_sec duration in
   match workload with
   | "poisson" -> (Experiments.V_trace.poisson ~seed ~clients ~duration ()).Experiments.V_trace.trace
   | "bursty" -> (Experiments.V_trace.bursty ~seed ~clients ~duration ()).Experiments.V_trace.trace
@@ -221,15 +219,15 @@ let run_leases ~term ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~faul
   in
   (metrics, print_extra)
 
-(* The Section 6 baselines: one server, no instruments. *)
+(* The Section 6 baselines: one server, no instruments, on a lease run's
+   setup.  The TTL is the config's term; callbacks read no term. *)
 let run_baseline ~protocol ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer ~trace =
+  let setup config =
+    { Leases.Sim.default_setup with
+      Leases.Sim.seed; n_clients = clients; config; m_prop; m_proc; loss; faults; tracer }
+  in
   match protocol with
-  | "callback" ->
-    let setup =
-      { Baselines.Callback.default_setup with
-        Baselines.Callback.n_clients = clients; m_prop; m_proc; loss; seed; tracer; faults }
-    in
-    (Baselines.Callback.run setup ~trace).Leases.Sim.metrics
+  | "callback" -> (Baselines.Callback.run (setup Leases.Config.default) ~trace).Leases.Sim.metrics
   | "ttl" ->
     if term_s < 0. then
       failwith
@@ -237,12 +235,8 @@ let run_baseline ~protocol ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~faults 
            "--term %g: a TTL hint is not a promise and never lasts forever; give a TTL of 0 s or \
             more"
            term_s);
-    let setup =
-      { Baselines.Ttl_hints.default_setup with
-        Baselines.Ttl_hints.n_clients = clients; m_prop; m_proc; loss; seed; ttl = span_sec term_s;
-        tracer; faults }
-    in
-    (Baselines.Ttl_hints.run setup ~trace).Leases.Sim.metrics
+    let config = Leases.Config.with_term Leases.Config.default (Leases.Lease.term_of_sec term_s) in
+    (Baselines.Ttl_hints.run (setup config) ~trace).Leases.Sim.metrics
   | other -> failwith (Printf.sprintf "unknown protocol %S (leases|polling|callback|ttl)" other)
 
 let main protocol term_s clients duration seed loss rtt_ms workload ops_file json trace_out

@@ -37,15 +37,10 @@ let () =
     }
   in
   let lease = (Leases.Sim.run lease_setup ~trace).Leases.Sim.metrics in
-  let cb_setup =
-    {
-      Baselines.Callback.default_setup with
-      Baselines.Callback.n_clients = clients;
-      faults;
-      poll_period = Time.Span.of_sec 120.;
-    }
+  let cb =
+    (Baselines.Callback.run ~poll_period:(Time.Span.of_sec 120.) lease_setup ~trace)
+      .Leases.Sim.metrics
   in
-  let cb = (Baselines.Callback.run cb_setup ~trace).Leases.Sim.metrics in
 
   let report name (m : Leases.Metrics.t) =
     printf "%-22s stale reads %4d   max write wait %6.1f s   consistency %5.3f msg/s\n" name

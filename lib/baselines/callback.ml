@@ -3,31 +3,6 @@ open Rpc_cache
 module Host_id = Host.Host_id
 module File_id = Vstore.File_id
 
-type setup = {
-  seed : int64;
-  n_clients : int;
-  m_prop : Time.Span.t;
-  m_proc : Time.Span.t;
-  loss : float;
-  faults : Leases.Sim.fault list;
-  drain : Time.Span.t;
-  poll_period : Time.Span.t;
-  tracer : Trace.Sink.t;
-}
-
-let default_setup =
-  {
-    seed = 1L;
-    n_clients = 1;
-    m_prop = Time.Span.of_ms 0.5;
-    m_proc = Time.Span.of_ms 1.;
-    loss = 0.;
-    faults = [];
-    drain = Time.Span.of_sec 120.;
-    poll_period = Time.Span.of_sec 600.;
-    tracer = Trace.Sink.null;
-  }
-
 (* How long the server retries an unanswered break before proceeding. *)
 let break_timeout = Time.Span.of_sec 3.
 
@@ -333,11 +308,13 @@ let create_server (w : payload Leases.Cluster.fabric) store =
     ();
   server
 
-let run setup ~trace =
-  Rpc_cache.run ~who:"Callback.run" ~seed:setup.seed ~n_clients:setup.n_clients
-    ~m_prop:setup.m_prop ~m_proc:setup.m_proc ~loss:setup.loss ~faults:setup.faults
-    ~drain:setup.drain ~tracer:setup.tracer ~server:create_server
-    ~client:(fun c -> poll c ~period:setup.poll_period)
+let run ?(poll_period = Time.Span.of_sec 600.) setup ~trace =
+  if Time.Span.(poll_period <= zero) then
+    invalid_arg
+      (Printf.sprintf "Callback.run: poll_period must be positive, not %g s"
+         (Time.Span.to_sec poll_period));
+  Rpc_cache.run ~who:"Callback.run" setup ~server:create_server
+    ~client:(fun c -> poll c ~period:poll_period)
     ~report:(fun server m ->
       {
         (report_messages server.s_counters m) with

@@ -19,26 +19,20 @@
     partition the oracle records stale reads for callbacks where leases
     record none. *)
 
-type setup = {
-  seed : int64;
-  n_clients : int;
-  m_prop : Simtime.Time.Span.t;
-  m_proc : Simtime.Time.Span.t;
-  loss : float;
-  faults : Leases.Sim.fault list;
-  drain : Simtime.Time.Span.t;
-  poll_period : Simtime.Time.Span.t;
-  (** client revalidation interval (Andrew: 10 minutes) *)
-  tracer : Trace.Sink.t;
-  (** protocol event sink; callback promises are traced as infinite-term
-      leases, and a break abandoned by the give-up timer deliberately emits
-      no release — the invariant checker then exhibits the stale window *)
-}
+val run :
+  ?poll_period:Simtime.Time.Span.t ->
+  Leases.Sim.setup ->
+  trace:Workload.Trace.t ->
+  Leases.Sim.outcome
+(** Runs the setup's clients against one callback server, each client
+    revalidating its cache every [poll_period] (default 600 s, Andrew's
+    ten minutes).  Callback promises are traced as infinite-term leases,
+    and a break abandoned by the give-up timer deliberately emits no
+    release: the invariant checker then exhibits the stale window.  The
+    setup's [config] is not read.  Raises [Invalid_argument] before
+    building anything for a [poll_period] that is not positive, or when
+    [Leases.Cluster.check] rejects the setup.
 
-val default_setup : setup
-(** V LAN message times, 600 s poll period. *)
-
-val run : setup -> trace:Workload.Trace.t -> Leases.Sim.outcome
-(** The returned metrics reuse the lease metric record: break traffic is
+    The returned metrics reuse the lease metric record: break traffic is
     reported in the [approval] category and fetch/revalidation traffic in
     [extension]. *)

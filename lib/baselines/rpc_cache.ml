@@ -202,25 +202,25 @@ let create_client (w : payload Leases.Cluster.fabric) i =
 (* ------------------------------------------------------------------ *)
 (* Harness                                                             *)
 
-let run ~who ~seed ~n_clients ~m_prop ~m_proc ~loss ~faults ~drain ~tracer ~server ~client
-    ~report ~trace =
-  Leases.Cluster.check ~who ~n_clients faults trace;
+let run ~who (setup : Leases.Sim.setup) ~server ~client ~report ~trace =
+  Leases.Cluster.check ~who ~n_clients:setup.n_clients setup.faults trace;
   let w =
-    Leases.Cluster.fabric ~tracer
+    Leases.Cluster.fabric ~tracer:setup.tracer ~profiler:setup.profiler
       ~classify:(fun p -> (Trace.Event.M_other (payload_name p), -1))
-      ~rng:(Prng.Splitmix.create ~seed) ~loss ~m_prop ~m_proc ()
+      ~rng:(Prng.Splitmix.create ~seed:setup.seed)
+      ~loss:setup.loss ~m_prop:setup.m_prop ~m_proc:setup.m_proc ()
   in
   let store = Vstore.Store.create () in
   let srv = server w store in
   let clients =
-    Array.init n_clients (fun i ->
+    Array.init setup.n_clients (fun i ->
         let c = create_client w i in
         client c;
         c)
   in
   let oracle = Oracle.Register_oracle.create ~store in
   (* No baseline keeps a clock: clock faults do not apply. *)
-  Leases.Cluster.schedule_faults w (Leases.Cluster.one_server ()) faults;
+  Leases.Cluster.schedule_faults w (Leases.Cluster.one_server ()) setup.faults;
   let tally =
     Leases.Cluster.drive w ~oracle
       ~read:(fun t (op : Workload.Op.t) ->
@@ -229,7 +229,7 @@ let run ~who ~seed ~n_clients ~m_prop ~m_proc ~loss ~faults ~drain ~tracer ~serv
         write clients.(op.client) op.file ~k:(fun _ -> Leases.Cluster.write_done t))
       (Workload.Trace.ops trace)
   in
-  Leases.Cluster.run w ~until:(Leases.Cluster.horizon trace ~drain);
+  Leases.Cluster.run w ~until:(Leases.Cluster.horizon trace ~drain:setup.drain);
   let sum name =
     Array.fold_left (fun acc c -> acc + Stats.Counter.Registry.find c.counters name) 0 clients
   in

@@ -46,14 +46,7 @@ val poll : client -> period:Simtime.Time.Span.t -> unit
 
 val run :
   who:string ->
-  seed:int64 ->
-  n_clients:int ->
-  m_prop:Simtime.Time.Span.t ->
-  m_proc:Simtime.Time.Span.t ->
-  loss:float ->
-  faults:Leases.Sim.fault list ->
-  drain:Simtime.Time.Span.t ->
-  tracer:Trace.Sink.t ->
+  Leases.Sim.setup ->
   server:(payload Leases.Cluster.fabric -> Vstore.Store.t -> 's) ->
   client:(client -> unit) ->
   report:('s -> Leases.Metrics.t -> Leases.Metrics.t) ->
@@ -61,12 +54,13 @@ val run :
   Leases.Sim.outcome
 (** Runs the trace against the server [server] builds on the fabric and
     store (it registers its own handler and liveness hooks at
-    [Leases.Cluster.server_host]) and [n_clients] clients, each passed to
-    [client] as soon as it is registered.  Raises [Invalid_argument],
-    prefixed by [who], when [Leases.Cluster.check] rejects the setup.
-    The clients' counters fill the hit, miss, retransmission, renewal
-    (poll) and answered-approval (break) counts; [report] adds the
-    server's. *)
+    [Leases.Cluster.server_host]) and the setup's clients, each passed to
+    [client] as soon as it is registered.  The fabric carries the setup's
+    tracer, profiler, loss and message times; [config] and
+    [on_instruments] are not read.  Raises [Invalid_argument], prefixed by
+    [who], when [Leases.Cluster.check] rejects the setup.  The clients'
+    counters fill the hit, miss, retransmission, renewal (poll) and
+    answered-approval (break) counts; [report] adds the server's. *)
 
 val report_messages : Stats.Counter.Registry.t -> Leases.Metrics.t -> Leases.Metrics.t
 (** The message and commit counts of a server that books every message it

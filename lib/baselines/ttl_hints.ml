@@ -3,31 +3,6 @@ open Rpc_cache
 module Host_id = Host.Host_id
 module File_id = Vstore.File_id
 
-type setup = {
-  seed : int64;
-  n_clients : int;
-  m_prop : Time.Span.t;
-  m_proc : Time.Span.t;
-  loss : float;
-  faults : Leases.Sim.fault list;
-  drain : Time.Span.t;
-  ttl : Time.Span.t;
-  tracer : Trace.Sink.t;
-}
-
-let default_setup =
-  {
-    seed = 1L;
-    n_clients = 1;
-    m_prop = Time.Span.of_ms 0.5;
-    m_proc = Time.Span.of_ms 1.;
-    loss = 0.;
-    faults = [];
-    drain = Time.Span.of_sec 120.;
-    ttl = Time.Span.of_sec 10.;
-    tracer = Trace.Sink.null;
-  }
-
 type server = {
   s_net : payload Netsim.Net.t;
   s_store : Vstore.Store.t;
@@ -109,11 +84,16 @@ let create_server (w : payload Leases.Cluster.fabric) store ~ttl =
     ();
   server
 
-let run setup ~trace =
-  Rpc_cache.run ~who:"Ttl_hints.run" ~seed:setup.seed ~n_clients:setup.n_clients
-    ~m_prop:setup.m_prop ~m_proc:setup.m_proc ~loss:setup.loss ~faults:setup.faults
-    ~drain:setup.drain ~tracer:setup.tracer
-    ~server:(create_server ~ttl:setup.ttl)
-    ~client:ignore
+let run (setup : Leases.Sim.setup) ~trace =
+  let ttl =
+    match setup.config.term_policy with
+    | Leases.Term_policy.Zero -> Time.Span.zero
+    | Fixed span -> span
+    | (Infinite | Adaptive _) as policy ->
+      invalid_arg
+        (Format.asprintf "Ttl_hints.run: a TTL is the config's zero or fixed term, not %a"
+           Leases.Term_policy.pp policy)
+  in
+  Rpc_cache.run ~who:"Ttl_hints.run" setup ~server:(create_server ~ttl) ~client:ignore
     ~report:(fun server -> report_messages server.s_counters)
     ~trace

@@ -15,22 +15,11 @@
     Only the server lives here: the clients are {!Rpc_cache}'s, keeping a
     fetched version for the TTL and a written one not at all. *)
 
-type setup = {
-  seed : int64;
-  n_clients : int;
-  m_prop : Simtime.Time.Span.t;
-  m_proc : Simtime.Time.Span.t;
-  loss : float;
-  faults : Leases.Sim.fault list;
-  drain : Simtime.Time.Span.t;
-  ttl : Simtime.Time.Span.t;
-  tracer : Trace.Sink.t;
-  (** protocol event sink; hints appear as client-side leases with a TTL
-      horizon but no server-side grant, so the checker's stale-hit
-      invariant exposes reads served inside the TTL window after a write *)
-}
-
-val default_setup : setup
-(** V LAN message times, 10 s TTL. *)
-
-val run : setup -> trace:Workload.Trace.t -> Leases.Sim.outcome
+val run : Leases.Sim.setup -> trace:Workload.Trace.t -> Leases.Sim.outcome
+(** Runs the setup's clients against one TTL server whose TTL is the
+    config's term: zero or fixed.  Hints appear in the trace as
+    client-side leases with a TTL horizon but no server-side grant, so the
+    checker's stale-hit invariant exposes reads served inside the TTL
+    window after a write.  Nothing else in the config is read.  Raises
+    [Invalid_argument] before building anything for an infinite or
+    adaptive term, or when [Leases.Cluster.check] rejects the setup. *)

@@ -118,7 +118,6 @@ let holds_valid_lease t file =
   | Some entry -> not (Lease.expired entry.expiry ~now:(local_now t))
   | None -> false
 
-let cached_version t file = Option.map (fun e -> e.version) (File_id.Tbl.find_opt t.cache file)
 let cache_size t = File_id.Tbl.length t.cache
 let eviction_bound t = t.evict_next
 let inflight_rpcs t = List.length t.rpcs
@@ -686,7 +685,6 @@ let hits t = Stats.Counter.Registry.find t.counters "hits"
 let misses t = Stats.Counter.Registry.find t.counters "misses"
 let approvals_answered t = Stats.Counter.Registry.find t.counters "approvals-answered"
 let retransmissions t = Stats.Counter.Registry.find t.counters "retransmissions"
-let fallback_reads t = Stats.Counter.Registry.find t.counters "fallback-reads"
 let evictions t = Stats.Counter.Registry.find t.counters "evictions"
 let renewals_sent t = Stats.Counter.Registry.find t.counters "renewals-sent"
 let counters t = t.counters

@@ -69,9 +69,6 @@ val write : t -> Vstore.File_id.t -> k:(write_result -> unit) -> unit
 val holds_valid_lease : t -> Vstore.File_id.t -> bool
 (** On the client's own clock, right now. *)
 
-val cached_version : t -> Vstore.File_id.t -> Vstore.Version.t option
-(** The version cached, with or without a live lease. *)
-
 val cache_size : t -> int
 
 val eviction_bound : t -> Lease.expiry
@@ -92,11 +89,6 @@ val approvals_answered : t -> int
 val retransmissions : t -> int
 val renewals_sent : t -> int
 (** Anticipatory extension RPCs issued with no read waiting. *)
-
-val fallback_reads : t -> int
-(** Reads re-issued because a reply answered a different file list (a
-    retransmission raced a crash).  These never complete from fabricated
-    local state, so they cannot pollute oracle staleness attribution. *)
 
 val evictions : t -> int
 (** Cache entries reclaimed by the periodic eviction sweep

@@ -29,10 +29,6 @@ let compare_term a b =
   | Infinite, Finite _ -> 1
   | Infinite, Infinite -> 0
 
-let pp_term ppf = function
-  | Finite span -> Time.Span.pp ppf span
-  | Infinite -> Format.pp_print_string ppf "infinite"
-
 let never = max_int
 let at deadline = Time.to_us deadline
 let is_never (e : expiry) = e = never
@@ -58,7 +54,3 @@ let expired (e : expiry) ~now = e <= Time.to_us now
 let expiry_max (a : expiry) b = Int.max a b
 let expiry_min (a : expiry) b = Int.min a b
 
-let pp_expiry ppf e =
-  match deadline e with
-  | Some t -> Time.pp ppf t
-  | None -> Format.pp_print_string ppf "never"

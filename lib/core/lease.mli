@@ -33,7 +33,6 @@ val term_zero : term
 val term_of_sec : float -> term
 val term_is_zero : term -> bool
 val compare_term : term -> term -> int
-val pp_term : Format.formatter -> term -> unit
 
 val never : expiry
 (** The expiry of an infinite term: never expired, the largest expiry. *)
@@ -68,4 +67,3 @@ val expired : expiry -> now:Simtime.Time.t -> bool
 
 val expiry_max : expiry -> expiry -> expiry
 val expiry_min : expiry -> expiry -> expiry
-val pp_expiry : Format.formatter -> expiry -> unit

@@ -341,10 +341,6 @@ let live_holders t file ~now =
   fold_live t file ~now ~init:[] ~f:(fun holder _ acc -> holder :: acc)
   |> List.sort Host_id.compare
 
-let live_holder_set t file ~now =
-  fold_live t file ~now ~init:Host_id.Set.empty ~f:(fun holder _ acc ->
-      Host_id.Set.add holder acc)
-
 let live_deadline t file ~now ~init =
   fold_live t file ~now ~init ~f:(fun _ at acc -> Lease.expiry_max at acc)
 
@@ -382,8 +378,6 @@ let occupancy (t : t) ~now =
   ignore (sweep t ~now);
   { files = t.files; records = t.records; live_records = t.records }
 
-let resident_records (t : t) = t.records
-let resident_files (t : t) = t.files
 let reaped_total (t : t) = t.reaped_total
 
 let clear (t : t) =

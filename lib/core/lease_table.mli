@@ -74,8 +74,6 @@ val live_count : t -> Vstore.File_id.t -> now:Simtime.Time.t -> int
 val live_holders : t -> Vstore.File_id.t -> now:Simtime.Time.t -> Host.Host_id.t list
 (** Sorted by holder id. *)
 
-val live_holder_set : t -> Vstore.File_id.t -> now:Simtime.Time.t -> Host.Host_id.Set.t
-
 val live_deadline :
   t -> Vstore.File_id.t -> now:Simtime.Time.t -> init:Lease.expiry -> Lease.expiry
 (** Latest live expiry on the file, at least [init]. *)
@@ -106,12 +104,6 @@ val occupancy : t -> now:Simtime.Time.t -> occupancy
     one live record and the live record count ([records] =
     [live_records] — both fields are kept so existing consumers see the
     same shape).  O(files), not O(lifetime records). *)
-
-val resident_records : t -> int
-(** O(1): records currently resident (live plus not-yet-reaped). *)
-
-val resident_files : t -> int
-(** O(1): files with at least one resident record. *)
 
 val reaped_total : t -> int
 (** Lifetime count of reaped records; never reset. *)

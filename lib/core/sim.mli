@@ -60,6 +60,12 @@ type setup = {
       starts: the hook a telemetry sampler attaches through.  The default
       does nothing. *)
 }
+(** The setup of every single-server run.  The Section 6 baselines
+    ([Baselines.Callback], [Baselines.Ttl_hints]) and the write-back
+    leases ([Wlease.Wsim]) run from it too: they pass its tracer and
+    profiler to their fabric, read nothing from [config] but the term
+    (the TTL, the write lease's term), and never call [on_instruments],
+    because they build no lease world. *)
 
 val default_setup : setup
 (** Seed 1, one client, {!Config.default}, the V LAN message times

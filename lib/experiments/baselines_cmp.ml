@@ -4,32 +4,20 @@ type row = { name : string; metrics : Leases.Metrics.t }
 
 type result = { rows : row list; partition_rows : row list; table : string }
 
+(* One setup per term: the 10 s one also carries callbacks (which read no
+   term) and TTL hints (whose TTL it is). *)
 let protocols ~clients ~faults =
-  let lease term trace =
-    let setup = Runner.lease_setup ~n_clients:clients ~term () in
-    Runner.run_lease { setup with Leases.Sim.faults } trace
-  in
+  let setup term = { (Runner.lease_setup ~n_clients:clients ~term ()) with Leases.Sim.faults } in
+  let ten_s = setup (Analytic.Model.Finite 10.) in
   [
-    ("leases (10 s)", lease (Analytic.Model.Finite 10.));
+    ("leases (10 s)", Runner.run_lease ten_s);
     (* check-on-use is exactly a lease of term zero *)
-    ("polling (check-on-use)", lease (Analytic.Model.Finite 0.));
+    ("polling (check-on-use)", Runner.run_lease (setup (Analytic.Model.Finite 0.)));
     ( "callbacks (AFS)",
       fun trace ->
-        let setup =
-          {
-            Baselines.Callback.default_setup with
-            Baselines.Callback.n_clients = clients;
-            faults;
-            poll_period = Time.Span.of_sec 120.;
-          }
-        in
-        (Baselines.Callback.run setup ~trace).Leases.Sim.metrics );
-    ( "TTL hints (10 s)",
-      fun trace ->
-        let setup =
-          { Baselines.Ttl_hints.default_setup with Baselines.Ttl_hints.n_clients = clients; faults }
-        in
-        (Baselines.Ttl_hints.run setup ~trace).Leases.Sim.metrics );
+        (Baselines.Callback.run ~poll_period:(Time.Span.of_sec 120.) ten_s ~trace)
+          .Leases.Sim.metrics );
+    ("TTL hints (10 s)", fun trace -> (Baselines.Ttl_hints.run ten_s ~trace).Leases.Sim.metrics);
   ]
 
 let run ?(duration = Time.Span.of_sec 3_000.) ?(clients = 5) () =

@@ -113,15 +113,10 @@ let partition_drill () =
     { (Runner.lease_setup ~n_clients:2 ~term:term_10 ()) with Leases.Sim.faults = faults }
   in
   let lease_m = Runner.run_lease lease_setup trace in
-  let cb_setup =
-    {
-      Baselines.Callback.default_setup with
-      Baselines.Callback.n_clients = 2;
-      faults;
-      poll_period = Time.Span.of_sec 30.;
-    }
+  let cb =
+    (Baselines.Callback.run ~poll_period:(Time.Span.of_sec 30.) lease_setup ~trace)
+      .Leases.Sim.metrics
   in
-  let cb = (Baselines.Callback.run cb_setup ~trace).Leases.Sim.metrics in
   let ok =
     lease_m.Leases.Metrics.oracle_violations = 0
     && mean_write_wait lease_m > 5.

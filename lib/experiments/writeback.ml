@@ -53,35 +53,28 @@ let ping_pong_trace ~duration =
   in
   Workload.Trace.of_ops (go [] 1. 0)
 
-let wt_row name trace ~clients =
-  let m =
-    (Leases.Sim.run { Leases.Sim.default_setup with Leases.Sim.n_clients = clients } ~trace)
-      .Leases.Sim.metrics
-  in
+let row name (m : Leases.Metrics.t) ~writes_lost =
   {
     name;
-    mean_write_ms = 1000. *. Stats.Histogram.mean m.Leases.Metrics.write_latency;
-    p99_write_ms = 1000. *. Stats.Histogram.quantile m.Leases.Metrics.write_latency 0.99;
-    consistency_per_s = m.Leases.Metrics.consistency_msg_rate;
-    server_msgs = m.Leases.Metrics.server_total_msgs;
-    commits = m.Leases.Metrics.commits;
-    violations = m.Leases.Metrics.oracle_violations;
-    writes_lost = 0;
+    mean_write_ms = 1000. *. Stats.Histogram.mean m.write_latency;
+    p99_write_ms = 1000. *. Stats.Histogram.quantile m.write_latency 0.99;
+    consistency_per_s = m.consistency_msg_rate;
+    server_msgs = m.server_total_msgs;
+    commits = m.commits;
+    violations = m.oracle_violations;
+    writes_lost;
   }
 
+(* Both protocols run from one setup: the default 10 s term, which is also
+   the write lease's. *)
+let setup clients = { Leases.Sim.default_setup with Leases.Sim.n_clients = clients }
+
+let wt_row name trace ~clients =
+  row name (Leases.Sim.run (setup clients) ~trace).Leases.Sim.metrics ~writes_lost:0
+
 let wb_row name trace ~clients =
-  let o = Wlease.Wsim.run { Wlease.Wsim.default_setup with Wlease.Wsim.n_clients = clients } ~trace in
-  let m = o.Wlease.Wsim.metrics in
-  {
-    name;
-    mean_write_ms = 1000. *. Stats.Histogram.mean m.Leases.Metrics.write_latency;
-    p99_write_ms = 1000. *. Stats.Histogram.quantile m.Leases.Metrics.write_latency 0.99;
-    consistency_per_s = m.Leases.Metrics.consistency_msg_rate;
-    server_msgs = m.Leases.Metrics.server_total_msgs;
-    commits = m.Leases.Metrics.commits;
-    violations = m.Leases.Metrics.oracle_violations;
-    writes_lost = o.Wlease.Wsim.writes_lost;
-  }
+  let o = Wlease.Wsim.run (setup clients) ~trace in
+  row name o.Wlease.Wsim.metrics ~writes_lost:o.Wlease.Wsim.writes_lost
 
 let run ?(duration = Time.Span.of_sec 2_000.) () =
   let clients = 4 in

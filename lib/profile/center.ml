@@ -66,19 +66,3 @@ let name = function
   | Telemetry_sample -> "telemetry/sample"
   | Trace_emit -> "trace/emit"
   | Other -> "other"
-
-let of_name s = List.find_opt (fun c -> name c = s) all
-
-let describe = function
-  | Engine_dispatch -> "event-queue pop, heartbeat check, inter-event bookkeeping"
-  | Net_delivery -> "message delivery attempts: loss/liveness/partition checks and handler hand-off"
-  | Server_grant -> "server read/extend handling: lease grant and renewal"
-  | Server_write -> "server write/approval/installed handling: waits, commits, WAL"
-  | Server_expiry -> "server expiry timers, pending-write sweeps, installed refresh"
-  | Client_op -> "workload-driven client read/write issue"
-  | Client_renewal -> "client renewal timers and extend requests"
-  | Client_handle -> "client reply handling: grants, approvals, invalidations"
-  | Timer_fire -> "local-deadline clock timers left unrefined by their callback"
-  | Telemetry_sample -> "telemetry sampler window capture"
-  | Trace_emit -> "structured trace sink pushes (nested span)"
-  | Other -> "unattributed callbacks: fault injections, drains"

@@ -28,8 +28,3 @@ val all : t list
 
 val name : t -> string
 (** Stable slug, e.g. ["net/delivery"]; used in reports and flamegraphs. *)
-
-val of_name : string -> t option
-
-val describe : t -> string
-(** One-line gloss for the hotspot table. *)

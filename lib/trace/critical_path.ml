@@ -122,7 +122,6 @@ type t = {
   incomplete : int array;  (** by kind, filled at [report] *)
   abandoned : int array;  (** by kind: client crashed mid-operation *)
   servers : (int, server_row) Hashtbl.t;
-  write_sums : float array;  (** cumulative write phase sums, by phase *)
   mutable checked : int;  (** completed ops through the conservation check *)
   mutable max_err : float;  (** worst |sum of phases - measured latency| *)
 }
@@ -137,7 +136,6 @@ let create () =
     incomplete = Array.make 3 0;
     abandoned = Array.make 3 0;
     servers = Hashtbl.create 8;
-    write_sums = Array.make n_phases 0.;
     checked = 0;
     max_err = 0.;
   }
@@ -201,11 +199,7 @@ let complete t op now =
   row.sv_ops <- row.sv_ops + 1;
   if op.o_kind = K_write then begin
     row.sv_writes <- row.sv_writes + 1;
-    Array.iteri
-      (fun i v ->
-        row.sv_sums.(i) <- row.sv_sums.(i) +. v;
-        t.write_sums.(i) <- t.write_sums.(i) +. v)
-      sums;
+    Array.iteri (fun i v -> row.sv_sums.(i) <- row.sv_sums.(i) +. v) sums;
     t.completed_writes <- op :: t.completed_writes
   end
 
@@ -556,8 +550,6 @@ let report ?(k = 5) t =
                  List.map (fun p -> (p, row.sv_sums.(phase_index p))) phases;
              });
   }
-
-let phase_sums t = List.map (fun p -> (phase_name p, t.write_sums.(phase_index p))) phases
 
 let phase_sums_for t ~server =
   match Hashtbl.find_opt t.servers server with

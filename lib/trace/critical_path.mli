@@ -53,13 +53,10 @@ val feed : t -> Event.t -> unit
 val sink : t -> Sink.t
 (** A live sink feeding the analyzer; tee it next to the run's tracer. *)
 
-val phase_sums : t -> (string * float) list
-(** Cumulative per-phase delay sums over completed {e writes}, in
-    {!phases} order — the telemetry sampler differences these into
-    per-window sums. *)
-
 val phase_sums_for : t -> server:int -> (string * float) list
-(** Per-server variant, for per-shard telemetry breakdowns. *)
+(** Cumulative per-phase delay sums over the completed {e writes} served
+    by host [server], in {!phases} order (zeros for a server with none) —
+    the telemetry sampler differences these into per-window sums. *)
 
 (** {1 Reporting} *)
 

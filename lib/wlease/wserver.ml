@@ -23,6 +23,9 @@ type file_state = {
   queue : waiter Queue.t;
 }
 
+(* An unanswered recall is re-multicast after this long. *)
+let retry_interval = Time.Span.of_sec 1.
+
 type t = {
   engine : Engine.t;
   clock : Clock.t;
@@ -30,7 +33,6 @@ type t = {
   host : Host_id.t;
   store : Vstore.Store.t;
   term : Time.Span.t;
-  retry_interval : Time.Span.t;
   counters : Stats.Counter.Registry.t;
   grant_wait : Stats.Histogram.t;
   files : (File_id.t, file_state) Hashtbl.t;
@@ -156,7 +158,7 @@ and send_recalls t s p =
     (match p.p_retry_timer with Some h -> Engine.cancel h | None -> ());
     p.p_retry_timer <-
       Some
-        (Engine.schedule_after t.engine t.retry_interval (fun () ->
+        (Engine.schedule_after t.engine retry_interval (fun () ->
              if t.up
                 && (match s.pending with Some q -> q == p | None -> false)
                 && not (Host_id.Set.is_empty p.p_waiting)
@@ -280,8 +282,7 @@ let on_recover t =
   t.recovery_end <- Time.add (local_now t) (Vstore.Wal.max_term t.wal);
   t.epoch_floor <- t.epoch_floor + 1_000_000
 
-let create ~engine ~clock ~net ~liveness ~host ~store ~term ?(retry_interval = Time.Span.of_sec 1.)
-    () =
+let create ~engine ~clock ~net ~liveness ~host ~store ~term () =
   if Time.Span.(term <= Time.Span.zero) then invalid_arg "Wserver.create: term must be positive";
   let t =
     {
@@ -291,7 +292,6 @@ let create ~engine ~clock ~net ~liveness ~host ~store ~term ?(retry_interval = T
       host;
       store;
       term;
-      retry_interval;
       counters = Stats.Counter.Registry.create ();
       grant_wait = Stats.Histogram.create ();
       files = Hashtbl.create 64;
@@ -311,14 +311,6 @@ let create ~engine ~clock ~net ~liveness ~host ~store ~term ?(retry_interval = T
   t
 
 let host t = t.host
-
-let holder_mode t file host =
-  let s = state t file in
-  match Host_id.Map.find_opt host (live_holders t s) with
-  | Some h -> Some h.h_mode
-  | None -> None
-
-let has_pending_acquire t file = (state t file).pending <> None
 
 let find t name = Stats.Counter.Registry.find t.counters name
 

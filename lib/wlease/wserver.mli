@@ -23,18 +23,12 @@ val create :
   host:Host.Host_id.t ->
   store:Vstore.Store.t ->
   term:Simtime.Time.Span.t ->
-  ?retry_interval:Simtime.Time.Span.t ->
   unit ->
   t
 
 val host : t -> Host.Host_id.t
 
 (** {2 Introspection} *)
-
-val holder_mode : t -> Vstore.File_id.t -> Host.Host_id.t -> Wmessages.mode option
-(** The unexpired lease this host holds on the file, if any. *)
-
-val has_pending_acquire : t -> Vstore.File_id.t -> bool
 
 val commits : t -> int
 val recalls_sent : t -> int

@@ -1,28 +1,3 @@
-open Simtime
-
-type setup = {
-  seed : int64;
-  n_clients : int;
-  term : Time.Span.t;
-  m_prop : Time.Span.t;
-  m_proc : Time.Span.t;
-  loss : float;
-  faults : Leases.Sim.fault list;
-  drain : Time.Span.t;
-}
-
-let default_setup =
-  {
-    seed = 1L;
-    n_clients = 1;
-    term = Time.Span.of_sec 10.;
-    m_prop = Time.Span.of_ms 0.5;
-    m_proc = Time.Span.of_ms 1.;
-    loss = 0.;
-    faults = [];
-    drain = Time.Span.of_sec 120.;
-  }
-
 type outcome = {
   metrics : Leases.Metrics.t;
   oracle : Oracle.Register_oracle.t;
@@ -33,10 +8,18 @@ type outcome = {
   flushes_rejected : int;
 }
 
-let run setup ~trace =
+let run (setup : Leases.Sim.setup) ~trace =
+  let term =
+    match setup.config.term_policy with
+    | Leases.Term_policy.Fixed span -> span
+    | (Zero | Infinite | Adaptive _) as policy ->
+      invalid_arg
+        (Format.asprintf "Wsim.run: a write lease's term is the config's fixed term, not %a"
+           Leases.Term_policy.pp policy)
+  in
   Leases.Cluster.check ~who:"Wsim.run" ~n_clients:setup.n_clients setup.faults trace;
   let w =
-    Leases.Cluster.fabric
+    Leases.Cluster.fabric ~tracer:setup.tracer ~profiler:setup.profiler
       ~rng:(Prng.Splitmix.create ~seed:setup.seed)
       ~loss:setup.loss ~m_prop:setup.m_prop ~m_proc:setup.m_proc ()
   in
@@ -45,7 +28,7 @@ let run setup ~trace =
   let server_clock = Clock.create engine () in
   let server =
     Wserver.create ~engine ~clock:server_clock ~net ~liveness ~host:Leases.Cluster.server_host
-      ~store ~term:setup.term ()
+      ~store ~term ()
   in
   let client_clocks = Array.init setup.n_clients (fun _ -> Clock.create engine ()) in
   let clients =

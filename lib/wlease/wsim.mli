@@ -12,20 +12,6 @@
     write-transfer = flush traffic; [mean_write_delay_added] is the mean
     write latency itself (a write with a held lease costs zero). *)
 
-type setup = {
-  seed : int64;
-  n_clients : int;
-  term : Simtime.Time.Span.t;
-  m_prop : Simtime.Time.Span.t;
-  m_proc : Simtime.Time.Span.t;
-  loss : float;
-  faults : Leases.Sim.fault list;
-  drain : Simtime.Time.Span.t;
-}
-
-val default_setup : setup
-(** One client, 10 s term, V LAN message times, no faults, 120 s drain. *)
-
 type outcome = {
   metrics : Leases.Metrics.t;
   oracle : Oracle.Register_oracle.t;
@@ -36,4 +22,11 @@ type outcome = {
   flushes_rejected : int;
 }
 
-val run : setup -> trace:Workload.Trace.t -> outcome
+val run : Leases.Sim.setup -> trace:Workload.Trace.t -> outcome
+(** Runs the setup's clients against one write-back server whose write
+    lease term is the config's fixed term; nothing else in the config is
+    read.  The fabric carries the setup's tracer and profiler, so the
+    trace holds network and fault events; the write-back server and
+    clients trace nothing of their own yet.  Raises [Invalid_argument]
+    before building anything for a zero, infinite or adaptive term, or
+    when [Leases.Cluster.check] rejects the setup. *)

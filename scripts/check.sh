@@ -46,24 +46,29 @@ dune exec bin/simulate.exe -- -p leases -t 10 -n 4 -d 60 \
   --trace /tmp/leases_smoke.jsonl > /dev/null
 dune exec bin/tracedump.exe -- /tmp/leases_smoke.jsonl --check-only
 
-echo "== negative control: the checker flags a partitioned callback run =="
+echo "== negative controls: the checker flags partitioned callbacks and TTL hints =="
 # A checker that never fires is untested.  Andrew-style callbacks give up
 # on an unreachable holder after a transport timeout and commit anyway, so
-# a partition leaves a stale window: tracedump must exit non-zero on that
-# trace, naming the stale hits, and zero on leases run with the same flags.
+# a partition leaves a stale window; a TTL hint is no promise at all, so a
+# read inside the TTL after another client's write is stale.  tracedump
+# must exit non-zero on each protocol's trace, naming the stale hits, and
+# zero on leases run with the same flags.
 nc_flags="-t 10 -w shared-heavy -n 4 -d 300 -s 3 --fault partition=0,100,60"
-# shellcheck disable=SC2086 # word-split the shared flags
-dune exec bin/simulate.exe -- -p callback $nc_flags \
-  --trace /tmp/callback_partition.jsonl > /dev/null
-if nc_out=$(dune exec bin/tracedump.exe -- /tmp/callback_partition.jsonl --check-only 2>&1); then
-  echo "tracedump passed the partitioned callback trace; its stale window went unflagged" >&2
-  exit 1
-fi
-echo "$nc_out" | grep -q "stale-hit" || {
-  echo "tracedump failed the partitioned callback trace without naming a stale hit:" >&2
-  echo "$nc_out" >&2
-  exit 1
-}
+for proto in callback ttl; do
+  # shellcheck disable=SC2086 # word-split the shared flags
+  dune exec bin/simulate.exe -- -p "$proto" $nc_flags \
+    --trace "/tmp/${proto}_partition.jsonl" > /dev/null
+  if nc_out=$(dune exec bin/tracedump.exe -- "/tmp/${proto}_partition.jsonl" --check-only 2>&1)
+  then
+    echo "tracedump passed the partitioned $proto trace; its stale reads went unflagged" >&2
+    exit 1
+  fi
+  echo "$nc_out" | grep -q "stale-hit" || {
+    echo "tracedump failed the partitioned $proto trace without naming a stale hit:" >&2
+    echo "$nc_out" >&2
+    exit 1
+  }
+done
 # shellcheck disable=SC2086
 dune exec bin/simulate.exe -- -p leases $nc_flags \
   --trace /tmp/leases_partition.jsonl > /dev/null

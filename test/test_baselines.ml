@@ -17,6 +17,11 @@ let read_op ~at ~client ~f =
 let write_op ~at ~client ~f =
   { Workload.Op.at = sec at; client; kind = Workload.Op.Write; file = f; temporary = false }
 
+(* Every protocol here runs from the lease harness's setup. *)
+let setup n_clients = { Leases.Sim.default_setup with Leases.Sim.n_clients }
+let with_policy term_policy (s : Leases.Sim.setup) =
+  { s with config = { s.config with term_policy } }
+
 (* --- polling ----------------------------------------------------------- *)
 
 (* Check-on-use (Sprite, RFS, the Andrew prototype) is exactly a lease of
@@ -53,8 +58,7 @@ let test_polling_equals_zero_term_lease () =
 
 let test_callbacks_consistent_when_healthy () =
   let trace = v_trace ~seed:7L 1_000. in
-  let setup = { Baselines.Callback.default_setup with Baselines.Callback.n_clients = 2 } in
-  let m = (Baselines.Callback.run setup ~trace).Leases.Sim.metrics in
+  let m = (Baselines.Callback.run (setup 2) ~trace).Leases.Sim.metrics in
   Alcotest.(check int) "no stale reads without faults" 0 m.Leases.Metrics.oracle_violations;
   Alcotest.(check bool) "cache actually used" true (m.Leases.Metrics.hit_ratio > 0.5);
   Alcotest.(check int) "all writes commit" m.Leases.Metrics.writes_completed
@@ -67,8 +71,7 @@ let test_callbacks_break_round () =
     Workload.Trace.of_ops
       [ read_op ~at:1. ~client:1 ~f; write_op ~at:2. ~client:0 ~f; read_op ~at:3. ~client:1 ~f ]
   in
-  let setup = { Baselines.Callback.default_setup with Baselines.Callback.n_clients = 2 } in
-  let outcome = Baselines.Callback.run setup ~trace in
+  let outcome = Baselines.Callback.run (setup 2) ~trace in
   let m = outcome.Leases.Sim.metrics in
   Alcotest.(check int) "consistent" 0 m.Leases.Metrics.oracle_violations;
   Alcotest.(check bool) "a break was sent" true (m.Leases.Metrics.callbacks_sent >= 1);
@@ -90,15 +93,13 @@ let test_callbacks_stale_under_partition () =
   in
   let setup =
     {
-      Baselines.Callback.default_setup with
-      Baselines.Callback.n_clients = 2;
-      faults =
+      (setup 2) with
+      Leases.Sim.faults =
         [ Leases.Sim.Partition_clients
             { clients = [ 1 ]; at = sec 2.; duration = span 60. } ];
-      poll_period = span 100.;
     }
   in
-  let m = (Baselines.Callback.run setup ~trace).Leases.Sim.metrics in
+  let m = (Baselines.Callback.run ~poll_period:(span 100.) setup ~trace).Leases.Sim.metrics in
   Alcotest.(check int) "the two partitioned reads are stale" 2
     m.Leases.Metrics.oracle_violations;
   Alcotest.(check bool) "write proceeded quickly (gave up on the holder)" true
@@ -120,9 +121,8 @@ let test_callbacks_lost_on_server_crash () =
   in
   let setup =
     {
-      Baselines.Callback.default_setup with
-      Baselines.Callback.n_clients = 2;
-      faults = [ Leases.Sim.Crash_server { at = sec 3.; duration = span 2. } ];
+      (setup 2) with
+      Leases.Sim.faults = [ Leases.Sim.Crash_server { at = sec 3.; duration = span 2. } ];
     }
   in
   let m = (Baselines.Callback.run setup ~trace).Leases.Sim.metrics in
@@ -141,8 +141,7 @@ let test_ttl_stale_within_ttl () =
         read_op ~at:20. ~client:1 ~f; (* TTL expired: fresh *)
       ]
   in
-  let setup = { Baselines.Ttl_hints.default_setup with Baselines.Ttl_hints.n_clients = 2 } in
-  let m = (Baselines.Ttl_hints.run setup ~trace).Leases.Sim.metrics in
+  let m = (Baselines.Ttl_hints.run (setup 2) ~trace).Leases.Sim.metrics in
   Alcotest.(check int) "exactly the in-TTL read is stale" 1 m.Leases.Metrics.oracle_violations;
   (* staleness bounded by the TTL *)
   Alcotest.(check bool) "staleness < ttl" true
@@ -150,8 +149,7 @@ let test_ttl_stale_within_ttl () =
 
 let test_ttl_writes_never_wait () =
   let trace = v_trace ~seed:11L 1_000. in
-  let setup = { Baselines.Ttl_hints.default_setup with Baselines.Ttl_hints.n_clients = 2 } in
-  let m = (Baselines.Ttl_hints.run setup ~trace).Leases.Sim.metrics in
+  let m = (Baselines.Ttl_hints.run (setup 2) ~trace).Leases.Sim.metrics in
   Alcotest.(check (float 1e-6)) "no added write delay" 0. m.Leases.Metrics.mean_write_delay_added;
   Alcotest.(check int) "no approval traffic" 0 m.Leases.Metrics.msgs_approval;
   Alcotest.(check bool) "but reads go stale" true (m.Leases.Metrics.oracle_violations > 0)
@@ -161,9 +159,7 @@ let test_ttl_zero_equivalence () =
      check-on-use *)
   let trace = v_trace ~seed:13L 500. in
   let run ttl =
-    (Baselines.Ttl_hints.run
-       { Baselines.Ttl_hints.default_setup with Baselines.Ttl_hints.n_clients = 2; ttl = span ttl }
-       ~trace)
+    (Baselines.Ttl_hints.run (with_policy (Leases.Term_policy.Fixed (span ttl)) (setup 2)) ~trace)
       .Leases.Sim.metrics
   in
   let short = run 0.001 in
@@ -213,10 +209,8 @@ let pin_trace () = v_trace ~seed:23L ~clients:5 600.
 let test_pin_callback () =
   let tracer, lines = capture () in
   ignore
-    (Baselines.Callback.run
-       { Baselines.Callback.default_setup with
-         Baselines.Callback.n_clients = 5; loss = 0.05; faults = pin_faults ();
-         poll_period = span 120.; tracer }
+    (Baselines.Callback.run ~poll_period:(span 120.)
+       { (setup 5) with Leases.Sim.loss = 0.05; faults = pin_faults (); tracer }
        ~trace:(pin_trace ()));
   check_pin "callback" ~events:11_112 ~md5:"581bb5ff10d5a444f66c463b79888e9a" (lines ())
 
@@ -224,8 +218,7 @@ let test_pin_ttl () =
   let tracer, lines = capture () in
   ignore
     (Baselines.Ttl_hints.run
-       { Baselines.Ttl_hints.default_setup with
-         Baselines.Ttl_hints.n_clients = 5; loss = 0.05; faults = pin_faults (); tracer }
+       { (setup 5) with Leases.Sim.loss = 0.05; faults = pin_faults (); tracer }
        ~trace:(pin_trace ()));
   check_pin "ttl" ~events:24_932 ~md5:"514942d76e9331cad2bf6088c9141c42" (lines ())
 
@@ -262,8 +255,7 @@ let checked run =
 
 let callback_control faults tracer =
   (Baselines.Callback.run
-     { Baselines.Callback.default_setup with
-       Baselines.Callback.n_clients = 4; seed = 3L; faults; tracer }
+     { (setup 4) with Leases.Sim.seed = 3L; faults; tracer }
      ~trace:(control_trace ()))
     .Leases.Sim.metrics
 
@@ -285,8 +277,7 @@ let test_control_ttl () =
   check_control "TTL hints" ~fired:[ "stale-hit" ] ~violations:43 ~oracle:43
     (checked (fun tracer ->
          (Baselines.Ttl_hints.run
-            { Baselines.Ttl_hints.default_setup with
-              Baselines.Ttl_hints.n_clients = 4; seed = 3L; tracer }
+            { (setup 4) with Leases.Sim.seed = 3L; tracer }
             ~trace:(control_trace ()))
            .Leases.Sim.metrics))
 
@@ -311,6 +302,70 @@ let test_control_live_equals_replay () =
   Alcotest.check
     (Alcotest.testable Trace.Checker.pp_report ( = ))
     "live report = replayed report" replay (Trace.Checker.report live)
+
+(* --- the shared setup ------------------------------------------------------ *)
+
+(* Both baselines run from [Leases.Sim.setup]: they record into its
+   profiler, and refuse what they cannot run before any event. *)
+
+let short_trace () =
+  (Experiments.V_trace.poisson ~clients:2 ~duration:(span 30.) ()).Experiments.V_trace.trace
+
+let test_setup_profiler () =
+  let trace = short_trace () in
+  List.iter
+    (fun (name, run) ->
+      let profiler =
+        Profile.Recorder.create ~words:(fun () -> (0., 0.)) ~timer:(fun () -> 0.) ()
+      in
+      run { (setup 2) with Leases.Sim.profiler };
+      Alcotest.(check bool) (name ^ " recorded its engine") true
+        (Profile.Recorder.events_total profiler > 0))
+    [
+      ("Callback.run", fun s -> ignore (Baselines.Callback.run s ~trace));
+      ("Ttl_hints.run", fun s -> ignore (Baselines.Ttl_hints.run s ~trace));
+    ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* [run] raises [Invalid_argument] naming [what] and traces nothing. *)
+let check_rejected name ~what run =
+  let buf = Trace.Sink.buffer () in
+  (match run (Trace.Sink.buffer_sink buf) with
+  | () -> Alcotest.failf "%s was accepted" name
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %S names %s" name msg what)
+      true (contains msg what));
+  Alcotest.(check int) (name ^ ": no event") 0 (List.length (Trace.Sink.buffer_contents buf))
+
+(* At a zero period a poll would reschedule itself at the same instant
+   forever, and a negative one fails mid-run. *)
+let test_poll_period_positive () =
+  let trace = short_trace () in
+  List.iter
+    (fun p ->
+      check_rejected (Printf.sprintf "poll period %g s" p) ~what:"poll_period" (fun tracer ->
+          ignore
+            (Baselines.Callback.run ~poll_period:(span p)
+               { (setup 2) with Leases.Sim.tracer }
+               ~trace)))
+    [ 0.; -5. ]
+
+let test_ttl_term () =
+  let trace = short_trace () in
+  let run policy tracer =
+    ignore
+      (Baselines.Ttl_hints.run { (with_policy policy (setup 2)) with Leases.Sim.tracer } ~trace)
+  in
+  check_rejected "TTL of an infinite term" ~what:"infinite" (run Leases.Term_policy.Infinite);
+  check_rejected "TTL of an adaptive term" ~what:"adaptive"
+    (run (Leases.Term_policy.Adaptive Leases.Term_policy.default_adaptive));
+  (* a zero TTL runs: it is check-on-use without promises *)
+  run Leases.Term_policy.Zero Trace.Sink.null
 
 (* --- the paper's two-axis comparison ------------------------------------ *)
 
@@ -375,6 +430,12 @@ let () =
           Alcotest.test_case "TTL hints are flagged" `Quick test_control_ttl;
           Alcotest.test_case "partitioned leases are clean" `Quick test_control_leases_partition;
           Alcotest.test_case "live checker = replay" `Quick test_control_live_equals_replay;
+        ] );
+      ( "setup",
+        [
+          Alcotest.test_case "profiler records the run" `Quick test_setup_profiler;
+          Alcotest.test_case "poll period must be positive" `Quick test_poll_period_positive;
+          Alcotest.test_case "TTL is a zero or fixed term" `Quick test_ttl_term;
         ] );
       ( "comparison",
         [ Alcotest.test_case "leases dominate" `Slow test_leases_dominate ] );

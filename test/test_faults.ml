@@ -309,36 +309,23 @@ let test_bad_faults_rejected_before_the_run () =
     ]
   in
   let modes : (string * (Trace.Sink.t -> Leases.Sim.fault list -> unit)) list =
+    let sim tracer faults =
+      { Leases.Sim.default_setup with Leases.Sim.n_clients = n; faults; tracer }
+    in
     let deploy tracer faults =
       { Shard.Deploy.default_setup with Shard.Deploy.n_clients = n; n_shards = 4; faults; tracer }
     in
     [
-      ( "Sim.run",
-        fun tracer faults ->
-          ignore
-            (Leases.Sim.run
-               { Leases.Sim.default_setup with Leases.Sim.n_clients = n; faults; tracer }
-               ~trace) );
+      ("Sim.run", fun tracer faults -> ignore (Leases.Sim.run (sim tracer faults) ~trace));
       ("Deploy.run", fun tracer faults -> ignore (Shard.Deploy.run (deploy tracer faults) ~trace));
       ( "Deploy.run_split",
         fun tracer faults ->
           ignore (Shard.Deploy.run_split ~domains:2 (deploy tracer faults) ~trace) );
       ( "Callback.run",
-        fun tracer faults ->
-          ignore
-            (Baselines.Callback.run
-               { Baselines.Callback.default_setup with n_clients = n; faults; tracer }
-               ~trace) );
+        fun tracer faults -> ignore (Baselines.Callback.run (sim tracer faults) ~trace) );
       ( "Ttl_hints.run",
-        fun tracer faults ->
-          ignore
-            (Baselines.Ttl_hints.run
-               { Baselines.Ttl_hints.default_setup with n_clients = n; faults; tracer }
-               ~trace) );
-      ( "Wsim.run",
-        fun _ faults ->
-          ignore (Wlease.Wsim.run { Wlease.Wsim.default_setup with n_clients = n; faults } ~trace)
-      );
+        fun tracer faults -> ignore (Baselines.Ttl_hints.run (sim tracer faults) ~trace) );
+      ("Wsim.run", fun tracer faults -> ignore (Wlease.Wsim.run (sim tracer faults) ~trace));
     ]
   in
   let contains s sub =

@@ -698,9 +698,10 @@ let prop_writeback_clean_reads_never_stale =
       in
       let setup =
         {
-          Wlease.Wsim.default_setup with
-          Wlease.Wsim.n_clients = clients;
-          term = span term;
+          Leases.Sim.default_setup with
+          Leases.Sim.n_clients = clients;
+          config =
+            { Leases.Config.default with term_policy = Leases.Term_policy.Fixed (span term) };
           faults;
           loss;
           seed = Int64.of_int (seed + 29);

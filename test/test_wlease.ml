@@ -8,6 +8,12 @@ let sec = Time.of_sec
 let span = Time.Span.of_sec
 let file = Vstore.File_id.of_int
 
+(* Wsim runs from the lease harness's setup; its fixed term is the write
+   lease's. *)
+let setup n_clients = { Leases.Sim.default_setup with Leases.Sim.n_clients }
+let with_policy term_policy (s : Leases.Sim.setup) =
+  { s with config = { s.config with term_policy } }
+
 type rig = {
   engine : Engine.t;
   liveness : Host.Liveness.t;
@@ -173,7 +179,7 @@ let test_end_to_end_consistent () =
     (Experiments.V_trace.shared_heavy ~seed:61L ~clients ~duration:(span 1_500.) ())
       .Experiments.V_trace.trace
   in
-  let outcome = Wlease.Wsim.run { Wlease.Wsim.default_setup with n_clients = clients } ~trace in
+  let outcome = Wlease.Wsim.run (setup clients) ~trace in
   let m = outcome.Wlease.Wsim.metrics in
   Alcotest.(check int) "no stale clean reads" 0 m.Leases.Metrics.oracle_violations;
   Alcotest.(check int) "all ops complete" 0 m.Leases.Metrics.dropped_ops;
@@ -191,9 +197,8 @@ let test_end_to_end_under_faults () =
   in
   let setup =
     {
-      Wlease.Wsim.default_setup with
-      n_clients = clients;
-      loss = 0.15;
+      (setup clients) with
+      Leases.Sim.loss = 0.15;
       faults =
         [
           Leases.Sim.Crash_client { client = 0; at = sec 100.; duration = span 40. };
@@ -224,7 +229,7 @@ let test_write_back_beats_write_through_on_writes () =
         })
   in
   let trace = Workload.Trace.of_ops ops in
-  let wb = Wlease.Wsim.run Wlease.Wsim.default_setup ~trace in
+  let wb = Wlease.Wsim.run Leases.Sim.default_setup ~trace in
   let wt = Leases.Sim.run Leases.Sim.default_setup ~trace in
   let wb_write = Stats.Histogram.mean wb.Wlease.Wsim.metrics.Leases.Metrics.write_latency in
   let wt_write = Stats.Histogram.mean wt.Leases.Sim.metrics.Leases.Metrics.write_latency in
@@ -254,10 +259,8 @@ let property_case ~seed ~loss ~term ~faults () =
   in
   let setup =
     {
-      Wlease.Wsim.default_setup with
-      Wlease.Wsim.n_clients = clients;
-      term = span (Float.max 2. term);
-      faults;
+      (with_policy (Leases.Term_policy.Fixed (span (Float.max 2. term))) (setup clients)) with
+      Leases.Sim.faults;
       loss;
       seed = Int64.of_int (seed + 29);
       drain = span 400.;
@@ -299,6 +302,52 @@ let test_unrenewed_flush_term =
 (* The fault-free counterexample the property first reported. *)
 let test_lossy_fault_free_case = property_case ~seed:238021 ~loss:0.218 ~term:2. ~faults:[]
 
+(* --- the shared setup ------------------------------------------------------ *)
+
+let short_trace () =
+  (Experiments.V_trace.shared_heavy ~clients:2 ~duration:(span 30.) ()).Experiments.V_trace.trace
+
+(* The setup's profiler records the run and its tracer sees the fabric's
+   events; the write-back protocol itself traces nothing yet. *)
+let test_setup_observers () =
+  let profiler = Profile.Recorder.create ~words:(fun () -> (0., 0.)) ~timer:(fun () -> 0.) () in
+  let buf = Trace.Sink.buffer () in
+  ignore
+    (Wlease.Wsim.run
+       { (setup 2) with Leases.Sim.profiler; tracer = Trace.Sink.buffer_sink buf }
+       ~trace:(short_trace ()));
+  Alcotest.(check bool) "Wsim.run recorded its engine" true
+    (Profile.Recorder.events_total profiler > 0);
+  Alcotest.(check bool) "Wsim.run traced its messages" true
+    (List.exists
+       (fun (e : Trace.Event.t) -> match e.ev with Trace.Event.Net_send _ -> true | _ -> false)
+       (Trace.Sink.buffer_contents buf))
+
+(* A write lease needs a fixed term: the run refuses any other with
+   [Invalid_argument] naming it, before any event. *)
+let test_fixed_term_only () =
+  let trace = short_trace () in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (what, policy) ->
+      let buf = Trace.Sink.buffer () in
+      let tracer = Trace.Sink.buffer_sink buf in
+      (match Wlease.Wsim.run { (with_policy policy (setup 2)) with Leases.Sim.tracer } ~trace with
+      | _ -> Alcotest.failf "a %s term was accepted" what
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) (Printf.sprintf "%S names %s" msg what) true (contains msg what));
+      Alcotest.(check int) (what ^ " term: no event") 0
+        (List.length (Trace.Sink.buffer_contents buf)))
+    [
+      ("zero", Leases.Term_policy.Zero);
+      ("infinite", Leases.Term_policy.Infinite);
+      ("adaptive", Leases.Term_policy.Adaptive Leases.Term_policy.default_adaptive);
+    ]
+
 let () =
   Alcotest.run "wlease"
     [
@@ -332,5 +381,10 @@ let () =
             test_flush_reply_for_replaced_entry;
           Alcotest.test_case "unrenewed flush term" `Quick test_unrenewed_flush_term;
           Alcotest.test_case "lossy fault-free case" `Quick test_lossy_fault_free_case;
+        ] );
+      ( "setup",
+        [
+          Alcotest.test_case "profiler and tracer see the run" `Quick test_setup_observers;
+          Alcotest.test_case "fixed term only" `Quick test_fixed_term_only;
         ] );
     ]
