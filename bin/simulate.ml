@@ -285,7 +285,12 @@ let main protocol term_s clients duration seed loss rtt_ms workload ops_file jso
     if telemetry_out <> None && telemetry_s = None then
       failwith "--telemetry-out requires --telemetry INTERVAL";
     (match telemetry_s with
-    | Some i when i <= 0. -> failwith "--telemetry interval must be positive"
+    | Some i when not (i >= Simtime.Time.(to_sec (of_us 1))) ->
+      failwith
+        (Printf.sprintf
+           "--telemetry %g: the interval must be at least the engine's 1 us tick, the grid that \
+            window boundaries land on"
+           i)
     | _ -> ());
     let trace =
       match ops_file with
@@ -391,7 +396,8 @@ let telemetry =
        & info [ "telemetry" ] ~docv:"SEC"
            ~doc:"Sample telemetry every $(docv) virtual seconds (leases or polling): counter \
                  registries, lease-table occupancy, write queues, in-flight messages, clock \
-                 skew, and live analytic-model residuals per window.")
+                 skew, and live analytic-model residuals per window.  $(docv) is at least \
+                 1e-6, the engine's 1 us tick.")
 
 let telemetry_out =
   Arg.(value & opt (some string) None

@@ -40,14 +40,18 @@ let bump axis key =
     axis.moved <- cell :: axis.moved
 
 let sample axis =
-  let moved = List.sort (fun a b -> Int.compare a.key b.key) axis.moved in
-  axis.moved <- [];
-  List.map
-    (fun cell ->
-      let delta = cell.count - cell.sampled in
-      cell.sampled <- cell.count;
-      (cell.key, delta))
-    moved
+  match axis.moved with
+  | [] -> [||]
+  | moved ->
+    axis.moved <- [];
+    let pairs = Array.make (2 * List.length moved) 0 in
+    List.iteri
+      (fun i cell ->
+        pairs.(2 * i) <- cell.key;
+        pairs.((2 * i) + 1) <- cell.count - cell.sampled;
+        cell.sampled <- cell.count)
+      (List.sort (fun a b -> Int.compare a.key b.key) moved);
+    pairs
 
 let total axis = Int_tbl.fold (fun _ cell acc -> acc + cell.count) axis.cells 0
 

@@ -27,12 +27,14 @@ val create : unit -> t
 val bump : axis -> int -> unit
 (** Increment the count under [key], creating it at 1 on first use. *)
 
-val sample : axis -> (int * int) list
+val sample : axis -> int array
 (** The keys bumped since the previous [sample] (or since creation), each
-    with its increment over that span, sorted by key — deterministic
-    regardless of hash layout, with no zero increments.  Costs the keys
-    that moved, not every key the axis has seen.  An axis has one reader:
-    the telemetry sampler that attached it. *)
+    with its increment over that span, as one flat array of (key,
+    increment) pairs [[| k0; d0; k1; d1; ... |]] sorted by key —
+    deterministic regardless of hash layout, with no zero increments, and
+    empty when nothing moved.  Costs the keys that moved, not every key
+    the axis has seen.  The caller owns the array.  An axis has one
+    reader: the telemetry sampler that attached it. *)
 
 val total : axis -> int
 

@@ -681,10 +681,10 @@ let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
     ~on_recover:(fun () -> on_recover t) ();
   t
 
-let hits t = Stats.Counter.Registry.find t.counters "hits"
-let misses t = Stats.Counter.Registry.find t.counters "misses"
-let approvals_answered t = Stats.Counter.Registry.find t.counters "approvals-answered"
-let retransmissions t = Stats.Counter.Registry.find t.counters "retransmissions"
-let evictions t = Stats.Counter.Registry.find t.counters "evictions"
-let renewals_sent t = Stats.Counter.Registry.find t.counters "renewals-sent"
+let hits t = Stats.Counter.value t.c_hits
+let misses t = Stats.Counter.value t.c_misses
+let approvals_answered t = Stats.Counter.value t.c_approvals_answered
+let retransmissions t = Stats.Counter.value t.c_retransmissions
+let evictions t = Stats.Counter.value t.c_evictions
+let renewals_sent t = Stats.Counter.value t.c_renewals_sent
 let counters t = t.counters

@@ -53,6 +53,9 @@ let vacant = { holder = no_holder; h_expiry = Lease.never; min_next = Lease.neve
 
 type t = {
   mutable slots : slot array;  (** indexed by [File_id.to_int]; [vacant] when never granted *)
+  mutable resident : int array;
+      (** bit [idx] set exactly while slot [idx] holds a resident record;
+          [word_bits] slots per int, sized with [slots] *)
   mutable files : int;  (** slots with at least one resident record *)
   mutable records : int;  (** resident records across all slots *)
   mutable reaped_total : int;  (** lifetime reaped records, never reset *)
@@ -63,7 +66,14 @@ type t = {
 }
 
 let create () =
-  { slots = [||]; files = 0; records = 0; reaped_total = 0; on_reap = (fun _ _ _ -> ()) }
+  {
+    slots = [||];
+    resident = [||];
+    files = 0;
+    records = 0;
+    reaped_total = 0;
+    on_reap = (fun _ _ _ -> ());
+  }
 
 let set_on_reap t f = t.on_reap <- f
 
@@ -72,13 +82,35 @@ let holders_len slot =
   | Some s -> Host_id.Tbl.length s.tbl
   | None -> if slot.holder >= 0 then 1 else 0
 
+(* --- the resident bitmap ------------------------------------------------ *)
+
+(* [files] moves exactly when a slot gains its first resident record or
+   loses its last, and every such site sets or clears the slot's bit, so a
+   sweep visits the resident slots without touching the empty ones. *)
+let word_bits = Sys.int_size
+
+let set_resident t idx =
+  let w = idx / word_bits in
+  Array.unsafe_set t.resident w (Array.unsafe_get t.resident w lor (1 lsl (idx mod word_bits)))
+
+(* Only called for a file with a resident record, whose bit lies inside
+   the bitmap. *)
+let clear_resident t file =
+  let idx = File_id.to_int file in
+  let w = idx / word_bits in
+  Array.unsafe_set t.resident w
+    (Array.unsafe_get t.resident w land lnot (1 lsl (idx mod word_bits)))
+
 let ensure t idx =
   let cap = Array.length t.slots in
   if idx >= cap then begin
     let cap' = Int.max 16 (Int.max (idx + 1) (2 * cap)) in
     let slots' = Array.make cap' vacant in
     Array.blit t.slots 0 slots' 0 cap;
-    t.slots <- slots'
+    t.slots <- slots';
+    let resident' = Array.make ((cap' + word_bits - 1) / word_bits) 0 in
+    Array.blit t.resident 0 resident' 0 (Array.length t.resident);
+    t.resident <- resident'
   end
 
 let slot t file =
@@ -202,6 +234,7 @@ let reap_slot t file slot ~now =
         t.records <- t.records - 1;
         t.reaped_total <- t.reaped_total + 1;
         t.files <- t.files - 1;
+        clear_resident t file;
         let holder = Host_id.of_int slot.holder and expiry = slot.h_expiry in
         slot.holder <- no_holder;
         slot.min_next <- Lease.never;
@@ -225,7 +258,10 @@ let reap_slot t file slot ~now =
         heap_drop_top s
       done;
       slot.min_next <- (if s.heap_len > 0 then s.heap_at.(0) else Lease.never);
-      if had > 0 && Host_id.Tbl.length s.tbl = 0 then t.files <- t.files - 1
+      if had > 0 && Host_id.Tbl.length s.tbl = 0 then begin
+        t.files <- t.files - 1;
+        clear_resident t file
+      end
   end
 
 (* The file's slot with every expired record removed; [vacant] or an empty
@@ -258,6 +294,7 @@ let record t file holder at ~now =
   | None when slot.holder = h -> slot.h_expiry <- at
   | None when slot.holder = no_holder ->
     t.files <- t.files + 1;
+    set_resident t idx;
     t.records <- t.records + 1;
     slot.holder <- h;
     slot.h_expiry <- at
@@ -279,7 +316,10 @@ let record t file holder at ~now =
     let before = Host_id.Tbl.length s.tbl in
     Host_id.Tbl.replace s.tbl holder at;
     if Host_id.Tbl.length s.tbl > before then begin
-      if before = 0 then t.files <- t.files + 1;
+      if before = 0 then begin
+        t.files <- t.files + 1;
+        set_resident t idx
+      end;
       t.records <- t.records + 1
     end;
     push_entry s at holder);
@@ -293,6 +333,7 @@ let remove_holder t file holder =
       slot.holder <- no_holder;
       t.records <- t.records - 1;
       t.files <- t.files - 1;
+      clear_resident t file;
       slot.min_next <- Lease.never
     end
   | Some s ->
@@ -302,6 +343,7 @@ let remove_holder t file holder =
       t.records <- t.records - 1;
       if before = 1 then begin
         t.files <- t.files - 1;
+        clear_resident t file;
         s.heap_len <- 0;
         slot.min_next <- Lease.never
       end
@@ -313,6 +355,7 @@ let drop_file t file =
   if n > 0 then begin
     t.records <- t.records - n;
     t.files <- t.files - 1;
+    clear_resident t file;
     (* Keep a promoted slot's table and heap allocated: commits drop files
        that are about to be re-read, so they are hot again immediately. *)
     (match slot.shared with
@@ -355,25 +398,33 @@ let write_snapshot t file ~now ~init =
   in
   (!deadline, holders)
 
-(* One pass: reap each resident slot and take the minimum of the bounds it
-   leaves.  Skipping empty slots loses nothing, because an empty slot's
-   [min_next] is always [Lease.never]. *)
+(* One pass over the resident bitmap: reap each resident slot, in
+   ascending file order, and take the minimum of the bounds it leaves.
+   Empty slots are never visited; they lose nothing, because an empty
+   slot's [min_next] is always [Lease.never].  A reap clears only its own
+   slot's bit, so the word copied before its slots are visited names
+   exactly the slots resident when the pass reached it. *)
 let sweep t ~now =
   let next = ref Lease.never in
-  Array.iteri
-    (fun idx slot ->
-      if holders_len slot > 0 then begin
-        reap_slot t (File_id.of_int idx) slot ~now;
+  let resident = t.resident in
+  for w = 0 to Array.length resident - 1 do
+    let bits = ref (Array.unsafe_get resident w) and idx = ref (w * word_bits) in
+    while !bits <> 0 do
+      if !bits land 1 <> 0 then begin
+        let slot = Array.unsafe_get t.slots !idx in
+        reap_slot t (File_id.of_int !idx) slot ~now;
         next := Lease.expiry_min slot.min_next !next
-      end)
-    t.slots;
+      end;
+      bits := !bits lsr 1;
+      incr idx
+    done
+  done;
   not (Lease.is_never !next)
 
 type occupancy = { files : int; records : int; live_records : int }
 
 (* A sweep leaves only live records resident, so the counters answer the
-   occupancy question in O(files) comparisons (most slots are already
-   clean) instead of the old fold over every record ever granted. *)
+   occupancy question. *)
 let occupancy (t : t) ~now =
   ignore (sweep t ~now);
   { files = t.files; records = t.records; live_records = t.records }
@@ -382,5 +433,6 @@ let reaped_total (t : t) = t.reaped_total
 
 let clear (t : t) =
   t.slots <- [||];
+  t.resident <- [||];
   t.files <- 0;
   t.records <- 0

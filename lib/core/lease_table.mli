@@ -89,9 +89,12 @@ val write_snapshot :
 
 val sweep : t -> now:Simtime.Time.t -> bool
 (** Reap every slot whose earliest expiry has passed, in one pass over the
-    slots: O(files) comparisons plus the amortized reap work.  Driven
-    periodically from the server clock so idle files do not hold their
-    expired records until the next access.  Returns whether a resident
+    resident slots in ascending file order: the table keeps a bitmap of
+    the slots that hold a record, so a sweep skips a word of
+    [Sys.int_size] empty slots with one test and reads no empty slot,
+    visiting each resident slot once, plus the amortized reap work.
+    Driven periodically from the server clock so idle files do not hold
+    their expired records until the next access.  Returns whether a resident
     record can still expire (some finite expiry remains); the server
     re-arms its sweep timer only then, because a timer that re-armed
     unconditionally would keep the simulation's event queue alive
@@ -103,7 +106,7 @@ val occupancy : t -> now:Simtime.Time.t -> occupancy
 (** Whole-table occupancy after a {!sweep} at [now]: files with at least
     one live record and the live record count ([records] =
     [live_records] — both fields are kept so existing consumers see the
-    same shape).  O(files), not O(lifetime records). *)
+    same shape).  Costs what {!sweep} costs, not O(lifetime records). *)
 
 val reaped_total : t -> int
 (** Lifetime count of reaped records; never reset. *)

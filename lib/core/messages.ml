@@ -29,12 +29,6 @@ let category = function
   | Installed_refresh _ -> Installed
   | Write_request _ | Write_reply _ -> Write_transfer
 
-let category_name = function
-  | Extension -> "extension"
-  | Approval -> "approval"
-  | Installed -> "installed"
-  | Write_transfer -> "write-transfer"
-
 let kind_name = function
   | Read_request _ -> "read-req"
   | Read_reply _ -> "read-rep"

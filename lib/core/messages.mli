@@ -52,7 +52,6 @@ type category =
   | Write_transfer  (** the write itself; present with or without leases *)
 
 val category : payload -> category
-val category_name : category -> string
 
 val kind_name : payload -> string
 (** Short stable tag per constructor ("read-req", "approve-rep", ...),

@@ -774,7 +774,7 @@ let snapshot t =
 let set_breakdown t obs = t.obs <- obs
 let breakdown t = t.obs
 
-let messages_handled t category = Stats.Counter.Registry.find t.counters ("msgs/" ^ Messages.category_name category)
+let messages_handled t category = Stats.Counter.value (msg_counter t category)
 
 let messages_handled_total t =
   List.fold_left
@@ -786,7 +786,7 @@ let consistency_messages t =
   messages_handled t Messages.Extension + messages_handled t Messages.Approval
   + messages_handled t Messages.Installed
 
-let callbacks_sent t = Stats.Counter.Registry.find t.counters "callbacks-sent"
-let commits t = Stats.Counter.Registry.find t.counters "commits"
+let callbacks_sent t = Stats.Counter.value t.c_callbacks_sent
+let commits t = Stats.Counter.value t.c_commits
 let write_wait t = t.write_wait
 let counters t = t.counters

@@ -109,9 +109,9 @@ let json_of_eval (e : Residual.eval) =
       ("server_up", Json.Bool w.Sampler.server_up);
       ("server_recovering", Json.Bool w.Sampler.server_recovering);
       ("max_abs_skew", Json.Num (Sampler.max_abs_skew w));
-      ("skews", Json.Obj (List.map (fun (k, s) -> (k, Json.Num s)) w.Sampler.skews));
-      ("deltas", json_of_counts w.Sampler.deltas);
-      ("by_entity", json_of_entity_deltas w.Sampler.by_entity);
+      ("skews", Json.Obj (List.map (fun (k, s) -> (k, Json.Num s)) (Sampler.skews w)));
+      ("deltas", json_of_counts (Sampler.deltas w));
+      ("by_entity", json_of_entity_deltas (Sampler.by_entity w));
       ( "write_phase_sums",
         Json.Obj (List.map (fun (name, s) -> (name, Json.Num s)) w.Sampler.write_phase_sums) );
     ]
@@ -124,7 +124,7 @@ let to_json ~params sampler =
   let final_counters =
     match List.rev (Sampler.windows sampler) with
     | [] -> []
-    | last :: _ -> last.Sampler.counters
+    | last :: _ -> Sampler.counters last
   in
   Json.Obj
     [

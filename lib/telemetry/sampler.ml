@@ -3,12 +3,36 @@ module Server = Leases.Server
 module Client = Leases.Client
 module Breakdown = Leases.Breakdown
 
+(* A one-server window's detail.  The name and label arrays are shared by
+   every window that resolved them, and [before] is the previous window's
+   [values]; nothing writes into an array once a window holds it. *)
+type detail = {
+  names : string array;  (* the merged counter namespace, sorted *)
+  values : int array;  (* cumulative counters at [t_end], aligned with [names] *)
+  before : int array;  (* the counters at the previous boundary, aligned with [names] *)
+  skew_labels : string array;  (* "server", "client/0", ... *)
+  skew_s : float array;  (* aligned with [skew_labels] *)
+  axis_labels : string array;  (* the breakdown's axes, in [Breakdown.axes] order *)
+  entities : int array array;
+      (* per axis, the moved keys' flat (key, increment) pairs; [||] when
+         the axis did not move *)
+}
+
+let no_detail =
+  {
+    names = [||];
+    values = [||];
+    before = [||];
+    skew_labels = [||];
+    skew_s = [||];
+    axis_labels = [||];
+    entities = [||];
+  }
+
 type window = {
   w_index : int;
   t_start : float;
   t_end : float;
-  counters : (string * int) list;
-  deltas : (string * int) list;
   reads : int;
   hits : int;
   misses : int;
@@ -31,9 +55,8 @@ type window = {
   in_flight_msgs : int;
   server_up : bool;
   server_recovering : bool;
-  skews : (string * float) list;
-  by_entity : (string * (int * int) list) list;
   write_phase_sums : (string * float) list;
+  detail : detail;
 }
 
 (* One server's cumulative read side: hits, misses and the delay sums.
@@ -65,12 +88,13 @@ type prev = {
 
 (* The merged counter namespace -- the server registry under "server/",
    client i's under "client/<i>/" -- resolved into parallel arrays sorted
-   by name, with each counter's value at the previous sample. *)
+   by name, with each counter's value at the previous sample.  [prev] is
+   the last window's [values], replaced, never written, at each sample. *)
 type namespace = {
   sizes : int array;  (* each registry's size when resolved *)
   names : string array;
   cells : Stats.Counter.t array;
-  prev : int array;
+  mutable prev : int array;
 }
 
 let unresolved = { sizes = [||]; names = [||]; cells = [||]; prev = [||] }
@@ -79,8 +103,9 @@ let unresolved = { sizes = [||]; names = [||]; cells = [||]; prev = [||] }
 type one_server = {
   registries : (string * Stats.Counter.Registry.t) array;  (* prefix, registry *)
   mutable namespace : namespace;
-  client_labels : string array;  (* skew keys: "client/0", ... *)
-  axes : (string * Breakdown.axis) list;
+  skew_labels : string array;  (* "server", "client/0", ... *)
+  axis_labels : string array;
+  axes : Breakdown.axis array;  (* aligned with [axis_labels] *)
   side : reads;  (* refilled at each sample *)
 }
 
@@ -104,9 +129,17 @@ type t = {
   mutable finalized : bool;
 }
 
+(* Boundaries land on the engine's microsecond grid, so a shorter
+   interval would close one window per tick whatever its width. *)
+let tick_s = Time.to_sec (Time.of_us 1)
+
 let create ?(interval_s = 10.) ?latency () =
-  if interval_s <= 0. || not (Float.is_finite interval_s) then
-    invalid_arg "Telemetry.Sampler.create: interval must be positive and finite";
+  if not (Float.is_finite interval_s) then
+    invalid_arg "Telemetry.Sampler.create: interval must be finite";
+  if interval_s < tick_s then
+    invalid_arg
+      (Printf.sprintf "Telemetry.Sampler.create: interval %g s is below the engine's 1 us tick"
+         interval_s);
   { interval_s; latency; attached = None; closed = 0; last_t = 0.; finalized = false }
 
 (* Sort every registry's counters into one namespace by prefixed name.  A
@@ -139,36 +172,33 @@ let grown o =
   in
   from 0
 
-(* The cumulative merged counters, sorted by name, and the ones that moved
-   since the previous sample with their increments. *)
-let counter_sample o =
+(* The window detail at this boundary: the merged counters read into a
+   fresh array, the previous boundary's array kept beside it, every
+   clock's skew, and each axis's moved keys. *)
+let detail o (w : Leases.Sim.world) =
   if grown o then o.namespace <- resolve o.registries o.namespace;
   let ns = o.namespace in
-  let counters = ref [] and deltas = ref [] in
-  for i = Array.length ns.names - 1 downto 0 do
-    let name = ns.names.(i) and value = Stats.Counter.value ns.cells.(i) in
-    counters := (name, value) :: !counters;
-    if value <> ns.prev.(i) then deltas := (name, value - ns.prev.(i)) :: !deltas;
-    ns.prev.(i) <- value
-  done;
-  (!counters, !deltas)
-
-let entity_deltas o =
-  List.filter_map
-    (fun (label, axis) ->
-      match Breakdown.sample axis with [] -> None | moved -> Some (label, moved))
-    o.axes
+  let values = Array.map Stats.Counter.value ns.cells in
+  let before = ns.prev in
+  ns.prev <- values;
+  let engine_now = Engine.now w.fabric.Leases.Cluster.engine in
+  let skew clock = Time.Span.to_sec (Time.diff (Clock.now clock) engine_now) in
+  let skew_s = Array.make (Array.length o.skew_labels) 0. in
+  skew_s.(0) <- skew (Server.clock w.servers.(0));
+  Array.iteri (fun i c -> skew_s.(i + 1) <- skew (Client.clock c)) w.clients;
+  {
+    names = ns.names;
+    values;
+    before;
+    skew_labels = o.skew_labels;
+    skew_s;
+    axis_labels = o.axis_labels;
+    entities = Array.map Breakdown.sample o.axes;
+  }
 
 let in_flight_msgs net =
   Netsim.Net.attempts net - Netsim.Net.deliveries net - Netsim.Net.dropped_loss net
   - Netsim.Net.dropped_partition net - Netsim.Net.dropped_down net
-
-let skews o (w : Leases.Sim.world) =
-  let engine_now = Engine.now w.fabric.Leases.Cluster.engine in
-  let skew clock = Time.Span.to_sec (Time.diff (Clock.now clock) engine_now) in
-  ("server", skew (Server.clock w.servers.(0)))
-  :: List.init (Array.length w.clients) (fun i ->
-         (o.client_labels.(i), skew (Client.clock w.clients.(i))))
 
 (* The analyzer's sums are cumulative, in phase order; a window carries
    the phases that moved since the previous boundary, with their
@@ -193,8 +223,8 @@ let phase_deltas t a s =
    counters, against the previous boundary's counts, which it then
    overwrites.  The one-server rule passes the fields a K-server window
    leaves empty. *)
-let close_window t a s ~t_end (r : reads) ~counters ~deltas ~client_inflight ~client_queued_ops
-    ~in_flight_msgs ~skews ~by_entity =
+let close_window t a s ~t_end (r : reads) ~client_inflight ~client_queued_ops ~in_flight_msgs
+    ~detail =
   let server = a.world.servers.(s) and p = a.prev.(s) in
   let pr = p.p_reads in
   let handled kind = Server.messages_handled server kind in
@@ -208,8 +238,6 @@ let close_window t a s ~t_end (r : reads) ~counters ~deltas ~client_inflight ~cl
       w_index = t.closed;
       t_start = t.last_t;
       t_end;
-      counters;
-      deltas;
       reads = r.hits + r.misses - pr.hits - pr.misses;
       hits = r.hits - pr.hits;
       misses = r.misses - pr.misses;
@@ -232,9 +260,8 @@ let close_window t a s ~t_end (r : reads) ~counters ~deltas ~client_inflight ~cl
       in_flight_msgs;
       server_up = snap.Server.up;
       server_recovering = snap.Server.recovering;
-      skews;
-      by_entity;
       write_phase_sums = phase_deltas t a s;
+      detail;
     }
   in
   pr.hits <- r.hits;
@@ -262,16 +289,16 @@ let take_sample t a ~t_end =
     r.read_count <- Stats.Histogram.count tally.Leases.Cluster.read_latency;
     r.write_sum <- Stats.Histogram.sum tally.Leases.Cluster.write_latency;
     r.write_count <- Stats.Histogram.count tally.Leases.Cluster.write_latency;
-    let counters, deltas = counter_sample o in
-    close_window t a 0 ~t_end r ~counters ~deltas ~client_inflight:(clients Client.inflight_rpcs)
+    let detail = detail o w in
+    close_window t a 0 ~t_end r ~client_inflight:(clients Client.inflight_rpcs)
       ~client_queued_ops:(clients Client.queued_ops)
       ~in_flight_msgs:(in_flight_msgs w.fabric.Leases.Cluster.net)
-      ~skews:(skews o w) ~by_entity:(entity_deltas o)
+      ~detail
   | Per_server live ->
     Array.iteri
       (fun s r ->
-        close_window t a s ~t_end r ~counters:[] ~deltas:[] ~client_inflight:0
-          ~client_queued_ops:0 ~in_flight_msgs:0 ~skews:[] ~by_entity:[])
+        close_window t a s ~t_end r ~client_inflight:0 ~client_queued_ops:0 ~in_flight_msgs:0
+          ~detail:no_detail)
       live);
   t.closed <- t.closed + 1;
   t.last_t <- t_end
@@ -284,11 +311,15 @@ let one_server (w : Leases.Sim.world) =
       [| ("server/", Server.counters w.servers.(0)) |]
       (Array.mapi (fun i c -> (Printf.sprintf "client/%d/" i, Client.counters c)) w.clients)
   in
+  let axes = Array.of_list (Breakdown.axes breakdown) in
   {
     registries;
     namespace = resolve registries unresolved;
-    client_labels = Array.init (Array.length w.clients) (Printf.sprintf "client/%d");
-    axes = Breakdown.axes breakdown;
+    skew_labels =
+      Array.append [| "server" |]
+        (Array.init (Array.length w.clients) (Printf.sprintf "client/%d"));
+    axis_labels = Array.map fst axes;
+    axes = Array.map snd axes;
     side = no_reads ();
   }
 
@@ -367,8 +398,40 @@ let windows ?server t =
   | Some s when s >= 0 && s < Array.length per_server -> List.rev per_server.(s)
   | Some s -> invalid_arg (Printf.sprintf "Telemetry.Sampler.windows: no server %d" s)
 
-let max_abs_skew w =
-  List.fold_left (fun acc (_, s) -> Float.max acc (Float.abs s)) 0. w.skews
+(* The list views of a window's detail, built on demand. *)
+
+let counters w =
+  let d = w.detail in
+  List.init (Array.length d.names) (fun i -> (d.names.(i), d.values.(i)))
+
+let deltas w =
+  let d = w.detail in
+  let rec moved i acc =
+    if i < 0 then acc
+    else
+      let delta = d.values.(i) - d.before.(i) in
+      moved (i - 1) (if delta <> 0 then (d.names.(i), delta) :: acc else acc)
+  in
+  moved (Array.length d.names - 1) []
+
+let skews w =
+  let d = w.detail in
+  List.init (Array.length d.skew_labels) (fun i -> (d.skew_labels.(i), d.skew_s.(i)))
+
+let by_entity w =
+  let d = w.detail in
+  let pairs flat =
+    List.init (Array.length flat / 2) (fun j -> (flat.(2 * j), flat.((2 * j) + 1)))
+  in
+  let rec axes i acc =
+    if i < 0 then acc
+    else
+      let flat = d.entities.(i) in
+      axes (i - 1) (if Array.length flat = 0 then acc else (d.axis_labels.(i), pairs flat) :: acc)
+  in
+  axes (Array.length d.axis_labels - 1) []
+
+let max_abs_skew w = Array.fold_left (fun acc s -> Float.max acc (Float.abs s)) 0. w.detail.skew_s
 
 let consistency_msgs w = w.extension_msgs + w.approval_msgs + w.installed_msgs
 

@@ -43,29 +43,46 @@
     would change about a tenth of the campaign's windows and most of the
     one-server schedules' residual summaries.
 
-    Sampling is pull-only apart from the listeners, which only count: the
-    sampler reads accessors ({!Leases.Server.snapshot}, counter registries,
-    clock readings) and never mutates protocol state, so an attached
-    sampler cannot perturb the schedule beyond its own boundary callbacks
-    (which run no protocol code).
+    {2 What an attached sampler changes}
 
-    A one-server sample reads ints.  {!attach} resolves the merged counter
-    namespace once, into arrays of sorted names, counter cells and previous
-    values, and resolves it again only when a registry has grown; it also
-    builds the skew labels once.  The per-entity deltas come from
-    {!Leases.Breakdown.sample}, which costs the keys that moved. *)
+    Sampling is pull-only apart from the listeners, which only count, and
+    no protocol decision reads anything the sampler writes: a run's
+    metrics are the same with and without it.  Its trace is not quite the
+    same.  {!Leases.Server.snapshot} sweeps the lease table, so a record
+    that expired since the last reap is reaped at the boundary, and its
+    [lease-expire] event is emitted there, rather than at the server's
+    next access to the file or its next periodic sweep.  The boundary
+    events also add engine heartbeats.  On [leases-sim -p leases -t 10 -n 4
+    -d 300 -s 5 --trace F], adding [--telemetry 2.5] leaves the same 2 653
+    [lease-expire] events at other instants, raises the heartbeats from
+    246 to 293 and leaves every other line as it was (pinned in
+    [test_telemetry]).  The campaign's [checked_events] counts these
+    events, and its reports are pinned, which is why the snapshot keeps
+    its sweep.
+
+    {2 Cost}
+
+    A one-server window costs what moved, in arrays.  {!attach} resolves
+    the merged counter namespace once, into arrays of sorted names and
+    counter cells, and resolves it again only when a registry has grown;
+    it also builds the skew and axis labels once.  A boundary then reads
+    every cell into one fresh [int array] and keeps the previous
+    boundary's array beside it, reads the clock skews into one
+    [float array], and keeps each moved {!Leases.Breakdown} axis as the
+    flat array {!Leases.Breakdown.sample} returns; the lease-table sweep
+    visits only resident slots, and the message and read counts are
+    resolved cells.  The list views ({!counters}, {!deltas}, {!skews},
+    {!by_entity}) are built only when read. *)
+
+type detail
+(** A one-server window's counters, clock skews and per-entity deltas, kept
+    as arrays; read them through {!counters}, {!deltas}, {!skews} and
+    {!by_entity}.  It holds no closure, so windows compare with [=]. *)
 
 type window = {
   w_index : int;
   t_start : float;  (** window start, engine seconds *)
   t_end : float;  (** window end (the sample instant), engine seconds *)
-  counters : (string * int) list;
-      (** cumulative merged counter dump at [t_end]: server registry under
-          ["server/"], client [i]'s under ["client/i/"]; sorted by name;
-          empty in a K-server world *)
-  deltas : (string * int) list;
-      (** counters that moved this window, with their increments; sparse
-          and sorted (a sub-sequence of [counters]) *)
   reads : int;
       (** client reads this window, [hits + misses]; see the two
           read-count rules above for when a read counts *)
@@ -90,30 +107,47 @@ type window = {
   in_flight_msgs : int;  (** network attempts not yet delivered or dropped *)
   server_up : bool;
   server_recovering : bool;
-  skews : (string * float) list;
-      (** per-host clock reading minus engine time, seconds; keys
-          ["server"], ["client/0"], ... *)
-  by_entity : (string * (int * int) list) list;
-      (** per-entity hot-counter deltas this window: axis label (see
-          {!Leases.Breakdown.axes}) to sorted (entity id, increment)
-          pairs; sparse — axes and entities that did not move are
-          omitted *)
   write_phase_sums : (string * float) list;
       (** per-phase write-delay sums (seconds) the critical-path analyzer
           attributed to this window's server, in
           {!Trace.Critical_path.phases} order; sparse — phases that did
           not move are omitted, and the list is empty when the sampler
           has no analyzer *)
+  detail : detail;  (** empty in a K-server world *)
 }
+
+(** {2 A window's detail}
+
+    Each accessor builds its list from the window's arrays when called;
+    every one returns [[]] for a K-server window. *)
+
+val counters : window -> (string * int) list
+(** The cumulative merged counter dump at [t_end]: the server registry
+    under ["server/"], client [i]'s under ["client/i/"]; sorted by name. *)
+
+val deltas : window -> (string * int) list
+(** The counters that moved this window, with their increments; sparse and
+    sorted (a sub-sequence of {!counters}). *)
+
+val skews : window -> (string * float) list
+(** Per-host clock reading minus engine time, seconds, at [t_end]; keys
+    ["server"], ["client/0"], ... *)
+
+val by_entity : window -> (string * (int * int) list) list
+(** Per-entity hot-counter deltas this window: axis label (see
+    {!Leases.Breakdown.axes}) to sorted (entity id, increment) pairs;
+    sparse — axes and entities that did not move are omitted. *)
 
 type t
 
 val create : ?interval_s:float -> ?latency:Trace.Critical_path.t -> unit -> t
-(** A detached sampler.  [interval_s] defaults to 10 s; it must be
-    positive and finite.  With [latency], a live analyzer fed from the
-    run's tracer, each window carries its server's per-phase write-delay
-    increments, read from {!Trace.Critical_path.phase_sums_for} at the
-    boundaries. *)
+(** A detached sampler.  [interval_s] defaults to 10 s; it must be finite
+    and at least the engine's 1 us tick, because boundaries land on the
+    engine's microsecond grid: a shorter interval raises
+    [Invalid_argument] rather than closing one window per tick.  With
+    [latency], a live analyzer fed from the run's tracer, each window
+    carries its server's per-phase write-delay increments, read from
+    {!Trace.Critical_path.phase_sums_for} at the boundaries. *)
 
 val attach : t -> Leases.Sim.world -> Leases.Cluster.tally -> unit
 (** Hook the sampler to a world and the op driver's tally and schedule the

@@ -245,6 +245,101 @@ let prop_lease_table_model =
       check_occupancy ();
       !ok)
 
+(* --- lease table: sweeps over a wide file range ------------------------- *)
+
+(* The table keeps a bitmap of its resident slots, [Sys.int_size] to a
+   word, and a sweep walks its set bits.  The model above uses files 0-3,
+   all in one word; this script spreads files over 0-200, half of them
+   drawn from ids on either side of a 31-, 32-, 62-, 63- or 64-bit word
+   edge.  Only records and sweeps reap here (no per-step queries), so most
+   expiries wait for a sweep.  Every reap pass must report exactly the
+   model's expired records in ascending (file, expiry, holder) order — a
+   sweep visits files in ascending id order — [occupancy] must match the
+   model, and a sweep must report a finite expiry whenever the model
+   holds one. *)
+let lease_table_wide_script =
+  let open QCheck.Gen in
+  let edges =
+    [| 0; 1; 30; 31; 32; 33; 61; 62; 63; 64; 65; 124; 125; 126; 127; 128; 187; 188; 189; 190;
+       191; 200 |]
+  in
+  let file = oneof [ map (Array.get edges) (int_bound (Array.length edges - 1)); int_bound 200 ] in
+  (* 0 record, 1 remove, 2 drop-file, 3 sweep, 4 occupancy, 5 advance the clock *)
+  let op =
+    frequency
+      [ (12, return 0); (2, return 1); (1, return 2); (2, return 3); (2, return 4); (3, return 5) ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list (quad int int int int))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 100 400) (quad op file (int_bound 5) (int_bound 60)))
+
+let prop_lease_table_wide =
+  QCheck.Test.make ~name:"lease table: sweeps over a wide file range" ~count:300
+    lease_table_wide_script
+    (fun script ->
+      let open Leases in
+      let t = Lease_table.create () in
+      (* model: ((file, holder), expiry), one entry per resident record *)
+      let model = ref [] in
+      (* this step's [on_reap] calls as (file, expiry, holder), latest first *)
+      let reaped = ref [] in
+      Lease_table.set_on_reap t (fun f h e ->
+          reaped := (Vstore.File_id.to_int f, e, Host.Host_id.to_int h) :: !reaped);
+      let now = ref (sec 0.) in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let file i = Vstore.File_id.of_int i in
+      let host i = Host.Host_id.of_int i in
+      (* The step reaped exactly the model's expired records on the files
+         [on] selects, in ascending (file, expiry, holder) order. *)
+      let expect_reaps on =
+        let expired, kept =
+          List.partition (fun ((f, _), e) -> on f && Lease.expired e ~now:!now) !model
+        in
+        model := kept;
+        let expected = List.map (fun ((f, h), e) -> (f, e, h)) expired in
+        check (List.rev !reaped = List.sort compare expected);
+        reaped := []
+      in
+      let step (op, f, h, x) =
+        match op with
+        | 0 ->
+          let e =
+            if x mod 7 = 0 then Lease.never else Lease.at (Time.add !now (span (float_of_int x)))
+          in
+          Lease_table.record t (file f) (host h) e ~now:!now;
+          expect_reaps (Int.equal f);
+          model := ((f, h), e) :: List.remove_assoc (f, h) !model
+        | 1 ->
+          Lease_table.remove_holder t (file f) (host h);
+          model := List.remove_assoc (f, h) !model;
+          expect_reaps (fun _ -> false)
+        | 2 ->
+          Lease_table.drop_file t (file f);
+          model := List.filter (fun ((f', _), _) -> f' <> f) !model;
+          expect_reaps (fun _ -> false)
+        | 3 ->
+          (* the verdict may err only towards re-arming: a slot's bound can
+             stay finite after its finite record is removed or re-recorded
+             as never, but a resident finite record must always be seen *)
+          let finite_left = Lease_table.sweep t ~now:!now in
+          expect_reaps (fun _ -> true);
+          check (finite_left || List.for_all (fun (_, e) -> Lease.is_never e) !model)
+        | 4 ->
+          let { Lease_table.files; records; live_records } = Lease_table.occupancy t ~now:!now in
+          expect_reaps (fun _ -> true);
+          let model_files = List.sort_uniq compare (List.map (fun ((f, _), _) -> f) !model) in
+          check (files = List.length model_files);
+          check (records = List.length !model);
+          check (live_records = records)
+        | _ ->
+          now := Time.add !now (span (float_of_int x /. 10.));
+          expect_reaps (fun _ -> false)
+      in
+      List.iter step script;
+      !ok)
+
 (* --- the int table agrees with a map ----------------------------------- *)
 
 (* [Int_tbl] against [Map.Make (Int)] under random programs of binds,
@@ -317,10 +412,10 @@ let prop_int_tbl_model =
 
 (* [Leases.Breakdown] against a model map of counts under random programs
    of bumps and samples, keys drawn from a pool of random ints as above.
-   Every sample must return exactly the keys bumped since the previous
-   one, each with its increment, in ascending key order and with no zero
-   increment, and the increments of all samples so far must sum to the
-   axis total. *)
+   Every sample must return one flat array of (key, increment) pairs
+   holding exactly the keys bumped since the previous one, each with its
+   increment, in ascending key order and with no zero increment, and the
+   increments of all samples so far must sum to the axis total. *)
 let breakdown_script =
   let open QCheck.Gen in
   (* [None] samples; [Some i] bumps the pool's key [i] *)
@@ -343,7 +438,11 @@ let prop_breakdown_model =
         | _ -> true
       in
       let sample () =
-        let deltas = Leases.Breakdown.sample axis in
+        let flat = Leases.Breakdown.sample axis in
+        check (Array.length flat mod 2 = 0);
+        let deltas =
+          List.init (Array.length flat / 2) (fun i -> (flat.(2 * i), flat.((2 * i) + 1)))
+        in
         let expected =
           M.fold
             (fun k n acc ->
@@ -719,7 +818,7 @@ let () =
         List.map to_alcotest
           [ prop_event_queue_sorted; prop_event_queue_cancel; prop_event_queue_interleaved ] );
       ("lease", List.map to_alcotest [ prop_client_never_outlives_server ]);
-      ("lease-table", List.map to_alcotest [ prop_lease_table_model ]);
+      ("lease-table", List.map to_alcotest [ prop_lease_table_model; prop_lease_table_wide ]);
       ("int-table", List.map to_alcotest [ prop_int_tbl_model ]);
       ("breakdown", List.map to_alcotest [ prop_breakdown_model ]);
       ( "store",

@@ -129,18 +129,18 @@ let window_line (w : Telemetry.Sampler.window) =
          (fun (axis, moved) ->
            axis ^ ":"
            ^ String.concat "," (List.map (fun (e, d) -> Printf.sprintf "%d=%d" e d) moved))
-         w.Telemetry.Sampler.by_entity)
+         (Telemetry.Sampler.by_entity w))
   in
   let open Telemetry.Sampler in
   Printf.sprintf
     "i=%d t=%h..%h counters=[%s] deltas=[%s] reads=%d hits=%d misses=%d commits=%d ext=%d \
      app=%d inst=%d wt=%d rd=%h/%d wd=%h/%d lease=%d/%d/%d pending=%d queued=%d inflight=%d \
      cqueued=%d net=%d up=%b recovering=%b skews=[%s] entities=[%s] phases=[%s]"
-    w.w_index w.t_start w.t_end (ints w.counters) (ints w.deltas) w.reads w.hits w.misses
+    w.w_index w.t_start w.t_end (ints (counters w)) (ints (deltas w)) w.reads w.hits w.misses
     w.commits w.extension_msgs w.approval_msgs w.installed_msgs w.write_transfer_msgs
     w.read_delay_sum w.read_delay_count w.write_delay_sum w.write_delay_count w.lease_files
     w.lease_records w.lease_records_live w.pending_writes w.queued_writes w.client_inflight
-    w.client_queued_ops w.in_flight_msgs w.server_up w.server_recovering (floats w.skews)
+    w.client_queued_ops w.in_flight_msgs w.server_up w.server_recovering (floats (skews w))
     entities (floats w.write_phase_sums)
 
 let test_single_shard_matches_sim_load () =
@@ -536,12 +536,12 @@ let test_split_domains_equivalent () =
         true
         (windows <> []
         && List.for_all
-             (fun (w : Telemetry.Sampler.window) -> w.skews <> [] && w.counters <> [])
+             (fun w -> Telemetry.Sampler.(skews w <> [] && counters w <> []))
              windows))
     w1;
   Alcotest.(check bool) "the drifted shard's server clock shows skew" true
     (List.exists
-       (fun (w : Telemetry.Sampler.window) -> Float.abs (List.assoc "server" w.skews) > 1.)
+       (fun w -> Float.abs (List.assoc "server" (Telemetry.Sampler.skews w)) > 1.)
        (List.nth w1 2));
   Alcotest.(check bool) "traces non-empty" true (t1 <> []);
   Alcotest.(check (list string)) "merged traces identical" t1 t4

@@ -62,13 +62,13 @@ let test_window_accounting () =
       List.iter
         (fun (name, d) ->
           Hashtbl.replace summed name (d + Option.value (Hashtbl.find_opt summed name) ~default:0))
-        w.Telemetry.Sampler.deltas)
+        (Telemetry.Sampler.deltas w))
     windows;
   List.iter
     (fun (name, total) ->
       Alcotest.(check int) (Printf.sprintf "deltas sum to cumulative %s" name) total
         (Option.value (Hashtbl.find_opt summed name) ~default:0))
-    last.Telemetry.Sampler.counters;
+    (Telemetry.Sampler.counters last);
   (* scalar deltas agree with the merged registry they were derived from *)
   let total_of suffix =
     List.fold_left
@@ -78,7 +78,7 @@ let test_window_accounting () =
               = suffix
         then acc + v
         else acc)
-      0 last.Telemetry.Sampler.counters
+      0 (Telemetry.Sampler.counters last)
   in
   let window_total f = List.fold_left (fun acc w -> acc + f w) 0 windows in
   Alcotest.(check int) "hits" (total_of "/hits")
@@ -92,7 +92,7 @@ let test_window_accounting () =
      attributed per file and per client are the same requests *)
   let entity_total label =
     window_total (fun w ->
-        match List.assoc_opt label w.Telemetry.Sampler.by_entity with
+        match List.assoc_opt label (Telemetry.Sampler.by_entity w) with
         | None -> 0
         | Some pairs -> List.fold_left (fun acc (_, d) -> acc + d) 0 pairs)
   in
@@ -231,6 +231,64 @@ let test_sampler_is_passive () =
   in
   Alcotest.(check string) "metrics unchanged by sampling" (run false) (run true)
 
+(* What an attached sampler does change: at each boundary
+   [Server.snapshot] sweeps the lease table, so an expired record is reaped
+   (and its [lease-expire] emitted) at the boundary rather than at the
+   server's next access or periodic sweep, and the boundary events add
+   engine heartbeats.  Equivalent to [leases-sim -p leases -t 10 -n 4 -d 300
+   -s 5 --trace F] with and without [--telemetry 2.5]: the metrics are
+   identical, both traces hold the same 2 653 [lease-expire] events at
+   different instants, there are 246 heartbeats without the sampler and 293
+   with it, and every other line is identical. *)
+let test_sampler_trace_footprint () =
+  let run attach =
+    let trace =
+      (Experiments.V_trace.poisson ~seed:5L ~clients:4 ~duration:(span_sec 300.) ())
+        .Experiments.V_trace.trace
+    in
+    let events = ref [] in
+    let tracer =
+      { Trace.Sink.enabled = true; push = (fun e -> events := e :: !events); flush = ignore }
+    in
+    let setup =
+      { (Experiments.Runner.lease_setup ~n_clients:4 ~term:(Analytic.Model.Finite 10.) ()) with
+        Leases.Sim.seed = 5L;
+        tracer }
+    in
+    let setup =
+      if attach then
+        { setup with
+          Leases.Sim.on_instruments =
+            Telemetry.Sampler.attach (Telemetry.Sampler.create ~interval_s:2.5 ()) }
+      else setup
+    in
+    let metrics = Leases.Metrics.to_json (Leases.Sim.run setup ~trace).Leases.Sim.metrics in
+    let expiries, heartbeats, rest =
+      List.fold_left
+        (fun (expiries, heartbeats, rest) (e : Trace.Event.t) ->
+          match e.Trace.Event.ev with
+          | Trace.Event.Lease_expire _ -> (e :: expiries, heartbeats, rest)
+          | Trace.Event.Heartbeat _ -> (expiries, heartbeats + 1, rest)
+          | _ -> (expiries, heartbeats, Trace.Codec.encode e :: rest))
+        ([], 0, []) !events
+    in
+    (metrics, expiries, heartbeats, rest)
+  in
+  let m0, x0, h0, r0 = run false and m1, x1, h1, r1 = run true in
+  Alcotest.(check string) "metrics unchanged" m0 m1;
+  Alcotest.(check int) "lease-expire events without telemetry" 2653 (List.length x0);
+  Alcotest.(check int) "lease-expire events with telemetry" 2653 (List.length x1);
+  let reaped x =
+    List.sort compare
+      (List.map (fun (e : Trace.Event.t) -> Trace.Codec.encode { e with at = 0. }) x)
+  in
+  Alcotest.(check (list string)) "the same records reaped" (reaped x0) (reaped x1);
+  let instants x = List.map (fun (e : Trace.Event.t) -> e.Trace.Event.at) x in
+  Alcotest.(check bool) "reaped at different instants" true (instants x0 <> instants x1);
+  Alcotest.(check int) "heartbeats without telemetry" 246 h0;
+  Alcotest.(check int) "heartbeats with telemetry" 293 h1;
+  Alcotest.(check (list string)) "every other line identical" r0 r1
+
 (* Pins the full JSON export of a faulted 5-client run sampled every 2.5 s:
    cumulative counters, per-window deltas, per-entity breakdowns and
    per-host skews, under a server crash, a client crash and clock faults on
@@ -250,9 +308,9 @@ let test_export_golden () =
   in
   let windows = Telemetry.Sampler.windows sampler in
   let some f = List.exists f windows in
-  Alcotest.(check bool) "deltas recorded" true (some (fun w -> w.Telemetry.Sampler.deltas <> []));
+  Alcotest.(check bool) "deltas recorded" true (some (fun w -> Telemetry.Sampler.deltas w <> []));
   Alcotest.(check bool) "by_entity recorded" true
-    (some (fun w -> w.Telemetry.Sampler.by_entity <> []));
+    (some (fun w -> Telemetry.Sampler.by_entity w <> []));
   Alcotest.(check bool) "skews recorded" true
     (some (fun w -> Telemetry.Sampler.max_abs_skew w > 0.));
   let params = params_of setup in
@@ -264,11 +322,110 @@ let test_export_golden () =
       (List.map
          (fun w ->
            String.concat " "
-             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) w.Telemetry.Sampler.counters))
+             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (Telemetry.Sampler.counters w)))
          windows)
   in
   Alcotest.(check string) "every window's counters MD5" "0f21fee05bd5eb49be882fa205b993ee"
     (Digest.to_hex (Digest.string counters))
+
+(* The window accounting holds across a namespace re-resolve: a counter
+   registered after [attach] joins the namespace at the next boundary, its
+   first delta is its whole value, and the deltas still sum to the final
+   cumulative counters. *)
+let test_counter_added_after_attach () =
+  let trace =
+    (Experiments.V_trace.poisson ~seed:7L ~clients:2 ~duration:(span_sec 120.) ())
+      .Experiments.V_trace.trace
+  in
+  let sampler = Telemetry.Sampler.create ~interval_s:10. () in
+  let setup =
+    { (Experiments.Runner.lease_setup ~n_clients:2 ~term:(Analytic.Model.Finite 10.) ()) with
+      Leases.Sim.seed = 7L;
+      on_instruments =
+        (fun w tally ->
+          Telemetry.Sampler.attach sampler w tally;
+          let registry = Leases.Client.counters w.Leases.Sim.clients.(1) in
+          let engine = w.Leases.Sim.fabric.Leases.Cluster.engine in
+          let bump at n =
+            ignore
+              (Simtime.Engine.schedule_at engine (Simtime.Time.of_sec at) (fun () ->
+                   Stats.Counter.add (Stats.Counter.Registry.counter registry "late") n))
+          in
+          bump 35. 3;
+          bump 62. 4);
+    }
+  in
+  ignore (Leases.Sim.run setup ~trace);
+  Telemetry.Sampler.finalize sampler;
+  let windows = Telemetry.Sampler.windows sampler in
+  let late w = List.assoc_opt "client/1/late" (Telemetry.Sampler.counters w) in
+  let late_delta w = List.assoc_opt "client/1/late" (Telemetry.Sampler.deltas w) in
+  let window_at t =
+    List.find (fun (w : Telemetry.Sampler.window) -> w.Telemetry.Sampler.t_end = t) windows
+  in
+  Alcotest.(check (option int)) "absent before it is registered" None (late (window_at 30.));
+  Alcotest.(check (option int)) "first delta is its whole value" (Some 3)
+    (late_delta (window_at 40.));
+  Alcotest.(check (option int)) "no delta while it holds still" None (late_delta (window_at 50.));
+  Alcotest.(check (option int)) "later bumps are deltas" (Some 4) (late_delta (window_at 70.));
+  let summed = Hashtbl.create 64 in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (name, d) ->
+          Hashtbl.replace summed name (d + Option.value (Hashtbl.find_opt summed name) ~default:0))
+        (Telemetry.Sampler.deltas w))
+    windows;
+  let last = List.nth windows (List.length windows - 1) in
+  Alcotest.(check (option int)) "final value" (Some 7) (late last);
+  List.iter
+    (fun (name, total) ->
+      Alcotest.(check int) (Printf.sprintf "deltas sum to cumulative %s" name) total
+        (Option.value (Hashtbl.find_opt summed name) ~default:0))
+    (Telemetry.Sampler.counters last)
+
+(* Boundaries land on the engine's 1 us grid, so an interval below one
+   tick is refused instead of closing one window per microsecond: by
+   [Sampler.create], and by leases-sim as a flag error before any run. *)
+let test_sub_tick_interval () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let refused interval_s =
+    match Telemetry.Sampler.create ~interval_s () with
+    | _ -> None
+    | exception Invalid_argument why -> Some why
+  in
+  List.iter
+    (fun interval_s ->
+      match refused interval_s with
+      | None -> Alcotest.failf "interval %g s accepted" interval_s
+      | Some why ->
+        Alcotest.(check bool)
+          (Printf.sprintf "interval %g s names the tick: %s" interval_s why)
+          true
+          (contains why "1 us tick"))
+    [ 4e-7; 1e-9; 0.; -1. ];
+  Alcotest.(check bool) "a NaN interval is refused" true (refused Float.nan <> None);
+  Alcotest.(check bool) "one tick is accepted" true (refused 1e-6 = None);
+  let simulate =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/simulate.exe"
+  in
+  let err = Filename.temp_file "leases_sim" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command simulate ~stdout:Filename.null ~stderr:err
+         [ "-p"; "leases"; "-n"; "2"; "-d"; "30"; "--telemetry"; "1e-9" ])
+  in
+  let message = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  Alcotest.(check int) "leases-sim exits with its flag-error status" 124 code;
+  Alcotest.(check string) "leases-sim names the flag and the tick"
+    "leases-sim: --telemetry 1e-09: the interval must be at least the engine's 1 us tick, the \
+     grid that window boundaries land on\n"
+    message
 
 let test_sparkline () =
   Alcotest.(check string) "empty" "" (Telemetry.Report.sparkline []);
@@ -284,7 +441,10 @@ let () =
       ( "sampler",
         [
           Alcotest.test_case "window accounting" `Quick test_window_accounting;
+          Alcotest.test_case "counter added after attach" `Quick test_counter_added_after_attach;
           Alcotest.test_case "passive" `Quick test_sampler_is_passive;
+          Alcotest.test_case "trace footprint" `Quick test_sampler_trace_footprint;
+          Alcotest.test_case "sub-tick interval refused" `Quick test_sub_tick_interval;
         ] );
       ( "export",
         [
