@@ -7,12 +7,18 @@
 open Cmdliner
 
 let main seed schedules shrink json =
-  let summary = Fault_campaign.Harness.run ~shrink ~seed ~schedules () in
-  if json then print_string (Trace.Json.to_string (Fault_campaign.Harness.to_json summary) ^ "\n")
-  else Format.printf "%a" Fault_campaign.Harness.pp summary;
-  if Fault_campaign.Harness.has_safety summary then
-    `Error (false, Printf.sprintf "%d schedule(s) violated safety" summary.Fault_campaign.Harness.safety)
-  else `Ok ()
+  if schedules < 0 then
+    `Error
+      (false, Printf.sprintf "--schedules %d: the number of schedules must be at least 0" schedules)
+  else begin
+    let summary = Fault_campaign.Harness.run ~shrink ~seed ~schedules () in
+    if json then print_string (Trace.Json.to_string (Fault_campaign.Harness.to_json summary) ^ "\n")
+    else Format.printf "%a" Fault_campaign.Harness.pp summary;
+    if Fault_campaign.Harness.has_safety summary then
+      `Error
+        (false, Printf.sprintf "%d schedule(s) violated safety" summary.Fault_campaign.Harness.safety)
+    else `Ok ()
+  end
 
 let seed =
   Arg.(value & opt int 1
@@ -21,7 +27,8 @@ let seed =
 
 let schedules =
   Arg.(value & opt int 25
-       & info [ "schedules" ] ~docv:"N" ~doc:"Number of fault schedules to generate and run.")
+       & info [ "schedules" ] ~docv:"N"
+           ~doc:"Number of fault schedules to generate and run, at least 0.")
 
 let shrink =
   Arg.(value & flag

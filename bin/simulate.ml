@@ -253,6 +253,8 @@ let main protocol term_s clients duration seed loss rtt_ms workload ops_file jso
       | _ -> None
     in
     if shards < 1 then failwith "--shards must be at least 1";
+    if not (loss >= 0. && loss <= 1.) then
+      failwith (Printf.sprintf "--loss %g: the drop probability must be in [0, 1]" loss);
     (match domains with
     | Some d when d < 1 -> failwith "--domains must be at least 1"
     | Some _ when shards < 2 ->
@@ -349,7 +351,8 @@ let duration =
 let seed = Arg.(value & opt int64 1L & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let loss =
-  Arg.(value & opt float 0. & info [ "loss" ] ~docv:"P" ~doc:"Per-delivery message loss probability.")
+  Arg.(value & opt float 0.
+       & info [ "loss" ] ~docv:"P" ~doc:"Per-delivery message loss probability, in [0, 1].")
 
 let rtt =
   Arg.(value & opt float 5.

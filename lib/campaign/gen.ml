@@ -155,6 +155,7 @@ let gen_schedule rng ~index =
   { Schedule.index; sim_seed; workload; n_clients; n_shards; duration_s; term_s; loss; faults }
 
 let schedules ~seed ~n =
+  if n < 0 then invalid_arg (Printf.sprintf "Gen.schedules: n = %d is negative" n);
   let root = Splitmix.create ~seed:(Int64.of_int seed) in
   let rec go i acc =
     if i = n then List.rev acc

@@ -17,4 +17,5 @@ val unsafe_skew_budget_s : float
 (** Per-schedule cap on total unsafe-direction clock divergence. *)
 
 val schedules : seed:int -> n:int -> Schedule.t list
-(** The first [n] schedules of the campaign identified by [seed]. *)
+(** The first [n] schedules of the campaign identified by [seed].
+    Raises [Invalid_argument] when [n] is negative. *)

@@ -33,6 +33,7 @@ and timer = {
 
 let create engine ?(offset = Time.Span.zero) ?(drift = 0.) () =
   if drift <= -1. then invalid_arg "Clock.create: drift must exceed -1";
+  if not (Float.is_finite drift) then invalid_arg "Clock.create: drift must be finite";
   let now = Engine.now engine in
   {
     engine;
@@ -115,6 +116,7 @@ let reschedule_timers c =
 
 let set_drift t drift =
   if drift <= -1. then invalid_arg "Clock.set_drift: drift must exceed -1";
+  if not (Float.is_finite drift) then invalid_arg "Clock.set_drift: drift must be finite";
   rebase t;
   t.rate <- 1. +. drift;
   reschedule_timers t

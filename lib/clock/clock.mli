@@ -22,7 +22,7 @@ type timer
 
 val create : Simtime.Engine.t -> ?offset:Simtime.Time.Span.t -> ?drift:float -> unit -> t
 (** [drift] is the rate error: the clock advances [1. +. drift] local
-    seconds per engine second.  [drift] must exceed -1. *)
+    seconds per engine second.  [drift] must be finite and exceed -1. *)
 
 val now : t -> Simtime.Time.t
 (** The host's local reading of the current instant. *)
@@ -31,8 +31,8 @@ val drift : t -> float
 
 val set_drift : t -> float -> unit
 (** Change the rate from the current instant on (the reading is continuous
-    across the change).  Outstanding local timers are re-scheduled against
-    the new rate. *)
+    across the change); [drift] must be finite and exceed -1.  Outstanding
+    local timers are re-scheduled against the new rate. *)
 
 val step : t -> Simtime.Time.Span.t -> unit
 (** Jump the local reading discontinuously.  Outstanding local timers are

@@ -31,8 +31,10 @@ type rpc = {
   mutable timer : Engine.handle option;
 }
 
-(* The cached files one server owns, in ascending id order. *)
-type server_files = { mutable files : File_id.t list }
+(* The cached files one server owns: [files.(0 .. len-1)], ascending.  The
+   array grows by doubling and never shrinks; a membership change shifts
+   the tail by one and allocates nothing. *)
+type group = { mutable files : File_id.t array; mutable len : int }
 
 (* Operations waiting for an in-flight RPC on the same file. *)
 type queued_op =
@@ -63,7 +65,7 @@ type t = {
   tracer : Trace.Sink.t;
   (* --- volatile state, reset by the crash hook --- *)
   cache : entry File_id.Tbl.t;
-  by_server : server_files Host_id.Tbl.t;
+  by_server : group Host_id.Tbl.t;
       (** [cache]'s files grouped by owning server, each group sorted;
           updated by one insert or remove per cache membership change, and
           only when [indexed] *)
@@ -201,47 +203,71 @@ let cancel_renewal entry =
    per-file [min_next]. *)
 let note_expiry t expiry = t.evict_next <- Lease.expiry_min expiry t.evict_next
 
-(* --- the per-server sorted file lists ---------------------------------- *)
+(* --- the per-server sorted file arrays --------------------------------- *)
 
-let rec insert_sorted file = function
-  | [] -> [ file ]
-  | f :: rest as files ->
-    let c = File_id.compare file f in
-    if c < 0 then file :: files else if c = 0 then files else f :: insert_sorted file rest
-
-(* [files] without [file].  The cells after [file] are shared, not copied,
-   and a list without [file] comes back as itself. *)
-let rec remove_sorted file = function
-  | [] -> []
-  | f :: rest as files ->
-    let c = File_id.compare file f in
-    if c < 0 then files
-    else if c = 0 then rest
+(* Binary search of [file] in the group: its index when present, otherwise
+   [-1 - i] where [i] is the index it would be inserted at. *)
+let search group file =
+  let rec go lo hi =
+    if lo >= hi then -1 - lo
     else begin
-      let rest' = remove_sorted file rest in
-      if rest' == rest then files else f :: rest'
+      let mid = (lo + hi) lsr 1 in
+      let c = File_id.compare (Array.unsafe_get group.files mid) file in
+      if c < 0 then go (mid + 1) hi else if c > 0 then go lo mid else mid
     end
-
-(* The cached files [dst] owns, sorted. *)
-let server_files t dst =
-  match Host_id.Tbl.find t.by_server dst with
-  | group -> group.files
-  | exception Not_found -> []
+  in
+  go 0 group.len
 
 let index_file t file =
   if t.indexed then begin
     let dst = t.route file in
     match Host_id.Tbl.find t.by_server dst with
-    | group -> group.files <- insert_sorted file group.files
-    | exception Not_found -> Host_id.Tbl.add t.by_server dst { files = [ file ] }
+    | group ->
+      let pos = search group file in
+      if pos < 0 then begin
+        let at = -1 - pos in
+        if group.len = Array.length group.files then begin
+          let grown = Array.make (2 * group.len) file in
+          Array.blit group.files 0 grown 0 group.len;
+          group.files <- grown
+        end;
+        Array.blit group.files at group.files (at + 1) (group.len - at);
+        group.files.(at) <- file;
+        group.len <- group.len + 1
+      end
+    | exception Not_found -> Host_id.Tbl.add t.by_server dst { files = Array.make 8 file; len = 1 }
   end
 
 let unindex_file t file =
   if t.indexed then begin
     match Host_id.Tbl.find t.by_server (t.route file) with
-    | group -> group.files <- remove_sorted file group.files
+    | group ->
+      let pos = search group file in
+      if pos >= 0 then begin
+        Array.blit group.files (pos + 1) group.files pos (group.len - pos - 1);
+        group.len <- group.len - 1
+      end
     | exception Not_found -> ()
   end
+
+(* A miss's batch: [| file; every other cached file [dst] owns, ascending |],
+   one allocation and two blits; [[||]] when [dst] owns no other. *)
+let piggyback t dst file =
+  match Host_id.Tbl.find t.by_server dst with
+  | exception Not_found -> [||]
+  | group ->
+    let pos = search group file in
+    (* [group.files.(0 .. before-1)] precede [file], [.(after ..)] follow it *)
+    let before = if pos >= 0 then pos else -1 - pos in
+    let after = if pos >= 0 then pos + 1 else before in
+    let others = before + group.len - after in
+    if others = 0 then [||]
+    else begin
+      let batch = Array.make (1 + others) file in
+      Array.blit group.files 0 batch 1 before;
+      Array.blit group.files after batch (1 + before) (group.len - after);
+      batch
+    end
 
 (* Amortized eviction of long-dead cache entries, run from the miss path.
    An entry whose lease lapsed is protocol-inert — it never serves a read —
@@ -335,17 +361,18 @@ let rec send_renewal t =
   if t.up then begin
     let groups =
       Host_id.Tbl.fold
-        (fun dst group acc ->
-          match group.files with [] -> acc | first :: _ -> (first, dst, group.files) :: acc)
+        (fun dst group acc -> if group.len = 0 then acc else (group.files.(0), dst, group) :: acc)
         t.by_server []
       (* slot order must not leak into the message order *)
       |> List.sort (fun (a, _, _) (b, _, _) -> File_id.compare a b)
     in
     List.iter
-      (fun (_, dst, files) ->
+      (fun (_, dst, group) ->
         if not (Host_id.Tbl.mem t.renewals_in_flight dst) then begin
           Stats.Counter.incr t.c_renewals_sent;
           Host_id.Tbl.replace t.renewals_in_flight dst ();
+          (* a copy: the group keeps changing, a sent array never does *)
+          let files = Array.sub group.files 0 group.len in
           start_rpc t ~dst Rpc_renewal (Messages.Extend_request { req = fresh_req t; files })
         end)
       groups
@@ -366,26 +393,26 @@ and arm_renewal t file entry =
       in
       entry.renewal_timer <- Some (Clock.schedule_at_local t.clock renew_at_local fire))
 
-let apply_grant_to t (line : Messages.grant_line) entry expiry =
+let apply_grant_to t file version entry expiry =
   (* Guard against resurrecting state that predates a write we already know
      about: server versions are monotone, so a grant carrying an older
      version was issued before that write and its lease died with it.  (The
      fixed-delay network delivers FIFO, so this cannot fire today; it is the
      locally checkable safety condition nonetheless.) *)
-  if Vstore.Version.compare line.g_version entry.version < 0 then ()
+  if Vstore.Version.compare version entry.version < 0 then ()
   else begin
-  entry.version <- line.g_version;
+  entry.version <- version;
   entry.expiry <- expiry;
   note_expiry t expiry;
-  if tracing t then emit_client_lease t line.g_file entry;
-  arm_renewal t line.g_file entry
+  if tracing t then emit_client_lease t file entry;
+  arm_renewal t file entry
   end
 
-let apply_grant t (line : Messages.grant_line) expiry =
-  match File_id.Tbl.find t.cache line.g_file with
-  | entry -> apply_grant_to t line entry expiry
+let apply_grant t file version (lease : Lease.grant option) expiry =
+  match File_id.Tbl.find t.cache file with
+  | entry -> apply_grant_to t file version entry expiry
   | exception Not_found -> (
-    match line.g_lease with
+    match lease with
     | None ->
       (* The server answered but granted nothing (zero term, or a write in
          flight on the file) and we hold no copy.  There is nothing to serve
@@ -393,31 +420,35 @@ let apply_grant t (line : Messages.grant_line) expiry =
          never-leased probe as a cached file, permanently inflating
          [cache_size] and the telemetry occupancy series. *)
       ()
-    | Some _ -> apply_grant_to t line (add_entry t line.g_file) expiry)
+    | Some _ -> apply_grant_to t file version (add_entry t file) expiry)
 
-(* Apply one reply's grant lines, all received now.  The server hands every
-   line of one term the same lease value, so the client expiry is computed
-   once per reply and term, and each line costs one field write. *)
-let apply_grants t (granted : Messages.grant_line list) =
+(* The client expiry of a lease received [now]. *)
+let grant_expiry t (lease : Lease.grant option) ~now =
+  match lease with
+  | Some { Lease.term } ->
+    Lease.client_expiry term ~received_at:now ~transit_allowance:(Netsim.Net.transit t.net)
+      ~skew_allowance:t.config.skew_allowance
+  | None ->
+    (* No lease came back (zero term or a write is pending): make sure we
+       do not keep trusting an older one. *)
+    Lease.at now
+
+(* Apply one reply's lines, all received now, by index.  The server hands
+   every line of one term the same lease value, so the client expiry is
+   computed once per run of equal values — once per reply and term — and
+   each line costs one field write. *)
+let apply_grants t files versions (leases : Lease.grant option array) =
   let now = local_now t in
-  let rec go last expiry = function
-    | [] -> ()
-    | (line : Messages.grant_line) :: rest ->
-      let expiry =
-        match line.g_lease with
-        | Some _ when line.g_lease == last -> expiry
-        | Some { Lease.term } ->
-          Lease.client_expiry term ~received_at:now ~transit_allowance:(Netsim.Net.transit t.net)
-            ~skew_allowance:t.config.skew_allowance
-        | None ->
-          (* No lease came back (zero term or a write is pending): make sure
-             we do not keep trusting an older one. *)
-          Lease.at now
-      in
-      apply_grant t line expiry;
-      go line.g_lease expiry rest
-  in
-  go None Lease.never granted
+  let last = ref None in
+  let expiry = ref Lease.never in
+  for i = 0 to Array.length files - 1 do
+    let lease = leases.(i) in
+    (match lease with
+    | Some _ when lease == !last -> ()
+    | Some _ | None -> expiry := grant_expiry t lease ~now);
+    last := lease;
+    apply_grant t files.(i) versions.(i) lease !expiry
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Operations
@@ -475,12 +506,10 @@ let rec read t file ~k =
       let message =
         if t.config.Config.batch_extensions then begin
           (* Piggyback renewals only for files the same server owns: a
-             batched extension is one RPC to one host.  The list after
-             [file] is shared with the server's group, not copied. *)
-          let others = remove_sorted file (server_files t dst) in
-          match others with
-          | [] -> Messages.Read_request { req; file }
-          | _ -> Messages.Extend_request { req; files = file :: others }
+             batched extension is one RPC to one host. *)
+          match piggyback t dst file with
+          | [||] -> Messages.Read_request { req; file }
+          | files -> Messages.Extend_request { req; files }
         end
         else Messages.Read_request { req; file }
       in
@@ -525,22 +554,23 @@ and drain_queue t file =
 (* ------------------------------------------------------------------ *)
 (* Message handling                                                    *)
 
-let complete_read t rpc (granted : Messages.grant_line list) =
-  apply_grants t granted;
+(* Complete [rpc] with its reply's line 0: a miss puts its file first, and
+   the reply shares the request's files. *)
+let complete_read t rpc ~file:answered ~version =
   match rpc.kind with
-  | Rpc_read { file; k } -> (
+  | Rpc_read { file; k } ->
     finish_rpc t rpc;
-    match List.find_opt (fun (g : Messages.grant_line) -> File_id.equal g.g_file file) granted with
-    | Some line ->
+    if File_id.equal answered file then begin
       k
         {
-          r_version = line.g_version;
+          r_version = version;
           r_latency = Time.diff (Engine.now t.engine) rpc.started;
           r_from_cache = false;
         };
       release t file
-    | None ->
-      (* The server answered a different file list (possible after a
+    end
+    else begin
+      (* The reply answers a different file (possible after a
          retransmission raced a crash).  Fabricating a result from the
          cache here would complete the read with no lease and no server
          version — a reply-mismatch artifact the oracle would then book as
@@ -548,7 +578,8 @@ let complete_read t rpc (granted : Messages.grant_line list) =
          busy, so queued operations keep their order. *)
       Stats.Counter.incr t.c_fallback_reads;
       start_rpc t ~dst:rpc.dst (Rpc_read { file; k })
-        (Messages.Read_request { req = fresh_req t; file }))
+        (Messages.Read_request { req = fresh_req t; file })
+    end
   | Rpc_renewal ->
     Host_id.Tbl.remove t.renewals_in_flight rpc.dst;
     finish_rpc t rpc
@@ -558,14 +589,19 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
   if t.up then begin
     profile_mark t Profile.Center.Client_handle;
     match envelope.payload with
-    | Messages.Read_reply { req; granted } -> (
+    | Messages.Read_reply { req; file; version; lease } -> (
+      apply_grant t file version lease (grant_expiry t lease ~now:(local_now t));
+      (* a late duplicate's grant is still fresh info *)
       match find_rpc t req with
-      | Some rpc -> complete_read t rpc [ granted ]
-      | None -> apply_grants t [ granted ] (* late duplicate: still fresh info *))
-    | Messages.Extend_reply { req; granted } -> (
+      | Some rpc -> complete_read t rpc ~file ~version
+      | None -> ())
+    | Messages.Extend_reply { req; files; versions; leases } -> (
+      apply_grants t files versions leases;
       match find_rpc t req with
-      | Some rpc -> complete_read t rpc granted
-      | None -> apply_grants t granted)
+      (* no batch is empty: a miss's starts with its file, a renewal's
+         copies a non-empty group *)
+      | Some rpc -> complete_read t rpc ~file:files.(0) ~version:versions.(0)
+      | None -> ())
     | Messages.Write_reply { req; file; version } -> (
       match find_rpc t req with
       | Some ({ kind = Rpc_write { file = wfile; k }; _ } as rpc) when File_id.equal file wfile ->

@@ -57,7 +57,8 @@ module Faults = struct
            "bad fault spec %S: expected crash-client=CLIENT,AT,DUR | crash-server=AT,DUR | \
             crash-shard=SHARD,AT,DUR | partition=C1+C2+...,AT,DUR | client-drift=CLIENT,AT,RATE | \
             server-drift=[SHARD,]AT,RATE | client-step=CLIENT,AT,SEC | server-step=[SHARD,]AT,SEC \
-            (indices non-negative integers; AT and DUR non-negative, finite, in virtual seconds)"
+            (indices non-negative integers; AT and DUR non-negative, finite, in virtual seconds; \
+            RATE and SEC finite)"
            spec)
     in
     let exception Bad in
@@ -78,6 +79,7 @@ module Faults = struct
       let sec v = Time.of_sec (non_neg (num v)) in
       let dur v = Time.Span.of_sec (non_neg (num v)) in
       let span v = Time.Span.of_sec (num v) in
+      let rate v = match num v with r when Float.is_finite r -> r | _ -> raise Bad in
       try
         Ok
           (match (kind, args) with
@@ -87,9 +89,9 @@ module Faults = struct
           | "partition", [ cs; a; d ] ->
             let clients = List.map index (String.split_on_char '+' cs) in
             Partition_clients { clients; at = sec a; duration = dur d }
-          | "client-drift", [ c; a; r ] -> Client_drift { client = index c; at = sec a; drift = num r }
-          | "server-drift", [ a; r ] -> Server_drift { shard = 0; at = sec a; drift = num r }
-          | "server-drift", [ s; a; r ] -> Server_drift { shard = index s; at = sec a; drift = num r }
+          | "client-drift", [ c; a; r ] -> Client_drift { client = index c; at = sec a; drift = rate r }
+          | "server-drift", [ a; r ] -> Server_drift { shard = 0; at = sec a; drift = rate r }
+          | "server-drift", [ s; a; r ] -> Server_drift { shard = index s; at = sec a; drift = rate r }
           | "client-step", [ c; a; v ] -> Client_step { client = index c; at = sec a; step = span v }
           | "server-step", [ a; v ] -> Server_step { shard = 0; at = sec a; step = span v }
           | "server-step", [ s; a; v ] -> Server_step { shard = index s; at = sec a; step = span v }
@@ -120,16 +122,17 @@ let check ~who ~n_clients faults trace =
       let shard s = if s < 0 then bad "names a negative shard" in
       let at t = if Time.(t < zero) then bad "starts before time 0" in
       let duration d = if Time.Span.is_negative d then bad "has a negative duration" in
+      let rate r = if not (Float.is_finite r && r > -1.) then bad "needs a finite drift above -1" in
       match fault with
       | Crash_client { client = c; at = t; duration = d } -> client c; at t; duration d
       | Crash_server { at = t; duration = d } -> at t; duration d
       | Crash_shard { shard = s; at = t; duration = d } -> shard s; at t; duration d
       | Partition_clients { clients; at = t; duration = d } ->
         List.iter client clients; at t; duration d
-      | Client_drift { client = c; at = t; _ } | Client_step { client = c; at = t; _ } ->
-        client c; at t
-      | Server_drift { shard = s; at = t; _ } | Server_step { shard = s; at = t; _ } ->
-        shard s; at t)
+      | Client_drift { client = c; at = t; drift } -> client c; at t; rate drift
+      | Client_step { client = c; at = t; _ } -> client c; at t
+      | Server_drift { shard = s; at = t; drift } -> shard s; at t; rate drift
+      | Server_step { shard = s; at = t; _ } -> shard s; at t)
     faults
 
 (* --- fabric --------------------------------------------------------- *)

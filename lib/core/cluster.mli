@@ -38,8 +38,8 @@ module Faults : sig
   val fault_of_spec : string -> (fault, string) result
   (** Inverse of {!fault_to_spec}; round-trips every fault (times carry
       microsecond precision).  Client and shard indices must be
-      non-negative integers, and times, durations and steps' instants
-      non-negative and finite. *)
+      non-negative integers, times, durations and steps' instants
+      non-negative and finite, and drift rates and step sizes finite. *)
 
   val pp_fault : Format.formatter -> fault -> unit
 end
@@ -52,8 +52,9 @@ end
 val check : who:string -> n_clients:int -> fault list -> Workload.Trace.t -> unit
 (** Raises [Invalid_argument], prefixed by [who], for no clients, a trace
     op by a client outside [0, n_clients), or a fault naming such a client,
-    a negative shard, a negative instant or a negative duration (the
-    message carries the fault's spec).  Run functions call it first. *)
+    a negative shard, a negative instant, a negative duration or a drift
+    rate that is not finite and above -1 (the message carries the fault's
+    spec).  Run functions call it first. *)
 
 (** {1 Fabric} *)
 

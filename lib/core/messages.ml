@@ -1,17 +1,21 @@
 type req_id = int
 type write_id = int
 
-type grant_line = {
-  g_file : Vstore.File_id.t;
-  g_version : Vstore.Version.t;
-  g_lease : Lease.grant option;
-}
-
 type payload =
   | Read_request of { req : req_id; file : Vstore.File_id.t }
-  | Read_reply of { req : req_id; granted : grant_line }
-  | Extend_request of { req : req_id; files : Vstore.File_id.t list }
-  | Extend_reply of { req : req_id; granted : grant_line list }
+  | Read_reply of {
+      req : req_id;
+      file : Vstore.File_id.t;
+      version : Vstore.Version.t;
+      lease : Lease.grant option;
+    }
+  | Extend_request of { req : req_id; files : Vstore.File_id.t array }
+  | Extend_reply of {
+      req : req_id;
+      files : Vstore.File_id.t array;
+      versions : Vstore.Version.t array;
+      leases : Lease.grant option array;
+    }
   | Write_request of { req : req_id; file : Vstore.File_id.t }
   | Write_reply of { req : req_id; file : Vstore.File_id.t; version : Vstore.Version.t }
   | Approval_request of { write : write_id; file : Vstore.File_id.t }
@@ -57,13 +61,12 @@ let trace_class = function
 
 let pp ppf = function
   | Read_request { req; file } -> Format.fprintf ppf "read-req #%d %a" req Vstore.File_id.pp file
-  | Read_reply { req; granted } ->
-    Format.fprintf ppf "read-rep #%d %a v%a" req Vstore.File_id.pp granted.g_file
-      Vstore.Version.pp granted.g_version
+  | Read_reply { req; file; version; _ } ->
+    Format.fprintf ppf "read-rep #%d %a v%a" req Vstore.File_id.pp file Vstore.Version.pp version
   | Extend_request { req; files } ->
-    Format.fprintf ppf "extend-req #%d (%d files)" req (List.length files)
-  | Extend_reply { req; granted } ->
-    Format.fprintf ppf "extend-rep #%d (%d grants)" req (List.length granted)
+    Format.fprintf ppf "extend-req #%d (%d files)" req (Array.length files)
+  | Extend_reply { req; files; _ } ->
+    Format.fprintf ppf "extend-rep #%d (%d grants)" req (Array.length files)
   | Write_request { req; file } -> Format.fprintf ppf "write-req #%d %a" req Vstore.File_id.pp file
   | Write_reply { req; file; version } ->
     Format.fprintf ppf "write-rep #%d %a v%a" req Vstore.File_id.pp file Vstore.Version.pp version

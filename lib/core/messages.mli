@@ -22,17 +22,32 @@
 type req_id = int
 type write_id = int
 
-type grant_line = {
-  g_file : Vstore.File_id.t;
-  g_version : Vstore.Version.t;
-  g_lease : Lease.grant option;  (** [None]: no lease (zero term or write pending) *)
-}
+(** A renewal batch travels as flat arrays: a request's [files], and a
+    reply's [files], [versions] and [leases], where index [i] of the three
+    reply arrays is the grant for the request's file [i].  A batch thus
+    allocates a fixed number of blocks, whatever its line count.
 
+    Nobody writes into an array once it is sent.  A retransmission resends
+    the request as it is, and the reply shares the request's [files]
+    array rather than copying it. *)
 type payload =
   | Read_request of { req : req_id; file : Vstore.File_id.t }
-  | Read_reply of { req : req_id; granted : grant_line }
-  | Extend_request of { req : req_id; files : Vstore.File_id.t list }
-  | Extend_reply of { req : req_id; granted : grant_line list }
+  | Read_reply of {
+      req : req_id;
+      file : Vstore.File_id.t;
+      version : Vstore.Version.t;
+      lease : Lease.grant option;  (** [None]: no lease (zero term or write pending) *)
+    }
+  | Extend_request of { req : req_id; files : Vstore.File_id.t array }
+      (** the missed file first, when a miss carries the batch *)
+  | Extend_reply of {
+      req : req_id;
+      files : Vstore.File_id.t array;  (** the request's own array *)
+      versions : Vstore.Version.t array;
+      leases : Lease.grant option array;
+          (** the server's shared lease values: every line of one term
+              holds the same physical value *)
+    }
   | Write_request of { req : req_id; file : Vstore.File_id.t }
   | Write_reply of { req : req_id; file : Vstore.File_id.t; version : Vstore.Version.t }
   | Approval_request of { write : write_id; file : Vstore.File_id.t }

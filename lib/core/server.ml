@@ -193,9 +193,9 @@ let record_lease t file holder expiry ~now =
   | Some _ | None -> ()
 
 (* The lease a grant line carries, shared by every line whose term equals
-   the last one granted.  Lines are immutable, so under a fixed term one
+   the last one granted.  Leases are immutable, so under a fixed term one
    value serves the server's whole life, and a batched renewal allocates
-   only its reply lines.  Every term policy, compensated terms and
+   only its reply arrays.  Every term policy, compensated terms and
    installed coverage take this one path; a new term allocates once. *)
 let lease_of_term t term =
   match t.last_lease with
@@ -254,13 +254,13 @@ let grant_floats t term ~now ~expiry =
     f
   end
 
-(* Each branch below builds its reply line exactly once: a granted line
-   allocates the [grant_line] and nothing else that outlives the reply.
-   The server-side expiry is an unboxed [Lease.expiry], so recording it is
-   one table write.  [now] is the server clock, read once per request. *)
-let grant_for t ~holder ~renewal ~now file : Messages.grant_line =
-  let version = Vstore.Store.current t.store file in
-  if has_pending_write t file then { Messages.g_file = file; g_version = version; g_lease = None }
+(* The lease one line carries, [None] when it grants none; the caller
+   reads the line's version.  Nothing here allocates per line: the lease
+   is [lease_of_term]'s shared value, and the server-side expiry is an
+   unboxed [Lease.expiry], so recording it is one table write.  [now] is
+   the server clock, read once per request. *)
+let grant_for t ~holder ~renewal ~now file : Lease.grant option =
+  if has_pending_write t file then None
   else if is_installed t file then begin
     match t.config.installed with
     | Some { term; _ } when not (File_id.Set.mem file t.installed_suspended) ->
@@ -273,12 +273,12 @@ let grant_for t ~holder ~renewal ~now file : Messages.grant_line =
           (Trace.Event.Installed_cover
              { file = File_id.to_int file; until = Time.to_sec until });
       Vstore.Wal.record_grant t.wal file ~term ~expiry:until;
-      { Messages.g_file = file; g_version = version; g_lease = lease_of_term t (Lease.Finite term) }
-    | Some _ | None -> { Messages.g_file = file; g_version = version; g_lease = None }
+      lease_of_term t (Lease.Finite term)
+    | Some _ | None -> None
   end
   else begin
     let term = t.term holder file ~now in
-    if Lease.term_is_zero term then { Messages.g_file = file; g_version = version; g_lease = None }
+    if Lease.term_is_zero term then None
     else begin
       let expiry = Lease.server_expiry term ~granted_at:now in
       record_lease t file holder expiry ~now;
@@ -299,7 +299,7 @@ let grant_for t ~holder ~renewal ~now file : Messages.grant_line =
       | Lease.Finite span ->
         Vstore.Wal.record_grant t.wal file ~term:span ~expiry:(Time.add now span)
       | Lease.Infinite -> ());
-      { Messages.g_file = file; g_version = version; g_lease = lease_of_term t term }
+      lease_of_term t term
     end
   end
 
@@ -556,26 +556,32 @@ let handle_read t ~src ~req file =
     Breakdown.bump o.Breakdown.reads_by_file (File_id.to_int file);
     Breakdown.bump o.Breakdown.reads_by_client (Host_id.to_int src)
   | None -> ());
-  send t ~dst:src
-    (Messages.Read_reply { req; granted = grant_for t ~holder:src ~renewal:false ~now file })
+  let version = Vstore.Store.current t.store file in
+  let lease = grant_for t ~holder:src ~renewal:false ~now file in
+  send t ~dst:src (Messages.Read_reply { req; file; version; lease })
 
+(* One batch, one pass by index: line [i] of the reply answers [files.(i)],
+   and the reply shares [files] itself.  The reply allocates its two
+   arrays and its own block, whatever its line count. *)
 let handle_extend t ~src ~req files =
   (match t.obs with
   | Some o ->
     Breakdown.bump o.Breakdown.extensions_by_client (Host_id.to_int src);
-    List.iter
+    Array.iter
       (fun file -> Breakdown.bump o.Breakdown.extensions_by_file (File_id.to_int file))
       files
   | None -> ());
   let now = local_now t in
-  let granted =
-    List.map
-      (fun file ->
-        note_read t file ~now;
-        grant_for t ~holder:src ~renewal:true ~now file)
-      files
-  in
-  send t ~dst:src (Messages.Extend_reply { req; granted })
+  let n = Array.length files in
+  let versions = Array.make n Vstore.Version.initial in
+  let leases : Lease.grant option array = Array.make n None in
+  for i = 0 to n - 1 do
+    let file = Array.unsafe_get files i in
+    note_read t file ~now;
+    Array.unsafe_set versions i (Vstore.Store.current t.store file);
+    Array.unsafe_set leases i (grant_for t ~holder:src ~renewal:true ~now file)
+  done;
+  send t ~dst:src (Messages.Extend_reply { req; files; versions; leases })
 
 (* ------------------------------------------------------------------ *)
 (* Installed-file refresh                                              *)

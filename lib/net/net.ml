@@ -26,7 +26,7 @@ type 'a t = {
 
 let create engine ?liveness ?partition ?rng ?(loss = 0.) ?link_delay ?(tracer = Trace.Sink.null)
     ?(classify = fun _ -> (Trace.Event.M_other "msg", -1)) ~prop_delay ~proc_delay () =
-  if loss < 0. || loss > 1. then invalid_arg "Net.create: loss must be in [0, 1]";
+  if not (loss >= 0. && loss <= 1.) then invalid_arg "Net.create: loss must be in [0, 1]";
   if loss > 0. && rng = None then invalid_arg "Net.create: positive loss requires an rng";
   {
     engine;

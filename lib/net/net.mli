@@ -36,9 +36,9 @@ val create :
   proc_delay:Simtime.Time.Span.t ->
   unit ->
   'a t
-(** [loss] is the independent per-delivery drop probability in [0, 1]
-    (default 0; requires [rng] when positive; 1.0 models a total blackout
-    for fault drills).  [link_delay] overrides the propagation delay per
+(** [loss] is the independent per-delivery drop probability in [0, 1],
+    NaN refused (default 0; requires [rng] when positive; 1.0 models a
+    total blackout for fault drills).  [link_delay] overrides the propagation delay per
     (src, dst) pair, for mixed LAN/WAN topologies.  [tracer] receives a
     [Net_send] per delivery attempt, then exactly one [Net_deliver] or
     [Net_drop] (with cause) for it; [classify] maps a payload to its typed

@@ -1,12 +1,17 @@
 open Simtime
 
-(* Per-file history: newest first, as (version, commit instant).  Version
-   [initial] is implicit with commit instant [Time.zero].  File ids are
-   dense small ints, so histories live in a growable array indexed by
-   [File_id.to_int] — the grant path reads [current] on every miss, and an
-   array load beats hashing on a table with one bucket chain per file. *)
+(* Per-file history, newest first: each commit's version and instant, then
+   the older ones.  Version [initial] is implicit at [Time.zero].  The
+   newest commit sits inline in the array element, so [current] is one
+   load past the array and a commit allocates one 4-word block.  File ids
+   are dense small ints, so histories live in a growable array indexed by
+   [File_id.to_int] — the grant path reads [current] on every line. *)
+type history =
+  | Initial
+  | Commit of { version : Version.t; at : Time.t; older : history }
+
 type t = {
-  mutable histories : (Version.t * Time.t) list array;  (** indexed by [File_id.to_int] *)
+  mutable histories : history array;  (** indexed by [File_id.to_int] *)
   mutable commits : int;
 }
 
@@ -16,7 +21,7 @@ let ensure t idx =
   let cap = Array.length t.histories in
   if idx >= cap then begin
     let cap' = Int.max 64 (Int.max (idx + 1) (2 * cap)) in
-    let histories' = Array.make cap' [] in
+    let histories' = Array.make cap' Initial in
     Array.blit t.histories 0 histories' 0 cap;
     t.histories <- histories'
   end
@@ -25,25 +30,26 @@ let ensure t idx =
    as the empty history — no allocation, no slot creation. *)
 let history_ro t file =
   let idx = File_id.to_int file in
-  if idx < Array.length t.histories then Array.unsafe_get t.histories idx else []
+  if idx < Array.length t.histories then Array.unsafe_get t.histories idx else Initial
 
 let current t file =
   match history_ro t file with
-  | (version, _) :: _ -> version
-  | [] -> Version.initial
+  | Commit { version; _ } -> version
+  | Initial -> Version.initial
 
 let commit t file ~at =
   let idx = File_id.to_int file in
   ensure t idx;
   let h = t.histories.(idx) in
-  (match h with
-  | (_, last) :: _ when Time.(at < last) ->
-    invalid_arg "Store.commit: commit instants must be non-decreasing"
-  | _ -> ());
   let version =
-    Version.next (match h with (v, _) :: _ -> v | [] -> Version.initial)
+    match h with
+    | Commit { version; at = last; _ } ->
+      if Time.(at < last) then
+        invalid_arg "Store.commit: commit instants must be non-decreasing";
+      Version.next version
+    | Initial -> Version.next Version.initial
   in
-  t.histories.(idx) <- (version, at) :: h;
+  t.histories.(idx) <- Commit { version; at; older = h };
   t.commits <- t.commits + 1;
   version
 
@@ -51,8 +57,9 @@ let commits t = t.commits
 
 let current_at t file at =
   let rec find = function
-    | [] -> Version.initial
-    | (version, committed) :: older -> if Time.(committed <= at) then version else find older
+    | Initial -> Version.initial
+    | Commit { version; at = committed; older } ->
+      if Time.(committed <= at) then version else find older
   in
   find (history_ro t file)
 
@@ -61,9 +68,9 @@ let current_at t file at =
    the read's [start, finish] window. *)
 let validity_interval t file version =
   let rec find next = function
-    | [] ->
+    | Initial ->
       if Version.equal version Version.initial then Some (Time.zero, next) else None
-    | (v, committed) :: older ->
+    | Commit { version = v; at = committed; older } ->
       if Version.equal v version then Some (committed, next) else find (Some committed) older
   in
   find None (history_ro t file)

@@ -18,6 +18,38 @@ sh scripts/poly_compare_guard.sh _build/default/perfbench/main.exe
 echo "== dune runtest =="
 dune runtest
 
+echo "== bad input fails loudly =="
+# A NaN loss, a non-finite clock drift and a negative schedule count are
+# bad input.  Each must exit non-zero within 10 s with an error naming the
+# value; unchecked, a NaN drift freezes a clock, a NaN loss or an infinite
+# drift runs silently, and a negative count never returns.
+bad_input() {
+  value=$1
+  shift
+  status=0
+  err=$(timeout 10 "$@" 2>&1 > /dev/null) || status=$?
+  if [ "$status" -eq 0 ]; then
+    echo "accepted bad input $value: $*" >&2
+    exit 1
+  fi
+  case "$err" in
+    *"$value"*) ;;
+    *)
+      echo "exit $status without an error naming $value: $*" >&2
+      echo "$err" >&2
+      exit 1
+      ;;
+  esac
+}
+sim="_build/default/bin/simulate.exe -p leases -t 10 -w shared-heavy -n 4 -d 300 -s 3"
+# shellcheck disable=SC2086 # word-split the shared command
+bad_input nan $sim --loss nan
+# shellcheck disable=SC2086
+bad_input nan $sim --fault client-drift=0,1,nan
+# shellcheck disable=SC2086
+bad_input inf $sim --fault server-drift=1,inf
+bad_input -3 _build/default/bin/campaign.exe --schedules=-3
+
 echo "== seeded figures gate (figures --quick vs scripts/figures_quick.md5) =="
 # The seeded outputs are the spec: every experiment's quick-mode text must
 # stay byte-identical unless a change says why.  A change that alters

@@ -21,6 +21,27 @@ let test_generation_prefix_stable () =
   Alcotest.(check (list string)) "schedule i independent of n" three
     (List.filteri (fun i _ -> i < 3) six)
 
+(* Counting up from 0 to a negative count never stops, and the schedule
+   list grows without bound.  The library refuses such a count, and so
+   does leases-campaign, as a flag error before it generates anything. *)
+let test_negative_count_refused () =
+  Alcotest.check_raises "Gen.schedules ~n:(-3)"
+    (Invalid_argument "Gen.schedules: n = -3 is negative") (fun () ->
+      ignore (Fault_campaign.Gen.schedules ~seed:1 ~n:(-3)));
+  Alcotest.(check int) "zero schedules is empty" 0
+    (List.length (Fault_campaign.Gen.schedules ~seed:1 ~n:0));
+  let campaign = Filename.concat (Filename.dirname Sys.executable_name) "../bin/campaign.exe" in
+  let err = Filename.temp_file "leases_campaign" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command campaign ~stdout:Filename.null ~stderr:err [ "--schedules=-3" ])
+  in
+  let message = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  Alcotest.(check int) "leases-campaign exits with its flag-error status" 124 code;
+  Alcotest.(check string) "leases-campaign names the flag and the value"
+    "leases-campaign: --schedules -3: the number of schedules must be at least 0\n" message
+
 let test_pinned_seed_schedule () =
   (* pins the whole derivation chain: splitmix splits, draw order, fault
      grammar and number formatting *)
@@ -251,6 +272,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_generation_deterministic;
           Alcotest.test_case "prefix stable" `Quick test_generation_prefix_stable;
           Alcotest.test_case "pinned seed" `Quick test_pinned_seed_schedule;
+          Alcotest.test_case "negative count refused" `Quick test_negative_count_refused;
           QCheck_alcotest.to_alcotest prop_fault_specs_round_trip;
           Alcotest.test_case "generated specs round-trip" `Quick test_generated_specs_round_trip;
           Alcotest.test_case "bad fault specs rejected" `Quick test_rejected_fault_specs;

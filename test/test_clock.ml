@@ -154,6 +154,29 @@ let test_invalid_drift () =
     (Invalid_argument "Clock.set_drift: drift must exceed -1") (fun () ->
       Clock.set_drift clock (-2.))
 
+let test_non_finite_drift () =
+  let engine = Engine.create () in
+  List.iter
+    (fun drift ->
+      Alcotest.check_raises
+        (Printf.sprintf "create drift %g" drift)
+        (Invalid_argument "Clock.create: drift must be finite") (fun () ->
+          ignore (Clock.create engine ~drift ())))
+    [ Float.nan; Float.infinity ];
+  let clock = Clock.create engine ~drift:0.5 () in
+  List.iter
+    (fun drift ->
+      Alcotest.check_raises
+        (Printf.sprintf "set_drift %g" drift)
+        (Invalid_argument "Clock.set_drift: drift must be finite") (fun () ->
+          Clock.set_drift clock drift))
+    [ Float.nan; Float.infinity ];
+  (* a refused rate leaves the clock running at its old one *)
+  Alcotest.(check (float 0.)) "rate kept" 0.5 (Clock.drift clock);
+  ignore (Engine.schedule_at engine (sec 2.) (fun () -> ()));
+  Engine.run engine;
+  Alcotest.(check (float 1e-9)) "still advancing" 3. (Time.to_sec (Clock.now clock))
+
 let () =
   Alcotest.run "clock"
     [
@@ -174,5 +197,6 @@ let () =
           Alcotest.test_case "cancel timer" `Quick test_cancel_timer;
           Alcotest.test_case "timer cleared after fire" `Quick test_timer_cleared_after_fire;
           Alcotest.test_case "invalid drift" `Quick test_invalid_drift;
+          Alcotest.test_case "non-finite drift" `Quick test_non_finite_drift;
         ] );
     ]

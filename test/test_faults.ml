@@ -354,6 +354,46 @@ let test_bad_faults_rejected_before_the_run () =
       run Trace.Sink.null [ Leases.Sim.Crash_client { client = n - 1; at = sec 10.; duration = span 5. } ])
     modes
 
+(* Unchecked, a NaN drift rate reaches [Time.Span.scale] and freezes the
+   clock, and an infinite one runs: both are bad input, refused as a spec
+   and, built directly, by the run function before the run. *)
+let test_non_finite_drift_refused () =
+  List.iter
+    (fun spec ->
+      match Leases.Sim.fault_of_spec spec with
+      | Ok f -> Alcotest.failf "%s parsed as %s" spec (Leases.Sim.fault_to_spec f)
+      | Error why ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: the error quotes the spec" spec)
+          true
+          (String.starts_with ~prefix:(Printf.sprintf "bad fault spec %S" spec) why))
+    [
+      "client-drift=0,1,nan";
+      "client-drift=0,1,inf";
+      "server-drift=1,inf";
+      "server-drift=1,-inf";
+      "server-drift=2,1,nan";
+    ];
+  let n = 2 in
+  let trace =
+    (Experiments.V_trace.poisson ~clients:n ~duration:(span 30.) ()).Experiments.V_trace.trace
+  in
+  List.iter
+    (fun fault ->
+      let setup = { Leases.Sim.default_setup with Leases.Sim.n_clients = n; faults = [ fault ] } in
+      match Leases.Sim.run setup ~trace with
+      | _ -> Alcotest.failf "Sim.run accepted %s" (Leases.Sim.fault_to_spec fault)
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "refused before the run: %s" msg)
+          true
+          (String.starts_with ~prefix:"Sim.run: fault " msg))
+    [
+      Leases.Sim.Client_drift { client = 0; at = sec 1.; drift = Float.nan };
+      Leases.Sim.Server_drift { shard = 0; at = sec 1.; drift = Float.infinity };
+      Leases.Sim.Client_drift { client = 1; at = sec 1.; drift = -1. };
+    ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -386,5 +426,6 @@ let () =
         [
           Alcotest.test_case "bad faults rejected before the run" `Quick
             test_bad_faults_rejected_before_the_run;
+          Alcotest.test_case "non-finite drift refused" `Quick test_non_finite_drift_refused;
         ] );
     ]

@@ -70,6 +70,17 @@ let test_loss_requires_rng () =
       ignore
         (Netsim.Net.create engine ~loss:0.1 ~prop_delay:(ms 1.) ~proc_delay:(ms 1.) () : unit Netsim.Net.t))
 
+(* NaN fails both range compares, so a [loss < 0. || loss > 1.] check
+   lets it through, and it then drops nothing. *)
+let test_nan_loss_refused () =
+  let engine = Engine.create () in
+  let rng = Prng.Splitmix.create ~seed:1L in
+  Alcotest.check_raises "NaN loss" (Invalid_argument "Net.create: loss must be in [0, 1]")
+    (fun () ->
+      ignore
+        (Netsim.Net.create engine ~rng ~loss:Float.nan ~prop_delay:(ms 1.) ~proc_delay:(ms 1.) ()
+          : unit Netsim.Net.t))
+
 let test_partition_blocks () =
   let partition = Netsim.Partition.create () in
   let engine, net = rig ~partition () in
@@ -288,6 +299,7 @@ let () =
           Alcotest.test_case "unregistered destination" `Quick test_unregistered_destination;
           Alcotest.test_case "loss" `Quick test_loss;
           Alcotest.test_case "loss requires rng" `Quick test_loss_requires_rng;
+          Alcotest.test_case "NaN loss refused" `Quick test_nan_loss_refused;
           Alcotest.test_case "multicast" `Quick test_multicast;
           Alcotest.test_case "multicast down sender" `Quick test_multicast_down_sender_per_destination;
           Alcotest.test_case "accounting reconciles" `Quick test_accounting_reconciles;

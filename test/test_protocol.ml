@@ -17,13 +17,14 @@ type rig = {
   store : Vstore.Store.t;
 }
 
-let make_rig ?(n = 2) ?(config = Leases.Config.default) ?loss ?seed ?jitter_seed ?tracer () =
+let make_rig ?(n = 2) ?(config = Leases.Config.default) ?loss ?seed ?jitter_seed ?tracer ?classify
+    () =
   let engine = Engine.create () in
   let liveness = Host.Liveness.create () in
   let partition = Netsim.Partition.create () in
   let rng = Option.map (fun seed -> Prng.Splitmix.create ~seed) seed in
   let net =
-    Netsim.Net.create engine ~liveness ~partition ?rng ?loss ?tracer
+    Netsim.Net.create engine ~liveness ~partition ?rng ?loss ?tracer ?classify
       ~prop_delay:(Time.Span.of_ms 0.5) ~proc_delay:(Time.Span.of_ms 1.) ()
   in
   let server_host = Host.Host_id.of_int 0 in
@@ -582,6 +583,158 @@ let test_sweep_cadence_never_perturbs_trace () =
         (run_traced ~sweep:(Some (span interval)) ()))
     [ 0.5; 2.; 10. ]
 
+(* --- the renewal batch ------------------------------------------------ *)
+
+(* Client 0 (host 1) reads a random file of 40 every 0.7 s, or one time in
+   six writes it, while client 1 writes one every 5 s, which invalidates
+   client 0's copy.  A write leaves the writer's own entry unleased, so a
+   3 s eviction grace evicts it at a later miss; client 0 crashes at 100 s
+   for 10 s.
+   The cached-file set is modelled as a list from the client's trace
+   events (a lease line adds its file, an invalidation or eviction removes
+   it, the crash empties it).  Every request client 0 sends must carry
+   [missed :: the rest of the model ascending] on a miss, and the model
+   ascending on an anticipatory renewal; every extension reply must share
+   its request's array, and every retransmission must resend the request
+   as it is. *)
+let check_batches_against_model ~config ~loss =
+  let model = ref [] in
+  let missed = ref None in
+  let crashed = ref false in
+  let sink =
+    {
+      Trace.Sink.enabled = true;
+      push =
+        (fun { Trace.Event.ev; _ } ->
+          match ev with
+          | Trace.Event.Client_lease { host = 1; file = f; _ } ->
+            if not (List.mem f !model) then model := f :: !model
+          | Trace.Event.Cache_invalidate { host = 1; file = f } ->
+            model := List.filter (fun g -> g <> f) !model
+          | Trace.Event.Cache_miss { host = 1; file = f } -> missed := Some f
+          | _ -> ());
+      flush = ignore;
+    }
+  in
+  let requests = Hashtbl.create 64 in
+  let misses = ref 0 and renewals = ref 0 and replies = ref 0 and longest = ref 0 in
+  let check_request files =
+    let files = Array.to_list (Array.map Vstore.File_id.to_int files) in
+    let expected =
+      match !missed with
+      | Some f ->
+        incr misses;
+        f :: List.sort Int.compare (List.filter (fun g -> g <> f) !model)
+      | None ->
+        incr renewals;
+        List.sort Int.compare !model
+    in
+    missed := None;
+    longest := Int.max !longest (List.length files);
+    Alcotest.(check (list int)) "request carries the modelled batch" expected files
+  in
+  (* [classify] sees a payload at its send and at its delivery or drop; a
+     request's first sight is its first send *)
+  let sent req payload ~check =
+    match Hashtbl.find_opt requests req with
+    | Some first -> Alcotest.(check bool) "a request is resent as it is" true (first == payload)
+    | None ->
+      Hashtbl.replace requests req payload;
+      check ()
+  in
+  let classify payload =
+    (match payload with
+    | Leases.Messages.Read_request { req; file = f } ->
+      sent req payload ~check:(fun () -> check_request [| f |])
+    | Leases.Messages.Extend_request { req; files } ->
+      sent req payload ~check:(fun () -> check_request files)
+    | Leases.Messages.Extend_reply { req; files; _ } -> (
+      incr replies;
+      match Hashtbl.find requests req with
+      | Leases.Messages.Extend_request { files = asked; _ } ->
+        Alcotest.(check bool) "a reply shares its request's files" true (asked == files)
+      | _ -> Alcotest.fail "an extension reply to a read request")
+    | _ -> ());
+    Leases.Messages.trace_class payload
+  in
+  let rig = make_rig ~config ~loss ~seed:7L ~tracer:sink ~classify () in
+  let rng = Random.State.make [| 25 |] in
+  for i = 1 to 280 do
+    let f = file (Random.State.int rng 40) in
+    let write = Random.State.int rng 6 = 0 in
+    at rig (0.7 *. float_of_int i) (fun () ->
+        if !crashed then ()
+        else if write then Leases.Client.write rig.clients.(0) f ~k:(fun _ -> ())
+        else read_into rig 0 f (ref []))
+  done;
+  for i = 1 to 39 do
+    let f = file (Random.State.int rng 40) in
+    at rig (5. *. float_of_int i +. 0.3) (fun () ->
+        Leases.Client.write rig.clients.(1) f ~k:(fun _ -> ()))
+  done;
+  at rig 100. (fun () ->
+      crashed := true;
+      model := [];
+      Host.Liveness.crash rig.liveness (Host.Host_id.of_int 1));
+  at rig 110. (fun () ->
+      crashed := false;
+      Host.Liveness.recover rig.liveness (Host.Host_id.of_int 1));
+  Engine.run ~until:(sec 230.) rig.engine;
+  Alcotest.(check bool) "misses carried batches" true (!misses > 50 && !longest > 10);
+  Alcotest.(check bool) "replies checked" true (!replies > 20);
+  Alcotest.(check bool) "entries evicted" true (Leases.Client.evictions rig.clients.(0) > 0);
+  if loss > 0. then
+    Alcotest.(check bool) "requests retransmitted" true
+      (Leases.Client.retransmissions rig.clients.(0) > 0);
+  !renewals
+
+let test_batch_matches_model () =
+  let config = { Leases.Config.default with cache_eviction_grace = Some (span 3.) } in
+  ignore (check_batches_against_model ~config ~loss:0.);
+  ignore (check_batches_against_model ~config ~loss:0.05);
+  let renewals =
+    check_batches_against_model ~loss:0.
+      ~config:{ config with anticipatory_renewal = Some (span 2.) }
+  in
+  Alcotest.(check bool) "anticipatory renewals checked" true (renewals > 0)
+
+(* Words allocated (minor + major - promoted) by one renewal round trip of
+   client 0 holding [lines] lapsed leases: it reads files 0..lines-1 one
+   by one, and at 20 s, after every lease lapsed, one miss on file 0
+   renews them all. *)
+let round_trip_words lines =
+  let config = { Leases.Config.default with lease_sweep_interval = None } in
+  let rig = make_rig ~config () in
+  for i = 0 to lines - 1 do
+    at rig (1. +. (0.01 *. float_of_int i)) (fun () -> read_into rig 0 (file i) (ref []))
+  done;
+  Engine.run ~until:(sec 20.) rig.engine;
+  let done_ = ref false in
+  (* The minor part comes from [Gc.minor_words]: on OCaml 5.1,
+     [Gc.counters] counts the live minor heap at an eighth of its size. *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  Leases.Client.read rig.clients.(0) (file 0) ~k:(fun _ -> done_ := true);
+  Engine.run rig.engine;
+  let used = words () -. before in
+  Alcotest.(check bool) "the round trip completed" true !done_;
+  Alcotest.(check int) "one miss renewed every line" (lines + 1)
+    (Leases.Client.misses rig.clients.(0));
+  used
+
+(* A batch allocates a fixed number of blocks: its request array and the
+   reply's two arrays, one word a line each, whatever its line count.  A
+   per-line block of even one field would add at least two words a line. *)
+let test_batch_allocation_bounded () =
+  let small = round_trip_words 20 and large = round_trip_words 200 in
+  let per_line = (large -. small) /. 180. in
+  if per_line > 3.5 then
+    Alcotest.failf "a renewal line allocates %.2f words (20 lines: %.0f, 200 lines: %.0f)" per_line
+      small large
+
 let () =
   Alcotest.run "protocol"
     [
@@ -613,6 +766,11 @@ let () =
           Alcotest.test_case "installed refresh" `Quick test_installed_refresh;
           Alcotest.test_case "installed delayed update" `Quick test_installed_write_delayed_update;
           Alcotest.test_case "term compensation" `Quick test_term_compensation_for_distant_client;
+        ] );
+      ( "renewals",
+        [
+          Alcotest.test_case "batch matches a list model" `Quick test_batch_matches_model;
+          Alcotest.test_case "allocation bounded per line" `Quick test_batch_allocation_bounded;
         ] );
       ( "failures",
         [
