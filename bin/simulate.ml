@@ -296,12 +296,10 @@ let main protocol term_s clients duration seed loss rtt_ms workload ops_file jso
     | _ -> ());
     let trace =
       match ops_file with
-      | Some path ->
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        Workload.Trace_io.parse_exn text
+      | Some path -> (
+        match In_channel.with_open_text path Workload.Trace_io.read with
+        | Ok trace -> trace
+        | Error why -> failwith (Printf.sprintf "--ops %s: %s" path why))
       | None -> make_trace workload clients duration seed
     in
     let m_proc = Simtime.Time.Span.of_ms 1. in
@@ -367,7 +365,9 @@ let workload =
 let ops_file =
   Arg.(value & opt (some string) None
        & info [ "ops" ] ~docv:"FILE"
-           ~doc:"Drive the run from a workload trace file (see leases-tracegen).")
+           ~doc:
+             "Drive the run from a workload trace file (see leases-tracegen).  A line naming a \
+              client at or above 2^30 or a file at or above 2^26 is refused.")
 
 let json =
   Arg.(value & flag

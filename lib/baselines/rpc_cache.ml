@@ -223,11 +223,11 @@ let run ~who (setup : Leases.Sim.setup) ~server ~client ~report ~trace =
   Leases.Cluster.schedule_faults w (Leases.Cluster.one_server ()) setup.faults;
   let tally =
     Leases.Cluster.drive w ~oracle
-      ~read:(fun t (op : Workload.Op.t) ->
-        read clients.(op.client) op.file ~k:(Leases.Cluster.read_done t op))
-      ~write:(fun t (op : Workload.Op.t) ->
-        write clients.(op.client) op.file ~k:(fun _ -> Leases.Cluster.write_done t))
-      (Workload.Trace.ops trace)
+      ~read:(fun t ~client file ~start ->
+        read clients.(client) file ~k:(Leases.Cluster.read_done t ~file ~start))
+      ~write:(fun t ~client file ~start:_ ->
+        write clients.(client) file ~k:(fun _ -> Leases.Cluster.write_done t))
+      trace
   in
   Leases.Cluster.run w ~until:(Leases.Cluster.horizon trace ~drain:setup.drain);
   let sum name =

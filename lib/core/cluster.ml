@@ -107,11 +107,10 @@ include Faults
 
 let check ~who ~n_clients faults trace =
   if n_clients < 1 then invalid_arg (who ^ ": need at least one client");
-  List.iter
-    (fun (op : Workload.Op.t) ->
-      if op.client < 0 || op.client >= n_clients then
-        invalid_arg (who ^ ": trace uses a client index outside the cluster"))
-    (Workload.Trace.ops trace);
+  for i = 0 to Workload.Trace.length trace - 1 do
+    if Workload.Trace.client trace i >= n_clients then
+      invalid_arg (who ^ ": trace uses a client index outside the cluster")
+  done;
   List.iter
     (fun fault ->
       let bad why = invalid_arg (Printf.sprintf "%s: fault %s %s" who (fault_to_spec fault) why) in
@@ -256,7 +255,7 @@ type tally = {
   write_latency : Stats.Histogram.t;
 }
 
-let drive (w : _ fabric) ~oracle ~read ~write ops =
+let drive (w : _ fabric) ~oracle ~read ~write trace =
   let t =
     {
       oracle;
@@ -268,40 +267,44 @@ let drive (w : _ fabric) ~oracle ~read ~write ops =
     }
   in
   let prof = w.profiler in
-  (* Ops are time-ordered ([Workload.Trace.create] sorts), so each op's
-     event issues it and schedules the next.  The engine's heap then holds
-     only in-flight work — deliveries, timers, the one cursor event —
-     instead of the entire remaining workload; with 100k pre-scheduled ops
-     every pop paid a ~17-level sift over cold memory before any protocol
-     work began. *)
-  let rec chain = function
-    | [] -> ()
-    | (op : Workload.Op.t) :: rest ->
-      ignore
-        (Engine.schedule_at w.engine op.at (fun () ->
-             if Profile.Recorder.enabled prof then
-               Profile.Recorder.mark prof Profile.Center.Client_op;
-             if op.temporary then t.temp_ops <- t.temp_ops + 1
-             else begin
-               t.ops_issued <- t.ops_issued + 1;
-               match op.kind with
-               | Workload.Op.Read -> read t op
-               | Workload.Op.Write -> write t op
-             end;
-             chain rest))
+  let n = Workload.Trace.length trace in
+  (* Ops are time-ordered ([Workload.Trace] sorts), so each op's event
+     issues it and schedules the next.  The engine's heap then holds only
+     in-flight work — deliveries, timers, the one cursor event — instead
+     of the entire remaining workload; with 100k pre-scheduled ops every
+     pop paid a ~17-level sift over cold memory before any protocol work
+     began.  One closure serves the whole run: it reads op [!cursor]'s
+     fields from the trace's arrays and builds no record. *)
+  let cursor = ref 0 in
+  let rec issue () =
+    let i = !cursor in
+    if Profile.Recorder.enabled prof then Profile.Recorder.mark prof Profile.Center.Client_op;
+    if Workload.Trace.temporary trace i then t.temp_ops <- t.temp_ops + 1
+    else begin
+      t.ops_issued <- t.ops_issued + 1;
+      let client = Workload.Trace.client trace i and file = Workload.Trace.file trace i in
+      let start = Workload.Trace.at trace i in
+      match Workload.Trace.kind trace i with
+      | Workload.Op.Read -> read t ~client file ~start
+      | Workload.Op.Write -> write t ~client file ~start
+    end;
+    cursor := i + 1;
+    next ()
+  and next () =
+    let i = !cursor in
+    if i < n then ignore (Engine.schedule_at w.engine (Workload.Trace.at trace i) issue)
   in
-  chain ops;
+  next ();
   t
 
 (* One latency sample per completion: the histograms' counts are the
    completed reads and writes. *)
 let dirty_read_done t latency = Stats.Histogram.add t.read_latency (Time.Span.to_sec latency)
 
-let read_done t (op : Workload.Op.t) version latency =
+let read_done t ~file ~start version latency =
   dirty_read_done t latency;
-  (* the op was issued at [op.at]: its event fires exactly then *)
-  Oracle.Register_oracle.check_read t.oracle ~file:op.file ~version ~start:op.at
-    ~finish:(Engine.now t.engine)
+  (* the op was issued at [start]: its event fires exactly then *)
+  Oracle.Register_oracle.check_read t.oracle ~file ~version ~start ~finish:(Engine.now t.engine)
 
 let write_done t latency = Stats.Histogram.add t.write_latency (Time.Span.to_sec latency)
 

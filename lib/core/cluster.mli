@@ -131,18 +131,22 @@ type tally = {
 val drive :
   _ fabric ->
   oracle:Oracle.Register_oracle.t ->
-  read:(tally -> Workload.Op.t -> unit) ->
-  write:(tally -> Workload.Op.t -> unit) ->
-  Workload.Op.t list ->
+  read:(tally -> client:int -> Vstore.File_id.t -> start:Simtime.Time.t -> unit) ->
+  write:(tally -> client:int -> Vstore.File_id.t -> start:Simtime.Time.t -> unit) ->
+  Workload.Trace.t ->
   tally
-(** Issues the time-ordered ops lazily: each op's event issues it, marking
-    the profiler's [client/op] center, and schedules the next.  A temporary
-    op is only counted; others go to [read] or [write], whose completion
+(** Issues the trace's ops lazily: each op's event issues it, marking the
+    profiler's [client/op] center, and schedules the next; one closure
+    serves every op.  A temporary op is only counted; others go to [read]
+    or [write] with their client, file and arrival, and their completion
     calls {!read_done} (or {!dirty_read_done}) or {!write_done}. *)
 
-val read_done : tally -> Workload.Op.t -> Vstore.Version.t -> Simtime.Time.Span.t -> unit
-(** A read completed with this version and latency: counted, added to the
-    latency histogram and checked by the oracle over [op.at, now]. *)
+val read_done :
+  tally -> file:Vstore.File_id.t -> start:Simtime.Time.t -> Vstore.Version.t ->
+  Simtime.Time.Span.t -> unit
+(** A read of [file] issued at [start] completed with this version and
+    latency: counted, added to the latency histogram and checked by the
+    oracle over [start, now]. *)
 
 val dirty_read_done : tally -> Simtime.Time.Span.t -> unit
 (** A read served from the client's own unflushed writes: counted and

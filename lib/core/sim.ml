@@ -9,8 +9,8 @@ type world = {
   clients : Client.t array;
   store : Vstore.Store.t;
   oracle : Oracle.Register_oracle.t;
-  mutable on_read : Workload.Op.t -> Client.read_result -> unit;
-  mutable on_write : Workload.Op.t -> Client.write_result -> unit;
+  mutable on_read : Vstore.File_id.t -> Client.read_result -> unit;
+  mutable on_write : Vstore.File_id.t -> Client.write_result -> unit;
 }
 
 type setup = {
@@ -104,17 +104,17 @@ let schedule_faults w ~server_of_shard ~trace_clients faults =
     }
     faults
 
-let drive w ops =
+let drive w trace =
   Cluster.drive w.fabric ~oracle:w.oracle
-    ~read:(fun t (op : Workload.Op.t) ->
-      Client.read w.clients.(op.client) op.file ~k:(fun r ->
-          Cluster.read_done t op r.Client.r_version r.Client.r_latency;
-          w.on_read op r))
-    ~write:(fun t (op : Workload.Op.t) ->
-      Client.write w.clients.(op.client) op.file ~k:(fun r ->
+    ~read:(fun t ~client file ~start ->
+      Client.read w.clients.(client) file ~k:(fun r ->
+          Cluster.read_done t ~file ~start r.Client.r_version r.Client.r_latency;
+          w.on_read file r))
+    ~write:(fun t ~client file ~start:_ ->
+      Client.write w.clients.(client) file ~k:(fun r ->
           Cluster.write_done t r.Client.w_latency;
-          w.on_write op r))
-    ops
+          w.on_write file r))
+    trace
 
 (* Client counters summed over the clients, server counters over whatever
    servers the world runs. *)
@@ -145,10 +145,10 @@ let metrics w tally =
       })
 
 let run_world setup ~rng ~servers ~client_host ?route ?req_origin ~server_of_shard ~trace_clients
-    ~until ops =
+    ~until trace =
   let w = world setup ~rng ~servers ~client_host ?route ?req_origin () in
   schedule_faults w ~server_of_shard ~trace_clients setup.faults;
-  let tally = drive w ops in
+  let tally = drive w trace in
   setup.on_instruments w tally;
   Cluster.run w.fabric ~until;
   (w, metrics w tally)
@@ -166,6 +166,6 @@ let run setup ~trace =
       ~server_of_shard:(fun _ -> Some 0)
       ~trace_clients:true
       ~until:(Cluster.horizon trace ~drain:setup.drain)
-      (Workload.Trace.ops trace)
+      trace
   in
   { metrics; oracle = w.oracle; store = w.store }

@@ -23,12 +23,12 @@ type world = {
   clients : Client.t array;
   store : Vstore.Store.t;  (** shared by the servers; their file sets are disjoint *)
   oracle : Oracle.Register_oracle.t;
-  mutable on_read : Workload.Op.t -> Client.read_result -> unit;
-  mutable on_write : Workload.Op.t -> Client.write_result -> unit;
-      (** completion listeners: the op driver calls them on each completion,
-          after the tally has counted it.  They do nothing until an
-          observer sets them (the telemetry sampler of a K-server world
-          does). *)
+  mutable on_read : Vstore.File_id.t -> Client.read_result -> unit;
+  mutable on_write : Vstore.File_id.t -> Client.write_result -> unit;
+      (** completion listeners: {!Cluster.drive} calls them with the op's
+          file on each completion, after the tally has counted it.  They do
+          nothing until an observer sets them (the telemetry sampler of a
+          K-server world does). *)
 }
 (** A lease world: a {!Cluster} fabric carrying lease servers and clients.
     Observers read it; they must not mutate protocol state. *)
@@ -94,7 +94,7 @@ val run_world :
   server_of_shard:(int -> int option) ->
   trace_clients:bool ->
   until:Simtime.Time.t ->
-  Workload.Op.t list ->
+  Workload.Trace.t ->
   world * Metrics.t
 (** Build a lease world, run it to [until] and assemble its metrics.  The
     fabric carries the setup's tracer, profiler,
@@ -107,8 +107,9 @@ val run_world :
     The setup's faults go to {!Cluster.schedule_faults}, with each client
     at its host and clock and shard [s] at [servers.(i)] when
     [server_of_shard s = Some i] (client faults traced only when
-    [trace_clients]).  The ops are issued through {!Cluster.drive}, and
-    the world's [on_read] and [on_write] also see each completion.
+    [trace_clients]).  The trace's ops are issued through
+    {!Cluster.drive}, and the world's [on_read] and [on_write] also see
+    each completion.
     [setup.on_instruments] then gets the world and the driver's tally
     before the engine starts.  Client counters in the metrics are summed
     over the clients and server counters over the servers.  Ignores

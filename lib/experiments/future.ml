@@ -45,11 +45,8 @@ let run ?(duration = Time.Span.of_sec 5_000.) () =
           else
             (* a faster processor issues the same logical work in less
                time: compress the trace's time axis *)
-            Workload.Trace.of_ops
-              (List.map
-                 (fun (op : Workload.Op.t) ->
-                   { op with Workload.Op.at = Time.of_sec (Time.to_sec op.at /. speedup) })
-                 (Workload.Trace.ops trace))
+            Workload.Trace.remap trace ~f:(fun (op : Workload.Op.t) ->
+                { op with at = Time.of_sec (Time.to_sec op.at /. speedup) })
         in
         let sim term =
           Runner.run_lease (Runner.lease_setup ~m_prop ~m_proc ~term ()) trace

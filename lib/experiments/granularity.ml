@@ -18,19 +18,9 @@ type result = { rows : row list; table : string }
    volumes; the oracle's single-copy check remains sound because the
    mapped trace is itself a legitimate workload over volume-objects. *)
 let coarsen ~files_per_volume trace =
-  let ops =
-    List.map
-      (fun (op : Workload.Op.t) ->
-        let id = Vstore.File_id.to_int op.file in
-        { op with Workload.Op.file = Vstore.File_id.of_int (id - (id mod files_per_volume)) })
-      (Workload.Trace.ops trace)
-  in
-  Workload.Trace.of_ops ops
-
-let distinct_files trace =
-  List.sort_uniq Vstore.File_id.compare
-    (List.map (fun (op : Workload.Op.t) -> op.Workload.Op.file) (Workload.Trace.ops trace))
-  |> List.length
+  Workload.Trace.remap trace ~f:(fun (op : Workload.Op.t) ->
+      let id = Vstore.File_id.to_int op.file in
+      { op with file = Vstore.File_id.of_int (id - (id mod files_per_volume)) })
 
 let run ?(duration = Time.Span.of_sec 3_000.) ?(clients = 6) () =
   let { V_trace.trace; fileset = _ } = V_trace.poisson ~seed:97L ~clients ~duration () in
@@ -44,7 +34,7 @@ let run ?(duration = Time.Span.of_sec 3_000.) ?(clients = 6) () =
         let m = Runner.run_lease setup mapped in
         {
           files_per_volume;
-          lease_units = distinct_files mapped;
+          lease_units = (Workload.Trace.summarize mapped).Workload.Trace.files;
           consistency_per_s = m.Leases.Metrics.consistency_msg_rate;
           approvals = m.Leases.Metrics.msgs_approval;
           callbacks = m.Leases.Metrics.callbacks_sent;

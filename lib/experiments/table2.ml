@@ -4,22 +4,17 @@ let run ?(duration = Simtime.Time.Span.of_sec 20_000.) () =
   let { V_trace.trace; fileset } = V_trace.bursty ~duration () in
   let measured = Workload.Trace.summarize trace in
   let p = Analytic.Params.v_lan in
-  let installed_reads, total_reads =
-    List.fold_left
-      (fun (inst, total) (op : Workload.Op.t) ->
-        match op.kind with
-        | Workload.Op.Read when not op.temporary ->
-          let is_installed =
-            match Workload.Fileset.class_of fileset op.file with
-            | Workload.Fileset.Installed -> true
-            | Workload.Fileset.Shared | Workload.Fileset.Private _ | Workload.Fileset.Temporary _
-              ->
-              false
-          in
-          ((if is_installed then inst + 1 else inst), total + 1)
-        | Workload.Op.Read | Workload.Op.Write -> (inst, total))
-      (0, 0) (Workload.Trace.ops trace)
-  in
+  let installed_reads = ref 0 and total_reads = ref 0 in
+  for i = 0 to Workload.Trace.length trace - 1 do
+    match Workload.Trace.kind trace i with
+    | Workload.Op.Read when not (Workload.Trace.temporary trace i) -> (
+      incr total_reads;
+      match Workload.Fileset.class_of fileset (Workload.Trace.file trace i) with
+      | Workload.Fileset.Installed -> incr installed_reads
+      | Workload.Fileset.Shared | Workload.Fileset.Private _ | Workload.Fileset.Temporary _ -> ())
+    | Workload.Op.Read | Workload.Op.Write -> ()
+  done;
+  let installed_reads = !installed_reads and total_reads = !total_reads in
   let installed_share =
     if total_reads = 0 then 0. else float_of_int installed_reads /. float_of_int total_reads
   in

@@ -127,7 +127,7 @@ let run setup ~trace =
       ~server_of_shard:(fun s -> Some (s mod k))
       ~trace_clients:true
       ~until:(Leases.Cluster.horizon trace ~drain:setup.drain)
-      (Workload.Trace.ops trace)
+      trace
   in
   let sim_duration = metrics.Leases.Metrics.sim_duration in
   {
@@ -167,7 +167,7 @@ type split_outcome = {
    part but only part 0 traces them; server faults apply, and are traced,
    only in the part owning their shard.  The setup's [on_instruments]
    hook sees the part's world on the part's domain. *)
-let run_split_part setup ~map ~rng ~horizon ~part_ops ~shard:s =
+let run_split_part setup ~map ~rng ~horizon ~part_trace ~shard:s =
   let buf = if Trace.Sink.enabled setup.tracer then Some (Trace.Sink.buffer ()) else None in
   let tracer = match buf with Some b -> Trace.Sink.buffer_sink b | None -> Trace.Sink.null in
   (* Distinct request-id origins per part: the shard index sits above a
@@ -178,7 +178,7 @@ let run_split_part setup ~map ~rng ~horizon ~part_ops ~shard:s =
     Leases.Sim.run_world (world_setup setup ~tracer ~shard:s) ~client_host:(client_host setup)
       ~rng ~servers:[| (server_host s, config_for_shard setup map s) |] ~req_origin
       ~server_of_shard:(fun shard -> if shard mod setup.n_shards = s then Some 0 else None)
-      ~trace_clients:(s = 0) ~until:horizon part_ops
+      ~trace_clients:(s = 0) ~until:horizon part_trace
   in
   {
     p_shard = s;
@@ -247,16 +247,14 @@ let run_split ?(domains = 1) setup ~trace =
      perturb seeded determinism. *)
   let master = Prng.Splitmix.create ~seed:setup.seed in
   let rngs = Array.init setup.n_shards (fun _ -> Prng.Splitmix.split master) in
-  let part_ops = Array.make setup.n_shards [] in
-  List.iter
-    (fun (op : Workload.Op.t) ->
-      let s = Shard_map.owner map op.file in
-      part_ops.(s) <- op :: part_ops.(s))
-    (Workload.Trace.ops trace);
-  let part_ops = Array.map List.rev part_ops in
+  (* each part keeps the trace's order, so nothing re-sorts *)
+  let part_traces =
+    Workload.Trace.partition trace ~parts:setup.n_shards ~f:(fun i ->
+        Shard_map.owner map (Workload.Trace.file trace i))
+  in
   let horizon = Leases.Cluster.horizon trace ~drain:setup.drain in
   let run_part s =
-    run_split_part setup ~map ~rng:rngs.(s) ~horizon ~part_ops:part_ops.(s) ~shard:s
+    run_split_part setup ~map ~rng:rngs.(s) ~horizon ~part_trace:part_traces.(s) ~shard:s
   in
   let parts =
     let n_dom = Int.min domains setup.n_shards in

@@ -51,9 +51,9 @@ let schedule_after t ?daemon delay callback =
 let cancel = Event_queue.cancel
 
 let step t =
-  match Event_queue.pop_event t.queue with
-  | None -> false
-  | Some entry ->
+  if Event_queue.is_empty t.queue then false
+  else begin
+    let entry = Event_queue.pop_top t.queue in
     let at = Event_queue.event_at entry in
     let callback = Event_queue.event_payload entry in
     t.now <- at;
@@ -80,6 +80,7 @@ let step t =
     end
     else callback ();
     true
+  end
 
 let run ?until t =
   (* The continue checks are non-allocating — [next_us] rather than the

@@ -155,27 +155,28 @@ let cancel handle =
 
 let cancelled handle = handle.state = Cancelled
 
-let pop_event q =
-  if q.size = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    let last = q.size - 1 in
-    q.size <- last;
-    if last > 0 then begin
-      (* the freed tail slot ends up referencing the moved (live) entry *)
-      move q ~dst:0 ~src:last;
-      sift_down q 0
-    end;
-    top.state <- Popped;
-    if top.daemon then q.daemon_live <- q.daemon_live - 1;
-    Some top
-  end
+let pop_top q =
+  if q.size = 0 then invalid_arg "Event_queue.pop_top: empty queue";
+  let top = q.heap.(0) in
+  let last = q.size - 1 in
+  q.size <- last;
+  if last > 0 then begin
+    (* the freed tail slot ends up referencing the moved (live) entry *)
+    move q ~dst:0 ~src:last;
+    sift_down q 0
+  end;
+  top.state <- Popped;
+  if top.daemon then q.daemon_live <- q.daemon_live - 1;
+  top
 
 let event_at (h : _ handle) = h.at
 let event_payload (h : _ handle) = h.payload
 
 let pop q =
-  match pop_event q with None -> None | Some entry -> Some (entry.at, entry.payload)
+  if q.size = 0 then None
+  else
+    let entry = pop_top q in
+    Some (entry.at, entry.payload)
 
 (* The top of the heap is always live — cancellation removes eagerly. *)
 let peek_time q = if q.size = 0 then None else Some q.heap.(0).at

@@ -33,10 +33,11 @@ val pop : 'a t -> (Time.t * 'a) option
 (** Remove and return the earliest live event, or [None] if the queue holds
     no live events. *)
 
-val pop_event : 'a t -> 'a handle option
-(** Like {!pop} but returns the popped entry itself, avoiding the tuple
-    allocation — the engine's per-event fast path.  Read it with
-    {!event_at} and {!event_payload}. *)
+val pop_top : 'a t -> 'a handle
+(** Like {!pop} but returns the popped entry itself and allocates nothing
+    — the engine's per-event fast path, behind an {!is_empty} check.  Read
+    it with {!event_at} and {!event_payload}.  Raises [Invalid_argument]
+    on an empty queue. *)
 
 val event_at : 'a handle -> Time.t
 

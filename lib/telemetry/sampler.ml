@@ -327,14 +327,14 @@ let one_server (w : Leases.Sim.world) =
 let per_server (w : Leases.Sim.world) =
   let live = Array.map (fun _ -> no_reads ()) w.servers in
   w.on_read <-
-    (fun op r ->
-      let c = live.(w.route op.Workload.Op.file) in
+    (fun file r ->
+      let c = live.(w.route file) in
       if r.Client.r_from_cache then c.hits <- c.hits + 1 else c.misses <- c.misses + 1;
       c.read_sum <- c.read_sum +. Time.Span.to_sec r.Client.r_latency;
       c.read_count <- c.read_count + 1);
   w.on_write <-
-    (fun op r ->
-      let c = live.(w.route op.Workload.Op.file) in
+    (fun file r ->
+      let c = live.(w.route file) in
       c.write_sum <- c.write_sum +. Time.Span.to_sec r.Client.w_latency;
       c.write_count <- c.write_count + 1);
   live

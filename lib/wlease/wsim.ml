@@ -42,14 +42,14 @@ let run (setup : Leases.Sim.setup) ~trace =
     setup.faults;
   let tally =
     Leases.Cluster.drive w ~oracle
-      ~read:(fun t (op : Workload.Op.t) ->
-        Wclient.read clients.(op.client) op.file ~k:(fun r ->
+      ~read:(fun t ~client file ~start ->
+        Wclient.read clients.(client) file ~k:(fun r ->
             if r.Wclient.r_dirty then Leases.Cluster.dirty_read_done t r.Wclient.r_latency
-            else Leases.Cluster.read_done t op r.Wclient.r_version r.Wclient.r_latency))
-      ~write:(fun t (op : Workload.Op.t) ->
-        Wclient.write clients.(op.client) op.file ~k:(fun r ->
+            else Leases.Cluster.read_done t ~file ~start r.Wclient.r_version r.Wclient.r_latency))
+      ~write:(fun t ~client file ~start:_ ->
+        Wclient.write clients.(client) file ~k:(fun r ->
             Leases.Cluster.write_done t r.Wclient.w_latency))
-      (Workload.Trace.ops trace)
+      trace
   in
   Leases.Cluster.run w ~until:(Leases.Cluster.horizon trace ~drain:setup.drain);
   let sum f = Array.fold_left (fun acc c -> acc + f c) 0 clients in

@@ -20,37 +20,33 @@ let generate ~rng ~fileset ~mix ~read_rate ~write_rate ?(ops_per_burst = 20.)
   let pareto_scale = mean_think *. (pareto_shape -. 1.) /. pareto_shape in
   let write_fraction = write_rate /. total_rate in
   let horizon = Time.Span.to_sec duration in
-  let clients = Fileset.clients fileset in
-  let client_ops client =
+  let b = Trace.Builder.create () in
+  for client = 0 to Fileset.clients fileset - 1 do
     let rng = Prng.Splitmix.split rng in
     let p_stop = 1. /. ops_per_burst in
-    let rec bursts acc t =
+    let rec bursts t =
       let t = t +. Prng.Dist.pareto rng ~shape:pareto_shape ~scale:pareto_scale in
-      if t > horizon then List.rev acc
-      else begin
+      if not (t > horizon) then begin
         let set =
           Array.init working_set (fun _ -> Mix.pick_read mix rng fileset ~client)
         in
         let burst_len = Prng.Dist.geometric rng ~p:p_stop in
-        let rec burst acc t remaining =
-          if remaining = 0 || t > horizon then (acc, t)
+        let rec burst t remaining =
+          if remaining = 0 || t > horizon then t
           else begin
-            let is_write = Prng.Splitmix.bool rng ~p:write_fraction in
-            let op =
-              if is_write then
-                { Op.at = Time.of_sec t; client; kind = Op.Write;
-                  file = Mix.pick_write mix rng fileset ~client; temporary = false }
-              else
-                { Op.at = Time.of_sec t; client; kind = Op.Read;
-                  file = set.(Prng.Splitmix.int rng ~bound:working_set); temporary = false }
-            in
-            burst (op :: acc) (t +. gap_sec) (remaining - 1)
+            let at = Time.of_sec t in
+            (if Prng.Splitmix.bool rng ~p:write_fraction then
+               Trace.Builder.add b ~at ~client ~kind:Op.Write
+                 ~file:(Mix.pick_write mix rng fileset ~client) ~temporary:false
+             else
+               Trace.Builder.add b ~at ~client ~kind:Op.Read
+                 ~file:set.(Prng.Splitmix.int rng ~bound:working_set) ~temporary:false);
+            burst (t +. gap_sec) (remaining - 1)
           end
         in
-        let acc, t = burst acc t burst_len in
-        bursts acc t
+        bursts (burst t burst_len)
       end
     in
-    bursts [] 0.
-  in
-  Trace.of_ops (List.concat (List.init clients client_ops))
+    bursts 0.
+  done;
+  Trace.Builder.finish b

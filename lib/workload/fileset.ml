@@ -6,27 +6,40 @@ type t = {
   shared : Vstore.File_id.t array;
   private_ : Vstore.File_id.t array array;
   temporary : Vstore.File_id.t array array;
-  classes : (Vstore.File_id.t, file_class) Hashtbl.t;
+  classes : file_class Vstore.File_id.Tbl.t Lazy.t;
 }
+
+(* Built on first use: only Table 2 and the tests ask for a file's class,
+   and at 10 000 clients filling the table cost about half of generating
+   a V trace. *)
+let index ~installed ~shared ~private_ ~temporary =
+  let classes = Vstore.File_id.Tbl.create 256 in
+  let add cls = Array.iter (fun id -> Vstore.File_id.Tbl.replace classes id cls) in
+  Array.iteri (fun c ids -> add (Temporary c) ids) temporary;
+  Array.iteri (fun c ids -> add (Private c) ids) private_;
+  add Shared shared;
+  add Installed installed;
+  classes
 
 let create ~fresh_id ~clients ~installed ~shared ~private_per_client ~temporary_per_client =
   if clients <= 0 then invalid_arg "Fileset.create: need at least one client";
   if installed <= 0 then invalid_arg "Fileset.create: need at least one installed file";
   if shared < 0 || private_per_client < 0 || temporary_per_client < 0 then
     invalid_arg "Fileset.create: negative file count";
-  let classes = Hashtbl.create 256 in
-  let allocate n cls = Array.init n (fun _ ->
-    let id = fresh_id () in
-    Hashtbl.add classes id cls;
-    id)
-  in
+  let allocate n = Array.init n (fun _ -> fresh_id ()) in
+  (* Every seeded trace depends on this allocation order: temporary ids
+     first, then private, shared and installed. *)
+  let temporary = Array.init clients (fun _ -> allocate temporary_per_client) in
+  let private_ = Array.init clients (fun _ -> allocate private_per_client) in
+  let shared = allocate shared in
+  let installed = allocate installed in
   {
     clients;
-    installed = allocate installed Installed;
-    shared = allocate shared Shared;
-    private_ = Array.init clients (fun c -> allocate private_per_client (Private c));
-    temporary = Array.init clients (fun c -> allocate temporary_per_client (Temporary c));
-    classes;
+    installed;
+    shared;
+    private_;
+    temporary;
+    classes = lazy (index ~installed ~shared ~private_ ~temporary);
   }
 
 let clients t = t.clients
@@ -44,11 +57,10 @@ let temporary_of t c =
   check_client t c;
   t.temporary.(c)
 
-let class_of t file =
-  match Hashtbl.find_opt t.classes file with
-  | Some cls -> cls
-  | None -> raise Not_found
+let class_of t file = Vstore.File_id.Tbl.find (Lazy.force t.classes) file
 
-let all t = Hashtbl.fold (fun id _ acc -> id :: acc) t.classes [] |> List.sort Vstore.File_id.compare
+let ids t =
+  Array.concat (t.installed :: t.shared :: Array.to_list (Array.append t.private_ t.temporary))
 
-let size t = Hashtbl.length t.classes
+let all t = List.sort Vstore.File_id.compare (Array.to_list (ids t))
+let size t = Array.length (ids t)

@@ -35,7 +35,10 @@ val shared : t -> Vstore.File_id.t array
 val private_of : t -> int -> Vstore.File_id.t array
 val temporary_of : t -> int -> Vstore.File_id.t array
 val class_of : t -> Vstore.File_id.t -> file_class
-(** Raises [Not_found] for ids the set does not contain. *)
+(** Raises [Not_found] for ids the set does not contain.  The first call
+    builds the class index; a set nobody asks never pays for it. *)
 
 val all : t -> Vstore.File_id.t list
+(** Every id the set allocated, ascending. *)
+
 val size : t -> int

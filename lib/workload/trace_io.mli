@@ -8,7 +8,9 @@
 val print : Trace.t -> string
 
 val parse : string -> (Trace.t, string) result
-(** The error names the first offending line (1-based) and why it failed. *)
+(** The error names the first offending line (1-based) and why it failed,
+    a client or file id outside {!Trace}'s packed fields included. *)
 
-val parse_exn : string -> Trace.t
-(** Raises [Failure] with the parse error message. *)
+val read : in_channel -> (Trace.t, string) result
+(** {!parse} over the channel's lines, read one at a time into the trace
+    with no copy of the whole text. *)

@@ -1,16 +1,21 @@
 #!/bin/sh
 # Perf-regression gate: run the repo benchmark (perfbench, BENCHMARK.json)
 # once on each of its four workloads and compare every workload's
-# sim_s_per_ref_s with the committed median in scripts/perf_baseline.json.
-# The untraced runs also check each workload's simulated output against
-# perfbench/expected/.  Fails, naming the worst workload, when perfbench's
-# own output checks fail or when any workload falls below
-# TOLERANCE x its committed value.
+# sim_s_per_ref_s and peak_rss_mb with the committed medians in
+# scripts/perf_baseline.json.  The untraced runs also check each
+# workload's simulated output against perfbench/expected/.  Fails, naming
+# the worst workload, when perfbench's own output checks fail, when any
+# workload falls below TOLERANCE x its committed sim_s_per_ref_s, or when
+# any workload's peak_rss_mb exceeds its committed value by more than
+# BENCHMARK.json's peak_rss_mb bound (0.15).  Peak RSS repeats to within
+# ~0.25 MB run to run, so one run suffices; the throughput floor is looser
+# because one repeat on a shared host is noisy.
 #
 # Usage: perf_gate.sh [--tolerance RATIO]
 #
-#   --tolerance RATIO  min acceptable current/baseline ratio, in (0, 1]
-#                      (default 0.75, i.e. fail on a >25% regression)
+#   --tolerance RATIO  min acceptable current/baseline sim_s_per_ref_s
+#                      ratio, in (0, 1] (default 0.75, i.e. fail on a >25%
+#                      regression)
 #
 # After an intentional perf change, re-record the baseline from the medians
 # that `dune exec perfbench/main.exe -- --repeats 5` prints, and name the
@@ -54,29 +59,46 @@ case "$summary" in
   *) echo "perf gate FAILED: perfbench printed no summary line (exit $status)" >&2; exit 1 ;;
 esac
 
-# One row per baseline workload: name, baseline, current, ratio.  A workload
-# missing from the run reads 0, so it fails the gate by name.
+# Peak RSS may exceed its baseline by BENCHMARK.json's bound for the metric.
+rss_bound=$(jq -r '.end_to_end[] | select(.name == "peak_rss_mb") | .bound' BENCHMARK.json)
+case "$rss_bound" in
+  ''|null) echo "perf_gate.sh: BENCHMARK.json has no peak_rss_mb bound" >&2; exit 2 ;;
+esac
+
+# One row per baseline metric and workload: metric, workload, baseline,
+# current.  A workload missing from the run reads 0 throughput and an
+# unbounded RSS, so it fails the gate by name.
 rows=$(echo "$summary" | jq -r --slurpfile base "$BASELINE" '
   .metrics as $m
-  | $base[0].sim_s_per_ref_s | to_entries[]
-  | ($m[.key + ".sim_s_per_ref_s"].value // 0) as $now
-  | "\(.key) \(.value) \($now) \($now / .value)"')
+  | ($base[0].sim_s_per_ref_s | to_entries[]
+     | "sim_s_per_ref_s \(.key) \(.value) \($m[.key + ".sim_s_per_ref_s"].value // 0)"),
+    ($base[0].peak_rss_mb | to_entries[]
+     | "peak_rss_mb \(.key) \(.value) \($m[.key + ".peak_rss_mb"].value // 1e300)")')
 
-echo "$rows" | awk -v tol="$TOLERANCE" -v status="$status" -v failed="$failed" \
-  -v correct="$(echo "$summary" | jq -r .correct)" '
+echo "$rows" | awk -v tol="$TOLERANCE" -v rss="$rss_bound" -v status="$status" \
+  -v failed="$failed" -v correct="$(echo "$summary" | jq -r .correct)" '
   {
-    printf "%-14s sim_s_per_ref_s %10.2f now, %10.2f baseline: %.3fx\n", $1, $3, $2, $4
-    if (worst == "" || $4 < ratio) { worst = $1; ratio = $4 }
+    ratio = $4 / $3
+    printf "%-14s %-15s %10.2f now, %10.2f baseline: %.3fx\n", $2, $1, $4, $3, ratio
+    if ($1 == "sim_s_per_ref_s") {
+      if (slow == "" || ratio < low) { slow = $2; low = ratio }
+    } else if (fat == "" || ratio > high) { fat = $2; high = ratio }
   }
   END {
     if (status != 0 || correct != "true") {
       printf "perf gate FAILED: perfbench output checks failed on %s(exit %d)\n", failed, status
       exit 1
     }
-    if (ratio < tol) {
+    if (low < tol) {
       printf "perf gate FAILED: %s at %.3fx its baseline sim_s_per_ref_s, below the %s floor\n", \
-        worst, ratio, tol
+        slow, low, tol
       exit 1
     }
-    printf "perf gate passed: worst workload %s at %.3fx baseline (floor %s)\n", worst, ratio, tol
+    if (high > 1 + rss) {
+      printf "perf gate FAILED: %s at %.3fx its baseline peak_rss_mb, above the %.2f ceiling\n", \
+        fat, high, 1 + rss
+      exit 1
+    }
+    printf "perf gate passed: worst sim_s_per_ref_s %s at %.3fx baseline (floor %s), ", slow, low, tol
+    printf "largest peak_rss_mb %s at %.3fx baseline (ceiling %.2f)\n", fat, high, 1 + rss
   }'

@@ -700,6 +700,93 @@ let prop_trace_roundtrip =
       | Ok back -> Workload.Trace_io.print back = text
       | Error _ -> false)
 
+(* --- packed traces against the list of records ------------------------- *)
+
+(* Few instants, clients and files, so many ops tie on every sort key and
+   differ only in kind and temporary flag, where only append order can
+   decide; and the field edges: the largest arrival, client and file the
+   packed word holds. *)
+let edge_op_gen =
+  QCheck.Gen.(
+    let* at = frequency [ (8, int_range 0 3); (1, return max_int) ] in
+    let* client = frequency [ (8, int_range 0 2); (1, return (Workload.Trace.client_limit - 1)) ] in
+    let* f = frequency [ (8, int_range 0 2); (1, return (Workload.Trace.file_limit - 1)) ] in
+    let* is_write = bool in
+    let* temporary = bool in
+    return
+      {
+        Workload.Op.at = Time.of_us at;
+        client;
+        kind = (if is_write then Workload.Op.Write else Workload.Op.Read);
+        file = Vstore.File_id.of_int f;
+        temporary;
+      })
+
+let ops_of_trace trace = List.init (Workload.Trace.length trace) (Workload.Trace.op trace)
+
+let print_ops ops = String.concat "\n" (List.map (Format.asprintf "%a" Workload.Op.pp) ops)
+
+let prop_packed_matches_list =
+  QCheck.Test.make ~name:"packed trace = List.stable_sort" ~count:500
+    (QCheck.make ~print:print_ops QCheck.Gen.(list_size (int_range 0 80) edge_op_gen))
+    (fun ops ->
+      ops_of_trace (Workload.Trace.of_ops ops) = List.stable_sort Workload.Op.compare_by_time ops)
+
+(* [Builder.rotate ~from ~mid] is [from] ops, then the ops after [mid],
+   then those between. *)
+let prop_rotate =
+  QCheck.Test.make ~name:"builder rotate = list splice" ~count:300
+    (QCheck.make
+       ~print:(fun (ops, a, b) -> Printf.sprintf "from %d mid %d\n%s" a b (print_ops ops))
+       QCheck.Gen.(
+         let* ops = list_size (int_range 0 40) edge_op_gen in
+         let n = List.length ops in
+         let* a = int_range 0 n in
+         let* b = int_range a n in
+         return (ops, a, b)))
+    (fun (ops, from, mid) ->
+      let b = Workload.Trace.Builder.create () in
+      List.iter
+        (fun (op : Workload.Op.t) ->
+          Workload.Trace.Builder.add b ~at:op.at ~client:op.client ~kind:op.kind ~file:op.file
+            ~temporary:op.temporary)
+        ops;
+      Workload.Trace.Builder.rotate b ~from ~mid;
+      let slice lo hi = List.filteri (fun i _ -> i >= lo && i < hi) ops in
+      let spliced = slice 0 from @ slice mid (List.length ops) @ slice from mid in
+      ops_of_trace (Workload.Trace.Builder.finish b)
+      = List.stable_sort Workload.Op.compare_by_time spliced)
+
+let prop_partition =
+  QCheck.Test.make ~name:"partition keeps each part's order" ~count:200 trace_arb (fun ops ->
+      let trace = Workload.Trace.of_ops ops in
+      let part i = Vstore.File_id.to_int (Workload.Trace.file trace i) mod 3 in
+      let parts = Workload.Trace.partition trace ~parts:3 ~f:part in
+      List.for_all
+        (fun p ->
+          ops_of_trace parts.(p)
+          = List.filter
+              (fun (op : Workload.Op.t) -> Vstore.File_id.to_int op.file mod 3 = p)
+              (ops_of_trace trace))
+        [ 0; 1; 2 ])
+
+(* A value outside its field is refused, never wrapped into a neighbour. *)
+let test_packed_fields_refused () =
+  let add ?(at = 0) ?(client = 0) ?(file = 0) () =
+    Workload.Trace.Builder.add (Workload.Trace.Builder.create ()) ~at:(Time.of_us at) ~client
+      ~kind:Workload.Op.Read ~file:(Vstore.File_id.of_int file) ~temporary:false
+  in
+  let refused want f = Alcotest.check_raises want (Invalid_argument want) f in
+  refused "Trace.Builder.add: negative arrival -1 us" (fun () -> add ~at:(-1) ());
+  refused "Trace.Builder.add: client -1 outside [0, 1073741824)" (fun () -> add ~client:(-1) ());
+  refused "Trace.Builder.add: client 1073741824 outside [0, 1073741824)" (fun () ->
+      add ~client:Workload.Trace.client_limit ());
+  refused "Trace.Builder.add: file 67108864 outside [0, 67108864)" (fun () ->
+      add ~file:Workload.Trace.file_limit ());
+  refused "Trace.Builder.add: file 1099511627776 outside [0, 67108864)" (fun () ->
+      add ~file:(1 lsl 40) ());
+  add ~at:max_int ~client:(Workload.Trace.client_limit - 1) ~file:(Workload.Trace.file_limit - 1) ()
+
 (* --- the big one: leases are never stale under random fault scripts ------ *)
 
 let fault_gen =
@@ -829,7 +916,10 @@ let () =
       ( "analytic",
         List.map to_alcotest
           [ prop_load_monotone_s1; prop_break_even_correct; prop_relative_load_at_zero_is_one ] );
-      ("trace", List.map to_alcotest [ prop_trace_roundtrip ]);
+      ( "trace",
+        List.map to_alcotest
+          [ prop_trace_roundtrip; prop_packed_matches_list; prop_rotate; prop_partition ]
+        @ [ Alcotest.test_case "out-of-range fields refused" `Quick test_packed_fields_refused ] );
       ( "protocol-safety",
         List.map to_alcotest [ prop_leases_never_stale; prop_writeback_clean_reads_never_stale ] );
     ]

@@ -261,6 +261,47 @@ let grant_pin_cases =
           Alcotest.(check string) "metrics digest" want_metrics metrics))
     grant_pin_configs
 
+(* --- words per op ----------------------------------------------------- *)
+
+(* Words allocated (minor + major - promoted) by one [Sim.run] of [n] reads
+   of one file by one client, 10 ms apart, under an infinite term: after
+   the first miss every read hits.  Temporary, the same ops touch neither
+   client nor server: what is left is [Cluster.drive] and the engine. *)
+let run_words ~temporary n =
+  let trace =
+    Workload.Trace.of_ops
+      (List.init n (fun i ->
+           { Workload.Op.at = Time.of_us ((i + 1) * 10_000); client = 0; kind = Workload.Op.Read;
+             file = Vstore.File_id.of_int 0; temporary }))
+  in
+  let setup = Experiments.Runner.lease_setup ~term:Analytic.Model.Infinite () in
+  (* The minor part comes from [Gc.minor_words]: on OCaml 5.1,
+     [Gc.counters] counts the live minor heap at an eighth of its size. *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  let o = Leases.Sim.run setup ~trace in
+  let used = words () -. before in
+  Alcotest.(check int) "every op issued" n
+    (o.Leases.Sim.metrics.Leases.Metrics.ops_issued + o.Leases.Sim.metrics.Leases.Metrics.temp_ops);
+  if not temporary then
+    Alcotest.(check int) "one miss" 1 o.Leases.Sim.metrics.Leases.Metrics.cache_misses;
+  used
+
+(* The marginal words of one op, over 100 k ops, must stay at most [pin]
+   (+ 0.5).  [Cluster.drive] reads the packed trace at one cursor and its
+   one closure serves every op, so a temporary op costs only its engine
+   handle (8 words); a per-op closure there pushes both cases over their
+   pins, and a per-op record the hit. *)
+let check_words_per_op ~temporary ~pin () =
+  let per_op = (run_words ~temporary 110_000 -. run_words ~temporary 10_000) /. 100_000. in
+  if per_op > pin +. 0.5 then
+    Alcotest.failf "%s op allocates %.2f words, pinned at %.0f"
+      (if temporary then "a temporary" else "a cache-hit")
+      per_op pin
+
 let () =
   Alcotest.run "sim"
     [
@@ -287,4 +328,10 @@ let () =
           Alcotest.test_case "metrics printing" `Quick test_metrics_printing;
         ] );
       ("grant pins", grant_pin_cases);
+      ( "allocation",
+        [
+          Alcotest.test_case "temporary op words" `Quick
+            (check_words_per_op ~temporary:true ~pin:8.);
+          Alcotest.test_case "cache hit words" `Quick (check_words_per_op ~temporary:false ~pin:33.);
+        ] );
     ]

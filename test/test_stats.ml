@@ -1,5 +1,5 @@
-(* Unit tests for the stats substrate: counters, Welford accumulators,
-   histograms, series and table rendering. *)
+(* Unit tests for the stats substrate: counters, histograms, series and
+   table rendering. *)
 
 let test_counter_basics () =
   let registry = Stats.Counter.Registry.create () in
@@ -68,38 +68,6 @@ let test_counter_dump () =
       Stats.Counter.add (Stats.Counter.Registry.counter b name) 7)
     [ "alpha"; "mid"; "zeta" ];
   Alcotest.(check (list (pair string int))) "registration order irrelevant" (cells a) (cells b)
-
-let test_welford () =
-  let w = Stats.Welford.create () in
-  Alcotest.(check int) "empty count" 0 (Stats.Welford.count w);
-  Alcotest.(check (float 0.)) "empty mean" 0. (Stats.Welford.mean w);
-  List.iter (Stats.Welford.add w) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  Alcotest.(check int) "count" 8 (Stats.Welford.count w);
-  Alcotest.(check (float 1e-9)) "mean" 5. (Stats.Welford.mean w);
-  Alcotest.(check (float 1e-9)) "variance (unbiased)" (32. /. 7.) (Stats.Welford.variance w);
-  Alcotest.(check (float 1e-9)) "min" 2. (Stats.Welford.min w);
-  Alcotest.(check (float 1e-9)) "max" 9. (Stats.Welford.max w);
-  Alcotest.(check (float 1e-9)) "total" 40. (Stats.Welford.total w)
-
-let test_welford_merge () =
-  let all = Stats.Welford.create () in
-  let left = Stats.Welford.create () in
-  let right = Stats.Welford.create () in
-  let xs = [ 1.; 2.; 3.; 10.; 20.; 30.; 4.; 5. ] in
-  List.iteri
-    (fun i x ->
-      Stats.Welford.add all x;
-      Stats.Welford.add (if i mod 2 = 0 then left else right) x)
-    xs;
-  let merged = Stats.Welford.merge left right in
-  Alcotest.(check int) "count" (Stats.Welford.count all) (Stats.Welford.count merged);
-  Alcotest.(check (float 1e-9)) "mean" (Stats.Welford.mean all) (Stats.Welford.mean merged);
-  Alcotest.(check (float 1e-6)) "variance" (Stats.Welford.variance all)
-    (Stats.Welford.variance merged);
-  (* merging with empty is the identity *)
-  let with_empty = Stats.Welford.merge all (Stats.Welford.create ()) in
-  Alcotest.(check (float 1e-9)) "merge with empty" (Stats.Welford.mean all)
-    (Stats.Welford.mean with_empty)
 
 let test_histogram_quantiles () =
   let h = Stats.Histogram.create () in
@@ -352,11 +320,6 @@ let () =
           Alcotest.test_case "identity" `Quick test_counter_identity;
           Alcotest.test_case "listing" `Quick test_counter_listing;
           Alcotest.test_case "dump determinism" `Quick test_counter_dump;
-        ] );
-      ( "welford",
-        [
-          Alcotest.test_case "moments" `Quick test_welford;
-          Alcotest.test_case "merge" `Quick test_welford_merge;
         ] );
       ( "histogram",
         [

@@ -104,16 +104,11 @@ let test_poisson_sorted_and_bounded () =
     Workload.Poisson_gen.generate ~rng ~fileset:fs ~mix:Workload.Mix.v_default ~read_rate:1.
       ~write_rate:0.1 ~temp_write_rate:0.5 ~duration ()
   in
-  let rec check_sorted = function
-    | a :: (b :: _ as rest) ->
-      if Time.(b.Workload.Op.at < a.Workload.Op.at) then Alcotest.fail "unsorted trace";
-      check_sorted rest
-    | [ _ ] | [] -> ()
-  in
-  let ops = Workload.Trace.ops trace in
-  check_sorted ops;
-  List.iter
-    (fun (op : Workload.Op.t) ->
+  let ops = List.init (Workload.Trace.length trace) (Workload.Trace.op trace) in
+  List.iteri
+    (fun i (op : Workload.Op.t) ->
+      if i > 0 && Time.(op.at < Workload.Trace.at trace (i - 1)) then
+        Alcotest.fail "unsorted trace";
       if Time.(op.at > Time.add Time.zero duration) then Alcotest.fail "op beyond horizon")
     ops;
   (* temporary stream present and flagged *)
@@ -139,6 +134,67 @@ let test_poisson_determinism () =
   Alcotest.(check bool) "different seed differs" true
     (Workload.Trace_io.print a <> Workload.Trace_io.print c)
 
+(* The list-of-records Poisson generator the builder replaced, kept as the
+   reference for the RNG draw order and the order ties keep: OCaml
+   evaluates the list literal's elements right to left, so the temp-write
+   stream draws before the temp-read stream but sits after it. *)
+let reference_poisson ~rng ~fileset ~mix ~rate ~temp_rate ~duration =
+  let stream ~rng ~rate ~make_op =
+    let horizon = Time.Span.to_sec duration in
+    let rec arrivals acc t =
+      let t = t +. Prng.Dist.exponential rng ~mean:(1. /. rate) in
+      if t > horizon then List.rev acc else arrivals (make_op (Time.of_sec t) :: acc) t
+    in
+    arrivals [] 0.
+  in
+  let client_ops client =
+    let rng = Prng.Splitmix.split rng in
+    let op kind file temporary at = { Workload.Op.at; client; kind; file; temporary } in
+    let reads =
+      stream ~rng ~rate ~make_op:(fun at ->
+          op Workload.Op.Read (Workload.Mix.pick_read mix rng fileset ~client) false at)
+    in
+    let writes =
+      stream ~rng ~rate ~make_op:(fun at ->
+          op Workload.Op.Write (Workload.Mix.pick_write mix rng fileset ~client) false at)
+    in
+    let temp_stream kind =
+      stream ~rng ~rate:temp_rate ~make_op:(fun at ->
+          let temps = Workload.Fileset.temporary_of fileset client in
+          op kind temps.(Prng.Splitmix.int rng ~bound:(Array.length temps)) true at)
+    in
+    List.concat [ reads; writes; temp_stream Workload.Op.Read; temp_stream Workload.Op.Write ]
+  in
+  List.stable_sort Workload.Op.compare_by_time
+    (List.concat (List.init (Workload.Fileset.clients fileset) client_ops))
+
+(* One temporary file per client and temp streams 10 us apart on average:
+   temp reads and writes often share an instant, a client and a file. *)
+let test_poisson_matches_reference () =
+  let fileset () =
+    Workload.Fileset.create ~fresh_id:(fresh_allocator ()) ~clients:2 ~installed:4 ~shared:3
+      ~private_per_client:5 ~temporary_per_client:1
+  in
+  let duration = span 0.5 and mix = Workload.Mix.v_default in
+  let trace =
+    Workload.Poisson_gen.generate ~rng:(Prng.Splitmix.create ~seed:12L) ~fileset:(fileset ()) ~mix
+      ~read_rate:2_000. ~write_rate:2_000. ~temp_read_rate:100_000. ~temp_write_rate:100_000.
+      ~duration ()
+  in
+  let want =
+    reference_poisson ~rng:(Prng.Splitmix.create ~seed:12L) ~fileset:(fileset ()) ~mix
+      ~rate:2_000. ~temp_rate:100_000. ~duration
+  in
+  let got = List.init (Workload.Trace.length trace) (Workload.Trace.op trace) in
+  let key (o : Workload.Op.t) = (o.at, o.client, o.file) in
+  let rec ties n = function
+    | a :: (b :: _ as rest) -> ties (if key a = key b then n + 1 else n) rest
+    | [ _ ] | [] -> n
+  in
+  Alcotest.(check bool) "the trace has ties to order" true (ties 0 want > 100);
+  Alcotest.(check int) "same length" (List.length want) (List.length got);
+  Alcotest.(check bool) "op for op" true (got = want)
+
 let test_bursty_rates_and_shape () =
   let fs = small_fileset ~clients:1 () in
   let rng = Prng.Splitmix.create ~seed:9L in
@@ -150,17 +206,17 @@ let test_bursty_rates_and_shape () =
   Alcotest.(check (float 0.15)) "long-run read rate" 0.864 s.Workload.Trace.read_rate_per_client;
   (* burstiness: the variance of inter-arrival gaps far exceeds Poisson's *)
   let gaps =
-    let rec walk acc = function
-      | a :: (b :: _ as rest) ->
-        walk (Time.Span.to_sec (Time.diff b.Workload.Op.at a.Workload.Op.at) :: acc) rest
-      | [ _ ] | [] -> acc
-    in
-    walk [] (Workload.Trace.ops trace)
+    Array.init
+      (Workload.Trace.length trace - 1)
+      (fun i ->
+        Time.Span.to_sec (Time.diff (Workload.Trace.at trace (i + 1)) (Workload.Trace.at trace i)))
   in
-  let w = Stats.Welford.create () in
-  List.iter (Stats.Welford.add w) gaps;
-  let mean = Stats.Welford.mean w in
-  let cv2 = Stats.Welford.variance w /. (mean *. mean) in
+  let n = float_of_int (Array.length gaps) in
+  let mean = Array.fold_left ( +. ) 0. gaps /. n in
+  let variance =
+    Array.fold_left (fun acc g -> acc +. ((g -. mean) *. (g -. mean))) 0. gaps /. (n -. 1.)
+  in
+  let cv2 = variance /. (mean *. mean) in
   Alcotest.(check bool) "coefficient of variation far above 1 (bursty)" true (cv2 > 2.)
 
 let test_bursty_unattainable_rate () =
@@ -173,20 +229,21 @@ let test_bursty_unattainable_rate () =
         (Workload.Bursty_gen.generate ~rng ~fileset:fs ~mix:Workload.Mix.v_default ~read_rate:100.
            ~write_rate:0. ~duration:(span 10.) ()))
 
-let test_trace_merge_filter () =
+let test_trace_order_duration () =
   let op at client =
     { Workload.Op.at = Time.of_sec at; client; kind = Workload.Op.Read;
       file = Vstore.File_id.of_int 0; temporary = false }
   in
-  let a = Workload.Trace.of_ops [ op 3. 0; op 1. 0 ] in
-  let b = Workload.Trace.of_ops [ op 2. 1 ] in
-  let merged = Workload.Trace.merge [ a; b ] in
-  Alcotest.(check (list int)) "merged order by time"
+  let trace = Workload.Trace.of_ops [ op 3. 0; op 1. 0; op 2. 1 ] in
+  Alcotest.(check (list int)) "ordered by time"
     [ 0; 1; 0 ]
-    (List.map (fun (o : Workload.Op.t) -> o.client) (Workload.Trace.ops merged));
-  let only1 = Workload.Trace.filter merged ~f:(fun o -> o.Workload.Op.client = 1) in
-  Alcotest.(check int) "filter" 1 (Workload.Trace.length only1);
-  Alcotest.(check (float 1e-9)) "duration" 3. (Time.Span.to_sec (Workload.Trace.duration merged));
+    (List.init (Workload.Trace.length trace) (Workload.Trace.client trace));
+  let parts = Workload.Trace.partition trace ~parts:2 ~f:(Workload.Trace.client trace) in
+  Alcotest.(check (list int)) "partition keeps order" [ 2; 1 ]
+    (List.map Workload.Trace.length (Array.to_list parts));
+  Alcotest.(check (float 1e-9)) "part 0 ends at its last op" 3.
+    (Time.Span.to_sec (Workload.Trace.duration parts.(0)));
+  Alcotest.(check (float 1e-9)) "duration" 3. (Time.Span.to_sec (Workload.Trace.duration trace));
   Alcotest.(check (float 1e-9)) "empty duration" 0.
     (Time.Span.to_sec (Workload.Trace.duration (Workload.Trace.of_ops [])))
 
@@ -198,16 +255,16 @@ let test_trace_io_roundtrip () =
       ~write_rate:0.5 ~temp_write_rate:0.3 ~duration:(span 60.) ()
   in
   let text = Workload.Trace_io.print trace in
-  let back = Workload.Trace_io.parse_exn text in
-  Alcotest.(check string) "print . parse = id" text (Workload.Trace_io.print back)
+  match Workload.Trace_io.parse text with
+  | Ok back -> Alcotest.(check string) "print . parse = id" text (Workload.Trace_io.print back)
+  | Error why -> Alcotest.failf "unexpected parse error: %s" why
 
 let test_trace_io_parsing () =
   let ok = Workload.Trace_io.parse "# comment\n\n100 0 R 5\n200 1 W 6 T\n" in
   (match ok with
   | Ok trace ->
     Alcotest.(check int) "two ops" 2 (Workload.Trace.length trace);
-    let second = List.nth (Workload.Trace.ops trace) 1 in
-    Alcotest.(check bool) "temp flag" true second.Workload.Op.temporary
+    Alcotest.(check bool) "temp flag" true (Workload.Trace.temporary trace 1)
   | Error why -> Alcotest.failf "unexpected parse error: %s" why);
   (match Workload.Trace_io.parse "100 0 R 5\nbogus line\n" with
   | Error why ->
@@ -219,7 +276,43 @@ let test_trace_io_parsing () =
   | Ok _ -> Alcotest.fail "bad kind accepted");
   (match Workload.Trace_io.parse "-1 0 R 5\n" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative time accepted")
+  | Ok _ -> Alcotest.fail "negative time accepted");
+  (* ids outside the packed fields are refused, never wrapped *)
+  List.iter
+    (fun (text, want) ->
+      match Workload.Trace_io.parse text with
+      | Error why -> Alcotest.(check string) text want why
+      | Ok _ -> Alcotest.failf "accepted %S" text)
+    [
+      ( "100 0 R 5\n200 0 R 100000000\n",
+        "line 2: Trace.Builder.add: file 100000000 outside [0, 67108864)" );
+      ( "# header\n100 1073741824 W 5\n",
+        "line 2: Trace.Builder.add: client 1073741824 outside [0, 1073741824)" );
+      ( "100 0 R 1099511627776 T\n",
+        "line 1: Trace.Builder.add: file 1099511627776 outside [0, 67108864)" );
+    ]
+
+(* [Trace_io.print] MD5s of small seeded traces, recorded when traces were
+   lists of records sorted with [List.sort]: the packed representation
+   must draw, order and print every op the same (equal to
+   [leases-tracegen -w KIND -n 7 -d 300 -s 5]). *)
+let test_trace_io_pinned () =
+  let duration = span 300. in
+  List.iter
+    (fun (name, (v : Experiments.V_trace.t), want) ->
+      Alcotest.(check string) name want
+        (Digest.to_hex (Digest.string (Workload.Trace_io.print v.Experiments.V_trace.trace))))
+    [
+      ( "poisson",
+        Experiments.V_trace.poisson ~seed:5L ~clients:7 ~duration (),
+        "77ab7ded6f9ffd2c0ce5d020ebbeb79e" );
+      ( "shared_heavy",
+        Experiments.V_trace.shared_heavy ~seed:5L ~clients:7 ~duration (),
+        "af0adc6839eddc856a09aac30005d43d" );
+      ( "bursty",
+        Experiments.V_trace.bursty ~seed:5L ~clients:7 ~duration (),
+        "312630c1bb883966fbb39726bc888922" );
+    ]
 
 let () =
   Alcotest.run "workload"
@@ -240,13 +333,15 @@ let () =
           Alcotest.test_case "poisson rates" `Quick test_poisson_rates;
           Alcotest.test_case "sorted + bounded" `Quick test_poisson_sorted_and_bounded;
           Alcotest.test_case "determinism" `Quick test_poisson_determinism;
+          Alcotest.test_case "poisson = list reference" `Quick test_poisson_matches_reference;
           Alcotest.test_case "bursty rates + shape" `Quick test_bursty_rates_and_shape;
           Alcotest.test_case "bursty rejects impossible rate" `Quick test_bursty_unattainable_rate;
         ] );
       ( "trace",
         [
-          Alcotest.test_case "merge + filter" `Quick test_trace_merge_filter;
+          Alcotest.test_case "order + duration" `Quick test_trace_order_duration;
           Alcotest.test_case "io roundtrip" `Quick test_trace_io_roundtrip;
           Alcotest.test_case "io parsing" `Quick test_trace_io_parsing;
+          Alcotest.test_case "io pinned" `Quick test_trace_io_pinned;
         ] );
     ]
