@@ -8,7 +8,6 @@ type 'a t = {
   partition : Partition.t;
   rng : Prng.Splitmix.t option;
   loss : float;
-  link_delay : (src:Host.Host_id.t -> dst:Host.Host_id.t -> Time.Span.t) option;
   prop_delay : Time.Span.t;
   proc_delay : Time.Span.t;
   mutable handlers : ('a envelope -> unit) option array;
@@ -24,7 +23,7 @@ type 'a t = {
   mutable dropped_down : int;
 }
 
-let create engine ?liveness ?partition ?rng ?(loss = 0.) ?link_delay ?(tracer = Trace.Sink.null)
+let create engine ?liveness ?partition ?rng ?(loss = 0.) ?(tracer = Trace.Sink.null)
     ?(classify = fun _ -> (Trace.Event.M_other "msg", -1)) ~prop_delay ~proc_delay () =
   if not (loss >= 0. && loss <= 1.) then invalid_arg "Net.create: loss must be in [0, 1]";
   if loss > 0. && rng = None then invalid_arg "Net.create: positive loss requires an rng";
@@ -34,7 +33,6 @@ let create engine ?liveness ?partition ?rng ?(loss = 0.) ?link_delay ?(tracer = 
     partition = (match partition with Some p -> p | None -> Partition.create ());
     rng;
     loss;
-    link_delay;
     prop_delay;
     proc_delay;
     handlers = [||];
@@ -63,10 +61,7 @@ let handler_for t host =
   let idx = Host.Host_id.to_int host in
   if idx < Array.length t.handlers then Array.unsafe_get t.handlers idx else None
 
-let delay_between t ~src ~dst =
-  match t.link_delay with
-  | Some f -> f ~src ~dst
-  | None -> t.prop_delay
+let transit t = Time.Span.add t.proc_delay (Time.Span.add t.prop_delay t.proc_delay)
 
 let lost t =
   match t.rng with
@@ -90,9 +85,7 @@ let deliver_one t ~src ~dst payload =
   t.attempts <- t.attempts + 1;
   trace_point t ~src ~dst payload (fun ~src ~dst ~kind ~corr ->
       Trace.Event.Net_send { src; dst; kind; corr });
-  let transit =
-    Time.Span.add t.proc_delay (Time.Span.add (delay_between t ~src ~dst) t.proc_delay)
-  in
+  let transit = transit t in
   let attempt () =
     (let p = Engine.profiler t.engine in
      if Profile.Recorder.enabled p then Profile.Recorder.mark p Profile.Center.Net_delivery);
@@ -160,16 +153,9 @@ let dropped_loss t = t.dropped_loss
 let dropped_partition t = t.dropped_partition
 let dropped_down t = t.dropped_down
 
-let unicast_rtt ?src ?dst t =
-  let ( + ) = Time.Span.add in
+let unicast_rtt t =
   let twice s = Time.Span.scale 2. s in
-  let propagation =
-    match src, dst with
-    | Some src, Some dst -> delay_between t ~src ~dst + delay_between t ~src:dst ~dst:src
-    | Some _, None | None, Some _ | None, None -> twice t.prop_delay
-  in
-  propagation + twice (twice t.proc_delay)
+  Time.Span.add (twice t.prop_delay) (twice (twice t.proc_delay))
 
 let prop_delay t = t.prop_delay
 let proc_delay t = t.proc_delay
-let transit t = Time.Span.add t.proc_delay (Time.Span.add t.prop_delay t.proc_delay)

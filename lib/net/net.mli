@@ -29,7 +29,6 @@ val create :
   ?partition:Partition.t ->
   ?rng:Prng.Splitmix.t ->
   ?loss:float ->
-  ?link_delay:(src:Host.Host_id.t -> dst:Host.Host_id.t -> Simtime.Time.Span.t) ->
   ?tracer:Trace.Sink.t ->
   ?classify:('a -> Trace.Event.msg_kind * int) ->
   prop_delay:Simtime.Time.Span.t ->
@@ -38,8 +37,9 @@ val create :
   'a t
 (** [loss] is the independent per-delivery drop probability in [0, 1],
     NaN refused (default 0; requires [rng] when positive; 1.0 models a
-    total blackout for fault drills).  [link_delay] overrides the propagation delay per
-    (src, dst) pair, for mixed LAN/WAN topologies.  [tracer] receives a
+    total blackout for fault drills).  Every message takes the same
+    {!transit}: there is no per-link delay, because a client's transit
+    allowance reads this one figure.  [tracer] receives a
     [Net_send] per delivery attempt, then exactly one [Net_deliver] or
     [Net_drop] (with cause) for it; [classify] maps a payload to its typed
     message kind and correlation id for those events (default
@@ -72,17 +72,14 @@ val dropped_down : 'a t -> int
 (** Deliveries suppressed because an endpoint was crashed, counted per
     destination (a crashed multicast sender counts once per destination). *)
 
-val unicast_rtt : ?src:Host.Host_id.t -> ?dst:Host.Host_id.t -> 'a t -> Simtime.Time.Span.t
+val unicast_rtt : 'a t -> Simtime.Time.Span.t
 (** The request/response round trip — the quantity the analytic model calls
-    the RPC time.  With both [src] and [dst] the configured [link_delay]
-    (when any) is consulted in each direction, so heterogeneous-link
-    topologies report the real per-pair RTT; without them the uniform
-    [2*m_prop + 4*m_proc] figure is returned. *)
+    the RPC time: [2*m_prop + 4*m_proc]. *)
 
 val prop_delay : 'a t -> Simtime.Time.Span.t
 val proc_delay : 'a t -> Simtime.Time.Span.t
 
 val transit : 'a t -> Simtime.Time.Span.t
 (** [m_proc + m_prop + m_proc], the paper's [m_prop + 2*m_proc]: how long
-    a unicast takes from send to the recipient's handler without
-    [link_delay].  A client shortens each term it is granted by this much. *)
+    a unicast takes from send to the recipient's handler.  A client
+    shortens each term it is granted by this much. *)

@@ -1,61 +1,63 @@
+(* One bucket layout for every histogram: geometric buckets from [least]
+   with ratio [growth].  Every caller used these values, so the bounds are
+   computed once, here, and [merge] needs no layout check. *)
+let least = 1e-6
+let growth = 1.2
+let buckets = 128
+
+(* [bounds.(i)] is the upper bound of bucket [i + 1], exclusive:
+   [least * growth^(i+1)]. *)
+let bounds = Array.init buckets (fun i -> least *. Float.pow growth (float_of_int (i + 1)))
+let log_growth = log growth
+
+(* The running sum sits alone in an all-float record, so it is stored
+   unboxed and an [add] allocates nothing. *)
+type acc = { mutable sum : float }
+
 type t = {
-  least : float;
-  growth : float;
-  bounds : float array; (* upper bound of bucket i, exclusive *)
-  counts : int array; (* length = Array.length bounds + 2: under- and overflow *)
+  counts : int array; (* length = buckets + 2: under- and overflow *)
   mutable total_count : int;
-  mutable sum : float;
+  acc : acc;
 }
 
-let create ?(least = 1e-6) ?(growth = 1.2) ?(buckets = 128) () =
-  if least <= 0. then invalid_arg "Histogram.create: least must be positive";
-  if growth <= 1. then invalid_arg "Histogram.create: growth must exceed 1";
-  if buckets < 1 then invalid_arg "Histogram.create: need at least one bucket";
-  let bounds = Array.init buckets (fun i -> least *. Float.pow growth (float_of_int (i + 1))) in
-  { least; growth; bounds; counts = Array.make (buckets + 2) 0; total_count = 0; sum = 0. }
+let create () = { counts = Array.make (buckets + 2) 0; total_count = 0; acc = { sum = 0. } }
 
-let bucket_lo t i = if i <= 1 then 0. else t.least *. Float.pow t.growth (float_of_int (i - 1))
-let bucket_hi t i =
-  if i = 0 then t.least
-  else if i > Array.length t.bounds then infinity
-  else t.bounds.(i - 1)
+let bucket_lo i = if i <= 1 then 0. else bounds.(i - 2)
+let bucket_hi i = if i = 0 then least else if i > buckets then infinity else bounds.(i - 1)
 
 (* Bucket index layout: 0 = underflow (< least), 1..buckets = geometric
    buckets, buckets+1 = overflow.  Bucket i covers [bucket_lo i, bucket_hi i).
    The log ratio can round either way when x sits exactly on a bucket edge
    (x = least, x = least * growth^k), so the initial estimate is nudged until
-   x actually falls inside the bucket's half-open interval. *)
-let bucket_index t x =
-  if x < t.least then 0
+   x actually falls inside the bucket's half-open interval; both neighbouring
+   edges come from [bounds]. *)
+let bucket_index x =
+  if x < least then 0
   else begin
-    let n = Array.length t.bounds in
-    let raw = log (x /. t.least) /. log t.growth in
+    let raw = log (x /. least) /. log_growth in
     let i = Int.max 1 (int_of_float (Float.floor raw) + 1) in
-    if i > n then n + 1
+    if i > buckets then buckets + 1
     else begin
-      let i = if x >= bucket_hi t i then i + 1 else i in
-      if i > n then n + 1
-      else if i > 1 && x < t.least *. Float.pow t.growth (float_of_int (i - 1)) then i - 1
+      let i = if x >= bounds.(i - 1) then i + 1 else i in
+      if i > buckets then buckets + 1
+      else if i > 1 && x < bounds.(i - 2) then i - 1
       else i
     end
   end
 
 let add t x =
-  let i = bucket_index t x in
+  let i = bucket_index x in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total_count <- t.total_count + 1;
-  t.sum <- t.sum +. x
+  t.acc.sum <- t.acc.sum +. x
 
 let count t = t.total_count
-let sum t = t.sum
+let sum t = t.acc.sum
 
 let merge t other =
-  if t.least <> other.least || t.growth <> other.growth
-     || Array.length t.bounds <> Array.length other.bounds
-  then invalid_arg "Histogram.merge: incompatible bucket layouts";
   Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) other.counts;
   t.total_count <- t.total_count + other.total_count;
-  t.sum <- t.sum +. other.sum
+  t.acc.sum <- t.acc.sum +. other.acc.sum
 
 let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Histogram.quantile: q must be in [0, 1]";
@@ -63,9 +65,9 @@ let quantile t q =
   else begin
     let target = q *. float_of_int t.total_count in
     let interpolate i ~seen =
-      let lo = bucket_lo t i in
-      let hi = bucket_hi t i in
-      let hi = if hi = infinity then lo *. t.growth else hi in
+      let lo = bucket_lo i in
+      let hi = bucket_hi i in
+      let hi = if hi = infinity then lo *. growth else hi in
       let within = (target -. seen) /. float_of_int t.counts.(i) in
       lo +. ((hi -. lo) *. Float.max 0. (Float.min 1. within))
     in
@@ -85,7 +87,7 @@ let quantile t q =
     walk 0 0. None
   end
 
-let mean t = if t.total_count = 0 then 0. else t.sum /. float_of_int t.total_count
+let mean t = if t.total_count = 0 then 0. else t.acc.sum /. float_of_int t.total_count
 
 type summary = {
   s_count : int;
@@ -100,7 +102,7 @@ type summary = {
 let summary t =
   {
     s_count = t.total_count;
-    s_sum = t.sum;
+    s_sum = t.acc.sum;
     s_mean = mean t;
     s_p50 = quantile t 0.5;
     s_p90 = quantile t 0.9;
@@ -111,4 +113,4 @@ let summary t =
 let pp ppf t =
   Format.fprintf ppf "n=%d mean=%.6g p50=%.6g p90=%.6g p99=%.6g p99.9=%.6g sum=%.6g"
     t.total_count (mean t) (quantile t 0.5) (quantile t 0.9) (quantile t 0.99)
-    (quantile t 0.999) t.sum
+    (quantile t 0.999) t.acc.sum

@@ -1,8 +1,10 @@
 (** Log-bucketed histogram for latency-like quantities.
 
-    Buckets grow geometrically from [least] with ratio [growth]; quantile
-    estimates interpolate linearly within a bucket.  Relative error of a
-    quantile estimate is bounded by [growth - 1].
+    Every histogram has the same bucket layout: 128 buckets growing
+    geometrically from [least] = 1e-6 with ratio [growth] = 1.2, their
+    bounds computed once.  Quantile estimates interpolate linearly within
+    a bucket, so their relative error is bounded by [growth - 1].  An
+    {!add} allocates nothing.
 
     Not synchronized: a histogram must be owned by one domain at a time.
     Parallel harnesses give each sub-simulation its own histograms and
@@ -11,29 +13,27 @@
 
 type t
 
-val create : ?least:float -> ?growth:float -> ?buckets:int -> unit -> t
-(** Defaults: [least] = 1e-6, [growth] = 1.2, [buckets] = 128.  Values below
-    [least] (including zero) land in an underflow bucket; values beyond the
-    last bound land in an overflow bucket. *)
+val create : unit -> t
+(** An empty histogram.  Values below [least] (including zero) land in an
+    underflow bucket; values at or beyond the last bound, [least *
+    growth^128], land in an overflow bucket. *)
 
 val add : t -> float -> unit
 val count : t -> int
 
 val merge : t -> t -> unit
 (** [merge t other] folds [other]'s samples into [t] (bucket-wise; the
-    exact sum is carried over too).  Raises [Invalid_argument] when the
-    bucket layouts differ.  [other] is left untouched. *)
+    exact sum is carried over too).  [other] is left untouched. *)
 
 val sum : t -> float
 (** Exact running sum of every sample added (not bucket-quantised) — what
     the telemetry sampler differences to get per-window means. *)
 
-val bucket_index : t -> float -> int
+val bucket_index : float -> int
 (** Index of the bucket [add] would place a sample in: 0 = underflow,
-    1..[buckets] = geometric buckets (bucket [i] covers the half-open range
-    from [least * growth^(i-1)] to [least * growth^i]), [buckets + 1] =
-    overflow.  Exposed so boundary behaviour at exact bucket edges is
-    testable. *)
+    1..128 = geometric buckets (bucket [i] covers the half-open range from
+    [least * growth^(i-1)] to [least * growth^i]), 129 = overflow.  Exposed
+    so boundary behaviour at exact bucket edges is testable. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] for q in [0, 1].  0.0 when empty. *)

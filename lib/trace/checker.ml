@@ -9,7 +9,18 @@ type report = {
 
 let epsilon_s = 1e-5
 
-type client_entry = { cl_version : int; cl_expiry : float option }
+(* One host's recorded leases, by file.  A file keeps its slot once it has
+   one: a renewal writes a version and an expiry into flat arrays and
+   allocates nothing, and an invalidation marks the slot [absent] instead
+   of freeing it.  An expiry of [infinity] is a lease that never expires
+   ([None] in the event). *)
+type client_view = {
+  slots : int Int_tbl.t;  (** file -> slot *)
+  mutable versions : int array;  (** by slot; [absent] once invalidated *)
+  mutable expiries : float array;  (** by slot, client-local *)
+}
+
+let absent = -1
 
 type t = {
   servers : int list;
@@ -18,10 +29,12 @@ type t = {
   mutable n_events : int;
   mutable hits : int;
   mutable commits : int;
-  (* client host -> file -> the client's recorded local lease *)
-  client_leases : client_entry Int_tbl.t Int_tbl.t;
-  (* file -> holder -> server-local expiry ([None] = never) *)
-  server_leases : float option Int_tbl.t Int_tbl.t;
+  (* client host -> its recorded leases *)
+  client_leases : client_view Int_tbl.t;
+  (* file -> holder -> server-local expiry ([infinity] = never).  A float
+     table keeps its values in a flat float array, so a renewal on a held
+     key stores the expiry unboxed. *)
+  server_leases : float Int_tbl.t Int_tbl.t;
   (* file -> installed-coverage horizon, server-local *)
   cover : float Int_tbl.t;
   (* file -> latest committed version *)
@@ -47,6 +60,45 @@ let create ?(server = 0) ?servers ?owner () =
 let flag t at invariant detail =
   t.rev_violations <- { at; invariant; detail } :: t.rev_violations
 
+let expiry_of = function Some e -> e | None -> infinity
+
+let client_view t host =
+  match Int_tbl.find t.client_leases host with
+  | view -> view
+  | exception Not_found ->
+    let view = { slots = Int_tbl.create 8; versions = [||]; expiries = [||] } in
+    Int_tbl.add t.client_leases host view;
+    view
+
+let record_client_lease t ~host ~file ~version ~expiry =
+  let view = client_view t host in
+  let slot =
+    match Int_tbl.find view.slots file with
+    | slot -> slot
+    | exception Not_found ->
+      let slot = Int_tbl.length view.slots in
+      if slot = Array.length view.versions then begin
+        let cap = Int.max 8 (2 * slot) in
+        let versions = Array.make cap absent and expiries = Array.make cap 0. in
+        Array.blit view.versions 0 versions 0 slot;
+        Array.blit view.expiries 0 expiries 0 slot;
+        view.versions <- versions;
+        view.expiries <- expiries
+      end;
+      Int_tbl.add view.slots file slot;
+      slot
+  in
+  view.versions.(slot) <- version;
+  view.expiries.(slot) <- expiry_of expiry
+
+let invalidate t ~host ~file =
+  match Int_tbl.find t.client_leases host with
+  | exception Not_found -> ()
+  | view -> (
+    match Int_tbl.find view.slots file with
+    | slot -> view.versions.(slot) <- absent
+    | exception Not_found -> ())
+
 (* The inner table under [key], created empty on first use. *)
 let inner tbl key =
   match Int_tbl.find tbl key with
@@ -61,26 +113,33 @@ let remove_inner tbl key inner_key =
   | inner -> Int_tbl.remove inner inner_key
   | exception Not_found -> ()
 
+let flag_unbacked t at ~host ~file =
+  flag t at "local-read-validity"
+    (Printf.sprintf "host %d hit file %d with no recorded lease" host file)
+
 let check_hit t at ~host ~file ~version ~local_now =
   t.hits <- t.hits + 1;
-  (match Int_tbl.find (Int_tbl.find t.client_leases host) file with
-  | exception Not_found ->
-    flag t at "local-read-validity"
-      (Printf.sprintf "host %d hit file %d with no recorded lease" host file)
-  | { cl_version; _ } when cl_version <> version ->
-    flag t at "local-read-validity"
-      (Printf.sprintf "host %d hit file %d at v%d but lease recorded v%d" host file version
-         cl_version)
-  | { cl_expiry = Some e; _ } when local_now >= e ->
-    flag t at "local-read-validity"
-      (Printf.sprintf "host %d hit file %d after local expiry (local clock %.6f >= expiry %.6f)"
-         host file local_now e)
-  | _ -> ());
-  match Int_tbl.find_opt t.committed file with
-  | Some v when version < v ->
+  (match Int_tbl.find t.client_leases host with
+  | exception Not_found -> flag_unbacked t at ~host ~file
+  | view -> (
+    match Int_tbl.find view.slots file with
+    | exception Not_found -> flag_unbacked t at ~host ~file
+    | slot ->
+      let recorded = view.versions.(slot) and e = view.expiries.(slot) in
+      if recorded = absent then flag_unbacked t at ~host ~file
+      else if recorded <> version then
+        flag t at "local-read-validity"
+          (Printf.sprintf "host %d hit file %d at v%d but lease recorded v%d" host file version
+             recorded)
+      else if local_now >= e then
+        flag t at "local-read-validity"
+          (Printf.sprintf "host %d hit file %d after local expiry (local clock %.6f >= expiry %.6f)"
+             host file local_now e)));
+  match Int_tbl.find t.committed file with
+  | v when version < v ->
     flag t at "stale-hit"
       (Printf.sprintf "host %d read file %d at v%d but v%d is committed" host file version v)
-  | _ -> ()
+  | _ | (exception Not_found) -> ()
 
 (* Every lease a non-writer holds on the file must have expired at the
    server clock, checked in ascending holder order; the commit then drops
@@ -92,19 +151,17 @@ let check_commit t at ~file ~writer ~version ~server_now =
   | Some holders ->
     Int_tbl.fold (fun holder expiry acc -> (holder, expiry) :: acc) holders []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.iter (fun (holder, expiry) ->
+    |> List.iter (fun (holder, e) ->
            if holder <> writer then
-             match expiry with
-             | None ->
+             if e = infinity then
                flag t at "commit-vs-lease"
                  (Printf.sprintf "commit of file %d v%d with infinite lease held by %d" file
                     version holder)
-             | Some e when e > server_now +. epsilon_s ->
+             else if e > server_now +. epsilon_s then
                flag t at "commit-vs-lease"
                  (Printf.sprintf
                     "commit of file %d v%d while host %d's lease runs to %.6f (server clock %.6f)"
-                    file version holder e server_now)
-             | Some _ -> ());
+                    file version holder e server_now));
     Int_tbl.remove t.server_leases file);
   (match Int_tbl.find_opt t.cover file with
   | Some until when until > server_now +. epsilon_s ->
@@ -126,12 +183,12 @@ let feed t ({ at; ev } : Event.t) =
   t.n_events <- t.n_events + 1;
   match ev with
   | Event.Client_lease { host; file; version; expiry; _ } ->
-    Int_tbl.replace (inner t.client_leases host) file { cl_version = version; cl_expiry = expiry }
-  | Event.Cache_invalidate { host; file } -> remove_inner t.client_leases host file
+    record_client_lease t ~host ~file ~version ~expiry
+  | Event.Cache_invalidate { host; file } -> invalidate t ~host ~file
   | Event.Cache_hit { host; file; version; local_now } ->
     check_hit t at ~host ~file ~version ~local_now
   | Event.Lease_grant { file; holder; server_expiry; _ } ->
-    Int_tbl.replace (inner t.server_leases file) holder server_expiry
+    Int_tbl.replace (inner t.server_leases file) holder (expiry_of server_expiry)
   | Event.Lease_release { file; holder; _ } -> remove_inner t.server_leases file holder
   (* A reap means the server genuinely forgot the record: the lease
      expired on the server clock, so it can no longer block a commit.

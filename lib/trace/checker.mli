@@ -7,6 +7,8 @@
     they give equal reports.  The checker keeps its server-side leases
     indexed by file, so a commit costs the file's holders and a server
     crash the files with lease or coverage state, not the whole table.
+    It stores versions and expiries unboxed, so a [Lease_grant] or
+    [Client_lease] on a key it already holds allocates nothing.
 
     - {b local-read-validity}: a cache hit must be backed by a lease the
       client recorded, matching version, unexpired on the {e client's}
@@ -46,7 +48,7 @@ val create : ?server:int -> ?servers:int list -> ?owner:(int -> int) -> unit -> 
     (file id -> owning server host; defaults to the constant [server]):
     a server crash then sweeps only the leases and installed coverage of
     the files that server owns, while the other shards' state survives.
-    File and host ids must be non-negative. *)
+    File and host ids and versions must be non-negative. *)
 
 val feed : t -> Event.t -> unit
 

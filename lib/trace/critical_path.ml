@@ -86,13 +86,15 @@ type blocker = { b_holder : int; mutable b_res : resolution option }
    ("approve-req"/"approve-rep"), the holder concerned, cause, instant. *)
 type approval_drop = { d_msg : string; d_holder : int; d_cause : Event.drop_cause; d_at : float }
 
+(* A wait names the op it holds, so the write id alone finds both. *)
 type wait_note = {
   wn_write : int;
+  wn_op : op;
   mutable wn_blockers : blocker list;  (** reverse order of [Wait_begin.waiting] *)
   mutable wn_drops : approval_drop list;  (** newest first *)
 }
 
-type op = {
+and op = {
   o_id : int;
   o_client : int;
   o_server : int;
@@ -113,39 +115,42 @@ type op = {
 
 type server_row = { mutable sv_ops : int; mutable sv_writes : int; sv_sums : float array }
 
+(* Op, write and host ids are non-negative ints, so every table is an
+   [Int_tbl]: a lookup is a multiply and a short probe run, with no call
+   into the polymorphic hash and no option to box. *)
 type t = {
-  open_ops : (int, op) Hashtbl.t;
-  by_write : (int, op * wait_note) Hashtbl.t;
+  open_ops : op Int_tbl.t;  (** by op id *)
+  by_write : wait_note Int_tbl.t;  (** by write id *)
   mutable completed_writes : op list;  (** newest first; kept for worst-K *)
   lat_hist : Stats.Histogram.t array;  (** by kind *)
   phase_hist : Stats.Histogram.t array array;  (** by kind, then phase *)
-  incomplete : int array;  (** by kind, filled at [report] *)
   abandoned : int array;  (** by kind: client crashed mid-operation *)
-  servers : (int, server_row) Hashtbl.t;
+  servers : server_row Int_tbl.t;  (** by server host *)
+  sums : float array;  (** scratch: the completing op's phase totals *)
   mutable checked : int;  (** completed ops through the conservation check *)
   mutable max_err : float;  (** worst |sum of phases - measured latency| *)
 }
 
 let create () =
   {
-    open_ops = Hashtbl.create 64;
-    by_write = Hashtbl.create 64;
+    open_ops = Int_tbl.create 64;
+    by_write = Int_tbl.create 64;
     completed_writes = [];
     lat_hist = Array.init 3 (fun _ -> Stats.Histogram.create ());
     phase_hist = Array.init 3 (fun _ -> Array.init n_phases (fun _ -> Stats.Histogram.create ()));
-    incomplete = Array.make 3 0;
     abandoned = Array.make 3 0;
-    servers = Hashtbl.create 8;
+    servers = Int_tbl.create 8;
+    sums = Array.make n_phases 0.;
     checked = 0;
     max_err = 0.;
   }
 
 let server_row t server =
-  match Hashtbl.find_opt t.servers server with
-  | Some r -> r
-  | None ->
+  match Int_tbl.find t.servers server with
+  | r -> r
+  | exception Not_found ->
     let r = { sv_ops = 0; sv_writes = 0; sv_sums = Array.make n_phases 0. } in
-    Hashtbl.replace t.servers server r;
+    Int_tbl.add t.servers server r;
     r
 
 let phase_of op =
@@ -173,46 +178,62 @@ let flush_wait op label now =
   if now > op.o_last then push_seg op label ~from:op.o_last ~until:now;
   op.o_last <- now
 
+(* Adds each segment's length to its phase's total, newest segment first:
+   the order every total has always been summed in, so each stays
+   bit-identical. *)
+let rec add_segs sums = function
+  | [] -> ()
+  | { s_phase; s_from; s_to } :: rest ->
+    let i = phase_index s_phase in
+    sums.(i) <- sums.(i) +. (s_to -. s_from);
+    add_segs sums rest
+
 let phase_totals op =
   let sums = Array.make n_phases 0. in
-  List.iter
-    (fun { s_phase; s_from; s_to } ->
-      let i = phase_index s_phase in
-      sums.(i) <- sums.(i) +. (s_to -. s_from))
-    op.o_segs;
+  add_segs sums op.o_segs;
   sums
 
 let complete t op now =
   cut op now;
   op.o_end <- now;
-  Hashtbl.remove t.open_ops op.o_id;
+  Int_tbl.remove t.open_ops op.o_id;
   let latency = now -. op.o_t0 in
-  let sums = phase_totals op in
-  let total = Array.fold_left ( +. ) 0. sums in
-  let err = Float.abs (total -. latency) in
+  let sums = t.sums in
+  Array.fill sums 0 n_phases 0.;
+  add_segs sums op.o_segs;
+  (* a left fold from index 0, as [Array.fold_left ( +. ) 0.] sums *)
+  let total = ref 0. in
+  for i = 0 to n_phases - 1 do
+    total := !total +. sums.(i)
+  done;
+  let err = Float.abs (!total -. latency) in
   t.checked <- t.checked + 1;
   if err > t.max_err then t.max_err <- err;
   let k = kind_index op.o_kind in
   Stats.Histogram.add t.lat_hist.(k) latency;
-  Array.iteri (fun i v -> Stats.Histogram.add t.phase_hist.(k).(i) v) sums;
+  let phase_hist = t.phase_hist.(k) in
+  for i = 0 to n_phases - 1 do
+    Stats.Histogram.add phase_hist.(i) sums.(i)
+  done;
   let row = server_row t op.o_server in
   row.sv_ops <- row.sv_ops + 1;
-  if op.o_kind = K_write then begin
+  match op.o_kind with
+  | K_write ->
     row.sv_writes <- row.sv_writes + 1;
-    Array.iteri (fun i v -> row.sv_sums.(i) <- row.sv_sums.(i) +. v) sums;
+    for i = 0 to n_phases - 1 do
+      row.sv_sums.(i) <- row.sv_sums.(i) +. sums.(i)
+    done;
     t.completed_writes <- op :: t.completed_writes
-  end
+  | K_read | K_extend -> ()
 
 let abandon t op =
-  Hashtbl.remove t.open_ops op.o_id;
+  Int_tbl.remove t.open_ops op.o_id;
   let k = kind_index op.o_kind in
   t.abandoned.(k) <- t.abandoned.(k) + 1
 
-let req_kind = function
-  | Event.M_read_req -> Some K_read
-  | Event.M_extend_req -> Some K_extend
-  | Event.M_write_req -> Some K_write
-  | _ -> None
+let is_request = function
+  | Event.M_read_req | Event.M_extend_req | Event.M_write_req -> true
+  | _ -> false
 
 let is_reply = function
   | Event.M_read_rep | Event.M_extend_rep | Event.M_write_rep -> true
@@ -220,14 +241,28 @@ let is_reply = function
 
 let is_approval = function Event.M_approve_req | Event.M_approve_rep -> true | _ -> false
 
+(* Resolves every still-unresolved blocker to [res], one shared value. *)
+let rec resolve_open res = function
+  | [] -> ()
+  | b :: rest ->
+    (match b.b_res with None -> b.b_res <- res | Some _ -> ());
+    resolve_open res rest
+
+let rec approve_holder holder at = function
+  | [] -> ()
+  | b :: rest ->
+    if b.b_holder = holder then
+      match b.b_res with None -> b.b_res <- Some (R_approved at) | Some _ -> ()
+    else approve_holder holder at rest
+
 let on_req_send t ~at ~src ~dst ~kind ~corr =
-  match Hashtbl.find_opt t.open_ops corr with
-  | Some op ->
+  match Int_tbl.find t.open_ops corr with
+  | op ->
     cut op at;
     op.o_retrans <- op.o_retrans + 1;
     op.o_inflight_req <- op.o_inflight_req + 1
-  | None ->
-    Hashtbl.replace t.open_ops corr
+  | exception Not_found ->
+    Int_tbl.add t.open_ops corr
       {
         o_id = corr;
         o_client = src;
@@ -247,15 +282,13 @@ let on_req_send t ~at ~src ~dst ~kind ~corr =
         o_waits = [];
       }
 
-let with_op t corr f = match Hashtbl.find_opt t.open_ops corr with Some op -> f op | None -> ()
-
 let note_approval_drop t ~at ~src ~dst ~kind ~corr ~cause =
-  match Hashtbl.find_opt t.by_write corr with
-  | None -> ()
-  | Some (op, note) ->
-    if Hashtbl.mem t.open_ops op.o_id then
+  match Int_tbl.find t.by_write corr with
+  | exception Not_found -> ()
+  | note ->
+    if Int_tbl.mem t.open_ops note.wn_op.o_id then
       let d_msg = Event.msg_kind_name kind in
-      let d_holder = if kind = Event.M_approve_req then dst else src in
+      let d_holder = match kind with Event.M_approve_req -> dst | _ -> src in
       note.wn_drops <- { d_msg; d_holder; d_cause = cause; d_at = at } :: note.wn_drops
 
 (* A server crash wipes its pending and queued writes: flush any
@@ -266,17 +299,14 @@ let note_approval_drop t ~at ~src ~dst ~kind ~corr ~cause =
    no reply will ever complete them. *)
 let on_crash t ~at host =
   (* Collect first: abandonment mutates the table under iteration. *)
-  let hit = Hashtbl.fold (fun _ op acc -> op :: acc) t.open_ops [] in
+  let hit = Int_tbl.fold (fun _ op acc -> op :: acc) t.open_ops [] in
   List.iter
     (fun op ->
       if op.o_client = host then abandon t op
       else if op.o_server = host && not op.o_reply_sent then begin
         if op.o_waiting then begin
           (match op.o_waits with
-          | w :: _ ->
-            List.iter
-              (fun b -> if b.b_res = None then b.b_res <- Some (R_crashed at))
-              w.wn_blockers
+          | w :: _ -> resolve_open (Some (R_crashed at)) w.wn_blockers
           | [] -> ());
           flush_wait op Wait_expiry at;
           op.o_waiting <- false
@@ -289,76 +319,83 @@ let on_crash t ~at host =
 let feed t { Event.at; ev } =
   match ev with
   | Event.Net_send { src; dst; kind; corr } when corr >= 0 -> (
-    match req_kind kind with
-    | Some k -> on_req_send t ~at ~src ~dst ~kind:k ~corr
-    | None ->
-      if is_reply kind then
-        with_op t corr (fun op ->
-            if op.o_waiting then flush_wait op Wait_expiry at else cut op at;
-            op.o_waiting <- false;
-            op.o_reply_sent <- true;
-            op.o_inflight_reply <- op.o_inflight_reply + 1))
-  | Event.Net_deliver { dst; kind; corr; _ } when corr >= 0 ->
-    if req_kind kind <> None then
-      with_op t corr (fun op ->
-          cut op at;
-          op.o_inflight_req <- Int.max 0 (op.o_inflight_req - 1);
-          if dst = op.o_server then op.o_delivered <- true)
-    else if is_reply kind then
-      with_op t corr (fun op -> if dst = op.o_client then complete t op at)
+    match kind with
+    | Event.M_read_req -> on_req_send t ~at ~src ~dst ~kind:K_read ~corr
+    | Event.M_extend_req -> on_req_send t ~at ~src ~dst ~kind:K_extend ~corr
+    | Event.M_write_req -> on_req_send t ~at ~src ~dst ~kind:K_write ~corr
+    | _ -> (
+      match Int_tbl.find t.open_ops corr with
+      | op when is_reply kind ->
+        if op.o_waiting then flush_wait op Wait_expiry at else cut op at;
+        op.o_waiting <- false;
+        op.o_reply_sent <- true;
+        op.o_inflight_reply <- op.o_inflight_reply + 1
+      | _ | (exception Not_found) -> ()))
+  | Event.Net_deliver { dst; kind; corr; _ } when corr >= 0 -> (
+    match Int_tbl.find t.open_ops corr with
+    | op when is_request kind ->
+      cut op at;
+      op.o_inflight_req <- Int.max 0 (op.o_inflight_req - 1);
+      if dst = op.o_server then op.o_delivered <- true
+    | op when is_reply kind -> if dst = op.o_client then complete t op at
+    | _ | (exception Not_found) -> ())
   | Event.Net_drop { src; dst; kind; corr; cause } when corr >= 0 ->
-    if req_kind kind <> None then
-      with_op t corr (fun op ->
-          cut op at;
-          op.o_inflight_req <- Int.max 0 (op.o_inflight_req - 1))
-    else if is_reply kind then
-      with_op t corr (fun op ->
-          cut op at;
-          op.o_inflight_reply <- Int.max 0 (op.o_inflight_reply - 1))
-    else if is_approval kind then note_approval_drop t ~at ~src ~dst ~kind ~corr ~cause
-  | Event.Wait_begin { write; op = op_id; waiting; file; _ } ->
-    with_op t op_id (fun op ->
+    if is_approval kind then note_approval_drop t ~at ~src ~dst ~kind ~corr ~cause
+    else begin
+      match Int_tbl.find t.open_ops corr with
+      | op when is_request kind ->
         cut op at;
-        op.o_file <- file;
-        op.o_waiting <- true;
-        let note =
-          {
-            wn_write = write;
-            wn_blockers = List.map (fun h -> { b_holder = h; b_res = None }) waiting;
-            wn_drops = [];
-          }
-        in
-        op.o_waits <- note :: op.o_waits;
-        Hashtbl.replace t.by_write write (op, note))
+        op.o_inflight_req <- Int.max 0 (op.o_inflight_req - 1)
+      | op when is_reply kind ->
+        cut op at;
+        op.o_inflight_reply <- Int.max 0 (op.o_inflight_reply - 1)
+      | _ | (exception Not_found) -> ()
+    end
+  | Event.Wait_begin { write; op = op_id; waiting; file; _ } -> (
+    match Int_tbl.find t.open_ops op_id with
+    | exception Not_found -> ()
+    | op ->
+      cut op at;
+      op.o_file <- file;
+      op.o_waiting <- true;
+      let note =
+        {
+          wn_write = write;
+          wn_op = op;
+          wn_blockers = List.map (fun h -> { b_holder = h; b_res = None }) waiting;
+          wn_drops = [];
+        }
+      in
+      op.o_waits <- note :: op.o_waits;
+      Int_tbl.replace t.by_write write note)
   | Event.Approval_reply { write; holder; _ } -> (
-    match Hashtbl.find_opt t.by_write write with
-    | None -> ()
-    | Some (op, note) ->
-      (match List.find_opt (fun b -> b.b_holder = holder) note.wn_blockers with
-      | Some b when b.b_res = None -> b.b_res <- Some (R_approved at)
-      | Some _ | None -> ());
-      if Hashtbl.mem t.open_ops op.o_id && op.o_waiting then flush_wait op Wait_approval at)
+    match Int_tbl.find t.by_write write with
+    | exception Not_found -> ()
+    | { wn_op = op; wn_blockers; _ } ->
+      approve_holder holder at wn_blockers;
+      if Int_tbl.mem t.open_ops op.o_id && op.o_waiting then flush_wait op Wait_approval at)
   | Event.Wait_expire { write; _ } -> (
-    match Hashtbl.find_opt t.by_write write with
-    | None -> ()
-    | Some (op, note) ->
-      List.iter (fun b -> if b.b_res = None then b.b_res <- Some (R_expired at)) note.wn_blockers;
-      if Hashtbl.mem t.open_ops op.o_id && op.o_waiting then flush_wait op Wait_expiry at)
-  | Event.Commit { op = op_id; file; _ } ->
-    with_op t op_id (fun op ->
-        if op.o_waiting then begin
-          (* Residual wait past the last resolution: a recovery quiet
-             period or a commit landing on the expiry deadline itself —
-             time waited out on a clock, not an approval. *)
-          flush_wait op Wait_expiry at;
-          op.o_waiting <- false;
-          match op.o_waits with
-          | w :: _ ->
-            List.iter (fun b -> if b.b_res = None then b.b_res <- Some (R_expired at)) w.wn_blockers
-          | [] -> ()
-        end
-        else cut op at;
-        if op.o_file < 0 then op.o_file <- file)
+    match Int_tbl.find t.by_write write with
+    | exception Not_found -> ()
+    | { wn_op = op; wn_blockers; _ } ->
+      resolve_open (Some (R_expired at)) wn_blockers;
+      if Int_tbl.mem t.open_ops op.o_id && op.o_waiting then flush_wait op Wait_expiry at)
+  | Event.Commit { op = op_id; file; _ } -> (
+    match Int_tbl.find t.open_ops op_id with
+    | exception Not_found -> ()
+    | op ->
+      if op.o_waiting then begin
+        (* Residual wait past the last resolution: a recovery quiet
+           period or a commit landing on the expiry deadline itself —
+           time waited out on a clock, not an approval. *)
+        flush_wait op Wait_expiry at;
+        op.o_waiting <- false;
+        match op.o_waits with
+        | w :: _ -> resolve_open (Some (R_expired at)) w.wn_blockers
+        | [] -> ()
+      end
+      else cut op at;
+      if op.o_file < 0 then op.o_file <- file)
   | Event.Crash { host } -> on_crash t ~at host
   | Event.Net_send _ | Event.Net_deliver _ | Event.Net_drop _ -> ()
   | Event.Lease_grant _ | Event.Lease_release _ | Event.Lease_expire _ | Event.Approval_request _
@@ -366,7 +403,7 @@ let feed t { Event.at; ev } =
   | Event.Cache_invalidate _ | Event.Recover _ | Event.Clock_drift _ | Event.Clock_step _
   | Event.Heartbeat _ -> ()
 
-let sink t = { Sink.enabled = true; push = (fun e -> feed t e); flush = (fun () -> ()) }
+let sink t = { Sink.enabled = true; push = feed t; flush = ignore }
 
 (* ---------------------------------------------------------------------- *)
 (* Reporting                                                              *)
@@ -504,7 +541,7 @@ let worst_of op =
 
 let report ?(k = 5) t =
   let incomplete = Array.make 3 0 in
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _ op -> incomplete.(kind_index op.o_kind) <- incomplete.(kind_index op.o_kind) + 1)
     t.open_ops;
   let r_kinds =
@@ -539,7 +576,7 @@ let report ?(k = 5) t =
     r_max_err = t.max_err;
     r_worst = List.map worst_of (take k worst);
     r_servers =
-      Hashtbl.fold (fun host row acc -> (host, row) :: acc) t.servers []
+      Int_tbl.fold (fun host row acc -> (host, row) :: acc) t.servers []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
       |> List.map (fun (host, row) ->
              {
@@ -552,9 +589,9 @@ let report ?(k = 5) t =
   }
 
 let phase_sums_for t ~server =
-  match Hashtbl.find_opt t.servers server with
-  | None -> List.map (fun p -> (phase_name p, 0.)) phases
-  | Some row -> List.map (fun p -> (phase_name p, row.sv_sums.(phase_index p))) phases
+  match Int_tbl.find t.servers server with
+  | exception Not_found -> List.map (fun p -> (phase_name p, 0.)) phases
+  | row -> List.map (fun p -> (phase_name p, row.sv_sums.(phase_index p))) phases
 
 (* ---------------------------------------------------------------------- *)
 (* JSON export: leases-latency/1, deterministic                           *)

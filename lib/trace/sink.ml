@@ -20,6 +20,14 @@ let observe ~enter ~leave sink =
           leave ());
     }
 
+(* A top-level loop: an iterator closure over the event would be
+   allocated on every push. *)
+let rec push_all e = function
+  | [] -> ()
+  | s :: rest ->
+    s.push e;
+    push_all e rest
+
 let tee sinks =
   let live = List.filter (fun s -> s.enabled) sinks in
   match live with
@@ -28,7 +36,7 @@ let tee sinks =
   | live ->
     {
       enabled = true;
-      push = (fun e -> List.iter (fun s -> s.push e) live);
+      push = (fun e -> push_all e live);
       flush = (fun () -> List.iter (fun s -> s.flush ()) live);
     }
 

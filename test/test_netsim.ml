@@ -10,10 +10,10 @@ let host = Host.Host_id.of_int
 
 (* A standard two-host rig: m_prop = 0.5 ms, m_proc = 1 ms, so transit is
    2.5 ms and the unicast RTT is 5 ms. *)
-let rig ?liveness ?partition ?rng ?loss ?link_delay () =
+let rig ?liveness ?partition ?rng ?loss () =
   let engine = Engine.create () in
   let net =
-    Netsim.Net.create engine ?liveness ?partition ?rng ?loss ?link_delay ~prop_delay:(ms 0.5)
+    Netsim.Net.create engine ?liveness ?partition ?rng ?loss ~prop_delay:(ms 0.5)
       ~proc_delay:(ms 1.) ()
   in
   (engine, net)
@@ -212,34 +212,6 @@ let test_total_loss () =
         (Netsim.Net.create engine2 ~rng ~loss:1.5 ~prop_delay:(ms 0.5) ~proc_delay:(ms 1.) ()
           : unit Netsim.Net.t))
 
-let test_link_delay_override () =
-  let wan = host 9 in
-  let link_delay ~src:_ ~dst = if Host.Host_id.equal dst wan then ms 50. else ms 0.5 in
-  let engine, net = rig ~link_delay () in
-  let wan_at = ref Time.zero and lan_at = ref Time.zero in
-  Netsim.Net.register net wan (fun _ -> wan_at := Engine.now engine);
-  Netsim.Net.register net (host 1) (fun _ -> lan_at := Engine.now engine);
-  Netsim.Net.send net ~src:(host 0) ~dst:wan ();
-  Netsim.Net.send net ~src:(host 0) ~dst:(host 1) ();
-  Engine.run engine;
-  Alcotest.(check (float 1e-7)) "wan transit" 0.052 (Time.to_sec !wan_at);
-  Alcotest.(check (float 1e-7)) "lan transit" 0.0025 (Time.to_sec !lan_at)
-
-let test_per_link_rtt () =
-  (* unicast_rtt ~src ~dst must consult link_delay in each direction, not
-     report the uniform figure for heterogeneous links *)
-  let wan = host 9 in
-  let link_delay ~src:_ ~dst = if Host.Host_id.equal dst wan then ms 50. else ms 0.5 in
-  let _engine, net = rig ~link_delay () in
-  Alcotest.(check (float 1e-9)) "uniform figure without a pair" 0.005
-    (Time.Span.to_sec (Netsim.Net.unicast_rtt net));
-  Alcotest.(check (float 1e-9)) "lan pair" 0.005
-    (Time.Span.to_sec (Netsim.Net.unicast_rtt ~src:(host 0) ~dst:(host 1) net));
-  Alcotest.(check (float 1e-9)) "wan pair sums both directions" 0.0545
-    (Time.Span.to_sec (Netsim.Net.unicast_rtt ~src:(host 0) ~dst:wan net));
-  Alcotest.(check (float 1e-9)) "same rtt from the far end" 0.0545
-    (Time.Span.to_sec (Netsim.Net.unicast_rtt ~src:wan ~dst:(host 0) net))
-
 let test_loss_dropped_at_delivery_time () =
   (* a loss drop is decided (and traced) at the instant the message would
      have arrived, not at send time *)
@@ -304,8 +276,6 @@ let () =
           Alcotest.test_case "multicast down sender" `Quick test_multicast_down_sender_per_destination;
           Alcotest.test_case "accounting reconciles" `Quick test_accounting_reconciles;
           Alcotest.test_case "total loss" `Quick test_total_loss;
-          Alcotest.test_case "link delay override" `Quick test_link_delay_override;
-          Alcotest.test_case "per-link rtt" `Quick test_per_link_rtt;
           Alcotest.test_case "loss dropped at delivery time" `Quick
             test_loss_dropped_at_delivery_time;
           Alcotest.test_case "multicast mixed liveness" `Quick

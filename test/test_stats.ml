@@ -107,45 +107,74 @@ let test_histogram_merge () =
     (Stats.Histogram.sum a);
   Alcotest.(check (float 1e-12)) "p90 matches direct fill" (Stats.Histogram.quantile direct 0.9)
     (Stats.Histogram.quantile a 0.9);
-  Alcotest.(check int) "source untouched" (List.length samples_b) (Stats.Histogram.count b);
-  (* layout compatibility is checked, not silently mangled *)
-  let narrow = Stats.Histogram.create ~buckets:16 () in
-  Alcotest.check_raises "incompatible layouts"
-    (Invalid_argument "Histogram.merge: incompatible bucket layouts") (fun () ->
-      Stats.Histogram.merge a narrow);
-  let coarse = Stats.Histogram.create ~growth:1.5 () in
-  Alcotest.check_raises "incompatible growth"
-    (Invalid_argument "Histogram.merge: incompatible bucket layouts") (fun () ->
-      Stats.Histogram.merge a coarse)
+  Alcotest.(check int) "source untouched" (List.length samples_b) (Stats.Histogram.count b)
+
+(* The histogram's one layout: 128 buckets from 1e-6, ratio 1.2. *)
+let least = 1e-6
+let growth = 1.2
+let buckets = 128
+let edge k = least *. Float.pow growth (float_of_int k)
+
+(* The reference: the bucket index as it was computed while the layout was
+   a parameter, with both neighbouring edges from [Float.pow]. *)
+let reference_bucket_index x =
+  if x < least then 0
+  else begin
+    let raw = log (x /. least) /. log growth in
+    let i = Int.max 1 (int_of_float (Float.floor raw) + 1) in
+    if i > buckets then buckets + 1
+    else begin
+      let i = if x >= edge i then i + 1 else i in
+      if i > buckets then buckets + 1 else if i > 1 && x < edge (i - 1) then i - 1 else i
+    end
+  end
 
 let test_histogram_bucket_edges () =
   (* exact bucket edges x = least and x = least * growth^k are where the
      log-ratio rounding can misplace samples; pin the half-open layout *)
-  let least = 1e-6 and growth = 1.2 and buckets = 128 in
-  let h = Stats.Histogram.create ~least ~growth ~buckets () in
   Alcotest.(check int) "just below least -> underflow" 0
-    (Stats.Histogram.bucket_index h (least *. (1. -. 1e-12)));
-  Alcotest.(check int) "x = least -> first bucket" 1 (Stats.Histogram.bucket_index h least);
+    (Stats.Histogram.bucket_index (least *. (1. -. 1e-12)));
+  Alcotest.(check int) "x = least -> first bucket" 1 (Stats.Histogram.bucket_index least);
   List.iter
     (fun k ->
-      let x = least *. Float.pow growth (float_of_int k) in
+      let x = edge k in
       Alcotest.(check int)
         (Printf.sprintf "x = least*growth^%d opens bucket %d" k (k + 1))
-        (k + 1) (Stats.Histogram.bucket_index h x);
+        (k + 1) (Stats.Histogram.bucket_index x);
       Alcotest.(check int)
         (Printf.sprintf "just below the growth^%d edge stays in bucket %d" k k)
         k
-        (Stats.Histogram.bucket_index h (x *. (1. -. 1e-12))))
+        (Stats.Histogram.bucket_index (x *. (1. -. 1e-12))))
     [ 1; 2; 5; 17; 64; 127 ];
   Alcotest.(check int) "top edge -> overflow" (buckets + 1)
-    (Stats.Histogram.bucket_index h (least *. Float.pow growth (float_of_int buckets)))
+    (Stats.Histogram.bucket_index (edge buckets))
+
+(* The index reads its edges from the precomputed bounds and takes one log;
+   it must place every sample where the [Float.pow] reference does: on
+   every edge, one ulp either side of it, at zero, past the last bound and
+   on 10^5 seeded values spread log-uniformly over 14 decades. *)
+let test_histogram_bucket_index_reference () =
+  let agree what x =
+    let want = reference_bucket_index x and got = Stats.Histogram.bucket_index x in
+    if got <> want then Alcotest.failf "%s: x = %h lands in bucket %d, reference %d" what x got want
+  in
+  for k = 0 to buckets do
+    let x = edge k in
+    agree (Printf.sprintf "edge %d" k) x;
+    agree (Printf.sprintf "edge %d - 1 ulp" k) (Float.pred x);
+    agree (Printf.sprintf "edge %d + 1 ulp" k) (Float.succ x)
+  done;
+  List.iter (agree "zero and beyond") [ 0.; -0.; -1.; edge buckets *. 10.; 1e12; Float.max_float ];
+  let rng = Random.State.make [| 27 |] in
+  for _ = 1 to 100_000 do
+    agree "random" (Float.pow 10. (Random.State.float rng 14. -. 9.))
+  done
 
 let test_histogram_overflow_quantile () =
   (* all mass in the overflow bucket: the quantile is interpolated inside
      it, never a synthetic bound past the data *)
-  let least = 1e-6 and growth = 1.2 and buckets = 128 in
-  let h = Stats.Histogram.create ~least ~growth ~buckets () in
-  let overflow_lo = least *. Float.pow growth (float_of_int buckets) in
+  let h = Stats.Histogram.create () in
+  let overflow_lo = edge buckets in
   for _ = 1 to 5 do
     Stats.Histogram.add h 1e12
   done;
@@ -192,9 +221,8 @@ let test_histogram_summary () =
 let test_histogram_summary_bucket_edges () =
   (* a thousand samples pinned on one exact bucket edge: the p99.9 walk
      must interpolate inside that bucket, not fall off an edge *)
-  let least = 1e-6 and growth = 1.2 and buckets = 128 in
-  let h = Stats.Histogram.create ~least ~growth ~buckets () in
-  let edge = least *. Float.pow growth 17. in
+  let h = Stats.Histogram.create () in
+  let edge = edge 17 in
   for _ = 1 to 1000 do
     Stats.Histogram.add h edge
   done;
@@ -327,6 +355,7 @@ let () =
           Alcotest.test_case "edges" `Quick test_histogram_edges;
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "bucket edges" `Quick test_histogram_bucket_edges;
+          Alcotest.test_case "bucket index = reference" `Quick test_histogram_bucket_index_reference;
           Alcotest.test_case "overflow quantile" `Quick test_histogram_overflow_quantile;
           Alcotest.test_case "summary" `Quick test_histogram_summary;
           Alcotest.test_case "summary bucket edges" `Quick test_histogram_summary_bucket_edges;

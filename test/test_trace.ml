@@ -373,6 +373,79 @@ let test_trace_order_golden () =
      order instead of holder-table bucket order.  The multiset is unchanged. *)
   Alcotest.(check string) "stream digest" "b74cc28f236130b87f232e4e26e3b9b3" (digest lines)
 
+(* --- observers: full checker and analyzer outputs, pinned ------------------- *)
+
+(* Pin everything the two campaign observers report, not just their
+   verdicts: the critical-path export (every histogram summary, phase sum
+   and worst-write timeline, floats at full precision) of a lossy lease run
+   with a partition, a client crash and a server crash, fed live; and the
+   checker's printed report for that run and for partitioned callbacks,
+   which flag stale hits.  A change to how either observer stores or sums
+   its state shows up here even where every verdict stays the same. *)
+
+let faults_of_specs specs =
+  List.map
+    (fun spec -> match Leases.Sim.fault_of_spec spec with Ok f -> f | Error why -> failwith why)
+    specs
+
+(* One run feeds both observers; the two pins below share it. *)
+let observed_run =
+  lazy
+    (let checker = Trace.Checker.create () in
+     let analyzer = Trace.Critical_path.create () in
+     let setup =
+       {
+         (Experiments.Runner.lease_setup ~n_clients:5 ~term:(Analytic.Model.Finite 10.) ()) with
+         Leases.Sim.seed = 23L;
+         loss = 0.05;
+         faults =
+           faults_of_specs [ "partition=0,240,120"; "crash-client=0,290,30"; "crash-server=300,10" ];
+         tracer = Trace.Sink.tee [ Trace.Checker.sink checker; Trace.Critical_path.sink analyzer ];
+       }
+     in
+     let trace =
+       (Experiments.V_trace.shared_heavy ~seed:23L ~clients:5 ~duration:(Time.Span.of_sec 600.) ())
+         .Experiments.V_trace.trace
+     in
+     ignore (Leases.Sim.run setup ~trace);
+     (checker, analyzer))
+
+let test_pin_critical_path_export () =
+  let _, analyzer = Lazy.force observed_run in
+  let r = Trace.Critical_path.report analyzer in
+  Alcotest.(check int) "completed ops" 638 r.Trace.Critical_path.r_checked;
+  Alcotest.(check string) "export digest" "59111ae4c7468b89083560d48fb79749"
+    (Digest.to_hex (Digest.string (Trace.Critical_path.export r)))
+
+let test_pin_checker_report () =
+  let checker, _ = Lazy.force observed_run in
+  Alcotest.(check string) "lease run"
+    "checked 27857 events (2001 cache hits, 108 commits): OK, no violations"
+    (Format.asprintf "%a" Trace.Checker.pp_report (Trace.Checker.report checker))
+
+let test_pin_checker_stale_report () =
+  let checker = Trace.Checker.create () in
+  ignore
+    (Baselines.Callback.run
+       { Leases.Sim.default_setup with
+         Leases.Sim.n_clients = 4; seed = 3L;
+         faults = faults_of_specs [ "partition=0,100,60" ];
+         tracer = Trace.Checker.sink checker }
+       ~trace:
+         (Experiments.V_trace.shared_heavy ~seed:3L ~clients:4 ~duration:(Time.Span.of_sec 300.) ())
+           .Experiments.V_trace.trace);
+  Alcotest.(check string) "partitioned callbacks"
+    (String.concat "\n"
+       [
+         "checked 6362 events (799 cache hits, 51 commits): 5 violations";
+         "[  156.646900] commit-vs-lease      commit of file 43 v2 with infinite lease held by 1";
+         "[  178.705553] stale-hit            host 1 read file 43 at v1 but v2 is committed";
+         "[  189.630725] stale-hit            host 1 read file 43 at v1 but v2 is committed";
+         "[  192.362033] stale-hit            host 1 read file 43 at v1 but v2 is committed";
+         "[  201.465721] stale-hit            host 1 read file 43 at v1 but v2 is committed";
+       ])
+    (Format.asprintf "%a" Trace.Checker.pp_report (Trace.Checker.report checker))
+
 (* --- critical path: phase-partition conservation under faults ----------- *)
 
 (* Attributed phases must sum to each completed operation's client-observed
@@ -438,6 +511,90 @@ let prop_phase_conservation =
           r.Trace.Critical_path.r_max_err r.Trace.Critical_path.r_checked;
       true)
 
+(* --- allocation: words per observed event ------------------------------- *)
+
+(* Words allocated (minor + major - promoted) by [f]; the minor part comes
+   from [Gc.minor_words]: on OCaml 5.1, [Gc.counters] counts the live minor
+   heap at an eighth of its size. *)
+let words_of f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  f ();
+  words () -. before
+
+(* The marginal words of one unit of [run n] over 100 k units, which must
+   stay at most [pin] (+ 0.5).  [run n] builds its input first and returns
+   the thunk to measure, so building it is not counted, and the first
+   touches of every table cancel out of the difference. *)
+let check_marginal_words what ~pin run =
+  let measured n =
+    let go = run n in
+    words_of go
+  in
+  let per_unit = (measured 110_000 -. measured 10_000) /. 100_000. in
+  if per_unit > pin +. 0.5 then
+    Alcotest.failf "%s allocates %.2f words, pinned at %.0f" what per_unit pin
+
+(* [add] keeps its running sum in an all-float record, so it allocates
+   nothing; the samples are boxed before the count starts. *)
+let test_histogram_add_words () =
+  check_marginal_words "a histogram add" ~pin:0. (fun n ->
+      let h = Stats.Histogram.create () in
+      let xs = List.init n (fun i -> 1e-6 *. float_of_int (i + 1)) in
+      fun () -> List.iter (Stats.Histogram.add h) xs)
+
+(* A renewal seen twice: the server's grant and the client's recomputed
+   lease, cycling over 4 files x 3 holders that the checker already
+   holds.  Versions and expiries are stored unboxed, so the pair allocates
+   and retains nothing. *)
+let test_checker_renewal_words () =
+  check_marginal_words "a lease-grant + client-lease pair" ~pin:0. (fun n ->
+      let c = Trace.Checker.create () in
+      let events =
+        List.concat
+          (List.init n (fun i ->
+               let at = 0.001 *. float_of_int i and file = i mod 4 and holder = 1 + (i mod 3) in
+               [
+                 ev at
+                   (Trace.Event.Lease_grant
+                      { file; holder; term_s = Some 10.; server_expiry = Some (at +. 10.);
+                        server_now = at; renewal = true });
+                 ev at
+                   (Trace.Event.Client_lease
+                      { host = holder; file; version = 0; expiry = Some (at +. 9.9);
+                        local_now = at });
+               ]))
+      in
+      fun () -> List.iter (Trace.Checker.feed c) events)
+
+(* A read's request and reply, each sent and delivered 2.5 ms later.  A
+   completed read costs its op record (17 words), two timeline segments
+   (7 each) and the boxed latency and seven phase totals it hands to the
+   histograms (16).  The analyzer's tables are [Int_tbl]s, so a lookup
+   boxes no option and builds no closure. *)
+let test_critical_path_read_words () =
+  check_marginal_words "a completed read" ~pin:47. (fun n ->
+      let a = Trace.Critical_path.create () in
+      let events =
+        List.concat
+          (List.init n (fun i ->
+               let t = 0.01 *. float_of_int i and corr = (1 lsl 32) + i in
+               let open Trace.Event in
+               [
+                 ev t (Net_send { src = 1; dst = 0; kind = M_read_req; corr });
+                 ev (t +. 0.0025) (Net_deliver { src = 1; dst = 0; kind = M_read_req; corr });
+                 ev (t +. 0.0025) (Net_send { src = 0; dst = 1; kind = M_read_rep; corr });
+                 ev (t +. 0.005) (Net_deliver { src = 0; dst = 1; kind = M_read_rep; corr });
+               ]))
+      in
+      fun () ->
+        List.iter (Trace.Critical_path.feed a) events;
+        Alcotest.(check int) "every read completed" n
+          (Trace.Critical_path.report ~k:0 a).Trace.Critical_path.r_checked)
+
 let () =
   Alcotest.run "trace"
     [
@@ -464,5 +621,17 @@ let () =
           Alcotest.test_case "fast server clock caught" `Quick test_fast_server_clock_caught;
           Alcotest.test_case "trace-order golden" `Quick test_trace_order_golden;
           QCheck_alcotest.to_alcotest prop_phase_conservation;
+        ] );
+      ( "observers",
+        [
+          Alcotest.test_case "critical-path export" `Quick test_pin_critical_path_export;
+          Alcotest.test_case "checker report" `Quick test_pin_checker_report;
+          Alcotest.test_case "checker stale-hit report" `Quick test_pin_checker_stale_report;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "histogram add words" `Quick test_histogram_add_words;
+          Alcotest.test_case "checker renewal words" `Quick test_checker_renewal_words;
+          Alcotest.test_case "critical-path read words" `Quick test_critical_path_read_words;
         ] );
     ]
