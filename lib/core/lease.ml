@@ -53,4 +53,6 @@ let client_expiry term ~received_at ~transit_allowance ~skew_allowance =
 let expired (e : expiry) ~now = e <= Time.to_us now
 let expiry_max (a : expiry) b = Int.max a b
 let expiry_min (a : expiry) b = Int.min a b
+let unsafe_get_expiry (a : int array) i : expiry = Array.unsafe_get a i
+let unsafe_set_expiry (a : int array) i (e : expiry) = Array.unsafe_set a i e
 

@@ -67,3 +67,11 @@ val expired : expiry -> now:Simtime.Time.t -> bool
 
 val expiry_max : expiry -> expiry -> expiry
 val expiry_min : expiry -> expiry -> expiry
+
+val unsafe_get_expiry : int array -> int -> expiry
+(** [unsafe_get_expiry a i] reads the expiry that {!unsafe_set_expiry}
+    stored at index [i] of an [int array], unchecked like
+    [Array.unsafe_get].  For tables that pack expiries beside other ints,
+    so a record's fields share a cache line; the encoding stays here. *)
+
+val unsafe_set_expiry : int array -> int -> expiry -> unit

@@ -2,37 +2,62 @@ module Host_id = Host.Host_id
 module File_id = Vstore.File_id
 
 (* Expiries are [Lease.expiry] values on the server's clock: unboxed ints,
-   so slots, holder tables and heaps store them without allocating.
+   so slots and holder tables store them without allocating.
    [Lease.never] doubles as the "no finite expiry resident" sentinel. *)
 
-(* Holders of a promoted slot.  [tbl] maps each holder to its expiry; the
-   heap holds (expiry, holder) entries in two parallel arrays, a min-heap
-   on that pair.  Every live finite record has an entry carrying its
-   current expiry; deletion is lazy, so a re-record or a removal leaves the
-   old entry behind as a {e stale} one, recognised when popped because the
-   table no longer maps its holder to its expiry.  Stale entries are
-   bounded: once the heap holds more than twice the live records plus 8, it
-   is rebuilt from the table. *)
+(* Holders of a promoted slot: one open-addressing table whose entries are
+   also the nodes of a doubly linked list.  Entry [i] is [stride] ints of
+   [cells] — holder (or [empty]), expiry, previous entry, next entry — so
+   one probe lands on the record itself and a record's fields share a
+   cache line or two.  The table is keyed by holder, with linear probing
+   from a Fibonacci hash and backward-shift deletion (as [Int_tbl]), and
+   stays at most half full.  The list runs through the live entries in
+   ascending (expiry, holder) order, so a reap pops expired records off
+   its head in the order [on_reap] reports them, and the head's expiry is
+   the slot's earliest.  Records that never expire sit after every finite
+   one, in no particular order among themselves: they are never reaped and
+   every fold is order-independent, so their order is never observed.
+   ([Int_tbl] itself is not used: an [Int_tbl] index beside separate node
+   arrays costs more cache lines a renewal, and this layout read 12–18 %
+   faster end to end; DESIGN.md §13.) *)
 type shared = {
-  tbl : Lease.expiry Host_id.Tbl.t;
-  mutable heap_at : Lease.expiry array;
-  mutable heap_holder : int array;  (** [Host_id.to_int] of the holder *)
-  mutable heap_len : int;
+  mutable cells : int array;  (** [stride] ints per entry; see [holder_of] et al. *)
+  mutable shift : int;  (** [Sys.int_size - log2 entries] *)
+  mutable count : int;  (** resident records *)
+  mutable head : int;  (** earliest (expiry, holder), or [nil] *)
+  mutable tail : int;  (** latest, or [nil] *)
 }
+
+let nil = -1
+let empty = -1
+let stride = 4
+let initial_entries = 8
+
+(* Entry [i]'s fields.  Every entry index below [entries s] lies inside
+   [cells], so the fields are read and written unchecked. *)
+let holder_of s i = Array.unsafe_get s.cells (stride * i)
+let expiry_of s i = Lease.unsafe_get_expiry s.cells ((stride * i) + 1)
+let prev_of s i = Array.unsafe_get s.cells ((stride * i) + 2)
+let next_of s i = Array.unsafe_get s.cells ((stride * i) + 3)
+let set_holder s i h = Array.unsafe_set s.cells (stride * i) h
+let set_expiry s i at = Lease.unsafe_set_expiry s.cells ((stride * i) + 1) at
+let set_prev s i p = Array.unsafe_set s.cells ((stride * i) + 2) p
+let set_next s i x = Array.unsafe_set s.cells ((stride * i) + 3) x
 
 (* Per-file slot, one mutable block per granted file.  Most files only
    ever see a single holder (private and temporary files dominate real
    traces), so that holder and its expiry sit inline in the slot: a renewal
    of a private file touches this one block.  A slot is promoted to a
-   [shared] table and heap when a second distinct holder shows up, and
-   never demotes: shared files stay shared.  While [shared] is [None], the
-   slot holds one record when [holder >= 0] and none when it is
-   [no_holder]; once promoted, every record is in the shared table and
-   [holder] stays [no_holder].
+   [shared] list when a second distinct holder shows up, and never
+   demotes: shared files stay shared.  While [shared] is [None], the slot
+   holds one record when [holder >= 0] and none when it is [no_holder];
+   once promoted, every record is in the shared list and [holder] stays
+   [no_holder].
 
    The slot contains only records that have not been reaped yet;
-   [min_next] is a lower bound on the earliest finite expiry among them
-   (monotone under [record], exact after a reap).  When the server clock
+   [min_next] is a lower bound on the earliest finite expiry among them:
+   exact for a promoted slot (its list head's expiry) and after a reap,
+   monotone under [record] for an inline one.  When the server clock
    passes [min_next] the slot is reaped on the next access, so every
    aggregate below runs over records that are live *now* — the cost of a
    grant tracks live sharing, not the file's lifetime holder history. *)
@@ -79,7 +104,7 @@ let set_on_reap t f = t.on_reap <- f
 
 let holders_len slot =
   match slot.shared with
-  | Some s -> Host_id.Tbl.length s.tbl
+  | Some s -> s.count
   | None -> if slot.holder >= 0 then 1 else 0
 
 (* --- the resident bitmap ------------------------------------------------ *)
@@ -117,115 +142,155 @@ let slot t file =
   let idx = File_id.to_int file in
   if idx < Array.length t.slots then Array.unsafe_get t.slots idx else vacant
 
-(* --- the expiry heap of a shared slot -------------------------------- *)
+(* --- the holder table of a shared slot -------------------------------- *)
 
-(* Entries are ordered by (expiry, holder), a total order on distinct
-   records, so the pop order — and with it the order of [lease-expire]
-   events — does not depend on heap layout or on the table's hash.  The
+let entries s = Array.length s.cells / stride
+let rec log2 c b = if c = 1 then b else log2 (c lsr 1) (b + 1)
+
+let create_shared n =
+  let cells = Array.make (stride * n) empty in
+  { cells; shift = Sys.int_size - log2 n 0; count = 0; head = nil; tail = nil }
+
+(* [Int_tbl]'s hash: multiply by the odd integer nearest 2^63 / golden
+   ratio and keep the top bits. *)
+let home s h = (h * 0x4F1B_BCDC_BFA5_3E0B) lsr s.shift
+
+(* The entry holding [h], or the empty entry that ends its probe run.
+   Probe loops are top-level functions over their arguments: a local
+   closure would be allocated on every lookup. *)
+let rec probe s h i =
+  let h' = holder_of s i in
+  if h' = h || h' = empty then i else probe s h ((i + 1) land (entries s - 1))
+
+(* Records are ordered by (expiry, holder), a total order on one file's
+   records (a holder has at most one), so the list order — and with it the
+   order of [lease-expire] events — depends on nothing else.  The
    annotations make both compares single int compares: left polymorphic,
    [<] and [=] call into the runtime's generic comparison. *)
-let entry_before (at : Lease.expiry) (h : int) at' h' = at < at' || (at = at' && h < h')
+let before (at : Lease.expiry) (h : int) at' h' = at < at' || (at = at' && h < h')
 
-(* Place (at, h) in the hole at [i], moving larger parents down.  Indices
-   below [heap_len] are in bounds by construction, so the sifts read and
-   write the arrays unchecked. *)
-let rec sift_up s i at h =
-  let parent = (i - 1) / 2 in
-  if
-    i > 0
-    && entry_before at h (Array.unsafe_get s.heap_at parent) (Array.unsafe_get s.heap_holder parent)
-  then begin
-    Array.unsafe_set s.heap_at i (Array.unsafe_get s.heap_at parent);
-    Array.unsafe_set s.heap_holder i (Array.unsafe_get s.heap_holder parent);
-    sift_up s parent at h
-  end
-  else begin
-    Array.unsafe_set s.heap_at i at;
-    Array.unsafe_set s.heap_holder i h
-  end
+let head_expiry s = if s.head = nil then Lease.never else expiry_of s s.head
 
-(* Place (at, h) in the hole at [i], moving smaller children up. *)
-let rec sift_down s i at h =
-  let left = (2 * i) + 1 in
-  let child =
-    if left + 1 < s.heap_len
-       && entry_before
-            (Array.unsafe_get s.heap_at (left + 1))
-            (Array.unsafe_get s.heap_holder (left + 1))
-            (Array.unsafe_get s.heap_at left)
-            (Array.unsafe_get s.heap_holder left)
-    then left + 1
-    else left
-  in
-  if child < s.heap_len
-     && entry_before (Array.unsafe_get s.heap_at child) (Array.unsafe_get s.heap_holder child) at h
-  then begin
-    Array.unsafe_set s.heap_at i (Array.unsafe_get s.heap_at child);
-    Array.unsafe_set s.heap_holder i (Array.unsafe_get s.heap_holder child);
-    sift_down s child at h
-  end
-  else begin
-    Array.unsafe_set s.heap_at i at;
-    Array.unsafe_set s.heap_holder i h
-  end
+let unlink s i =
+  let p = prev_of s i and x = next_of s i in
+  if p = nil then s.head <- x else set_next s p x;
+  if x = nil then s.tail <- p else set_prev s x p
 
-(* Fixed terms make expiries arrive in order, so a push usually stops after
-   one compare with its parent. *)
-let heap_push s at h =
-  let cap = Array.length s.heap_at in
-  if s.heap_len = cap then begin
-    let cap' = Int.max 4 (2 * cap) in
-    let at' = Array.make cap' Lease.never and holder' = Array.make cap' 0 in
-    Array.blit s.heap_at 0 at' 0 s.heap_len;
-    Array.blit s.heap_holder 0 holder' 0 s.heap_len;
-    s.heap_at <- at';
-    s.heap_holder <- holder'
-  end;
-  s.heap_len <- s.heap_len + 1;
-  sift_up s (s.heap_len - 1) at h
+(* The last entry at or before [p] in the list that is ordered before
+   (at, h), or [nil]. *)
+let rec last_before s p at h =
+  if p <> nil && before at h (expiry_of s p) (holder_of s p) then last_before s (prev_of s p) at h
+  else p
 
-let heap_drop_top s =
-  let last = s.heap_len - 1 in
-  s.heap_len <- last;
-  if last > 0 then sift_down s 0 s.heap_at.(last) s.heap_holder.(last)
+(* Link entry [i], holding (at, h), after the last entry ordered before
+   it: walk back from the tail.  A fixed term under a monotone clock
+   renews to the latest expiry, so the walk stops at its first compare; a
+   stepped clock or a varying term walks further and stays exact.  A
+   record that never expires goes to the tail with no walk, so an infinite
+   term costs what a fixed one does. *)
+let link s i (at : Lease.expiry) h =
+  let p = if Lease.is_never at then s.tail else last_before s s.tail at h in
+  let x = if p = nil then s.head else next_of s p in
+  set_prev s i p;
+  set_next s i x;
+  if p = nil then s.head <- i else set_next s p i;
+  if x = nil then s.tail <- i else set_prev s x i
 
-(* Refill the heap with exactly one entry per live finite record and
-   heapify bottom-up.  The table never holds more records than the heap
-   has entries here, so the arrays are large enough. *)
-let rebuild s =
-  s.heap_len <- 0;
-  Host_id.Tbl.iter
-    (fun holder at ->
-      if not (Lease.is_never at) then begin
-        s.heap_at.(s.heap_len) <- at;
-        s.heap_holder.(s.heap_len) <- Host_id.to_int holder;
-        s.heap_len <- s.heap_len + 1
-      end)
-    s.tbl;
-  for i = (s.heap_len / 2) - 1 downto 0 do
-    sift_down s i s.heap_at.(i) s.heap_holder.(i)
-  done
+(* Add a record for [h], which holds none on the file. *)
+let rec insert s h at =
+  if 2 * (s.count + 1) > entries s then grow s;
+  let i = probe s h (home s h) in
+  set_holder s i h;
+  set_expiry s i at;
+  link s i at h;
+  s.count <- s.count + 1
 
-let push_entry s at holder =
-  if not (Lease.is_never at) then begin
-    heap_push s at (Host_id.to_int holder);
-    if s.heap_len > (2 * Host_id.Tbl.length s.tbl) + 8 then rebuild s
+(* Double the table and re-enter every record in list order, so each
+   relink stops at its first compare.  [from] is the table as it was,
+   read through a copy of its record. *)
+and grow s =
+  let from = { s with cells = s.cells } in
+  let n = 2 * entries s in
+  s.cells <- Array.make (stride * n) empty;
+  s.shift <- Sys.int_size - log2 n 0;
+  s.count <- 0;
+  s.head <- nil;
+  s.tail <- nil;
+  copy_list s ~from from.head
+
+and copy_list s ~from i =
+  if i <> nil then begin
+    insert s (holder_of from i) (expiry_of from i);
+    copy_list s ~from (next_of from i)
   end
 
-(* Whether the table still maps [h] to [at], i.e. the entry is not stale. *)
-let current s (at : Lease.expiry) h =
-  match Host_id.Tbl.find s.tbl (Host_id.of_int h) with
-  | cur -> cur = at
-  | exception Not_found -> false
+(* Move entry [j] into the empty entry [hole], repointing its neighbours. *)
+let move s j hole =
+  let p = prev_of s j and x = next_of s j in
+  set_holder s hole (holder_of s j);
+  set_expiry s hole (expiry_of s j);
+  set_prev s hole p;
+  set_next s hole x;
+  if p = nil then s.head <- hole else set_next s p hole;
+  if x = nil then s.tail <- hole else set_prev s x hole
+
+(* Backward-shift deletion, as [Int_tbl]'s: walk the run after the hole
+   and move back every entry whose home lies cyclically at or before it,
+   so that no probe for a remaining holder crosses an empty entry. *)
+let rec close s hole j =
+  let h = holder_of s j in
+  let mask = entries s - 1 in
+  if h = empty then set_holder s hole empty
+  else if (j - home s h) land mask >= (j - hole) land mask then begin
+    move s j hole;
+    close s j ((j + 1) land mask)
+  end
+  else close s hole ((j + 1) land mask)
+
+(* Take entry [i] off the list and out of the table. *)
+let delete s i =
+  unlink s i;
+  s.count <- s.count - 1;
+  close s i ((i + 1) land (entries s - 1))
+
+let rec wipe s i =
+  if i <> nil then begin
+    set_holder s i empty;
+    wipe s (next_of s i)
+  end
+
+(* Forget every record.  A grown table goes back to its initial size, so a
+   file that once had many holders does not keep their room for good; an
+   initial-size one is emptied in place, entry by listed entry. *)
+let clear_shared s =
+  if entries s > initial_entries then begin
+    s.cells <- Array.make (stride * initial_entries) empty;
+    s.shift <- Sys.int_size - log2 initial_entries 0
+  end
+  else wipe s s.head;
+  s.count <- 0;
+  s.head <- nil;
+  s.tail <- nil
 
 (* --- reaping ------------------------------------------------------------ *)
 
+(* Pop the shared slot's expired records off the head of its list, in
+   (expiry, holder) order.  Each pop is O(1) plus the probe run it closes,
+   and the list holds nothing but resident records, so nothing is popped
+   for nothing. *)
+let rec reap_shared t file s ~now =
+  let i = s.head in
+  if i <> nil && Lease.expired (expiry_of s i) ~now then begin
+    let h = holder_of s i and at = expiry_of s i in
+    delete s i;
+    t.records <- t.records - 1;
+    t.reaped_total <- t.reaped_total + 1;
+    t.on_reap file (Host_id.of_int h) at;
+    reap_shared t file s ~now
+  end
+
 (* Remove every record expired at [now] and recompute [min_next] exactly.
-   Amortized O(log n) per record over its lifetime: a record is reaped at
-   most once, and each heap entry is pushed and popped at most once.  A
-   shared slot pops its expired entries in (expiry, holder) order and
-   reaps a holder only for a current entry; it then drops stale entries
-   off the top, so the top is the earliest live finite expiry. *)
+   A record is reaped at most once. *)
 let reap_slot t file slot ~now =
   if Lease.expired slot.min_next ~now then begin
     match slot.shared with
@@ -242,23 +307,10 @@ let reap_slot t file slot ~now =
       end
       else slot.min_next <- (if slot.holder >= 0 then slot.h_expiry else Lease.never)
     | Some s ->
-      let had = Host_id.Tbl.length s.tbl in
-      while s.heap_len > 0 && Lease.expired s.heap_at.(0) ~now do
-        let at = s.heap_at.(0) and h = s.heap_holder.(0) in
-        heap_drop_top s;
-        if current s at h then begin
-          let holder = Host_id.of_int h in
-          Host_id.Tbl.remove s.tbl holder;
-          t.records <- t.records - 1;
-          t.reaped_total <- t.reaped_total + 1;
-          t.on_reap file holder at
-        end
-      done;
-      while s.heap_len > 0 && not (current s s.heap_at.(0) s.heap_holder.(0)) do
-        heap_drop_top s
-      done;
-      slot.min_next <- (if s.heap_len > 0 then s.heap_at.(0) else Lease.never);
-      if had > 0 && Host_id.Tbl.length s.tbl = 0 then begin
+      let had = s.count in
+      reap_shared t file s ~now;
+      slot.min_next <- head_expiry s;
+      if had > 0 && s.count = 0 then begin
         t.files <- t.files - 1;
         clear_resident t file
       end
@@ -290,40 +342,43 @@ let record t file holder at ~now =
   in
   reap_slot t file slot ~now;
   let h = Host_id.to_int holder in
-  (match slot.shared with
-  | None when slot.holder = h -> slot.h_expiry <- at
+  match slot.shared with
+  | None when slot.holder = h ->
+    slot.h_expiry <- at;
+    slot.min_next <- Lease.expiry_min at slot.min_next
   | None when slot.holder = no_holder ->
     t.files <- t.files + 1;
     set_resident t idx;
     t.records <- t.records + 1;
     slot.holder <- h;
-    slot.h_expiry <- at
+    slot.h_expiry <- at;
+    slot.min_next <- Lease.expiry_min at slot.min_next
   | None ->
-    let s =
-      { tbl = Host_id.Tbl.create 8; heap_at = [||]; heap_holder = [||]; heap_len = 0 }
-    in
-    let first = Host_id.of_int slot.holder in
-    Host_id.Tbl.replace s.tbl first slot.h_expiry;
-    Host_id.Tbl.replace s.tbl holder at;
-    push_entry s slot.h_expiry first;
-    push_entry s at holder;
+    let s = create_shared initial_entries in
+    insert s slot.holder slot.h_expiry;
+    insert s h at;
     t.records <- t.records + 1;
     slot.holder <- no_holder;
     slot.h_expiry <- Lease.never;
-    slot.shared <- Some s
+    slot.shared <- Some s;
+    slot.min_next <- head_expiry s
   | Some s ->
-    (* one probe: the length tells whether [replace] added a holder *)
-    let before = Host_id.Tbl.length s.tbl in
-    Host_id.Tbl.replace s.tbl holder at;
-    if Host_id.Tbl.length s.tbl > before then begin
-      if before = 0 then begin
+    let i = probe s h (home s h) in
+    if holder_of s i = h then begin
+      (* a renewal: move the entry to its new place in the list *)
+      unlink s i;
+      set_expiry s i at;
+      link s i at h
+    end
+    else begin
+      if s.count = 0 then begin
         t.files <- t.files + 1;
         set_resident t idx
       end;
-      t.records <- t.records + 1
+      t.records <- t.records + 1;
+      insert s h at
     end;
-    push_entry s at holder);
-  slot.min_next <- Lease.expiry_min at slot.min_next
+    slot.min_next <- head_expiry s
 
 let remove_holder t file holder =
   let slot = slot t file in
@@ -337,16 +392,16 @@ let remove_holder t file holder =
       slot.min_next <- Lease.never
     end
   | Some s ->
-    let before = Host_id.Tbl.length s.tbl in
-    Host_id.Tbl.remove s.tbl holder;
-    if Host_id.Tbl.length s.tbl < before then begin
+    let h = Host_id.to_int holder in
+    let i = probe s h (home s h) in
+    if holder_of s i = h then begin
+      delete s i;
       t.records <- t.records - 1;
-      if before = 1 then begin
+      if s.count = 0 then begin
         t.files <- t.files - 1;
-        clear_resident t file;
-        s.heap_len <- 0;
-        slot.min_next <- Lease.never
-      end
+        clear_resident t file
+      end;
+      slot.min_next <- head_expiry s
     end
 
 let drop_file t file =
@@ -356,24 +411,25 @@ let drop_file t file =
     t.records <- t.records - n;
     t.files <- t.files - 1;
     clear_resident t file;
-    (* Keep a promoted slot's table and heap allocated: commits drop files
-       that are about to be re-read, so they are hot again immediately. *)
+    (* Keep a promoted slot's table: commits drop files that are about to
+       be re-read, so they are hot again immediately. *)
     (match slot.shared with
     | None -> slot.holder <- no_holder
-    | Some s ->
-      Host_id.Tbl.reset s.tbl;
-      s.heap_len <- 0);
+    | Some s -> clear_shared s);
     slot.min_next <- Lease.never
   end
 
-(* Iteration order over a holder table is unspecified, so every aggregate
-   below is either order-independent (count, max, set union) or explicitly
-   sorted — simulation determinism must not depend on hash layout. *)
+(* Every aggregate below is either order-independent (count, max, set
+   union) or explicitly sorted, so none depends on the order of a fold. *)
+
+let rec fold_list s n f acc =
+  if n = nil then acc
+  else fold_list s (next_of s n) f (f (Host_id.of_int (holder_of s n)) (expiry_of s n) acc)
 
 let fold_live t file ~now ~init ~f =
   let slot = live_slot t file ~now in
   match slot.shared with
-  | Some s -> Host_id.Tbl.fold f s.tbl init
+  | Some s -> fold_list s s.head f init
   | None -> if slot.holder >= 0 then f (Host_id.of_int slot.holder) slot.h_expiry init else init
 
 (* After the reap every resident record is live, so the count is the slot

@@ -3,18 +3,20 @@
     An int-keyed mutable layout: a growable array indexed by file id with
     one mutable slot per granted file (files never granted share one empty
     slot that is never written).  A slot holds its record inline while the
-    file has one holder, and a holder -> server-local-expiry table plus an
-    expiry min-heap once it has had two.  Records whose expiry the server
-    clock has passed are {e reaped} — removed for good — lazily on the next
-    access to the file and in bulk by the server's periodic {!sweep}.  A
-    shared file reaps by popping its heap's expired (expiry, holder)
-    entries, not by rescanning its holders, so a reap costs O(log n) per
-    popped entry and every aggregate here costs time proportional to the
+    file has one holder, and a holder table once it has had two: an
+    open-addressing table keyed by holder whose entries are also the nodes
+    of a doubly linked list in ascending (expiry, holder) order, four ints
+    of one flat array each.  Records whose expiry the server clock has
+    passed are {e reaped} — removed for good — lazily on the next access to
+    the file and in bulk by the server's periodic {!sweep}.  A shared file
+    reaps by popping expired records off its list's head, in (expiry,
+    holder) order, so a reap costs O(1) per reaped record and nothing per
+    live one, and every aggregate here costs time proportional to the
     file's {e live} holders, never to its lifetime holder history.  The
     per-message hot path ([record]/[remove_holder]/[drop_file]) is a reap
-    check plus O(1) amortized work and one heap push, and [live_count] —
-    the adaptive grant path's only aggregate — is a reap check plus a
-    table length.
+    check plus O(1) work for a private file, and a probe, an unlink and a
+    relink for a shared one; [live_count] — the adaptive grant path's only
+    aggregate — is a reap check plus a count.
 
     Reaping is semantically invisible to every query (an expired record
     was already excluded from all of them); its one observable effect is
@@ -47,8 +49,16 @@ val record :
   t -> Vstore.File_id.t -> Host.Host_id.t -> Lease.expiry -> now:Simtime.Time.t -> unit
 (** Upsert one holder's lease on a file, at its server-clock expiry.  The
     file's expired records are reaped at [now] first, exactly as a query
-    would reap them; then a renewal (same holder) overwrites its record in
-    place. *)
+    would reap them; then a renewal (same holder) overwrites its record.
+    On a private file that is one write into the slot.  On a shared file
+    the record is found with one probe of the holder table, unlinked, and
+    relinked by walking back from the list's tail: under a fixed term and
+    a monotone server clock the new expiry is the latest and the walk is
+    one compare.  A record that never expires is linked at the tail with no
+    walk.  A varying term walks further, and so does a renewal after the
+    server clock steps backwards, past every record granted before the
+    step, until those records are renewed or expire; the order stays
+    exact. *)
 
 val remove_holder : t -> Vstore.File_id.t -> Host.Host_id.t -> unit
 (** Drop one holder's record (approval received, or implicit writer

@@ -16,6 +16,14 @@ type pending = {
 
 type queued_write = { q_writer : Host_id.t; q_req : Messages.req_id }
 
+(* The term policy, resolved once when the server is created; see
+   [term_rule]. *)
+type term_rule =
+  | Fixed_term of Lease.term * Lease.grant option
+      (** a term that depends on nothing, and the lease every line granted
+          at it carries ([None] for the zero term, which grants none) *)
+  | Per_line of (Host_id.t -> File_id.t -> now:Time.t -> Lease.term)
+
 (* The float fields of a [lease-grant] trace event, as computed for one
    term at one server instant (the expiry follows from the two). *)
 type grant_floats = {
@@ -55,12 +63,12 @@ type t = {
   c_commits : Stats.Counter.t;
   write_wait : Stats.Histogram.t;
   tracker : Term_policy.Tracker.t option;
-  term : Host_id.t -> File_id.t -> now:Time.t -> Lease.term;
-      (** the term policy, resolved once at creation; see [term_fn] *)
+  term : term_rule;
   tracer : Trace.Sink.t;
   on_commit : Vstore.File_id.t -> Vstore.Version.t -> unit;
   mutable last_lease : Lease.grant option;
-      (** the lease of the last line granted; see [lease_of_term] *)
+      (** the lease of the last line granted at a per-line or installed
+          term; see [lease_of_term] *)
   mutable last_floats : grant_floats;  (** see [grant_floats]; read only when tracing *)
   (* --- volatile state, reset by the crash hook --- *)
   leases : Lease_table.t;
@@ -192,11 +200,10 @@ let record_lease t file holder expiry ~now =
   | None when not (Lease.is_never expiry) -> run_sweep t
   | Some _ | None -> ()
 
-(* The lease a grant line carries, shared by every line whose term equals
-   the last one granted.  Leases are immutable, so under a fixed term one
-   value serves the server's whole life, and a batched renewal allocates
-   only its reply arrays.  Every term policy, compensated terms and
-   installed coverage take this one path; a new term allocates once. *)
+(* The lease a line granted at a per-line or installed term carries,
+   shared by every such line whose term equals the last one granted.
+   Leases are immutable, so a value serves every line at its term, and a
+   new term allocates once. *)
 let lease_of_term t term =
   match t.last_lease with
   | Some { Lease.term = last } as lease when last == term || Lease.compare_term last term = 0 ->
@@ -206,32 +213,42 @@ let lease_of_term t term =
     t.last_lease <- lease;
     lease
 
-(* The term policy resolved once, when the server is created, into the
-   function [grant_for] calls per line.  A policy whose term depends on
-   nothing — zero, infinite, or fixed without [term_compensation] — answers
-   with one preallocated term, so a line costs no term allocation and no
-   holder count; the table's reap check then runs inside [record].  Every
-   other policy counts the file's live holders (reaping first), asks the
-   policy, and compensates a distant client for the transit its grant
-   loses. *)
-let term_fn (config : Config.t) ~leases ~tracker =
+(* The term policy resolved once, when the server is created.  A policy
+   whose term depends on nothing — zero, infinite, or fixed without
+   [term_compensation] — is one preallocated term and the one lease value
+   that every line granted at it carries, so a line costs no term, no
+   lease and no holder count; the table's reap check then runs inside
+   [record].  Every other policy is a function [grant_for] calls per line:
+   it counts the file's live holders (reaping first), asks the policy, and
+   compensates a distant client for the transit its grant loses. *)
+let term_rule (config : Config.t) ~leases ~tracker =
+  let fixed term =
+    Fixed_term (term, if Lease.term_is_zero term then None else Some { Lease.term })
+  in
   match config.term_policy, config.term_compensation with
-  | Term_policy.Zero, _ -> fun _ _ ~now:_ -> Lease.term_zero
-  | Term_policy.Infinite, _ -> fun _ _ ~now:_ -> Lease.Infinite
-  | Term_policy.Fixed span, None ->
-    let term = Lease.Finite span in
-    fun _ _ ~now:_ -> term
+  | Term_policy.Zero, _ -> fixed Lease.term_zero
+  | Term_policy.Infinite, _ -> fixed Lease.Infinite
+  | Term_policy.Fixed span, None -> fixed (Lease.Finite span)
   | (Term_policy.Fixed _ | Term_policy.Adaptive _), compensation ->
-    fun holder file ~now ->
-      (* O(1) after the table's reap check: post-reap resident = live. *)
-      let holders = Lease_table.live_count leases file ~now in
-      let term =
-        Term_policy.term_for config.term_policy ~tracker ~file ~now ~holders:(holders + 1)
-      in
-      (match term, compensation with
-      | Lease.Finite span, Some compensation when not (Lease.term_is_zero term) ->
-        Lease.Finite (Time.Span.add span (Time.Span.clamp_non_negative (compensation holder)))
-      | (Lease.Finite _ | Lease.Infinite), _ -> term)
+    Per_line
+      (fun holder file ~now ->
+        (* O(1) after the table's reap check: post-reap resident = live. *)
+        let holders = Lease_table.live_count leases file ~now in
+        let term =
+          Term_policy.term_for config.term_policy ~tracker ~file ~now ~holders:(holders + 1)
+        in
+        match term, compensation with
+        | Lease.Finite span, Some compensation when not (Lease.term_is_zero term) ->
+          Lease.Finite (Time.Span.add span (Time.Span.clamp_non_negative (compensation holder)))
+        | (Lease.Finite _ | Lease.Infinite), _ -> term)
+
+(* The server expiry of every line of one request granted at a
+   [Fixed_term], resolved once per request from the server instant [now]
+   ([Lease.never], and unused, under any other rule). *)
+let fixed_expiry t ~now =
+  match t.term with
+  | Fixed_term (term, Some _) -> Lease.server_expiry term ~granted_at:now
+  | Fixed_term (_, None) | Per_line _ -> Lease.never
 
 (* The trace floats of a grant, shared by every traced line whose term is
    physically the last one's and whose instant is the same: under a term
@@ -254,12 +271,34 @@ let grant_floats t term ~now ~expiry =
     f
   end
 
+(* Record one granted line at [term], whose server expiry is [expiry]: one
+   table write, the trace event and the WAL update. *)
+let grant_line t ~holder ~renewal ~now file term expiry =
+  record_lease t file holder expiry ~now;
+  if tracing t then begin
+    let f = grant_floats t term ~now ~expiry in
+    emit t
+      (Trace.Event.Lease_grant
+         {
+           file = File_id.to_int file;
+           holder = Host_id.to_int holder;
+           term_s = f.term_s;
+           server_expiry = f.expiry_s;
+           server_now = f.now_s;
+           renewal;
+         })
+  end;
+  match term with
+  | Lease.Finite span -> Vstore.Wal.record_grant t.wal file ~term:span ~expiry:(Time.add now span)
+  | Lease.Infinite -> ()
+
 (* The lease one line carries, [None] when it grants none; the caller
-   reads the line's version.  Nothing here allocates per line: the lease
-   is [lease_of_term]'s shared value, and the server-side expiry is an
-   unboxed [Lease.expiry], so recording it is one table write.  [now] is
-   the server clock, read once per request. *)
-let grant_for t ~holder ~renewal ~now file : Lease.grant option =
+   reads the line's version.  [now] is the server clock, read once per
+   request, and [fixed] is [fixed_expiry] at [now].  Under a [Fixed_term]
+   a line allocates nothing and computes no term, lease or expiry of its
+   own: its lease is the rule's value and its expiry the request's, so
+   recording it is one table write and a WAL update. *)
+let grant_for t ~holder ~renewal ~now ~fixed file : Lease.grant option =
   if has_pending_write t file then None
   else if is_installed t file then begin
     match t.config.installed with
@@ -276,32 +315,19 @@ let grant_for t ~holder ~renewal ~now file : Lease.grant option =
       lease_of_term t (Lease.Finite term)
     | Some _ | None -> None
   end
-  else begin
-    let term = t.term holder file ~now in
-    if Lease.term_is_zero term then None
-    else begin
-      let expiry = Lease.server_expiry term ~granted_at:now in
-      record_lease t file holder expiry ~now;
-      if tracing t then begin
-        let f = grant_floats t term ~now ~expiry in
-        emit t
-          (Trace.Event.Lease_grant
-             {
-               file = File_id.to_int file;
-               holder = Host_id.to_int holder;
-               term_s = f.term_s;
-               server_expiry = f.expiry_s;
-               server_now = f.now_s;
-               renewal;
-             })
-      end;
-      (match term with
-      | Lease.Finite span ->
-        Vstore.Wal.record_grant t.wal file ~term:span ~expiry:(Time.add now span)
-      | Lease.Infinite -> ());
-      lease_of_term t term
-    end
-  end
+  else
+    match t.term with
+    | Fixed_term (_, None) -> None
+    | Fixed_term (term, lease) ->
+      grant_line t ~holder ~renewal ~now file term fixed;
+      lease
+    | Per_line term_of ->
+      let term = term_of holder file ~now in
+      if Lease.term_is_zero term then None
+      else begin
+        grant_line t ~holder ~renewal ~now file term (Lease.server_expiry term ~granted_at:now);
+        lease_of_term t term
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Write processing                                                    *)
@@ -557,12 +583,17 @@ let handle_read t ~src ~req file =
     Breakdown.bump o.Breakdown.reads_by_client (Host_id.to_int src)
   | None -> ());
   let version = Vstore.Store.current t.store file in
-  let lease = grant_for t ~holder:src ~renewal:false ~now file in
+  let fixed = fixed_expiry t ~now in
+  let lease = grant_for t ~holder:src ~renewal:false ~now ~fixed file in
   send t ~dst:src (Messages.Read_reply { req; file; version; lease })
 
 (* One batch, one pass by index: line [i] of the reply answers [files.(i)],
    and the reply shares [files] itself.  The reply allocates its two
-   arrays and its own block, whatever its line count. *)
+   arrays and its own block, whatever its line count.  The leases array
+   starts filled with the lease a line granted at a [Fixed_term] carries
+   ([None] under any other rule), so only a line that differs from it —
+   one that grants nothing, or one at a per-line or installed term — is
+   written, and a line pays no write barrier. *)
 let handle_extend t ~src ~req files =
   (match t.obs with
   | Some o ->
@@ -572,14 +603,17 @@ let handle_extend t ~src ~req files =
       files
   | None -> ());
   let now = local_now t in
+  let fixed = fixed_expiry t ~now in
   let n = Array.length files in
   let versions = Array.make n Vstore.Version.initial in
-  let leases : Lease.grant option array = Array.make n None in
+  let fill = match t.term with Fixed_term (_, lease) -> lease | Per_line _ -> None in
+  let leases = Array.make n fill in
   for i = 0 to n - 1 do
     let file = Array.unsafe_get files i in
     note_read t file ~now;
     Array.unsafe_set versions i (Vstore.Store.current t.store file);
-    Array.unsafe_set leases i (grant_for t ~holder:src ~renewal:true ~now file)
+    let lease = grant_for t ~holder:src ~renewal:true ~now ~fixed file in
+    if lease != fill then Array.unsafe_set leases i lease
   done;
   send t ~dst:src (Messages.Extend_reply { req; files; versions; leases })
 
@@ -683,6 +717,7 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
   in
   let counters = Stats.Counter.Registry.create () in
   let leases = Lease_table.create () in
+  let term = term_rule config ~leases ~tracker in
   let t =
     {
       engine;
@@ -702,7 +737,7 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
       c_commits = Stats.Counter.Registry.counter counters "commits";
       write_wait = Stats.Histogram.create ();
       tracker;
-      term = term_fn config ~leases ~tracker;
+      term;
       tracer;
       on_commit;
       last_lease = None;

@@ -9,6 +9,7 @@ let buckets = 128
    [least * growth^(i+1)]. *)
 let bounds = Array.init buckets (fun i -> least *. Float.pow growth (float_of_int (i + 1)))
 let log_growth = log growth
+let last_bound = bounds.(buckets - 1)
 
 (* The running sum sits alone in an all-float record, so it is stored
    unboxed and an [add] allocates nothing. *)
@@ -26,23 +27,22 @@ let bucket_lo i = if i <= 1 then 0. else bounds.(i - 2)
 let bucket_hi i = if i = 0 then least else if i > buckets then infinity else bounds.(i - 1)
 
 (* Bucket index layout: 0 = underflow (< least), 1..buckets = geometric
-   buckets, buckets+1 = overflow.  Bucket i covers [bucket_lo i, bucket_hi i).
-   The log ratio can round either way when x sits exactly on a bucket edge
-   (x = least, x = least * growth^k), so the initial estimate is nudged until
-   x actually falls inside the bucket's half-open interval; both neighbouring
-   edges come from [bounds]. *)
+   buckets, buckets+1 = overflow (>= the last bound, infinity included).
+   Bucket i covers [bucket_lo i, bucket_hi i).  The log ratio can round
+   either way when x sits exactly on a bucket edge (x = least, x = least *
+   growth^k), so the initial estimate, clamped into the geometric buckets,
+   is nudged until x actually falls inside the bucket's half-open interval;
+   both neighbouring edges come from [bounds].  A NaN has no bucket. *)
 let bucket_index x =
   if x < least then 0
+  else if x >= last_bound then buckets + 1
+  else if Float.is_nan x then invalid_arg "Histogram.bucket_index: NaN"
   else begin
     let raw = log (x /. least) /. log_growth in
-    let i = Int.max 1 (int_of_float (Float.floor raw) + 1) in
-    if i > buckets then buckets + 1
-    else begin
-      let i = if x >= bounds.(i - 1) then i + 1 else i in
-      if i > buckets then buckets + 1
-      else if i > 1 && x < bounds.(i - 2) then i - 1
-      else i
-    end
+    let i = Int.max 1 (Int.min buckets (int_of_float (Float.floor raw) + 1)) in
+    (* x is below the last bound, so a nudge up stays within [buckets] *)
+    let i = if x >= bounds.(i - 1) then i + 1 else i in
+    if i > 1 && x < bounds.(i - 2) then i - 1 else i
   end
 
 let add t x =

@@ -19,6 +19,8 @@ val create : unit -> t
     growth^128], land in an overflow bucket. *)
 
 val add : t -> float -> unit
+(** Raises [Invalid_argument] on a NaN, which has no bucket. *)
+
 val count : t -> int
 
 val merge : t -> t -> unit
@@ -32,8 +34,10 @@ val sum : t -> float
 val bucket_index : float -> int
 (** Index of the bucket [add] would place a sample in: 0 = underflow,
     1..128 = geometric buckets (bucket [i] covers the half-open range from
-    [least * growth^(i-1)] to [least * growth^i]), 129 = overflow.  Exposed
-    so boundary behaviour at exact bucket edges is testable. *)
+    [least * growth^(i-1)] to [least * growth^i]), 129 = overflow, from
+    [least * growth^128] up to and including [infinity].  Raises
+    [Invalid_argument] on a NaN.  Exposed so boundary behaviour at exact
+    bucket edges is testable. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] for q in [0, 1].  0.0 when empty. *)

@@ -22,6 +22,39 @@ type client_view = {
 
 let absent = -1
 
+(* The server-side leases: one record per (file, holder) pair the server
+   holds, in flat arrays indexed by a record slot.  [record_of] finds a
+   pair's slot, and each file's records form a doubly linked chain from
+   [first_of], so a commit or a crash walks the file's held records and
+   nothing else.  A grant on a held pair writes one float into [until]; a
+   new grant, a release, a reap or a commit moves ints between the tables,
+   the chains and the free chain.  None of them allocates or boxes once the
+   arrays have grown, and a file's records cost no block of their own.  An
+   expiry of [infinity] is a lease that never expires. *)
+type server_records = {
+  record_of : int Int_tbl.t;  (** [pair file holder] -> slot *)
+  first_of : int Int_tbl.t;  (** file -> the first slot of its chain *)
+  mutable holder : int array;  (** by slot *)
+  mutable prev : int array;  (** by slot: the previous slot of the file's chain, or [none] *)
+  mutable next : int array;
+      (** by slot: the next slot of the file's chain, or [none]; for a free
+          slot, the next free one *)
+  mutable until : float array;  (** by slot: the server-local expiry *)
+  mutable free : int;  (** the first free slot, or [none] *)
+  mutable used : int;  (** slots ever handed out *)
+}
+
+let none = -1
+
+(* One int key per pair: holder ids below 2^30 and file ids below 2^32 fit
+   side by side in a non-negative 63-bit int. *)
+let pair file holder =
+  if holder lsr 30 <> 0 || file lsr 32 <> 0 then
+    invalid_arg
+      (Printf.sprintf "Checker: lease on file %d by host %d: ids must lie in [0, 2^32) and [0, 2^30)"
+         file holder);
+  (file lsl 30) lor holder
+
 type t = {
   servers : int list;
   owner : int -> int;
@@ -31,10 +64,7 @@ type t = {
   mutable commits : int;
   (* client host -> its recorded leases *)
   client_leases : client_view Int_tbl.t;
-  (* file -> holder -> server-local expiry ([infinity] = never).  A float
-     table keeps its values in a flat float array, so a renewal on a held
-     key stores the expiry unboxed. *)
-  server_leases : float Int_tbl.t Int_tbl.t;
+  server_leases : server_records;
   (* file -> installed-coverage horizon, server-local *)
   cover : float Int_tbl.t;
   (* file -> latest committed version *)
@@ -52,7 +82,17 @@ let create ?(server = 0) ?servers ?owner () =
     hits = 0;
     commits = 0;
     client_leases = Int_tbl.create 64;
-    server_leases = Int_tbl.create 64;
+    server_leases =
+      {
+        record_of = Int_tbl.create 64;
+        first_of = Int_tbl.create 64;
+        holder = [||];
+        prev = [||];
+        next = [||];
+        until = [||];
+        free = none;
+        used = 0;
+      };
     cover = Int_tbl.create 8;
     committed = Int_tbl.create 16;
   }
@@ -99,19 +139,75 @@ let invalidate t ~host ~file =
     | slot -> view.versions.(slot) <- absent
     | exception Not_found -> ())
 
-(* The inner table under [key], created empty on first use. *)
-let inner tbl key =
-  match Int_tbl.find tbl key with
-  | inner -> inner
-  | exception Not_found ->
-    let inner = Int_tbl.create 4 in
-    Int_tbl.add tbl key inner;
-    inner
+let new_slot s =
+  if s.free <> none then begin
+    let slot = s.free in
+    s.free <- s.next.(slot);
+    slot
+  end
+  else begin
+    let slot = s.used in
+    if slot = Array.length s.holder then begin
+      let cap = Int.max 64 (2 * slot) in
+      let grow a fill =
+        let a' = Array.make cap fill in
+        Array.blit a 0 a' 0 slot;
+        a'
+      in
+      s.holder <- grow s.holder none;
+      s.prev <- grow s.prev none;
+      s.next <- grow s.next none;
+      s.until <- grow s.until 0.
+    end;
+    s.used <- slot + 1;
+    slot
+  end
 
-let remove_inner tbl key inner_key =
-  match Int_tbl.find tbl key with
-  | inner -> Int_tbl.remove inner inner_key
+let record_server_lease t ~file ~holder ~expiry =
+  let s = t.server_leases in
+  let key = pair file holder in
+  let slot =
+    match Int_tbl.find s.record_of key with
+    | slot -> slot
+    | exception Not_found ->
+      let slot = new_slot s in
+      let first = match Int_tbl.find s.first_of file with first -> first | exception Not_found -> none in
+      s.holder.(slot) <- holder;
+      s.prev.(slot) <- none;
+      s.next.(slot) <- first;
+      if first <> none then s.prev.(first) <- slot;
+      Int_tbl.replace s.first_of file slot;
+      Int_tbl.add s.record_of key slot;
+      slot
+  in
+  s.until.(slot) <- expiry_of expiry
+
+let release_server_lease t ~file ~holder =
+  let s = t.server_leases in
+  let key = pair file holder in
+  match Int_tbl.find s.record_of key with
   | exception Not_found -> ()
+  | slot ->
+    Int_tbl.remove s.record_of key;
+    let p = s.prev.(slot) and x = s.next.(slot) in
+    if p <> none then s.next.(p) <- x
+    else if x <> none then Int_tbl.replace s.first_of file x
+    else Int_tbl.remove s.first_of file;
+    if x <> none then s.prev.(x) <- p;
+    s.next.(slot) <- s.free;
+    s.free <- slot
+
+(* Free the chain of [file], which starts at [first]. *)
+let release_file s file first =
+  let slot = ref first in
+  while !slot <> none do
+    let i = !slot in
+    Int_tbl.remove s.record_of (pair file s.holder.(i));
+    slot := s.next.(i);
+    s.next.(i) <- s.free;
+    s.free <- i
+  done;
+  Int_tbl.remove s.first_of file
 
 let flag_unbacked t at ~host ~file =
   flag t at "local-read-validity"
@@ -141,28 +237,41 @@ let check_hit t at ~host ~file ~version ~local_now =
       (Printf.sprintf "host %d read file %d at v%d but v%d is committed" host file version v)
   | _ | (exception Not_found) -> ()
 
+(* [acc] and the (holder, expiry) records of the chain from [slot] that a
+   commit by [writer] at [server_now] overlaps. *)
+let rec overlapped s ~writer ~server_now slot acc =
+  if slot = none then acc
+  else begin
+    let holder = s.holder.(slot) and e = s.until.(slot) in
+    let acc = if holder <> writer && e > server_now +. epsilon_s then (holder, e) :: acc else acc in
+    overlapped s ~writer ~server_now s.next.(slot) acc
+  end
+
 (* Every lease a non-writer holds on the file must have expired at the
-   server clock, checked in ascending holder order; the commit then drops
-   every lease on the file and resets its coverage. *)
+   server clock, flagged in ascending holder order; the commit then
+   releases every lease on the file and resets its coverage.  A clean
+   commit allocates nothing. *)
 let check_commit t at ~file ~writer ~version ~server_now =
   t.commits <- t.commits + 1;
-  (match Int_tbl.find_opt t.server_leases file with
-  | None -> ()
-  | Some holders ->
-    Int_tbl.fold (fun holder expiry acc -> (holder, expiry) :: acc) holders []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.iter (fun (holder, e) ->
-           if holder <> writer then
+  let s = t.server_leases in
+  (match Int_tbl.find s.first_of file with
+  | exception Not_found -> ()
+  | first ->
+    (match overlapped s ~writer ~server_now first [] with
+    | [] -> ()
+    | records ->
+      List.sort (fun (a, _) (b, _) -> Int.compare a b) records
+      |> List.iter (fun (holder, e) ->
              if e = infinity then
                flag t at "commit-vs-lease"
                  (Printf.sprintf "commit of file %d v%d with infinite lease held by %d" file
                     version holder)
-             else if e > server_now +. epsilon_s then
+             else
                flag t at "commit-vs-lease"
                  (Printf.sprintf
                     "commit of file %d v%d while host %d's lease runs to %.6f (server clock %.6f)"
-                    file version holder e server_now));
-    Int_tbl.remove t.server_leases file);
+                    file version holder e server_now)));
+    release_file s file first);
   (match Int_tbl.find_opt t.cover file with
   | Some until when until > server_now +. epsilon_s ->
     flag t at "commit-vs-lease"
@@ -172,12 +281,14 @@ let check_commit t at ~file ~writer ~version ~server_now =
   Int_tbl.remove t.cover file;
   Int_tbl.replace t.committed file version
 
-(* A crashed server loses only its own lease table and coverage: sweep the
-   files it owns, leave the other shards' state intact. *)
+(* A crashed server loses only its own lease table and coverage: release
+   the leases of the files it owns, leave the other shards' state intact. *)
 let sweep_server t host =
-  let owned tbl = Int_tbl.fold (fun f _ acc -> if t.owner f = host then f :: acc else acc) tbl [] in
-  List.iter (Int_tbl.remove t.server_leases) (owned t.server_leases);
-  List.iter (Int_tbl.remove t.cover) (owned t.cover)
+  let s = t.server_leases in
+  Int_tbl.fold (fun f first acc -> if t.owner f = host then (f, first) :: acc else acc) s.first_of []
+  |> List.iter (fun (f, first) -> release_file s f first);
+  let owned = Int_tbl.fold (fun f _ acc -> if t.owner f = host then f :: acc else acc) t.cover [] in
+  List.iter (Int_tbl.remove t.cover) owned
 
 let feed t ({ at; ev } : Event.t) =
   t.n_events <- t.n_events + 1;
@@ -188,13 +299,13 @@ let feed t ({ at; ev } : Event.t) =
   | Event.Cache_hit { host; file; version; local_now } ->
     check_hit t at ~host ~file ~version ~local_now
   | Event.Lease_grant { file; holder; server_expiry; _ } ->
-    Int_tbl.replace (inner t.server_leases file) holder (expiry_of server_expiry)
-  | Event.Lease_release { file; holder; _ } -> remove_inner t.server_leases file holder
+    record_server_lease t ~file ~holder ~expiry:server_expiry
+  | Event.Lease_release { file; holder; _ } -> release_server_lease t ~file ~holder
   (* A reap means the server genuinely forgot the record: the lease
      expired on the server clock, so it can no longer block a commit.
      Client-side staleness is still caught by local-read-validity and
      stale-hit, which do not depend on the server's table. *)
-  | Event.Lease_expire { file; holder; _ } -> remove_inner t.server_leases file holder
+  | Event.Lease_expire { file; holder; _ } -> release_server_lease t ~file ~holder
   | Event.Installed_cover { file; until } ->
     let prev = match Int_tbl.find_opt t.cover file with Some u -> u | None -> neg_infinity in
     Int_tbl.replace t.cover file (Float.max prev until)

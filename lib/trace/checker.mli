@@ -4,11 +4,12 @@
     two safety conditions independently of the in-simulator oracle.  Feed
     it live through {!sink} (tee'd next to the run's tracer) or replay a
     buffered or decoded stream with {!check}; both paths run {!feed}, so
-    they give equal reports.  The checker keeps its server-side leases
-    indexed by file, so a commit costs the file's holders and a server
-    crash the files with lease or coverage state, not the whole table.
-    It stores versions and expiries unboxed, so a [Lease_grant] or
-    [Client_lease] on a key it already holds allocates nothing.
+    they give equal reports.  The checker chains its server-side leases
+    by file, so a commit costs the file's holders and a server crash the
+    files with lease or coverage state, not the whole table.  It stores
+    versions and expiries unboxed in flat arrays, so a [Lease_grant] or
+    [Client_lease] on a key it already holds allocates nothing, and
+    neither does a [Lease_expire], a [Lease_release] or a clean [Commit].
 
     - {b local-read-validity}: a cache hit must be backed by a lease the
       client recorded, matching version, unexpired on the {e client's}
@@ -48,7 +49,9 @@ val create : ?server:int -> ?servers:int list -> ?owner:(int -> int) -> unit -> 
     (file id -> owning server host; defaults to the constant [server]):
     a server crash then sweeps only the leases and installed coverage of
     the files that server owns, while the other shards' state survives.
-    File and host ids and versions must be non-negative. *)
+    File and host ids and versions must be non-negative; a server lease's
+    file id must be below 2^32 and its holder's id below 2^30 ({!feed}
+    raises [Invalid_argument] otherwise). *)
 
 val feed : t -> Event.t -> unit
 

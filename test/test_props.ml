@@ -116,30 +116,43 @@ let prop_event_queue_interleaved =
    interleavings of record / re-record / remove / drop-file / sweep and a
    monotone query clock.  The model drops a record once it expires, and the
    table's [on_reap] callbacks must report exactly those records, each
-   file's in ascending (expiry, holder) order: every file is queried after
-   every step, so each expiry is reaped in the step it happens.  Up to 41
-   holders per file, with records the common operation, grow shared slots
-   past their initial 8 buckets so that holder tables resize mid-script.  A
-   narrow script uses only 3 holders, so the same records are re-recorded
-   over and over: a shared slot's expiry heap fills with stale entries
-   until it is rebuilt from the holder table.  Re-records also move a
-   resident expiry earlier, turn it into [Never] and back, which leaves
-   stale heap entries both before and after the current one.  (Backwards
-   server steps, where the reaping table {e deliberately} diverges by
-   staying forgetful, are exercised by the fault campaign and documented in
-   the interface.) *)
+   file's in ascending (expiry, holder) order: every file is queried
+   after every step, so each expiry is reaped in the step it happens.
+
+   A shared file keeps its records in a list ordered by (expiry, holder),
+   relinked by a walk back from the tail, so the script aims at the walk
+   and the order:
+   - bursts record up to 242 holders on one file at one instant, in
+     descending holder order and with one expiry, so that a file holds
+     more than 200 records (its node arrays and holder index grow several
+     times) and equal expiries must be ordered by holder; one burst in
+     five is of records that never expire, as an infinite term grants,
+     which go to the tail unordered;
+   - re-records move a resident expiry earlier, turn it into [Never] and
+     back, or land at, or a microsecond before, the file's earliest
+     expiry, so a relink walks past older records to the head;
+   - a promoted file is dropped and recorded on again at once, reusing its
+     emptied list.
+   A narrow script draws its other records from 3 holders, so the same
+   records are re-recorded over and over.  (Backwards server steps, where
+   the reaping table {e deliberately} diverges by staying forgetful, are
+   exercised by the fault campaign and documented in the interface.) *)
 let lease_table_script =
   let open QCheck.Gen in
   (* 0 record, 1 re-record a resident holder, 2 remove, 3 drop-file,
-     4 sweep, 5 advance the clock *)
+     4 sweep, 5 advance the clock, 6 a descending burst, 7 re-record a
+     resident holder at the file's earliest expiry, 8 drop and record *)
   let op =
     frequency
-      [ (16, return 0); (3, return 1); (2, return 2); (1, return 3); (1, return 4); (2, return 5) ]
+      [ (16, return 0); (3, return 1); (2, return 2); (1, return 3); (1, return 4); (2, return 5);
+        (1, return 6); (2, return 7); (1, return 8) ]
   in
   QCheck.make
     ~print:QCheck.Print.(pair bool (list (quad int int int int)))
     ~shrink:QCheck.Shrink.(pair bool list)
     (pair bool (list_size (int_range 100 400) (quad op (int_bound 3) (int_bound 40) (int_bound 60))))
+
+let files_0_3 = [ 0; 1; 2; 3 ]
 
 let prop_lease_table_model =
   QCheck.Test.make ~name:"lease table: reaping invisible to live queries" ~count:300
@@ -147,22 +160,23 @@ let prop_lease_table_model =
     (fun (narrow, script) ->
       let open Leases in
       let t = Lease_table.create () in
-      (* model: ((file, holder), expiry) assoc list, one entry per resident pair *)
-      let model = ref [] in
+      (* model: per file, holder -> expiry, one binding per resident record *)
+      let model = Array.init 4 (fun _ -> Hashtbl.create 64) in
       (* this step's [on_reap] calls, latest first *)
       let reaped = ref [] in
       Lease_table.set_on_reap t (fun f h e ->
-          reaped := ((Vstore.File_id.to_int f, Host.Host_id.to_int h), e) :: !reaped);
+          reaped := (Vstore.File_id.to_int f, (e, Host.Host_id.to_int h)) :: !reaped);
       let now = ref (sec 0.) in
       let ok = ref true in
       let file i = Vstore.File_id.of_int i in
       let host i = Host.Host_id.of_int i in
       let model_live f =
-        List.filter_map
-          (fun ((f', h), e) ->
-            if f' = f && not (Lease.expired e ~now:!now) then Some (h, e) else None)
-          !model
+        Hashtbl.fold
+          (fun h e acc -> if Lease.expired e ~now:!now then acc else (h, e) :: acc)
+          model.(f) []
       in
+      (* the file's live records in list order: ascending (expiry, holder) *)
+      let by_expiry live = List.sort compare (List.map (fun (h, e) -> (e, h)) live) in
       let check_file f =
         let live = model_live f in
         let holders = List.sort compare (List.map fst live) in
@@ -176,29 +190,49 @@ let prop_lease_table_model =
           ok := false
       in
       let check_occupancy () =
-        let live_by_file = List.map (fun f -> List.length (model_live f)) [ 0; 1; 2; 3 ] in
+        let live_by_file = List.map (fun f -> List.length (model_live f)) files_0_3 in
         let { Lease_table.files; records; live_records } = Lease_table.occupancy t ~now:!now in
         if files <> List.length (List.filter (fun n -> n > 0) live_by_file) then ok := false;
         if records <> List.fold_left ( + ) 0 live_by_file then ok := false;
         if live_records <> records then ok := false
       in
-      let record f h e =
-        Lease_table.record t (file f) (host h) e ~now:!now;
-        model := ((f, h), e) :: List.remove_assoc (f, h) !model
+      (* the [on_reap] calls the model expects this step, latest first *)
+      let expected = ref [] in
+      (* the model reaps the file's expired records, in (expiry, holder)
+         order, wherever the table does: before a record, and in the
+         queries that end the step *)
+      let model_reap f =
+        let expired =
+          Hashtbl.fold
+            (fun h e acc -> if Lease.expired e ~now:!now then (h, e) :: acc else acc)
+            model.(f) []
+        in
+        List.iter (fun (h, _) -> Hashtbl.remove model.(f) h) expired;
+        List.iter (fun k -> expected := (f, k) :: !expected) (by_expiry expired)
       in
-      let rec ascending = function
-        | a :: (b :: _ as rest) -> compare a b < 0 && ascending rest
-        | [ _ ] | [] -> true
+      let record f h e =
+        model_reap f;
+        Lease_table.record t (file f) (host h) e ~now:!now;
+        Hashtbl.replace model.(f) h e
+      in
+      let drop f =
+        Lease_table.drop_file t (file f);
+        Hashtbl.reset model.(f)
+      in
+      let after_us e us =
+        match Lease.deadline e with
+        | Some at -> Lease.at (Time.of_us (Int.max 0 (Time.to_us at + us)))
+        | None -> Lease.at (Time.add !now (span 1.))
       in
       let step (op, f, h, x) =
-        let h = if narrow then h mod 3 else h in
+        let h' = if narrow then h mod 3 else h in
         (match op with
         | 0 ->
           (* occasionally Never; an offset of 0 records an already-expired lease *)
           let e =
             if x mod 7 = 0 then Lease.never else Lease.at (Time.add !now (span (float_of_int x)))
           in
-          record f h e
+          record f h' e
         | 1 -> (
           (* re-record a resident holder: a finite expiry moves earlier
              (possibly into the past) or becomes Never; Never becomes finite *)
@@ -209,37 +243,57 @@ let prop_lease_table_model =
             let e =
               match Lease.deadline e with
               | Some _ when x mod 3 = 0 -> Lease.never
-              | Some at -> Lease.at (Time.of_us (Int.max 0 (Time.to_us at - ((x + 1) * 100_000))))
+              | Some _ -> after_us e (-((x + 1) * 100_000))
               | None -> Lease.at (Time.add !now (span (float_of_int x /. 10.)))
             in
             record f h e)
         | 2 ->
-          Lease_table.remove_holder t (file f) (host h);
-          model := List.remove_assoc (f, h) !model
-        | 3 ->
-          Lease_table.drop_file t (file f);
-          model := List.filter (fun ((f', _), _) -> f' <> f) !model
+          Lease_table.remove_holder t (file f) (host h');
+          Hashtbl.remove model.(f) h'
+        | 3 -> drop f
         | 4 -> ignore (Lease_table.sweep t ~now:!now)
-        | _ ->
+        | 5 ->
           (* advance the server clock (monotone) *)
-          now := Time.add !now (span (float_of_int x /. 10.)));
-        List.iter check_file [ 0; 1; 2; 3 ];
+          now := Time.add !now (span (float_of_int x /. 10.))
+        | 6 ->
+          (* one expiry for the whole burst; 0 records already-expired ones *)
+          let e =
+            if h mod 5 = 4 then Lease.never else Lease.at (Time.add !now (span (float_of_int h /. 2.)))
+          in
+          for k = 1 + (4 * x) downto 0 do
+            record f k e
+          done
+        | 7 -> (
+          (* re-record a resident holder at the earliest expiry (ties are
+             ordered by holder) or one or two microseconds before it *)
+          match model_live f with
+          | [] -> ()
+          | live ->
+            let earliest, _ = List.hd (by_expiry live) in
+            let h, _ = List.nth live (h mod List.length live) in
+            record f h (after_us earliest (-(x mod 3))))
+        | _ ->
+          drop f;
+          for k = 2 + (x mod 5) downto 0 do
+            record f (h + k) (Lease.at (Time.add !now (span (float_of_int (k + 1) /. 2.))))
+          done);
+        List.iter check_file files_0_3;
         (* [occupancy] sweeps as a side effect; checking it after every op
            would keep the table freshly swept and starve the lazy
            reap-on-access path, so only audit it where a sweep happened *)
         if op = 4 then check_occupancy ();
-        let expired, kept = List.partition (fun (_, e) -> Lease.expired e ~now:!now) !model in
-        model := kept;
-        if List.sort compare !reaped <> List.sort compare expired then ok := false;
-        let calls = List.rev !reaped in
+        (* each file's reaps, in call order, are the model's: its expired
+           records in ascending (expiry, holder) order at each reap *)
+        List.iter model_reap files_0_3;
+        let calls = List.rev !reaped and want = List.rev !expected in
         List.iter
           (fun f ->
-            let keys =
-              List.filter_map (fun ((f', h), e) -> if f' = f then Some (e, h) else None) calls
-            in
-            if not (ascending keys) then ok := false)
-          [ 0; 1; 2; 3 ];
-        reaped := []
+            let of_file = List.filter_map (fun (f', k) -> if f' = f then Some k else None) in
+            if of_file calls <> of_file want then ok := false)
+          files_0_3;
+        if List.length calls <> List.length want then ok := false;
+        reaped := [];
+        expected := []
       in
       List.iter step script;
       check_occupancy ();
@@ -256,7 +310,10 @@ let prop_lease_table_model =
    model's expired records in ascending (file, expiry, holder) order — a
    sweep visits files in ascending id order — [occupancy] must match the
    model, and a sweep must report a finite expiry whenever the model
-   holds one. *)
+   holds one.  Bursts record up to 242 holders on one file at one
+   instant, in descending holder order and with one expiry (one burst in
+   six never expires), and a dropped file is recorded on again at once,
+   so sweeps also reap long runs of equal expiries and reused lists. *)
 let lease_table_wide_script =
   let open QCheck.Gen in
   let edges =
@@ -264,10 +321,12 @@ let lease_table_wide_script =
        191; 200 |]
   in
   let file = oneof [ map (Array.get edges) (int_bound (Array.length edges - 1)); int_bound 200 ] in
-  (* 0 record, 1 remove, 2 drop-file, 3 sweep, 4 occupancy, 5 advance the clock *)
+  (* 0 record, 1 remove, 2 drop-file, 3 sweep, 4 occupancy, 5 advance the
+     clock, 6 a descending burst, 7 drop and record *)
   let op =
     frequency
-      [ (12, return 0); (2, return 1); (1, return 2); (2, return 3); (2, return 4); (3, return 5) ]
+      [ (12, return 0); (2, return 1); (1, return 2); (2, return 3); (2, return 4); (3, return 5);
+        (1, return 6); (1, return 7) ]
   in
   QCheck.make
     ~print:QCheck.Print.(list (quad int int int int))
@@ -280,8 +339,13 @@ let prop_lease_table_wide =
     (fun script ->
       let open Leases in
       let t = Lease_table.create () in
-      (* model: ((file, holder), expiry), one entry per resident record *)
-      let model = ref [] in
+      (* model: per file, holder -> expiry, one binding per resident record *)
+      let model = Array.init 201 (fun _ -> Hashtbl.create 8) in
+      let fold_model f init =
+        let acc = ref init in
+        Array.iteri (fun file tbl -> Hashtbl.iter (fun h e -> acc := f file h e !acc) tbl) model;
+        !acc
+      in
       (* this step's [on_reap] calls as (file, expiry, holder), latest first *)
       let reaped = ref [] in
       Lease_table.set_on_reap t (fun f h e ->
@@ -291,16 +355,31 @@ let prop_lease_table_wide =
       let check b = if not b then ok := false in
       let file i = Vstore.File_id.of_int i in
       let host i = Host.Host_id.of_int i in
-      (* The step reaped exactly the model's expired records on the files
-         [on] selects, in ascending (file, expiry, holder) order. *)
-      let expect_reaps on =
-        let expired, kept =
-          List.partition (fun ((f, _), e) -> on f && Lease.expired e ~now:!now) !model
+      (* The step reaped exactly the model's expired records on [files], in
+         ascending (file, expiry, holder) order. *)
+      let expect_reaps files =
+        let expired =
+          List.concat_map
+            (fun f ->
+              Hashtbl.fold
+                (fun h e acc -> if Lease.expired e ~now:!now then (f, e, h) :: acc else acc)
+                model.(f) [])
+            files
         in
-        model := kept;
-        let expected = List.map (fun ((f, h), e) -> (f, e, h)) expired in
-        check (List.rev !reaped = List.sort compare expected);
+        List.iter (fun (f, _, h) -> Hashtbl.remove model.(f) h) expired;
+        check (List.rev !reaped = List.sort compare expired);
         reaped := []
+      in
+      let all_files = List.init 201 Fun.id in
+      let record f h e =
+        Lease_table.record t (file f) (host h) e ~now:!now;
+        expect_reaps [ f ];
+        Hashtbl.replace model.(f) h e
+      in
+      let drop f =
+        Lease_table.drop_file t (file f);
+        Hashtbl.reset model.(f);
+        expect_reaps []
       in
       let step (op, f, h, x) =
         match op with
@@ -308,34 +387,39 @@ let prop_lease_table_wide =
           let e =
             if x mod 7 = 0 then Lease.never else Lease.at (Time.add !now (span (float_of_int x)))
           in
-          Lease_table.record t (file f) (host h) e ~now:!now;
-          expect_reaps (Int.equal f);
-          model := ((f, h), e) :: List.remove_assoc (f, h) !model
+          record f h e
         | 1 ->
           Lease_table.remove_holder t (file f) (host h);
-          model := List.remove_assoc (f, h) !model;
-          expect_reaps (fun _ -> false)
-        | 2 ->
-          Lease_table.drop_file t (file f);
-          model := List.filter (fun ((f', _), _) -> f' <> f) !model;
-          expect_reaps (fun _ -> false)
+          Hashtbl.remove model.(f) h;
+          expect_reaps []
+        | 2 -> drop f
         | 3 ->
           (* the verdict may err only towards re-arming: a slot's bound can
              stay finite after its finite record is removed or re-recorded
              as never, but a resident finite record must always be seen *)
           let finite_left = Lease_table.sweep t ~now:!now in
-          expect_reaps (fun _ -> true);
-          check (finite_left || List.for_all (fun (_, e) -> Lease.is_never e) !model)
+          expect_reaps all_files;
+          check (finite_left || fold_model (fun _ _ e acc -> acc && Lease.is_never e) true)
         | 4 ->
           let { Lease_table.files; records; live_records } = Lease_table.occupancy t ~now:!now in
-          expect_reaps (fun _ -> true);
-          let model_files = List.sort_uniq compare (List.map (fun ((f, _), _) -> f) !model) in
-          check (files = List.length model_files);
-          check (records = List.length !model);
+          expect_reaps all_files;
+          check
+            (files = Array.fold_left (fun n tbl -> if Hashtbl.length tbl > 0 then n + 1 else n) 0 model);
+          check (records = Array.fold_left (fun n tbl -> n + Hashtbl.length tbl) 0 model);
           check (live_records = records)
-        | _ ->
+        | 5 ->
           now := Time.add !now (span (float_of_int x /. 10.));
-          expect_reaps (fun _ -> false)
+          expect_reaps []
+        | 6 ->
+          let e = if h = 5 then Lease.never else Lease.at (Time.add !now (span (float_of_int h))) in
+          for k = 1 + (4 * x) downto 0 do
+            record f k e
+          done
+        | _ ->
+          drop f;
+          for k = 2 downto 0 do
+            record f (h + k) (Lease.at (Time.add !now (span (float_of_int (x + k) /. 10.))))
+          done
       in
       List.iter step script;
       !ok)

@@ -263,18 +263,35 @@ let grant_pin_cases =
 
 (* --- words per op ----------------------------------------------------- *)
 
+(* The op a words-per-op case repeats: a temporary read, which touches
+   neither client nor server; a cache hit, under an infinite term; or a
+   one-line miss, under a zero term, where every read misses, its request
+   carries its one file and its reply grants no lease. *)
+type op_case = Temporary | Cache_hit | One_line_miss
+
+let case_name = function
+  | Temporary -> "a temporary op"
+  | Cache_hit -> "a cache hit"
+  | One_line_miss -> "a one-line miss"
+
 (* Words allocated (minor + major - promoted) by one [Sim.run] of [n] reads
-   of one file by one client, 10 ms apart, under an infinite term: after
-   the first miss every read hits.  Temporary, the same ops touch neither
-   client nor server: what is left is [Cluster.drive] and the engine. *)
-let run_words ~temporary n =
+   of one file by one client, 10 ms apart: what is left of a temporary op
+   is [Cluster.drive] and the engine; after the first miss every read of
+   [Cache_hit] hits. *)
+let run_words case n =
+  let temporary = match case with Temporary -> true | Cache_hit | One_line_miss -> false in
   let trace =
     Workload.Trace.of_ops
       (List.init n (fun i ->
            { Workload.Op.at = Time.of_us ((i + 1) * 10_000); client = 0; kind = Workload.Op.Read;
              file = Vstore.File_id.of_int 0; temporary }))
   in
-  let setup = Experiments.Runner.lease_setup ~term:Analytic.Model.Infinite () in
+  let term =
+    match case with
+    | One_line_miss -> Analytic.Model.Finite 0.
+    | Temporary | Cache_hit -> Analytic.Model.Infinite
+  in
+  let setup = Experiments.Runner.lease_setup ~term () in
   (* The minor part comes from [Gc.minor_words]: on OCaml 5.1,
      [Gc.counters] counts the live minor heap at an eighth of its size. *)
   let words () =
@@ -284,23 +301,27 @@ let run_words ~temporary n =
   let before = words () in
   let o = Leases.Sim.run setup ~trace in
   let used = words () -. before in
+  let m = o.Leases.Sim.metrics in
   Alcotest.(check int) "every op issued" n
-    (o.Leases.Sim.metrics.Leases.Metrics.ops_issued + o.Leases.Sim.metrics.Leases.Metrics.temp_ops);
-  if not temporary then
-    Alcotest.(check int) "one miss" 1 o.Leases.Sim.metrics.Leases.Metrics.cache_misses;
+    (m.Leases.Metrics.ops_issued + m.Leases.Metrics.temp_ops);
+  (match case with
+  | Temporary -> ()
+  | Cache_hit -> Alcotest.(check int) "one miss" 1 m.Leases.Metrics.cache_misses
+  | One_line_miss -> Alcotest.(check int) "every read misses" n m.Leases.Metrics.cache_misses);
   used
 
 (* The marginal words of one op, over 100 k ops, must stay at most [pin]
    (+ 0.5).  [Cluster.drive] reads the packed trace at one cursor and its
    one closure serves every op, so a temporary op costs only its engine
-   handle (8 words); a per-op closure there pushes both cases over their
-   pins, and a per-op record the hit. *)
-let check_words_per_op ~temporary ~pin () =
-  let per_op = (run_words ~temporary 110_000 -. run_words ~temporary 10_000) /. 100_000. in
+   handle (8 words); a per-op closure there pushes every case over its
+   pin, and a per-op record the hit.  A one-line miss adds the client's
+   request and its retransmission timer, the messages and their delivery
+   events, and the server's reply; a per-request record on the grant path
+   pushes it over its pin. *)
+let check_words_per_op case ~pin () =
+  let per_op = (run_words case 110_000 -. run_words case 10_000) /. 100_000. in
   if per_op > pin +. 0.5 then
-    Alcotest.failf "%s op allocates %.2f words, pinned at %.0f"
-      (if temporary then "a temporary" else "a cache-hit")
-      per_op pin
+    Alcotest.failf "%s allocates %.2f words, pinned at %.0f" (case_name case) per_op pin
 
 let () =
   Alcotest.run "sim"
@@ -330,8 +351,9 @@ let () =
       ("grant pins", grant_pin_cases);
       ( "allocation",
         [
-          Alcotest.test_case "temporary op words" `Quick
-            (check_words_per_op ~temporary:true ~pin:8.);
-          Alcotest.test_case "cache hit words" `Quick (check_words_per_op ~temporary:false ~pin:33.);
+          Alcotest.test_case "temporary op words" `Quick (check_words_per_op Temporary ~pin:8.);
+          Alcotest.test_case "cache hit words" `Quick (check_words_per_op Cache_hit ~pin:33.);
+          Alcotest.test_case "one-line miss words" `Quick
+            (check_words_per_op One_line_miss ~pin:126.);
         ] );
     ]

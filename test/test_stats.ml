@@ -152,10 +152,21 @@ let test_histogram_bucket_edges () =
 (* The index reads its edges from the precomputed bounds and takes one log;
    it must place every sample where the [Float.pow] reference does: on
    every edge, one ulp either side of it, at zero, past the last bound and
-   on 10^5 seeded values spread log-uniformly over 14 decades. *)
+   on 10^5 seeded values spread log-uniformly over 14 decades.  At two of
+   these points the reference is wrong and the index is not, and the index
+   must give the right bucket:
+   - one ulp below the last bound, where the log ratio rounds up to 128 and
+     the reference sends the sample to the overflow bucket before its
+     nudge could bring it back: bucket 128;
+   - [max_float], where [x /. least] overflows to infinity, whose
+     [int_of_float] is [min_int], so the reference lands in bucket 2: the
+     overflow bucket. *)
 let test_histogram_bucket_index_reference () =
+  let corrected = [ (Float.pred (edge buckets), buckets); (Float.max_float, buckets + 1) ] in
   let agree what x =
-    let want = reference_bucket_index x and got = Stats.Histogram.bucket_index x in
+    let want =
+      match List.assoc_opt x corrected with Some i -> i | None -> reference_bucket_index x
+    and got = Stats.Histogram.bucket_index x in
     if got <> want then Alcotest.failf "%s: x = %h lands in bucket %d, reference %d" what x got want
   in
   for k = 0 to buckets do
@@ -169,6 +180,29 @@ let test_histogram_bucket_index_reference () =
   for _ = 1 to 100_000 do
     agree "random" (Float.pow 10. (Random.State.float rng 14. -. 9.))
   done
+
+(* The inputs the reference misplaces: infinity and [max_float] belong to
+   the overflow bucket (the reference's [int_of_float] of an infinite
+   ratio put them in bucket 2), a NaN has no bucket and is refused (the
+   reference put it in bucket 1), and the largest value below the last
+   bound stays in bucket 128 (the reference sent it to the overflow
+   bucket). *)
+let test_histogram_bucket_index_extremes () =
+  Alcotest.(check int) "infinity -> overflow" (buckets + 1)
+    (Stats.Histogram.bucket_index infinity);
+  Alcotest.(check int) "max_float -> overflow" (buckets + 1)
+    (Stats.Histogram.bucket_index Float.max_float);
+  Alcotest.(check int) "-infinity -> underflow" 0 (Stats.Histogram.bucket_index neg_infinity);
+  Alcotest.(check int) "last bound - 1 ulp -> bucket 128" buckets
+    (Stats.Histogram.bucket_index (Float.pred (edge buckets)));
+  Alcotest.check_raises "NaN refused" (Invalid_argument "Histogram.bucket_index: NaN") (fun () ->
+      ignore (Stats.Histogram.bucket_index Float.nan));
+  let h = Stats.Histogram.create () in
+  Alcotest.check_raises "add NaN refused" (Invalid_argument "Histogram.bucket_index: NaN")
+    (fun () -> Stats.Histogram.add h Float.nan);
+  Alcotest.(check int) "a refused add counts nothing" 0 (Stats.Histogram.count h);
+  Stats.Histogram.add h infinity;
+  Alcotest.(check int) "infinity counted" 1 (Stats.Histogram.count h)
 
 let test_histogram_overflow_quantile () =
   (* all mass in the overflow bucket: the quantile is interpolated inside
@@ -356,6 +390,7 @@ let () =
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "bucket edges" `Quick test_histogram_bucket_edges;
           Alcotest.test_case "bucket index = reference" `Quick test_histogram_bucket_index_reference;
+          Alcotest.test_case "bucket index extremes" `Quick test_histogram_bucket_index_extremes;
           Alcotest.test_case "overflow quantile" `Quick test_histogram_overflow_quantile;
           Alcotest.test_case "summary" `Quick test_histogram_summary;
           Alcotest.test_case "summary bucket edges" `Quick test_histogram_summary_bucket_edges;

@@ -570,6 +570,63 @@ let test_checker_renewal_words () =
       in
       fun () -> List.iter (Trace.Checker.feed c) events)
 
+(* A held key's server lease ending both ways, each followed by a grant
+   that holds it again, cycling over 4 files x 3 holders: a reap
+   ([lease-expire]) and an approval ([lease-release]).  Ending a lease
+   moves its record slot from the file's chain to the free chain, and
+   the grant takes it back, so neither allocates or boxes anything. *)
+let test_checker_end_words () =
+  check_marginal_words "a lease-expire + lease-release on held keys" ~pin:0. (fun n ->
+      let c = Trace.Checker.create () in
+      let events =
+        List.concat
+          (List.init n (fun i ->
+               let at = 0.001 *. float_of_int i and file = i mod 4 and holder = 1 + (i mod 3) in
+               let grant =
+                 ev at
+                   (Trace.Event.Lease_grant
+                      { file; holder; term_s = Some 10.; server_expiry = Some (at +. 10.);
+                        server_now = at; renewal = true })
+               in
+               [
+                 grant;
+                 ev at (Trace.Event.Lease_expire { file; holder; expired_at = Some at });
+                 grant;
+                 ev at
+                   (Trace.Event.Lease_release { file; holder; cause = Trace.Event.Approved });
+               ]))
+      in
+      fun () -> List.iter (Trace.Checker.feed c) events)
+
+(* A commit on a file that 3 holders lease, then the 3 holders' re-grants,
+   each lapsing before the next commit.  The commit walks the file's
+   chain in place and frees its record slots, which the re-grants take
+   back, so neither the commit nor the re-grants allocate. *)
+let test_checker_commit_words () =
+  check_marginal_words "a commit + 3 re-grants" ~pin:0. (fun n ->
+      let c = Trace.Checker.create () in
+      let events =
+        List.concat
+          (List.init n (fun i ->
+               let at = 0.001 *. float_of_int i in
+               ev at
+                 (Trace.Event.Commit
+                    { write = None; op = i; file = 0; writer = 0; version = i + 1;
+                      server_now = at; waited_s = 0. })
+               :: List.map
+                    (fun holder ->
+                      ev at
+                        (Trace.Event.Lease_grant
+                           { file = 0; holder; term_s = Some 0.0001;
+                             server_expiry = Some (at +. 0.0001); server_now = at;
+                             renewal = true }))
+                    [ 1; 2; 3 ]))
+      in
+      fun () ->
+        List.iter (Trace.Checker.feed c) events;
+        Alcotest.(check bool) "every commit clean" true
+          (Trace.Checker.ok (Trace.Checker.report c)))
+
 (* A read's request and reply, each sent and delivered 2.5 ms later.  A
    completed read costs its op record (17 words), two timeline segments
    (7 each) and the boxed latency and seven phase totals it hands to the
@@ -632,6 +689,8 @@ let () =
         [
           Alcotest.test_case "histogram add words" `Quick test_histogram_add_words;
           Alcotest.test_case "checker renewal words" `Quick test_checker_renewal_words;
+          Alcotest.test_case "checker end words" `Quick test_checker_end_words;
+          Alcotest.test_case "checker commit words" `Quick test_checker_commit_words;
           Alcotest.test_case "critical-path read words" `Quick test_critical_path_read_words;
         ] );
     ]
