@@ -269,15 +269,15 @@ let drive (w : _ fabric) ~oracle ~read ~write trace =
   let prof = w.profiler in
   let n = Workload.Trace.length trace in
   (* Ops are time-ordered ([Workload.Trace] sorts), so each op's event
-     issues it and schedules the next.  The engine's heap then holds only
-     in-flight work — deliveries, timers, the one cursor event — instead
+     issues it and schedules the next.  The engine then holds only
+     in-flight work — deliveries, timers, the one cursor entry — instead
      of the entire remaining workload; with 100k pre-scheduled ops every
      pop paid a ~17-level sift over cold memory before any protocol work
-     began.  One closure serves the whole run: it reads op [!cursor]'s
-     fields from the trace's arrays and builds no record. *)
-  let cursor = ref 0 in
-  let rec issue () =
-    let i = !cursor in
+     began.  The cursor is the op's index on an engine lane, pushed after
+     the op's own work as a heap event would be, and one closure serves
+     the whole run: it reads op [i]'s fields from the trace's arrays and
+     allocates nothing. *)
+  let issue lane i =
     if Profile.Recorder.enabled prof then Profile.Recorder.mark prof Profile.Center.Client_op;
     if Workload.Trace.temporary trace i then t.temp_ops <- t.temp_ops + 1
     else begin
@@ -288,13 +288,9 @@ let drive (w : _ fabric) ~oracle ~read ~write trace =
       | Workload.Op.Read -> read t ~client file ~start
       | Workload.Op.Write -> write t ~client file ~start
     end;
-    cursor := i + 1;
-    next ()
-  and next () =
-    let i = !cursor in
-    if i < n then ignore (Engine.schedule_at w.engine (Workload.Trace.at trace i) issue)
+    if i + 1 < n then Engine.lane_push lane (Workload.Trace.at trace (i + 1)) (i + 1)
   in
-  next ();
+  if n > 0 then Engine.lane_push (Engine.lane w.engine issue) (Workload.Trace.at trace 0) 0;
   t
 
 (* One latency sample per completion: the histograms' counts are the

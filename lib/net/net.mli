@@ -17,7 +17,16 @@
     partition are all evaluated at {e delivery} time (a host that crashes
     while a message is in flight never sees it, and a loss-drop trace
     carries the instant the message would have arrived); only the sender's
-    own liveness is checked at send time. *)
+    own liveness is checked at send time.
+
+    Scheduling: every message takes the same {!transit}, so deliveries
+    become due in the order they were sent.  Each net therefore queues its
+    deliveries on one {!Simtime.Engine.lane} rather than the engine's
+    heap: a delivery allocates only its envelope, built at the send and
+    handed to the recipient's handler, and fires in exactly the (instant,
+    sequence) order a heap event scheduled at the send would.  A delivery
+    with any other delay would break the lane's order and must be
+    scheduled on the heap. *)
 
 type 'a envelope = { src : Host.Host_id.t; dst : Host.Host_id.t; payload : 'a }
 
@@ -39,7 +48,8 @@ val create :
     NaN refused (default 0; requires [rng] when positive; 1.0 models a
     total blackout for fault drills).  Every message takes the same
     {!transit}: there is no per-link delay, because a client's transit
-    allowance reads this one figure.  [tracer] receives a
+    allowance reads this one figure, and the net's delivery lane relies
+    on it.  [tracer] receives a
     [Net_send] per delivery attempt, then exactly one [Net_deliver] or
     [Net_drop] (with cause) for it; [classify] maps a payload to its typed
     message kind and correlation id for those events (default

@@ -30,6 +30,7 @@ and 'a t = {
   mutable next_seq : int;
   mutable daemon_live : int;  (** the subset of [size] marked daemon *)
   mutable cancelled_total : int;  (** lifetime cancellations, never reset *)
+  vacant : 'a handle;  (** fills every slot at or past [size] *)
 }
 
 (* Min-heap ordered by (at, seq); seq breaks ties in insertion order.  The
@@ -40,22 +41,41 @@ let key_before q i j =
   let ai = Array.unsafe_get q.ats i and aj = Array.unsafe_get q.ats j in
   ai < aj || (ai = aj && Array.unsafe_get q.seqs i < Array.unsafe_get q.seqs j)
 
+(* A vacated slot holds the queue's [vacant] entry rather than the entry
+   that left it, so a popped or cancelled payload is released at once and
+   the arrays keep their capacity when the heap empties (a timer-only heap
+   empties every time an RPC's retry timer is cancelled).  [vacant] is
+   never popped, so its payload is never read: it holds the immediate [()]
+   because no value of ['a] exists when the queue is created. *)
 let create () =
-  {
-    heap = [||];
-    ats = [||];
-    seqs = [||];
-    size = 0;
-    next_seq = 0;
-    daemon_live = 0;
-    cancelled_total = 0;
-  }
+  let rec q =
+    {
+      heap = [||];
+      ats = [||];
+      seqs = [||];
+      size = 0;
+      next_seq = 0;
+      daemon_live = 0;
+      cancelled_total = 0;
+      vacant =
+        {
+          at = Time.zero;
+          seq = -1;
+          daemon = false;
+          payload = Obj.magic ();
+          q;
+          state = Popped;
+          pos = -1;
+        };
+    }
+  in
+  q
 
-let grow q dummy =
+let grow q =
   let capacity = Array.length q.heap in
   if q.size >= capacity then begin
     let capacity' = Int.max 16 (2 * capacity) in
-    let heap' = Array.make capacity' dummy in
+    let heap' = Array.make capacity' q.vacant in
     let ats' = Array.make capacity' 0 in
     let seqs' = Array.make capacity' 0 in
     Array.blit q.heap 0 heap' 0 q.size;
@@ -110,29 +130,27 @@ let move q ~dst ~src =
 
 (* Delete the entry at index [i]: standard indexed-heap removal — the last
    entry takes its slot and sifts whichever way restores the invariant.
-   The freed tail slot must not go on referencing the deleted entry (a
-   cancelled payload would stay pinned until a push overwrote it), so it is
-   pointed at a live entry, or the arrays are dropped when nothing lives. *)
+   The freed tail slot gets [vacant], so it does not go on referencing the
+   deleted entry or the moved one. *)
 let remove_at q i =
   let last = q.size - 1 in
   q.size <- last;
   if i < last then begin
-    (* the freed tail slot ends up referencing the moved (live) entry *)
     move q ~dst:i ~src:last;
+    Array.unsafe_set q.heap last q.vacant;
     sift_up q i;
     sift_down q i
   end
-  else if last = 0 then begin
-    q.heap <- [||];
-    q.ats <- [||];
-    q.seqs <- [||]
-  end
-  else q.heap.(last) <- q.heap.(0)
+  else Array.unsafe_set q.heap last q.vacant
+
+let take_seq q =
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  seq
 
 let push q ?(daemon = false) ~at payload =
-  let entry = { at; seq = q.next_seq; daemon; payload; q; state = Scheduled; pos = q.size } in
-  q.next_seq <- q.next_seq + 1;
-  grow q entry;
+  let entry = { at; seq = take_seq q; daemon; payload; q; state = Scheduled; pos = q.size } in
+  grow q;
   q.heap.(q.size) <- entry;
   Array.unsafe_set q.ats q.size (Time.to_us at);
   Array.unsafe_set q.seqs q.size entry.seq;
@@ -158,13 +176,7 @@ let cancelled handle = handle.state = Cancelled
 let pop_top q =
   if q.size = 0 then invalid_arg "Event_queue.pop_top: empty queue";
   let top = q.heap.(0) in
-  let last = q.size - 1 in
-  q.size <- last;
-  if last > 0 then begin
-    (* the freed tail slot ends up referencing the moved (live) entry *)
-    move q ~dst:0 ~src:last;
-    sift_down q 0
-  end;
+  remove_at q 0;
   top.state <- Popped;
   if top.daemon then q.daemon_live <- q.daemon_live - 1;
   top
@@ -185,6 +197,8 @@ let peek_time q = if q.size = 0 then None else Some q.heap.(0).at
    option per event, which the bounded-run loop would pay on every step. *)
 let next_us q = if q.size = 0 then max_int else Array.unsafe_get q.ats 0
 
+let top_seq q = if q.size = 0 then max_int else Array.unsafe_get q.seqs 0
+
 let length q = q.size
 
 let is_empty q = q.size = 0
@@ -194,8 +208,8 @@ let live_nondaemon q = q.size - q.daemon_live
 let occupied_slots q = q.size
 
 (* Lifetime counters for the profiler's engine-health series; [next_seq]
-   already counts every push, so only cancellations need a dedicated
-   counter. *)
+   already counts every push (and every seq taken for an outside FIFO), so
+   only cancellations need a dedicated counter. *)
 let total_pushed q = q.next_seq
 
 let total_cancelled q = q.cancelled_total

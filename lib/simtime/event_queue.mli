@@ -5,7 +5,8 @@
     indexed-heap delete: the heap holds exactly the live events, so
     cancel-heavy workloads (anticipatory renewals, retry timers whose reply
     wins the race) neither deepen the sifts for everyone else nor pin
-    cancelled payloads. *)
+    cancelled payloads.  A slot an entry leaves holds nothing of it, and
+    the arrays keep their capacity when the queue empties. *)
 
 type 'a t
 
@@ -50,6 +51,17 @@ val next_us : 'a t -> int
 (** [Time.to_us] of the earliest live event, or [max_int] when empty —
     the non-allocating form of {!peek_time} for per-event run loops. *)
 
+val top_seq : 'a t -> int
+(** The sequence number of the earliest live event, or [max_int] when
+    empty: with {!next_us}, the full (at, seq) key of the top. *)
+
+val take_seq : 'a t -> int
+(** Take the next sequence number without pushing.  A FIFO kept beside
+    the queue numbers its entries from here, at the moment each would
+    have been pushed, so merging the two by (at, seq) fires in exactly
+    the order one queue holding everything would.  Counts in
+    {!total_pushed}. *)
+
 val length : 'a t -> int
 (** Number of live (non-cancelled) events.  O(1). *)
 
@@ -65,8 +77,9 @@ val occupied_slots : 'a t -> int
     benchmark, which asserts exactly that bound. *)
 
 val total_pushed : 'a t -> int
-(** Lifetime pushes (never reset) — the profiler's engine-health series
-    derives per-window push/cancel rates from these.  O(1). *)
+(** Lifetime pushes and {!take_seq}s (never reset) — the profiler's
+    engine-health series derives per-window push/cancel rates from these.
+    O(1). *)
 
 val total_cancelled : 'a t -> int
 (** Lifetime cancellations (never reset).  O(1). *)

@@ -212,6 +212,48 @@ let test_total_loss () =
         (Netsim.Net.create engine2 ~rng ~loss:1.5 ~prop_delay:(ms 0.5) ~proc_delay:(ms 1.) ()
           : unit Netsim.Net.t))
 
+let test_delivery_keeps_schedule_order () =
+  (* A delivery and a timer due at the same instant fire in the order
+     they were scheduled: the send's, or the timer's. *)
+  let engine, net = rig () in
+  let log = ref [] in
+  Netsim.Net.register net (host 1) (fun e -> log := e.Netsim.Net.payload :: !log);
+  let arrival = Time.add (sec 1.) (Netsim.Net.transit net) in
+  ignore (Engine.schedule_at engine (sec 1.) (fun () ->
+      ignore (Engine.schedule_at engine arrival (fun () -> log := "timer before" :: !log));
+      Netsim.Net.send net ~src:(host 0) ~dst:(host 1) "message";
+      ignore (Engine.schedule_at engine arrival (fun () -> log := "timer after" :: !log))));
+  Engine.run engine;
+  Alcotest.(check (list string)) "schedule order at a tie"
+    [ "timer before"; "message"; "timer after" ] (List.rev !log)
+
+(* Words allocated (minor + major - promoted) by [n] unicasts, each
+   delivered before the next is sent. *)
+let unicast_words n =
+  let engine, net = rig () in
+  let received = ref 0 in
+  Netsim.Net.register net (host 1) (fun _ -> incr received);
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  for _ = 1 to n do
+    Netsim.Net.send net ~src:(host 0) ~dst:(host 1) ();
+    Engine.run engine
+  done;
+  let used = words () -. before in
+  Alcotest.(check int) "every unicast delivered" n !received;
+  used
+
+(* The marginal words of a delivered unicast, over 100 k, must stay at
+   most its 4-word envelope (+ 0.5): a delivery rides the net's engine
+   lane, so a closure or an engine handle per delivery fails this pin. *)
+let test_delivery_words () =
+  let per_message = (unicast_words 110_000 -. unicast_words 10_000) /. 100_000. in
+  if per_message > 4.5 then
+    Alcotest.failf "a delivered unicast allocates %.2f words, pinned at 4" per_message
+
 let test_loss_dropped_at_delivery_time () =
   (* a loss drop is decided (and traced) at the instant the message would
      have arrived, not at send time *)
@@ -267,6 +309,8 @@ let () =
       ( "net",
         [
           Alcotest.test_case "delivery timing" `Quick test_delivery_timing;
+          Alcotest.test_case "schedule order at a tie" `Quick test_delivery_keeps_schedule_order;
+          Alcotest.test_case "delivered unicast words" `Quick test_delivery_words;
           Alcotest.test_case "envelope addressing" `Quick test_envelope_addressing;
           Alcotest.test_case "unregistered destination" `Quick test_unregistered_destination;
           Alcotest.test_case "loss" `Quick test_loss;

@@ -107,6 +107,136 @@ let prop_event_queue_interleaved =
       in
       !ok && drained = expected && Event_queue.is_empty q)
 
+(* --- engine: heap and lanes fire in one (at, seq) order ----------------- *)
+
+(* A random program of pushes onto the engine's heap (plain, daemon, later
+   cancelled) and onto two lanes, run by a random mix of [step]s and
+   bounded [run]s and then drained.  Every push is mirrored, at the same
+   moment, into one reference [Event_queue] that holds every event, so the
+   reference's pop order is the order a single heap would fire.  Each
+   fired event pops the reference and must be the event it pops, at the
+   instant it pops, with [pending] equal to the reference's length; a
+   bounded run must fire exactly the reference's events up to its limit,
+   and the unbounded run only while non-daemon work remains.  Delays are
+   small, so heap events, lane entries and the two lanes tie often. *)
+type engine_target = Heap | Daemon | Lane of int
+
+type engine_action = Push of engine_target * int * engine_action list | Cancel of int
+
+type engine_command = Step | Until of int
+
+let rec gen_engine_actions ~max depth st =
+  let n = if depth = 0 then 0 else QCheck.Gen.int_range 0 max st in
+  List.init n (fun _ -> gen_engine_action depth st)
+
+and gen_engine_action depth st =
+  if QCheck.Gen.int_bound 5 st = 0 then Cancel (QCheck.Gen.int_bound 30 st)
+  else
+    let target =
+      QCheck.Gen.frequencyl [ (3, Heap); (1, Daemon); (2, Lane 0); (2, Lane 1) ] st
+    in
+    let delay = QCheck.Gen.oneofl [ 0; 0; 0; 1; 2; 5; 13 ] st in
+    Push (target, delay, gen_engine_actions ~max:3 (depth - 1) st)
+
+let rec pp_engine_action = function
+  | Cancel j -> Printf.sprintf "cancel %d" j
+  | Push (target, delay, kids) ->
+    Printf.sprintf "%s+%d[%s]"
+      (match target with Heap -> "heap" | Daemon -> "daemon" | Lane k -> Printf.sprintf "lane%d" k)
+      delay
+      (String.concat "; " (List.map pp_engine_action kids))
+
+let engine_program =
+  QCheck.make
+    ~print:(fun (initial, commands) ->
+      Printf.sprintf "%s / %s"
+        (String.concat "; " (List.map pp_engine_action initial))
+        (String.concat " "
+           (List.map (function Step -> "step" | Until d -> Printf.sprintf "until+%d" d) commands)))
+    (fun st ->
+      let initial = gen_engine_actions ~max:8 3 st in
+      let command _ =
+        if QCheck.Gen.int_bound 4 st < 3 then Step else Until (QCheck.Gen.int_bound 20 st)
+      in
+      (initial, List.init (QCheck.Gen.int_range 0 12 st) command))
+
+let run_engine_program (initial, commands) =
+  let engine = Engine.create () in
+  let reference = Event_queue.create () in
+  let ok = ref true in
+  let check b = if not b then ok := false in
+  let next_id = ref 0 in
+  let cancellable = ref [] and n_cancellable = ref 0 in
+  let tails = [| 0; 0 |] in
+  let bound = ref max_int and unbounded = ref false in
+  let fire_event = ref (fun (_ : int) (_ : engine_action list) -> ()) in
+  let lanes =
+    Array.init 2 (fun _ -> Engine.lane engine (fun _ (id, kids) -> !fire_event id kids))
+  in
+  let rec perform = function
+    | Cancel j ->
+      if !n_cancellable > 0 then begin
+        let handle, mirror = List.nth !cancellable (j mod !n_cancellable) in
+        Engine.cancel handle;
+        Event_queue.cancel mirror
+      end
+    | Push (target, delay, kids) -> (
+      let id = !next_id in
+      incr next_id;
+      let now = Time.to_us (Engine.now engine) in
+      match target with
+      | Heap | Daemon ->
+        let daemon = target = Daemon and at = Time.of_us (now + delay) in
+        let handle = Engine.schedule_at engine ~daemon at (fun () -> fired id kids) in
+        let mirror = Event_queue.push reference ~daemon ~at id in
+        cancellable := (handle, mirror) :: !cancellable;
+        incr n_cancellable
+      | Lane k ->
+        let at = Int.max (now + delay) tails.(k) in
+        tails.(k) <- at;
+        Engine.lane_push lanes.(k) (Time.of_us at) (id, kids);
+        ignore (Event_queue.push reference ~at:(Time.of_us at) id))
+  and fired id kids =
+    if !unbounded then check (Event_queue.live_nondaemon reference > 0);
+    (match Event_queue.pop reference with
+    | Some (at, expected) -> check (expected = id && Time.equal at (Engine.now engine))
+    | None -> check false);
+    check (Time.to_us (Engine.now engine) <= !bound);
+    check (Engine.pending engine = Event_queue.length reference);
+    List.iter perform kids
+  in
+  fire_event := fired;
+  List.iter perform initial;
+  check (Engine.pending engine = Event_queue.length reference);
+  List.iter
+    (fun command ->
+      (match command with
+      | Step ->
+        let something = not (Event_queue.is_empty reference) in
+        check (Engine.step engine = something)
+      | Until d ->
+        let limit = Time.to_us (Engine.now engine) + d in
+        bound := limit;
+        Engine.run ~until:(Time.of_us limit) engine;
+        bound := max_int;
+        check (Event_queue.next_us reference > limit);
+        check (Time.to_us (Engine.now engine) = limit));
+      check (Engine.pending engine = Event_queue.length reference))
+    commands;
+  unbounded := true;
+  Engine.run engine;
+  unbounded := false;
+  check (Event_queue.live_nondaemon reference = 0);
+  check (Engine.pending engine = Event_queue.length reference);
+  (* what is left is daemon work, which a bounded run fires *)
+  Engine.run ~until:(Time.of_us 1_000_000) engine;
+  check (Event_queue.is_empty reference && Engine.pending engine = 0 && not (Engine.step engine));
+  !ok
+
+let prop_engine_lanes_match_one_heap =
+  QCheck.Test.make ~name:"heap and lanes fire as one reference queue" ~count:1000 engine_program
+    run_engine_program
+
 (* --- lease table: reaping layout == naive live-filtered model ---------- *)
 
 (* The reworked [Lease_table] reaps expired records for good — lazily on
@@ -988,6 +1118,7 @@ let () =
       ( "event-queue",
         List.map to_alcotest
           [ prop_event_queue_sorted; prop_event_queue_cancel; prop_event_queue_interleaved ] );
+      ("engine", List.map to_alcotest [ prop_engine_lanes_match_one_heap ]);
       ("lease", List.map to_alcotest [ prop_client_never_outlives_server ]);
       ("lease-table", List.map to_alcotest [ prop_lease_table_model; prop_lease_table_wide ]);
       ("int-table", List.map to_alcotest [ prop_int_tbl_model ]);

@@ -181,6 +181,29 @@ let test_queue_compaction_releases_payloads () =
   | None -> Alcotest.fail "expected a live event");
   Alcotest.(check int) "pop shrinks the heap by one" 15 (Event_queue.occupied_slots q)
 
+let test_queue_releases_popped_payloads () =
+  (* A slot an entry leaves is refilled with the queue's vacant entry,
+     so popping everything pins nothing, although the arrays keep their
+     capacity for the next push. *)
+  let q = Event_queue.create () in
+  let n = 24 in
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    let payload = ref i in
+    Weak.set w i (Some payload);
+    ignore (Event_queue.push q ~at:(Time.of_us i) payload)
+  done;
+  let rec drain k = match Event_queue.pop q with Some _ -> drain (k + 1) | None -> k in
+  Alcotest.(check int) "every event pops" n (drain 0);
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    match Weak.get w i with
+    | Some _ -> Alcotest.failf "payload %d still pinned after it popped" i
+    | None -> ()
+  done;
+  ignore (Event_queue.push q ~at:(Time.of_us n) (ref n));
+  Alcotest.(check int) "the emptied queue takes pushes" 1 (Event_queue.length q)
+
 let test_queue_interleaved () =
   (* push/pop interleaving never violates ordering *)
   let q = Event_queue.create () in
@@ -303,6 +326,88 @@ let test_engine_step () =
   Alcotest.(check bool) "second step" true (Engine.step engine);
   Alcotest.(check bool) "exhausted" false (Engine.step engine)
 
+(* --- Lanes ------------------------------------------------------------- *)
+
+let test_lane_orders_with_heap () =
+  (* heap and lane events fire by (at, seq): ties go to whichever was
+     scheduled first, whichever structure holds it *)
+  let engine = Engine.create () in
+  let log = ref [] in
+  let lane = Engine.lane engine (fun _ name -> log := name :: !log) in
+  ignore (Engine.schedule_at engine (sec 1.) (fun () -> log := "heap1" :: !log));
+  Engine.lane_push lane (sec 1.) "lane1";
+  Engine.lane_push lane (sec 2.) "lane2";
+  ignore (Engine.schedule_at engine (sec 2.) (fun () -> log := "heap2" :: !log));
+  ignore (Engine.schedule_at engine (sec 0.5) (fun () -> log := "heap0" :: !log));
+  Alcotest.(check int) "pending counts lane entries" 5 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list string))
+    "(at, seq) order across heap and lane"
+    [ "heap0"; "heap1"; "lane1"; "lane2"; "heap2" ]
+    (List.rev !log);
+  Alcotest.(check int) "drained" 0 (Engine.pending engine)
+
+let test_lane_handler_pushes_next () =
+  (* the handler gets its lane, so a cursor can re-arm itself; a bounded
+     run stops before a lane entry past the limit *)
+  let engine = Engine.create () in
+  let fired = ref [] in
+  let lane =
+    Engine.lane engine (fun lane i ->
+        fired := i :: !fired;
+        if i < 4 then Engine.lane_push lane (sec (float_of_int (i + 1))) (i + 1))
+  in
+  Engine.lane_push lane (sec 0.) 0;
+  Engine.run ~until:(sec 2.5) engine;
+  Alcotest.(check (list int)) "up to the limit" [ 0; 1; 2 ] (List.rev !fired);
+  Alcotest.(check int) "the next entry stays queued" 1 (Engine.pending engine);
+  Alcotest.(check (float 1e-9)) "parked at the limit" 2.5 (Time.to_sec (Engine.now engine));
+  Engine.run engine;
+  Alcotest.(check (list int)) "unbounded run drains the lane" [ 0; 1; 2; 3; 4 ] (List.rev !fired)
+
+let test_lane_rejects_bad_instants () =
+  let engine = Engine.create () in
+  let lane = Engine.lane engine (fun _ () -> ()) in
+  ignore (Engine.schedule_at engine (sec 2.) (fun () -> ()));
+  Engine.run engine;
+  Alcotest.check_raises "an instant before now"
+    (Invalid_argument "Engine.lane_push: 1.000000s is before now 2.000000s") (fun () ->
+      Engine.lane_push lane (sec 1.) ());
+  Engine.lane_push lane (sec 5.) ();
+  Alcotest.check_raises "an instant before the lane's tail"
+    (Invalid_argument "Engine.lane_push: 4.000000s is before the lane's tail 5.000000s")
+    (fun () -> Engine.lane_push lane (sec 4.) ());
+  Alcotest.(check int) "a refused push leaves nothing queued" 1 (Engine.pending engine);
+  (* a tie with the tail is in order *)
+  Engine.lane_push lane (sec 5.) ();
+  Alcotest.(check int) "a tie is accepted" 2 (Engine.pending engine)
+
+let test_lane_releases_fired_items () =
+  (* A fired slot is cleared: once the lane has fired its entries, their
+     items are collectable although the ring keeps its capacity. *)
+  let engine = Engine.create () in
+  let n = 40 in
+  let w = Weak.create n in
+  let sum = ref 0 in
+  let lane = Engine.lane engine (fun _ r -> sum := !sum + !r) in
+  for i = 0 to n - 1 do
+    let item = ref i in
+    Weak.set w i (Some item);
+    Engine.lane_push lane (Time.of_us i) item
+  done;
+  Engine.run engine;
+  Alcotest.(check int) "every item fired" (n * (n - 1) / 2) !sum;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    match Weak.get w i with
+    | Some _ -> Alcotest.failf "item %d still reachable after it fired" i
+    | None -> ()
+  done;
+  (* the lane keeps working after it emptied *)
+  Engine.lane_push lane (Time.of_us n) (ref 1);
+  Engine.run engine;
+  Alcotest.(check int) "reused" ((n * (n - 1) / 2) + 1) !sum
+
 let () =
   Alcotest.run "simtime"
     [
@@ -324,6 +429,7 @@ let () =
           Alcotest.test_case "compaction bounded" `Quick test_queue_compaction_bounded;
           Alcotest.test_case "compaction releases payloads" `Quick
             test_queue_compaction_releases_payloads;
+          Alcotest.test_case "popped payloads released" `Quick test_queue_releases_popped_payloads;
           Alcotest.test_case "interleaved" `Quick test_queue_interleaved;
         ] );
       ( "engine",
@@ -338,5 +444,12 @@ let () =
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
           Alcotest.test_case "same-instant fifo" `Quick test_engine_same_instant_fifo;
           Alcotest.test_case "step" `Quick test_engine_step;
+        ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "ordered with the heap" `Quick test_lane_orders_with_heap;
+          Alcotest.test_case "handler pushes the next entry" `Quick test_lane_handler_pushes_next;
+          Alcotest.test_case "bad instants refused" `Quick test_lane_rejects_bad_instants;
+          Alcotest.test_case "fired items released" `Quick test_lane_releases_fired_items;
         ] );
     ]
