@@ -128,7 +128,8 @@ let run_json text gate_conserve quiet k =
 (* --- raw-trace mode ----------------------------------------------------- *)
 
 let run_trace path gate_conserve quiet k =
-  let analyzer = Trace.Critical_path.create () in
+  (* the analyzer keeps only the writes the report shows *)
+  let analyzer = Trace.Critical_path.create ~worst:(Int.max 0 k) () in
   let ic = open_in path in
   let bad = ref 0 in
   (try

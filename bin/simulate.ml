@@ -305,7 +305,9 @@ let main protocol term_s clients duration seed loss rtt_ms workload ops_file jso
     let m_proc = Simtime.Time.Span.of_ms 1. in
     let m_prop = m_prop_of_rtt rtt_ms in
     let tracer, finish_trace = trace_sink trace_out trace_format in
-    let analyzer = if latency then Some (Trace.Critical_path.create ()) else None in
+    let analyzer =
+      if latency then Some (Trace.Critical_path.create ~worst:latency_k ()) else None
+    in
     let tracer =
       match analyzer with
       | None -> tracer

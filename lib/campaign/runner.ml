@@ -44,7 +44,7 @@ let run schedule =
       ~owner:(fun f -> Shard.Shard_map.owner map (Vstore.File_id.of_int f))
       ()
   in
-  let analyzer = Trace.Critical_path.create () in
+  let analyzer = Trace.Critical_path.create ~worst:1 () in
   let sampler =
     Telemetry.Sampler.create ~interval_s:(telemetry_interval_s schedule.Schedule.duration_s) ()
   in

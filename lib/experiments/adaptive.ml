@@ -17,6 +17,7 @@ type result = { rows : row list; table : string }
 let bimodal_trace ~clients ~duration ~seed =
   let rng = Prng.Splitmix.create ~seed in
   let horizon = Time.Span.to_sec duration in
+  let library = Prng.Dist.Zipf_table.create ~n:20 ~s:0.8 in
   let ops =
     List.concat
       (List.init clients (fun client ->
@@ -29,7 +30,7 @@ let bimodal_trace ~clients ~duration ~seed =
                  if Prng.Splitmix.bool rng ~p:0.75 then
                    (* library read, Zipf-popular *)
                    { Workload.Op.at = Time.of_sec t; client; kind = Workload.Op.Read;
-                     file = Vstore.File_id.of_int (Prng.Dist.zipf rng ~n:20 ~s:0.8);
+                     file = Vstore.File_id.of_int (Prng.Dist.Zipf_table.draw library rng);
                      temporary = false }
                  else begin
                    let hot = Vstore.File_id.of_int (20 + Prng.Splitmix.int rng ~bound:4) in

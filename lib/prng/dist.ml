@@ -1,4 +1,6 @@
-let exponential rng ~mean =
+(* [exponential] and [pareto], drawn per arrival by the generators, are
+   inlined into their callers: a float returned from a call is boxed. *)
+let[@inline] exponential rng ~mean =
   if mean <= 0. then invalid_arg "Dist.exponential: mean must be positive";
   let u = 1. -. Splitmix.float rng in
   -.mean *. log u
@@ -14,7 +16,7 @@ let geometric rng ~p =
 let uniform rng ~lo ~hi = lo +. ((hi -. lo) *. Splitmix.float rng)
 
 module Zipf_table = struct
-  type t = { cdf : float array }
+  type t = float array (* the CDF over ranks; its last value is exactly 1 *)
 
   let create ~n ~s =
     if n <= 0 then invalid_arg "Zipf_table.create: n must be positive";
@@ -28,24 +30,21 @@ module Zipf_table = struct
       cdf.(i) <- !acc
     done;
     cdf.(n - 1) <- 1.;
-    { cdf }
+    cdf
 
-  let draw t rng =
+  (* Binary search for the first rank whose CDF value exceeds [u], in a
+     loop: a local recursive search would allocate its closure per draw. *)
+  let draw cdf rng =
     let u = Splitmix.float rng in
-    (* Binary search for the first index whose CDF value exceeds u. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if t.cdf.(mid) > u then search lo mid else search (mid + 1) hi
-      end
-    in
-    search 0 (Array.length t.cdf - 1)
+    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get cdf mid > u then hi := mid else lo := mid + 1
+    done;
+    !lo
 end
 
-let zipf rng ~n ~s = Zipf_table.draw (Zipf_table.create ~n ~s) rng
-
-let pareto rng ~shape ~scale =
+let[@inline] pareto rng ~shape ~scale =
   if shape <= 0. then invalid_arg "Dist.pareto: shape must be positive";
   if scale <= 0. then invalid_arg "Dist.pareto: scale must be positive";
   let u = 1. -. Splitmix.float rng in

@@ -14,15 +14,16 @@ val geometric : Splitmix.t -> p:float -> int
 
 val uniform : Splitmix.t -> lo:float -> hi:float -> float
 
-val zipf : Splitmix.t -> n:int -> s:float -> int
-(** Zipf-distributed rank in [0, n), exponent [s] >= 0.  Rank 0 is the most
-    popular.  Uses inversion over the precomputed CDF, rebuilt per call only
-    when [n] or [s] changes (callers in hot loops should use {!Zipf_table}). *)
-
+(** Zipf-distributed ranks in [0, n), exponent [s] >= 0, by inversion over
+    a precomputed CDF.  Rank 0 is the most popular.  Build the table once
+    and draw from it: building costs [n] powers, a draw one uniform and a
+    binary search, and allocates nothing. *)
 module Zipf_table : sig
   type t
 
   val create : n:int -> s:float -> t
+  (** Raises [Invalid_argument] when [n <= 0] or [s < 0]. *)
+
   val draw : t -> Splitmix.t -> int
 end
 

@@ -32,8 +32,11 @@ let bucket_hi i = if i = 0 then least else if i > buckets then infinity else bou
    either way when x sits exactly on a bucket edge (x = least, x = least *
    growth^k), so the initial estimate, clamped into the geometric buckets,
    is nudged until x actually falls inside the bucket's half-open interval;
-   both neighbouring edges come from [bounds].  A NaN has no bucket. *)
-let bucket_index x =
+   both neighbouring edges come from [bounds].  A NaN has no bucket.
+   [bucket_index] and [add] are inlined into their callers, so a sample
+   computed there reaches the counts and the sum unboxed: a float passed
+   to a call is boxed. *)
+let[@inline] bucket_index x =
   if x < least then 0
   else if x >= last_bound then buckets + 1
   else if Float.is_nan x then invalid_arg "Histogram.bucket_index: NaN"
@@ -45,7 +48,7 @@ let bucket_index x =
     if i > 1 && x < bounds.(i - 2) then i - 1 else i
   end
 
-let add t x =
+let[@inline] add t x =
   let i = bucket_index x in
   t.counts.(i) <- t.counts.(i) + 1;
   t.total_count <- t.total_count + 1;

@@ -120,8 +120,9 @@ type server_row = { mutable sv_ops : int; mutable sv_writes : int; sv_sums : flo
    into the polymorphic hash and no option to box. *)
 type t = {
   open_ops : op Int_tbl.t;  (** by op id *)
-  by_write : wait_note Int_tbl.t;  (** by write id *)
-  mutable completed_writes : op list;  (** newest first; kept for worst-K *)
+  by_write : wait_note Int_tbl.t;  (** by write id, while its write is open or in [slowest] *)
+  worst : int;  (** how many completed writes [slowest] keeps *)
+  mutable slowest : op list;  (** the [worst] slowest completed writes, in [rank] order *)
   lat_hist : Stats.Histogram.t array;  (** by kind *)
   phase_hist : Stats.Histogram.t array array;  (** by kind, then phase *)
   abandoned : int array;  (** by kind: client crashed mid-operation *)
@@ -131,11 +132,13 @@ type t = {
   mutable max_err : float;  (** worst |sum of phases - measured latency| *)
 }
 
-let create () =
+let create ?(worst = 5) () =
+  if worst < 0 then invalid_arg (Printf.sprintf "Critical_path.create: worst %d < 0" worst);
   {
     open_ops = Int_tbl.create 64;
     by_write = Int_tbl.create 64;
-    completed_writes = [];
+    worst;
+    slowest = [];
     lat_hist = Array.init 3 (fun _ -> Stats.Histogram.create ());
     phase_hist = Array.init 3 (fun _ -> Array.init n_phases (fun _ -> Stats.Histogram.create ()));
     abandoned = Array.make 3 0;
@@ -193,6 +196,37 @@ let phase_totals op =
   add_segs sums op.o_segs;
   sums
 
+(* Slowest first, then by op id: the order [report] lists writes in. *)
+let rank a b =
+  match Float.compare (b.o_end -. b.o_t0) (a.o_end -. a.o_t0) with
+  | 0 -> Int.compare a.o_id b.o_id
+  | c -> c
+
+(* A write that leaves [slowest], or never enters it, takes its wait notes
+   out of [by_write]: nothing reads them again.  A note under a reused
+   write id is left alone. *)
+let drop_notes t op =
+  List.iter
+    (fun w ->
+      match Int_tbl.find t.by_write w.wn_write with
+      | note when note == w -> Int_tbl.remove t.by_write w.wn_write
+      | _ | (exception Not_found) -> ())
+    op.o_waits
+
+(* Files a just-completed write into [slowest].  It goes before every kept
+   write it ties with: newer writes come first among equals, as in the
+   stable sort of all writes, newest first, that [slowest] stands for. *)
+let keep_slowest t op =
+  let rec insert = function x :: rest when rank op x > 0 -> x :: insert rest | l -> op :: l in
+  let rec take n = function
+    | [] -> []
+    | l when n = 0 ->
+      List.iter (drop_notes t) l;
+      []
+    | x :: rest -> x :: take (n - 1) rest
+  in
+  t.slowest <- take t.worst (insert t.slowest)
+
 let complete t op now =
   cut op now;
   op.o_end <- now;
@@ -223,11 +257,12 @@ let complete t op now =
     for i = 0 to n_phases - 1 do
       row.sv_sums.(i) <- row.sv_sums.(i) +. sums.(i)
     done;
-    t.completed_writes <- op :: t.completed_writes
+    keep_slowest t op
   | K_read | K_extend -> ()
 
 let abandon t op =
   Int_tbl.remove t.open_ops op.o_id;
+  drop_notes t op;
   let k = kind_index op.o_kind in
   t.abandoned.(k) <- t.abandoned.(k) + 1
 
@@ -539,7 +574,12 @@ let worst_of op =
     w_explain = explain op ~latency ~sums;
   }
 
-let report ?(k = 5) t =
+let report ?k t =
+  let k = Option.value k ~default:t.worst in
+  if k > t.worst then
+    invalid_arg
+      (Printf.sprintf "Critical_path.report: k %d exceeds the %d writes the analyzer keeps" k
+         t.worst);
   let incomplete = Array.make 3 0 in
   Int_tbl.iter
     (fun _ op -> incomplete.(kind_index op.o_kind) <- incomplete.(kind_index op.o_kind) + 1)
@@ -561,20 +601,12 @@ let report ?(k = 5) t =
         })
       op_kinds
   in
-  let worst =
-    List.sort
-      (fun a b ->
-        match compare (b.o_end -. b.o_t0) (a.o_end -. a.o_t0) with
-        | 0 -> compare a.o_id b.o_id
-        | c -> c)
-      t.completed_writes
-  in
   let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl in
   {
     r_kinds;
     r_checked = t.checked;
     r_max_err = t.max_err;
-    r_worst = List.map worst_of (take k worst);
+    r_worst = List.map worst_of (take k t.slowest);
     r_servers =
       Int_tbl.fold (fun host row acc -> (host, row) :: acc) t.servers []
       |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -46,7 +46,11 @@ val op_name : int -> string
 
 type t
 
-val create : unit -> t
+val create : ?worst:int -> unit -> t
+(** [worst] (default 5, at least 0) is how many of the slowest completed
+    writes the analyzer keeps for {!report}'s exemplars.  It keeps no
+    other completed operation, so its memory is bounded by the open
+    operations and [worst]. *)
 
 val feed : t -> Event.t -> unit
 
@@ -113,7 +117,8 @@ type report = {
 }
 
 val report : ?k:int -> t -> report
-(** [k] bounds the worst-write exemplar list (default 5). *)
+(** [k] bounds the worst-write exemplar list (default: the analyzer's
+    [worst]).  Raises [Invalid_argument] when [k] exceeds [worst]. *)
 
 val to_json : report -> Json.t
 (** The [leases-latency/1] document — deterministic member order and float

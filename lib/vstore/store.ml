@@ -75,18 +75,24 @@ let validity_interval t file version =
   in
   find None (history_ro t file)
 
+(* Whether [version]'s validity interval intersects [start, finish], from
+   the newest commit down; [next], the instant the commit after the one
+   at hand superseded it, means something only once [bounded].  Called on
+   every completed read, so it walks the history without the closure and
+   options [validity_interval] allocates. *)
+let rec current_during version ~start ~finish ~bounded ~next = function
+  | Initial ->
+    Version.equal version Version.initial
+    && Time.(zero <= finish)
+    && ((not bounded) || Time.(start < next))
+  | Commit { version = v; at = committed; older } ->
+    if Version.equal v version then
+      Time.(committed <= finish) && ((not bounded) || Time.(start < next))
+    else current_during version ~start ~finish ~bounded:true ~next:committed older
+
 let was_current_during t file version ~start ~finish =
   if Time.(finish < start) then invalid_arg "Store.was_current_during: empty window";
-  match validity_interval t file version with
-  | None -> false
-  | Some (valid_from, valid_until) ->
-    let begins_in_time = Time.(valid_from <= finish) in
-    let still_valid =
-      match valid_until with
-      | None -> true
-      | Some until -> Time.(start < until)
-    in
-    begins_in_time && still_valid
+  current_during version ~start ~finish ~bounded:false ~next:Time.zero (history_ro t file)
 
 let staleness_at t file version ~at =
   match validity_interval t file version with

@@ -2,7 +2,7 @@ open Simtime
 
 let generate ~rng ~fileset ~mix ~read_rate ~write_rate ?(ops_per_burst = 20.)
     ?(gap = Time.Span.of_ms 50.) ?(working_set = 8) ?(pareto_shape = 2.5) ~duration () =
-  Mix.validate mix;
+  let pick = Mix.sampler mix fileset in
   let total_rate = read_rate +. write_rate in
   if total_rate <= 0. then invalid_arg "Bursty_gen.generate: need a positive total rate";
   if ops_per_burst < 1. then invalid_arg "Bursty_gen.generate: ops_per_burst must be >= 1";
@@ -24,29 +24,26 @@ let generate ~rng ~fileset ~mix ~read_rate ~write_rate ?(ops_per_burst = 20.)
   for client = 0 to Fileset.clients fileset - 1 do
     let rng = Prng.Splitmix.split rng in
     let p_stop = 1. /. ops_per_burst in
-    let rec bursts t =
-      let t = t +. Prng.Dist.pareto rng ~shape:pareto_shape ~scale:pareto_scale in
-      if not (t > horizon) then begin
-        let set =
-          Array.init working_set (fun _ -> Mix.pick_read mix rng fileset ~client)
-        in
-        let burst_len = Prng.Dist.geometric rng ~p:p_stop in
-        let rec burst t remaining =
-          if remaining = 0 || t > horizon then t
-          else begin
-            let at = Time.of_sec t in
-            (if Prng.Splitmix.bool rng ~p:write_fraction then
-               Trace.Builder.add b ~at ~client ~kind:Op.Write
-                 ~file:(Mix.pick_write mix rng fileset ~client) ~temporary:false
-             else
-               Trace.Builder.add b ~at ~client ~kind:Op.Read
-                 ~file:set.(Prng.Splitmix.int rng ~bound:working_set) ~temporary:false);
-            burst (t +. gap_sec) (remaining - 1)
-          end
-        in
-        bursts (burst t burst_len)
+    (* Loops over local float refs keep the instant unboxed. *)
+    let t = ref 0. and live = ref true in
+    while !live do
+      t := !t +. Prng.Dist.pareto rng ~shape:pareto_shape ~scale:pareto_scale;
+      if !t > horizon then live := false
+      else begin
+        let set = Array.init working_set (fun _ -> Mix.pick_read pick rng ~client) in
+        let remaining = ref (Prng.Dist.geometric rng ~p:p_stop) in
+        while !remaining > 0 && not (!t > horizon) do
+          let at = Time.of_sec !t in
+          (if Prng.Splitmix.bool rng ~p:write_fraction then
+             Trace.Builder.add b ~at ~client ~kind:Op.Write ~file:(Mix.pick_write pick rng ~client)
+               ~temporary:false
+           else
+             Trace.Builder.add b ~at ~client ~kind:Op.Read
+               ~file:set.(Prng.Splitmix.int rng ~bound:working_set) ~temporary:false);
+          t := !t +. gap_sec;
+          decr remaining
+        done
       end
-    in
-    bursts 0.
+    done
   done;
   Trace.Builder.finish b

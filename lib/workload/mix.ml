@@ -26,31 +26,43 @@ let validate t =
     invalid_arg "Mix: read fractions exceed 1";
   if t.zipf_installed < 0. || t.zipf_shared < 0. then invalid_arg "Mix: negative Zipf exponent"
 
-let zipf_pick rng files s =
-  files.(Prng.Dist.zipf rng ~n:(Array.length files) ~s)
+type sampler = {
+  mix : t;
+  fileset : Fileset.t;
+  installed_zipf : Prng.Dist.Zipf_table.t;
+  shared_zipf : Prng.Dist.Zipf_table.t option;  (** [None] when no file is shared *)
+}
+
+let sampler t fileset =
+  validate t;
+  let table files s = Prng.Dist.Zipf_table.create ~n:(Array.length files) ~s in
+  let shared = Fileset.shared fileset in
+  {
+    mix = t;
+    fileset;
+    installed_zipf = table (Fileset.installed fileset) t.zipf_installed;
+    shared_zipf = (if Array.length shared = 0 then None else Some (table shared t.zipf_shared));
+  }
 
 let uniform_pick rng files = files.(Prng.Splitmix.int rng ~bound:(Array.length files))
 
-let private_fallback rng fileset ~client =
-  let own = Fileset.private_of fileset client in
+let private_fallback s rng ~client =
+  let own = Fileset.private_of s.fileset client in
   if Array.length own = 0 then invalid_arg "Mix: no private files to fall back on"
   else uniform_pick rng own
 
-let pick_read t rng fileset ~client =
-  let u = Prng.Splitmix.float rng in
-  if u < t.p_installed_read then zipf_pick rng (Fileset.installed fileset) t.zipf_installed
-  else if u < t.p_installed_read +. t.p_shared_read then begin
-    let shared = Fileset.shared fileset in
-    if Array.length shared = 0 then private_fallback rng fileset ~client
-    else zipf_pick rng shared t.zipf_shared
-  end
-  else private_fallback rng fileset ~client
+let shared_pick s rng ~client =
+  match s.shared_zipf with
+  | Some zipf -> (Fileset.shared s.fileset).(Prng.Dist.Zipf_table.draw zipf rng)
+  | None -> private_fallback s rng ~client
 
-let pick_write t rng fileset ~client =
+let pick_read s rng ~client =
   let u = Prng.Splitmix.float rng in
-  if u < t.p_shared_write then begin
-    let shared = Fileset.shared fileset in
-    if Array.length shared = 0 then private_fallback rng fileset ~client
-    else zipf_pick rng shared t.zipf_shared
-  end
-  else private_fallback rng fileset ~client
+  if u < s.mix.p_installed_read then
+    (Fileset.installed s.fileset).(Prng.Dist.Zipf_table.draw s.installed_zipf rng)
+  else if u < s.mix.p_installed_read +. s.mix.p_shared_read then shared_pick s rng ~client
+  else private_fallback s rng ~client
+
+let pick_write s rng ~client =
+  if Prng.Splitmix.float rng < s.mix.p_shared_write then shared_pick s rng ~client
+  else private_fallback s rng ~client

@@ -17,8 +17,16 @@ val validate : t -> unit
 (** Raises [Invalid_argument] when any probability is outside [0, 1] or the
     read fractions sum past 1. *)
 
-val pick_read : t -> Prng.Splitmix.t -> Fileset.t -> client:int -> Vstore.File_id.t
-val pick_write : t -> Prng.Splitmix.t -> Fileset.t -> client:int -> Vstore.File_id.t
-(** Classes that turn out to be empty fall back to the client's private
-    files; a fileset with no private files for the client and no non-empty
-    target class raises [Invalid_argument]. *)
+(** A mix bound to one fileset, with one Zipf table per file class, built
+    once per generated trace. *)
+type sampler
+
+val sampler : t -> Fileset.t -> sampler
+(** Raises [Invalid_argument] as {!validate}. *)
+
+val pick_read : sampler -> Prng.Splitmix.t -> client:int -> Vstore.File_id.t
+val pick_write : sampler -> Prng.Splitmix.t -> client:int -> Vstore.File_id.t
+(** One class draw, then one file draw within the class.  Classes that turn
+    out to be empty fall back to the client's private files; a fileset with
+    no private files for the client and no non-empty target class raises
+    [Invalid_argument].  A pick allocates nothing. *)

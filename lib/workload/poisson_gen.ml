@@ -1,24 +1,22 @@
 open Simtime
 
 (* One Poisson stream of operations for one client, in arrival order: each
-   arrival draws its gap, then [add] draws the op's file. *)
+   arrival draws its gap, then [add] draws the op's file.  A loop over a
+   local float ref keeps the instant unboxed. *)
 let stream ~rng ~duration ~rate add =
   if rate > 0. then begin
     let mean_gap = 1. /. rate in
     let horizon = Time.Span.to_sec duration in
-    let rec arrivals t =
-      let t = t +. Prng.Dist.exponential rng ~mean:mean_gap in
-      if not (t > horizon) then begin
-        add (Time.of_sec t);
-        arrivals t
-      end
-    in
-    arrivals 0.
+    let t = ref 0. and live = ref true in
+    while !live do
+      t := !t +. Prng.Dist.exponential rng ~mean:mean_gap;
+      if !t > horizon then live := false else add (Time.of_sec !t)
+    done
   end
 
 let generate ~rng ~fileset ~mix ~read_rate ~write_rate ?(temp_read_rate = 0.)
     ?(temp_write_rate = 0.) ~duration () =
-  Mix.validate mix;
+  let pick = Mix.sampler mix fileset in
   if read_rate < 0. || write_rate < 0. || temp_read_rate < 0. || temp_write_rate < 0. then
     invalid_arg "Poisson_gen.generate: negative rate";
   let b = Trace.Builder.create () in
@@ -26,15 +24,15 @@ let generate ~rng ~fileset ~mix ~read_rate ~write_rate ?(temp_read_rate = 0.)
     let rng = Prng.Splitmix.split rng in
     let add kind ~temporary file at = Trace.Builder.add b ~at ~client ~kind ~file ~temporary in
     stream ~rng ~duration ~rate:read_rate (fun at ->
-        add Op.Read ~temporary:false (Mix.pick_read mix rng fileset ~client) at);
+        add Op.Read ~temporary:false (Mix.pick_read pick rng ~client) at);
     stream ~rng ~duration ~rate:write_rate (fun at ->
-        add Op.Write ~temporary:false (Mix.pick_write mix rng fileset ~client) at);
+        add Op.Write ~temporary:false (Mix.pick_write pick rng ~client) at);
     let temps = Fileset.temporary_of fileset client in
     let temp_stream rate kind =
       stream ~rng ~duration ~rate (fun at ->
           if Array.length temps = 0 then
             (* No temporary files configured: degrade to a private op. *)
-            add kind ~temporary:false (Mix.pick_write mix rng fileset ~client) at
+            add kind ~temporary:false (Mix.pick_write pick rng ~client) at
           else
             add kind ~temporary:true temps.(Prng.Splitmix.int rng ~bound:(Array.length temps)) at)
     in

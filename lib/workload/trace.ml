@@ -14,15 +14,58 @@ let client_limit = 1 lsl 30
 
 type t = { ats : int array;  (** arrival, µs *) words : int array }
 
-(* Op.compare_by_time on ops [i] and [j] of two parallel arrays. *)
-let compare_ops (ats : int array) words i j =
-  let a = Array.unsafe_get ats i and b = Array.unsafe_get ats j in
-  if a < b then -1
-  else if a > b then 1
-  else
-    let ka = Array.unsafe_get words i lsr file_shift
-    and kb = Array.unsafe_get words j lsr file_shift in
-    if ka < kb then -1 else if ka > kb then 1 else 0
+(* Op.compare_by_time: (at, word lsr file_shift) of one op ranks strictly
+   after that of another. *)
+let[@inline] after (at : int) word (at' : int) word' =
+  at > at' || (at = at' && word lsr file_shift > word' lsr file_shift)
+
+(* Stable insertion sort of ops [lo, hi) of two parallel arrays. *)
+let insertion_sort (ats : int array) words lo hi =
+  for i = lo + 1 to hi - 1 do
+    let at = Array.unsafe_get ats i and word = Array.unsafe_get words i in
+    let j = ref (i - 1) in
+    while
+      !j >= lo && after (Array.unsafe_get ats !j) (Array.unsafe_get words !j) at word
+    do
+      Array.unsafe_set ats (!j + 1) (Array.unsafe_get ats !j);
+      Array.unsafe_set words (!j + 1) (Array.unsafe_get words !j);
+      decr j
+    done;
+    Array.unsafe_set ats (!j + 1) at;
+    Array.unsafe_set words (!j + 1) word
+  done
+
+let small = 24
+
+(* Stable merge sort of ops [lo, hi) of two parallel arrays, insertion
+   sorting runs of at most [small], with [scratch_ats] and [scratch_words]
+   holding at least half the run: each merge copies its left half out and
+   merges it back with the right half, the left half winning ties. *)
+let rec merge_sort ats words ~scratch_ats ~scratch_words lo hi =
+  if hi - lo <= small then insertion_sort ats words lo hi
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    merge_sort ats words ~scratch_ats ~scratch_words lo mid;
+    merge_sort ats words ~scratch_ats ~scratch_words mid hi;
+    let left = mid - lo in
+    Array.blit ats lo scratch_ats 0 left;
+    Array.blit words lo scratch_words 0 left;
+    let i = ref 0 and j = ref mid and k = ref lo in
+    while !i < left do
+      let at = Array.unsafe_get scratch_ats !i and word = Array.unsafe_get scratch_words !i in
+      if !j < hi && after at word (Array.unsafe_get ats !j) (Array.unsafe_get words !j) then begin
+        Array.unsafe_set ats !k (Array.unsafe_get ats !j);
+        Array.unsafe_set words !k (Array.unsafe_get words !j);
+        incr j
+      end
+      else begin
+        Array.unsafe_set ats !k at;
+        Array.unsafe_set words !k word;
+        incr i
+      end;
+      incr k
+    done
+  end
 
 module Builder = struct
   type nonrec t = { mutable ats : int array; mutable words : int array; mutable len : int }
@@ -79,20 +122,66 @@ module Builder = struct
         reverse a from b.len)
       [ b.ats; b.words ]
 
-  (* [Array.stable_sort] and [List.stable_sort] are both stable, so sorting
-     the index permutation puts the ops exactly where sorting the list of
-     records would. *)
+  (* A stable bucket sort on arrival.  Bucket [(at - first) lsr shift]
+     covers a fixed width of arrivals, with [shift] the least that leaves
+     at most [n] buckets over [first, last]; arrivals order buckets, so
+     only ops within one bucket need comparing.  Counting, a prefix sum
+     and a scatter in append order place each bucket's ops, still in
+     append order, in the exact-size output arrays; each bucket is then
+     sorted in place by a stable sort.  A bucket holds one or two ops on
+     average; one-instant or clustered traces (an [--ops] file) fill a few
+     large ones, which the merge sort keeps O(n log n), with the builder's
+     own arrays as its scratch.  Stable sorts of one sequence by one order
+     all agree, so this is exactly [List.stable_sort Op.compare_by_time]
+     of the ops in append order. *)
   let finish b =
     let n = b.len and ats = b.ats and words = b.words in
     b.ats <- [||];
     b.words <- [||];
     b.len <- 0;
-    let order = Array.init n Fun.id in
-    Array.stable_sort (compare_ops ats words) order;
-    {
-      ats = Array.map (fun i -> Array.unsafe_get ats i) order;
-      words = Array.map (fun i -> Array.unsafe_get words i) order;
-    }
+    if n = 0 then { ats = [||]; words = [||] }
+    else begin
+      let first = ref max_int and last = ref min_int in
+      for i = 0 to n - 1 do
+        let at = Array.unsafe_get ats i in
+        if at < !first then first := at;
+        if at > !last then last := at
+      done;
+      let first = !first and span = !last - !first in
+      let shift = ref 0 in
+      while span lsr !shift >= n do
+        incr shift
+      done;
+      let shift = !shift in
+      (* [starts.(k)] counts bucket [k - 1]'s ops, then holds where bucket
+         [k] starts, then where its next op goes. *)
+      let starts = Array.make ((span lsr shift) + 2) 0 in
+      for i = 0 to n - 1 do
+        let k = ((Array.unsafe_get ats i - first) lsr shift) + 1 in
+        Array.unsafe_set starts k (Array.unsafe_get starts k + 1)
+      done;
+      for k = 1 to Array.length starts - 1 do
+        Array.unsafe_set starts k (Array.unsafe_get starts k + Array.unsafe_get starts (k - 1))
+      done;
+      let sorted_ats = Array.make n 0 and sorted_words = Array.make n 0 in
+      for i = 0 to n - 1 do
+        let at = Array.unsafe_get ats i in
+        let k = (at - first) lsr shift in
+        let pos = Array.unsafe_get starts k in
+        Array.unsafe_set starts k (pos + 1);
+        Array.unsafe_set sorted_ats pos at;
+        Array.unsafe_set sorted_words pos (Array.unsafe_get words i)
+      done;
+      (* Bucket [k] now spans [starts.(k - 1), starts.(k)). *)
+      let lo = ref 0 in
+      for k = 0 to Array.length starts - 2 do
+        let hi = Array.unsafe_get starts k in
+        if hi - !lo > 1 then
+          merge_sort sorted_ats sorted_words ~scratch_ats:ats ~scratch_words:words !lo hi;
+        lo := hi
+      done;
+      { ats = sorted_ats; words = sorted_words }
+    end
 end
 
 let add_op b (op : Op.t) =

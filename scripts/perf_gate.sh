@@ -1,15 +1,18 @@
 #!/bin/sh
 # Perf-regression gate: run the repo benchmark (perfbench, BENCHMARK.json)
 # once on each of its four workloads and compare every workload's
-# sim_s_per_ref_s and peak_rss_mb with the committed medians in
+# sim_s_per_ref_s, setup_s and peak_rss_mb with the committed medians in
 # scripts/perf_baseline.json.  The untraced runs also check each
 # workload's simulated output against perfbench/expected/.  Fails, naming
 # the worst workload, when perfbench's own output checks fail, when any
-# workload falls below TOLERANCE x its committed sim_s_per_ref_s, or when
-# any workload's peak_rss_mb exceeds its committed value by more than
-# BENCHMARK.json's peak_rss_mb bound (0.15).  Peak RSS repeats to within
-# ~0.25 MB run to run, so one run suffices; the throughput floor is looser
-# because one repeat on a shared host is noisy.
+# workload falls below TOLERANCE x its committed sim_s_per_ref_s, when any
+# workload's setup_s (trace generation) exceeds twice its committed
+# median, whatever TOLERANCE says, or when any workload's peak_rss_mb
+# exceeds its committed value by more than BENCHMARK.json's peak_rss_mb
+# bound (0.15).  Peak RSS repeats to within ~0.25 MB run to run, so one
+# run suffices; the throughput floor is looser because one repeat on a
+# shared host is noisy.  A generator that builds a Zipf table per draw
+# again read 3.0x v_lan_n100's committed setup_s in one run.
 #
 # Usage: perf_gate.sh [--tolerance RATIO]
 #
@@ -67,11 +70,13 @@ esac
 
 # One row per baseline metric and workload: metric, workload, baseline,
 # current.  A workload missing from the run reads 0 throughput and an
-# unbounded RSS, so it fails the gate by name.
+# unbounded setup time and RSS, so it fails the gate by name.
 rows=$(echo "$summary" | jq -r --slurpfile base "$BASELINE" '
   .metrics as $m
   | ($base[0].sim_s_per_ref_s | to_entries[]
      | "sim_s_per_ref_s \(.key) \(.value) \($m[.key + ".sim_s_per_ref_s"].value // 0)"),
+    ($base[0].setup_s | to_entries[]
+     | "setup_s \(.key) \(.value) \($m[.key + ".setup_s"].value // 1e300)"),
     ($base[0].peak_rss_mb | to_entries[]
      | "peak_rss_mb \(.key) \(.value) \($m[.key + ".peak_rss_mb"].value // 1e300)")')
 
@@ -79,9 +84,13 @@ echo "$rows" | awk -v tol="$TOLERANCE" -v rss="$rss_bound" -v status="$status" \
   -v failed="$failed" -v correct="$(echo "$summary" | jq -r .correct)" '
   {
     ratio = $4 / $3
-    printf "%-14s %-15s %10.2f now, %10.2f baseline: %.3fx\n", $2, $1, $4, $3, ratio
+    fmt = ($1 == "setup_s") ? "%-14s %-15s %10.4f now, %10.4f baseline: %.3fx\n" \
+                            : "%-14s %-15s %10.2f now, %10.2f baseline: %.3fx\n"
+    printf fmt, $2, $1, $4, $3, ratio
     if ($1 == "sim_s_per_ref_s") {
       if (slow == "" || ratio < low) { slow = $2; low = ratio }
+    } else if ($1 == "setup_s") {
+      if (late == "" || ratio > gen) { late = $2; gen = ratio }
     } else if (fat == "" || ratio > high) { fat = $2; high = ratio }
   }
   END {
@@ -94,11 +103,17 @@ echo "$rows" | awk -v tol="$TOLERANCE" -v rss="$rss_bound" -v status="$status" \
         slow, low, tol
       exit 1
     }
+    if (gen > 2) {
+      printf "perf gate FAILED: %s at %.3fx its baseline setup_s, above the 2.00 ceiling\n", \
+        late, gen
+      exit 1
+    }
     if (high > 1 + rss) {
       printf "perf gate FAILED: %s at %.3fx its baseline peak_rss_mb, above the %.2f ceiling\n", \
         fat, high, 1 + rss
       exit 1
     }
     printf "perf gate passed: worst sim_s_per_ref_s %s at %.3fx baseline (floor %s), ", slow, low, tol
+    printf "largest setup_s %s at %.3fx baseline (ceiling 2.00), ", late, gen
     printf "largest peak_rss_mb %s at %.3fx baseline (ceiling %.2f)\n", fat, high, 1 + rss
   }'

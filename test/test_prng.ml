@@ -139,6 +139,82 @@ let test_pareto () =
   (* mean = scale * shape / (shape - 1) = 2.5 *)
   Alcotest.(check (float 0.1)) "pareto mean" 2.5 (!sum /. float_of_int n)
 
+(* The first 64 draws of each kind from a fresh generator at seed 42 (and
+   of the child it splits off), recorded while the state was a boxed
+   [int64] field: holding it unboxed must not move a bit.  The int64,
+   float and child streams are pinned by the MD5 of their decimal (hex
+   for floats) renderings, space-separated. *)
+let test_streams_pinned () =
+  let stream render draw =
+    let rng = Prng.Splitmix.create ~seed:42L in
+    String.concat " " (List.init 64 (fun _ -> render (draw rng)))
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "next_int64" "88cd135575ee107cdb41fc5be9226dd6"
+    (md5 (stream Int64.to_string Prng.Splitmix.next_int64));
+  Alcotest.(check string) "float" "e9c585e6853f1393bd47d7ab33e9c093"
+    (md5 (stream (Printf.sprintf "%h") Prng.Splitmix.float));
+  Alcotest.(check string) "int ~bound:7"
+    "1434142536415206462556166100335602312161146614242562252216055352"
+    (String.concat "" (String.split_on_char ' '
+       (stream string_of_int (Prng.Splitmix.int ~bound:7))));
+  Alcotest.(check string) "bool ~p:0.3"
+    "0110101000100001101001001100000000001101011000110001101000011001"
+    (String.concat "" (String.split_on_char ' '
+       (stream (fun b -> if b then "1" else "0") (Prng.Splitmix.bool ~p:0.3))));
+  Alcotest.(check string) "split child" "f4334b3645dd86b8da7d1aacd2b4e793"
+    (md5
+       (let child = Prng.Splitmix.split (Prng.Splitmix.create ~seed:42L) in
+        String.concat " "
+          (List.init 64 (fun _ -> Int64.to_string (Prng.Splitmix.next_int64 child)))))
+
+(* Words (minor + major - promoted) allocated by [n] calls of [f]. *)
+let words_per_call f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let n = 100_000 in
+  let before = words () in
+  f n;
+  (words () -. before) /. float_of_int n
+
+(* No draw allocates: the state is stored unboxed, and the float draws are
+   inlined where they are consumed.  These pins hold in the default
+   release build; [--profile dev] compiles each library [-opaque], so a
+   float crossing a module boundary is boxed there (DESIGN.md §16). *)
+let test_draws_allocate_nothing () =
+  let rng = Prng.Splitmix.create ~seed:3L in
+  let table = Prng.Dist.Zipf_table.create ~n:20 ~s:0.8 in
+  let sink = ref 0 in
+  List.iter
+    (fun (name, f) ->
+      let per_draw = words_per_call f in
+      if per_draw > 0.5 then Alcotest.failf "%s allocates %.2f words a draw" name per_draw)
+    [
+      ( "Splitmix.float",
+        fun n ->
+          for _ = 1 to n do
+            if Prng.Splitmix.float rng < 0.5 then incr sink
+          done );
+      ( "Splitmix.int",
+        fun n ->
+          for _ = 1 to n do
+            sink := !sink + Prng.Splitmix.int rng ~bound:7
+          done );
+      ( "Splitmix.bool",
+        fun n ->
+          for _ = 1 to n do
+            if Prng.Splitmix.bool rng ~p:0.3 then incr sink
+          done );
+      ( "Zipf_table.draw",
+        fun n ->
+          for _ = 1 to n do
+            sink := !sink + Prng.Dist.Zipf_table.draw table rng
+          done );
+    ];
+  Alcotest.(check bool) "draws were consumed" true (!sink > 0)
+
 let () =
   Alcotest.run "prng"
     [
@@ -151,6 +227,8 @@ let () =
           Alcotest.test_case "float mean" `Quick test_float_mean;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "bool probability" `Quick test_bool_probability;
+          Alcotest.test_case "streams pinned" `Quick test_streams_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
         ] );
       ( "distributions",
         [

@@ -940,11 +940,68 @@ let ops_of_trace trace = List.init (Workload.Trace.length trace) (Workload.Trace
 
 let print_ops ops = String.concat "\n" (List.map (Format.asprintf "%a" Workload.Op.pp) ops)
 
+(* An op at [at] with the tie-prone fields of [edge_op_gen]. *)
+let op_at_gen at =
+  QCheck.Gen.map (fun (op : Workload.Op.t) -> { op with at = Time.of_us at }) edge_op_gen
+
+(* Arrival shapes for every path of [Builder.finish]'s bucket sort: zero
+   or one op; the tie-heavy edge ops, whose [max_int] arrivals leave the
+   rest in one bucket; every op at one instant, one large bucket for the
+   merge sort; two dense clusters far apart; arrivals on either side of
+   power-of-two bucket edges, with duplicates; and a spread of mostly
+   distinct arrivals, one or two to a bucket. *)
+let shaped_ops_gen =
+  QCheck.Gen.(
+    let n_ops hi = int_range 2 hi in
+    frequency
+      [
+        (1, list_size (int_range 0 1) edge_op_gen);
+        (3, list_size (int_range 0 80) edge_op_gen);
+        ( 2,
+          let* at = int_range 0 1_000_000 in
+          list_size (n_ops 300) (op_at_gen at) );
+        ( 2,
+          let* a = int_range 0 1_000 and* gap = int_range 1_000_000 1_000_000_000 in
+          list_size (n_ops 300)
+            (let* near_b = bool and* d = int_range 0 5 in
+             op_at_gen ((if near_b then a + gap else a) + d)) );
+        ( 2,
+          let* first = int_range 0 100 and* shift = int_range 0 8 in
+          list_size (n_ops 200)
+            (let* k = int_range 0 40 and* d = int_range (-1) 1 in
+             op_at_gen (first + Int.max 0 ((k lsl shift) + d))) );
+        ( 2,
+          let* span = int_range 1 10_000 in
+          list_size (n_ops 200) (int_range 0 span >>= op_at_gen) );
+      ])
+
+(* Each shape is also appended with a rotate of a random range, as the
+   Poisson generator rotates its temporary streams. *)
 let prop_packed_matches_list =
-  QCheck.Test.make ~name:"packed trace = List.stable_sort" ~count:500
-    (QCheck.make ~print:print_ops QCheck.Gen.(list_size (int_range 0 80) edge_op_gen))
-    (fun ops ->
-      ops_of_trace (Workload.Trace.of_ops ops) = List.stable_sort Workload.Op.compare_by_time ops)
+  QCheck.Test.make ~name:"packed trace = List.stable_sort" ~count:1_000
+    (QCheck.make
+       ~print:(fun (ops, a, b) -> Printf.sprintf "rotate from %d mid %d\n%s" a b (print_ops ops))
+       QCheck.Gen.(
+         let* ops = shaped_ops_gen in
+         let n = List.length ops in
+         let* rotated = bool in
+         if not rotated then return (ops, n, n)
+         else
+           let* a = int_range 0 n in
+           let* b = int_range a n in
+           return (ops, a, b)))
+    (fun (ops, from, mid) ->
+      let b = Workload.Trace.Builder.create () in
+      List.iter
+        (fun (op : Workload.Op.t) ->
+          Workload.Trace.Builder.add b ~at:op.at ~client:op.client ~kind:op.kind ~file:op.file
+            ~temporary:op.temporary)
+        ops;
+      Workload.Trace.Builder.rotate b ~from ~mid;
+      let slice lo hi = List.filteri (fun i _ -> i >= lo && i < hi) ops in
+      let appended = slice 0 from @ slice mid (List.length ops) @ slice from mid in
+      ops_of_trace (Workload.Trace.Builder.finish b)
+      = List.stable_sort Workload.Op.compare_by_time appended)
 
 (* [Builder.rotate ~from ~mid] is [from] ops, then the ops after [mid],
    then those between. *)

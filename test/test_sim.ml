@@ -353,8 +353,8 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "temporary op words" `Quick (check_words_per_op Temporary ~pin:0.);
-          Alcotest.test_case "cache hit words" `Quick (check_words_per_op Cache_hit ~pin:23.);
+          Alcotest.test_case "cache hit words" `Quick (check_words_per_op Cache_hit ~pin:11.);
           Alcotest.test_case "one-line miss words" `Quick
-            (check_words_per_op One_line_miss ~pin:88.);
+            (check_words_per_op One_line_miss ~pin:71.);
         ] );
     ]

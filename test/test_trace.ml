@@ -628,12 +628,13 @@ let test_checker_commit_words () =
           (Trace.Checker.ok (Trace.Checker.report c)))
 
 (* A read's request and reply, each sent and delivered 2.5 ms later.  A
-   completed read costs its op record (17 words), two timeline segments
-   (7 each) and the boxed latency and seven phase totals it hands to the
-   histograms (16).  The analyzer's tables are [Int_tbl]s, so a lookup
-   boxes no option and builds no closure. *)
+   completed read costs its op record (17 words) and two timeline
+   segments (7 each).  [Histogram.add] is inlined, so the latency and the
+   seven phase totals reach the histograms unboxed (16 words when each
+   was boxed for the call), and the analyzer's tables are [Int_tbl]s, so
+   a lookup boxes no option and builds no closure. *)
 let test_critical_path_read_words () =
-  check_marginal_words "a completed read" ~pin:47. (fun n ->
+  check_marginal_words "a completed read" ~pin:31. (fun n ->
       let a = Trace.Critical_path.create () in
       let events =
         List.concat
@@ -651,6 +652,54 @@ let test_critical_path_read_words () =
         List.iter (Trace.Critical_path.feed a) events;
         Alcotest.(check int) "every read completed" n
           (Trace.Critical_path.report ~k:0 a).Trace.Critical_path.r_checked)
+
+(* --- the critical-path analyzer keeps only the worst writes ------------ *)
+
+(* [n] writes by client 1, 1 s apart, each waiting 0.25 s on holder 2's
+   approval; write [i]'s reply takes [(1 + i mod 7) / 8] s, so latencies
+   tie exactly across writes and ids must break the ties. *)
+let waited_writes n =
+  List.concat
+    (List.init n (fun i ->
+         let t = float_of_int i and corr = (1 lsl 32) + i in
+         let open Trace.Event in
+         [
+           ev t (Net_send { src = 1; dst = 0; kind = M_write_req; corr });
+           ev (t +. 0.25) (Net_deliver { src = 1; dst = 0; kind = M_write_req; corr });
+           ev (t +. 0.25)
+             (Wait_begin
+                { write = i; op = corr; file = 7; writer = 1; waiting = [ 2 ]; deadline = None;
+                  server_now = t });
+           ev (t +. 0.5) (Approval_reply { write = i; file = 7; holder = 2 });
+           ev (t +. 0.5)
+             (Commit
+                { write = Some i; op = corr; file = 7; writer = 1; version = i + 1; server_now = t;
+                  waited_s = 0.25 });
+           ev (t +. 0.5) (Net_send { src = 0; dst = 1; kind = M_write_rep; corr });
+           ev
+             (t +. 0.5 +. (0.125 *. float_of_int (1 + (i mod 7))))
+             (Net_deliver { src = 0; dst = 1; kind = M_write_rep; corr });
+         ]))
+
+(* What the analyzer holds after [n] writes does not grow with [n]: it
+   keeps its [worst] slowest writes and drops every other write's record
+   and wait notes.  Keeping every completed write costs ~100 words each. *)
+let test_critical_path_bounded () =
+  let fed n =
+    let a = Trace.Critical_path.create ~worst:3 () in
+    List.iter (Trace.Critical_path.feed a) (waited_writes n);
+    a
+  in
+  let held n = Obj.reachable_words (Obj.repr (fed n)) in
+  Alcotest.(check int) "words held after 2000 writes = after 500" (held 500) (held 2_000);
+  let r = Trace.Critical_path.report (fed 2_000) in
+  Alcotest.(check (list string)) "the three slowest, ties by id"
+    [ "c1#6"; "c1#13"; "c1#20" ]
+    (List.map (fun w -> Trace.Critical_path.op_name w.Trace.Critical_path.w_op)
+       r.Trace.Critical_path.r_worst);
+  Alcotest.check_raises "k above worst"
+    (Invalid_argument "Critical_path.report: k 4 exceeds the 3 writes the analyzer keeps")
+    (fun () -> ignore (Trace.Critical_path.report ~k:4 (fed 10)))
 
 let () =
   Alcotest.run "trace"
@@ -684,6 +733,7 @@ let () =
           Alcotest.test_case "critical-path export" `Quick test_pin_critical_path_export;
           Alcotest.test_case "checker report" `Quick test_pin_checker_report;
           Alcotest.test_case "checker stale-hit report" `Quick test_pin_checker_stale_report;
+          Alcotest.test_case "critical-path memory bounded" `Quick test_critical_path_bounded;
         ] );
       ( "allocation",
         [

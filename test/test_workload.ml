@@ -53,10 +53,10 @@ let test_mix_validation () =
 let test_mix_class_targeting () =
   let fs = small_fileset () in
   let rng = Prng.Splitmix.create ~seed:5L in
-  let mix = Workload.Mix.v_default in
+  let pick = Workload.Mix.sampler Workload.Mix.v_default fs in
   (* writes never target installed files *)
   for _ = 1 to 2_000 do
-    let f = Workload.Mix.pick_write mix rng fs ~client:0 in
+    let f = Workload.Mix.pick_write pick rng ~client:0 in
     match Workload.Fileset.class_of fs f with
     | Workload.Fileset.Installed -> Alcotest.fail "write to installed file"
     | Workload.Fileset.Temporary _ -> Alcotest.fail "write to temporary file via mix"
@@ -64,7 +64,7 @@ let test_mix_class_targeting () =
   done;
   (* reads to private files stay with the owner *)
   for _ = 1 to 2_000 do
-    let f = Workload.Mix.pick_read mix rng fs ~client:1 in
+    let f = Workload.Mix.pick_read pick rng ~client:1 in
     match Workload.Fileset.class_of fs f with
     | Workload.Fileset.Private owner -> Alcotest.(check int) "owner" 1 owner
     | Workload.Fileset.Installed | Workload.Fileset.Shared -> ()
@@ -74,10 +74,10 @@ let test_mix_class_targeting () =
 let test_mix_installed_share () =
   let fs = small_fileset () in
   let rng = Prng.Splitmix.create ~seed:6L in
-  let n = 20_000 in
+  let n = 20_000 and pick = Workload.Mix.sampler Workload.Mix.v_default fs in
   let installed = ref 0 in
   for _ = 1 to n do
-    match Workload.Fileset.class_of fs (Workload.Mix.pick_read Workload.Mix.v_default rng fs ~client:0) with
+    match Workload.Fileset.class_of fs (Workload.Mix.pick_read pick rng ~client:0) with
     | Workload.Fileset.Installed -> incr installed
     | _ -> ()
   done;
@@ -147,16 +147,17 @@ let reference_poisson ~rng ~fileset ~mix ~rate ~temp_rate ~duration =
     in
     arrivals [] 0.
   in
+  let pick = Workload.Mix.sampler mix fileset in
   let client_ops client =
     let rng = Prng.Splitmix.split rng in
     let op kind file temporary at = { Workload.Op.at; client; kind; file; temporary } in
     let reads =
       stream ~rng ~rate ~make_op:(fun at ->
-          op Workload.Op.Read (Workload.Mix.pick_read mix rng fileset ~client) false at)
+          op Workload.Op.Read (Workload.Mix.pick_read pick rng ~client) false at)
     in
     let writes =
       stream ~rng ~rate ~make_op:(fun at ->
-          op Workload.Op.Write (Workload.Mix.pick_write mix rng fileset ~client) false at)
+          op Workload.Op.Write (Workload.Mix.pick_write pick rng ~client) false at)
     in
     let temp_stream kind =
       stream ~rng ~rate:temp_rate ~make_op:(fun at ->
@@ -314,6 +315,67 @@ let test_trace_io_pinned () =
         "312630c1bb883966fbb39726bc888922" );
     ]
 
+(* The marginal words (minor + major - promoted) of generating one op of
+   the V trace at 100 clients, between 200 s and 2000 s of it, must stay
+   at most [pin] (+ 0.5).  A draw allocates nothing, so what is left is
+   the builder's arrays, which double as they fill, and [finish]'s two
+   exact-size outputs and bucket starts.  A Zipf table built per draw
+   reads over 100 words an op; a boxed generator state or a boxed
+   instant per arrival adds several words. *)
+let test_generation_words () =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let generate seconds =
+    let before = words () in
+    let v = Experiments.V_trace.poisson ~seed:11L ~clients:100 ~duration:(span seconds) () in
+    (words () -. before, Workload.Trace.length v.Experiments.V_trace.trace)
+  in
+  let w_short, n_short = generate 200. and w_long, n_long = generate 2_000. in
+  let per_op = (w_long -. w_short) /. float_of_int (n_long - n_short) and pin = 9. in
+  if per_op > pin +. 0.5 then
+    Alcotest.failf "generating the V trace allocates %.2f words an op, pinned at %.0f" per_op pin
+
+(* [Trace_io.print] MD5s of the benchmark's full-size traces (perfbench's
+   [v_lan_n100], [v_lan_n10k] and [shared_writes]) and of the seed-1
+   campaign's 400 schedule traces printed one after another, recorded
+   before the generators built their Zipf tables once and [Builder.finish]
+   became a bucket sort: neither may move a draw or an op. *)
+let test_benchmark_traces_pinned () =
+  List.iter
+    (fun (name, (v : Experiments.V_trace.t), ops, want) ->
+      let trace = v.Experiments.V_trace.trace in
+      Alcotest.(check int) (name ^ " ops") ops (Workload.Trace.length trace);
+      Alcotest.(check string) name want
+        (Digest.to_hex (Digest.string (Workload.Trace_io.print trace))))
+    [
+      ( "v_lan_n100",
+        Experiments.V_trace.poisson ~seed:11L ~clients:100 ~duration:(span 2_000.) (),
+        211_021,
+        "0c9309207c1181765ba05cec5209db60" );
+      ( "v_lan_n10k",
+        Experiments.V_trace.poisson ~seed:11L ~clients:10_000 ~duration:(span 15.) (),
+        157_748,
+        "9f98136eb7e14fd1eb8730481c551f00" );
+      ( "shared_writes",
+        Experiments.V_trace.shared_heavy ~seed:29L ~clients:40 ~duration:(span 20_000.) (),
+        720_909,
+        "2f59b0375d5e4bd8a13ea674ab51b3d7" );
+    ]
+
+let test_campaign_traces_pinned () =
+  let b = Buffer.create (1 lsl 20) and ops = ref 0 in
+  List.iter
+    (fun schedule ->
+      let trace = Fault_campaign.Schedule.trace schedule in
+      ops := !ops + Workload.Trace.length trace;
+      Buffer.add_string b (Workload.Trace_io.print trace))
+    (Fault_campaign.Gen.schedules ~seed:1 ~n:400);
+  Alcotest.(check int) "ops" 78_391 !ops;
+  Alcotest.(check string) "400 traces" "0e30873af21ed87df469b28fdb2893e6"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let () =
   Alcotest.run "workload"
     [
@@ -336,6 +398,7 @@ let () =
           Alcotest.test_case "poisson = list reference" `Quick test_poisson_matches_reference;
           Alcotest.test_case "bursty rates + shape" `Quick test_bursty_rates_and_shape;
           Alcotest.test_case "bursty rejects impossible rate" `Quick test_bursty_unattainable_rate;
+          Alcotest.test_case "V trace words per op" `Quick test_generation_words;
         ] );
       ( "trace",
         [
@@ -343,5 +406,7 @@ let () =
           Alcotest.test_case "io roundtrip" `Quick test_trace_io_roundtrip;
           Alcotest.test_case "io parsing" `Quick test_trace_io_parsing;
           Alcotest.test_case "io pinned" `Quick test_trace_io_pinned;
+          Alcotest.test_case "benchmark traces pinned" `Quick test_benchmark_traces_pinned;
+          Alcotest.test_case "campaign traces pinned" `Quick test_campaign_traces_pinned;
         ] );
     ]
