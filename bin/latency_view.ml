@@ -131,17 +131,9 @@ let run_trace path gate_conserve quiet k =
   (* the analyzer keeps only the writes the report shows *)
   let analyzer = Trace.Critical_path.create ~worst:(Int.max 0 k) () in
   let ic = open_in path in
-  let bad = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then
-         match Trace.Codec.decode line with
-         | Ok e -> Trace.Critical_path.feed analyzer e
-         | Error _ -> incr bad
-     done
-   with End_of_file -> close_in ic);
-  if !bad > 0 then Format.eprintf "warning: %d undecodable lines skipped@." !bad;
+  let bad = Trace.Sink.replay ic (Trace.Critical_path.sink analyzer) in
+  close_in ic;
+  if bad > 0 then Format.eprintf "warning: %d undecodable lines skipped@." bad;
   let report = Trace.Critical_path.report ~k analyzer in
   if not quiet then Format.printf "%a@." Trace.Critical_path.pp_report report;
   if not gate_conserve then `Ok ()

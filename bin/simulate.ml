@@ -30,7 +30,10 @@ let m_prop_of_rtt rtt_ms =
 let parse_fault spec =
   match Leases.Sim.fault_of_spec spec with Ok fault -> fault | Error why -> failwith why
 
-let trace_sink trace_out trace_format =
+(* A Chrome export ends leases and draws waits by server, so it takes the
+   run's server hosts and shard map, the ones [Deploy] places files with
+   (every baseline and one-shard run has its one server at host 0). *)
+let trace_sink ~seed ~shards trace_out trace_format =
   match trace_out with
   | None -> (Trace.Sink.null, fun () -> ())
   | Some path -> (
@@ -42,8 +45,13 @@ let trace_sink trace_out trace_format =
       let buf = Trace.Sink.buffer () in
       ( Trace.Sink.buffer_sink buf,
         fun () ->
+          let setup = { Shard.Deploy.default_setup with Shard.Deploy.seed; n_shards = shards } in
+          let map = Shard.Deploy.shard_map setup in
           let oc = open_out path in
-          Trace.Chrome.write oc (Trace.Sink.buffer_contents buf);
+          Trace.Chrome.write
+            ~servers:(Shard.Deploy.server_hosts setup)
+            ~owner:(fun f -> Shard.Shard_map.owner map (Vstore.File_id.of_int f))
+            oc (Trace.Sink.buffer_contents buf);
           close_out oc )
     | other -> failwith (Printf.sprintf "unknown trace format %S (jsonl|chrome)" other))
 
@@ -304,7 +312,7 @@ let main protocol term_s clients duration seed loss rtt_ms workload ops_file jso
     in
     let m_proc = Simtime.Time.Span.of_ms 1. in
     let m_prop = m_prop_of_rtt rtt_ms in
-    let tracer, finish_trace = trace_sink trace_out trace_format in
+    let tracer, finish_trace = trace_sink ~seed ~shards trace_out trace_format in
     let analyzer =
       if latency then Some (Trace.Critical_path.create ~worst:latency_k ()) else None
     in

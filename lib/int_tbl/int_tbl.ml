@@ -6,6 +6,7 @@ module type S = sig
   val find : 'a t -> key -> 'a
   val find_opt : 'a t -> key -> 'a option
   val mem : 'a t -> key -> bool
+  val find_or : 'a t -> key -> 'a -> 'a
   val replace : 'a t -> key -> 'a -> unit
   val add : 'a t -> key -> 'a -> unit
   val remove : 'a t -> key -> unit
@@ -112,6 +113,10 @@ let find_opt t k =
   if i < 0 then None else Some (Array.unsafe_get t.vals i)
 
 let mem t k = index t k >= 0
+
+let find_or t k default =
+  let i = index t k in
+  if i < 0 then default else Array.unsafe_get t.vals i
 
 (* Backward-shift deletion: walk the run after the freed slot and move back
    every entry whose home lies cyclically at or before the hole, so that no

@@ -35,6 +35,11 @@ module type S = sig
   val find_opt : 'a t -> key -> 'a option
   val mem : 'a t -> key -> bool
 
+  val find_or : 'a t -> key -> 'a -> 'a
+  (** [find_or t k default] is [k]'s binding, or [default] when [k] is
+      unbound: no exception handler and no option, so a hot lookup with a
+      sentinel allocates nothing. *)
+
   val replace : 'a t -> key -> 'a -> unit
   (** Bind the key, replacing its binding if it has one. *)
 

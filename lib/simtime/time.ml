@@ -31,8 +31,9 @@ let us_per_sec = 1_000_000.
    The valid magnitude bound is one µs short of [max_int]; comparing the
    rounded value against [float_of_int max_int] (= 2^62, the first float
    past the representable range on 64-bit) rejects exactly the values
-   [int_of_float] cannot faithfully convert. *)
-let of_sec s =
+   [int_of_float] cannot faithfully convert.  Inlined, so a caller's
+   float reaches it unboxed: a generated arrival boxes no float. *)
+let[@inline] of_sec s =
   let us = s *. us_per_sec in
   if not (Float.is_finite us) then
     invalid_arg (Printf.sprintf "Time.of_sec: non-finite span %h s" s)

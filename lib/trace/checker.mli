@@ -1,15 +1,13 @@
 (** Trace-driven invariant checker.
 
-    Folds an event stream, one event at a time, and asserts the paper's
+    Judges each event of a stream, one at a time, against the lease state
+    the events before it imply ({!Lease_state}), and asserts the paper's
     two safety conditions independently of the in-simulator oracle.  Feed
     it live through {!sink} (tee'd next to the run's tracer) or replay a
     buffered or decoded stream with {!check}; both paths run {!feed}, so
-    they give equal reports.  The checker chains its server-side leases
-    by file, so a commit costs the file's holders and a server crash the
-    files with lease or coverage state, not the whole table.  It stores
-    versions and expiries unboxed in flat arrays, so a [Lease_grant] or
-    [Client_lease] on a key it already holds allocates nothing, and
-    neither does a [Lease_expire], a [Lease_release] or a clean [Commit].
+    they give equal reports.  A clean commit costs the file's holders, and
+    like a [Lease_grant] or [Client_lease] on a key the fold already
+    holds, a [Lease_expire] or a [Lease_release], it allocates nothing.
 
     - {b local-read-validity}: a cache hit must be backed by a lease the
       client recorded, matching version, unexpired on the {e client's}
@@ -43,15 +41,12 @@ type report = {
 type t
 (** A checker part-way through a stream. *)
 
-val create : ?server:int -> ?servers:int list -> ?owner:(int -> int) -> unit -> t
-(** [server] is the server's host id (default 0).  Sharded deployments pass
-    [servers] (every server host; defaults to [[server]]) and [owner]
-    (file id -> owning server host; defaults to the constant [server]):
-    a server crash then sweeps only the leases and installed coverage of
-    the files that server owns, while the other shards' state survives.
-    File and host ids and versions must be non-negative; a server lease's
-    file id must be below 2^32 and its holder's id below 2^30 ({!feed}
-    raises [Invalid_argument] otherwise). *)
+val create : ?servers:int list -> ?owner:(int -> int) -> unit -> t
+(** [servers] (every server host; default [[0]]) and [owner] (file id ->
+    owning server host; default host 0) are {!Lease_state.create}'s: a
+    server crash ends only the leases and installed coverage of the files
+    that server owns, while the other shards' state survives.  The id
+    limits are the fold's ({!feed} raises [Invalid_argument] beyond them). *)
 
 val feed : t -> Event.t -> unit
 
@@ -62,7 +57,7 @@ val report : t -> report
 (** The verdict over every event fed so far; the checker may be fed
     further afterwards. *)
 
-val check : ?server:int -> ?servers:int list -> ?owner:(int -> int) -> Event.t list -> report
+val check : ?servers:int list -> ?owner:(int -> int) -> Event.t list -> report
 (** [check events] is {!feed} folded over [events] from {!create}, then
     {!report}. *)
 

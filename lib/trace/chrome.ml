@@ -30,16 +30,18 @@ let counter ~name ~pid ~ts ~values =
   Json.Obj
     [ ("name", str name); ("ph", str "C"); ("pid", int pid); ("ts", us ts); ("args", Json.Obj values) ]
 
-let end_cause_name : Lifecycle.end_cause -> string = function
-  | Lifecycle.Active -> "active"
-  | Lifecycle.Released c -> "released-" ^ Event.release_cause_name c
-  | Lifecycle.Expired -> "expired"
-  | Lifecycle.Commit_sweep -> "commit-sweep"
-  | Lifecycle.Regrant -> "regrant"
-  | Lifecycle.Server_crash -> "server-crash"
+let end_name (l : Lifecycle.lease) =
+  match l.ended with
+  | None -> "active"
+  | Some (Released c, _) -> "released-" ^ Event.release_cause_name c
+  | Some (Expired, _) -> "expired"
+  | Some (Commit_sweep, _) -> "commit-sweep"
+  | Some (Regrant, _) -> "regrant"
+  | Some (Server_crash, _) -> "server-crash"
 
-let write ?(server = 0) oc events =
-  let life = Lifecycle.build ~server events in
+let write ?servers ?(owner = fun _ -> 0) oc events =
+  let life = Lifecycle.create ?servers ~owner () in
+  List.iter (Lifecycle.feed life) events;
   let acc = ref [] in
   let push j = acc := j :: !acc in
   List.iter
@@ -52,20 +54,20 @@ let write ?(server = 0) oc events =
            ~args:
              [
                ("renewals", int l.renewals);
-               ("end", str (end_cause_name l.end_cause));
+               ("end", str (end_name l));
                ( "server_expiry",
                  match l.last_expiry with None -> Json.Null | Some e -> Json.Num e );
              ]))
-    life.leases;
+    (Lifecycle.leases life);
   List.iter
-    (fun (w : Lifecycle.wait) ->
+    (fun (w : Lease_state.wait) ->
       let finish =
-        match w.committed_at with Some at -> at | None -> life.last_at
+        match w.committed_at with Some at -> at | None -> Lifecycle.last_at life
       in
       push
         (span
            ~name:(Printf.sprintf "write-wait w%d f%d" w.write w.w_file)
-           ~pid:server ~tid:w.w_file ~ts:w.began_at ~dur:(finish -. w.began_at)
+           ~pid:(owner w.w_file) ~tid:w.w_file ~ts:w.began_at ~dur:(finish -. w.began_at)
            ~args:
              [
                ("writer", int w.writer);
@@ -74,7 +76,7 @@ let write ?(server = 0) oc events =
                ( "waited_s",
                  match w.waited_s with None -> Json.Null | Some s -> Json.Num s );
              ]))
-    life.waits;
+    (Lifecycle.waits life);
   List.iter
     (fun ({ at; ev } : Event.t) ->
       match ev with
@@ -94,8 +96,9 @@ let write ?(server = 0) oc events =
                  ("corr", int corr);
                  ("cause", str (Event.drop_cause_name cause));
                ])
+      (* the engine's queue depth, drawn under host 0, where every run has a server *)
       | Event.Heartbeat { pending } ->
-        push (counter ~name:"pending-events" ~pid:server ~ts:at ~values:[ ("pending", int pending) ])
+        push (counter ~name:"pending-events" ~pid:0 ~ts:at ~values:[ ("pending", int pending) ])
       | _ -> ())
     events;
   let doc = Json.Obj [ ("traceEvents", Json.Arr (List.rev !acc)) ] in

@@ -1,145 +1,58 @@
-type end_cause =
-  | Active
-  | Released of Event.release_cause
-  | Expired
-  | Commit_sweep
-  | Regrant
-  | Server_crash
-
 type lease = {
   file : int;
   holder : int;
   granted_at : float;
   mutable renewals : int;
   mutable last_expiry : float option;
-  mutable ended_at : float option;
-  mutable end_cause : end_cause;
+  mutable ended : (Lease_state.end_cause * float) option;
 }
 
-type resolution = Res_approved of float | Res_expired of float
-type blocker = { b_holder : int; mutable resolution : resolution option }
+(* The leases started so far, indexed by the number the fold gives them. *)
+type history = { mutable leases : lease array; mutable n : int }
 
-type wait = {
-  write : int;
-  w_file : int;
-  writer : int;
-  began_at : float;
-  blockers : blocker list;
-  mutable committed_at : float option;
-  mutable waited_s : float option;
-  mutable by_expiry : bool;
+type t = {
+  state : Lease_state.t;
+  history : history;
+  mutable rev_waits : Lease_state.wait list;
+  mutable commits : int;
+  mutable last_at : float;
 }
 
-type t = { leases : lease list; waits : wait list; commits : int; last_at : float }
+let create ?servers ?owner () =
+  let history = { leases = [||]; n = 0 } in
+  let on_end id cause at = history.leases.(id).ended <- Some (cause, at) in
+  let state = Lease_state.create ?servers ?owner ~on_end () in
+  { state; history; rev_waits = []; commits = 0; last_at = 0. }
 
-let build ?(server = 0) events =
-  let leases = ref [] in
-  let active : (int * int, lease) Hashtbl.t = Hashtbl.create 64 in
-  let waits = ref [] in
-  let open_waits : (int, wait) Hashtbl.t = Hashtbl.create 16 in
-  let commits = ref 0 in
-  let last_at = ref 0. in
-  let close_lease at cause l =
-    l.ended_at <- Some at;
-    l.end_cause <- cause;
-    Hashtbl.remove active (l.file, l.holder)
-  in
-  let resolve_remaining at w =
-    List.iter
-      (fun b -> if b.resolution = None then b.resolution <- Some (Res_expired at))
-      w.blockers
-  in
-  List.iter
-    (fun ({ at; ev } : Event.t) ->
-      last_at := at;
-      match ev with
-      | Event.Lease_grant { file; holder; server_expiry; renewal; _ } -> (
-        match Hashtbl.find_opt active (file, holder) with
-        | Some l when renewal ->
-          l.renewals <- l.renewals + 1;
-          l.last_expiry <- server_expiry
-        | prev ->
-          Option.iter (close_lease at Regrant) prev;
-          let l =
-            {
-              file;
-              holder;
-              granted_at = at;
-              renewals = 0;
-              last_expiry = server_expiry;
-              ended_at = None;
-              end_cause = Active;
-            }
-          in
-          Hashtbl.replace active (file, holder) l;
-          leases := l :: !leases)
-      | Event.Lease_release { file; holder; cause } ->
-        Option.iter
-          (close_lease at (Released cause))
-          (Hashtbl.find_opt active (file, holder))
-      | Event.Lease_expire { file; holder; _ } ->
-        Option.iter (close_lease at Expired) (Hashtbl.find_opt active (file, holder))
-      | Event.Wait_begin { write; file; writer; waiting; _ } ->
-        let w =
-          {
-            write;
-            w_file = file;
-            writer;
-            began_at = at;
-            blockers = List.map (fun h -> { b_holder = h; resolution = None }) waiting;
-            committed_at = None;
-            waited_s = None;
-            by_expiry = false;
-          }
-        in
-        Hashtbl.replace open_waits write w;
-        waits := w :: !waits
-      | Event.Approval_reply { write; holder; _ } ->
-        Option.iter
-          (fun w ->
-            List.iter
-              (fun b ->
-                if b.b_holder = holder && b.resolution = None then
-                  b.resolution <- Some (Res_approved at))
-              w.blockers)
-          (Hashtbl.find_opt open_waits write)
-      | Event.Wait_expire { write; _ } ->
-        Option.iter
-          (fun w ->
-            w.by_expiry <- true;
-            resolve_remaining at w)
-          (Hashtbl.find_opt open_waits write)
-      | Event.Commit { write; file; _ } ->
-        incr commits;
-        (* The commit sweeps every remaining lease on the file. *)
-        let swept =
-          Hashtbl.fold (fun (f, _) l acc -> if f = file then l :: acc else acc) active []
-        in
-        List.iter (close_lease at Commit_sweep) swept;
-        Option.iter
-          (fun id ->
-            Option.iter
-              (fun w ->
-                w.committed_at <- Some at;
-                resolve_remaining at w;
-                Hashtbl.remove open_waits id)
-              (Hashtbl.find_opt open_waits id))
-          write
-      | Event.Crash { host } when host = server ->
-        let all = Hashtbl.fold (fun _ l acc -> l :: acc) active [] in
-        List.iter (close_lease at Server_crash) all;
-        Hashtbl.iter (fun _ w -> resolve_remaining at w) open_waits;
-        Hashtbl.reset open_waits
-      | _ -> ())
-    events;
-  (* Record the authoritative waited_s from each commit event. *)
-  List.iter
-    (fun ({ ev; _ } : Event.t) ->
-      match ev with
-      | Event.Commit { write = Some id; waited_s; _ } ->
-        List.iter (fun w -> if w.write = id then w.waited_s <- Some waited_s) !waits
-      | _ -> ())
-    events;
-  { leases = List.rev !leases; waits = List.rev !waits; commits = !commits; last_at = !last_at }
+let push h l =
+  if h.n = Array.length h.leases then begin
+    let grown = Array.make (Int.max 64 (2 * h.n)) l in
+    Array.blit h.leases 0 grown 0 h.n;
+    h.leases <- grown
+  end;
+  h.leases.(h.n) <- l;
+  h.n <- h.n + 1
 
-let lease_end t (l : lease) = match l.ended_at with Some at -> at | None -> t.last_at
+let feed t ({ at; ev } as e : Event.t) =
+  Lease_state.feed t.state e;
+  t.last_at <- at;
+  match ev with
+  | Event.Lease_grant { file; holder; server_expiry; _ } ->
+    let h = t.history and id = Lease_state.lease t.state ~file ~holder in
+    if id < h.n then begin
+      let l = h.leases.(id) in
+      l.renewals <- l.renewals + 1;
+      l.last_expiry <- server_expiry
+    end
+    else
+      push h { file; holder; granted_at = at; renewals = 0; last_expiry = server_expiry; ended = None }
+  | Event.Wait_begin { write; _ } -> t.rev_waits <- Lease_state.wait t.state write :: t.rev_waits
+  | Event.Commit _ -> t.commits <- t.commits + 1
+  | _ -> ()
+
+let sink t = { Sink.enabled = true; push = feed t; flush = ignore }
+let leases t = List.init t.history.n (Array.get t.history.leases)
+let waits t = List.rev t.rev_waits
+let commits t = t.commits
+let lease_end t l = match l.ended with Some (_, at) -> at | None -> t.last_at
+let last_at t = t.last_at

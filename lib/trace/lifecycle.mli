@@ -1,18 +1,10 @@
-(** Lease-lifecycle reconstruction from an event stream.
+(** Lease lifecycles and write waits, recorded as a stream is folded.
 
-    Pairs each {!Event.Lease_grant} with the extensions that renewed it and
-    the event that ended it, and attributes each server-side write wait to
-    the specific leaseholders that delayed it — surfacing starvation and
-    the anti-starvation rule firing directly from a trace, with no access
-    to simulator internals. *)
-
-type end_cause =
-  | Active  (** still live when the trace ended *)
-  | Released of Event.release_cause
-  | Expired  (** reaped by the server after the term lapsed on its clock *)
-  | Commit_sweep  (** swept when a write to the file committed *)
-  | Regrant  (** replaced by a fresh non-renewal grant to the same holder *)
-  | Server_crash
+    A view over {!Lease_state}: it records each lease the fold starts, in
+    grant order, with the renewals that extended it and the end the fold
+    reports, and keeps each write wait the fold opens, in begin order —
+    surfacing starvation and the anti-starvation rule firing directly from
+    a trace, with no access to simulator internals. *)
 
 type lease = {
   file : int;
@@ -20,37 +12,30 @@ type lease = {
   granted_at : float;  (** engine time of the initial grant *)
   mutable renewals : int;
   mutable last_expiry : float option;  (** latest server-local expiry; [None] = never *)
-  mutable ended_at : float option;  (** engine time; [None] while {!Active} *)
-  mutable end_cause : end_cause;
+  mutable ended : (Lease_state.end_cause * float) option;
+      (** how and at what engine time it ended; [None] while live *)
 }
 
-type resolution =
-  | Res_approved of float  (** engine time the holder's approval arrived *)
-  | Res_expired of float  (** engine time the wait gave up on the holder *)
+type t
 
-type blocker = { b_holder : int; mutable resolution : resolution option }
+val create : ?servers:int list -> ?owner:(int -> int) -> unit -> t
+(** [servers] and [owner] are {!Lease_state.create}'s: a server crash ends
+    only its own files' leases and waits. *)
 
-type wait = {
-  write : int;
-  w_file : int;
-  writer : int;
-  began_at : float;
-  blockers : blocker list;
-  mutable committed_at : float option;
-  mutable waited_s : float option;  (** from the authoritative [Commit] event *)
-  mutable by_expiry : bool;  (** resolved by lease expiry rather than full approval *)
-}
+val feed : t -> Event.t -> unit
+(** Events must come in stream (engine) order. *)
 
-type t = {
-  leases : lease list;  (** in grant order *)
-  waits : wait list;  (** in begin order *)
-  commits : int;
-  last_at : float;  (** timestamp of the final event *)
-}
+val sink : t -> Sink.t
 
-val build : ?server:int -> Event.t list -> t
-(** [server] is the server's host id (default 0), used to recognise
-    server crashes.  Events must be in stream (engine) order. *)
+val leases : t -> lease list
+(** In grant order. *)
+
+val waits : t -> Lease_state.wait list
+(** In begin order: the fold's own records. *)
+
+val commits : t -> int
 
 val lease_end : t -> lease -> float
-(** [ended_at], or the trace end for still-active leases. *)
+(** When a lease ended, or the last event's timestamp for a live one. *)
+
+val last_at : t -> float

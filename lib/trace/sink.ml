@@ -62,3 +62,21 @@ let jsonl oc =
         output_char oc '\n');
     flush = (fun () -> Stdlib.flush oc);
   }
+
+(* JSONL reader *)
+
+let replay ?(on_error = fun _ _ -> ()) ic sink =
+  let line = ref 0 and bad = ref 0 in
+  (try
+     while true do
+       let text = input_line ic in
+       incr line;
+       if String.trim text <> "" then
+         match Codec.decode text with
+         | Ok e -> sink.push e
+         | Error why ->
+           incr bad;
+           on_error !line why
+     done
+   with End_of_file -> ());
+  !bad

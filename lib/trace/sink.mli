@@ -48,3 +48,11 @@ val buffer_contents : buffer -> Event.t list
 (** {1 JSONL writer} — one {!Codec.encode}d line per event. *)
 
 val jsonl : out_channel -> t
+
+(** {1 JSONL reader} *)
+
+val replay : ?on_error:(int -> string -> unit) -> in_channel -> t -> int
+(** [replay ic sink] decodes [ic] one line at a time and pushes each event
+    into [sink], skipping blank lines, so a trace of any length is read in
+    the memory of one line.  Returns the number of lines that did not
+    decode; [on_error line why] hears of each, numbered from 1. *)

@@ -230,7 +230,7 @@ let run_checked setup trace =
   let buf = Trace.Sink.buffer () in
   let setup = { setup with Leases.Sim.tracer = Trace.Sink.buffer_sink buf } in
   let outcome = Leases.Sim.run setup ~trace in
-  let report = Trace.Checker.check ~server:0 (Trace.Sink.buffer_contents buf) in
+  let report = Trace.Checker.check (Trace.Sink.buffer_contents buf) in
   (outcome, report)
 
 let expiry_wait_setup faults =

@@ -610,7 +610,8 @@ let prop_int_tbl_model =
         | 3 ->
           check (Int_tbl.find_opt t k = M.find_opt k !model);
           check (Int_tbl.mem t k = M.mem k !model);
-          check ((try Some (Int_tbl.find t k) with Not_found -> None) = M.find_opt k !model)
+          check ((try Some (Int_tbl.find t k) with Not_found -> None) = M.find_opt k !model);
+          check (Int_tbl.find_or t k (-1) = Option.value (M.find_opt k !model) ~default:(-1))
         | 4 -> visits ()
         | _ ->
           Int_tbl.reset t;

@@ -121,41 +121,127 @@ let hand_stream =
     ev 15.0 (Commit { write = Some 0; op = 100; file = 7; writer = 3; version = 1; server_now = 15.0; waited_s = 9.0 });
   ]
 
+let lifecycle ?servers ?owner events =
+  let life = Trace.Lifecycle.create ?servers ?owner () in
+  List.iter (Trace.Lifecycle.feed life) events;
+  life
+
 let test_lifecycle_reconstruction () =
-  let life = Trace.Lifecycle.build hand_stream in
-  Alcotest.(check int) "one commit" 1 life.Trace.Lifecycle.commits;
-  (match life.Trace.Lifecycle.leases with
+  let life = lifecycle hand_stream in
+  Alcotest.(check int) "one commit" 1 (Trace.Lifecycle.commits life);
+  (match Trace.Lifecycle.leases life with
   | [ a; b ] ->
     Alcotest.(check int) "first grant holder" 1 a.Trace.Lifecycle.holder;
     Alcotest.(check int) "renewal folded in" 1 a.Trace.Lifecycle.renewals;
     Alcotest.(check (option (float 1e-9))) "expiry tracks renewal" (Some 15.0)
       a.Trace.Lifecycle.last_expiry;
-    (match a.Trace.Lifecycle.end_cause with
-    | Trace.Lifecycle.Commit_sweep -> ()
+    (match a.Trace.Lifecycle.ended with
+    | Some (Trace.Lease_state.Commit_sweep, _) -> ()
     | _ -> Alcotest.fail "holder 1 should end by commit sweep");
-    (match b.Trace.Lifecycle.end_cause with
-    | Trace.Lifecycle.Released Trace.Event.Approved -> ()
+    (match b.Trace.Lifecycle.ended with
+    | Some (Trace.Lease_state.Released Trace.Event.Approved, _) -> ()
     | _ -> Alcotest.fail "holder 2 should end by approval release")
   | l -> Alcotest.failf "expected 2 lease lifecycles, got %d" (List.length l));
-  match life.Trace.Lifecycle.waits with
+  match Trace.Lifecycle.waits life with
   | [ w ] ->
-    Alcotest.(check bool) "ended by expiry" true w.Trace.Lifecycle.by_expiry;
+    Alcotest.(check bool) "ended by expiry" true w.Trace.Lease_state.by_expiry;
     Alcotest.(check (option (float 1e-9))) "authoritative wait" (Some 9.0)
-      w.Trace.Lifecycle.waited_s;
+      w.Trace.Lease_state.waited_s;
     let resolution holder =
       match
-        List.find_opt (fun b -> b.Trace.Lifecycle.b_holder = holder) w.Trace.Lifecycle.blockers
+        List.find_opt (fun b -> b.Trace.Lease_state.b_holder = holder) w.Trace.Lease_state.blockers
       with
-      | Some b -> b.Trace.Lifecycle.resolution
+      | Some b -> b.Trace.Lease_state.resolution
       | None -> Alcotest.failf "blocker %d missing" holder
     in
     (match resolution 2 with
-    | Some (Trace.Lifecycle.Res_approved at) -> Alcotest.(check (float 1e-9)) "approved at" 6.5 at
+    | Some (Trace.Lease_state.Res_approved at) -> Alcotest.(check (float 1e-9)) "approved at" 6.5 at
     | _ -> Alcotest.fail "holder 2 should resolve by approval");
     (match resolution 1 with
-    | Some (Trace.Lifecycle.Res_expired at) -> Alcotest.(check (float 1e-9)) "expired at" 15.0 at
+    | Some (Trace.Lease_state.Res_expired at) -> Alcotest.(check (float 1e-9)) "expired at" 15.0 at
     | _ -> Alcotest.fail "holder 1 should resolve by expiry")
   | l -> Alcotest.failf "expected 1 wait, got %d" (List.length l)
+
+(* Two servers, files by parity: server 1 crashes while each server has a
+   lease out and a write waiting on it.  Only server 1's leases end with
+   the crash and only its wait resolves; server 0's lease is renewed after
+   the crash and runs on, and its wait stays unresolved. *)
+let two_servers = [ 0; 1 ]
+let by_parity f = f mod 2
+
+let crash_stream =
+  let open Trace.Event in
+  let grant at file holder renewal =
+    ev at
+      (Lease_grant
+         { file; holder; term_s = Some 10.; server_expiry = Some (at +. 10.); server_now = at; renewal })
+  in
+  [
+    grant 1.0 2 5 false;
+    grant 1.0 3 5 false;
+    grant 1.5 4 6 false;
+    grant 1.5 5 6 false;
+    ev 2.0 (Wait_begin { write = 10; op = 1; file = 4; writer = 7; waiting = [ 6 ]; deadline = None; server_now = 2.0 });
+    ev 2.0 (Wait_begin { write = (1 lsl 32) + 10; op = 2; file = 5; writer = 7; waiting = [ 6 ]; deadline = None; server_now = 2.0 });
+    ev 3.0 (Crash { host = 1 });
+    grant 4.0 2 5 true;
+    ev 5.0 (Heartbeat { pending = 1 });
+  ]
+
+let test_sharded_chrome_export () =
+  let path = Filename.temp_file "leases_chrome" ".json" in
+  Out_channel.with_open_text path (fun oc ->
+      Trace.Chrome.write ~servers:two_servers ~owner:by_parity oc crash_stream);
+  let doc = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  let str key j = match Trace.Json.member key j with Some (Trace.Json.Str s) -> s | _ -> "" in
+  let spans =
+    match Trace.Json.parse doc with
+    | Ok d -> (
+      match Trace.Json.member "traceEvents" d with
+      | Some (Trace.Json.Arr evs) -> List.filter (fun j -> str "ph" j = "X") evs
+      | _ -> Alcotest.fail "no traceEvents array")
+    | Error why -> Alcotest.failf "unparsable export: %s" why
+  in
+  let lease_ends =
+    List.filter_map
+      (fun j ->
+        match Trace.Json.member "args" j with
+        | Some args when String.starts_with ~prefix:"lease" (str "name" j) ->
+          Some (str "name" j, str "end" args)
+        | _ -> None)
+      spans
+  in
+  Alcotest.(check (list (pair string string)))
+    "only server 1's leases end with the crash"
+    [
+      ("lease f2", "active");
+      ("lease f3", "server-crash");
+      ("lease f4", "active");
+      ("lease f5", "server-crash");
+    ]
+    lease_ends;
+  Alcotest.(check (list (pair string int)))
+    "each wait is drawn under its file's server"
+    [ ("write-wait w10 f4", 0); ("write-wait w4294967306 f5", 1) ]
+    (List.filter_map
+       (fun j ->
+         match Trace.Json.member "pid" j with
+         | Some (Trace.Json.Num pid) when String.starts_with ~prefix:"write-wait" (str "name" j) ->
+           Some (str "name" j, int_of_float pid)
+         | _ -> None)
+       spans);
+  let life = lifecycle ~servers:two_servers ~owner:by_parity crash_stream in
+  Alcotest.(check (list int)) "server 0's lease ran on through a renewal" [ 1; 0; 0; 0 ]
+    (List.map (fun l -> l.Trace.Lifecycle.renewals) (Trace.Lifecycle.leases life));
+  Alcotest.(check (list (option (float 0.)))) "only server 1's wait resolves, at the crash"
+    [ None; Some 3.0 ]
+    (List.map
+       (fun w ->
+         match w.Trace.Lease_state.blockers with
+         | [ { Trace.Lease_state.resolution = Some (Trace.Lease_state.Res_expired at); _ } ] -> Some at
+         | _ -> None)
+       (Trace.Lifecycle.waits life))
 
 (* --- checker on hand-built streams -------------------------------------- *)
 
@@ -287,9 +373,9 @@ let test_clean_run_no_violations () =
     report.Trace.Checker.checked_hits;
   Alcotest.(check int) "checker saw every commit" m.Leases.Metrics.commits
     report.Trace.Checker.checked_commits;
-  let life = Trace.Lifecycle.build events in
+  let life = lifecycle events in
   Alcotest.(check int) "lifecycle counts the commits" m.Leases.Metrics.commits
-    life.Trace.Lifecycle.commits;
+    (Trace.Lifecycle.commits life);
   Alcotest.(check int) "oracle agrees" 0 m.Leases.Metrics.oracle_violations
 
 let test_fast_server_clock_caught () =
@@ -445,6 +531,43 @@ let test_pin_checker_stale_report () =
          "[  201.465721] stale-hit            host 1 read file 43 at v1 but v2 is committed";
        ])
     (Format.asprintf "%a" Trace.Checker.pp_report (Trace.Checker.report checker))
+
+(* --- tracedump: its whole output, pinned ----------------------------- *)
+
+(* The built leases-sim writes a trace and the built tracedump reads it
+   back; the MD5 of tracedump's stdout pins every table it prints: the
+   event counts, the lease lifecycles, the write waits and the verdict. *)
+let tracedump_md5 sim_args dump_args =
+  let bin exe = Filename.concat (Filename.dirname Sys.executable_name) ("../bin/" ^ exe) in
+  let trace = Filename.temp_file "leases_trace" ".jsonl" in
+  let out = Filename.temp_file "leases_tracedump" ".txt" in
+  let run exe args ~stdout = Sys.command (Filename.quote_command (bin exe) ~stdout args) in
+  Alcotest.(check int) "leases-sim exits 0" 0
+    (run "simulate.exe" (sim_args @ [ "--trace"; trace ]) ~stdout:Filename.null);
+  Alcotest.(check int) "tracedump exits 0" 0 (run "tracedump.exe" (trace :: dump_args) ~stdout:out);
+  let md5 = Digest.to_hex (Digest.file out) in
+  Sys.remove trace;
+  Sys.remove out;
+  md5
+
+(* The observers' run: loss, a partition, a client crash and a server
+   crash on one server.  Recorded before tracedump streamed its input. *)
+let test_tracedump_single_server () =
+  Alcotest.(check string) "stdout MD5" "32a151b46fc73ea34db1b7171331d6d8"
+    (tracedump_md5
+       [ "-p"; "leases"; "-t"; "10"; "-w"; "shared-heavy"; "-n"; "5"; "-d"; "600"; "-s"; "23";
+         "--loss"; "0.05"; "--fault"; "partition=0,240,120"; "--fault"; "crash-client=0,290,30";
+         "--fault"; "crash-server=300,10" ]
+       [])
+
+(* check.sh's four-shard smoke, with shard 1 failing over mid-run.  Its
+   lifecycle tables, by shard, were new when the fold became multi-server. *)
+let test_tracedump_sharded () =
+  Alcotest.(check string) "stdout MD5" "7f1b40cb2a0ea8fa49bd5722e3dd6967"
+    (tracedump_md5
+       [ "-p"; "leases"; "-t"; "10"; "-n"; "6"; "-d"; "120"; "-s"; "3"; "--shards"; "4";
+         "--fault"; "crash-shard=1,40,8" ]
+       [ "--shards"; "4"; "--map-seed"; "3" ])
 
 (* --- critical path: phase-partition conservation under faults ----------- *)
 
@@ -712,7 +835,10 @@ let () =
           Alcotest.test_case "null disabled" `Quick test_null_sink_disabled;
         ] );
       ( "lifecycle",
-        [ Alcotest.test_case "reconstruction" `Quick test_lifecycle_reconstruction ] );
+        [
+          Alcotest.test_case "reconstruction" `Quick test_lifecycle_reconstruction;
+          Alcotest.test_case "sharded chrome export" `Quick test_sharded_chrome_export;
+        ] );
       ( "checker",
         [
           Alcotest.test_case "clean hand stream" `Quick test_checker_clean_hand_stream;
@@ -734,6 +860,11 @@ let () =
           Alcotest.test_case "checker report" `Quick test_pin_checker_report;
           Alcotest.test_case "checker stale-hit report" `Quick test_pin_checker_stale_report;
           Alcotest.test_case "critical-path memory bounded" `Quick test_critical_path_bounded;
+        ] );
+      ( "tracedump",
+        [
+          Alcotest.test_case "single-server output" `Quick test_tracedump_single_server;
+          Alcotest.test_case "sharded output" `Quick test_tracedump_sharded;
         ] );
       ( "allocation",
         [

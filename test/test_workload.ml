@@ -321,7 +321,9 @@ let test_trace_io_pinned () =
    the builder's arrays, which double as they fill, and [finish]'s two
    exact-size outputs and bucket starts.  A Zipf table built per draw
    reads over 100 words an op; a boxed generator state or a boxed
-   instant per arrival adds several words. *)
+   instant per arrival adds several words.  [Time.of_sec] is inlined, so
+   an arrival's float reaches it unboxed: 7.41 words an op, 9.41 when
+   each arrival boxed it for the call. *)
 let test_generation_words () =
   let words () =
     let _, promoted, major = Gc.counters () in
@@ -333,7 +335,7 @@ let test_generation_words () =
     (words () -. before, Workload.Trace.length v.Experiments.V_trace.trace)
   in
   let w_short, n_short = generate 200. and w_long, n_long = generate 2_000. in
-  let per_op = (w_long -. w_short) /. float_of_int (n_long - n_short) and pin = 9. in
+  let per_op = (w_long -. w_short) /. float_of_int (n_long - n_short) and pin = 7. in
   if per_op > pin +. 0.5 then
     Alcotest.failf "generating the V trace allocates %.2f words an op, pinned at %.0f" per_op pin
 
