@@ -42,16 +42,18 @@ let trace_sink ~seed ~shards trace_out trace_format =
       let oc = open_out path in
       (Trace.Sink.jsonl oc, fun () -> close_out oc)
     | "chrome" ->
-      let buf = Trace.Sink.buffer () in
-      ( Trace.Sink.buffer_sink buf,
+      let setup = { Shard.Deploy.default_setup with Shard.Deploy.seed; n_shards = shards } in
+      let map = Shard.Deploy.shard_map setup in
+      let chrome =
+        Trace.Chrome.create
+          ~servers:(Shard.Deploy.server_hosts setup)
+          ~owner:(fun f -> Shard.Shard_map.owner map (Vstore.File_id.of_int f))
+          ()
+      in
+      ( Trace.Chrome.sink chrome,
         fun () ->
-          let setup = { Shard.Deploy.default_setup with Shard.Deploy.seed; n_shards = shards } in
-          let map = Shard.Deploy.shard_map setup in
           let oc = open_out path in
-          Trace.Chrome.write
-            ~servers:(Shard.Deploy.server_hosts setup)
-            ~owner:(fun f -> Shard.Shard_map.owner map (Vstore.File_id.of_int f))
-            oc (Trace.Sink.buffer_contents buf);
+          Trace.Chrome.output chrome oc;
           close_out oc )
     | other -> failwith (Printf.sprintf "unknown trace format %S (jsonl|chrome)" other))
 
@@ -109,30 +111,22 @@ let finish_telemetry samplers ~params ~shards ~telemetry_out ~telemetry_format ~
    a leases-profile-shards/1 envelope keyed by shard index.  The hotspot
    tables go to stdout unless --json asked for machine-readable output
    only. *)
-let finish_profile profilers ~split ~profile_out ~profile_format ~json =
+let finish_profile profilers ~split ~profile_out ~json =
   let reports = Array.map Profile.Report.of_recorder profilers in
   Option.iter
     (fun path ->
       write_file path
-        (match profile_format with
-        | "json" when split ->
-          let sections =
-            Array.to_list
-              (Array.mapi
-                 (fun s r ->
-                   Printf.sprintf "%S:%s" (string_of_int s) (Profile.Report.to_json_string r))
-                 reports)
-          in
-          Printf.sprintf "{\"schema\":\"leases-profile-shards/1\",\"shards\":{%s}}"
-            (String.concat "," sections)
-        | other when split ->
-          failwith
-            (Printf.sprintf "per-shard profiles support --profile-format json only, not %S" other)
-        | "json" -> Profile.Report.to_json_string reports.(0)
-        | "speedscope" -> Profile.Report.to_speedscope reports.(0)
-        | "chrome" -> Profile.Report.to_chrome reports.(0)
-        | other ->
-          failwith (Printf.sprintf "unknown profile format %S (json|speedscope|chrome)" other)))
+        (if split then
+           let sections =
+             Array.to_list
+               (Array.mapi
+                  (fun s r ->
+                    Printf.sprintf "%S:%s" (string_of_int s) (Profile.Report.to_json_string r))
+                  reports)
+           in
+           Printf.sprintf "{\"schema\":\"leases-profile-shards/1\",\"shards\":{%s}}"
+             (String.concat "," sections)
+         else Profile.Report.to_json_string reports.(0)))
     profile_out;
   if not json then
     Array.iteri
@@ -159,8 +153,7 @@ let print_shard_loads per_shard =
    [s], the shared world's first is host 0.  Per-shard loads follow the
    aggregate metrics when there are several shards. *)
 let run_leases ~term ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer
-    ~telemetry_s ~telemetry_out ~telemetry_format ~analyzer ~json ~trace ~profile ~profile_out
-    ~profile_format =
+    ~telemetry_s ~telemetry_out ~telemetry_format ~analyzer ~json ~trace ~profile ~profile_out =
   let config = (Experiments.Runner.lease_setup ~term ()).Leases.Sim.config in
   let split = domains <> None in
   let worlds = if split then shards else 1 in
@@ -223,7 +216,7 @@ let run_leases ~term ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~faul
         in
         finish_telemetry samplers ~params ~shards ~telemetry_out ~telemetry_format ~json)
       samplers;
-    if profile then finish_profile profilers ~split ~profile_out ~profile_format ~json
+    if profile then finish_profile profilers ~split ~profile_out ~json
   in
   (metrics, print_extra)
 
@@ -249,7 +242,7 @@ let run_baseline ~protocol ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~faults 
 
 let main protocol term_s clients duration seed loss rtt_ms workload ops_file json trace_out
     trace_format fault_specs telemetry_s telemetry_out telemetry_format shards domains profile
-    profile_out profile_format latency latency_out latency_k =
+    profile_out latency latency_out latency_k =
   try
     let faults = List.map parse_fault fault_specs in
     (* check-on-use is exactly a lease of term zero *)
@@ -326,7 +319,7 @@ let main protocol term_s clients duration seed loss rtt_ms workload ops_file jso
       | Some term ->
         run_leases ~term ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer
           ~telemetry_s ~telemetry_out ~telemetry_format ~analyzer ~json ~trace ~profile
-          ~profile_out ~profile_format
+          ~profile_out
       | None ->
         ( run_baseline ~protocol ~term_s ~clients ~seed ~loss ~m_prop ~m_proc ~faults ~tracer
             ~trace,
@@ -447,20 +440,14 @@ let profile =
        & info [ "profile" ]
            ~doc:"Self-profile the run (leases or polling; with --domains one profile per shard): \
                  attribute wall time and GC allocation to per-subsystem cost centers and sample \
-                 engine health (queue depth, live/occupied slots, cancel ratio, events per \
-                 sim-second) on the telemetry cadence.  Prints a hotspot table; see \
-                 leases-profile-view.")
+                 engine health (queue depth, cancel ratio, events per sim-second) on the \
+                 telemetry cadence.  Prints a hotspot table; see leases-profile-view, which \
+                 also converts a --profile-out report to a flamegraph format.")
 
 let profile_out =
   Arg.(value & opt (some string) None
        & info [ "profile-out" ] ~docv:"FILE"
            ~doc:"Write the leases-profile/1 report to $(docv); requires --profile.")
-
-let profile_format =
-  Arg.(value & opt string "json"
-       & info [ "profile-format" ] ~docv:"FMT"
-           ~doc:"Profile report format: json (leases-profile/1, leases-profile-view input), \
-                 speedscope (speedscope.app flamegraph) or chrome (chrome://tracing / Perfetto).")
 
 let latency =
   Arg.(value & flag
@@ -487,7 +474,7 @@ let cmd =
   Cmd.v (Cmd.info "leases-sim" ~doc)
     Term.(ret (const main $ protocol $ term $ clients $ duration $ seed $ loss $ rtt $ workload
                $ ops_file $ json $ trace_out $ trace_format $ faults $ telemetry $ telemetry_out
-               $ telemetry_format $ shards $ domains $ profile $ profile_out $ profile_format
+               $ telemetry_format $ shards $ domains $ profile $ profile_out
                $ latency $ latency_out $ latency_k))
 
 (* cmdliner reads every token that starts with '-' as an option, so a

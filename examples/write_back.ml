@@ -27,7 +27,8 @@ let () =
   in
   let make_client i =
     Wlease.Wclient.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness
-      ~host:(Host.Host_id.of_int (i + 1)) ~server:server_host ()
+      ~host:(Host.Host_id.of_int (i + 1)) ~server:server_host
+      ~skew_allowance:Leases.Config.default.skew_allowance ()
   in
   let designer = make_client 0 in
   let colleague = make_client 1 in

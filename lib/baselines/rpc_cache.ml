@@ -91,9 +91,9 @@ let invalidate c file =
 
 let start_rpc c kind message_of_req =
   let req = Netsim.Rpc_table.fresh_req c.rpcs in
-  Netsim.Rpc_table.start c.rpcs ~req kind (message_of_req req)
+  Netsim.Rpc_table.start c.rpcs ~req ~dst:Leases.Cluster.server_host kind (message_of_req req)
 
-let complete c (call : rpc_kind Netsim.Rpc_table.call) k version =
+let complete c (call : (rpc_kind, payload) Netsim.Rpc_table.call) k version =
   Netsim.Rpc_table.finish c.rpcs call.req;
   k version (Time.diff (Engine.now c.engine) call.started)
 
@@ -181,10 +181,12 @@ let create_client (w : payload Leases.Cluster.fabric) i =
       host;
       counters;
       cache = Hashtbl.create 128;
+      (* the servers answer by (client, req), and callback traces carry
+         the req as the op id: ids count per client from 0 *)
       rpcs =
-        Netsim.Rpc_table.create w.engine ~every:retry
-          ~send:(fun m -> Netsim.Net.send w.net ~src:host ~dst:Leases.Cluster.server_host m)
-          ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions");
+        Netsim.Rpc_table.create ~net:w.net ~host ~req_origin:0 ~retry ~retry_max:retry
+          ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions")
+          ();
       up = true;
       tracer = w.tracer;
     }

@@ -1,6 +1,7 @@
 open Simtime
 module Host_id = Host.Host_id
 module File_id = Vstore.File_id
+module Rpc_table = Netsim.Rpc_table
 
 type read_result = {
   r_version : Vstore.Version.t;
@@ -21,16 +22,6 @@ type rpc_kind =
   | Rpc_renewal  (** anticipatory extension; nobody waits on it *)
   | Rpc_write of { file : File_id.t; k : write_result -> unit }
 
-type rpc = {
-  req : Messages.req_id;
-  started : Time.t;  (** engine time *)
-  kind : rpc_kind;
-  message : Messages.payload;  (** retransmitted verbatim *)
-  dst : Host_id.t;  (** the server this RPC targets (fixed for its lifetime) *)
-  mutable tries : int;  (** retransmissions so far; drives the backoff *)
-  mutable timer : Engine.handle option;
-}
-
 (* The cached files one server owns: [files.(0 .. len-1)], ascending.  The
    array grows by doubling and never shrinks; a membership change shifts
    the tail by one and allocates nothing. *)
@@ -42,14 +33,10 @@ type queued_op =
   | Q_write of (write_result -> unit)
 
 type t = {
-  engine : Engine.t;
   clock : Clock.t;
-  net : Messages.payload Netsim.Net.t;
-  host : Host_id.t;
   route : File_id.t -> Host_id.t;
       (** file -> owning server host; constant [server] outside sharded
           deployments *)
-  rng : Prng.Splitmix.t option;  (** retransmission jitter; [None] = no jitter *)
   config : Config.t;
   counters : Stats.Counter.Registry.t;
   (* Hot counters resolved once at creation: the registry stays the source
@@ -57,7 +44,6 @@ type t = {
      lookup per bump. *)
   c_hits : Stats.Counter.t;
   c_misses : Stats.Counter.t;
-  c_retransmissions : Stats.Counter.t;
   c_evictions : Stats.Counter.t;
   c_renewals_sent : Stats.Counter.t;
   c_fallback_reads : Stats.Counter.t;
@@ -72,15 +58,11 @@ type t = {
   indexed : bool;
       (** whether anything reads [by_server]: piggybacked renewals on a
           miss, or anticipatory renewal *)
-  mutable rpcs : rpc list;
-      (** in-flight RPCs, newest first.  Per-file serialisation keeps this
-          to one entry per busy file — a handful at most — so a list scan
-          on the reply path beats hashing the request id. *)
+  rpcs : (rpc_kind, Messages.payload) Rpc_table.t;
   busy : unit File_id.Tbl.t;  (** files with a primary RPC in flight *)
   op_queue : queued_op Queue.t File_id.Tbl.t;
   renewals_in_flight : unit Host_id.Tbl.t;
       (** servers with an anticipatory extension outstanding *)
-  mutable next_req : int;
   mutable evict_next : Lease.expiry;
       (** lower bound on the earliest local expiry among cached entries
           ([Lease.never] = nothing can expire); drives amortized eviction
@@ -89,26 +71,29 @@ type t = {
 }
 
 
-let host t = t.host
+(* The client's net and host are its RPC table's, and its engine the net's. *)
+let net t = Rpc_table.net t.rpcs
+let host t = Rpc_table.host t.rpcs
+let engine t = Netsim.Net.engine (net t)
 let clock t = t.clock
 let local_now t = Clock.now t.clock
 
 (* Tracing helpers; every [emit] site is guarded on [tracing t] so the
    disabled path never allocates the event payload. *)
 let tracing t = Trace.Sink.enabled t.tracer
-let emit t ev = Trace.Sink.emit t.tracer (Time.to_sec (Engine.now t.engine)) ev
+let emit t ev = Trace.Sink.emit t.tracer (Time.to_sec (Engine.now (engine t))) ev
 
 (* Cost-center probe, guarded like [emit]: one load and one branch when the
    engine carries no profiler. *)
 let profile_mark t center =
-  let p = Engine.profiler t.engine in
+  let p = Engine.profiler (engine t) in
   if Profile.Recorder.enabled p then Profile.Recorder.mark p center
 
 let emit_client_lease t file (entry : entry) =
   emit t
     (Trace.Event.Client_lease
        {
-         host = Host_id.to_int t.host;
+         host = Host_id.to_int (host t);
          file = File_id.to_int file;
          version = Vstore.Version.to_int entry.version;
          expiry = Lease.expiry_sec entry.expiry;
@@ -122,70 +107,8 @@ let holds_valid_lease t file =
 
 let cache_size t = File_id.Tbl.length t.cache
 let eviction_bound t = t.evict_next
-let inflight_rpcs t = List.length t.rpcs
+let inflight_rpcs t = Rpc_table.length t.rpcs
 let queued_ops t = File_id.Tbl.fold (fun _ q acc -> acc + Queue.length q) t.op_queue 0
-
-(* ------------------------------------------------------------------ *)
-(* RPC plumbing                                                        *)
-
-let send_to t ~dst payload = Netsim.Net.send t.net ~src:t.host ~dst payload
-
-(* Exponential backoff with jitter.  The k-th retransmission waits
-   [retry_interval * 2^k] capped at [retry_max_interval]; when the client
-   has a PRNG the wait is scaled by a uniform factor in [0.5, 1.5), so that
-   clients whose RPCs all failed at the same instant (a server crash) do
-   not retry in lockstep forever — the recovering server sees the herd
-   spread over the backoff window instead of in one burst. *)
-let retry_delay t rpc =
-  let doublings = Int.min rpc.tries 20 in
-  let base = Time.Span.scale (Float.of_int (1 lsl doublings)) t.config.retry_interval in
-  let capped = Time.Span.min base t.config.retry_max_interval in
-  match t.rng with
-  | Some rng -> Time.Span.scale (0.5 +. Prng.Splitmix.float rng) capped
-  | None -> capped
-
-let rec arm_retry t rpc =
-  let fire () =
-    profile_mark t Profile.Center.Client_op;
-    if t.up && List.memq rpc t.rpcs then begin
-      Stats.Counter.incr t.c_retransmissions;
-      rpc.tries <- rpc.tries + 1;
-      send_to t ~dst:rpc.dst rpc.message;
-      arm_retry t rpc
-    end
-  in
-  rpc.timer <- Some (Engine.schedule_after t.engine (retry_delay t rpc) fire)
-
-let start_rpc t ~dst kind message =
-  let req =
-    match message with
-    | Messages.Read_request { req; _ } | Messages.Extend_request { req; _ }
-    | Messages.Write_request { req; _ } ->
-      req
-    | Messages.Read_reply _ | Messages.Extend_reply _ | Messages.Write_reply _
-    | Messages.Approval_request _ | Messages.Approval_reply _ | Messages.Installed_refresh _ ->
-      invalid_arg "Client.start_rpc: not a request"
-  in
-  let rpc = { req; started = Engine.now t.engine; kind; message; dst; tries = 0; timer = None } in
-  t.rpcs <- rpc :: t.rpcs;
-  send_to t ~dst message;
-  arm_retry t rpc
-
-let finish_rpc t rpc =
-  (match rpc.timer with Some h -> Engine.cancel h | None -> ());
-  t.rpcs <- List.filter (fun r -> not (r == rpc)) t.rpcs
-
-let find_rpc t req =
-  let rec go = function
-    | [] -> None
-    | rpc :: rest -> if rpc.req = req then Some rpc else go rest
-  in
-  go t.rpcs
-
-let fresh_req t =
-  let req = t.next_req in
-  t.next_req <- t.next_req + 1;
-  req
 
 (* ------------------------------------------------------------------ *)
 (* Cache maintenance                                                   *)
@@ -313,7 +236,7 @@ let maybe_evict t =
             if tracing t then
               emit t
                 (Trace.Event.Cache_invalidate
-                   { host = Host_id.to_int t.host; file = File_id.to_int file }))
+                   { host = Host_id.to_int (host t); file = File_id.to_int file }))
           victims
       end;
       t.evict_next <- !min_next
@@ -343,7 +266,7 @@ let invalidate t file =
     if tracing t then
       emit t
         (Trace.Event.Cache_invalidate
-           { host = Host_id.to_int t.host; file = File_id.to_int file })
+           { host = Host_id.to_int (host t); file = File_id.to_int file })
   | None -> ()
 
 (* Renew every held lease in one batched extension per owning server with
@@ -373,7 +296,8 @@ let rec send_renewal t =
           Host_id.Tbl.replace t.renewals_in_flight dst ();
           (* a copy: the group keeps changing, a sent array never does *)
           let files = Array.sub group.files 0 group.len in
-          start_rpc t ~dst Rpc_renewal (Messages.Extend_request { req = fresh_req t; files })
+          let req = Rpc_table.fresh_req t.rpcs in
+          Rpc_table.start t.rpcs ~req ~dst Rpc_renewal (Messages.Extend_request { req; files })
         end)
       groups
   end
@@ -426,7 +350,7 @@ let apply_grant t file version (lease : Lease.grant option) expiry =
 let grant_expiry t (lease : Lease.grant option) ~now =
   match lease with
   | Some { Lease.term } ->
-    Lease.client_expiry term ~received_at:now ~transit_allowance:(Netsim.Net.transit t.net)
+    Lease.client_expiry term ~received_at:now ~transit_allowance:(Netsim.Net.transit (net t))
       ~skew_allowance:t.config.skew_allowance
   | None ->
     (* No lease came back (zero term or a write is pending): make sure we
@@ -486,7 +410,7 @@ let rec read t file ~k =
         emit t
           (Trace.Event.Cache_hit
              {
-               host = Host_id.to_int t.host;
+               host = Host_id.to_int (host t);
                file = File_id.to_int file;
                version = Vstore.Version.to_int entry.version;
                local_now = Time.to_sec (local_now t);
@@ -499,10 +423,10 @@ let rec read t file ~k =
       maybe_evict t;
       if tracing t then
         emit t
-          (Trace.Event.Cache_miss { host = Host_id.to_int t.host; file = File_id.to_int file });
+          (Trace.Event.Cache_miss { host = Host_id.to_int (host t); file = File_id.to_int file });
       File_id.Tbl.replace t.busy file ();
       let dst = t.route file in
-      let req = fresh_req t in
+      let req = Rpc_table.fresh_req t.rpcs in
       let message =
         if t.config.Config.batch_extensions then begin
           (* Piggyback renewals only for files the same server owns: a
@@ -513,7 +437,7 @@ let rec read t file ~k =
         end
         else Messages.Read_request { req; file }
       in
-      start_rpc t ~dst (Rpc_read { file; k }) message
+      Rpc_table.start t.rpcs ~req ~dst (Rpc_read { file; k }) message
   end
 
 and write t file ~k =
@@ -526,8 +450,9 @@ and write t file ~k =
        cached copy must not serve reads. *)
     invalidate t file;
     File_id.Tbl.replace t.busy file ();
-    let req = fresh_req t in
-    start_rpc t ~dst:(t.route file) (Rpc_write { file; k }) (Messages.Write_request { req; file })
+    let req = Rpc_table.fresh_req t.rpcs in
+    Rpc_table.start t.rpcs ~req ~dst:(t.route file) (Rpc_write { file; k })
+      (Messages.Write_request { req; file })
   end
 
 (* The in-flight operation on [file] finished: unblock the queue.  Queued
@@ -556,15 +481,15 @@ and drain_queue t file =
 
 (* Complete [rpc] with its reply's line 0: a miss puts its file first, and
    the reply shares the request's files. *)
-let complete_read t rpc ~file:answered ~version =
+let complete_read t (rpc : (_, _) Rpc_table.call) ~file:answered ~version =
   match rpc.kind with
   | Rpc_read { file; k } ->
-    finish_rpc t rpc;
+    Rpc_table.finish t.rpcs rpc.req;
     if File_id.equal answered file then begin
       k
         {
           r_version = version;
-          r_latency = Time.diff (Engine.now t.engine) rpc.started;
+          r_latency = Time.diff (Engine.now (engine t)) rpc.started;
           r_from_cache = false;
         };
       release t file
@@ -577,12 +502,13 @@ let complete_read t rpc ~file:answered ~version =
          protocol staleness — so re-issue the read instead.  The file stays
          busy, so queued operations keep their order. *)
       Stats.Counter.incr t.c_fallback_reads;
-      start_rpc t ~dst:rpc.dst (Rpc_read { file; k })
-        (Messages.Read_request { req = fresh_req t; file })
+      let req = Rpc_table.fresh_req t.rpcs in
+      Rpc_table.start t.rpcs ~req ~dst:rpc.dst (Rpc_read { file; k })
+        (Messages.Read_request { req; file })
     end
   | Rpc_renewal ->
     Host_id.Tbl.remove t.renewals_in_flight rpc.dst;
-    finish_rpc t rpc
+    Rpc_table.finish t.rpcs rpc.req
   | Rpc_write _ -> ()
 
 let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
@@ -592,20 +518,20 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
     | Messages.Read_reply { req; file; version; lease } -> (
       apply_grant t file version lease (grant_expiry t lease ~now:(local_now t));
       (* a late duplicate's grant is still fresh info *)
-      match find_rpc t req with
+      match Rpc_table.find t.rpcs req with
       | Some rpc -> complete_read t rpc ~file ~version
       | None -> ())
     | Messages.Extend_reply { req; files; versions; leases } -> (
       apply_grants t files versions leases;
-      match find_rpc t req with
+      match Rpc_table.find t.rpcs req with
       (* no batch is empty: a miss's starts with its file, a renewal's
          copies a non-empty group *)
       | Some rpc -> complete_read t rpc ~file:files.(0) ~version:versions.(0)
       | None -> ())
     | Messages.Write_reply { req; file; version } -> (
-      match find_rpc t req with
+      match Rpc_table.find t.rpcs req with
       | Some ({ kind = Rpc_write { file = wfile; k }; _ } as rpc) when File_id.equal file wfile ->
-        finish_rpc t rpc;
+        Rpc_table.finish t.rpcs rpc.req;
         (* Our own write completed: cache the new version, but with no
            lease — the next read revalidates with an extension request. *)
         let entry = entry_for t file in
@@ -615,7 +541,7 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
           note_expiry t entry.expiry
         end;
         if tracing t then emit_client_lease t file entry;
-        k { w_version = version; w_latency = Time.diff (Engine.now t.engine) rpc.started };
+        k { w_version = version; w_latency = Time.diff (Engine.now (engine t)) rpc.started };
         release t file
       | Some _ | None -> ())
     | Messages.Approval_request { write; file } ->
@@ -623,11 +549,12 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
       invalidate t file;
       (* Reply to whichever server asked — under sharding that is the
          file's owner, not necessarily our default server. *)
-      send_to t ~dst:envelope.src (Messages.Approval_reply { write; file })
+      Netsim.Net.send (net t) ~src:(host t) ~dst:envelope.src
+        (Messages.Approval_reply { write; file })
     | Messages.Installed_refresh { covered; term } ->
       let refreshed =
         Lease.client_expiry (Lease.Finite term) ~received_at:(local_now t)
-          ~transit_allowance:(Netsim.Net.transit t.net) ~skew_allowance:t.config.skew_allowance
+          ~transit_allowance:(Netsim.Net.transit (net t)) ~skew_allowance:t.config.skew_allowance
       in
       List.iter
         (fun (file, version) ->
@@ -657,8 +584,7 @@ let on_crash t =
   File_id.Tbl.iter (fun _ entry -> cancel_renewal entry) t.cache;
   File_id.Tbl.reset t.cache;
   Host_id.Tbl.reset t.by_server;
-  List.iter (fun rpc -> match rpc.timer with Some h -> Engine.cancel h | None -> ()) t.rpcs;
-  t.rpcs <- [];
+  Rpc_table.cancel_all t.rpcs;
   File_id.Tbl.reset t.busy;
   File_id.Tbl.reset t.op_queue;
   Host_id.Tbl.reset t.renewals_in_flight;
@@ -669,21 +595,17 @@ let on_recover t = t.up <- true
 let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
     ?(tracer = Trace.Sink.null) ?req_origin () =
   Config.validate config;
+  if Netsim.Net.engine net != engine then invalid_arg "Client.create: net runs on another engine";
   let route = match route with Some r -> r | None -> fun _ -> server in
   let counters = Stats.Counter.Registry.create () in
   let t =
     {
-      engine;
       clock;
-      net;
-      host;
       route;
-      rng;
       config;
       counters;
       c_hits = Stats.Counter.Registry.counter counters "hits";
       c_misses = Stats.Counter.Registry.counter counters "misses";
-      c_retransmissions = Stats.Counter.Registry.counter counters "retransmissions";
       c_evictions = Stats.Counter.Registry.counter counters "evictions";
       c_renewals_sent = Stats.Counter.Registry.counter counters "renewals-sent";
       c_fallback_reads = Stats.Counter.Registry.counter counters "fallback-reads";
@@ -692,22 +614,14 @@ let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
       cache = File_id.Tbl.create 16;
       by_server = Host_id.Tbl.create 1;
       indexed = config.batch_extensions || Option.is_some config.anticipatory_renewal;
-      rpcs = [];
+      rpcs =
+        Rpc_table.create ~net ~host ?req_origin ~retry:config.retry_interval
+          ~retry_max:config.retry_max_interval ?jitter:rng
+          ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions")
+          ();
       busy = File_id.Tbl.create 8;
       op_queue = File_id.Tbl.create 8;
       renewals_in_flight = Host_id.Tbl.create 4;
-      (* Request ids are globally unique, not merely per-client: the host
-         index occupies the high bits, the per-client sequence the low 32,
-         so a req doubles as the operation's correlation id in traces and
-         never collides across clients or shards.  No randomness involved —
-         seeded PRNG streams are untouched.  [req_origin] overrides the
-         counter's starting point for deployments that instantiate the
-         same client host in several sub-simulations and merge their
-         traces. *)
-      next_req =
-        (match req_origin with
-        | Some origin -> origin
-        | None -> Host.Host_id.to_int host lsl 32);
       evict_next = Lease.never;
       up = true;
     }
@@ -720,7 +634,7 @@ let create ~engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
 let hits t = Stats.Counter.value t.c_hits
 let misses t = Stats.Counter.value t.c_misses
 let approvals_answered t = Stats.Counter.value t.c_approvals_answered
-let retransmissions t = Stats.Counter.value t.c_retransmissions
+let retransmissions t = Stats.Counter.Registry.find t.counters "retransmissions"
 let evictions t = Stats.Counter.value t.c_evictions
 let renewals_sent t = Stats.Counter.value t.c_renewals_sent
 let counters t = t.counters

@@ -32,17 +32,19 @@ val create :
     paper's [m_prop + 2*m_proc], Section 3.1).
     [route] maps each file to the host of the server that owns it
     (default: the constant [server]); every RPC, approval reply and
-    batched extension targets the owning server, with retry and renewal
-    state kept per server.  [rng] jitters the exponential retransmission
-    backoff (each retry waits [retry_interval * 2^k] capped at
-    [retry_max_interval], scaled by a uniform factor in [0.5, 1.5));
-    without it the backoff is deterministic and unjittered.  [tracer]
+    batched extension targets the owning server, and renewal state is
+    kept per server.  RPCs are retransmitted by a {!Netsim.Rpc_table}:
+    each retry waits [retry_interval * 2^k] capped at
+    [retry_max_interval], scaled by a uniform factor in [0.5, 1.5) drawn
+    from [rng]; without [rng] the backoff is deterministic and
+    unjittered.  [tracer]
     receives the client-side protocol events (cache hits, misses and
     invalidations, local lease records); disabled by default.
     [req_origin] seeds the request-id counter (default
     [host lsl 32]) — a deployment that instantiates the same client host
     in several sub-simulations gives each instance a distinct origin so
-    correlation ids stay unique in the merged trace. *)
+    correlation ids stay unique in the merged trace.  Raises
+    [Invalid_argument] when [net] was created on another engine. *)
 
 val host : t -> Host.Host_id.t
 val clock : t -> Clock.t

@@ -122,6 +122,7 @@ let register t host handler =
   w.handlers.(idx) <- Some handler
 
 let transit t = t.transit
+let engine t = t.wire.engine
 
 (* One delivery attempt toward [dst]; transit time is sender processing +
    propagation + receiver processing.  Every message takes the same

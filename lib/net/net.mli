@@ -56,6 +56,9 @@ val create :
     [(M_other "msg", -1)]).  [classify] is only evaluated when the tracer
     is enabled, so it costs nothing on untraced runs. *)
 
+val engine : 'a t -> Simtime.Engine.t
+(** The engine the net was created on. *)
+
 val register : 'a t -> Host.Host_id.t -> ('a envelope -> unit) -> unit
 (** Install the message handler for a host.  Re-registering replaces it. *)
 

@@ -24,8 +24,6 @@ type stats = {
 type sample = {
   s_t : float;  (** sim seconds at capture *)
   s_queue_depth : int;  (** live scheduled events *)
-  s_occupied_slots : int;  (** heap slots, live + tombstones *)
-  s_live_ratio : float;  (** depth / slots; 1.0 when tombstone-free *)
   s_cancel_ratio : float;  (** cancels per push within the window *)
   s_events : int;  (** events dispatched within the window *)
   s_events_per_sim_s : float;
@@ -181,7 +179,7 @@ let exit t =
     t.cur <- t.stack.(t.depth)
   end
 
-let take_sample t ~sim_now ~queue_depth ~occupied_slots ~pushed ~cancelled =
+let take_sample t ~sim_now ~queue_depth ~pushed ~cancelled =
   let window_events = t.events - t.last_sample_events in
   let window_pushes = pushed - t.last_pushed in
   let window_cancels = cancelled - t.last_cancelled in
@@ -190,10 +188,6 @@ let take_sample t ~sim_now ~queue_depth ~occupied_slots ~pushed ~cancelled =
     {
       s_t = sim_now;
       s_queue_depth = queue_depth;
-      s_occupied_slots = occupied_slots;
-      s_live_ratio =
-        (if occupied_slots = 0 then 1.
-         else float_of_int queue_depth /. float_of_int occupied_slots);
       s_cancel_ratio =
         (if window_pushes = 0 then 0.
          else float_of_int window_cancels /. float_of_int window_pushes);
@@ -210,7 +204,7 @@ let take_sample t ~sim_now ~queue_depth ~occupied_slots ~pushed ~cancelled =
      windows instead of emitting a burst of stale samples. *)
   t.next_sample_t <- t.interval_s *. (Float.of_int (int_of_float (sim_now /. t.interval_s)) +. 1.)
 
-let event_end t ~sim_now ~queue_depth ~occupied_slots ~pushed ~cancelled =
+let event_end t ~sim_now ~queue_depth ~pushed ~cancelled =
   if t.enabled && t.started then begin
     charge t;
     (* Unwind any span the callback left open (charges were already taken at
@@ -218,7 +212,7 @@ let event_end t ~sim_now ~queue_depth ~occupied_slots ~pushed ~cancelled =
     t.depth <- 0;
     t.cur <- idx_dispatch;
     if sim_now >= t.next_sample_t then
-      take_sample t ~sim_now ~queue_depth ~occupied_slots ~pushed ~cancelled
+      take_sample t ~sim_now ~queue_depth ~pushed ~cancelled
   end
 
 let stop t =

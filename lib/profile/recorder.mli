@@ -51,7 +51,6 @@ val event_end :
   t ->
   sim_now:float ->
   queue_depth:int ->
-  occupied_slots:int ->
   pushed:int ->
   cancelled:int ->
   unit
@@ -100,8 +99,6 @@ val measured_wall_s : t -> float
 type sample = {
   s_t : float;  (** sim seconds at capture *)
   s_queue_depth : int;  (** live scheduled events *)
-  s_occupied_slots : int;  (** heap slots, live + tombstones *)
-  s_live_ratio : float;  (** depth / slots; 1.0 when tombstone-free *)
   s_cancel_ratio : float;  (** cancels per push within the window *)
   s_events : int;  (** events dispatched within the window *)
   s_events_per_sim_s : float;

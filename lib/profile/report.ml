@@ -21,8 +21,6 @@ type center_row = {
 type sample = {
   t : float;
   queue_depth : int;
-  occupied_slots : int;
-  live_ratio : float;
   cancel_ratio : float;
   events : int;
   events_per_sim_s : float;
@@ -63,8 +61,6 @@ let of_recorder r =
         {
           t = s.Recorder.s_t;
           queue_depth = s.Recorder.s_queue_depth;
-          occupied_slots = s.Recorder.s_occupied_slots;
-          live_ratio = s.Recorder.s_live_ratio;
           cancel_ratio = s.Recorder.s_cancel_ratio;
           events = s.Recorder.s_events;
           events_per_sim_s = s.Recorder.s_events_per_sim_s;
@@ -120,8 +116,6 @@ let to_json report =
                        [
                          ("t", num s.t);
                          ("queue_depth", int s.queue_depth);
-                         ("occupied_slots", int s.occupied_slots);
-                         ("live_ratio", num s.live_ratio);
                          ("cancel_ratio", num s.cancel_ratio);
                          ("events", int s.events);
                          ("events_per_sim_s", num s.events_per_sim_s);
@@ -192,8 +186,6 @@ let of_json_string text =
               {
                 t = get_num s "t";
                 queue_depth = get_int s "queue_depth";
-                occupied_slots = get_int s "occupied_slots";
-                live_ratio = get_num s "live_ratio";
                 cancel_ratio = get_num s "cancel_ratio";
                 events = get_int s "events";
                 events_per_sim_s = get_num s "events_per_sim_s";
@@ -242,9 +234,9 @@ let hotspot_table ?(top = 10) report =
     let last = List.nth samples (n - 1) in
     let max_depth = List.fold_left (fun acc s -> Stdlib.max acc s.queue_depth) 0 samples in
     Printf.bprintf b
-      "engine: %d health samples (every %g sim-s); peak queue depth %d; final live ratio %.2f, \
-       cancel ratio %.2f, %.0f events/sim-s\n"
-      n report.interval_s max_depth last.live_ratio last.cancel_ratio last.events_per_sim_s);
+      "engine: %d health samples (every %g sim-s); peak queue depth %d; final cancel ratio \
+       %.2f, %.0f events/sim-s\n"
+      n report.interval_s max_depth last.cancel_ratio last.events_per_sim_s);
   Buffer.contents b
 
 (* --- flamegraph exports ----------------------------------------------- *)
@@ -330,8 +322,7 @@ let to_chrome report =
                ("args", Json.Obj values);
              ])
       in
-      counter "queue"
-        [ ("depth", int s.queue_depth); ("occupied_slots", int s.occupied_slots) ];
+      counter "queue" [ ("depth", int s.queue_depth) ];
       counter "rates"
         [
           ("events_per_sim_s", num s.events_per_sim_s); ("cancel_ratio", num s.cancel_ratio);

@@ -17,8 +17,6 @@ type center_row = {
 type sample = {
   t : float;
   queue_depth : int;
-  occupied_slots : int;
-  live_ratio : float;
   cancel_ratio : float;
   events : int;
   events_per_sim_s : float;

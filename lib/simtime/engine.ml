@@ -170,7 +170,6 @@ let[@inline] dispatch t f x y =
     Profile.Recorder.event_begin prof;
     f x y;
     Profile.Recorder.event_end prof ~sim_now:(Time.to_sec t.now) ~queue_depth:(pending t)
-      ~occupied_slots:(Event_queue.occupied_slots t.queue + t.lane_len)
       ~pushed:(Event_queue.total_pushed t.queue)
       ~cancelled:(Event_queue.total_cancelled t.queue)
   end

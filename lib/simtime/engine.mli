@@ -89,8 +89,8 @@ val set_profiler : t -> Profile.Recorder.t -> unit
     dispatch site in [event_begin]/[event_end], attributing each callback's
     wall time and allocation to the cost center the callback marks (see
     {!Profile.Recorder.mark}) and sampling engine health (queue depth,
-    live/occupied ratio, cancel ratio, events per sim-second; lane entries
-    count as queued, occupied and pushed) on the recorder's cadence.
+    cancel ratio, events per sim-second; lane entries count as queued and
+    pushed) on the recorder's cadence.
     Disabled ({!Profile.Recorder.null}, the default), the dispatch
     overhead is one load and one branch — the same guard shape as the
     trace sink. *)

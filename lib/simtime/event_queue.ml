@@ -205,8 +205,6 @@ let is_empty q = q.size = 0
 
 let live_nondaemon q = q.size - q.daemon_live
 
-let occupied_slots q = q.size
-
 (* Lifetime counters for the profiler's engine-health series; [next_seq]
    already counts every push (and every seq taken for an outside FIFO), so
    only cancellations need a dedicated counter. *)

@@ -71,11 +71,6 @@ val is_empty : 'a t -> bool
 val live_nondaemon : 'a t -> int
 (** Live events not marked daemon — the queue's pending {e work}.  O(1). *)
 
-val occupied_slots : 'a t -> int
-(** Heap slots currently occupied — with eager cancellation this equals
-    {!length}; kept distinct for diagnostics and the cancel-heavy growth
-    benchmark, which asserts exactly that bound. *)
-
 val total_pushed : 'a t -> int
 (** Lifetime pushes and {!take_seq}s (never reset) — the profiler's
     engine-health series derives per-window push/cancel rates from these.

@@ -22,8 +22,6 @@ module Registry = struct
       Hashtbl.add registry name counter;
       counter
 
-  let size = Hashtbl.length
-
   let counters registry =
     Hashtbl.fold (fun _ counter acc -> counter :: acc) registry []
     |> List.sort (fun a b -> String.compare a.name b.name)

@@ -19,16 +19,11 @@ module Registry : sig
   (** The counter registered under [name], creating it at zero on first
       use.  Repeated calls with the same name return the same counter. *)
 
-  val size : t -> int
-  (** Counters registered so far; it grows only when {!counter} registers
-      a new name. *)
-
   val counters : t -> counter list
   (** Every registered counter, sorted by name.  A reader that samples a
-      registry repeatedly resolves its cells once and re-resolves only
-      when {!size} grows — what the telemetry sampler does to merge
-      several registries ("server/", "client/0/", ...) into one
-      deterministically ordered namespace. *)
+      registry repeatedly resolves its cells once — what the telemetry
+      sampler does to merge several registries ("server/", "client/0/",
+      ...) into one deterministically ordered namespace. *)
 
   val to_list : t -> (string * int) list
   (** All counters with their values, sorted by name.  Every listing

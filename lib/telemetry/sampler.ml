@@ -91,18 +91,14 @@ type prev = {
    by name, with each counter's value at the previous sample.  [prev] is
    the last window's [values], replaced, never written, at each sample. *)
 type namespace = {
-  sizes : int array;  (* each registry's size when resolved *)
   names : string array;
   cells : Stats.Counter.t array;
   mutable prev : int array;
 }
 
-let unresolved = { sizes = [||]; names = [||]; cells = [||]; prev = [||] }
-
 (* What the one-server rule resolves once, so a sample reads ints. *)
 type one_server = {
-  registries : (string * Stats.Counter.Registry.t) array;  (* prefix, registry *)
-  mutable namespace : namespace;
+  namespace : namespace;
   skew_labels : string array;  (* "server", "client/0", ... *)
   axis_labels : string array;
   axes : Breakdown.axis array;  (* aligned with [axis_labels] *)
@@ -142,10 +138,11 @@ let create ?(interval_s = 10.) ?latency () =
          interval_s);
   { interval_s; latency; attached = None; closed = 0; last_t = 0.; finalized = false }
 
-(* Sort every registry's counters into one namespace by prefixed name.  A
-   name already resolved keeps its previous value; a new one starts from
-   zero, so its first delta is its whole value. *)
-let resolve registries (before : namespace) =
+(* Sort every registry's counters into one namespace by prefixed name,
+   each starting from zero, so its first delta is its whole value.  Lease
+   servers and clients register every counter at creation, so the
+   namespace is resolved once, at attach. *)
+let resolve registries =
   let entries =
     Array.to_list registries
     |> List.concat_map (fun (prefix, registry) ->
@@ -155,28 +152,16 @@ let resolve registries (before : namespace) =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> Array.of_list
   in
-  let prev = Hashtbl.create (Array.length before.names) in
-  Array.iteri (fun i name -> Hashtbl.replace prev name before.prev.(i)) before.names;
   {
-    sizes = Array.map (fun (_, registry) -> Stats.Counter.Registry.size registry) registries;
     names = Array.map fst entries;
     cells = Array.map snd entries;
-    prev = Array.map (fun (name, _) -> Option.value (Hashtbl.find_opt prev name) ~default:0) entries;
+    prev = Array.make (Array.length entries) 0;
   }
-
-let grown o =
-  let sizes = o.namespace.sizes in
-  let rec from i =
-    i < Array.length sizes
-    && (Stats.Counter.Registry.size (snd o.registries.(i)) <> sizes.(i) || from (i + 1))
-  in
-  from 0
 
 (* The window detail at this boundary: the merged counters read into a
    fresh array, the previous boundary's array kept beside it, every
    clock's skew, and each axis's moved keys. *)
 let detail o (w : Leases.Sim.world) =
-  if grown o then o.namespace <- resolve o.registries o.namespace;
   let ns = o.namespace in
   let values = Array.map Stats.Counter.value ns.cells in
   let before = ns.prev in
@@ -313,8 +298,7 @@ let one_server (w : Leases.Sim.world) =
   in
   let axes = Array.of_list (Breakdown.axes breakdown) in
   {
-    registries;
-    namespace = resolve registries unresolved;
+    namespace = resolve registries;
     skew_labels =
       Array.append [| "server" |]
         (Array.init (Array.length w.clients) (Printf.sprintf "client/%d"));

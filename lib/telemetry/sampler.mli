@@ -64,8 +64,8 @@
 
     A one-server window costs what moved, in arrays.  {!attach} resolves
     the merged counter namespace once, into arrays of sorted names and
-    counter cells, and resolves it again only when a registry has grown;
-    it also builds the skew and axis labels once.  A boundary then reads
+    counter cells (lease servers and clients register every counter at
+    creation); it also builds the skew and axis labels once.  A boundary then reads
     every cell into one fresh [int array] and keeps the previous
     boundary's array beside it, reads the clock skews into one
     [float array], and keeps each moved {!Leases.Breakdown} axis as the

@@ -39,14 +39,57 @@ let end_name (l : Lifecycle.lease) =
   | Some (Regrant, _) -> "regrant"
   | Some (Server_crash, _) -> "server-crash"
 
-let write ?servers ?(owner = fun _ -> 0) oc events =
-  let life = Lifecycle.create ?servers ~owner () in
-  List.iter (Lifecycle.feed life) events;
-  let acc = ref [] in
-  let push j = acc := j :: !acc in
+type t = {
+  life : Lifecycle.t;
+  owner : int -> int;
+  mutable rev_instants : Json.t list;  (** instants and counters, newest first *)
+}
+
+let create ?servers ?(owner = fun _ -> 0) () =
+  { life = Lifecycle.create ?servers ~owner (); owner; rev_instants = [] }
+
+let draw t j = t.rev_instants <- j :: t.rev_instants
+
+let push t ({ at; ev } as e : Event.t) =
+  Lifecycle.feed t.life e;
+  match ev with
+  | Event.Crash { host } -> draw t (instant ~name:"crash" ~pid:host ~ts:at ~args:[])
+  | Event.Recover { host } -> draw t (instant ~name:"recover" ~pid:host ~ts:at ~args:[])
+  | Event.Clock_drift { host; drift } ->
+    draw t (instant ~name:"clock-drift" ~pid:host ~ts:at ~args:[ ("drift", Json.Num drift) ])
+  | Event.Clock_step { host; step_s } ->
+    draw t (instant ~name:"clock-step" ~pid:host ~ts:at ~args:[ ("step_s", Json.Num step_s) ])
+  | Event.Net_drop { src; dst; kind; corr; cause } ->
+    draw t
+      (instant ~name:"net-drop" ~pid:src ~ts:at
+         ~args:
+           [
+             ("dst", int dst);
+             ("msg", str (Event.msg_kind_name kind));
+             ("corr", int corr);
+             ("cause", str (Event.drop_cause_name cause));
+           ])
+  (* the engine's queue depth, drawn under host 0, where every run has a server *)
+  | Event.Heartbeat { pending } ->
+    draw t (counter ~name:"pending-events" ~pid:0 ~ts:at ~values:[ ("pending", int pending) ])
+  | _ -> ()
+
+let sink t = { Sink.enabled = true; push = push t; flush = ignore }
+
+(* The document is [{"traceEvents":[...]}], written one element at a time
+   so that it is never held whole. *)
+let output t oc =
+  let life = t.life in
+  let sep = ref "" in
+  let item j =
+    output_string oc !sep;
+    output_string oc (Json.to_string j);
+    sep := ","
+  in
+  output_string oc "{\"traceEvents\":[";
   List.iter
     (fun (l : Lifecycle.lease) ->
-      push
+      item
         (span
            ~name:(Printf.sprintf "lease f%d" l.file)
            ~pid:l.holder ~tid:l.file ~ts:l.granted_at
@@ -64,10 +107,10 @@ let write ?servers ?(owner = fun _ -> 0) oc events =
       let finish =
         match w.committed_at with Some at -> at | None -> Lifecycle.last_at life
       in
-      push
+      item
         (span
            ~name:(Printf.sprintf "write-wait w%d f%d" w.write w.w_file)
-           ~pid:(owner w.w_file) ~tid:w.w_file ~ts:w.began_at ~dur:(finish -. w.began_at)
+           ~pid:(t.owner w.w_file) ~tid:w.w_file ~ts:w.began_at ~dur:(finish -. w.began_at)
            ~args:
              [
                ("writer", int w.writer);
@@ -77,32 +120,10 @@ let write ?servers ?(owner = fun _ -> 0) oc events =
                  match w.waited_s with None -> Json.Null | Some s -> Json.Num s );
              ]))
     (Lifecycle.waits life);
-  List.iter
-    (fun ({ at; ev } : Event.t) ->
-      match ev with
-      | Event.Crash { host } -> push (instant ~name:"crash" ~pid:host ~ts:at ~args:[])
-      | Event.Recover { host } -> push (instant ~name:"recover" ~pid:host ~ts:at ~args:[])
-      | Event.Clock_drift { host; drift } ->
-        push (instant ~name:"clock-drift" ~pid:host ~ts:at ~args:[ ("drift", Json.Num drift) ])
-      | Event.Clock_step { host; step_s } ->
-        push (instant ~name:"clock-step" ~pid:host ~ts:at ~args:[ ("step_s", Json.Num step_s) ])
-      | Event.Net_drop { src; dst; kind; corr; cause } ->
-        push
-          (instant ~name:"net-drop" ~pid:src ~ts:at
-             ~args:
-               [
-                 ("dst", int dst);
-                 ("msg", str (Event.msg_kind_name kind));
-                 ("corr", int corr);
-                 ("cause", str (Event.drop_cause_name cause));
-               ])
-      (* the engine's queue depth, drawn under host 0, where every run has a server *)
-      | Event.Heartbeat { pending } ->
-        push (counter ~name:"pending-events" ~pid:0 ~ts:at ~values:[ ("pending", int pending) ])
-      | _ -> ())
-    events;
-  let doc = Json.Obj [ ("traceEvents", Json.Arr (List.rev !acc)) ] in
-  let b = Buffer.create 65536 in
-  Json.to_buffer b doc;
-  Buffer.add_char b '\n';
-  Buffer.output_buffer oc b
+  List.iter item (List.rev t.rev_instants);
+  output_string oc "]}\n"
+
+let write ?servers ?owner oc events =
+  let t = create ?servers ?owner () in
+  List.iter (push t) events;
+  output t oc

@@ -7,4 +7,17 @@
     and [owner] are {!Lease_state.create}'s: a server crash ends only its
     own files' leases, and each wait is drawn under its file's server. *)
 
+type t
+
+val create : ?servers:int list -> ?owner:(int -> int) -> unit -> t
+
+val sink : t -> Sink.t
+(** Feeds the lifecycle fold live and keeps only the events drawn as
+    instants or counters, so a run of any length is exported in the
+    memory of its leases, waits and those events. *)
+
+val output : t -> out_channel -> unit
+(** Writes the document for the stream pushed so far. *)
+
 val write : ?servers:int list -> ?owner:(int -> int) -> out_channel -> Event.t list -> unit
+(** Pushes the events through a fresh {!sink} and writes the document. *)

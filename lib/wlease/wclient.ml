@@ -1,9 +1,7 @@
 open Simtime
 module Host_id = Host.Host_id
 module File_id = Vstore.File_id
-
-(* The paper's epsilon, as in [Leases.Config.default]. *)
-let skew_allowance = Time.Span.of_ms 100.
+module Lease = Leases.Lease
 
 (* Every unanswered RPC is re-sent after this long. *)
 let retry_interval = Time.Span.of_sec 1.
@@ -26,7 +24,7 @@ type write_result = { w_latency : Time.Span.t; w_acquired_lease : bool }
 type entry = {
   mutable version : Vstore.Version.t;
   mutable mode : Wmessages.mode;
-  mutable expiry : Time.t;  (** client clock; write leases flush before this *)
+  mutable expiry : Lease.expiry;  (** client clock; write leases flush before this *)
   mutable epoch : Wmessages.epoch;
   mutable dirty : int;
   mutable flush_timer : Clock.timer option;
@@ -51,6 +49,7 @@ type t = {
   net : Wmessages.payload Netsim.Net.t;
   host : Host_id.t;
   server : Host_id.t;
+  skew_allowance : Time.Span.t;
   counters : Stats.Counter.Registry.t;
   cache : (File_id.t, entry) Hashtbl.t;
   rpcs : (rpc_kind, Wmessages.payload) Netsim.Rpc_table.t;
@@ -65,7 +64,7 @@ let bump_by t name n = Stats.Counter.add (Stats.Counter.Registry.counter t.count
 let host t = t.host
 let local_now t = Clock.now t.clock
 
-let lease_valid t entry = Time.(local_now t < entry.expiry)
+let lease_valid t entry = not (Lease.expired entry.expiry ~now:(local_now t))
 
 let holds_lease t file =
   match Hashtbl.find_opt t.cache file with
@@ -96,11 +95,8 @@ let drop_entry t file =
   | None -> ()
 
 let client_expiry t ~from ~term =
-  let effective =
-    Time.Span.clamp_non_negative
-      (Time.Span.sub (Time.Span.sub term (Netsim.Net.transit t.net)) skew_allowance)
-  in
-  Time.add from effective
+  Lease.client_expiry (Lease.Finite term) ~received_at:from
+    ~transit_allowance:(Netsim.Net.transit t.net) ~skew_allowance:t.skew_allowance
 
 (* ------------------------------------------------------------------ *)
 (* Flushing                                                            *)
@@ -110,7 +106,7 @@ let rec start_flush t file entry =
     bump t "flushes-sent";
     let req = Netsim.Rpc_table.fresh_req t.rpcs in
     entry.flushing <- Some (req, entry.dirty);
-    Netsim.Rpc_table.start t.rpcs ~req
+    Netsim.Rpc_table.start t.rpcs ~req ~dst:t.server
       (R_flush { file; sent_local = local_now t })
       (Wmessages.Flush_request { req; file; epoch = entry.epoch; local_writes = entry.dirty })
   end
@@ -118,8 +114,11 @@ let rec start_flush t file entry =
 and arm_flush_timer t file entry =
   if entry.flush_timer = None && entry.dirty > 0 then begin
     let by_delay = Time.add (local_now t) write_back_delay in
-    let by_expiry = Time.add entry.expiry (Time.Span.neg flush_lead) in
-    let at_local = Time.min by_delay by_expiry in
+    let at_local =
+      match Lease.deadline entry.expiry with
+      | Some expiry -> Time.min by_delay (Time.add expiry (Time.Span.neg flush_lead))
+      | None -> by_delay
+    in
     let fire () =
       match Hashtbl.find_opt t.cache file with
       | Some e when e == entry ->
@@ -167,7 +166,7 @@ let rec read t file ~k =
       drop_entry t file;
       Hashtbl.replace t.busy file ();
       let req = Netsim.Rpc_table.fresh_req t.rpcs in
-      Netsim.Rpc_table.start t.rpcs ~req
+      Netsim.Rpc_table.start t.rpcs ~req ~dst:t.server
         (R_acquire_read { file; k })
         (Wmessages.Acquire_request { req; file; mode = Wmessages.Read_lease })
   end
@@ -189,7 +188,7 @@ and write t file ~k =
       | Some _ | None -> drop_entry t file);
       Hashtbl.replace t.busy file ();
       let req = Netsim.Rpc_table.fresh_req t.rpcs in
-      Netsim.Rpc_table.start t.rpcs ~req
+      Netsim.Rpc_table.start t.rpcs ~req ~dst:t.server
         (R_acquire_write { file; k })
         (Wmessages.Acquire_request { req; file; mode = Wmessages.Write_lease })
   end
@@ -277,7 +276,7 @@ let handle_message t (envelope : Wmessages.payload Netsim.Net.envelope) =
                term from the first send, never from this arrival *)
             if entry.pending_recall = None then
               entry.expiry <-
-                Time.max entry.expiry (client_expiry t ~from:sent_local ~term:renewed_term);
+                Lease.expiry_max entry.expiry (client_expiry t ~from:sent_local ~term:renewed_term);
             (match entry.pending_recall with
             | Some recall ->
               if entry.dirty > 0 then start_flush t file entry
@@ -327,7 +326,7 @@ let on_crash t =
   Hashtbl.reset t.busy;
   Hashtbl.reset t.op_queue
 
-let create ~engine ~clock ~net ~liveness ~host ~server () =
+let create ~engine ~clock ~net ~liveness ~host ~server ~skew_allowance () =
   let counters = Stats.Counter.Registry.create () in
   let t =
     {
@@ -336,12 +335,13 @@ let create ~engine ~clock ~net ~liveness ~host ~server () =
       net;
       host;
       server;
+      skew_allowance;
       counters;
       cache = Hashtbl.create 128;
       rpcs =
-        Netsim.Rpc_table.create engine ~every:retry_interval
-          ~send:(fun m -> Netsim.Net.send net ~src:host ~dst:server m)
-          ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions");
+        Netsim.Rpc_table.create ~net ~host ~retry:retry_interval ~retry_max:retry_interval
+          ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions")
+          ();
       busy = Hashtbl.create 16;
       op_queue = Hashtbl.create 16;
       up = true;

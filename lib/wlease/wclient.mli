@@ -20,12 +20,15 @@ val create :
   liveness:Host.Liveness.t ->
   host:Host.Host_id.t ->
   server:Host.Host_id.t ->
+  skew_allowance:Simtime.Time.Span.t ->
   unit ->
   t
-(** A granted term is shortened by a 100 ms skew allowance and by its
-    transit time, [Netsim.Net.transit net].  Unanswered RPCs are re-sent
-    every second; dirty data is flushed 5 s after the first buffered write,
-    or 1 s before the write lease expires if that is sooner. *)
+(** A granted term is shortened as {!Leases.Lease.client_expiry} shortens
+    it: by [skew_allowance] (the paper's epsilon, [Leases.Config]'s
+    [skew_allowance]) and by its transit time, [Netsim.Net.transit net].
+    Unanswered RPCs are re-sent every second; dirty data is flushed 5 s
+    after the first buffered write, or 1 s before the write lease expires
+    if that is sooner. *)
 
 val host : t -> Host.Host_id.t
 

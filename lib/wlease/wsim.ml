@@ -34,7 +34,8 @@ let run (setup : Leases.Sim.setup) ~trace =
   let clients =
     Array.init setup.n_clients (fun i ->
         Wclient.create ~engine ~clock:client_clocks.(i) ~net ~liveness
-          ~host:(Leases.Cluster.client_host i) ~server:Leases.Cluster.server_host ())
+          ~host:(Leases.Cluster.client_host i) ~server:Leases.Cluster.server_host
+          ~skew_allowance:setup.config.skew_allowance ())
   in
   let oracle = Oracle.Register_oracle.create ~store in
   Leases.Cluster.schedule_faults w

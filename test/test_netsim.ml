@@ -303,6 +303,78 @@ let test_multicast_mixed_liveness_accounting () =
     (Netsim.Net.deliveries net + Netsim.Net.dropped_loss net
    + Netsim.Net.dropped_partition net + Netsim.Net.dropped_down net)
 
+(* --- the retransmission table ------------------------------------------ *)
+
+let table ?jitter ~retry ~retry_max () =
+  let engine, net = rig () in
+  let sends = ref [] in
+  (* a send reaches host 1 one transit later, so arrivals are spaced as
+     the sends are *)
+  Netsim.Net.register net (host 1) (fun _ -> sends := Engine.now engine :: !sends);
+  let retransmissions = Stats.Counter.Registry.counter (Stats.Counter.Registry.create ()) "r" in
+  let t =
+    Netsim.Rpc_table.create ~net ~host:(host 0) ~retry:(Time.Span.of_sec retry)
+      ~retry_max:(Time.Span.of_sec retry_max) ?jitter ~retransmissions ()
+  in
+  (engine, t, sends, retransmissions)
+
+(* The waits, in us, between the first [n] sends of one unanswered call. *)
+let retry_waits ?jitter ~retry ~retry_max n =
+  let engine, t, sends, retransmissions = table ?jitter ~retry ~retry_max () in
+  Netsim.Rpc_table.start t ~req:(Netsim.Rpc_table.fresh_req t) ~dst:(host 1) () "req";
+  while List.length !sends < n do
+    ignore (Engine.step engine)
+  done;
+  Alcotest.(check int) "every re-send counted" (n - 1) (Stats.Counter.value retransmissions);
+  let rec waits = function
+    | later :: (earlier :: _ as rest) -> (Time.to_us later - Time.to_us earlier) :: waits rest
+    | [] | [ _ ] -> []
+  in
+  List.rev (waits !sends)
+
+let test_fixed_interval () =
+  Alcotest.(check (list int)) "1 s apart" (List.init 5 (fun _ -> 1_000_000))
+    (retry_waits ~retry:1. ~retry_max:1. 6)
+
+let test_doubling_backoff () =
+  Alcotest.(check (list int)) "1, 2, 4, 8, 8 s"
+    [ 1_000_000; 2_000_000; 4_000_000; 8_000_000; 8_000_000 ]
+    (retry_waits ~retry:1. ~retry_max:8. 6)
+
+(* One draw per wait, in order, scaling the doubled and capped wait into
+   [0.5, 1.5) of itself. *)
+let test_jittered_backoff () =
+  let draws = Prng.Splitmix.create ~seed:17L in
+  let want =
+    List.map
+      (fun base -> Time.Span.to_us (Time.Span.scale (0.5 +. Prng.Splitmix.float draws) (ms base)))
+      [ 1_000.; 2_000.; 4_000.; 8_000.; 8_000. ]
+  in
+  Alcotest.(check (list int)) "seeded draws" want
+    (retry_waits ~jitter:(Prng.Splitmix.create ~seed:17L) ~retry:1. ~retry_max:8. 6)
+
+(* Finishing a call or forgetting them all leaves no timer on the heap. *)
+let test_no_timer_left () =
+  let engine, t, _, retransmissions = table ~retry:1. ~retry_max:1. () in
+  let start () =
+    Netsim.Rpc_table.start t ~req:(Netsim.Rpc_table.fresh_req t) ~dst:(host 1) () "req"
+  in
+  start ();
+  Engine.run engine ~until:(Time.of_sec 0.5);
+  Alcotest.(check int) "one timer armed" 1 (Engine.pending engine);
+  Netsim.Rpc_table.finish t 0;
+  Alcotest.(check int) "finish cancels it" 0 (Engine.pending engine);
+  Alcotest.(check bool) "and forgets the call" true (Option.is_none (Netsim.Rpc_table.find t 0));
+  start ();
+  start ();
+  Engine.run engine ~until:(Time.of_sec 0.9);
+  Alcotest.(check int) "two calls outstanding" 2 (Netsim.Rpc_table.length t);
+  Netsim.Rpc_table.cancel_all t;
+  Alcotest.(check int) "cancel_all cancels every timer" 0 (Engine.pending engine);
+  Alcotest.(check int) "and forgets every call" 0 (Netsim.Rpc_table.length t);
+  Engine.run engine;
+  Alcotest.(check int) "nothing is re-sent" 0 (Stats.Counter.value retransmissions)
+
 let () =
   Alcotest.run "netsim"
     [
@@ -324,6 +396,13 @@ let () =
             test_loss_dropped_at_delivery_time;
           Alcotest.test_case "multicast mixed liveness" `Quick
             test_multicast_mixed_liveness_accounting;
+        ] );
+      ( "rpc table",
+        [
+          Alcotest.test_case "fixed interval" `Quick test_fixed_interval;
+          Alcotest.test_case "doubling backoff" `Quick test_doubling_backoff;
+          Alcotest.test_case "jittered backoff" `Quick test_jittered_backoff;
+          Alcotest.test_case "no timer left" `Quick test_no_timer_left;
         ] );
       ( "partition+liveness",
         [

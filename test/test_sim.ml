@@ -324,6 +324,35 @@ let check_words_per_op case ~pin () =
   if per_op > pin +. 0.5 then
     Alcotest.failf "%s allocates %.2f words, pinned at %.0f" (case_name case) per_op pin
 
+(* --- live words per client ------------------------------------------ *)
+
+(* Live words, read in [on_instruments] after a full major collection, of a
+   world of [n] clients built for an empty trace: what the world holds
+   before any op. *)
+let world_live_words n =
+  let live = ref 0 in
+  let setup =
+    {
+      (Experiments.Runner.lease_setup ~n_clients:n ~term:(Analytic.Model.Finite 10.) ()) with
+      Leases.Sim.on_instruments =
+        (fun _ _ ->
+          Gc.full_major ();
+          live := (Gc.stat ()).Gc.live_words);
+    }
+  in
+  ignore (Leases.Sim.run setup ~trace:(Workload.Trace.of_ops []));
+  !live
+
+(* The marginal live words of one client, between worlds of 1 000 and
+   2 000, must stay at most [pin] (+ 0.5): its record, clock, jitter RNG,
+   counter registry, retransmission table, empty hash tables and the
+   handlers it registers with the net and the liveness table. *)
+let check_words_per_client ~pin () =
+  let per_client = float_of_int (world_live_words 2_000 - world_live_words 1_000) /. 1_000. in
+  if per_client > pin +. 0.5 then
+    Alcotest.failf "a client holds %.2f live words after world build, pinned at %.0f" per_client
+      pin
+
 let () =
   Alcotest.run "sim"
     [
@@ -356,5 +385,6 @@ let () =
           Alcotest.test_case "cache hit words" `Quick (check_words_per_op Cache_hit ~pin:11.);
           Alcotest.test_case "one-line miss words" `Quick
             (check_words_per_op One_line_miss ~pin:71.);
+          Alcotest.test_case "live words a client" `Quick (check_words_per_client ~pin:214.);
         ] );
     ]

@@ -135,7 +135,7 @@ let test_queue_compaction_bounded () =
     let slot = i mod live in
     Event_queue.cancel handles.(slot);
     handles.(slot) <- Event_queue.push q ~at:(Time.of_us (live + i)) i;
-    if Event_queue.occupied_slots q > !max_slots then max_slots := Event_queue.occupied_slots q
+    if Event_queue.length q > !max_slots then max_slots := Event_queue.length q
   done;
   Alcotest.(check int) "live count exact under churn" live (Event_queue.length q);
   Alcotest.(check int) "heap holds exactly the live events" live !max_slots;
@@ -159,7 +159,7 @@ let test_queue_compaction_releases_payloads () =
   in
   Array.iter Event_queue.cancel handles;
   Alcotest.(check int) "cancel-all empties the heap immediately" 0
-    (Event_queue.occupied_slots q);
+    (Event_queue.length q);
   (match Event_queue.pop q with
   | None -> ()
   | Some _ -> Alcotest.fail "nothing live should pop");
@@ -175,11 +175,11 @@ let test_queue_compaction_releases_payloads () =
     Event_queue.cancel handles.(i)
   done;
   Alcotest.(check int) "cancelled entries leave no slot behind" 16
-    (Event_queue.occupied_slots q);
+    (Event_queue.length q);
   (match Event_queue.pop q with
   | Some _ -> ()
   | None -> Alcotest.fail "expected a live event");
-  Alcotest.(check int) "pop shrinks the heap by one" 15 (Event_queue.occupied_slots q)
+  Alcotest.(check int) "pop shrinks the heap by one" 15 (Event_queue.length q)
 
 let test_queue_releases_popped_payloads () =
   (* A slot an entry leaves is refilled with the queue's vacant entry,

@@ -328,61 +328,46 @@ let test_export_golden () =
   Alcotest.(check string) "every window's counters MD5" "0f21fee05bd5eb49be882fa205b993ee"
     (Digest.to_hex (Digest.string counters))
 
-(* The window accounting holds across a namespace re-resolve: a counter
-   registered after [attach] joins the namespace at the next boundary, its
-   first delta is its whole value, and the deltas still sum to the final
-   cumulative counters. *)
-let test_counter_added_after_attach () =
+(* The sampler resolves its counter namespace once, at [attach], so a
+   lease server or client must register at creation every counter it will
+   ever bump: after a lossy run with a client crash and a server crash,
+   every registry lists exactly the names it listed at [attach]. *)
+let test_counters_fixed_at_creation () =
   let trace =
     (Experiments.V_trace.poisson ~seed:7L ~clients:2 ~duration:(span_sec 120.) ())
       .Experiments.V_trace.trace
   in
-  let sampler = Telemetry.Sampler.create ~interval_s:10. () in
+  let names (w : Leases.Sim.world) =
+    List.map
+      (fun registry -> List.map Stats.Counter.name (Stats.Counter.Registry.counters registry))
+      (Leases.Server.counters w.servers.(0)
+      :: Array.to_list (Array.map Leases.Client.counters w.clients))
+  in
+  let world = ref None and at_attach = ref [] in
   let setup =
     { (Experiments.Runner.lease_setup ~n_clients:2 ~term:(Analytic.Model.Finite 10.) ()) with
       Leases.Sim.seed = 7L;
+      loss = 0.05;
+      faults =
+        [
+          Leases.Sim.Crash_client
+            { client = 1; at = Simtime.Time.of_sec 30.; duration = span_sec 20. };
+          Leases.Sim.Crash_server { at = Simtime.Time.of_sec 60.; duration = span_sec 10. };
+        ];
       on_instruments =
-        (fun w tally ->
-          Telemetry.Sampler.attach sampler w tally;
-          let registry = Leases.Client.counters w.Leases.Sim.clients.(1) in
-          let engine = w.Leases.Sim.fabric.Leases.Cluster.engine in
-          let bump at n =
-            ignore
-              (Simtime.Engine.schedule_at engine (Simtime.Time.of_sec at) (fun () ->
-                   Stats.Counter.add (Stats.Counter.Registry.counter registry "late") n))
-          in
-          bump 35. 3;
-          bump 62. 4);
+        (fun w _ ->
+          world := Some w;
+          at_attach := names w);
     }
   in
-  ignore (Leases.Sim.run setup ~trace);
-  Telemetry.Sampler.finalize sampler;
-  let windows = Telemetry.Sampler.windows sampler in
-  let late w = List.assoc_opt "client/1/late" (Telemetry.Sampler.counters w) in
-  let late_delta w = List.assoc_opt "client/1/late" (Telemetry.Sampler.deltas w) in
-  let window_at t =
-    List.find (fun (w : Telemetry.Sampler.window) -> w.Telemetry.Sampler.t_end = t) windows
-  in
-  Alcotest.(check (option int)) "absent before it is registered" None (late (window_at 30.));
-  Alcotest.(check (option int)) "first delta is its whole value" (Some 3)
-    (late_delta (window_at 40.));
-  Alcotest.(check (option int)) "no delta while it holds still" None (late_delta (window_at 50.));
-  Alcotest.(check (option int)) "later bumps are deltas" (Some 4) (late_delta (window_at 70.));
-  let summed = Hashtbl.create 64 in
-  List.iter
-    (fun w ->
-      List.iter
-        (fun (name, d) ->
-          Hashtbl.replace summed name (d + Option.value (Hashtbl.find_opt summed name) ~default:0))
-        (Telemetry.Sampler.deltas w))
-    windows;
-  let last = List.nth windows (List.length windows - 1) in
-  Alcotest.(check (option int)) "final value" (Some 7) (late last);
-  List.iter
-    (fun (name, total) ->
-      Alcotest.(check int) (Printf.sprintf "deltas sum to cumulative %s" name) total
-        (Option.value (Hashtbl.find_opt summed name) ~default:0))
-    (Telemetry.Sampler.counters last)
+  let o = Leases.Sim.run setup ~trace in
+  Alcotest.(check bool) "requests were re-sent" true
+    (o.Leases.Sim.metrics.Leases.Metrics.retransmissions > 0);
+  match !world with
+  | None -> Alcotest.fail "on_instruments never ran"
+  | Some w ->
+    Alcotest.(check (list (list string))) "no counter registered after creation" !at_attach
+      (names w)
 
 (* Boundaries land on the engine's 1 us grid, so an interval below one
    tick is refused instead of closing one window per microsecond: by
@@ -441,7 +426,7 @@ let () =
       ( "sampler",
         [
           Alcotest.test_case "window accounting" `Quick test_window_accounting;
-          Alcotest.test_case "counter added after attach" `Quick test_counter_added_after_attach;
+          Alcotest.test_case "counters fixed at creation" `Quick test_counters_fixed_at_creation;
           Alcotest.test_case "passive" `Quick test_sampler_is_passive;
           Alcotest.test_case "trace footprint" `Quick test_sampler_trace_footprint;
           Alcotest.test_case "sub-tick interval refused" `Quick test_sub_tick_interval;

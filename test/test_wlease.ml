@@ -38,7 +38,8 @@ let make_rig ?(n = 2) ?(term = span 10.) () =
   let clients =
     Array.init n (fun i ->
         Wlease.Wclient.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness
-          ~host:(Host.Host_id.of_int (i + 1)) ~server:server_host ())
+          ~host:(Host.Host_id.of_int (i + 1)) ~server:server_host
+          ~skew_allowance:Leases.Config.default.skew_allowance ())
   in
   { engine; liveness; server; clients; store }
 
