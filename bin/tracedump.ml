@@ -159,19 +159,19 @@ let end_name (l : Trace.Lifecycle.lease) =
 
 let opt_time = function None -> "never" | Some at -> Printf.sprintf "%.6f" at
 
-let print_leases life limit =
-  let leases = Trace.Lifecycle.leases life in
-  let total = List.length leases in
+(* The view keeps only the [limit] leases printed (all when [limit] is not
+   positive) and counts the rest. *)
+let print_leases life =
+  let leases = Trace.Lifecycle.leases life and total = Trace.Lifecycle.started life in
   Printf.printf "== lease lifecycles (%d) ==\n" total;
   Printf.printf "%-6s %-6s %12s %12s %8s %12s  %s\n" "file" "holder" "granted" "ended" "renewals"
     "expiry" "end";
-  let shown = if limit > 0 && total > limit then limit else total in
-  List.iteri
-    (fun i (l : Trace.Lifecycle.lease) ->
-      if i < shown then
-        Printf.printf "%-6d %-6d %12.6f %12.6f %8d %12s  %s\n" l.file l.holder l.granted_at
-          (Trace.Lifecycle.lease_end life l) l.renewals (opt_time l.last_expiry) (end_name l))
+  List.iter
+    (fun (l : Trace.Lifecycle.lease) ->
+      Printf.printf "%-6d %-6d %12.6f %12.6f %8d %12s  %s\n" l.file l.holder l.granted_at
+        (Trace.Lifecycle.lease_end life l) l.renewals (opt_time l.last_expiry) (end_name l))
     leases;
+  let shown = List.length leases in
   if shown < total then Printf.printf "... %d more (raise --limit to see them)\n" (total - shown)
 
 let resolution_text = function
@@ -208,7 +208,9 @@ let main path limit check_only stats shards map_seed =
     let kinds = Hashtbl.create 32 and messages = Hashtbl.create 16 in
     let by_shard, shard_sink = shards_sink owner shards in
     let checker = Trace.Checker.create ~servers ~owner () in
-    let life = Trace.Lifecycle.create ~servers ~owner () in
+    let life =
+      Trace.Lifecycle.create ~servers ~owner ?keep:(if limit > 0 then Some limit else None) ()
+    in
     let consumers =
       if stats then messages_sink messages :: (if shards > 1 then [ shard_sink ] else [])
       else if check_only then [ Trace.Checker.sink checker ]
@@ -227,7 +229,7 @@ let main path limit check_only stats shards map_seed =
       List.iter (fun (k, r) -> Printf.printf "%-20s %d\n" k r.n) rows;
       if not check_only then begin
         Printf.printf "\n";
-        print_leases life limit;
+        print_leases life;
         print_waits life
       end;
       Printf.printf "\n== invariants ==\n";

@@ -44,7 +44,7 @@ let () =
       ~clients:[ desk_host; lab_host; admin_host ] ~store ~config ()
   in
   let make_client host =
-    Leases.Client.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host
+    Leases.Client.create ~clock:(Clock.create engine ()) ~net ~liveness ~host
       ~server:server_host ~config ()
   in
   let desk = make_client desk_host in

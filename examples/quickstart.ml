@@ -28,11 +28,11 @@ let () =
       ~clients:[ alice_host; bob_host ] ~store ~config ()
   in
   let alice =
-    Leases.Client.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host:alice_host
+    Leases.Client.create ~clock:(Clock.create engine ()) ~net ~liveness ~host:alice_host
       ~server:server_host ~config ()
   in
   let bob =
-    Leases.Client.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host:bob_host
+    Leases.Client.create ~clock:(Clock.create engine ()) ~net ~liveness ~host:bob_host
       ~server:server_host ~config ()
   in
 

@@ -4,7 +4,9 @@ open Simtime
    order, and that order fixes the engine sequence numbers the re-armed
    events get, so the table keeps the stdlib's [Hashtbl.hash] (seed 0) and
    with it a stdlib [Hashtbl]'s bucket order.  Only the equality is
-   specialised to ints. *)
+   specialised to ints.  Most clocks never arm a timer (a client without
+   anticipatory renewal), so a clock creates its table on its first
+   [schedule_at_local], with the 16 buckets that order was pinned at. *)
 module Timer_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -17,7 +19,7 @@ type t = {
   mutable base_engine : Time.t;
   mutable base_local : Time.t;
   mutable rate : float;
-  timers : timer Timer_tbl.t;
+  mutable timers : timer Timer_tbl.t option;  (** [None] until the first timer *)
   mutable next_timer : int;
 }
 
@@ -40,7 +42,7 @@ let create engine ?(offset = Time.Span.zero) ?(drift = 0.) () =
     base_engine = now;
     base_local = Time.add now offset;
     rate = 1. +. drift;
-    timers = Timer_tbl.create 16;
+    timers = None;
     next_timer = 0;
   }
 
@@ -70,6 +72,9 @@ let engine_time_of_local t local =
     Time.add engine_now remaining_engine
   end
 
+(* Drop a live timer from its clock's table, which arming it created. *)
+let forget c tm = match c.timers with Some timers -> Timer_tbl.remove timers tm.id | None -> ()
+
 (* A local-deadline timer stays registered in [t.timers] until it fires or
    is cancelled.  [arm] converts the local deadline to an engine instant at
    the current rate; [fire] re-checks the local clock before running the
@@ -98,7 +103,7 @@ and fire_timer c tm =
   if tm.live then begin
     if Time.(now c >= tm.deadline) then begin
       tm.live <- false;
-      Timer_tbl.remove c.timers tm.id;
+      forget c tm;
       tm.callback ()
     end
     else arm_timer c tm
@@ -108,11 +113,14 @@ and fire_timer c tm =
    or step.  [arm_timer] only touches the engine queue, never [c.timers],
    so iterating while re-arming is safe. *)
 let reschedule_timers c =
-  Timer_tbl.iter
-    (fun _ tm ->
-      (match tm.engine_event with Some h -> Engine.cancel h | None -> ());
-      arm_timer c tm)
-    c.timers
+  match c.timers with
+  | None -> ()
+  | Some timers ->
+    Timer_tbl.iter
+      (fun _ tm ->
+        (match tm.engine_event with Some h -> Engine.cancel h | None -> ());
+        arm_timer c tm)
+      timers
 
 let set_drift t drift =
   if drift <= -1. then invalid_arg "Clock.set_drift: drift must exceed -1";
@@ -139,16 +147,24 @@ let schedule_at_local t ?(daemon = false) local callback =
     }
   in
   t.next_timer <- t.next_timer + 1;
-  Timer_tbl.replace t.timers tm.id tm;
+  let timers =
+    match t.timers with
+    | Some timers -> timers
+    | None ->
+      let timers = Timer_tbl.create 16 in
+      t.timers <- Some timers;
+      timers
+  in
+  Timer_tbl.replace timers tm.id tm;
   arm_timer t tm;
   tm
 
 let cancel_timer tm =
   if tm.live then begin
     tm.live <- false;
-    Timer_tbl.remove tm.owner.timers tm.id;
+    forget tm.owner tm;
     (match tm.engine_event with Some h -> Engine.cancel h | None -> ());
     tm.engine_event <- None
   end
 
-let pending_local_timers t = Timer_tbl.length t.timers
+let pending_local_timers t = match t.timers with Some timers -> Timer_tbl.length timers | None -> 0

@@ -14,7 +14,7 @@
 type t
 
 val create :
-  engine:Simtime.Engine.t ->
+  ?engine:Simtime.Engine.t ->
   clock:Clock.t ->
   net:Messages.payload Netsim.Net.t ->
   liveness:Host.Liveness.t ->
@@ -43,8 +43,9 @@ val create :
     [req_origin] seeds the request-id counter (default
     [host lsl 32]) — a deployment that instantiates the same client host
     in several sub-simulations gives each instance a distinct origin so
-    correlation ids stay unique in the merged trace.  Raises
-    [Invalid_argument] when [net] was created on another engine. *)
+    correlation ids stay unique in the merged trace.  The client runs on
+    [net]'s engine; [engine], when given, must be that engine
+    ([Invalid_argument] otherwise). *)
 
 val host : t -> Host.Host_id.t
 val clock : t -> Clock.t
@@ -97,4 +98,7 @@ val evictions : t -> int
     ([Config.cache_eviction_grace]) because their lease had lapsed at
     least a full grace earlier. *)
 
-val counters : t -> Stats.Counter.Registry.t
+val counters : t -> Stats.Counter.t list
+(** The client's seven counters (approvals answered, evictions, fallback
+    reads, hits, misses, renewals sent, retransmissions), sorted by name.
+    They are fixed at creation; the list is built on each call. *)

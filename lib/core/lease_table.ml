@@ -76,11 +76,35 @@ let no_holder = -1
    domains can share it. *)
 let vacant = { holder = no_holder; h_expiry = Lease.never; min_next = Lease.never; shared = None }
 
+(* Slots live in fixed-size chunks of [chunk_size] files, reached through
+   a directory indexed by [File_id.to_int file lsr chunk_bits], so memory
+   follows the files granted, not the largest id.  A chunk carries the
+   resident bits of its own slots: bit [i] is set exactly while [slots.(i)]
+   holds a resident record, [word_bits] slots per int.  Every directory
+   entry no grant has touched is [empty_chunk], one chunk shared by every
+   table, whose slots are all [vacant] and whose bits are all clear.  It is
+   never written: only [record] creates a resident record, and it first
+   replaces a [vacant] slot, and with it an [empty_chunk], by a fresh one.
+   A read is a directory load and a chunk load more than an array's, with
+   no emptiness test.  256 slots a chunk: a 4096-slot chunk is allocated
+   straight on the major heap, which the small worlds of a campaign pay
+   for in time. *)
+type chunk = {
+  slots : slot array;  (** [chunk_size] slots; [vacant] where never granted *)
+  resident : int array;  (** [chunk_size / word_bits] words of resident bits *)
+}
+
+let chunk_bits = 8
+let chunk_size = 1 lsl chunk_bits
+let word_bits = 32
+
+let new_chunk () =
+  { slots = Array.make chunk_size vacant; resident = Array.make (chunk_size / word_bits) 0 }
+
+let empty_chunk = new_chunk ()
+
 type t = {
-  mutable slots : slot array;  (** indexed by [File_id.to_int]; [vacant] when never granted *)
-  mutable resident : int array;
-      (** bit [idx] set exactly while slot [idx] holds a resident record;
-          [word_bits] slots per int, sized with [slots] *)
+  mutable chunks : chunk array;  (** [empty_chunk] where no file was granted *)
   mutable files : int;  (** slots with at least one resident record *)
   mutable records : int;  (** resident records across all slots *)
   mutable reaped_total : int;  (** lifetime reaped records, never reset *)
@@ -91,14 +115,7 @@ type t = {
 }
 
 let create () =
-  {
-    slots = [||];
-    resident = [||];
-    files = 0;
-    records = 0;
-    reaped_total = 0;
-    on_reap = (fun _ _ _ -> ());
-  }
+  { chunks = [||]; files = 0; records = 0; reaped_total = 0; on_reap = (fun _ _ _ -> ()) }
 
 let set_on_reap t f = t.on_reap <- f
 
@@ -107,40 +124,56 @@ let holders_len slot =
   | Some s -> s.count
   | None -> if slot.holder >= 0 then 1 else 0
 
-(* --- the resident bitmap ------------------------------------------------ *)
-
-(* [files] moves exactly when a slot gains its first resident record or
-   loses its last, and every such site sets or clears the slot's bit, so a
-   sweep visits the resident slots without touching the empty ones. *)
-let word_bits = Sys.int_size
-
-let set_resident t idx =
-  let w = idx / word_bits in
-  Array.unsafe_set t.resident w (Array.unsafe_get t.resident w lor (1 lsl (idx mod word_bits)))
-
-(* Only called for a file with a resident record, whose bit lies inside
-   the bitmap. *)
-let clear_resident t file =
-  let idx = File_id.to_int file in
-  let w = idx / word_bits in
-  Array.unsafe_set t.resident w
-    (Array.unsafe_get t.resident w land lnot (1 lsl (idx mod word_bits)))
-
-let ensure t idx =
-  let cap = Array.length t.slots in
-  if idx >= cap then begin
-    let cap' = Int.max 16 (Int.max (idx + 1) (2 * cap)) in
-    let slots' = Array.make cap' vacant in
-    Array.blit t.slots 0 slots' 0 cap;
-    t.slots <- slots';
-    let resident' = Array.make ((cap' + word_bits - 1) / word_bits) 0 in
-    Array.blit t.resident 0 resident' 0 (Array.length t.resident);
-    t.resident <- resident'
-  end
+(* --- chunks and resident bits ------------------------------------------ *)
 
 let slot t file =
   let idx = File_id.to_int file in
-  if idx < Array.length t.slots then Array.unsafe_get t.slots idx else vacant
+  let c = idx lsr chunk_bits in
+  if c < Array.length t.chunks then
+    Array.unsafe_get (Array.unsafe_get t.chunks c).slots (idx land (chunk_size - 1))
+  else vacant
+
+(* A fresh slot for file index [idx], whose slot is [vacant]: the directory
+   grows to cover it (at least doubling), and an [empty_chunk] entry gets a
+   chunk of its own. *)
+let fresh_slot t idx =
+  let c = idx lsr chunk_bits in
+  let cap = Array.length t.chunks in
+  if c >= cap then begin
+    let chunks = Array.make (Int.max (c + 1) (2 * cap)) empty_chunk in
+    Array.blit t.chunks 0 chunks 0 cap;
+    t.chunks <- chunks
+  end;
+  let chunk =
+    let chunk = Array.unsafe_get t.chunks c in
+    if chunk != empty_chunk then chunk
+    else begin
+      let chunk = new_chunk () in
+      t.chunks.(c) <- chunk;
+      chunk
+    end
+  in
+  let slot =
+    { holder = no_holder; h_expiry = Lease.never; min_next = Lease.never; shared = None }
+  in
+  chunk.slots.(idx land (chunk_size - 1)) <- slot;
+  slot
+
+(* [files] moves exactly when a slot gains its first resident record or
+   loses its last, and every such site sets or clears the slot's bit, so a
+   sweep visits the resident slots without touching the empty ones.  Both
+   are only called for a file whose slot [record] has created, so its
+   chunk is its own. *)
+let flip_resident t file ~set =
+  let idx = File_id.to_int file in
+  let bits = (Array.unsafe_get t.chunks (idx lsr chunk_bits)).resident in
+  let i = idx land (chunk_size - 1) in
+  let w = i / word_bits and bit = 1 lsl (i mod word_bits) in
+  let word = Array.unsafe_get bits w in
+  Array.unsafe_set bits w (if set then word lor bit else word land lnot bit)
+
+let set_resident t file = flip_resident t file ~set:true
+let clear_resident t file = flip_resident t file ~set:false
 
 (* --- the holder table of a shared slot -------------------------------- *)
 
@@ -327,18 +360,9 @@ let live_slot t file ~now =
    reaped — and reported — before the write, in the order a query would
    reap them, and a renewal visits its slot once. *)
 let record t file holder at ~now =
-  let idx = File_id.to_int file in
-  ensure t idx;
   let slot =
-    let slot = Array.unsafe_get t.slots idx in
-    if slot == vacant then begin
-      let slot =
-        { holder = no_holder; h_expiry = Lease.never; min_next = Lease.never; shared = None }
-      in
-      t.slots.(idx) <- slot;
-      slot
-    end
-    else slot
+    let slot = slot t file in
+    if slot == vacant then fresh_slot t (File_id.to_int file) else slot
   in
   reap_slot t file slot ~now;
   let h = Host_id.to_int holder in
@@ -348,7 +372,7 @@ let record t file holder at ~now =
     slot.min_next <- Lease.expiry_min at slot.min_next
   | None when slot.holder = no_holder ->
     t.files <- t.files + 1;
-    set_resident t idx;
+    set_resident t file;
     t.records <- t.records + 1;
     slot.holder <- h;
     slot.h_expiry <- at;
@@ -373,7 +397,7 @@ let record t file holder at ~now =
     else begin
       if s.count = 0 then begin
         t.files <- t.files + 1;
-        set_resident t idx
+        set_resident t file
       end;
       t.records <- t.records + 1;
       insert s h at
@@ -454,7 +478,7 @@ let write_snapshot t file ~now ~init =
   in
   (!deadline, holders)
 
-(* One pass over the resident bitmap: reap each resident slot, in
+(* One pass over the chunks' resident bits: reap each resident slot, in
    ascending file order, and take the minimum of the bounds it leaves.
    Empty slots are never visited; they lose nothing, because an empty
    slot's [min_next] is always [Lease.never].  A reap clears only its own
@@ -462,18 +486,22 @@ let write_snapshot t file ~now ~init =
    exactly the slots resident when the pass reached it. *)
 let sweep t ~now =
   let next = ref Lease.never in
-  let resident = t.resident in
-  for w = 0 to Array.length resident - 1 do
-    let bits = ref (Array.unsafe_get resident w) and idx = ref (w * word_bits) in
-    while !bits <> 0 do
-      if !bits land 1 <> 0 then begin
-        let slot = Array.unsafe_get t.slots !idx in
-        reap_slot t (File_id.of_int !idx) slot ~now;
-        next := Lease.expiry_min slot.min_next !next
-      end;
-      bits := !bits lsr 1;
-      incr idx
-    done
+  let chunks = t.chunks in
+  for c = 0 to Array.length chunks - 1 do
+    let chunk = Array.unsafe_get chunks c in
+    if chunk != empty_chunk then
+      for w = 0 to (chunk_size / word_bits) - 1 do
+        let bits = ref (Array.unsafe_get chunk.resident w) and i = ref (w * word_bits) in
+        while !bits <> 0 do
+          if !bits land 1 <> 0 then begin
+            let slot = Array.unsafe_get chunk.slots !i in
+            reap_slot t (File_id.of_int ((c lsl chunk_bits) lor !i)) slot ~now;
+            next := Lease.expiry_min slot.min_next !next
+          end;
+          bits := !bits lsr 1;
+          incr i
+        done
+      done
   done;
   not (Lease.is_never !next)
 
@@ -488,7 +516,6 @@ let occupancy (t : t) ~now =
 let reaped_total (t : t) = t.reaped_total
 
 let clear (t : t) =
-  t.slots <- [||];
-  t.resident <- [||];
+  t.chunks <- [||];
   t.files <- 0;
   t.records <- 0

@@ -1,8 +1,11 @@
 (** The server's volatile per-file lease-holder table.
 
-    An int-keyed mutable layout: a growable array indexed by file id with
-    one mutable slot per granted file (files never granted share one empty
-    slot that is never written).  A slot holds its record inline while the
+    An int-keyed mutable layout: one mutable slot per granted file, in
+    fixed-size chunks of file ids reached through a directory indexed by
+    file id, so a table costs a directory word per chunk below its largest
+    granted id plus the chunks it wrote, not a word per id.  Files never
+    granted share one empty slot, and chunks no grant has touched one
+    empty chunk; neither is ever written.  A slot holds its record inline while the
     file has one holder, and a holder table once it has had two: an
     open-addressing table keyed by holder whose entries are also the nodes
     of a doubly linked list in ascending (expiry, holder) order, four ints
@@ -99,10 +102,10 @@ val write_snapshot :
 
 val sweep : t -> now:Simtime.Time.t -> bool
 (** Reap every slot whose earliest expiry has passed, in one pass over the
-    resident slots in ascending file order: the table keeps a bitmap of
-    the slots that hold a record, so a sweep skips a word of
-    [Sys.int_size] empty slots with one test and reads no empty slot,
-    visiting each resident slot once, plus the amortized reap work.
+    resident slots in ascending file order: each chunk keeps a bitmap of
+    its slots that hold a record, so a sweep skips an untouched chunk with
+    one test and a word of 32 empty slots with another, and reads no empty
+    slot, visiting each resident slot once, plus the amortized reap work.
     Driven periodically from the server clock so idle files do not hold
     their expired records until the next access.  Returns whether a resident
     record can still expire (some finite expiry remains); the server

@@ -72,7 +72,7 @@ let world setup ~rng ~servers ~client_host ?route ?req_origin () =
        perturbs the loss stream of existing seeds. *)
     Array.init setup.n_clients (fun i ->
         let host = client_host i in
-        Client.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host
+        Client.create ~clock:(Clock.create engine ()) ~net ~liveness ~host
           ~server:server_hosts.(0)
           ?route:(Option.map (fun route file -> server_hosts.(route file)) route)
           ~rng:(Prng.Splitmix.split rng) ~config:setup.config

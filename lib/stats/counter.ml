@@ -1,5 +1,7 @@
 type t = { name : string; mutable value : int }
 
+let create name = { name; value = 0 }
+
 let incr t = t.value <- t.value + 1
 
 let add t n =

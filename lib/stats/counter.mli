@@ -1,5 +1,6 @@
 (** Named monotonic counters, grouped into a registry so a simulation can
-    dump every count it accumulated in one call.
+    dump every count it accumulated in one call, or held on their own by a
+    component too numerous to pay for a registry each (a lease client).
 
     Counters are plain mutable cells and registries plain hash tables —
     no synchronization.  Every registry is created by (and encapsulated
@@ -8,6 +9,9 @@
     way rather than reaching for atomics on these hot paths. *)
 
 type t
+
+val create : string -> t
+(** A counter at zero, in no registry. *)
 
 module Registry : sig
   type counter := t
@@ -22,7 +26,7 @@ module Registry : sig
   val counters : t -> counter list
   (** Every registered counter, sorted by name.  A reader that samples a
       registry repeatedly resolves its cells once — what the telemetry
-      sampler does to merge several registries ("server/", "client/0/",
+      sampler does to merge several counter lists ("server/", "client/0/",
       ...) into one deterministically ordered namespace. *)
 
   val to_list : t -> (string * int) list

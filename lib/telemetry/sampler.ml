@@ -86,10 +86,11 @@ type prev = {
   mutable wt : int;
 }
 
-(* The merged counter namespace -- the server registry under "server/",
-   client i's under "client/<i>/" -- resolved into parallel arrays sorted
-   by name, with each counter's value at the previous sample.  [prev] is
-   the last window's [values], replaced, never written, at each sample. *)
+(* The merged counter namespace -- the server's registry under "server/",
+   client i's counters under "client/<i>/" -- resolved into parallel
+   arrays sorted by name, with each counter's value at the previous
+   sample.  [prev] is the last window's [values], replaced, never written,
+   at each sample. *)
 type namespace = {
   names : string array;
   cells : Stats.Counter.t array;
@@ -138,17 +139,15 @@ let create ?(interval_s = 10.) ?latency () =
          interval_s);
   { interval_s; latency; attached = None; closed = 0; last_t = 0.; finalized = false }
 
-(* Sort every registry's counters into one namespace by prefixed name,
-   each starting from zero, so its first delta is its whole value.  Lease
-   servers and clients register every counter at creation, so the
-   namespace is resolved once, at attach. *)
-let resolve registries =
+(* Sort every list's counters into one namespace by prefixed name, each
+   starting from zero, so its first delta is its whole value.  Lease
+   servers and clients create every counter at creation, so the namespace
+   is resolved once, at attach. *)
+let resolve lists =
   let entries =
-    Array.to_list registries
-    |> List.concat_map (fun (prefix, registry) ->
-           List.map
-             (fun c -> (prefix ^ Stats.Counter.name c, c))
-             (Stats.Counter.Registry.counters registry))
+    Array.to_list lists
+    |> List.concat_map (fun (prefix, counters) ->
+           List.map (fun c -> (prefix ^ Stats.Counter.name c, c)) counters)
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> Array.of_list
   in
@@ -291,14 +290,14 @@ let take_sample t a ~t_end =
 let one_server (w : Leases.Sim.world) =
   let breakdown = Breakdown.create () in
   Server.set_breakdown w.servers.(0) (Some breakdown);
-  let registries =
+  let lists =
     Array.append
-      [| ("server/", Server.counters w.servers.(0)) |]
+      [| ("server/", Stats.Counter.Registry.counters (Server.counters w.servers.(0))) |]
       (Array.mapi (fun i c -> (Printf.sprintf "client/%d/" i, Client.counters c)) w.clients)
   in
   let axes = Array.of_list (Breakdown.axes breakdown) in
   {
-    namespace = resolve registries;
+    namespace = resolve lists;
     skew_labels =
       Array.append [| "server" |]
         (Array.init (Array.length w.clients) (Printf.sprintf "client/%d"));

@@ -27,7 +27,8 @@
       client serves it; a miss counts when its request is sent, so a read
       that a crash then abandons still counts.  The delay sums and counts
       come from the op driver's latency histograms, which see completions.
-      The window also carries the merged counter registries, client RPC
+      The window also carries the merged counters (the server's
+      registry and each client's counter list), client RPC
       queues, in-flight network messages, every clock's skew and the
       per-entity breakdown, and its [t_end] is the engine clock at the
       boundary.
@@ -122,8 +123,9 @@ type window = {
     every one returns [[]] for a K-server window. *)
 
 val counters : window -> (string * int) list
-(** The cumulative merged counter dump at [t_end]: the server registry
-    under ["server/"], client [i]'s under ["client/i/"]; sorted by name. *)
+(** The cumulative merged counter dump at [t_end]: the server's registry
+    under ["server/"], client [i]'s {!Leases.Client.counters} under
+    ["client/i/"]; sorted by name. *)
 
 val deltas : window -> (string * int) list
 (** The counters that moved this window, with their increments; sparse and

@@ -7,8 +7,9 @@ type lease = {
   mutable ended : (Lease_state.end_cause * float) option;
 }
 
-(* The leases started so far, indexed by the number the fold gives them. *)
-type history = { mutable leases : lease array; mutable n : int }
+(* The first [keep] leases started, indexed by the number the fold gives
+   them, and how many started in all. *)
+type history = { mutable leases : lease array; mutable n : int; keep : int; mutable started : int }
 
 type t = {
   state : Lease_state.t;
@@ -18,9 +19,15 @@ type t = {
   mutable last_at : float;
 }
 
-let create ?servers ?owner () =
-  let history = { leases = [||]; n = 0 } in
-  let on_end id cause at = history.leases.(id).ended <- Some (cause, at) in
+let create ?servers ?owner ?keep () =
+  let keep =
+    match keep with
+    | None -> max_int
+    | Some k when k >= 0 -> k
+    | Some _ -> invalid_arg "Lifecycle.create: negative keep"
+  in
+  let history = { leases = [||]; n = 0; keep; started = 0 } in
+  let on_end id cause at = if id < history.n then history.leases.(id).ended <- Some (cause, at) in
   let state = Lease_state.create ?servers ?owner ~on_end () in
   { state; history; rev_waits = []; commits = 0; last_at = 0. }
 
@@ -44,14 +51,20 @@ let feed t ({ at; ev } as e : Event.t) =
       l.renewals <- l.renewals + 1;
       l.last_expiry <- server_expiry
     end
-    else
-      push h { file; holder; granted_at = at; renewals = 0; last_expiry = server_expiry; ended = None }
+    else if id = h.started then begin
+      (* a lease starts; one past [keep] is only counted *)
+      h.started <- h.started + 1;
+      if h.n < h.keep then
+        push h
+          { file; holder; granted_at = at; renewals = 0; last_expiry = server_expiry; ended = None }
+    end
   | Event.Wait_begin { write; _ } -> t.rev_waits <- Lease_state.wait t.state write :: t.rev_waits
   | Event.Commit _ -> t.commits <- t.commits + 1
   | _ -> ()
 
 let sink t = { Sink.enabled = true; push = feed t; flush = ignore }
 let leases t = List.init t.history.n (Array.get t.history.leases)
+let started t = t.history.started
 let waits t = List.rev t.rev_waits
 let commits t = t.commits
 let lease_end t l = match l.ended with Some (_, at) -> at | None -> t.last_at

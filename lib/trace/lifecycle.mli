@@ -18,9 +18,12 @@ type lease = {
 
 type t
 
-val create : ?servers:int list -> ?owner:(int -> int) -> unit -> t
+val create : ?servers:int list -> ?owner:(int -> int) -> ?keep:int -> unit -> t
 (** [servers] and [owner] are {!Lease_state.create}'s: a server crash ends
-    only its own files' leases and waits. *)
+    only its own files' leases and waits.  [keep] (default: all) bounds the
+    leases recorded: the first [keep] in grant order are, and the rest are
+    only counted, so a view that prints a few rows holds only those.
+    Raises [Invalid_argument] on a negative [keep]. *)
 
 val feed : t -> Event.t -> unit
 (** Events must come in stream (engine) order. *)
@@ -28,7 +31,10 @@ val feed : t -> Event.t -> unit
 val sink : t -> Sink.t
 
 val leases : t -> lease list
-(** In grant order. *)
+(** The recorded leases, in grant order. *)
+
+val started : t -> int
+(** Every lease the stream started, recorded or not. *)
 
 val waits : t -> Lease_state.wait list
 (** In begin order: the fold's own records. *)

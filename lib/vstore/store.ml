@@ -2,35 +2,59 @@ open Simtime
 
 (* Per-file history, newest first: each commit's version and instant, then
    the older ones.  Version [initial] is implicit at [Time.zero].  The
-   newest commit sits inline in the array element, so [current] is one
-   load past the array and a commit allocates one 4-word block.  File ids
-   are dense small ints, so histories live in a growable array indexed by
-   [File_id.to_int] — the grant path reads [current] on every line. *)
+   newest commit sits inline in the history, so [current] is two loads past
+   the directory and a commit allocates one 4-word block. *)
 type history =
   | Initial
   | Commit of { version : Version.t; at : Time.t; older : history }
 
+(* Histories live in fixed-size chunks of [chunk_size] files, reached
+   through a directory indexed by [File_id.to_int file lsr chunk_bits]:
+   the grant path reads [current] on every line, so a read is a directory
+   load and a chunk load, with no emptiness test.  Every directory entry
+   no commit has touched is [empty_chunk], one chunk shared by every store
+   and never written, so memory follows the touched ids and not the
+   largest one; a commit replaces it with a fresh chunk first.  256 files
+   a chunk: a 4096-file chunk is allocated straight on the major heap,
+   which the small worlds of a campaign pay for in time. *)
+let chunk_bits = 8
+let chunk_size = 1 lsl chunk_bits
+let empty_chunk : history array = Array.make chunk_size Initial
+
 type t = {
-  mutable histories : history array;  (** indexed by [File_id.to_int] *)
+  mutable chunks : history array array;  (** [empty_chunk] where no file was committed *)
   mutable commits : int;
 }
 
-let create () = { histories = [||]; commits = 0 }
+let create () = { chunks = [||]; commits = 0 }
 
-let ensure t idx =
-  let cap = Array.length t.histories in
-  if idx >= cap then begin
-    let cap' = Int.max 64 (Int.max (idx + 1) (2 * cap)) in
-    let histories' = Array.make cap' Initial in
-    Array.blit t.histories 0 histories' 0 cap;
-    t.histories <- histories'
+(* The chunk of file index [idx], ready to write: the directory grows to
+   cover it (at least doubling, so appends stay amortized), and an
+   [empty_chunk] entry gets a chunk of its own. *)
+let writable_chunk t idx =
+  let c = idx lsr chunk_bits in
+  let cap = Array.length t.chunks in
+  if c >= cap then begin
+    let chunks = Array.make (Int.max (c + 1) (2 * cap)) empty_chunk in
+    Array.blit t.chunks 0 chunks 0 cap;
+    t.chunks <- chunks
+  end;
+  let chunk = Array.unsafe_get t.chunks c in
+  if chunk != empty_chunk then chunk
+  else begin
+    let chunk = Array.make chunk_size Initial in
+    t.chunks.(c) <- chunk;
+    chunk
   end
 
 (* Read-only history lookup: never-written files (and never-seen ids) read
-   as the empty history — no allocation, no slot creation. *)
+   as the empty history — no allocation, no chunk creation. *)
 let history_ro t file =
   let idx = File_id.to_int file in
-  if idx < Array.length t.histories then Array.unsafe_get t.histories idx else Initial
+  let c = idx lsr chunk_bits in
+  if c < Array.length t.chunks then
+    Array.unsafe_get (Array.unsafe_get t.chunks c) (idx land (chunk_size - 1))
+  else Initial
 
 let current t file =
   match history_ro t file with
@@ -39,8 +63,8 @@ let current t file =
 
 let commit t file ~at =
   let idx = File_id.to_int file in
-  ensure t idx;
-  let h = t.histories.(idx) in
+  let chunk = writable_chunk t idx and i = idx land (chunk_size - 1) in
+  let h = Array.unsafe_get chunk i in
   let version =
     match h with
     | Commit { version; at = last; _ } ->
@@ -49,7 +73,7 @@ let commit t file ~at =
       Version.next version
     | Initial -> Version.next Version.initial
   in
-  t.histories.(idx) <- Commit { version; at; older = h };
+  Array.unsafe_set chunk i (Commit { version; at; older = h });
   t.commits <- t.commits + 1;
   version
 

@@ -8,7 +8,12 @@
     during the read.
 
     The history is bookkeeping for the oracle, not state the simulated
-    server consults; a real server would keep only the latest version. *)
+    server consults; a real server would keep only the latest version.
+
+    Histories are kept in fixed-size chunks of file ids, allocated at the
+    first commit to an id in them, so a store costs a directory word per
+    chunk below its largest committed id plus the chunks it wrote, not a
+    word per id.  Reads never allocate. *)
 
 type t
 

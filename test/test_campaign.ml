@@ -234,7 +234,7 @@ let run_write_burst ops =
     Array.of_list
       (List.map
          (fun host ->
-           Leases.Client.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host
+           Leases.Client.create ~clock:(Clock.create engine ()) ~net ~liveness ~host
              ~server:server_host ~config ())
          client_hosts)
   in

@@ -109,6 +109,32 @@ let test_timer_tracks_backward_step () =
   Engine.run engine;
   Alcotest.(check (float 1e-5)) "re-armed after backward step" 15. (Time.to_sec !fired_at)
 
+(* A drift change re-arms the outstanding timers in their table's bucket
+   order, which sets the engine sequence numbers and so the order of
+   timers due at one instant.  The table is a 16-bucket stdlib-ordered
+   hash table, created with the clock's first timer: twelve timers armed
+   in id order at one deadline fire, after the change, in the order a
+   stdlib [Hashtbl.create 16] iterates their ids. *)
+let test_rearm_order () =
+  let engine = Engine.create () in
+  let clock = Clock.create engine () in
+  Alcotest.(check int) "no timer yet" 0 (Clock.pending_local_timers clock);
+  let n = 12 in
+  let fired = ref [] in
+  for id = 0 to n - 1 do
+    ignore (Clock.schedule_at_local clock (sec 10.) (fun () -> fired := id :: !fired))
+  done;
+  ignore (Engine.schedule_at engine (sec 4.) (fun () -> Clock.set_drift clock 0.5));
+  Engine.run engine;
+  let reference = Hashtbl.create 16 in
+  for id = 0 to n - 1 do
+    Hashtbl.replace reference id ()
+  done;
+  let table_order = Hashtbl.fold (fun id () acc -> id :: acc) reference [] |> List.rev in
+  Alcotest.(check (list int)) "fired in table order" table_order (List.rev !fired);
+  Alcotest.(check bool) "not id order" true (table_order <> List.init n Fun.id);
+  Alcotest.(check int) "all fired" 0 (Clock.pending_local_timers clock)
+
 let test_timer_forward_step_fires_immediately () =
   let engine = Engine.create () in
   let clock = Clock.create engine () in
@@ -194,6 +220,7 @@ let () =
           Alcotest.test_case "timer tracks backward step" `Quick test_timer_tracks_backward_step;
           Alcotest.test_case "timer fires on forward step" `Quick
             test_timer_forward_step_fires_immediately;
+          Alcotest.test_case "re-arm order" `Quick test_rearm_order;
           Alcotest.test_case "cancel timer" `Quick test_cancel_timer;
           Alcotest.test_case "timer cleared after fire" `Quick test_timer_cleared_after_fire;
           Alcotest.test_case "invalid drift" `Quick test_invalid_drift;

@@ -182,6 +182,85 @@ let test_config_with_term () =
   | Leases.Term_policy.Fixed s -> Alcotest.(check (float 1e-9)) "fixed 7" 7. (Time.Span.to_sec s)
   | _ -> Alcotest.fail "fixed policy"
 
+(* --- lease table ------------------------------------------------------- *)
+
+(* The table keeps its slots in chunks of file ids, allocated at a chunk's
+   first grant.  Reads of files never granted allocate nothing and see no
+   holder, wherever they fall: past the directory, in a chunk never
+   written, or beside a granted file.  Files on either side of a chunk
+   boundary keep their own records, a sweep reaps them in ascending file
+   order across chunks, and after a crash's [clear] no record is left and
+   grants start afresh. *)
+let test_lease_table_chunks () =
+  let module T = Leases.Lease_table in
+  let file = Vstore.File_id.of_int and host = Host.Host_id.of_int in
+  let expiry s = Leases.Lease.at (sec s) in
+  let t = T.create () in
+  let reaped = ref [] in
+  T.set_on_reap t (fun f h _ ->
+      reaped := (Vstore.File_id.to_int f, Host.Host_id.to_int h) :: !reaped);
+  (* holder 1 on every file until 10 s, holder 2 on the odd ones until 20 s;
+     granted in descending file order *)
+  let files = [ 253; 254; 255; 256; 257; 258; 511; 512; 100_000 ] in
+  let odd = List.filter (fun f -> f mod 2 = 1) files in
+  List.iter
+    (fun f ->
+      T.record t (file f) (host 1) (expiry 10.) ~now:(sec 0.);
+      if f mod 2 = 1 then T.record t (file f) (host 2) (expiry 20.) ~now:(sec 0.))
+    (List.rev files);
+  let holders f ~now = List.map Host.Host_id.to_int (T.live_holders t (file f) ~now:(sec now)) in
+  List.iter
+    (fun f ->
+      Alcotest.(check (list int)) (Printf.sprintf "file %d holders" f)
+        (if f mod 2 = 1 then [ 1; 2 ] else [ 1 ])
+        (holders f ~now:1.))
+    files;
+  let occupancy now =
+    let { T.files; records; _ } = T.occupancy t ~now:(sec now) in
+    (files, records)
+  in
+  Alcotest.(check (pair int int)) "occupancy"
+    (List.length files, List.length files + List.length odd)
+    (occupancy 1.);
+  let untouched = Array.map file [| 0; 252; 259; 510; 5_000; 99_999; 100_001; 1 lsl 25 |] in
+  let now = sec 1. and reads = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reads do
+    for j = 0 to Array.length untouched - 1 do
+      let f = untouched.(j) in
+      if T.live_count t f ~now <> 0 then
+        Alcotest.failf "untouched file %d has a holder" (Vstore.File_id.to_int f);
+      if T.fold_live t f ~now ~init:0 ~f:(fun _ _ n -> n + 1) <> 0 then
+        Alcotest.failf "untouched file %d folds a record" (Vstore.File_id.to_int f);
+      if not (Leases.Lease.is_never (T.live_deadline t f ~now ~init:Leases.Lease.never)) then
+        Alcotest.failf "untouched file %d has a deadline" (Vstore.File_id.to_int f)
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 100. then
+    Alcotest.failf "%d reads of untouched files allocated %.0f words"
+      (reads * Array.length untouched) words;
+  Alcotest.(check bool) "a sweep at 15 s leaves finite expiries" true (T.sweep t ~now:(sec 15.));
+  Alcotest.(check (list (pair int int))) "holder 1 reaped in ascending file order"
+    (List.map (fun f -> (f, 1)) files)
+    (List.rev !reaped);
+  Alcotest.(check (pair int int)) "occupancy after the sweep" (List.length odd, List.length odd)
+    (occupancy 15.);
+  T.clear t;
+  Alcotest.(check (pair int int)) "occupancy after a crash" (0, 0) (occupancy 15.);
+  List.iter
+    (fun f ->
+      Alcotest.(check (list int)) (Printf.sprintf "file %d after a crash" f) [] (holders f ~now:15.))
+    files;
+  Alcotest.(check bool) "nothing left to sweep" false (T.sweep t ~now:(sec 15.));
+  T.record t (file 256) (host 3) (expiry 30.) ~now:(sec 16.);
+  Alcotest.(check (list int)) "granted afresh" [ 3 ] (holders 256 ~now:16.);
+  Alcotest.(check (list int)) "its neighbour stays empty" [] (holders 255 ~now:16.);
+  Alcotest.(check (pair int int)) "occupancy after a fresh grant" (1, 1) (occupancy 16.);
+  Alcotest.(check (list (pair int int))) "a crash reaps nothing"
+    (List.map (fun f -> (f, 1)) files)
+    (List.rev !reaped)
+
 let () =
   Alcotest.run "lease-types"
     [
@@ -204,4 +283,5 @@ let () =
           Alcotest.test_case "validation" `Quick test_config_validation;
           Alcotest.test_case "with_term" `Quick test_config_with_term;
         ] );
+      ("lease table", [ Alcotest.test_case "chunks" `Quick test_lease_table_chunks ]);
     ]

@@ -45,7 +45,7 @@ let make_rig ?(n = 2) () =
     Array.of_list
       (List.map
          (fun host ->
-           Leases.Client.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host
+           Leases.Client.create ~clock:(Clock.create engine ()) ~net ~liveness ~host
              ~server:server_host ~config:Leases.Config.default ())
          client_hosts)
   in

@@ -431,26 +431,31 @@ let prop_lease_table_model =
 
 (* --- lease table: sweeps over a wide file range ------------------------- *)
 
-(* The table keeps a bitmap of its resident slots, [Sys.int_size] to a
-   word, and a sweep walks its set bits.  The model above uses files 0-3,
-   all in one word; this script spreads files over 0-200, half of them
-   drawn from ids on either side of a 31-, 32-, 62-, 63- or 64-bit word
-   edge.  Only records and sweeps reap here (no per-step queries), so most
-   expiries wait for a sweep.  Every reap pass must report exactly the
-   model's expired records in ascending (file, expiry, holder) order — a
-   sweep visits files in ascending id order — [occupancy] must match the
-   model, and a sweep must report a finite expiry whenever the model
-   holds one.  Bursts record up to 242 holders on one file at one
+(* The table keeps its slots in 256-file chunks, each with a bitmap of
+   its resident slots, 32 to a word, and a sweep walks the set bits chunk
+   by chunk.  The model above uses files 0-3, all in one word; this script
+   spreads files over 0-600, half of them drawn from ids on either side of
+   a word edge (of 32-slot words, and of the 63-slot words the table once
+   kept) or of a chunk edge (256, 512).  Only records and sweeps reap here
+   (no per-step queries), so most expiries wait for a sweep.  Every reap
+   pass must report exactly the model's expired records in ascending
+   (file, expiry, holder) order — a sweep visits files in ascending id
+   order — [occupancy] must match the model, and a sweep must report a
+   finite expiry whenever the model holds one.  Bursts record up to 242 holders on one file at one
    instant, in descending holder order and with one expiry (one burst in
    six never expires), and a dropped file is recorded on again at once,
    so sweeps also reap long runs of equal expiries and reused lists. *)
+let wide_files = 601
+
 let lease_table_wide_script =
   let open QCheck.Gen in
   let edges =
-    [| 0; 1; 30; 31; 32; 33; 61; 62; 63; 64; 65; 124; 125; 126; 127; 128; 187; 188; 189; 190;
-       191; 200 |]
+    [| 0; 1; 30; 31; 32; 33; 61; 62; 63; 64; 65; 95; 96; 124; 125; 126; 127; 128; 159; 160; 187;
+       188; 189; 190; 191; 200; 254; 255; 256; 257; 511; 512; 513; wide_files - 1 |]
   in
-  let file = oneof [ map (Array.get edges) (int_bound (Array.length edges - 1)); int_bound 200 ] in
+  let file =
+    oneof [ map (Array.get edges) (int_bound (Array.length edges - 1)); int_bound (wide_files - 1) ]
+  in
   (* 0 record, 1 remove, 2 drop-file, 3 sweep, 4 occupancy, 5 advance the
      clock, 6 a descending burst, 7 drop and record *)
   let op =
@@ -470,7 +475,7 @@ let prop_lease_table_wide =
       let open Leases in
       let t = Lease_table.create () in
       (* model: per file, holder -> expiry, one binding per resident record *)
-      let model = Array.init 201 (fun _ -> Hashtbl.create 8) in
+      let model = Array.init wide_files (fun _ -> Hashtbl.create 8) in
       let fold_model f init =
         let acc = ref init in
         Array.iteri (fun file tbl -> Hashtbl.iter (fun h e -> acc := f file h e !acc) tbl) model;
@@ -500,7 +505,7 @@ let prop_lease_table_wide =
         check (List.rev !reaped = List.sort compare expired);
         reaped := []
       in
-      let all_files = List.init 201 Fun.id in
+      let all_files = List.init wide_files Fun.id in
       let record f h e =
         Lease_table.record t (file f) (host h) e ~now:!now;
         expect_reaps [ f ];

@@ -43,7 +43,7 @@ let make_rig ?(n = 2) ?(config = Leases.Config.default) ?loss ?seed ?jitter_seed
                (fun s -> Prng.Splitmix.create ~seed:(Int64.add s (Int64.of_int i)))
                jitter_seed
            in
-           Leases.Client.create ~engine ~clock:(Clock.create engine ()) ~net ~liveness ~host
+           Leases.Client.create ~clock:(Clock.create engine ()) ~net ~liveness ~host
              ~server:server_host ?rng ~config ?tracer ())
          client_hosts)
   in

@@ -344,14 +344,50 @@ let world_live_words n =
   !live
 
 (* The marginal live words of one client, between worlds of 1 000 and
-   2 000, must stay at most [pin] (+ 0.5): its record, clock, jitter RNG,
-   counter registry, retransmission table, empty hash tables and the
-   handlers it registers with the net and the liveness table. *)
+   2 000, must stay at most [pin] (+ 0.5): its record, clock (with no
+   timer table until it arms a timer), jitter RNG, seven counters,
+   retransmission table, empty hash tables and the handlers it registers
+   with the net and the liveness table. *)
 let check_words_per_client ~pin () =
   let per_client = float_of_int (world_live_words 2_000 - world_live_words 1_000) /. 1_000. in
   if per_client > pin +. 0.5 then
     Alcotest.failf "a client holds %.2f live words after world build, pinned at %.0f" per_client
       pin
+
+(* --- live words per touched file ---------------------------------------- *)
+
+(* Live words, after a full major collection, of a one-client world that
+   read and then wrote [file] under a 10 s term, read while the world is
+   still reachable. *)
+let touched_live_words file =
+  let world = ref None in
+  let op at kind =
+    { Workload.Op.at = Time.of_sec at; client = 0; kind; file = Vstore.File_id.of_int file;
+      temporary = false }
+  in
+  let trace = Workload.Trace.of_ops [ op 1. Workload.Op.Read; op 2. Workload.Op.Write ] in
+  let setup =
+    {
+      (Experiments.Runner.lease_setup ~term:(Analytic.Model.Finite 10.) ()) with
+      Leases.Sim.on_instruments = (fun w _ -> world := Some w);
+    }
+  in
+  let o = Leases.Sim.run setup ~trace in
+  Alcotest.(check int) "one commit" 1 o.Leases.Sim.metrics.Leases.Metrics.commits;
+  Gc.full_major ();
+  let live = (Gc.stat ()).Gc.live_words in
+  ignore (Sys.opaque_identity !world);
+  live
+
+(* The extra live words that a read and a write on file 6x10^7 cost over
+   the same ops on file 0 must stay at most [pin]: the store and the lease
+   table each keep a directory word per chunk of file ids below the file
+   and one chunk, so a per-id array, or a bitmap spanning the ids, in
+   either fails it. *)
+let check_far_file_words ~pin () =
+  let extra = touched_live_words 60_000_000 - touched_live_words 0 in
+  if extra > pin then
+    Alcotest.failf "file 6x10^7 holds %d live words more than file 0, pinned at %d" extra pin
 
 let () =
   Alcotest.run "sim"
@@ -385,6 +421,7 @@ let () =
           Alcotest.test_case "cache hit words" `Quick (check_words_per_op Cache_hit ~pin:11.);
           Alcotest.test_case "one-line miss words" `Quick
             (check_words_per_op One_line_miss ~pin:71.);
-          Alcotest.test_case "live words a client" `Quick (check_words_per_client ~pin:214.);
+          Alcotest.test_case "live words a client" `Quick (check_words_per_client ~pin:126.);
+          Alcotest.test_case "far file words" `Quick (check_far_file_words ~pin:500_000);
         ] );
     ]

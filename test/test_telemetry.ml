@@ -329,18 +329,18 @@ let test_export_golden () =
     (Digest.to_hex (Digest.string counters))
 
 (* The sampler resolves its counter namespace once, at [attach], so a
-   lease server or client must register at creation every counter it will
-   ever bump: after a lossy run with a client crash and a server crash,
-   every registry lists exactly the names it listed at [attach]. *)
+   lease server must register at creation every counter it will ever bump,
+   and a client must create them all: after a lossy run with a client
+   crash and a server crash, the server's registry and every client's
+   counter list name exactly what they named at [attach]. *)
 let test_counters_fixed_at_creation () =
   let trace =
     (Experiments.V_trace.poisson ~seed:7L ~clients:2 ~duration:(span_sec 120.) ())
       .Experiments.V_trace.trace
   in
   let names (w : Leases.Sim.world) =
-    List.map
-      (fun registry -> List.map Stats.Counter.name (Stats.Counter.Registry.counters registry))
-      (Leases.Server.counters w.servers.(0)
+    List.map (List.map Stats.Counter.name)
+      (Stats.Counter.Registry.counters (Leases.Server.counters w.servers.(0))
       :: Array.to_list (Array.map Leases.Client.counters w.clients))
   in
   let world = ref None and at_attach = ref [] in

@@ -243,6 +243,28 @@ let test_sharded_chrome_export () =
          | _ -> None)
        (Trace.Lifecycle.waits life))
 
+(* A view that keeps [keep] leases records exactly the first [keep] the
+   full view records, renewals and ends included, and counts every lease
+   started; the renewal of a kept lease and the crash ends of leases past
+   [keep] land where they should. *)
+let test_lifecycle_keep () =
+  let full = lifecycle ~servers:two_servers ~owner:by_parity crash_stream in
+  Alcotest.(check int) "every lease counted" 4 (Trace.Lifecycle.started full);
+  List.iter
+    (fun keep ->
+      let life = Trace.Lifecycle.create ~servers:two_servers ~owner:by_parity ~keep () in
+      List.iter (Trace.Lifecycle.feed life) crash_stream;
+      Alcotest.(check int) (Printf.sprintf "keep %d: every lease counted" keep) 4
+        (Trace.Lifecycle.started life);
+      Alcotest.(check bool) (Printf.sprintf "keep %d: the full view's first leases" keep) true
+        (Trace.Lifecycle.leases life
+        = List.filteri (fun i _ -> i < keep) (Trace.Lifecycle.leases full));
+      Alcotest.(check int) (Printf.sprintf "keep %d: every wait" keep) 2
+        (List.length (Trace.Lifecycle.waits life)))
+    [ 0; 1; 2; 3; 4; 9 ];
+  Alcotest.check_raises "negative keep" (Invalid_argument "Lifecycle.create: negative keep")
+    (fun () -> ignore (Trace.Lifecycle.create ~keep:(-1) ()))
+
 (* --- checker on hand-built streams -------------------------------------- *)
 
 let invariants report =
@@ -838,6 +860,7 @@ let () =
         [
           Alcotest.test_case "reconstruction" `Quick test_lifecycle_reconstruction;
           Alcotest.test_case "sharded chrome export" `Quick test_sharded_chrome_export;
+          Alcotest.test_case "kept leases" `Quick test_lifecycle_keep;
         ] );
       ( "checker",
         [

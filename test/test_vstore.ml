@@ -65,6 +65,52 @@ let test_staleness_at () =
   Alcotest.(check bool) "old version not yet superseded" true
     (Vstore.Store.staleness_at store (file 0) (Vstore.Version.of_int 0) ~at:(sec 9.) = None)
 
+(* Histories live in chunks of file ids allocated at a chunk's first
+   commit.  Reads of files no commit touched allocate nothing, wherever
+   they fall: past the directory, in a chunk never written, or beside a
+   written file; and neighbouring ids on either side of a chunk boundary
+   keep their own histories. *)
+let test_store_chunks () =
+  let store = Vstore.Store.create () in
+  (* the n-th id gets [writes n] commits, at 10 s, 20 s, ... *)
+  let ids =
+    List.concat_map (fun base -> List.init 6 (fun i -> base - 3 + i)) [ 256; 4096; 70_003 ]
+  in
+  let writes n = (n mod 3) + 1 in
+  List.iteri
+    (fun n f ->
+      for k = 1 to writes n do
+        ignore (Vstore.Store.commit store (file f) ~at:(sec (float_of_int (10 * k))))
+      done)
+    ids;
+  List.iteri
+    (fun n f ->
+      let at t = Vstore.Version.to_int (Vstore.Store.current_at store (file f) (sec t)) in
+      Alcotest.(check int) (Printf.sprintf "file %d current" f) (writes n)
+        (Vstore.Version.to_int (Vstore.Store.current store (file f)));
+      Alcotest.(check int) (Printf.sprintf "file %d at 15 s" f) 1 (at 15.);
+      Alcotest.(check int) (Printf.sprintf "file %d at 5 s" f) 0 (at 5.))
+    ids;
+  Alcotest.(check int) "commit count"
+    (List.fold_left ( + ) 0 (List.mapi (fun n _ -> writes n) ids))
+    (Vstore.Store.commits store);
+  let untouched = Array.map file [| 0; 252; 4092; 5_000; 69_999; 70_006; 1 lsl 25 |] in
+  let start = sec 1. and finish = sec 2. and reads = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to reads do
+    for j = 0 to Array.length untouched - 1 do
+      let f = untouched.(j) in
+      if not (Vstore.Version.equal (Vstore.Store.current store f) Vstore.Version.initial) then
+        Alcotest.failf "untouched file %d has a version" (Vstore.File_id.to_int f);
+      if not (Vstore.Store.was_current_during store f Vstore.Version.initial ~start ~finish) then
+        Alcotest.failf "untouched file %d was not initial" (Vstore.File_id.to_int f)
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 100. then
+    Alcotest.failf "%d reads of untouched files allocated %.0f words"
+      (reads * Array.length untouched) words
+
 (* --- Namespace -------------------------------------------------------- *)
 
 let fresh_allocator () =
@@ -159,6 +205,7 @@ let () =
           Alcotest.test_case "current_at" `Quick test_current_at;
           Alcotest.test_case "was_current_during" `Quick test_was_current_during;
           Alcotest.test_case "staleness_at" `Quick test_staleness_at;
+          Alcotest.test_case "chunks" `Quick test_store_chunks;
         ] );
       ( "namespace",
         [
