@@ -264,34 +264,51 @@ let grant_pin_cases =
 (* --- words per op ----------------------------------------------------- *)
 
 (* The op a words-per-op case repeats: a temporary read, which touches
-   neither client nor server; a cache hit, under an infinite term; or a
+   neither client nor server; a cache hit, under an infinite term; a
    one-line miss, under a zero term, where every read misses, its request
-   carries its one file and its reply grants no lease. *)
-type op_case = Temporary | Cache_hit | One_line_miss
+   carries its one file and its reply grants no lease; or a waited write,
+   a read by client 1 and a write by client 0 10 ms later under a 10 s
+   term, so that every read misses and every write waits on one
+   approval. *)
+type op_case = Temporary | Cache_hit | One_line_miss | Waited_write
 
 let case_name = function
   | Temporary -> "a temporary op"
   | Cache_hit -> "a cache hit"
   | One_line_miss -> "a one-line miss"
+  | Waited_write -> "a read and a waited write"
 
 (* Words allocated (minor + major - promoted) by one [Sim.run] of [n] reads
    of one file by one client, 10 ms apart: what is left of a temporary op
    is [Cluster.drive] and the engine; after the first miss every read of
-   [Cache_hit] hits. *)
+   [Cache_hit] hits.  [Waited_write] runs [n] read-write pairs, 20 ms
+   apart. *)
 let run_words case n =
-  let temporary = match case with Temporary -> true | Cache_hit | One_line_miss -> false in
-  let trace =
-    Workload.Trace.of_ops
-      (List.init n (fun i ->
-           { Workload.Op.at = Time.of_us ((i + 1) * 10_000); client = 0; kind = Workload.Op.Read;
-             file = Vstore.File_id.of_int 0; temporary }))
+  let temporary =
+    match case with Temporary -> true | Cache_hit | One_line_miss | Waited_write -> false
   in
+  let op at client kind =
+    { Workload.Op.at = Time.of_us at; client; kind; file = Vstore.File_id.of_int 0; temporary }
+  in
+  let ops =
+    match case with
+    | Waited_write ->
+      List.concat
+        (List.init n (fun i ->
+             let at = (i + 1) * 20_000 in
+             [ op at 1 Workload.Op.Read; op (at + 10_000) 0 Workload.Op.Write ]))
+    | Temporary | Cache_hit | One_line_miss ->
+      List.init n (fun i -> op ((i + 1) * 10_000) 0 Workload.Op.Read)
+  in
+  let trace = Workload.Trace.of_ops ops in
   let term =
     match case with
     | One_line_miss -> Analytic.Model.Finite 0.
+    | Waited_write -> Analytic.Model.Finite 10.
     | Temporary | Cache_hit -> Analytic.Model.Infinite
   in
-  let setup = Experiments.Runner.lease_setup ~term () in
+  let n_clients = match case with Waited_write -> 2 | Temporary | Cache_hit | One_line_miss -> 1 in
+  let setup = Experiments.Runner.lease_setup ~n_clients ~term () in
   (* The minor part comes from [Gc.minor_words]: on OCaml 5.1,
      [Gc.counters] counts the live minor heap at an eighth of its size. *)
   let words () =
@@ -302,12 +319,17 @@ let run_words case n =
   let o = Leases.Sim.run setup ~trace in
   let used = words () -. before in
   let m = o.Leases.Sim.metrics in
-  Alcotest.(check int) "every op issued" n
+  Alcotest.(check int) "every op issued" (List.length ops)
     (m.Leases.Metrics.ops_issued + m.Leases.Metrics.temp_ops);
   (match case with
   | Temporary -> ()
   | Cache_hit -> Alcotest.(check int) "one miss" 1 m.Leases.Metrics.cache_misses
-  | One_line_miss -> Alcotest.(check int) "every read misses" n m.Leases.Metrics.cache_misses);
+  | One_line_miss -> Alcotest.(check int) "every read misses" n m.Leases.Metrics.cache_misses
+  | Waited_write ->
+    Alcotest.(check int) "every read misses" n m.Leases.Metrics.cache_misses;
+    Alcotest.(check int) "every write commits" n m.Leases.Metrics.commits;
+    Alcotest.(check int) "every write waits on one approval" n
+      m.Leases.Metrics.approvals_answered);
   used
 
 (* The marginal words of one op, over 100 k ops, must stay at most [pin]
@@ -318,7 +340,9 @@ let run_words case n =
    the client's request and its retransmission timer, the messages and
    their envelopes, and the server's reply; a per-request record on the
    grant path, a closure per delivery, or a heap that regrows its arrays
-   each time its last timer is cancelled pushes it over its pin. *)
+   each time its last timer is cancelled pushes it over its pin.  A read
+   and a waited write add the write request, the approval round (its
+   record, request, reply and two timers), the commit and its reply. *)
 let check_words_per_op case ~pin () =
   let per_op = (run_words case 110_000 -. run_words case 10_000) /. 100_000. in
   if per_op > pin +. 0.5 then
@@ -421,6 +445,8 @@ let () =
           Alcotest.test_case "cache hit words" `Quick (check_words_per_op Cache_hit ~pin:11.);
           Alcotest.test_case "one-line miss words" `Quick
             (check_words_per_op One_line_miss ~pin:71.);
+          Alcotest.test_case "waited write words" `Quick
+            (check_words_per_op Waited_write ~pin:297.);
           Alcotest.test_case "live words a client" `Quick (check_words_per_client ~pin:126.);
           Alcotest.test_case "far file words" `Quick (check_far_file_words ~pin:500_000);
         ] );
