@@ -19,6 +19,13 @@
     partition the oracle records stale reads for callbacks where leases
     record none. *)
 
+type server
+
+val create_server : Rpc_cache.payload Leases.Cluster.fabric -> Vstore.Store.t -> server
+(** The callback server over [store], registered at
+    [Leases.Cluster.server_host] on the fabric: what {!run} builds.  Its
+    break rounds are {!Leases.Approval}'s, with a 3 s give-up. *)
+
 val run :
   ?poll_period:Simtime.Time.Span.t ->
   Leases.Sim.setup ->
