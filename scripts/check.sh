@@ -5,6 +5,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every file the gate writes goes to one private directory, so concurrent
+# runs (a parent and a change, say) never overwrite each other's traces.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== dune build =="
 dune build
 
@@ -59,9 +64,9 @@ bad_input inf $sim --fault server-drift=1,inf
 bad_input -3 _build/default/bin/campaign.exe --schedules=-3
 for file in 100000000 1099511627776; do
   printf '# one op on a file id beyond the packed field\n100 0 R %s\n' "$file" \
-    > "/tmp/leases_bad_ops_$file.txt"
+    > "$tmp/leases_bad_ops_$file.txt"
   # shellcheck disable=SC2086
-  bad_input "line 2: Trace.Builder.add: file $file" $sim --ops "/tmp/leases_bad_ops_$file.txt"
+  bad_input "line 2: Trace.Builder.add: file $file" $sim --ops "$tmp/leases_bad_ops_$file.txt"
 done
 
 echo "== seeded figures gate (figures --quick vs scripts/figures_quick.md5) =="
@@ -93,8 +98,8 @@ echo "== traced smoke sim + invariant checker =="
 # A short traced lease run must replay through the checker with zero
 # violations; tracedump exits non-zero on any.
 dune exec bin/simulate.exe -- -p leases -t 10 -n 4 -d 60 \
-  --trace /tmp/leases_smoke.jsonl > /dev/null
-dune exec bin/tracedump.exe -- /tmp/leases_smoke.jsonl --check-only
+  --trace "$tmp/leases_smoke.jsonl" > /dev/null
+dune exec bin/tracedump.exe -- "$tmp/leases_smoke.jsonl" --check-only
 
 echo "== negative controls: the checker flags partitioned callbacks and TTL hints =="
 # A checker that never fires is untested.  Andrew-style callbacks give up
@@ -107,8 +112,8 @@ nc_flags="-t 10 -w shared-heavy -n 4 -d 300 -s 3 --fault partition=0,100,60"
 for proto in callback ttl; do
   # shellcheck disable=SC2086 # word-split the shared flags
   dune exec bin/simulate.exe -- -p "$proto" $nc_flags \
-    --trace "/tmp/${proto}_partition.jsonl" > /dev/null
-  if nc_out=$(dune exec bin/tracedump.exe -- "/tmp/${proto}_partition.jsonl" --check-only 2>&1)
+    --trace "$tmp/${proto}_partition.jsonl" > /dev/null
+  if nc_out=$(dune exec bin/tracedump.exe -- "$tmp/${proto}_partition.jsonl" --check-only 2>&1)
   then
     echo "tracedump passed the partitioned $proto trace; its stale reads went unflagged" >&2
     exit 1
@@ -121,8 +126,8 @@ for proto in callback ttl; do
 done
 # shellcheck disable=SC2086
 dune exec bin/simulate.exe -- -p leases $nc_flags \
-  --trace /tmp/leases_partition.jsonl > /dev/null
-dune exec bin/tracedump.exe -- /tmp/leases_partition.jsonl --check-only > /dev/null
+  --trace "$tmp/leases_partition.jsonl" > /dev/null
+dune exec bin/tracedump.exe -- "$tmp/leases_partition.jsonl" --check-only > /dev/null
 
 echo "== telemetry residual gate =="
 # A pinned steady-state no-fault run sampled every 30 s: the measured
@@ -132,10 +137,10 @@ echo "== telemetry residual gate =="
 # telemetry-enabled traced run must stay checker-clean — sampling may not
 # perturb the protocol.
 dune exec bin/simulate.exe -- -p leases -t 10 -n 1 -d 1500 -s 7 \
-  --telemetry 30 --telemetry-out /tmp/leases_telemetry.json \
-  --trace /tmp/leases_telemetry_smoke.jsonl > /dev/null
-dune exec bin/tracedump.exe -- /tmp/leases_telemetry_smoke.jsonl --check-only
-dune exec bin/telemetry_view.exe -- /tmp/leases_telemetry.json --gate-residual 0.25
+  --telemetry 30 --telemetry-out "$tmp/leases_telemetry.json" \
+  --trace "$tmp/leases_telemetry_smoke.jsonl" > /dev/null
+dune exec bin/tracedump.exe -- "$tmp/leases_telemetry_smoke.jsonl" --check-only
+dune exec bin/telemetry_view.exe -- "$tmp/leases_telemetry.json" --gate-residual 0.25
 
 echo "== latency conservation gate =="
 # A seeded lossy run with the critical-path analyzer attached: every
@@ -144,8 +149,8 @@ echo "== latency conservation gate =="
 # attribution bug), and the leases-latency/1 export must replay through
 # leases-latency with the same verdict.
 dune exec bin/simulate.exe -- -p leases -t 10 -n 6 -d 120 -s 3 --loss 0.05 \
-  --latency --latency-out /tmp/leases_latency.json > /dev/null
-dune exec bin/latency_view.exe -- /tmp/leases_latency.json --gate-conserve -q
+  --latency --latency-out "$tmp/leases_latency.json" > /dev/null
+dune exec bin/latency_view.exe -- "$tmp/leases_latency.json" --gate-conserve -q
 
 # tracedump's full output on a sharded trace must also carry the lease
 # lifecycle tables, which the multi-server fold reconstructs per shard.
@@ -166,10 +171,10 @@ echo "== sharded smoke sim + invariant checker =="
 # through the multi-server checker with zero violations; --map-seed
 # mirrors the run's -s so tracedump rebuilds the same shard map.
 dune exec bin/simulate.exe -- -p leases -t 10 -n 6 -d 120 -s 3 --shards 4 \
-  --fault crash-shard=1,40,8 --trace /tmp/leases_shard_smoke.jsonl > /dev/null
-dune exec bin/tracedump.exe -- /tmp/leases_shard_smoke.jsonl \
+  --fault crash-shard=1,40,8 --trace "$tmp/leases_shard_smoke.jsonl" > /dev/null
+dune exec bin/tracedump.exe -- "$tmp/leases_shard_smoke.jsonl" \
   --shards 4 --map-seed 3 --check-only
-sharded_tables /tmp/leases_shard_smoke.jsonl
+sharded_tables "$tmp/leases_shard_smoke.jsonl"
 
 echo "== split-mode smoke sim + invariant checker =="
 # The split deployment runs each shard as its own sub-simulation, here two
@@ -178,10 +183,10 @@ echo "== split-mode smoke sim + invariant checker =="
 # through the multi-server checker with zero violations.
 dune exec bin/simulate.exe -- -p leases -t 10 -n 6 -d 120 -s 3 --shards 4 --domains 2 \
   --telemetry 10 --fault crash-shard=1,40,8 --fault crash-client=2,30,10 \
-  --trace /tmp/leases_split_smoke.jsonl > /dev/null
-dune exec bin/tracedump.exe -- /tmp/leases_split_smoke.jsonl \
+  --trace "$tmp/leases_split_smoke.jsonl" > /dev/null
+dune exec bin/tracedump.exe -- "$tmp/leases_split_smoke.jsonl" \
   --shards 4 --map-seed 3 --check-only
-sharded_tables /tmp/leases_split_smoke.jsonl
+sharded_tables "$tmp/leases_split_smoke.jsonl"
 
 echo "== fault campaign (25 seeded schedules) =="
 # A pinned random fault campaign with the register oracle and the trace
@@ -194,9 +199,9 @@ echo "== campaign reproducers replay through leases-sim =="
 # Every schedule of the same campaign prints the leases-sim command that
 # reproduces it.  Run each one, one-shard and sharded alike, and require
 # the schedule's ops_issued, dropped_ops and commits back.
-dune exec bin/campaign.exe -- --seed 1 --schedules 25 --json > /tmp/leases_campaign.json
+dune exec bin/campaign.exe -- --seed 1 --schedules 25 --json > "$tmp/leases_campaign.json"
 jq -r '.results[].outcome | [.ops_issued, .dropped_ops, .commits, .schedule.command] | @tsv' \
-  /tmp/leases_campaign.json > /tmp/leases_reproducers.tsv
+  "$tmp/leases_campaign.json" > "$tmp/leases_reproducers.tsv"
 tab=$(printf '\t')
 replayed=0
 mismatched=0
@@ -210,7 +215,7 @@ while IFS="$tab" read -r ops dropped commits cmd; do
     echo "  campaign: ops_issued dropped_ops commits = $ops $dropped $commits; leases-sim: $got" >&2
     mismatched=$((mismatched + 1))
   fi
-done < /tmp/leases_reproducers.tsv
+done < "$tmp/leases_reproducers.tsv"
 if [ "$replayed" -ne 25 ] || [ "$mismatched" -ne 0 ]; then
   echo "$mismatched of $replayed campaign reproducers failed to replay" >&2
   exit 1
