@@ -7,7 +7,11 @@
     and relinquish, and grants when all have answered or their leases have
     expired on the server's clock.  Acquisitions on a file queue FIFO
     behind the one in progress, so writers cannot be starved (the same
-    anti-starvation rule as the write-through server).
+    anti-starvation rule as the write-through server, whose approval
+    round, {!Leases.Approval}, runs the recalls too).  A retransmitted
+    acquisition that arrives after its grant is answered with that grant,
+    and only the term left of it, while the server still records it for
+    the holder; it never starts a second grant at a new epoch.
 
     Flushes are validated by (holder, mode, expiry, epoch): anything stale
     is rejected, which is what makes expiry safe — an unreachable writer's
