@@ -9,7 +9,7 @@ type server = {
   s_engine : Engine.t;
   s_ttl : Time.Span.t;
   s_counters : Stats.Counter.Registry.t;
-  s_applied : (Host_id.t * int, Vstore.Version.t) Hashtbl.t;
+  s_applied : Vstore.Version.t Leases.Answers.t;
   s_tracer : Trace.Sink.t;
   mutable s_up : bool;
 }
@@ -32,7 +32,7 @@ let s_handle srv (envelope : payload Netsim.Net.envelope) =
            { req; file; version = Vstore.Store.current srv.s_store file; keep = For srv.s_ttl })
     | Write_request { req; file } ->
       let version =
-        match Hashtbl.find_opt srv.s_applied (envelope.src, req) with
+        match Leases.Answers.find_opt srv.s_applied (envelope.src, req) with
         | Some version -> version
         | None ->
           (* No leaseholders to consult: the write commits immediately.
@@ -40,7 +40,7 @@ let s_handle srv (envelope : payload Netsim.Net.envelope) =
              precedes the commit in the trace — outstanding client hints
              are simply left stale until their TTLs run out. *)
           let version = Vstore.Store.commit srv.s_store file ~at:(Engine.now srv.s_engine) in
-          Hashtbl.replace srv.s_applied (envelope.src, req) version;
+          Leases.Answers.replace srv.s_applied (envelope.src, req) version;
           s_count srv "commits";
           if Trace.Sink.enabled srv.s_tracer then
             Trace.Sink.emit srv.s_tracer (now_sec srv.s_engine)
@@ -70,7 +70,7 @@ let create_server (w : payload Leases.Cluster.fabric) store ~ttl =
       s_engine = w.engine;
       s_ttl = ttl;
       s_counters = Stats.Counter.Registry.create ();
-      s_applied = Hashtbl.create 256;
+      s_applied = Leases.Answers.create 256;
       s_tracer = w.tracer;
       s_up = true;
     }
@@ -79,7 +79,7 @@ let create_server (w : payload Leases.Cluster.fabric) store ~ttl =
   Host.Liveness.register w.liveness Leases.Cluster.server_host
     ~on_crash:(fun () ->
       server.s_up <- false;
-      Hashtbl.reset server.s_applied)
+      Leases.Answers.reset server.s_applied)
     ~on_recover:(fun () -> server.s_up <- true)
     ();
   server

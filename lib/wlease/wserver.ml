@@ -27,7 +27,7 @@ type t = {
   recalls : (t, acquisition, Wmessages.mode * Wmessages.epoch) Leases.Approval.t;
       (** recall rounds, the acquisitions queued behind them, and the
           grants made *)
-  applied_flushes : (Host_id.t * int, (Vstore.Version.t * Time.Span.t) option) Hashtbl.t;
+  applied_flushes : (Vstore.Version.t * Time.Span.t) option Leases.Answers.t;
   wal : Vstore.Wal.t;  (** persistent max-term record, survives crashes *)
   mutable recovery_end : Time.t;  (** server-local; no service before this *)
   mutable epoch_floor : Wmessages.epoch;
@@ -147,7 +147,7 @@ let remove_holder t file host ~approved:_ =
   s.holders <- Host_id.Map.remove host s.holders
 
 let handle_flush t ~src ~req file epoch local_writes =
-  match Hashtbl.find_opt t.applied_flushes (src, req) with
+  match Leases.Answers.find_opt t.applied_flushes (src, req) with
   | Some accepted -> send t ~dst:src (Wmessages.Flush_reply { req; file; accepted })
   | None ->
     let s = state t file in
@@ -193,7 +193,7 @@ let handle_flush t ~src ~req file epoch local_writes =
       end
     in
     if accepted <> None then count t "flushes-accepted";
-    Hashtbl.replace t.applied_flushes (src, req) accepted;
+    Leases.Answers.replace t.applied_flushes (src, req) accepted;
     send t ~dst:src (Wmessages.Flush_reply { req; file; accepted })
 
 let recovering t = Time.(local_now t < t.recovery_end)
@@ -219,7 +219,7 @@ let on_crash t =
   t.up <- false;
   Hashtbl.iter (fun _ s -> s.holders <- Host_id.Map.empty) t.files;
   Leases.Approval.reset t.recalls;
-  Hashtbl.reset t.applied_flushes
+  Leases.Answers.reset t.applied_flushes
 
 let on_recover t =
   t.up <- true;
@@ -243,7 +243,7 @@ let create ~engine ~clock ~net ~liveness ~host ~store ~term () =
         Leases.Approval.create ~engine ~clock ~retry:retry_interval ~id_origin:0
           ~start:start_acquire ~ask:send_recalls ~release:remove_holder ~commit:grant
           ~repeat:regrant ();
-      applied_flushes = Hashtbl.create 256;
+      applied_flushes = Leases.Answers.create 256;
       wal = Vstore.Wal.create Vstore.Wal.Max_term_only;
       recovery_end = Time.zero;
       epoch_floor = 0;
