@@ -59,8 +59,9 @@ type t = {
       (** whether anything reads [by_server]: piggybacked renewals on a
           miss, or anticipatory renewal *)
   rpcs : (rpc_kind, Messages.payload) Rpc_table.t;
-  busy : unit File_id.Tbl.t;  (** files with a primary RPC in flight *)
-  op_queue : queued_op Queue.t File_id.Tbl.t;
+  gate : (unit, queued_op) File_gate.t;
+      (** files with a read or write RPC in flight, and the operations
+          queued behind it *)
   renewals_in_flight : unit Host_id.Tbl.t;
       (** servers with an anticipatory extension outstanding *)
   mutable evict_next : Lease.expiry;
@@ -108,7 +109,7 @@ let holds_valid_lease t file =
 let cache_size t = File_id.Tbl.length t.cache
 let eviction_bound t = t.evict_next
 let inflight_rpcs t = Rpc_table.length t.rpcs
-let queued_ops t = File_id.Tbl.fold (fun _ q acc -> acc + Queue.length q) t.op_queue 0
+let queued_ops t = File_gate.waiters t.gate
 
 (* ------------------------------------------------------------------ *)
 (* Cache maintenance                                                   *)
@@ -216,7 +217,7 @@ let maybe_evict t =
       let victims =
         File_id.Tbl.fold
           (fun file entry acc ->
-            if (not (File_id.Tbl.mem t.busy file)) && Lease.expired entry.expiry ~now:cutoff then
+            if (not (File_gate.held t.gate file)) && Lease.expired entry.expiry ~now:cutoff then
               (file, entry) :: acc
             else begin
               min_next := Lease.expiry_min entry.expiry !min_next;
@@ -386,22 +387,9 @@ let apply_grants t files versions (leases : Lease.grant option array) =
    itself trusting stale data.  A real cache serialises file operations
    for the same reason. *)
 
-let is_busy t file = File_id.Tbl.mem t.busy file
-
-let enqueue_op t file op =
-  let q =
-    match File_id.Tbl.find_opt t.op_queue file with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      File_id.Tbl.replace t.op_queue file q;
-      q
-  in
-  Queue.push op q
-
 let rec read t file ~k =
   if not t.up then ()
-  else if is_busy t file then enqueue_op t file (Q_read k)
+  else if File_gate.held t.gate file then File_gate.wait t.gate file (Q_read k)
   else begin
     match File_id.Tbl.find t.cache file with
     | entry when not (Lease.expired entry.expiry ~now:(local_now t)) ->
@@ -424,7 +412,7 @@ let rec read t file ~k =
       if tracing t then
         emit t
           (Trace.Event.Cache_miss { host = Host_id.to_int (host t); file = File_id.to_int file });
-      File_id.Tbl.replace t.busy file ();
+      File_gate.hold t.gate file ();
       let dst = t.route file in
       let req = Rpc_table.fresh_req t.rpcs in
       let message =
@@ -442,39 +430,24 @@ let rec read t file ~k =
 
 and write t file ~k =
   if not t.up then ()
-  else if is_busy t file then enqueue_op t file (Q_write k)
+  else if File_gate.held t.gate file then File_gate.wait t.gate file (Q_write k)
   else begin
     (* The write request carries our implicit approval, and "when a
        leaseholder grants approval for a write, it invalidates its local
        copy" — that includes the writer itself: until the reply arrives the
        cached copy must not serve reads. *)
     invalidate t file;
-    File_id.Tbl.replace t.busy file ();
+    File_gate.hold t.gate file ();
     let req = Rpc_table.fresh_req t.rpcs in
     Rpc_table.start t.rpcs ~req ~dst:(t.route file) (Rpc_write { file; k })
       (Messages.Write_request { req; file })
   end
 
-(* The in-flight operation on [file] finished: unblock the queue.  Queued
-   reads may complete synchronously as cache hits, so keep draining until
-   an operation goes back on the wire (marking the file busy) or the queue
-   empties. *)
-and release t file =
-  File_id.Tbl.remove t.busy file;
-  drain_queue t file
+and run t file = function Q_read k -> read t file ~k | Q_write k -> write t file ~k
 
-and drain_queue t file =
-  (* queues exist only while same-file operations overlap — almost never —
-     so the common release pays one length load, not a hash probe *)
-  if File_id.Tbl.length t.op_queue > 0 && not (is_busy t file) then begin
-    match File_id.Tbl.find_opt t.op_queue file with
-    | Some q when not (Queue.is_empty q) ->
-      (match Queue.pop q with
-      | Q_read k -> read t file ~k
-      | Q_write k -> write t file ~k);
-      drain_queue t file
-    | Some _ | None -> ()
-  end
+(* The in-flight operation on [file] finished: run the operations queued
+   behind it until one goes back on the wire. *)
+let release t file = File_gate.free t.gate file run t
 
 (* ------------------------------------------------------------------ *)
 (* Message handling                                                    *)
@@ -567,7 +540,7 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
           | Some _ ->
             (* our copy missed a delayed update while the file was out of
                the refresh: drop it rather than revalidate stale data *)
-            if not (is_busy t file) then invalidate t file
+            if not (File_gate.held t.gate file) then invalidate t file
           | None -> ())
         covered
     | Messages.Read_request _ | Messages.Extend_request _ | Messages.Write_request _
@@ -585,8 +558,7 @@ let on_crash t =
   File_id.Tbl.reset t.cache;
   Host_id.Tbl.reset t.by_server;
   Rpc_table.cancel_all t.rpcs;
-  File_id.Tbl.reset t.busy;
-  File_id.Tbl.reset t.op_queue;
+  File_gate.reset t.gate;
   Host_id.Tbl.reset t.renewals_in_flight;
   t.evict_next <- Lease.never
 
@@ -620,8 +592,7 @@ let create ?engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
       rpcs =
         Rpc_table.create ~net ~host ?req_origin ~retry:config.retry_interval
           ~retry_max:config.retry_max_interval ?jitter:rng ~retransmissions:c_retransmissions ();
-      busy = File_id.Tbl.create 8;
-      op_queue = File_id.Tbl.create 8;
+      gate = File_gate.create ();
       renewals_in_flight = Host_id.Tbl.create 4;
       evict_next = Lease.never;
       up = true;

@@ -106,7 +106,7 @@ let is_installed t file = File_id.Set.mem file t.installed_set
 let live_leases t file = Lease_table.live_holders t.leases file ~now:(local_now t)
 
 (* Asked once per granted file; writes are rare next to grants, so the
-   common answer comes from two length loads without a probe. *)
+   common answer comes from one count without a probe. *)
 let has_pending_write t file = Approval.busy t.writes file
 
 let recovering t = Time.(local_now t < t.recovery_end)

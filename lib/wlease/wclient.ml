@@ -2,6 +2,7 @@ open Simtime
 module Host_id = Host.Host_id
 module File_id = Vstore.File_id
 module Lease = Leases.Lease
+module File_gate = Leases.File_gate
 
 (* Every unanswered RPC is re-sent after this long. *)
 let retry_interval = Time.Span.of_sec 1.
@@ -39,6 +40,7 @@ type rpc_kind =
       (** [sent_local]: client clock when the flush was first sent, the
           latest instant the server's renewal can have started from *)
 
+(* Operations waiting for an in-flight RPC on the same file. *)
 type queued_op =
   | Q_read of (read_result -> unit)
   | Q_write of (write_result -> unit)
@@ -53,8 +55,9 @@ type t = {
   counters : Stats.Counter.Registry.t;
   cache : (File_id.t, entry) Hashtbl.t;
   rpcs : (rpc_kind, Wmessages.payload) Netsim.Rpc_table.t;
-  busy : (File_id.t, unit) Hashtbl.t;
-  op_queue : (File_id.t, queued_op Queue.t) Hashtbl.t;
+  gate : (unit, queued_op) File_gate.t;
+      (** files with an acquisition in flight, and the operations queued
+          behind it *)
   mutable up : bool;
 }
 
@@ -132,22 +135,9 @@ and arm_flush_timer t file entry =
 (* ------------------------------------------------------------------ *)
 (* Operations (serialised per file, as in the core client)             *)
 
-let is_busy t file = Hashtbl.mem t.busy file
-
-let enqueue_op t file op =
-  let q =
-    match Hashtbl.find_opt t.op_queue file with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.replace t.op_queue file q;
-      q
-  in
-  Queue.push op q
-
 let rec read t file ~k =
   if not t.up then ()
-  else if is_busy t file then enqueue_op t file (Q_read k)
+  else if File_gate.held t.gate file then File_gate.wait t.gate file (Q_read k)
   else begin
     match Hashtbl.find_opt t.cache file with
     | Some entry when lease_valid t entry ->
@@ -164,7 +154,7 @@ let rec read t file ~k =
       (* an expired entry, dirty or not, is dead weight: a rejected flush
          would lose the writes anyway, so count and drop them now *)
       drop_entry t file;
-      Hashtbl.replace t.busy file ();
+      File_gate.hold t.gate file ();
       let req = Netsim.Rpc_table.fresh_req t.rpcs in
       Netsim.Rpc_table.start t.rpcs ~req ~dst:t.server
         (R_acquire_read { file; k })
@@ -173,7 +163,7 @@ let rec read t file ~k =
 
 and write t file ~k =
   if not t.up then ()
-  else if is_busy t file then enqueue_op t file (Q_write k)
+  else if File_gate.held t.gate file then File_gate.wait t.gate file (Q_write k)
   else begin
     match Hashtbl.find_opt t.cache file with
     | Some entry when lease_valid t entry && entry.mode = Wmessages.Write_lease ->
@@ -186,27 +176,16 @@ and write t file ~k =
         (* upgrade read -> write: keep the clean copy, ask for exclusivity *)
         ignore entry
       | Some _ | None -> drop_entry t file);
-      Hashtbl.replace t.busy file ();
+      File_gate.hold t.gate file ();
       let req = Netsim.Rpc_table.fresh_req t.rpcs in
       Netsim.Rpc_table.start t.rpcs ~req ~dst:t.server
         (R_acquire_write { file; k })
         (Wmessages.Acquire_request { req; file; mode = Wmessages.Write_lease })
   end
 
-and release t file =
-  Hashtbl.remove t.busy file;
-  drain_queue t file
+and run t file = function Q_read k -> read t file ~k | Q_write k -> write t file ~k
 
-and drain_queue t file =
-  if not (is_busy t file) then begin
-    match Hashtbl.find_opt t.op_queue file with
-    | Some q when not (Queue.is_empty q) ->
-      (match Queue.pop q with
-      | Q_read k -> read t file ~k
-      | Q_write k -> write t file ~k);
-      drain_queue t file
-    | Some _ | None -> ()
-  end
+let release t file = File_gate.free t.gate file run t
 
 (* ------------------------------------------------------------------ *)
 (* Message handling                                                    *)
@@ -323,8 +302,7 @@ let on_crash t =
     t.cache;
   Hashtbl.reset t.cache;
   Netsim.Rpc_table.cancel_all t.rpcs;
-  Hashtbl.reset t.busy;
-  Hashtbl.reset t.op_queue
+  File_gate.reset t.gate
 
 let create ~engine ~clock ~net ~liveness ~host ~server ~skew_allowance () =
   let counters = Stats.Counter.Registry.create () in
@@ -342,8 +320,7 @@ let create ~engine ~clock ~net ~liveness ~host ~server ~skew_allowance () =
         Netsim.Rpc_table.create ~net ~host ~retry:retry_interval ~retry_max:retry_interval
           ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions")
           ();
-      busy = Hashtbl.create 16;
-      op_queue = Hashtbl.create 16;
+      gate = File_gate.create ();
       up = true;
     }
   in
