@@ -48,8 +48,6 @@ module Faults = struct
     | Server_step { shard; at; step } ->
       Printf.sprintf "server-step=%d,%s,%s" shard (t at) (d step)
 
-  let pp_fault ppf fault = Format.pp_print_string ppf (fault_to_spec fault)
-
   let fault_of_spec spec =
     let fail () =
       Error

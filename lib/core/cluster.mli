@@ -40,8 +40,6 @@ module Faults : sig
       microsecond precision).  Client and shard indices must be
       non-negative integers, times, durations and steps' instants
       non-negative and finite, and drift rates and step sizes finite. *)
-
-  val pp_fault : Format.formatter -> fault -> unit
 end
 (** The fault vocabulary every harness shares; [Sim] re-exports it. *)
 

@@ -107,7 +107,6 @@ type t = {
   mutable chunks : chunk array;  (** [empty_chunk] where no file was granted *)
   mutable files : int;  (** slots with at least one resident record *)
   mutable records : int;  (** resident records across all slots *)
-  mutable reaped_total : int;  (** lifetime reaped records, never reset *)
   mutable on_reap : File_id.t -> Host_id.t -> Lease.expiry -> unit;
       (** called once per reaped record, inside the reap pass: must not
           re-enter the table.  Installed by the server to emit
@@ -115,7 +114,7 @@ type t = {
 }
 
 let create () =
-  { chunks = [||]; files = 0; records = 0; reaped_total = 0; on_reap = (fun _ _ _ -> ()) }
+  { chunks = [||]; files = 0; records = 0; on_reap = (fun _ _ _ -> ()) }
 
 let set_on_reap t f = t.on_reap <- f
 
@@ -317,7 +316,6 @@ let rec reap_shared t file s ~now =
     let h = holder_of s i and at = expiry_of s i in
     delete s i;
     t.records <- t.records - 1;
-    t.reaped_total <- t.reaped_total + 1;
     t.on_reap file (Host_id.of_int h) at;
     reap_shared t file s ~now
   end
@@ -330,7 +328,6 @@ let reap_slot t file slot ~now =
     | None ->
       if slot.holder >= 0 && Lease.expired slot.h_expiry ~now then begin
         t.records <- t.records - 1;
-        t.reaped_total <- t.reaped_total + 1;
         t.files <- t.files - 1;
         clear_resident t file;
         let holder = Host_id.of_int slot.holder and expiry = slot.h_expiry in
@@ -512,8 +509,6 @@ type occupancy = { files : int; records : int; live_records : int }
 let occupancy (t : t) ~now =
   ignore (sweep t ~now);
   { files = t.files; records = t.records; live_records = t.records }
-
-let reaped_total (t : t) = t.reaped_total
 
 let clear (t : t) =
   t.chunks <- [||];

@@ -121,8 +121,5 @@ val occupancy : t -> now:Simtime.Time.t -> occupancy
     [live_records] — both fields are kept so existing consumers see the
     same shape).  Costs what {!sweep} costs, not O(lifetime records). *)
 
-val reaped_total : t -> int
-(** Lifetime count of reaped records; never reset. *)
-
 val clear : t -> unit
 (** Crash reset: empty the table in place. *)

@@ -58,7 +58,6 @@ val live_leases : t -> Vstore.File_id.t -> Host.Host_id.t list
     design.  Reaps the file's expired records as a side effect — this is a
     test/metrics accessor, not a hot-path helper. *)
 
-val has_pending_write : t -> Vstore.File_id.t -> bool
 val recovering : t -> bool
 
 type snapshot = {
