@@ -38,6 +38,11 @@ module Builder : sig
   val length : t -> int
   (** Ops appended so far. *)
 
+  val chunk_size : int
+  (** The builder keeps its ops in chunks of this many (8 192), the first
+      growing by doubling up to it; exposed so tests can reach across
+      chunk boundaries. *)
+
   val rotate : t -> from:int -> mid:int -> unit
   (** [rotate b ~from ~mid] moves the ops appended since position [mid]
       in front of those at positions [from] to [mid - 1], keeping the
