@@ -219,6 +219,11 @@ let answer t file ~id holder =
     finish t r
   | _ | (exception Not_found) -> ()
 
+let asking t file holder =
+  match File_gate.holder t.gate file with
+  | r -> Host_id.Set.mem holder r.waiting
+  | exception Not_found -> false
+
 let reset t =
   File_gate.iter
     (fun r ->

@@ -105,6 +105,9 @@ val busy : ('s, 'a, 'v) t -> Vstore.File_id.t -> bool
 (** A round is open on the file (requests queue only behind one).  Two
     loads when no round is open anywhere. *)
 
+val asking : ('s, 'a, 'v) t -> Vstore.File_id.t -> Host.Host_id.t -> bool
+(** The file's open round is still waiting on [holder]'s answer. *)
+
 val reset : ('s, 'a, 'v) t -> unit
 (** Forget every round, queued request and answer, cancelling the rounds'
     timers, as a crash does.  Round ids keep counting up. *)

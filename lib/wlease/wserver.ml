@@ -106,11 +106,19 @@ let grant t file ~src ~req { mode; arrived } ~id:_ ~started:_ =
    mode, same epoch, unexpired), and with only the term the server still
    counts, so the client's expiry stays inside the server's.  A second
    grant would start an epoch the client never learns of: it finished the
-   RPC on the first reply, so every flush it sent would be rejected. *)
+   RPC on the first reply, so every flush it sent would be rejected.
+   While a recall round still waits on that holder, the repeat is not
+   answered but waits behind the round like a fresh acquisition: a client
+   that lost the first reply holds no entry, so it answers the recall at
+   once, and would install a regrant sent meanwhile after the server had
+   released it, then serve stale reads from it. *)
 let regrant t file ~src ~req (mode, epoch) =
   let now = local_now t in
   match Host_id.Map.find_opt src (state t file).holders with
-  | Some h when h.h_mode = mode && h.h_epoch = epoch && Time.(now < h.h_expiry) ->
+  | Some h
+    when h.h_mode = mode && h.h_epoch = epoch
+         && Time.(now < h.h_expiry)
+         && not (Leases.Approval.asking t.recalls file src) ->
     send t ~dst:src
       (Wmessages.Acquire_reply
          {

@@ -17,6 +17,7 @@ let with_policy term_policy (s : Leases.Sim.setup) =
 type rig = {
   engine : Engine.t;
   liveness : Host.Liveness.t;
+  partition : Netsim.Partition.t;
   server : Wlease.Wserver.t;
   clients : Wlease.Wclient.t array;
   store : Vstore.Store.t;
@@ -25,8 +26,9 @@ type rig = {
 let make_rig ?(n = 2) ?(term = span 10.) () =
   let engine = Engine.create () in
   let liveness = Host.Liveness.create () in
+  let partition = Netsim.Partition.create () in
   let net =
-    Netsim.Net.create engine ~liveness ~prop_delay:(Time.Span.of_ms 0.5)
+    Netsim.Net.create engine ~liveness ~partition ~prop_delay:(Time.Span.of_ms 0.5)
       ~proc_delay:(Time.Span.of_ms 1.) ()
   in
   let server_host = Host.Host_id.of_int 0 in
@@ -41,7 +43,7 @@ let make_rig ?(n = 2) ?(term = span 10.) () =
           ~host:(Host.Host_id.of_int (i + 1)) ~server:server_host
           ~skew_allowance:Leases.Config.default.skew_allowance ())
   in
-  { engine; liveness; server; clients; store }
+  { engine; liveness; partition; server; clients; store }
 
 let at rig t f = ignore (Engine.schedule_at rig.engine (sec t) f)
 
@@ -202,6 +204,40 @@ let test_retransmission_crossing_grant () =
         (Vstore.Version.to_int (Vstore.Store.current rig.store (file 0))))
     (List.init 11 Fun.id @ [ 11; 12; 20; 100; 1999 ])
 
+(* A retransmitted acquisition that reaches the server while a recall
+   round still waits on its sender.  Client 0's read at 1 s is granted,
+   but a partition from 1.004 s to 1.5 s drops the reply, and client 0's
+   retransmission reaches the server at 2.0025 s.  Client 1's write at
+   2 s - i x 0.5 ms reaches it no later and recalls client 0, which
+   holds no entry and answers at once.  For i in 0-10 the retransmission
+   lands before that answer: answering it with the recorded grant let
+   client 0 install a read lease the server had released, and its read at
+   8 s, after client 1's flush committed at ~7 s, came from that stale
+   copy. *)
+let test_retransmission_crossing_recall () =
+  List.iter
+    (fun i ->
+      let rig = make_rig () in
+      let late = ref None in
+      at rig 1. (fun () -> Wlease.Wclient.read rig.clients.(0) (file 0) ~k:ignore);
+      at rig 1.004 (fun () -> Netsim.Partition.isolate rig.partition [ Host.Host_id.of_int 1 ]);
+      at rig 1.5 (fun () -> Netsim.Partition.heal rig.partition);
+      at rig
+        (2. -. (float_of_int i *. 0.0005))
+        (fun () -> Wlease.Wclient.write rig.clients.(1) (file 0) ~k:ignore);
+      at rig 8. (fun () ->
+          Wlease.Wclient.read rig.clients.(0) (file 0) ~k:(fun r ->
+              late := Some (r, Vstore.Store.current rig.store (file 0))));
+      Engine.run ~until:(sec 9.) rig.engine;
+      let name what = Printf.sprintf "write at 2 s - %d x 0.5 ms: %s" i what in
+      match !late with
+      | Some (r, current) ->
+        Alcotest.(check int) (name "client 1's write committed") 1 (Vstore.Version.to_int current);
+        Alcotest.(check int) (name "client 0 reads it") 1
+          (Vstore.Version.to_int r.Wlease.Wclient.r_version)
+      | None -> Alcotest.fail (name "client 0's read never completed"))
+    (List.init 12 Fun.id)
+
 let test_end_to_end_consistent () =
   let clients = 3 in
   let trace =
@@ -331,6 +367,25 @@ let test_unrenewed_flush_term =
 (* The fault-free counterexample the property first reported. *)
 let test_lossy_fault_free_case = property_case ~seed:238021 ~loss:0.218 ~term:2. ~faults:[]
 
+(* The sweep that found the crossing above: 40 clients on the shared-heavy
+   V trace (seed 29, 2 000 s), no faults, at 1, 2, 5 and 10 % loss.  While
+   such a retransmission was answered with its grant, the runs booked 2,
+   1, 4 and 10 stale clean reads. *)
+let test_lossy_sweep () =
+  let clients = 40 in
+  let trace =
+    (Experiments.V_trace.shared_heavy ~seed:29L ~clients ~duration:(span 2_000.) ())
+      .Experiments.V_trace.trace
+  in
+  List.iter
+    (fun loss ->
+      let m = (Wlease.Wsim.run { (setup clients) with Leases.Sim.loss } ~trace).Wlease.Wsim.metrics in
+      let name what = Printf.sprintf "%g %% loss: %s" (100. *. loss) what in
+      Alcotest.(check bool) (name "clean reads were checked") true
+        (m.Leases.Metrics.oracle_reads > 60_000);
+      Alcotest.(check int) (name "no stale clean read") 0 m.Leases.Metrics.oracle_violations)
+    [ 0.01; 0.02; 0.05; 0.10 ]
+
 (* --- trace pin ------------------------------------------------------------- *)
 
 (* The write-back run that [test_baselines]' pins use for the Section-6
@@ -438,6 +493,8 @@ let () =
             test_grant_waits_out_unreachable_writer;
           Alcotest.test_case "retransmission crossing its grant" `Quick
             test_retransmission_crossing_grant;
+          Alcotest.test_case "retransmission crossing a recall" `Quick
+            test_retransmission_crossing_recall;
         ] );
       ( "end-to-end",
         [
@@ -453,6 +510,7 @@ let () =
             test_flush_reply_for_replaced_entry;
           Alcotest.test_case "unrenewed flush term" `Quick test_unrenewed_flush_term;
           Alcotest.test_case "lossy fault-free case" `Quick test_lossy_fault_free_case;
+          Alcotest.test_case "lossy 40-client sweep" `Quick test_lossy_sweep;
         ] );
       ("pins", [ Alcotest.test_case "wsim trace" `Quick test_pin_wsim ]);
       ( "setup",
