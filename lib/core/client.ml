@@ -24,8 +24,9 @@ type rpc_kind =
 
 (* The cached files one server owns: [files.(0 .. len-1)], ascending.  The
    array grows by doubling and never shrinks; a membership change shifts
-   the tail by one and allocates nothing. *)
-type group = { mutable files : File_id.t array; mutable len : int }
+   the tail by one and allocates nothing.  [renewing] marks an
+   anticipatory extension to that server outstanding. *)
+type group = { mutable files : File_id.t array; mutable len : int; mutable renewing : bool }
 
 (* Operations waiting for an in-flight RPC on the same file. *)
 type queued_op =
@@ -62,8 +63,6 @@ type t = {
   gate : (unit, queued_op) File_gate.t;
       (** files with a read or write RPC in flight, and the operations
           queued behind it *)
-  renewals_in_flight : unit Host_id.Tbl.t;
-      (** servers with an anticipatory extension outstanding *)
   mutable evict_next : Lease.expiry;
       (** lower bound on the earliest local expiry among cached entries
           ([Lease.never] = nothing can expire); drives amortized eviction
@@ -159,7 +158,8 @@ let index_file t file =
         group.files.(at) <- file;
         group.len <- group.len + 1
       end
-    | exception Not_found -> Host_id.Tbl.add t.by_server dst { files = Array.make 8 file; len = 1 }
+    | exception Not_found ->
+      Host_id.Tbl.add t.by_server dst { files = Array.make 8 file; len = 1; renewing = false }
   end
 
 let unindex_file t file =
@@ -292,9 +292,9 @@ let rec send_renewal t =
     in
     List.iter
       (fun (_, dst, group) ->
-        if not (Host_id.Tbl.mem t.renewals_in_flight dst) then begin
+        if not group.renewing then begin
           Stats.Counter.incr t.c_renewals_sent;
-          Host_id.Tbl.replace t.renewals_in_flight dst ();
+          group.renewing <- true;
           (* a copy: the group keeps changing, a sent array never does *)
           let files = Array.sub group.files 0 group.len in
           let req = Rpc_table.fresh_req t.rpcs in
@@ -480,7 +480,9 @@ let complete_read t (rpc : (_, _) Rpc_table.call) ~file:answered ~version =
         (Messages.Read_request { req; file })
     end
   | Rpc_renewal ->
-    Host_id.Tbl.remove t.renewals_in_flight rpc.dst;
+    (match Host_id.Tbl.find t.by_server rpc.dst with
+    | group -> group.renewing <- false
+    | exception Not_found -> ());
     Rpc_table.finish t.rpcs rpc.req
   | Rpc_write _ -> ()
 
@@ -559,7 +561,6 @@ let on_crash t =
   Host_id.Tbl.reset t.by_server;
   Rpc_table.cancel_all t.rpcs;
   File_gate.reset t.gate;
-  Host_id.Tbl.reset t.renewals_in_flight;
   t.evict_next <- Lease.never
 
 let on_recover t = t.up <- true
@@ -593,7 +594,6 @@ let create ?engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
         Rpc_table.create ~net ~host ?req_origin ~retry:config.retry_interval
           ~retry_max:config.retry_max_interval ?jitter:rng ~retransmissions:c_retransmissions ();
       gate = File_gate.create ();
-      renewals_in_flight = Host_id.Tbl.create 4;
       evict_next = Lease.never;
       up = true;
     }

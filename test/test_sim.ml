@@ -371,8 +371,9 @@ let world_live_words n =
    2 000, must stay at most [pin] (+ 0.5): its record, clock (with no
    timer table until it arms a timer), jitter RNG, seven counters,
    retransmission table, file gate (with no waiter table until an
-   operation waits), empty hash tables and the handlers it registers with
-   the net and the liveness table. *)
+   operation waits), empty cache and per-server tables and the handlers it
+   registers with the net and the liveness table: 116.05 words, 123.05
+   while it kept a table of the servers it had a renewal outstanding to. *)
 let check_words_per_client ~pin () =
   let per_client = float_of_int (world_live_words 2_000 - world_live_words 1_000) /. 1_000. in
   if per_client > pin +. 0.5 then
@@ -448,7 +449,7 @@ let () =
             (check_words_per_op One_line_miss ~pin:71.);
           Alcotest.test_case "waited write words" `Quick
             (check_words_per_op Waited_write ~pin:297.);
-          Alcotest.test_case "live words a client" `Quick (check_words_per_client ~pin:123.);
+          Alcotest.test_case "live words a client" `Quick (check_words_per_client ~pin:116.);
           Alcotest.test_case "far file words" `Quick (check_far_file_words ~pin:500_000);
         ] );
     ]
