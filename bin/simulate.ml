@@ -160,10 +160,13 @@ let run_leases ~term ~shards ~domains ~clients ~seed ~loss ~m_prop ~m_proc ~faul
   (* a split part cannot poll the analyzer: it is fed the merged stream
      after the parts join *)
   let latency = if split then None else analyzer in
+  (* only the --telemetry-out report reads a window's counters, skews and
+     per-entity breakdown *)
+  let detail = Option.is_some telemetry_out in
   let samplers =
     Option.map
       (fun interval_s ->
-        Array.init worlds (fun _ -> Telemetry.Sampler.create ~interval_s ?latency ()))
+        Array.init worlds (fun _ -> Telemetry.Sampler.create ~interval_s ?latency ~detail ()))
       telemetry_s
   in
   let profilers =

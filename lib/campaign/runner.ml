@@ -44,7 +44,10 @@ let run schedule =
       ~owner:(fun f -> Shard.Shard_map.owner map (Vstore.File_id.of_int f))
       ()
   in
-  let analyzer = Trace.Critical_path.create ~worst:1 () in
+  (* The outcome reads the analyzer's worst write and the sampler's
+     residual summary: the analyzer follows only writes, and the sampler
+     records no window detail. *)
+  let analyzer = Trace.Critical_path.create ~worst:1 ~writes_only:true () in
   let sampler =
     Telemetry.Sampler.create ~interval_s:(telemetry_interval_s schedule.Schedule.duration_s) ()
   in

@@ -38,8 +38,10 @@ val run : Schedule.t -> outcome
     {!Schedule.deploy_setup} (one server or several) with the register
     oracle and a telemetry sampler evaluating the Section 3.1 residuals
     per window.  The run's tracer feeds a {!Trace.Checker} and a
-    {!Trace.Critical_path} analyzer live, event by event; nothing is
-    buffered, so memory does not grow with the trace.  The checker takes
+    writes-only {!Trace.Critical_path} analyzer live, event by event;
+    nothing is buffered, so memory does not grow with the trace.  The
+    sampler records no window detail (no counters, skews or per-entity
+    breakdown), which the residual summary does not read.  The checker takes
     its file owners from {!Shard.Deploy.shard_map}, the map the run itself
     uses. *)
 

@@ -116,8 +116,17 @@ let json_of_eval (e : Residual.eval) =
         Json.Obj (List.map (fun (name, s) -> (name, Json.Num s)) w.Sampler.write_phase_sums) );
     ]
 
+(* Both exports print each window's detail, so a sampler that recorded
+   none is refused rather than written with empty skews and counters. *)
+let evaluate_detailed ~caller params sampler =
+  if not (Sampler.detailed sampler) then
+    invalid_arg
+      (Printf.sprintf
+         "Telemetry.Report.%s: the sampler records no detail (create it with ~detail:true)" caller);
+  Residual.evaluate params sampler
+
 let to_json ~params sampler =
-  let evals = Residual.evaluate params sampler in
+  let evals = evaluate_detailed ~caller:"to_json" params sampler in
   let summary = Residual.summarize params evals in
   (* Cumulative by-entity totals are reconstructible by summing the
      per-window deltas; only the counter registry is repeated in full. *)
@@ -168,7 +177,7 @@ let csv_row (e : Residual.eval) =
   ]
 
 let to_csv_string ~params sampler =
-  let evals = Residual.evaluate params sampler in
+  let evals = evaluate_detailed ~caller:"to_csv_string" params sampler in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (String.concat "," csv_columns);
   Buffer.add_char buf '\n';

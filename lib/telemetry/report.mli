@@ -8,7 +8,11 @@
     two identical seeded runs produce byte-identical reports.
 
     The CSV export flattens the per-window scalars (no counter dumps or
-    per-entity maps) for spreadsheet use, one row per window. *)
+    per-entity maps) for spreadsheet use, one row per window.
+
+    Both exports read each window's detail, so {!to_json},
+    {!to_json_string} and {!to_csv_string} raise [Invalid_argument] on a
+    sampler created without [~detail:true]. *)
 
 val schema : string
 

@@ -97,12 +97,17 @@ type namespace = {
   mutable prev : int array;
 }
 
-(* What the one-server rule resolves once, so a sample reads ints. *)
-type one_server = {
+(* What the one-server rule resolves once for a detailed sampler, so a
+   sample reads ints. *)
+type resolved = {
   namespace : namespace;
   skew_labels : string array;  (* "server", "client/0", ... *)
   axis_labels : string array;
   axes : Breakdown.axis array;  (* aligned with [axis_labels] *)
+}
+
+type one_server = {
+  resolved : resolved option;  (* [None] without [~detail] *)
   side : reads;  (* refilled at each sample *)
 }
 
@@ -120,6 +125,7 @@ type attached = {
 type t = {
   interval_s : float;
   latency : Trace.Critical_path.t option;
+  detailed : bool;
   mutable attached : attached option;
   mutable closed : int;
   mutable last_t : float;
@@ -130,14 +136,24 @@ type t = {
    interval would close one window per tick whatever its width. *)
 let tick_s = Time.to_sec (Time.of_us 1)
 
-let create ?(interval_s = 10.) ?latency () =
+let create ?(interval_s = 10.) ?latency ?(detail = false) () =
   if not (Float.is_finite interval_s) then
     invalid_arg "Telemetry.Sampler.create: interval must be finite";
   if interval_s < tick_s then
     invalid_arg
       (Printf.sprintf "Telemetry.Sampler.create: interval %g s is below the engine's 1 us tick"
          interval_s);
-  { interval_s; latency; attached = None; closed = 0; last_t = 0.; finalized = false }
+  {
+    interval_s;
+    latency;
+    detailed = detail;
+    attached = None;
+    closed = 0;
+    last_t = 0.;
+    finalized = false;
+  }
+
+let detailed t = t.detailed
 
 (* Sort every list's counters into one namespace by prefixed name, each
    starting from zero, so its first delta is its whole value.  Lease
@@ -160,7 +176,7 @@ let resolve lists =
 (* The window detail at this boundary: the merged counters read into a
    fresh array, the previous boundary's array kept beside it, every
    clock's skew, and each axis's moved keys. *)
-let detail o (w : Leases.Sim.world) =
+let detail (o : resolved) (w : Leases.Sim.world) =
   let ns = o.namespace in
   let values = Array.map Stats.Counter.value ns.cells in
   let before = ns.prev in
@@ -273,7 +289,7 @@ let take_sample t a ~t_end =
     r.read_count <- Stats.Histogram.count tally.Leases.Cluster.read_latency;
     r.write_sum <- Stats.Histogram.sum tally.Leases.Cluster.write_latency;
     r.write_count <- Stats.Histogram.count tally.Leases.Cluster.write_latency;
-    let detail = detail o w in
+    let detail = match o.resolved with Some d -> detail d w | None -> no_detail in
     close_window t a 0 ~t_end r ~client_inflight:(clients Client.inflight_rpcs)
       ~client_queued_ops:(clients Client.queued_ops)
       ~in_flight_msgs:(in_flight_msgs w.fabric.Leases.Cluster.net)
@@ -287,7 +303,9 @@ let take_sample t a ~t_end =
   t.closed <- t.closed + 1;
   t.last_t <- t_end
 
-let one_server (w : Leases.Sim.world) =
+(* A detailed sampler installs the server's breakdown and resolves the
+   counter namespace and the labels once. *)
+let resolve_detail (w : Leases.Sim.world) =
   let breakdown = Breakdown.create () in
   Server.set_breakdown w.servers.(0) (Some breakdown);
   let lists =
@@ -303,7 +321,6 @@ let one_server (w : Leases.Sim.world) =
         (Array.init (Array.length w.clients) (Printf.sprintf "client/%d"));
     axis_labels = Array.map fst axes;
     axes = Array.map snd axes;
-    side = no_reads ();
   }
 
 (* Credit each completion to the server owning its file. *)
@@ -326,7 +343,15 @@ let attach t (w : Leases.Sim.world) tally =
   if Option.is_some t.attached then
     invalid_arg "Telemetry.Sampler.attach: sampler already attached";
   let n = Array.length w.servers in
-  let rule = if n = 1 then One_server (one_server w) else Per_server (per_server w) in
+  let rule =
+    if n > 1 then Per_server (per_server w)
+    else
+      One_server
+        {
+          resolved = (if t.detailed then Some (resolve_detail w) else None);
+          side = no_reads ();
+        }
+  in
   let a =
     {
       world = w;

@@ -27,11 +27,12 @@
       client serves it; a miss counts when its request is sent, so a read
       that a crash then abandons still counts.  The delay sums and counts
       come from the op driver's latency histograms, which see completions.
-      The window also carries the merged counters (the server's
-      registry and each client's counter list), client RPC
-      queues, in-flight network messages, every clock's skew and the
-      per-entity breakdown, and its [t_end] is the engine clock at the
-      boundary.
+      The window also carries the client RPC queues and the in-flight
+      network messages, and its [t_end] is the engine clock at the
+      boundary.  Only a sampler created with [~detail:true] also records
+      the window's {!detail}: the merged counters (the server's registry
+      and each client's counter list), every clock's skew and the
+      per-entity breakdown.
     - {b K > 1 servers} (shared-fabric [Deploy.run]): per-server
       completions.  The sampler installs the world's completion listeners
       and credits each completed read and write to the server that owns
@@ -43,6 +44,20 @@
     Both rules stay because the seeded campaign digests pin both: one rule
     would change about a tenth of the campaign's windows and most of the
     one-server schedules' residual summaries.
+
+    {2 Detail on request}
+
+    Without [~detail] (the default) a window keeps what the residuals and
+    the report's count columns read: the counts, the delay sums, the
+    server snapshot, the clients' in-flight and queued operations, the
+    in-flight messages and the phase sums.  Its {!detail} is empty, and
+    {!attach} installs no {!Leases.Breakdown} on the server, so the
+    server's read, renewal, approval and wait paths bump no per-entity
+    table, and it resolves no counter namespace and no skew labels.  The
+    campaign runner samples this way; [leases-sim] asks for detail only
+    when it writes a [--telemetry-out] report, and {!Report} refuses a
+    sampler without it.  The detail changes no other field: a lean
+    window equals the detailed one field by field, [detail] aside.
 
     {2 What an attached sampler changes}
 
@@ -59,26 +74,31 @@
     246 to 293 and leaves every other line as it was (pinned in
     [test_telemetry]).  The campaign's [checked_events] counts these
     events, and its reports are pinned, which is why the snapshot keeps
-    its sweep.
+    its sweep and a lean sampler keeps both the snapshot and its
+    boundary timers.
 
     {2 Cost}
 
-    A one-server window costs what moved, in arrays.  {!attach} resolves
-    the merged counter namespace once, into arrays of sorted names and
-    counter cells (lease servers and clients register every counter at
-    creation); it also builds the skew and axis labels once.  A boundary then reads
-    every cell into one fresh [int array] and keeps the previous
-    boundary's array beside it, reads the clock skews into one
-    [float array], and keeps each moved {!Leases.Breakdown} axis as the
-    flat array {!Leases.Breakdown.sample} returns; the lease-table sweep
-    visits only resident slots, and the message and read counts are
-    resolved cells.  The list views ({!counters}, {!deltas}, {!skews},
-    {!by_entity}) are built only when read. *)
+    A one-server window costs what moved, in arrays.  With detail,
+    {!attach} resolves the merged counter namespace once, into arrays of
+    sorted names and counter cells (lease servers and clients register
+    every counter at creation); it also builds the skew and axis labels
+    once.  A boundary then reads every cell into one fresh [int array]
+    and keeps the previous boundary's array beside it, reads the clock
+    skews into one [float array], and keeps each moved
+    {!Leases.Breakdown} axis as the flat array
+    {!Leases.Breakdown.sample} returns.  Without detail it does none of
+    that.  Either way the lease-table sweep visits only resident slots,
+    and the message and read counts are resolved cells.  The list views
+    ({!counters}, {!deltas}, {!skews}, {!by_entity}) are built only when
+    read. *)
 
 type detail
 (** A one-server window's counters, clock skews and per-entity deltas, kept
     as arrays; read them through {!counters}, {!deltas}, {!skews} and
-    {!by_entity}.  It holds no closure, so windows compare with [=]. *)
+    {!by_entity}.  Empty in a K-server window and in every window of a
+    sampler created without [~detail].  It holds no closure, so windows
+    compare with [=]. *)
 
 type window = {
   w_index : int;
@@ -114,13 +134,14 @@ type window = {
           {!Trace.Critical_path.phases} order; sparse — phases that did
           not move are omitted, and the list is empty when the sampler
           has no analyzer *)
-  detail : detail;  (** empty in a K-server world *)
+  detail : detail;  (** empty in a K-server world and without [~detail] *)
 }
 
 (** {2 A window's detail}
 
     Each accessor builds its list from the window's arrays when called;
-    every one returns [[]] for a K-server window. *)
+    every one returns [[]] for a K-server window and for a sampler created
+    without [~detail]. *)
 
 val counters : window -> (string * int) list
 (** The cumulative merged counter dump at [t_end]: the server's registry
@@ -142,20 +163,27 @@ val by_entity : window -> (string * (int * int) list) list
 
 type t
 
-val create : ?interval_s:float -> ?latency:Trace.Critical_path.t -> unit -> t
+val create :
+  ?interval_s:float -> ?latency:Trace.Critical_path.t -> ?detail:bool -> unit -> t
 (** A detached sampler.  [interval_s] defaults to 10 s; it must be finite
     and at least the engine's 1 us tick, because boundaries land on the
     engine's microsecond grid: a shorter interval raises
     [Invalid_argument] rather than closing one window per tick.  With
     [latency], a live analyzer fed from the run's tracer, each window
     carries its server's per-phase write-delay increments, read from
-    {!Trace.Critical_path.phase_sums_for} at the boundaries. *)
+    {!Trace.Critical_path.phase_sums_for} at the boundaries.  [detail]
+    (default [false]) records each one-server window's {!detail}; see
+    "Detail on request" above. *)
+
+val detailed : t -> bool
+(** Whether the sampler was created with [~detail:true]. *)
 
 val attach : t -> Leases.Sim.world -> Leases.Cluster.tally -> unit
 (** Hook the sampler to a world and the op driver's tally and schedule the
     first boundary callback.  A one-server world gets a
-    {!Leases.Breakdown.t} installed on its server; a K-server world gets
-    the sampler's completion listeners.  Pass
+    {!Leases.Breakdown.t} installed on its server when the sampler records
+    detail, and none otherwise; a K-server world gets the sampler's
+    completion listeners.  Pass
     [{ setup with on_instruments = Sampler.attach sampler }] to
     [Leases.Sim.run] or [Shard.Deploy.run]; a split run builds one world
     per part, so it needs one sampler per part.  A sampler attaches to

@@ -119,6 +119,7 @@ type server_row = { mutable sv_ops : int; mutable sv_writes : int; sv_sums : flo
    [Int_tbl]: a lookup is a multiply and a short probe run, with no call
    into the polymorphic hash and no option to box. *)
 type t = {
+  writes_only : bool;  (** reads and extensions get no op record *)
   open_ops : op Int_tbl.t;  (** by op id *)
   by_write : wait_note Int_tbl.t;  (** by write id, while its write is open or in [slowest] *)
   worst : int;  (** how many completed writes [slowest] keeps *)
@@ -132,9 +133,10 @@ type t = {
   mutable max_err : float;  (** worst |sum of phases - measured latency| *)
 }
 
-let create ?(worst = 5) () =
+let create ?(worst = 5) ?(writes_only = false) () =
   if worst < 0 then invalid_arg (Printf.sprintf "Critical_path.create: worst %d < 0" worst);
   {
+    writes_only;
     open_ops = Int_tbl.create 64;
     by_write = Int_tbl.create 64;
     worst;
@@ -354,9 +356,13 @@ let on_crash t ~at host =
 let feed t { Event.at; ev } =
   match ev with
   | Event.Net_send { src; dst; kind; corr } when corr >= 0 -> (
+    (* A writes-only analyzer opens no read or extension: that op's later
+       events miss the open-op table. *)
     match kind with
-    | Event.M_read_req -> on_req_send t ~at ~src ~dst ~kind:K_read ~corr
-    | Event.M_extend_req -> on_req_send t ~at ~src ~dst ~kind:K_extend ~corr
+    | Event.M_read_req ->
+      if not t.writes_only then on_req_send t ~at ~src ~dst ~kind:K_read ~corr
+    | Event.M_extend_req ->
+      if not t.writes_only then on_req_send t ~at ~src ~dst ~kind:K_extend ~corr
     | Event.M_write_req -> on_req_send t ~at ~src ~dst ~kind:K_write ~corr
     | _ -> (
       match Int_tbl.find t.open_ops corr with

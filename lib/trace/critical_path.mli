@@ -46,11 +46,24 @@ val op_name : int -> string
 
 type t
 
-val create : ?worst:int -> unit -> t
+val create : ?worst:int -> ?writes_only:bool -> unit -> t
 (** [worst] (default 5, at least 0) is how many of the slowest completed
     writes the analyzer keeps for {!report}'s exemplars.  It keeps no
     other completed operation, so its memory is bounded by the open
-    operations and [worst]. *)
+    operations and [worst].
+
+    With [writes_only] (default [false]) the analyzer follows writes
+    alone: a read or extension request opens no operation, so each later
+    event of that operation costs one missed probe of the open-operation
+    table and nothing else.  Its report's write row, worst writes and
+    per-server write phase sums, and {!phase_sums_for}, are exactly the
+    full analyzer's, because no read or extension touches a write's
+    record.  Its read and extension rows stay empty (no completed,
+    incomplete or abandoned operation), [r_checked] and [r_max_err] cover
+    writes only, [srv_ops] counts writes only, and a server that
+    completed no write has no [r_servers] entry.  The campaign runner
+    uses it; [leases-sim --latency], [leases-latency] and perfbench keep
+    the full analyzer. *)
 
 val feed : t -> Event.t -> unit
 

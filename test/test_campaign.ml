@@ -185,6 +185,33 @@ let test_campaign_report_golden () =
   Alcotest.(check string) "report MD5" "0427717a9cca7dd24bab802dc24bd6fe"
     (Digest.to_hex (Digest.string (Trace.Json.to_string (Fault_campaign.Harness.to_json s))))
 
+(* Words allocated (minor + major - promoted) by [f]; the minor part comes
+   from [Gc.minor_words]: on OCaml 5.1, [Gc.counters] counts the live minor
+   heap at an eighth of its size. *)
+let words_of f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  f ();
+  words () -. before
+
+(* What the golden's 25 schedules allocate through [Runner.run]: their
+   traces, the runs and the observers.  2 041 332 words with a writes-only
+   analyzer and a sampler without window detail; 2 219 533 with the full
+   analyzer, 2 360 645 with the detailed sampler and 2 538 728 with both,
+   so the pin fails if either observer goes back to building what the
+   campaign never reads. *)
+let test_runner_words () =
+  let schedules = Fault_campaign.Gen.schedules ~seed:1 ~n:25 in
+  let allocated =
+    words_of (fun () -> List.iter (fun s -> ignore (Fault_campaign.Runner.run s)) schedules)
+  and pin = 2_130_000. in
+  if allocated > pin then
+    Alcotest.failf "the 25 schedules allocate %.0f words through Runner.run, pinned at %.0f"
+      allocated pin
+
 let test_sharded_schedules_generated () =
   (* ~25% of schedules shard the namespace; each sharded schedule carries a
      shard-failover fault and reproduces via --shards *)
@@ -284,6 +311,7 @@ let () =
         [
           Alcotest.test_case "report byte-identical" `Slow test_campaign_report_byte_identical;
           Alcotest.test_case "golden: seed 1 report" `Quick test_campaign_report_golden;
+          Alcotest.test_case "runner words" `Quick test_runner_words;
         ] );
       ("server", [ QCheck_alcotest.to_alcotest queued_drains_to_zero ]);
     ]

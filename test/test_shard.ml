@@ -77,8 +77,10 @@ let sharded_setup ?(n_clients = 6) ?(n_shards = 4) ?(faults = []) ?tracer ?on_in
    [worlds] is 1 for [Deploy.run] and the shard count for [run_split],
    whose part [s] has one server, at host [s] (and may run on another
    domain). *)
-let samplers ?latency ~worlds interval_s =
-  let samplers = Array.init worlds (fun _ -> Telemetry.Sampler.create ~interval_s ?latency ()) in
+let samplers ?latency ?detail ~worlds interval_s =
+  let samplers =
+    Array.init worlds (fun _ -> Telemetry.Sampler.create ~interval_s ?latency ?detail ())
+  in
   let attach (w : Leases.Sim.world) tally =
     let world = Host.Host_id.to_int (Leases.Server.host w.Leases.Sim.servers.(0)) in
     Telemetry.Sampler.attach samplers.(world) w tally
@@ -169,7 +171,7 @@ let test_single_shard_matches_sim_load () =
      sampler reading the analyzer *)
   let instruments () =
     let buf = Trace.Sink.buffer () and analyzer = Trace.Critical_path.create () in
-    let samplers, attach = samplers ~latency:analyzer ~worlds:1 7.5 in
+    let samplers, attach = samplers ~latency:analyzer ~detail:true ~worlds:1 7.5 in
     ( buf,
       Trace.Sink.tee [ Trace.Sink.buffer_sink buf; Trace.Critical_path.sink analyzer ],
       samplers.(0),
@@ -478,7 +480,7 @@ let test_golden_trace_split_faults () =
    (encoded lines, in stream order). *)
 let split_observables ~domains ~faults ~duration () =
   let buf = Trace.Sink.buffer () in
-  let samplers, on_instruments = samplers ~worlds:4 10. in
+  let samplers, on_instruments = samplers ~detail:true ~worlds:4 10. in
   let setup = sharded_setup ~faults ~tracer:(Trace.Sink.buffer_sink buf) ~on_instruments () in
   let trace = v_trace ~duration () in
   let outcome = Shard.Deploy.run_split ~domains setup ~trace in

@@ -7,7 +7,7 @@
 let span_sec = Simtime.Time.Span.of_sec
 
 let run_sampled ?(interval_s = 10.) ?(n_clients = 2) ?(duration = 120.) ?(seed = 7L)
-    ?(faults = []) () =
+    ?(faults = []) ?detail () =
   let trace =
     (Experiments.V_trace.poisson ~seed ~clients:n_clients ~duration:(span_sec duration) ())
       .Experiments.V_trace.trace
@@ -15,7 +15,7 @@ let run_sampled ?(interval_s = 10.) ?(n_clients = 2) ?(duration = 120.) ?(seed =
   let setup =
     Experiments.Runner.lease_setup ~n_clients ~term:(Analytic.Model.Finite 10.) ()
   in
-  let sampler = Telemetry.Sampler.create ~interval_s () in
+  let sampler = Telemetry.Sampler.create ~interval_s ?detail () in
   let world = ref None in
   let setup =
     { setup with
@@ -39,7 +39,7 @@ let params_of (setup : Leases.Sim.setup) =
 (* Every window's counter deltas must sum to the final cumulative dump, and
    the window chain must tile the run without gaps. *)
 let test_window_accounting () =
-  let sampler, _, _, world = run_sampled () in
+  let sampler, _, _, world = run_sampled ~detail:true () in
   let windows = Telemetry.Sampler.windows sampler in
   Alcotest.(check bool) "closed several windows" true (List.length windows >= 12);
   List.iteri
@@ -114,7 +114,7 @@ let test_window_accounting () =
 (* Two identical seeded runs must export byte-identical reports. *)
 let test_export_determinism () =
   let report kind =
-    let sampler, setup, _, _ = run_sampled () in
+    let sampler, setup, _, _ = run_sampled ~detail:true () in
     let params = params_of setup in
     match kind with
     | `Json -> Telemetry.Report.to_json_string ~params sampler
@@ -289,11 +289,9 @@ let test_sampler_trace_footprint () =
   Alcotest.(check int) "heartbeats with telemetry" 293 h1;
   Alcotest.(check (list string)) "every other line identical" r0 r1
 
-(* Pins the full JSON export of a faulted 5-client run sampled every 2.5 s:
-   cumulative counters, per-window deltas, per-entity breakdowns and
-   per-host skews, under a server crash, a client crash and clock faults on
-   both sides. *)
-let test_export_golden () =
+(* The export golden's run: 5 clients sampled every 2.5 s under a server
+   crash, a client crash and clock faults on both sides. *)
+let run_golden ?detail () =
   let at = Simtime.Time.of_sec in
   let faults =
     [
@@ -303,9 +301,12 @@ let test_export_golden () =
       Leases.Sim.Server_step { shard = 0; at = at 95.; step = Simtime.Time.Span.of_ms 30. };
     ]
   in
-  let sampler, setup, _, _ =
-    run_sampled ~interval_s:2.5 ~n_clients:5 ~duration:120. ~seed:13L ~faults ()
-  in
+  run_sampled ~interval_s:2.5 ~n_clients:5 ~duration:120. ~seed:13L ~faults ?detail ()
+
+(* Pins the full JSON export of that run: cumulative counters, per-window
+   deltas, per-entity breakdowns and per-host skews. *)
+let test_export_golden () =
+  let sampler, setup, _, _ = run_golden ~detail:true () in
   let windows = Telemetry.Sampler.windows sampler in
   let some f = List.exists f windows in
   Alcotest.(check bool) "deltas recorded" true (some (fun w -> Telemetry.Sampler.deltas w <> []));
@@ -327,6 +328,49 @@ let test_export_golden () =
   in
   Alcotest.(check string) "every window's counters MD5" "0f21fee05bd5eb49be882fa205b993ee"
     (Digest.to_hex (Digest.string counters))
+
+(* A sampler without detail keeps every other field: on the export
+   golden's faulted run, each of its windows equals the detailed sampler's
+   in everything but [detail], which is empty, so the residual summary is
+   the same.  Only the detailed one installs a breakdown on the server,
+   and the exports refuse the lean one. *)
+let test_lean_windows () =
+  let lean, setup, _, lean_world = run_golden () in
+  let full, _, _, full_world = run_golden ~detail:true () in
+  let lean_windows = Telemetry.Sampler.windows lean in
+  let full_windows = Telemetry.Sampler.windows full in
+  Alcotest.(check int) "window count" (List.length full_windows) (List.length lean_windows);
+  List.iteri
+    (fun i ((l : Telemetry.Sampler.window), (f : Telemetry.Sampler.window)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "window %d equals the detailed one but for its detail" i)
+        true
+        ({ l with Telemetry.Sampler.detail = f.Telemetry.Sampler.detail } = f);
+      Alcotest.(check bool)
+        (Printf.sprintf "window %d records no detail" i)
+        true
+        Telemetry.Sampler.(counters l = [] && deltas l = [] && skews l = [] && by_entity l = []))
+    (List.combine lean_windows full_windows);
+  Alcotest.(check bool) "the detailed windows carry skews" true
+    (List.exists (fun w -> Telemetry.Sampler.max_abs_skew w > 0.) full_windows);
+  let params = params_of setup in
+  let summary sampler =
+    Trace.Json.to_string
+      (Telemetry.Report.summary_to_json
+         (Telemetry.Residual.summarize params (Telemetry.Residual.evaluate params sampler)))
+  in
+  Alcotest.(check string) "residual summary" (summary full) (summary lean);
+  Alcotest.(check bool) "no breakdown without detail" true
+    (Option.is_none (Leases.Server.breakdown lean_world.Leases.Sim.servers.(0)));
+  Alcotest.(check bool) "a breakdown with detail" true
+    (Option.is_some (Leases.Server.breakdown full_world.Leases.Sim.servers.(0)));
+  let refused export =
+    match export ~params lean with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "JSON export refuses a lean sampler" true
+    (refused Telemetry.Report.to_json_string);
+  Alcotest.(check bool) "CSV export refuses a lean sampler" true
+    (refused Telemetry.Report.to_csv_string)
 
 (* The sampler resolves its counter namespace once, at [attach], so a
    lease server must register at creation every counter it will ever bump,
@@ -430,6 +474,7 @@ let () =
           Alcotest.test_case "passive" `Quick test_sampler_is_passive;
           Alcotest.test_case "trace footprint" `Quick test_sampler_trace_footprint;
           Alcotest.test_case "sub-tick interval refused" `Quick test_sub_tick_interval;
+          Alcotest.test_case "lean windows = detailed windows" `Quick test_lean_windows;
         ] );
       ( "export",
         [

@@ -496,11 +496,14 @@ let faults_of_specs specs =
     (fun spec -> match Leases.Sim.fault_of_spec spec with Ok f -> f | Error why -> failwith why)
     specs
 
-(* One run feeds both observers; the two pins below share it. *)
+(* One run feeds both observers, and a writes-only analyzer beside the
+   full one; the two pins below and [test_writes_only_one_server] share
+   it. *)
 let observed_run =
   lazy
     (let checker = Trace.Checker.create () in
      let analyzer = Trace.Critical_path.create () in
+     let writes_only = Trace.Critical_path.create ~writes_only:true () in
      let setup =
        {
          (Experiments.Runner.lease_setup ~n_clients:5 ~term:(Analytic.Model.Finite 10.) ()) with
@@ -508,7 +511,13 @@ let observed_run =
          loss = 0.05;
          faults =
            faults_of_specs [ "partition=0,240,120"; "crash-client=0,290,30"; "crash-server=300,10" ];
-         tracer = Trace.Sink.tee [ Trace.Checker.sink checker; Trace.Critical_path.sink analyzer ];
+         tracer =
+           Trace.Sink.tee
+             [
+               Trace.Checker.sink checker;
+               Trace.Critical_path.sink analyzer;
+               Trace.Critical_path.sink writes_only;
+             ];
        }
      in
      let trace =
@@ -516,17 +525,17 @@ let observed_run =
          .Experiments.V_trace.trace
      in
      ignore (Leases.Sim.run setup ~trace);
-     (checker, analyzer))
+     (checker, analyzer, writes_only))
 
 let test_pin_critical_path_export () =
-  let _, analyzer = Lazy.force observed_run in
+  let _, analyzer, _ = Lazy.force observed_run in
   let r = Trace.Critical_path.report analyzer in
   Alcotest.(check int) "completed ops" 638 r.Trace.Critical_path.r_checked;
   Alcotest.(check string) "export digest" "59111ae4c7468b89083560d48fb79749"
     (Digest.to_hex (Digest.string (Trace.Critical_path.export r)))
 
 let test_pin_checker_report () =
-  let checker, _ = Lazy.force observed_run in
+  let checker, _, _ = Lazy.force observed_run in
   Alcotest.(check string) "lease run"
     "checked 27857 events (2001 cache hits, 108 commits): OK, no violations"
     (Format.asprintf "%a" Trace.Checker.pp_report (Trace.Checker.report checker))
@@ -553,6 +562,90 @@ let test_pin_checker_stale_report () =
          "[  201.465721] stale-hit            host 1 read file 43 at v1 but v2 is committed";
        ])
     (Format.asprintf "%a" Trace.Checker.pp_report (Trace.Checker.report checker))
+
+(* --- the writes-only analyzer: the full analyzer's writes, nothing else --- *)
+
+(* What the two reports must share, as one export: the write row, every
+   field of the worst writes, and each server's write count and phase
+   sums.  The other rows, the conservation figures and [srv_ops] cover
+   different operations by design and are left out. *)
+let write_view (r : Trace.Critical_path.report) =
+  let open Trace.Critical_path in
+  export
+    {
+      r with
+      r_kinds = List.filter (fun ks -> ks.ks_kind = K_write) r.r_kinds;
+      r_checked = 0;
+      r_max_err = 0.;
+      r_servers =
+        List.filter_map
+          (fun s -> if s.srv_writes > 0 then Some { s with srv_ops = 0 } else None)
+          r.r_servers;
+    }
+
+(* [lean], a writes-only analyzer, and [full] were fed the same stream. *)
+let check_writes_only ~full ~lean =
+  let open Trace.Critical_path in
+  let rf = report full and rl = report lean in
+  let row r kind = List.find (fun ks -> ks.ks_kind = kind) r.r_kinds in
+  (* the stream holds what the comparison needs *)
+  Alcotest.(check bool) "reads completed" true ((row rf K_read).ks_count > 0);
+  Alcotest.(check bool) "extensions completed" true ((row rf K_extend).ks_count > 0);
+  Alcotest.(check bool) "a worst write waited" true
+    (List.exists (fun w -> w.w_waits <> []) rf.r_worst);
+  Alcotest.(check string) "write row, worst writes and per-server write sums" (write_view rf)
+    (write_view rl);
+  List.iter
+    (fun kind ->
+      let ks = row rl kind in
+      Alcotest.(check (list int))
+        (op_kind_name kind ^ " row: completed, incomplete, abandoned")
+        [ 0; 0; 0 ]
+        [ ks.ks_count; ks.ks_incomplete; ks.ks_abandoned ])
+    [ K_read; K_extend ];
+  Alcotest.(check int) "conservation checks the writes" (row rf K_write).ks_count rl.r_checked;
+  List.iter
+    (fun s -> Alcotest.(check int) "srv_ops counts writes" s.srv_writes s.srv_ops)
+    rl.r_servers;
+  let sums a server =
+    List.map (fun (p, v) -> Printf.sprintf "%s=%h" p v) (phase_sums_for a ~server)
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "phase_sums_for server %d" s.srv_host)
+        (sums full s.srv_host) (sums lean s.srv_host))
+    rf.r_servers
+
+(* The observers' run: one server, shared-heavy, 5 % loss, a partition, a
+   client crash and a server crash. *)
+let test_writes_only_one_server () =
+  let _, full, lean = Lazy.force observed_run in
+  check_writes_only ~full ~lean
+
+(* Four shards, shared-heavy, 5 % loss, shard 1 failing over and a client
+   crash. *)
+let test_writes_only_sharded () =
+  let full = Trace.Critical_path.create () in
+  let lean = Trace.Critical_path.create ~writes_only:true () in
+  let config =
+    (Experiments.Runner.lease_setup ~term:(Analytic.Model.Finite 10.) ()).Leases.Sim.config
+  in
+  ignore
+    (Shard.Deploy.run
+       {
+         Shard.Deploy.default_setup with
+         Shard.Deploy.seed = 3L;
+         n_clients = 6;
+         config;
+         loss = 0.05;
+         faults = faults_of_specs [ "crash-shard=1,40,8"; "crash-client=2,60,15" ];
+         tracer = Trace.Sink.tee [ Trace.Critical_path.sink full; Trace.Critical_path.sink lean ];
+       }
+       ~trace:
+         (Experiments.V_trace.shared_heavy ~seed:3L ~clients:6 ~duration:(Time.Span.of_sec 300.) ())
+           .Experiments.V_trace.trace);
+  check_writes_only ~full ~lean
 
 (* --- tracedump: its whole output, pinned ----------------------------- *)
 
@@ -798,6 +891,29 @@ let test_critical_path_read_words () =
         Alcotest.(check int) "every read completed" n
           (Trace.Critical_path.report ~k:0 a).Trace.Critical_path.r_checked)
 
+(* The same reads through a writes-only analyzer: no op record, no
+   segment, no histogram add; each event after the request misses the
+   open-op table. *)
+let test_critical_path_writes_only_read_words () =
+  check_marginal_words "a completed read, writes only" ~pin:0. (fun n ->
+      let a = Trace.Critical_path.create ~writes_only:true () in
+      let events =
+        List.concat
+          (List.init n (fun i ->
+               let t = 0.01 *. float_of_int i and corr = (1 lsl 32) + i in
+               let open Trace.Event in
+               [
+                 ev t (Net_send { src = 1; dst = 0; kind = M_read_req; corr });
+                 ev (t +. 0.0025) (Net_deliver { src = 1; dst = 0; kind = M_read_req; corr });
+                 ev (t +. 0.0025) (Net_send { src = 0; dst = 1; kind = M_read_rep; corr });
+                 ev (t +. 0.005) (Net_deliver { src = 0; dst = 1; kind = M_read_rep; corr });
+               ]))
+      in
+      fun () ->
+        List.iter (Trace.Critical_path.feed a) events;
+        Alcotest.(check int) "no read followed" 0
+          (Trace.Critical_path.report ~k:0 a).Trace.Critical_path.r_checked)
+
 (* --- the critical-path analyzer keeps only the worst writes ------------ *)
 
 (* [n] writes by client 1, 1 s apart, each waiting 0.25 s on holder 2's
@@ -883,6 +999,8 @@ let () =
           Alcotest.test_case "checker report" `Quick test_pin_checker_report;
           Alcotest.test_case "checker stale-hit report" `Quick test_pin_checker_stale_report;
           Alcotest.test_case "critical-path memory bounded" `Quick test_critical_path_bounded;
+          Alcotest.test_case "writes-only analyzer, one server" `Quick test_writes_only_one_server;
+          Alcotest.test_case "writes-only analyzer, four shards" `Quick test_writes_only_sharded;
         ] );
       ( "tracedump",
         [
@@ -896,5 +1014,7 @@ let () =
           Alcotest.test_case "checker end words" `Quick test_checker_end_words;
           Alcotest.test_case "checker commit words" `Quick test_checker_commit_words;
           Alcotest.test_case "critical-path read words" `Quick test_critical_path_read_words;
+          Alcotest.test_case "writes-only read words" `Quick
+            test_critical_path_writes_only_read_words;
         ] );
     ]
