@@ -2,15 +2,6 @@
 
 open Cmdliner
 
-let make_trace workload clients duration seed =
-  let duration = Simtime.Time.Span.of_sec duration in
-  match workload with
-  | "poisson" -> (Experiments.V_trace.poisson ~seed ~clients ~duration ()).Experiments.V_trace.trace
-  | "bursty" -> (Experiments.V_trace.bursty ~seed ~clients ~duration ()).Experiments.V_trace.trace
-  | "shared-heavy" ->
-    (Experiments.V_trace.shared_heavy ~seed ~clients ~duration ()).Experiments.V_trace.trace
-  | other -> failwith (Printf.sprintf "unknown workload %S (poisson|bursty|shared-heavy)" other)
-
 (* The message model charges one processing delay at each host a message
    crosses, so a unicast RPC pays 2 propagation + 4 processing legs; with
    the fixed 1 ms processing delay the floor is 4 ms of RTT. *)
@@ -304,7 +295,10 @@ let main protocol term_s clients duration seed loss rtt_ms workload ops_file jso
         match In_channel.with_open_text path Workload.Trace_io.read with
         | Ok trace -> trace
         | Error why -> failwith (Printf.sprintf "--ops %s: %s" path why))
-      | None -> make_trace workload clients duration seed
+      | None ->
+        Experiments.V_trace.generate
+          (Experiments.V_trace.kind_of_name workload)
+          ~seed ~clients ~duration:(Simtime.Time.Span.of_sec duration)
     in
     let m_proc = Simtime.Time.Span.of_ms 1. in
     let m_prop = m_prop_of_rtt rtt_ms in

@@ -4,16 +4,10 @@ open Cmdliner
 
 let main workload clients duration seed out =
   try
-    let duration = Simtime.Time.Span.of_sec duration in
     let trace =
-      match workload with
-      | "poisson" ->
-        (Experiments.V_trace.poisson ~seed ~clients ~duration ()).Experiments.V_trace.trace
-      | "bursty" ->
-        (Experiments.V_trace.bursty ~seed ~clients ~duration ()).Experiments.V_trace.trace
-      | "shared-heavy" ->
-        (Experiments.V_trace.shared_heavy ~seed ~clients ~duration ()).Experiments.V_trace.trace
-      | other -> failwith (Printf.sprintf "unknown workload %S (poisson|bursty|shared-heavy)" other)
+      Experiments.V_trace.generate
+        (Experiments.V_trace.kind_of_name workload)
+        ~seed ~clients ~duration:(Simtime.Time.Span.of_sec duration)
     in
     let text = Workload.Trace_io.print trace in
     (match out with

@@ -149,7 +149,7 @@ let create_server (w : payload Leases.Cluster.fabric) store =
       holders = File_id.Map.empty;
       breaks =
         Leases.Approval.create ~engine:w.engine ~clock:(Clock.create w.engine ()) ~tracer:w.tracer
-          ~retry ~id_origin:0 ~start:s_start_write ~ask:s_send_breaks ~release:drop_holder
+          ~id_origin:0 ~start:s_start_write ~ask:s_send_breaks ~release:drop_holder
           ~commit:s_commit ~repeat:s_reply ~give_up:break_timeout ();
       s_up = true;
     }

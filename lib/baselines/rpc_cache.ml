@@ -29,7 +29,6 @@ let payload_name = function
   | Write_request _ -> "write-req"
   | Write_reply _ -> "write-rep"
 
-let retry = Time.Span.of_sec 1.
 let now_sec engine = Time.to_sec (Engine.now engine)
 let count counters name = Stats.Counter.incr (Stats.Counter.Registry.counter counters name)
 
@@ -184,7 +183,8 @@ let create_client (w : payload Leases.Cluster.fabric) i =
       (* the servers answer by (client, req), and callback traces carry
          the req as the op id: ids count per client from 0 *)
       rpcs =
-        Netsim.Rpc_table.create ~net:w.net ~host ~req_origin:0 ~retry ~retry_max:retry
+        Netsim.Rpc_table.create ~net:w.net ~host ~req_origin:0
+          ~retry_max:Netsim.Rpc_table.retry_interval
           ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions")
           ();
       up = true;

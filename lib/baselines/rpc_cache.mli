@@ -9,9 +9,10 @@
 
     The client is write-through: a write drops the cached copy and waits
     for the server's reply.  It retransmits every unanswered RPC each
-    {!retry}, answers break requests, and revalidates its whole cache when
-    asked to {!poll}.  Hosts follow [Leases.Cluster]'s single-server
-    layout, and no baseline keeps a clock, so clock faults do not apply. *)
+    {!Netsim.Rpc_table.retry_interval}, answers break requests, and
+    revalidates its whole cache when asked to {!poll}.  Hosts follow
+    [Leases.Cluster]'s single-server layout, and no baseline keeps a
+    clock, so clock faults do not apply. *)
 
 type keep =
   | Forever  (** a callback promise: until the server breaks it *)
@@ -33,11 +34,6 @@ type payload =
 val category : payload -> string
 (** The server counter a message is booked under: ["msgs/extension"],
     ["msgs/approval"] or ["msgs/write-transfer"]. *)
-
-val retry : Simtime.Time.Span.t
-(** Transport patience, 1 s: how long the client waits before it
-    retransmits an RPC, and the callback server before it re-sends a
-    break. *)
 
 type client
 

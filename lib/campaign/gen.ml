@@ -121,7 +121,9 @@ let gen_schedule rng ~index =
   let n_clients = 2 + Splitmix.int rng ~bound:4 in
   let workload =
     let u = Splitmix.float rng in
-    if u < 0.5 then Schedule.Shared_heavy else if u < 0.8 then Schedule.Poisson else Schedule.Bursty
+    if u < 0.5 then Experiments.V_trace.Shared_heavy
+    else if u < 0.8 then Experiments.V_trace.Poisson
+    else Experiments.V_trace.Bursty
   in
   let duration_s = Float.of_int (40 + Splitmix.int rng ~bound:41) in
   let term_s = List.nth [ 5.; 10.; 15. ] (Splitmix.int rng ~bound:3) in

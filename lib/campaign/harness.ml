@@ -72,7 +72,7 @@ let pp ppf s =
       Format.fprintf ppf "  #%d %-8s %s n=%d%s d=%gs term=%gs loss=%g faults=%d ops=%d dropped=%d@."
         sched.Schedule.index
         (Runner.classification_name o.Runner.classification)
-        (Schedule.workload_name sched.Schedule.workload)
+        (Experiments.V_trace.kind_name sched.Schedule.workload)
         sched.Schedule.n_clients
         (if sched.Schedule.n_shards > 1 then Printf.sprintf " shards=%d" sched.Schedule.n_shards
          else "")

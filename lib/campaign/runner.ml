@@ -96,8 +96,7 @@ let run schedule =
     commits = m.Leases.Metrics.commits;
     checked_events = report.Trace.Checker.events;
     telemetry =
-      Telemetry.Residual.summarize residual_params
-        (Telemetry.Residual.evaluate residual_params sampler);
+      Telemetry.Residual.summarize (Telemetry.Residual.evaluate residual_params sampler);
     worst_write =
       (* the causal explanation of the schedule's slowest completed write *)
       (match (Trace.Critical_path.report ~k:1 analyzer).Trace.Critical_path.r_worst with

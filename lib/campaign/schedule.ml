@@ -1,9 +1,7 @@
-type workload = Poisson | Bursty | Shared_heavy
-
 type t = {
   index : int;
   sim_seed : int64;
-  workload : workload;
+  workload : Experiments.V_trace.kind;
   n_clients : int;
   n_shards : int;
   duration_s : float;
@@ -12,21 +10,9 @@ type t = {
   faults : Leases.Sim.fault list;
 }
 
-let workload_name = function
-  | Poisson -> "poisson"
-  | Bursty -> "bursty"
-  | Shared_heavy -> "shared-heavy"
-
 let trace s =
-  let duration = Simtime.Time.Span.of_sec s.duration_s in
-  let v =
-    match s.workload with
-    | Poisson -> Experiments.V_trace.poisson ~seed:s.sim_seed ~clients:s.n_clients ~duration ()
-    | Bursty -> Experiments.V_trace.bursty ~seed:s.sim_seed ~clients:s.n_clients ~duration ()
-    | Shared_heavy ->
-      Experiments.V_trace.shared_heavy ~seed:s.sim_seed ~clients:s.n_clients ~duration ()
-  in
-  v.Experiments.V_trace.trace
+  Experiments.V_trace.generate s.workload ~seed:s.sim_seed ~clients:s.n_clients
+    ~duration:(Simtime.Time.Span.of_sec s.duration_s)
 
 let setup ?(tracer = Trace.Sink.null) s =
   let base =
@@ -59,15 +45,16 @@ let to_command s =
   in
   let shards = if s.n_shards > 1 then Printf.sprintf " --shards %d" s.n_shards else "" in
   Printf.sprintf "leases-sim -p leases -t %s -n %d -d %s -s %Ld -w %s --loss %s%s%s" (num s.term_s)
-    s.n_clients (num s.duration_s) s.sim_seed (workload_name s.workload) (num s.loss) shards
-    (String.concat "" faults)
+    s.n_clients (num s.duration_s) s.sim_seed
+    (Experiments.V_trace.kind_name s.workload)
+    (num s.loss) shards (String.concat "" faults)
 
 let to_json s =
   Trace.Json.Obj
     [
       ("index", Trace.Json.Num (float_of_int s.index));
       ("sim_seed", Trace.Json.Str (Int64.to_string s.sim_seed));
-      ("workload", Trace.Json.Str (workload_name s.workload));
+      ("workload", Trace.Json.Str (Experiments.V_trace.kind_name s.workload));
       ("clients", Trace.Json.Num (float_of_int s.n_clients));
       ("shards", Trace.Json.Num (float_of_int s.n_shards));
       ("duration_s", Trace.Json.Num s.duration_s);

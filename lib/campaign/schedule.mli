@@ -2,12 +2,10 @@
     schedule, everything needed to run — and to reproduce from the
     [leases-sim] command line. *)
 
-type workload = Poisson | Bursty | Shared_heavy
-
 type t = {
   index : int;  (** position in the campaign, for reporting *)
   sim_seed : int64;  (** drives both the workload generator and the network *)
-  workload : workload;
+  workload : Experiments.V_trace.kind;
   n_clients : int;
   n_shards : int;
       (** servers the namespace is split across ({!deploy_setup}); 1 =
@@ -17,9 +15,6 @@ type t = {
   loss : float;  (** per-delivery drop probability *)
   faults : Leases.Sim.fault list;
 }
-
-val workload_name : workload -> string
-(** The [leases-sim -w] spelling. *)
 
 val trace : t -> Workload.Trace.t
 (** The workload trace this schedule drives — identical to what

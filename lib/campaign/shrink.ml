@@ -71,7 +71,10 @@ let replace_nth xs n x = List.mapi (fun i y -> if i = n then x else y) xs
 
 let remove_nth xs n = List.filteri (fun i _ -> i <> n) xs
 
-let minimize ?(max_runs = 150) ~still_fails schedule =
+(* The re-executions one minimisation may spend. *)
+let max_runs = 150
+
+let minimize ~still_fails schedule =
   let runs = ref 0 in
   let fails s =
     if !runs >= max_runs then false

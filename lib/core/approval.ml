@@ -25,7 +25,6 @@ type ('s, 'a, 'v) t = {
   engine : Engine.t;
   clock : Clock.t;
   tracer : Trace.Sink.t;
-  retry : Time.Span.t;
   start : 's -> File_id.t -> src:Host_id.t -> req:int -> 'a -> unit;
   ask : 's -> File_id.t -> id:int -> Host_id.t list -> unit;
   release : 's -> File_id.t -> Host_id.t -> approved:bool -> unit;
@@ -40,13 +39,12 @@ type ('s, 'a, 'v) t = {
   mutable next_id : int;
 }
 
-let create ~engine ~clock ?(tracer = Trace.Sink.null) ~retry ~id_origin ~start ~ask ~release
-    ~commit ~repeat ?hold ?give_up () =
+let create ~engine ~clock ?(tracer = Trace.Sink.null) ~id_origin ~start ~ask ~release ~commit
+    ~repeat ?hold ?give_up () =
   {
     engine;
     clock;
     tracer;
-    retry;
     start;
     ask;
     release;
@@ -111,7 +109,7 @@ and send t r =
     cancel_retry r;
     r.retry_timer <-
       Some
-        (Engine.schedule_after t.engine t.retry (fun () ->
+        (Engine.schedule_after t.engine Netsim.Rpc_table.retry_interval (fun () ->
              mark t Profile.Center.Server_write;
              if is_open t r && not (Host_id.Set.is_empty r.waiting) then send t r))
 

@@ -8,7 +8,8 @@
     behind it in FIFO order, so a writer cannot be starved (the paper's
     anti-starvation footnote): the open rounds are a {!File_gate}'s
     holders and the queued requests its waiters.  A round asks its
-    holders, re-asks the silent ones every retry interval, and closes once
+    holders, re-asks the silent ones every
+    {!Netsim.Rpc_table.retry_interval}, and closes once
     every holder has answered or at its deadline, abandoning the holders
     still silent.  Closing cancels both timers, commits, and frees the
     file, which starts the queued requests in order until one opens a
@@ -30,7 +31,6 @@ val create :
   engine:Simtime.Engine.t ->
   clock:Clock.t ->
   ?tracer:Trace.Sink.t ->
-  retry:Simtime.Time.Span.t ->
   id_origin:int ->
   start:('s -> Vstore.File_id.t -> src:Host.Host_id.t -> req:int -> 'a -> unit) ->
   ask:('s -> Vstore.File_id.t -> id:int -> Host.Host_id.t list -> unit) ->

@@ -3,6 +3,11 @@ module Host_id = Host.Host_id
 module File_id = Vstore.File_id
 module Rpc_table = Netsim.Rpc_table
 
+(* The cap on the RPC backoff, which doubles from
+   [Rpc_table.retry_interval]: a client whose calls all failed at once (a
+   server crash) re-sends at least this often. *)
+let retry_max_interval = Time.Span.of_sec 8.
+
 type read_result = {
   r_version : Vstore.Version.t;
   r_latency : Time.Span.t;
@@ -591,8 +596,8 @@ let create ?engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
       by_server = Host_id.Tbl.create 1;
       indexed = config.batch_extensions || Option.is_some config.anticipatory_renewal;
       rpcs =
-        Rpc_table.create ~net ~host ?req_origin ~retry:config.retry_interval
-          ~retry_max:config.retry_max_interval ?jitter:rng ~retransmissions:c_retransmissions ();
+        Rpc_table.create ~net ~host ?req_origin ~retry_max:retry_max_interval ?jitter:rng
+          ~retransmissions:c_retransmissions ();
       gate = File_gate.create ();
       evict_next = Lease.never;
       up = true;

@@ -34,11 +34,10 @@ val create :
     (default: the constant [server]); every RPC, approval reply and
     batched extension targets the owning server, and renewal state is
     kept per server.  RPCs are retransmitted by a {!Netsim.Rpc_table}:
-    each retry waits [retry_interval * 2^k] capped at
-    [retry_max_interval], scaled by a uniform factor in [0.5, 1.5) drawn
-    from [rng]; without [rng] the backoff is deterministic and
-    unjittered.  [tracer]
-    receives the client-side protocol events (cache hits, misses and
+    each retry waits [Rpc_table.retry_interval * 2^k] (1 s doubling)
+    capped at 8 s, scaled by a uniform factor in [0.5, 1.5) drawn from
+    [rng]; without [rng] the backoff is deterministic and unjittered.
+    [tracer] receives the client-side protocol events (cache hits, misses and
     invalidations, local lease records); disabled by default.
     [req_origin] seeds the request-id counter (default
     [host lsl 32]) — a deployment that instantiates the same client host

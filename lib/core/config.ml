@@ -9,8 +9,6 @@ type installed = {
 type t = {
   term_policy : Term_policy.t;
   skew_allowance : Time.Span.t;
-  retry_interval : Time.Span.t;
-  retry_max_interval : Time.Span.t;
   batch_extensions : bool;
   anticipatory_renewal : Time.Span.t option;
   callback_on_write : bool;
@@ -26,8 +24,6 @@ let default =
   {
     term_policy = Term_policy.Fixed (Time.Span.of_sec 10.);
     skew_allowance = Time.Span.of_ms 100.;
-    retry_interval = Time.Span.of_sec 1.;
-    retry_max_interval = Time.Span.of_sec 8.;
     batch_extensions = true;
     anticipatory_renewal = None;
     callback_on_write = true;
@@ -50,10 +46,6 @@ let with_term t term =
 
 let validate t =
   if Time.Span.is_negative t.skew_allowance then invalid_arg "Config: negative skew allowance";
-  if Time.Span.(t.retry_interval <= Time.Span.zero) then
-    invalid_arg "Config: retry interval must be positive";
-  if Time.Span.(t.retry_max_interval < t.retry_interval) then
-    invalid_arg "Config: retry backoff cap below the base interval";
   (match t.term_policy with
   | Term_policy.Fixed span when Time.Span.is_negative span -> invalid_arg "Config: negative term"
   | Term_policy.Adaptive a ->

@@ -13,13 +13,6 @@ type installed = {
 type t = {
   term_policy : Term_policy.t;
   skew_allowance : Simtime.Time.Span.t;  (** the paper's epsilon *)
-  retry_interval : Simtime.Time.Span.t;
-  (** base client RPC retransmission interval; also the server's
-      re-multicast interval for unanswered approval requests *)
-  retry_max_interval : Simtime.Time.Span.t;
-  (** cap on the client's exponential retransmission backoff: the k-th
-      retry of an RPC waits [min (retry_interval * 2^k) retry_max_interval],
-      jittered by the client's PRNG so post-crash retry storms de-correlate *)
   batch_extensions : bool;
   (** on a miss, piggyback renewal of every other held lease *)
   anticipatory_renewal : Simtime.Time.Span.t option;
@@ -56,7 +49,7 @@ type t = {
 }
 
 val default : t
-(** 10 s fixed term, a 100 ms skew allowance, 1 s retries, batching on, no
+(** 10 s fixed term, a 100 ms skew allowance, batching on, no
     anticipatory renewal, callbacks on, no installed optimisation,
     max-term-only recovery record. *)
 

@@ -502,13 +502,13 @@ let sweep t ~now =
   done;
   not (Lease.is_never !next)
 
-type occupancy = { files : int; records : int; live_records : int }
+type occupancy = { files : int; records : int }
 
 (* A sweep leaves only live records resident, so the counters answer the
    occupancy question. *)
 let occupancy (t : t) ~now =
   ignore (sweep t ~now);
-  { files = t.files; records = t.records; live_records = t.records }
+  { files = t.files; records = t.records }
 
 let clear (t : t) =
   t.chunks <- [||];

@@ -113,13 +113,13 @@ val sweep : t -> now:Simtime.Time.t -> bool
     unconditionally would keep the simulation's event queue alive
     forever. *)
 
-type occupancy = { files : int; records : int; live_records : int }
+type occupancy = { files : int; records : int }
 
 val occupancy : t -> now:Simtime.Time.t -> occupancy
 (** Whole-table occupancy after a {!sweep} at [now]: files with at least
-    one live record and the live record count ([records] =
-    [live_records] — both fields are kept so existing consumers see the
-    same shape).  Costs what {!sweep} costs, not O(lifetime records). *)
+    one live record, and the live record count (the sweep leaves no other
+    record resident).  Costs what {!sweep} costs, not O(lifetime
+    records). *)
 
 val clear : t -> unit
 (** Crash reset: empty the table in place. *)

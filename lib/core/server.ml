@@ -571,10 +571,9 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
          traces never collide between servers.  PRNG-free.  A write whose
          approvals are all in waits out the post-crash quiet period. *)
       writes =
-        Approval.create ~engine ~clock ~tracer ~retry:config.retry_interval
-          ~id_origin:(Host.Host_id.to_int host lsl 32) ~start:start_write ~ask:ask_approval
-          ~release:release_holder ~commit:commit_write ~repeat:reply_again
-          ~hold:recovery_deadline ();
+        Approval.create ~engine ~clock ~tracer ~id_origin:(Host.Host_id.to_int host lsl 32)
+          ~start:start_write ~ask:ask_approval ~release:release_holder ~commit:commit_write
+          ~repeat:reply_again ~hold:recovery_deadline ();
       recovery_end = Time.zero;
       recovered_at = Time.zero;
       installed_set;
@@ -613,7 +612,6 @@ let clock t = t.clock
 type snapshot = {
   lease_files : int;
   lease_records : int;
-  lease_records_live : int;
   pending_writes : int;
   queued_writes : int;
   queued_files : int;
@@ -626,7 +624,6 @@ let snapshot t =
   {
     lease_files = occ.Lease_table.files;
     lease_records = occ.Lease_table.records;
-    lease_records_live = occ.Lease_table.live_records;
     pending_writes = Approval.rounds t.writes;
     queued_writes = Approval.queued t.writes;
     queued_files = Approval.queued_files t.writes;

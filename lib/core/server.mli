@@ -63,10 +63,8 @@ val recovering : t -> bool
 type snapshot = {
   lease_files : int;  (** files with at least one live lease record *)
   lease_records : int;
-      (** resident lease records; the snapshot sweeps first, so this equals
-          [lease_records_live] (the field pair is kept for consumers of the
-          old live-vs-resident split) *)
-  lease_records_live : int;  (** records unexpired on the server clock *)
+      (** records unexpired on the server clock: the snapshot sweeps
+          first, so no other record is resident *)
   pending_writes : int;  (** writes waiting on approvals or lease expiry *)
   queued_writes : int;  (** writes queued behind a pending one *)
   queued_files : int;

@@ -8,7 +8,9 @@ let run ?(duration = Time.Span.of_sec 3_000.) ?(clients = 8) () =
   let { V_trace.trace; fileset } = V_trace.bursty ~seed:17L ~clients ~duration () in
   let term = Leases.Lease.term_of_sec 10. in
   let base = Leases.Config.with_term Leases.Config.default term in
-  let installed_files = Array.to_list (Workload.Fileset.installed fileset) in
+  let installed_files =
+    List.init (Workload.Fileset.installed fileset) (Workload.Fileset.installed_id fileset)
+  in
   let configs =
     [
       ("on-demand", { base with Leases.Config.batch_extensions = false });

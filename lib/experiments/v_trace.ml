@@ -4,13 +4,7 @@ let read_rate = Analytic.Params.v_lan.Analytic.Params.read_rate
 let write_rate = Analytic.Params.v_lan.Analytic.Params.write_rate
 
 let fileset ?(clients = 1) () =
-  let next = ref 0 in
-  let fresh_id () =
-    let id = Vstore.File_id.of_int !next in
-    incr next;
-    id
-  in
-  Workload.Fileset.create ~fresh_id ~clients ~installed:20 ~shared:10 ~private_per_client:30
+  Workload.Fileset.create ~clients ~installed:20 ~shared:10 ~private_per_client:30
     ~temporary_per_client:10
 
 let poisson ?(seed = 11L) ?(clients = 1) ~duration () =
@@ -23,14 +17,8 @@ let poisson ?(seed = 11L) ?(clients = 1) ~duration () =
   { trace; fileset }
 
 let shared_heavy ?(seed = 29L) ?(clients = 4) ~duration () =
-  let next = ref 0 in
-  let fresh_id () =
-    let id = Vstore.File_id.of_int !next in
-    incr next;
-    id
-  in
   let fileset =
-    Workload.Fileset.create ~fresh_id ~clients ~installed:5 ~shared:4 ~private_per_client:10
+    Workload.Fileset.create ~clients ~installed:5 ~shared:4 ~private_per_client:10
       ~temporary_per_client:0
   in
   let mix =
@@ -56,3 +44,30 @@ let bursty ?(seed = 13L) ?(clients = 1) ~duration () =
       ~duration ()
   in
   { trace; fileset }
+
+type kind = Poisson | Bursty | Shared_heavy
+
+(* One row a kind: its [-w] name and its generator. *)
+let kinds =
+  [
+    (Poisson, "poisson", poisson);
+    (Bursty, "bursty", bursty);
+    (Shared_heavy, "shared-heavy", shared_heavy);
+  ]
+
+let row kind = List.find (fun (k, _, _) -> k == kind) kinds
+
+let kind_name kind =
+  let _, name, _ = row kind in
+  name
+
+let kind_of_name name =
+  match List.find_opt (fun (_, n, _) -> String.equal n name) kinds with
+  | Some (kind, _, _) -> kind
+  | None ->
+    let names = List.map (fun (_, n, _) -> n) kinds in
+    failwith (Printf.sprintf "unknown workload %S (%s)" name (String.concat "|" names))
+
+let generate kind ~seed ~clients ~duration =
+  let _, _, gen = row kind in
+  (gen ~seed ~clients ~duration ()).trace

@@ -29,3 +29,21 @@ val write_rate : float
 val fileset : ?clients:int -> unit -> Workload.Fileset.t
 (** The file population alone (20 installed, 10 shared, 30 private and 10
     temporary files per client). *)
+
+(** {2 The workload kinds}
+
+    The one table of the kinds [leases-sim -w], [leases-tracegen -w] and
+    the fault campaign's schedules name. *)
+
+type kind = Poisson | Bursty | Shared_heavy
+
+val kind_name : kind -> string
+(** ["poisson"], ["bursty"] or ["shared-heavy"]: the [-w] spelling. *)
+
+val kind_of_name : string -> kind
+(** The kind {!kind_name} spells so; raises [Failure] naming the known
+    kinds for any other string. *)
+
+val generate :
+  kind -> seed:int64 -> clients:int -> duration:Simtime.Time.Span.t -> Workload.Trace.t
+(** The trace of {!poisson}, {!bursty} or {!shared_heavy}. *)

@@ -13,7 +13,6 @@ type ('k, 'm) call = {
 type ('k, 'm) t = {
   net : 'm Net.t;
   host : Host.Host_id.t;
-  retry : Time.Span.t;
   retry_max : Time.Span.t;
   jitter : Prng.Splitmix.t option;
   retransmissions : Stats.Counter.t;
@@ -23,11 +22,13 @@ type ('k, 'm) t = {
   mutable next_req : int;
 }
 
-let create ~net ~host ?req_origin ~retry ~retry_max ?jitter ~retransmissions () =
+let retry_interval = Time.Span.of_sec 1.
+
+let create ~net ~host ?req_origin ~retry_max ?jitter ~retransmissions () =
   let next_req =
     match req_origin with Some origin -> origin | None -> Host.Host_id.to_int host lsl 32
   in
-  { net; host; retry; retry_max; jitter; retransmissions; calls = []; next_req }
+  { net; host; retry_max; jitter; retransmissions; calls = []; next_req }
 
 let net t = t.net
 let host t = t.host
@@ -38,7 +39,7 @@ let fresh_req t =
   req
 
 let delay t call =
-  let base = Time.Span.scale (Float.of_int (1 lsl Int.min call.tries 20)) t.retry in
+  let base = Time.Span.scale (Float.of_int (1 lsl Int.min call.tries 20)) retry_interval in
   let capped = Time.Span.min base t.retry_max in
   match t.jitter with
   | Some rng -> Time.Span.scale (0.5 +. Prng.Splitmix.float rng) capped

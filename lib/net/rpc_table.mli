@@ -19,23 +19,26 @@ type ('k, 'm) call = private {
 
 type ('k, 'm) t
 
+val retry_interval : Simtime.Time.Span.t
+(** 1 s: how long a call waits before its first re-send, and how often
+    an approval round ({!Leases.Approval}) re-asks its silent holders. *)
+
 val create :
   net:'m Net.t ->
   host:Host.Host_id.t ->
   ?req_origin:int ->
-  retry:Simtime.Time.Span.t ->
   retry_max:Simtime.Time.Span.t ->
   ?jitter:Prng.Splitmix.t ->
   retransmissions:Stats.Counter.t ->
   unit ->
   ('k, 'm) t
 (** Calls are sent from [host] over [net] and timed on its engine.  After
-    k re-sends, a call waits [retry * 2^k] capped at [retry_max] before
-    the next; with [jitter] that wait is scaled by a uniform factor in
-    [0.5, 1.5), one draw per wait, so clients whose calls all failed at
+    k re-sends, a call waits [retry_interval * 2^k] capped at [retry_max]
+    before the next; with [jitter] that wait is scaled by a uniform factor
+    in [0.5, 1.5), one draw per wait, so clients whose calls all failed at
     the same instant (a server crash) do not retry in lockstep forever.
-    [retry = retry_max] without [jitter] is a fixed interval.  Each
-    retransmission bumps [retransmissions].
+    [retry_max = retry_interval] without [jitter] is a fixed interval.
+    Each retransmission bumps [retransmissions].
 
     Request ids count up from [req_origin] (default [host lsl 32]: the
     host index in the high bits, a per-host sequence in the low 32, so an

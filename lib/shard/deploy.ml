@@ -141,21 +141,23 @@ let run setup ~trace =
 (* ------------------------------------------------------------------ *)
 (* Split deployment: one self-contained sub-simulation per shard.      *)
 
-type part = {
-  p_shard : int;
-  p_metrics : Leases.Metrics.t;
-  p_load : shard_load;
-  p_oracle : Oracle.Register_oracle.t;
-  p_store : Vstore.Store.t;
-  p_events : Trace.Event.t list;
-  p_rtt_s : float;
-}
+type part = { p_metrics : Leases.Metrics.t }
 
 type split_outcome = {
   sp_metrics : Leases.Metrics.t;
   sp_per_shard : shard_load array;
   sp_map : Shard_map.t;
   sp_parts : part array;
+}
+
+(* What one part's run leaves behind until the parts are merged: its
+   trace (time-ordered; empty untraced) and its net's round trip go no
+   further than [run_split]. *)
+type part_run = {
+  r_part : part;
+  r_load : shard_load;
+  r_events : Trace.Event.t list;
+  r_rtt_s : float;
 }
 
 (* One shard as a complete, isolated simulation: a one-server world at
@@ -181,13 +183,11 @@ let run_split_part setup ~map ~rng ~horizon ~part_trace ~shard:s =
       ~trace_clients:(s = 0) ~until:horizon part_trace
   in
   {
-    p_shard = s;
-    p_metrics = metrics;
-    p_load = load_of_server ~shard:s ~sim_duration:metrics.Leases.Metrics.sim_duration w.servers.(0);
-    p_oracle = w.oracle;
-    p_store = w.store;
-    p_events = (match buf with Some b -> Trace.Sink.buffer_contents b | None -> []);
-    p_rtt_s = Time.Span.to_sec (Netsim.Net.unicast_rtt w.fabric.Leases.Cluster.net);
+    r_part = { p_metrics = metrics };
+    r_load =
+      load_of_server ~shard:s ~sim_duration:metrics.Leases.Metrics.sim_duration w.servers.(0);
+    r_events = (match buf with Some b -> Trace.Sink.buffer_contents b | None -> []);
+    r_rtt_s = Time.Span.to_sec (Netsim.Net.unicast_rtt w.fabric.Leases.Cluster.net);
   }
 
 (* Deterministic merge: every integer field sums; histograms fold with
@@ -256,7 +256,7 @@ let run_split ?(domains = 1) setup ~trace =
   let run_part s =
     run_split_part setup ~map ~rng:rngs.(s) ~horizon ~part_trace:part_traces.(s) ~shard:s
   in
-  let parts =
+  let runs =
     let n_dom = Int.min domains setup.n_shards in
     if n_dom <= 1 then Array.init setup.n_shards run_part
     else begin
@@ -287,7 +287,7 @@ let run_split ?(domains = 1) setup ~trace =
      caller's sink feeds whatever it wired up — a JSONL writer, a checker
      buffer, a critical-path analyzer tee. *)
   if Trace.Sink.enabled setup.tracer then begin
-    let all = List.concat_map (fun p -> p.p_events) (Array.to_list parts) in
+    let all = List.concat_map (fun r -> r.r_events) (Array.to_list runs) in
     let all =
       List.stable_sort
         (fun (a : Trace.Event.t) b -> Float.compare a.Trace.Event.at b.Trace.Event.at)
@@ -296,9 +296,10 @@ let run_split ?(domains = 1) setup ~trace =
     List.iter setup.tracer.Trace.Sink.push all;
     Trace.Sink.flush setup.tracer
   end;
+  let parts = Array.map (fun r -> r.r_part) runs in
   {
-    sp_metrics = merge_split_metrics ~rtt_s:parts.(0).p_rtt_s parts;
-    sp_per_shard = Array.map (fun p -> p.p_load) parts;
+    sp_metrics = merge_split_metrics ~rtt_s:runs.(0).r_rtt_s parts;
+    sp_per_shard = Array.map (fun r -> r.r_load) runs;
     sp_map = map;
     sp_parts = parts;
   }

@@ -117,15 +117,7 @@ val run : setup -> trace:Workload.Trace.t -> outcome
     compare [run_split ~domains:1] against [run_split ~domains:k]. *)
 
 type part = {
-  p_shard : int;
   p_metrics : Leases.Metrics.t;  (** this part alone; [sim_duration] is the shared horizon *)
-  p_load : shard_load;
-  p_oracle : Oracle.Register_oracle.t;
-  p_store : Vstore.Store.t;  (** this shard's slice of the namespace *)
-  p_events : Trace.Event.t list;
-      (** this part's trace, time-ordered; empty when [setup.tracer] is
-          disabled *)
-  p_rtt_s : float;
 }
 
 type split_outcome = {

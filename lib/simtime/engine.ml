@@ -25,10 +25,11 @@ and t = {
   mutable lane_len : int;  (** entries over every lane *)
   mutable next_at : int;  (** the instant of the event {!pick} chose *)
   mutable tracer : Trace.Sink.t;
-  mutable heartbeat : Time.span;
   mutable next_beat : Time.t;
   mutable profiler : Profile.Recorder.t;
 }
+
+let heartbeat = Time.Span.of_sec 1.
 
 type handle = (unit -> unit) Event_queue.handle
 
@@ -40,18 +41,12 @@ let create () =
     lane_len = 0;
     next_at = max_int;
     tracer = Trace.Sink.null;
-    heartbeat = Time.Span.of_sec 1.;
     next_beat = Time.zero;
     profiler = Profile.Recorder.null;
   }
 
-let set_tracer ?heartbeat t sink =
+let set_tracer t sink =
   t.tracer <- sink;
-  (match heartbeat with
-  | Some hb ->
-    if Time.Span.is_negative hb then invalid_arg "Engine.set_tracer: negative heartbeat";
-    t.heartbeat <- hb
-  | None -> ());
   t.next_beat <- t.now
 
 let tracer t = t.tracer
@@ -153,11 +148,11 @@ let pick t =
 let arrive t at =
   t.now <- at;
   (* Bounded-rate engine sample: at most one heartbeat per [heartbeat]
-     interval of sim time, emitted piggyback on a real event so the
-     tracer never schedules work of its own. *)
+     of sim time, emitted piggyback on a real event so the tracer never
+     schedules work of its own. *)
   if Trace.Sink.enabled t.tracer && Time.(at >= t.next_beat) then (
     Trace.Sink.emit t.tracer (Time.to_sec at) (Trace.Event.Heartbeat { pending = pending t });
-    t.next_beat <- Time.add at t.heartbeat)
+    t.next_beat <- Time.add at heartbeat)
 
 (* The single dispatch site, for heap and lane events alike.  With the
    profiler disabled this is one load and one branch (the trace-guard

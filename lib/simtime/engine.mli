@@ -74,12 +74,12 @@ val pending : t -> int
 (** Number of live scheduled events: the heap's plus every lane's
     entries. *)
 
-val set_tracer : ?heartbeat:Time.span -> t -> Trace.Sink.t -> unit
+val set_tracer : t -> Trace.Sink.t -> unit
 (** Attach a trace sink.  While the sink is enabled the engine emits a
-    [Heartbeat] event ({!pending}) at most once per [heartbeat]
-    of simulated time (default 1 s), piggybacked on event execution — the
-    tracer never schedules events itself, so it cannot keep a run alive or
-    perturb the schedule.  Negative heartbeats raise [Invalid_argument]. *)
+    [Heartbeat] event ({!pending}) at most once per second of simulated
+    time, piggybacked on event execution — the tracer never schedules
+    events itself, so it cannot keep a run alive or perturb the
+    schedule. *)
 
 val tracer : t -> Trace.Sink.t
 (** The attached sink ({!Trace.Sink.null} when none). *)

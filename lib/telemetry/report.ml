@@ -16,8 +16,8 @@ let json_of_params (p : Residual.params) =
       ("m_proc_s", Json.Num p.Residual.m_proc_s);
       ("epsilon_s", Json.Num p.Residual.epsilon_s);
       ("term_s", json_of_term p.Residual.term);
-      ("tolerance", Json.Num p.Residual.tolerance);
-      ("warmup_s", Json.Num p.Residual.warmup_s);
+      ("tolerance", Json.Num Residual.tolerance);
+      ("warmup_s", Json.Num Residual.warmup_s);
     ]
 
 let summary_to_json (s : Residual.summary) =
@@ -100,7 +100,9 @@ let json_of_eval (e : Residual.eval) =
       ("flagged", Json.Bool e.Residual.flagged);
       ("lease_files", Json.Num (float_of_int w.Sampler.lease_files));
       ("lease_records", Json.Num (float_of_int w.Sampler.lease_records));
-      ("lease_records_live", Json.Num (float_of_int w.Sampler.lease_records_live));
+      (* the format keeps the old resident and live columns, which the
+         sweep before each snapshot made one count *)
+      ("lease_records_live", Json.Num (float_of_int w.Sampler.lease_records));
       ("pending_writes", Json.Num (float_of_int w.Sampler.pending_writes));
       ("queued_writes", Json.Num (float_of_int w.Sampler.queued_writes));
       ("client_inflight", Json.Num (float_of_int w.Sampler.client_inflight));
@@ -127,7 +129,7 @@ let evaluate_detailed ~caller params sampler =
 
 let to_json ~params sampler =
   let evals = evaluate_detailed ~caller:"to_json" params sampler in
-  let summary = Residual.summarize params evals in
+  let summary = Residual.summarize evals in
   (* Cumulative by-entity totals are reconstructible by summing the
      per-window deltas; only the counter registry is repeated in full. *)
   let final_counters =
@@ -170,7 +172,7 @@ let csv_row (e : Residual.eval) =
     f e.Residual.r_rate; f e.Residual.w_rate; i e.Residual.sharing; f e.Residual.measured_load;
     f e.Residual.predicted_load; f e.Residual.load_residual; f e.Residual.measured_delay;
     f e.Residual.predicted_delay; f e.Residual.delay_residual; b e.Residual.flagged;
-    i w.Sampler.lease_files; i w.Sampler.lease_records; i w.Sampler.lease_records_live;
+    i w.Sampler.lease_files; i w.Sampler.lease_records; i w.Sampler.lease_records;
     i w.Sampler.pending_writes; i w.Sampler.queued_writes; i w.Sampler.client_inflight;
     i w.Sampler.client_queued_ops; i w.Sampler.in_flight_msgs; b w.Sampler.server_up;
     b w.Sampler.server_recovering; f (Sampler.max_abs_skew w);

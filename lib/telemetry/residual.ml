@@ -4,19 +4,14 @@ type params = {
   m_proc_s : float;
   epsilon_s : float;
   term : Analytic.Model.term;
-  tolerance : float;
-  warmup_s : float;
 }
 
-let default_tolerance = 0.5
-let default_warmup_s = 300.
+let tolerance = 0.5
+let warmup_s = 300.
 
-let params_of_config ?(tolerance = default_tolerance) ?(warmup_s = default_warmup_s) ~n_clients
-    ~m_prop ~m_proc (config : Leases.Config.t) =
-  let who = "Telemetry.Residual.params_of_config" in
-  if n_clients < 1 then invalid_arg (who ^ ": n_clients must be positive");
-  if tolerance <= 0. then invalid_arg (who ^ ": tolerance must be positive");
-  if warmup_s < 0. then invalid_arg (who ^ ": warmup must be non-negative");
+let params_of_config ~n_clients ~m_prop ~m_proc (config : Leases.Config.t) =
+  if n_clients < 1 then
+    invalid_arg "Telemetry.Residual.params_of_config: n_clients must be positive";
   let sec = Simtime.Time.Span.to_sec in
   let term =
     match config.Leases.Config.term_policy with
@@ -31,8 +26,6 @@ let params_of_config ?(tolerance = default_tolerance) ?(warmup_s = default_warmu
     m_proc_s = sec m_proc;
     epsilon_s = sec config.Leases.Config.skew_allowance;
     term;
-    tolerance;
-    warmup_s;
   }
 
 type eval = {
@@ -122,7 +115,7 @@ let evaluate_window p (w : Sampler.window) =
     measured_delay;
     predicted_delay;
     delay_residual;
-    flagged = Float.abs load_residual > p.tolerance;
+    flagged = Float.abs load_residual > tolerance;
   }
 
 let evaluate ?server p sampler = List.map (evaluate_window p) (Sampler.windows ?server sampler)
@@ -148,9 +141,9 @@ type summary = {
    of percent.  When the warm-up swallows every active window the most
    recent windows are used anyway: a too-short run reports its best
    estimate rather than 0/0. *)
-let steady_residual p evals =
+let steady_residual evals =
   let active = List.filter (fun e -> e.e_window.Sampler.reads > 0) evals in
-  let warm = List.filter (fun e -> e.e_window.Sampler.t_end > p.warmup_s) active in
+  let warm = List.filter (fun e -> e.e_window.Sampler.t_end > warmup_s) active in
   let active =
     if warm <> [] then warm
     else match active with _ :: rest when rest <> [] -> rest | other -> other
@@ -165,7 +158,7 @@ let steady_residual p evals =
   if predicted <= 0. then if measured <= 0. then 0. else Float.infinity
   else (measured -. predicted) /. predicted
 
-let summarize p evals =
+let summarize evals =
   let n = List.length evals in
   if n = 0 then
     {
@@ -196,9 +189,9 @@ let summarize p evals =
       peak_measured_load = peak;
       worst_load_residual = worst.load_residual;
       worst_window_t = worst.e_window.Sampler.t_end;
-      steady_load_residual = steady_residual p evals;
+      steady_load_residual = steady_residual evals;
     }
   end
 
 let summaries p sampler =
-  Array.init (Sampler.servers sampler) (fun server -> summarize p (evaluate ~server p sampler))
+  Array.init (Sampler.servers sampler) (fun server -> summarize (evaluate ~server p sampler))

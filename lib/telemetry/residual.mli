@@ -30,23 +30,20 @@ type params = {
   m_proc_s : float;
   epsilon_s : float;  (** the clock-skew allowance subtracted from the term *)
   term : Analytic.Model.term;  (** the configured server-side term *)
-  tolerance : float;  (** per-window flag threshold on |load residual| *)
-  warmup_s : float;  (** windows ending at or before this are excluded
-                         from the steady residual (cold-cache ramp) *)
 }
 
-val default_tolerance : float
-(** 0.5 — per-window Poisson noise at V-trace rates over a 30 s window is
-    of order 20 %, so individual windows legitimately swing well past the
-    pooled steady-state tolerance. *)
+val tolerance : float
+(** 0.5, the per-window flag threshold on |load residual|: per-window
+    Poisson noise at V-trace rates over a 30 s window is of order 20 %, so
+    individual windows legitimately swing well past the pooled
+    steady-state tolerance. *)
 
-val default_warmup_s : float
-(** 300 s — where the seeded V-workload cold-cache ramp has decayed into
-    the Poisson noise (see EXPERIMENTS.md). *)
+val warmup_s : float
+(** 300 s: windows ending at or before this are left out of the steady
+    residual.  It is where the seeded V-workload cold-cache ramp has
+    decayed into the Poisson noise (see EXPERIMENTS.md). *)
 
 val params_of_config :
-  ?tolerance:float ->
-  ?warmup_s:float ->
   n_clients:int ->
   m_prop:Simtime.Time.Span.t ->
   m_proc:Simtime.Time.Span.t ->
@@ -55,8 +52,7 @@ val params_of_config :
 (** The parameters of a lease run with [n_clients] clients, these message
     times and this config: its skew allowance, and the term its policy
     grants (an adaptive policy evaluates at its max term).  Raises
-    [Invalid_argument] unless [n_clients] and [tolerance] are positive
-    and [warmup_s] is non-negative. *)
+    [Invalid_argument] unless [n_clients] is positive. *)
 
 type eval = {
   e_window : Sampler.window;
@@ -72,7 +68,7 @@ type eval = {
           one unavoidable write RPC *)
   predicted_delay : float;
   delay_residual : float;
-  flagged : bool;  (** |load_residual| > tolerance *)
+  flagged : bool;  (** |load_residual| > {!tolerance} *)
 }
 
 val evaluate_window : params -> Sampler.window -> eval
@@ -94,7 +90,7 @@ type summary = {
           first active window when the run is shorter than the warm-up) *)
 }
 
-val summarize : params -> eval list -> summary
+val summarize : eval list -> summary
 
 val summaries : params -> Sampler.t -> summary array
 (** The summary of each server the sampler watched, in server order: a

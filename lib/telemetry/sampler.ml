@@ -47,7 +47,6 @@ type window = {
   write_delay_count : int;
   lease_files : int;
   lease_records : int;
-  lease_records_live : int;
   pending_writes : int;
   queued_writes : int;
   client_inflight : int;
@@ -252,7 +251,6 @@ let close_window t a s ~t_end (r : reads) ~client_inflight ~client_queued_ops ~i
       write_delay_count = r.write_count - pr.write_count;
       lease_files = snap.Server.lease_files;
       lease_records = snap.Server.lease_records;
-      lease_records_live = snap.Server.lease_records_live;
       pending_writes = snap.Server.pending_writes;
       queued_writes = snap.Server.queued_writes;
       client_inflight;

@@ -119,8 +119,7 @@ type window = {
   write_delay_sum : float;
   write_delay_count : int;
   lease_files : int;  (** gauge at [t_end]: files with lease records *)
-  lease_records : int;
-  lease_records_live : int;
+  lease_records : int;  (** gauge at [t_end]: live lease records *)
   pending_writes : int;
   queued_writes : int;
   client_inflight : int;  (** RPCs on the wire, summed over clients *)

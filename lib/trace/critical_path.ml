@@ -133,16 +133,25 @@ type t = {
   mutable max_err : float;  (** worst |sum of phases - measured latency| *)
 }
 
+(* The read and extension rows of a writes-only analyzer: it completes no
+   read or extension, so nothing ever adds to these. *)
+let never_written = Stats.Histogram.create ()
+let never_written_phases = Array.make n_phases never_written
+
 let create ?(worst = 5) ?(writes_only = false) () =
   if worst < 0 then invalid_arg (Printf.sprintf "Critical_path.create: worst %d < 0" worst);
+  let built k = (not writes_only) || k = kind_index K_write in
   {
     writes_only;
     open_ops = Int_tbl.create 64;
     by_write = Int_tbl.create 64;
     worst;
     slowest = [];
-    lat_hist = Array.init 3 (fun _ -> Stats.Histogram.create ());
-    phase_hist = Array.init 3 (fun _ -> Array.init n_phases (fun _ -> Stats.Histogram.create ()));
+    lat_hist = Array.init 3 (fun k -> if built k then Stats.Histogram.create () else never_written);
+    phase_hist =
+      Array.init 3 (fun k ->
+          if built k then Array.init n_phases (fun _ -> Stats.Histogram.create ())
+          else never_written_phases);
     abandoned = Array.make 3 0;
     servers = Int_tbl.create 8;
     sums = Array.make n_phases 0.;

@@ -4,9 +4,6 @@ module File_id = Vstore.File_id
 module Lease = Leases.Lease
 module File_gate = Leases.File_gate
 
-(* Every unanswered RPC is re-sent after this long. *)
-let retry_interval = Time.Span.of_sec 1.
-
 (* Dirty data is flushed this long after the first buffered write... *)
 let write_back_delay = Time.Span.of_sec 5.
 
@@ -317,7 +314,7 @@ let create ~engine ~clock ~net ~liveness ~host ~server ~skew_allowance () =
       counters;
       cache = Hashtbl.create 128;
       rpcs =
-        Netsim.Rpc_table.create ~net ~host ~retry:retry_interval ~retry_max:retry_interval
+        Netsim.Rpc_table.create ~net ~host ~retry_max:Netsim.Rpc_table.retry_interval
           ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions")
           ();
       gate = File_gate.create ();

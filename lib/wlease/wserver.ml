@@ -11,9 +11,6 @@ type acquisition = { mode : Wmessages.mode; arrived : Time.t }
 
 type file_state = { mutable holders : holder Host_id.Map.t; mutable epoch : Wmessages.epoch }
 
-(* An unanswered recall is re-multicast after this long. *)
-let retry_interval = Time.Span.of_sec 1.
-
 type t = {
   engine : Engine.t;
   clock : Clock.t;
@@ -248,9 +245,8 @@ let create ~engine ~clock ~net ~liveness ~host ~store ~term () =
       grant_wait = Stats.Histogram.create ();
       files = Hashtbl.create 64;
       recalls =
-        Leases.Approval.create ~engine ~clock ~retry:retry_interval ~id_origin:0
-          ~start:start_acquire ~ask:send_recalls ~release:remove_holder ~commit:grant
-          ~repeat:regrant ();
+        Leases.Approval.create ~engine ~clock ~id_origin:0 ~start:start_acquire ~ask:send_recalls
+          ~release:remove_holder ~commit:grant ~repeat:regrant ();
       applied_flushes = Leases.Answers.create 256;
       wal = Vstore.Wal.create Vstore.Wal.Max_term_only;
       recovery_end = Time.zero;

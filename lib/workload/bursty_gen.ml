@@ -1,15 +1,15 @@
 open Simtime
 
-let generate ~rng ~fileset ~mix ~read_rate ~write_rate ?(ops_per_burst = 20.)
-    ?(gap = Time.Span.of_ms 50.) ?(working_set = 8) ?(pareto_shape = 2.5) ~duration () =
+(* The burst shape the interface describes. *)
+let ops_per_burst = 20.
+let gap_sec = 0.05
+let working_set = 8
+let pareto_shape = 2.5
+
+let generate ~rng ~fileset ~mix ~read_rate ~write_rate ~duration () =
   let pick = Mix.sampler mix fileset in
   let total_rate = read_rate +. write_rate in
   if total_rate <= 0. then invalid_arg "Bursty_gen.generate: need a positive total rate";
-  if ops_per_burst < 1. then invalid_arg "Bursty_gen.generate: ops_per_burst must be >= 1";
-  if working_set < 1 then invalid_arg "Bursty_gen.generate: working_set must be >= 1";
-  if pareto_shape <= 1. then
-    invalid_arg "Bursty_gen.generate: pareto_shape must exceed 1 for a finite mean";
-  let gap_sec = Time.Span.to_sec gap in
   (* A burst of n operations advances time by n*gap (each op is followed by
      one gap), so the long-run rate is m / (think + m*gap); solve for the
      think mean. *)

@@ -7,12 +7,13 @@
     makes short lease terms look {e better} (a sharper knee at a lower
     term), because a burst amortises one extension over many reads.
 
-    Model: each client alternates Pareto-distributed think times with
-    bursts of geometrically many operations spaced [gap] apart.  Each burst
-    works over a small working set sampled at burst start (locality), and
-    each operation is a write with probability W/(R+W).  Think-time means
-    are derived so the long-run server-visible rates match the requested R
-    and W exactly in expectation. *)
+    Model: each client alternates Pareto-distributed think times (shape
+    2.5: heavy-tailed, with a finite variance so long-run rates converge)
+    with bursts of geometrically many operations (20 on average) spaced
+    50 ms apart.  Each burst works over a working set of 8 files sampled at
+    burst start (locality), and each operation is a write with probability
+    W/(R+W).  Think-time means are derived so the long-run server-visible
+    rates match the requested R and W exactly in expectation. *)
 
 val generate :
   rng:Prng.Splitmix.t ->
@@ -20,15 +21,9 @@ val generate :
   mix:Mix.t ->
   read_rate:float ->
   write_rate:float ->
-  ?ops_per_burst:float ->
-  ?gap:Simtime.Time.Span.t ->
-  ?working_set:int ->
-  ?pareto_shape:float ->
   duration:Simtime.Time.Span.t ->
   unit ->
   Trace.t
-(** Defaults: [ops_per_burst] = 20 (mean of the geometric), [gap] = 50 ms,
-    [working_set] = 8, [pareto_shape] = 2.5 (heavy-tailed but with finite
-    variance, so long-run rates converge).  [read_rate +. write_rate] must
-    be positive and small enough that the requested rate is achievable with
-    the given burst shape (mean think time must come out positive). *)
+(** [read_rate +. write_rate] must be positive and small enough that the
+    burst shape can reach it (the mean think time must come out
+    positive). *)

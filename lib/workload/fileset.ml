@@ -2,65 +2,57 @@ type file_class = Installed | Shared | Private of int | Temporary of int
 
 type t = {
   clients : int;
-  installed : Vstore.File_id.t array;
-  shared : Vstore.File_id.t array;
-  private_ : Vstore.File_id.t array array;
-  temporary : Vstore.File_id.t array array;
-  classes : file_class Vstore.File_id.Tbl.t Lazy.t;
+  installed : int;
+  shared : int;
+  private_per_client : int;
+  temporary_per_client : int;
 }
 
-(* Built on first use: only Table 2 and the tests ask for a file's class,
-   and at 10 000 clients filling the table cost about half of generating
-   a V trace. *)
-let index ~installed ~shared ~private_ ~temporary =
-  let classes = Vstore.File_id.Tbl.create 256 in
-  let add cls = Array.iter (fun id -> Vstore.File_id.Tbl.replace classes id cls) in
-  Array.iteri (fun c ids -> add (Temporary c) ids) temporary;
-  Array.iteri (fun c ids -> add (Private c) ids) private_;
-  add Shared shared;
-  add Installed installed;
-  classes
-
-let create ~fresh_id ~clients ~installed ~shared ~private_per_client ~temporary_per_client =
+let create ~clients ~installed ~shared ~private_per_client ~temporary_per_client =
   if clients <= 0 then invalid_arg "Fileset.create: need at least one client";
   if installed <= 0 then invalid_arg "Fileset.create: need at least one installed file";
   if shared < 0 || private_per_client < 0 || temporary_per_client < 0 then
     invalid_arg "Fileset.create: negative file count";
-  let allocate n = Array.init n (fun _ -> fresh_id ()) in
-  (* Every seeded trace depends on this allocation order: temporary ids
-     first, then private, shared and installed. *)
-  let temporary = Array.init clients (fun _ -> allocate temporary_per_client) in
-  let private_ = Array.init clients (fun _ -> allocate private_per_client) in
-  let shared = allocate shared in
-  let installed = allocate installed in
-  {
-    clients;
-    installed;
-    shared;
-    private_;
-    temporary;
-    classes = lazy (index ~installed ~shared ~private_ ~temporary);
-  }
+  { clients; installed; shared; private_per_client; temporary_per_client }
 
 let clients t = t.clients
 let installed t = t.installed
 let shared t = t.shared
+let private_per_client t = t.private_per_client
+let temporary_per_client t = t.temporary_per_client
 
-let check_client t c =
+(* The first id of each class range.  These and the id accessors below
+   are inlined, because a generator picks a file through them on every
+   op. *)
+let[@inline] first_private t = t.clients * t.temporary_per_client
+let[@inline] first_shared t = first_private t + (t.clients * t.private_per_client)
+let[@inline] first_installed t = first_shared t + t.shared
+let size t = first_installed t + t.installed
+
+let[@inline] nth ~first ~count i =
+  if i < 0 || i >= count then invalid_arg "Fileset: file index out of range";
+  Vstore.File_id.of_int (first + i)
+
+let[@inline] check_client t c =
   if c < 0 || c >= t.clients then invalid_arg "Fileset: client index out of range"
 
-let private_of t c =
-  check_client t c;
-  t.private_.(c)
+let[@inline] installed_id t i = nth ~first:(first_installed t) ~count:t.installed i
+let[@inline] shared_id t i = nth ~first:(first_shared t) ~count:t.shared i
 
-let temporary_of t c =
-  check_client t c;
-  t.temporary.(c)
+let[@inline] private_id t ~client i =
+  check_client t client;
+  let n = t.private_per_client in
+  nth ~first:(first_private t + (client * n)) ~count:n i
 
-let class_of t file = Vstore.File_id.Tbl.find (Lazy.force t.classes) file
+let[@inline] temporary_id t ~client i =
+  check_client t client;
+  let n = t.temporary_per_client in
+  nth ~first:(client * n) ~count:n i
 
-let ids t =
-  Array.concat (t.installed :: t.shared :: Array.to_list (Array.append t.private_ t.temporary))
-
-let all t = List.sort Vstore.File_id.compare (Array.to_list (ids t))
-let size t = Array.length (ids t)
+let class_of t file =
+  let id = Vstore.File_id.to_int file in
+  if id < first_private t then Temporary (id / t.temporary_per_client)
+  else if id < first_shared t then Private ((id - first_private t) / t.private_per_client)
+  else if id < first_installed t then Shared
+  else if id < size t then Installed
+  else raise Not_found

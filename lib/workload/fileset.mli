@@ -8,7 +8,12 @@
       (write-sharing happens here);
     - {e private} files — one client's own files;
     - {e temporary} files — most writes; the V cache handles them locally,
-      so they never generate server traffic. *)
+      so they never generate server traffic.
+
+    A set is its five counts.  Its ids run from 0 up to {!size}, one range
+    per class in this order: each client's temporary files (client 0's
+    first), then each client's private files, then the shared files, then
+    the installed ones.  Every seeded trace depends on that order. *)
 
 type file_class =
   | Installed
@@ -19,7 +24,6 @@ type file_class =
 type t
 
 val create :
-  fresh_id:(unit -> Vstore.File_id.t) ->
   clients:int ->
   installed:int ->
   shared:int ->
@@ -30,15 +34,23 @@ val create :
     [temporary_per_client], which may be zero. *)
 
 val clients : t -> int
-val installed : t -> Vstore.File_id.t array
-val shared : t -> Vstore.File_id.t array
-val private_of : t -> int -> Vstore.File_id.t array
-val temporary_of : t -> int -> Vstore.File_id.t array
-val class_of : t -> Vstore.File_id.t -> file_class
-(** Raises [Not_found] for ids the set does not contain.  The first call
-    builds the class index; a set nobody asks never pays for it. *)
+val installed : t -> int
+val shared : t -> int
+val private_per_client : t -> int
+val temporary_per_client : t -> int
 
-val all : t -> Vstore.File_id.t list
-(** Every id the set allocated, ascending. *)
+val installed_id : t -> int -> Vstore.File_id.t
+(** [installed_id t i] is the [i]th installed file, [0 <= i < installed t]. *)
+
+val shared_id : t -> int -> Vstore.File_id.t
+val private_id : t -> client:int -> int -> Vstore.File_id.t
+val temporary_id : t -> client:int -> int -> Vstore.File_id.t
+(** The [i]th file of the class (of [client]'s files, for the last two).
+    An index or client outside the class raises [Invalid_argument].  None
+    allocates. *)
+
+val class_of : t -> Vstore.File_id.t -> file_class
+(** Raises [Not_found] for ids from {!size} up. *)
 
 val size : t -> int
+(** Files in the set: its ids are [0 .. size - 1]. *)

@@ -35,31 +35,29 @@ type sampler = {
 
 let sampler t fileset =
   validate t;
-  let table files s = Prng.Dist.Zipf_table.create ~n:(Array.length files) ~s in
+  let table n s = Prng.Dist.Zipf_table.create ~n ~s in
   let shared = Fileset.shared fileset in
   {
     mix = t;
     fileset;
     installed_zipf = table (Fileset.installed fileset) t.zipf_installed;
-    shared_zipf = (if Array.length shared = 0 then None else Some (table shared t.zipf_shared));
+    shared_zipf = (if shared = 0 then None else Some (table shared t.zipf_shared));
   }
 
-let uniform_pick rng files = files.(Prng.Splitmix.int rng ~bound:(Array.length files))
-
 let private_fallback s rng ~client =
-  let own = Fileset.private_of s.fileset client in
-  if Array.length own = 0 then invalid_arg "Mix: no private files to fall back on"
-  else uniform_pick rng own
+  let own = Fileset.private_per_client s.fileset in
+  if own = 0 then invalid_arg "Mix: no private files to fall back on"
+  else Fileset.private_id s.fileset ~client (Prng.Splitmix.int rng ~bound:own)
 
 let shared_pick s rng ~client =
   match s.shared_zipf with
-  | Some zipf -> (Fileset.shared s.fileset).(Prng.Dist.Zipf_table.draw zipf rng)
+  | Some zipf -> Fileset.shared_id s.fileset (Prng.Dist.Zipf_table.draw zipf rng)
   | None -> private_fallback s rng ~client
 
 let pick_read s rng ~client =
   let u = Prng.Splitmix.float rng in
   if u < s.mix.p_installed_read then
-    (Fileset.installed s.fileset).(Prng.Dist.Zipf_table.draw s.installed_zipf rng)
+    Fileset.installed_id s.fileset (Prng.Dist.Zipf_table.draw s.installed_zipf rng)
   else if u < s.mix.p_installed_read +. s.mix.p_shared_read then shared_pick s rng ~client
   else private_fallback s rng ~client
 

@@ -27,14 +27,16 @@ let generate ~rng ~fileset ~mix ~read_rate ~write_rate ?(temp_read_rate = 0.)
         add Op.Read ~temporary:false (Mix.pick_read pick rng ~client) at);
     stream ~rng ~duration ~rate:write_rate (fun at ->
         add Op.Write ~temporary:false (Mix.pick_write pick rng ~client) at);
-    let temps = Fileset.temporary_of fileset client in
     let temp_stream rate kind =
       stream ~rng ~duration ~rate (fun at ->
-          if Array.length temps = 0 then
+          let temps = Fileset.temporary_per_client fileset in
+          if temps = 0 then
             (* No temporary files configured: degrade to a private op. *)
             add kind ~temporary:false (Mix.pick_write pick rng ~client) at
           else
-            add kind ~temporary:true temps.(Prng.Splitmix.int rng ~bound:(Array.length temps)) at)
+            add kind ~temporary:true
+              (Fileset.temporary_id fileset ~client (Prng.Splitmix.int rng ~bound:temps))
+              at)
     in
     (* The seeded traces were first drawn as the list literal
        [reads; writes; temp reads; temp writes], whose elements OCaml

@@ -222,4 +222,24 @@ if [ "$replayed" -ne 25 ] || [ "$mismatched" -ne 0 ]; then
 fi
 echo "$replayed reproducers replayed"
 
+echo "== written workload traces replay through leases-sim =="
+# leases-sim -w, leases-tracegen -w and the campaign's schedules draw
+# their traces from one table of workload kinds.  For each kind, the
+# trace leases-tracegen writes must drive leases-sim --ops to exactly the
+# metrics leases-sim prints when it generates the same kind itself.
+for kind in poisson bursty shared-heavy; do
+  _build/default/bin/tracegen.exe -w "$kind" -n 5 -d 400 -s 7 -o "$tmp/leases_$kind.ops" \
+    2> "$tmp/leases_$kind.summary"
+  from_file=$(_build/default/bin/simulate.exe -p leases -t 10 -n 5 -d 400 -s 7 \
+    --ops "$tmp/leases_$kind.ops" --json)
+  generated=$(_build/default/bin/simulate.exe -p leases -t 10 -w "$kind" -n 5 -d 400 -s 7 --json)
+  if [ "$from_file" != "$generated" ]; then
+    echo "leases-sim --ops on leases-tracegen -w $kind differs from leases-sim -w $kind:" >&2
+    echo "  --ops: $from_file" >&2
+    echo "  -w:    $generated" >&2
+    exit 1
+  fi
+done
+echo "3 workload kinds replayed"
+
 echo "== all checks passed =="

@@ -157,9 +157,6 @@ let test_adaptive_choices () =
 
 let test_config_validation () =
   Leases.Config.validate Leases.Config.default;
-  Alcotest.check_raises "retry must be positive"
-    (Invalid_argument "Config: retry interval must be positive") (fun () ->
-      Leases.Config.validate { Leases.Config.default with Leases.Config.retry_interval = span 0. });
   Alcotest.check_raises "installed term must exceed period"
     (Invalid_argument "Config: installed term must exceed the refresh period") (fun () ->
       Leases.Config.validate

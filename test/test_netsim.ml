@@ -305,7 +305,7 @@ let test_multicast_mixed_liveness_accounting () =
 
 (* --- the retransmission table ------------------------------------------ *)
 
-let table ?jitter ~retry ~retry_max () =
+let table ?jitter ~retry_max () =
   let engine, net = rig () in
   let sends = ref [] in
   (* a send reaches host 1 one transit later, so arrivals are spaced as
@@ -313,14 +313,14 @@ let table ?jitter ~retry ~retry_max () =
   Netsim.Net.register net (host 1) (fun _ -> sends := Engine.now engine :: !sends);
   let retransmissions = Stats.Counter.Registry.counter (Stats.Counter.Registry.create ()) "r" in
   let t =
-    Netsim.Rpc_table.create ~net ~host:(host 0) ~retry:(Time.Span.of_sec retry)
-      ~retry_max:(Time.Span.of_sec retry_max) ?jitter ~retransmissions ()
+    Netsim.Rpc_table.create ~net ~host:(host 0) ~retry_max:(Time.Span.of_sec retry_max) ?jitter
+      ~retransmissions ()
   in
   (engine, t, sends, retransmissions)
 
 (* The waits, in us, between the first [n] sends of one unanswered call. *)
-let retry_waits ?jitter ~retry ~retry_max n =
-  let engine, t, sends, retransmissions = table ?jitter ~retry ~retry_max () in
+let retry_waits ?jitter ~retry_max n =
+  let engine, t, sends, retransmissions = table ?jitter ~retry_max () in
   Netsim.Rpc_table.start t ~req:(Netsim.Rpc_table.fresh_req t) ~dst:(host 1) () "req";
   while List.length !sends < n do
     ignore (Engine.step engine)
@@ -334,12 +334,12 @@ let retry_waits ?jitter ~retry ~retry_max n =
 
 let test_fixed_interval () =
   Alcotest.(check (list int)) "1 s apart" (List.init 5 (fun _ -> 1_000_000))
-    (retry_waits ~retry:1. ~retry_max:1. 6)
+    (retry_waits ~retry_max:1. 6)
 
 let test_doubling_backoff () =
   Alcotest.(check (list int)) "1, 2, 4, 8, 8 s"
     [ 1_000_000; 2_000_000; 4_000_000; 8_000_000; 8_000_000 ]
-    (retry_waits ~retry:1. ~retry_max:8. 6)
+    (retry_waits ~retry_max:8. 6)
 
 (* One draw per wait, in order, scaling the doubled and capped wait into
    [0.5, 1.5) of itself. *)
@@ -351,11 +351,11 @@ let test_jittered_backoff () =
       [ 1_000.; 2_000.; 4_000.; 8_000.; 8_000. ]
   in
   Alcotest.(check (list int)) "seeded draws" want
-    (retry_waits ~jitter:(Prng.Splitmix.create ~seed:17L) ~retry:1. ~retry_max:8. 6)
+    (retry_waits ~jitter:(Prng.Splitmix.create ~seed:17L) ~retry_max:8. 6)
 
 (* Finishing a call or forgetting them all leaves no timer on the heap. *)
 let test_no_timer_left () =
-  let engine, t, _, retransmissions = table ~retry:1. ~retry_max:1. () in
+  let engine, t, _, retransmissions = table ~retry_max:1. () in
   let start () =
     Netsim.Rpc_table.start t ~req:(Netsim.Rpc_table.fresh_req t) ~dst:(host 1) () "req"
   in

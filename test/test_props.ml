@@ -321,10 +321,9 @@ let prop_lease_table_model =
       in
       let check_occupancy () =
         let live_by_file = List.map (fun f -> List.length (model_live f)) files_0_3 in
-        let { Lease_table.files; records; live_records } = Lease_table.occupancy t ~now:!now in
+        let { Lease_table.files; records } = Lease_table.occupancy t ~now:!now in
         if files <> List.length (List.filter (fun n -> n > 0) live_by_file) then ok := false;
-        if records <> List.fold_left ( + ) 0 live_by_file then ok := false;
-        if live_records <> records then ok := false
+        if records <> List.fold_left ( + ) 0 live_by_file then ok := false
       in
       (* the [on_reap] calls the model expects this step, latest first *)
       let expected = ref [] in
@@ -536,12 +535,11 @@ let prop_lease_table_wide =
           expect_reaps all_files;
           check (finite_left || fold_model (fun _ _ e acc -> acc && Lease.is_never e) true)
         | 4 ->
-          let { Lease_table.files; records; live_records } = Lease_table.occupancy t ~now:!now in
+          let { Lease_table.files; records } = Lease_table.occupancy t ~now:!now in
           expect_reaps all_files;
           check
             (files = Array.fold_left (fun n tbl -> if Hashtbl.length tbl > 0 then n + 1 else n) 0 model);
-          check (records = Array.fold_left (fun n tbl -> n + Hashtbl.length tbl) 0 model);
-          check (live_records = records)
+          check (records = Array.fold_left (fun n tbl -> n + Hashtbl.length tbl) 0 model)
         | 5 ->
           now := Time.add !now (span (float_of_int x /. 10.));
           expect_reaps []
@@ -1208,6 +1206,54 @@ let prop_writeback_clean_reads_never_stale =
       let outcome = Wlease.Wsim.run setup ~trace in
       outcome.Wlease.Wsim.metrics.Leases.Metrics.oracle_violations = 0)
 
+(* --- fileset: one id range a class -------------------------------------- *)
+
+(* Over random counts, zero temporaries and zero privates included: each
+   id below [size] comes from exactly one class accessor, [class_of] maps
+   it back to that class, ids from [size] up raise [Not_found], and a
+   client outside the set raises [Invalid_argument]. *)
+let prop_fileset_ranges =
+  QCheck.Test.make ~name:"fileset: class_of inverts the id accessors" ~count:300
+    QCheck.(pair (triple (int_range 1 6) (int_range 1 5) (int_range 0 4))
+              (pair (int_range 0 4) (int_range 0 4)))
+    (fun ((clients, installed, shared), (private_per_client, temporary_per_client)) ->
+      let module F = Workload.Fileset in
+      let fs = F.create ~clients ~installed ~shared ~private_per_client ~temporary_per_client in
+      let size = F.size fs in
+      let hits = Array.make size 0 and ok = ref true in
+      let visit cls n id =
+        for i = 0 to n - 1 do
+          let file = id i in
+          let j = Vstore.File_id.to_int file in
+          if j >= size then ok := false
+          else begin
+            hits.(j) <- hits.(j) + 1;
+            if F.class_of fs file <> cls then ok := false
+          end
+        done
+      in
+      visit F.Installed installed (F.installed_id fs);
+      visit F.Shared shared (F.shared_id fs);
+      for client = 0 to clients - 1 do
+        visit (F.Private client) private_per_client (F.private_id fs ~client);
+        visit (F.Temporary client) temporary_per_client (F.temporary_id fs ~client)
+      done;
+      let unknown id =
+        match F.class_of fs (Vstore.File_id.of_int id) with
+        | _ -> false
+        | exception Not_found -> true
+      in
+      let bad_client f =
+        match f () with
+        | _ -> false
+        | exception Invalid_argument msg -> String.equal msg "Fileset: client index out of range"
+      in
+      !ok
+      && Array.for_all (fun n -> n = 1) hits
+      && List.for_all unknown [ size; size + 1; size + 1_000 ]
+      && bad_client (fun () -> F.private_id fs ~client:clients 0)
+      && bad_client (fun () -> F.temporary_id fs ~client:(-1) 0))
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
@@ -1225,6 +1271,7 @@ let () =
           [ prop_store_current_at_implies_was_current; prop_store_stale_version_rejected ] );
       ("clock", List.map to_alcotest [ prop_clock_inverse ]);
       ("namespace", List.map to_alcotest [ prop_namespace_model ]);
+      ("fileset", List.map to_alcotest [ prop_fileset_ranges ]);
       ( "analytic",
         List.map to_alcotest
           [ prop_load_monotone_s1; prop_break_even_correct; prop_relative_load_at_zero_is_one ] );

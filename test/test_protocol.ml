@@ -255,10 +255,9 @@ let test_anticipatory_renewal () =
 
 let test_retransmission_under_loss () =
   (* 60 % loss: RPCs still complete via retries, and dedup keeps a
-     retransmitted write from committing twice.  Backoff capped at the base
-     interval so the fixed 200 s horizon still covers the loss tail. *)
-  let config = { Leases.Config.default with Leases.Config.retry_max_interval = span 1. } in
-  let rig = make_rig ~config ~loss:0.6 ~seed:77L () in
+     retransmitted write from committing twice.  The horizon covers the
+     loss tail at the client's backoff, which doubles to 8 s. *)
+  let rig = make_rig ~loss:0.6 ~seed:77L () in
   let reads = ref [] in
   let writes = ref [] in
   for i = 0 to 9 do
@@ -266,7 +265,7 @@ let test_retransmission_under_loss () =
   done;
   at rig 20. (fun () ->
       Leases.Client.write rig.clients.(0) (file 0) ~k:(fun w -> writes := w :: !writes));
-  Engine.run ~until:(sec 200.) rig.engine;
+  Engine.run ~until:(sec 1_000.) rig.engine;
   Alcotest.(check int) "all reads completed" 10 (List.length !reads);
   Alcotest.(check int) "write completed" 1 (List.length !writes);
   Alcotest.(check int) "write applied exactly once" 1 (Leases.Server.commits rig.server);

@@ -141,7 +141,7 @@ let window_line (w : Telemetry.Sampler.window) =
     w.w_index w.t_start w.t_end (ints (counters w)) (ints (deltas w)) w.reads w.hits w.misses
     w.commits w.extension_msgs w.approval_msgs w.installed_msgs w.write_transfer_msgs
     w.read_delay_sum w.read_delay_count w.write_delay_sum w.write_delay_count w.lease_files
-    w.lease_records w.lease_records_live w.pending_writes w.queued_writes w.client_inflight
+    w.lease_records w.lease_records w.pending_writes w.queued_writes w.client_inflight
     w.client_queued_ops w.in_flight_msgs w.server_up w.server_recovering (floats (skews w))
     entities (floats w.write_phase_sums)
 

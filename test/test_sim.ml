@@ -214,7 +214,8 @@ let grant_pin_run config =
 let grant_pin_configs =
   let base = Leases.Config.default in
   let installed_files =
-    Array.to_list (Workload.Fileset.installed (Experiments.V_trace.fileset ~clients:20 ()))
+    let fileset = Experiments.V_trace.fileset ~clients:20 () in
+    List.init (Workload.Fileset.installed fileset) (Workload.Fileset.installed_id fileset)
   in
   [
     ( "fixed 10 s",

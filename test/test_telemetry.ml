@@ -138,7 +138,7 @@ let test_steady_residual () =
   in
   let params = params_of setup in
   let summary =
-    Telemetry.Residual.summarize params (Telemetry.Residual.evaluate params sampler)
+    Telemetry.Residual.summarize (Telemetry.Residual.evaluate params sampler)
   in
   let steady = summary.Telemetry.Residual.steady_load_residual in
   if Float.abs steady > 0.25 then
@@ -357,7 +357,7 @@ let test_lean_windows () =
   let summary sampler =
     Trace.Json.to_string
       (Telemetry.Report.summary_to_json
-         (Telemetry.Residual.summarize params (Telemetry.Residual.evaluate params sampler)))
+         (Telemetry.Residual.summarize (Telemetry.Residual.evaluate params sampler)))
   in
   Alcotest.(check string) "residual summary" (summary full) (summary lean);
   Alcotest.(check bool) "no breakdown without detail" true

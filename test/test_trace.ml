@@ -914,6 +914,20 @@ let test_critical_path_writes_only_read_words () =
         Alcotest.(check int) "no read followed" 0
           (Trace.Critical_path.report ~k:0 a).Trace.Critical_path.r_checked)
 
+(* A writes-only analyzer builds its write row's eight histograms alone;
+   its read and extension rows read one shared histogram that nothing
+   writes.  Measured here, a writes-only [create] costs 1 179 words and a
+   full one 3 387; both cost 3 375 while every analyzer built all three
+   rows. *)
+let test_critical_path_writes_only_create_words () =
+  let create ~writes_only =
+    words_of (fun () -> ignore (Sys.opaque_identity (Trace.Critical_path.create ~writes_only ())))
+  in
+  let full = create ~writes_only:false and lean = create ~writes_only:true and pin = 1_200. in
+  if lean > pin then
+    Alcotest.failf "a writes-only analyzer costs %.0f words (a full one %.0f), pinned at %.0f"
+      lean full pin
+
 (* --- the critical-path analyzer keeps only the worst writes ------------ *)
 
 (* [n] writes by client 1, 1 s apart, each waiting 0.25 s on holder 2's
@@ -1016,5 +1030,7 @@ let () =
           Alcotest.test_case "critical-path read words" `Quick test_critical_path_read_words;
           Alcotest.test_case "writes-only read words" `Quick
             test_critical_path_writes_only_read_words;
+          Alcotest.test_case "writes-only create words" `Quick
+            test_critical_path_writes_only_create_words;
         ] );
     ]

@@ -5,44 +5,47 @@ open Simtime
 
 let span = Time.Span.of_sec
 
-let fresh_allocator () =
-  let next = ref 0 in
-  fun () ->
-    let id = Vstore.File_id.of_int !next in
-    incr next;
-    id
-
 let small_fileset ?(clients = 2) () =
-  Workload.Fileset.create ~fresh_id:(fresh_allocator ()) ~clients ~installed:4 ~shared:3
-    ~private_per_client:5 ~temporary_per_client:2
+  Workload.Fileset.create ~clients ~installed:4 ~shared:3 ~private_per_client:5
+    ~temporary_per_client:2
 
 let test_fileset_classes () =
   let fs = small_fileset () in
   Alcotest.(check int) "clients" 2 (Workload.Fileset.clients fs);
-  Alcotest.(check int) "installed" 4 (Array.length (Workload.Fileset.installed fs));
-  Alcotest.(check int) "shared" 3 (Array.length (Workload.Fileset.shared fs));
-  Alcotest.(check int) "private of 0" 5 (Array.length (Workload.Fileset.private_of fs 0));
-  Alcotest.(check int) "temp of 1" 2 (Array.length (Workload.Fileset.temporary_of fs 1));
+  Alcotest.(check int) "installed" 4 (Workload.Fileset.installed fs);
+  Alcotest.(check int) "shared" 3 (Workload.Fileset.shared fs);
+  Alcotest.(check int) "private per client" 5 (Workload.Fileset.private_per_client fs);
+  Alcotest.(check int) "temporary per client" 2 (Workload.Fileset.temporary_per_client fs);
   Alcotest.(check int) "total" (4 + 3 + (2 * 5) + (2 * 2)) (Workload.Fileset.size fs);
-  let inst = (Workload.Fileset.installed fs).(0) in
-  (match Workload.Fileset.class_of fs inst with
+  (match Workload.Fileset.class_of fs (Workload.Fileset.installed_id fs 0) with
   | Workload.Fileset.Installed -> ()
   | _ -> Alcotest.fail "installed class");
-  let priv = (Workload.Fileset.private_of fs 1).(0) in
-  (match Workload.Fileset.class_of fs priv with
+  (match Workload.Fileset.class_of fs (Workload.Fileset.private_id fs ~client:1 0) with
   | Workload.Fileset.Private 1 -> ()
   | _ -> Alcotest.fail "private owner");
   Alcotest.check_raises "unknown file" Not_found (fun () ->
       ignore (Workload.Fileset.class_of fs (Vstore.File_id.of_int 999)));
   Alcotest.check_raises "client out of range"
     (Invalid_argument "Fileset: client index out of range") (fun () ->
-      ignore (Workload.Fileset.private_of fs 2))
+      ignore (Workload.Fileset.private_id fs ~client:2 0));
+  Alcotest.check_raises "file out of range" (Invalid_argument "Fileset: file index out of range")
+    (fun () -> ignore (Workload.Fileset.shared_id fs 3))
 
+(* Every id the accessors give, class by class.  The ids are 0 up in the
+   order every seeded trace was drawn with: each client's temporaries,
+   each client's privates, the shared files, the installed files. *)
 let test_fileset_ids_disjoint () =
+  let open Workload.Fileset in
   let fs = small_fileset () in
-  let all = Workload.Fileset.all fs in
-  let deduped = List.sort_uniq Vstore.File_id.compare all in
-  Alcotest.(check int) "no id collisions" (List.length all) (List.length deduped)
+  let ids n id = List.init n (fun i -> Vstore.File_id.to_int (id i)) in
+  let per_client id n = List.concat (List.init (clients fs) (fun client -> ids n (id ~client))) in
+  let all =
+    per_client (temporary_id fs) (temporary_per_client fs)
+    @ per_client (private_id fs) (private_per_client fs)
+    @ ids (shared fs) (shared_id fs)
+    @ ids (installed fs) (installed_id fs)
+  in
+  Alcotest.(check (list int)) "ids 0 up, class by class" (List.init (size fs) Fun.id) all
 
 let test_mix_validation () =
   Workload.Mix.validate Workload.Mix.v_default;
@@ -161,8 +164,10 @@ let reference_poisson ~rng ~fileset ~mix ~rate ~temp_rate ~duration =
     in
     let temp_stream kind =
       stream ~rng ~rate:temp_rate ~make_op:(fun at ->
-          let temps = Workload.Fileset.temporary_of fileset client in
-          op kind temps.(Prng.Splitmix.int rng ~bound:(Array.length temps)) true at)
+          let temps = Workload.Fileset.temporary_per_client fileset in
+          op kind
+            (Workload.Fileset.temporary_id fileset ~client (Prng.Splitmix.int rng ~bound:temps))
+            true at)
     in
     List.concat [ reads; writes; temp_stream Workload.Op.Read; temp_stream Workload.Op.Write ]
   in
@@ -173,8 +178,8 @@ let reference_poisson ~rng ~fileset ~mix ~rate ~temp_rate ~duration =
    temp reads and writes often share an instant, a client and a file. *)
 let test_poisson_matches_reference () =
   let fileset () =
-    Workload.Fileset.create ~fresh_id:(fresh_allocator ()) ~clients:2 ~installed:4 ~shared:3
-      ~private_per_client:5 ~temporary_per_client:1
+    Workload.Fileset.create ~clients:2 ~installed:4 ~shared:3 ~private_per_client:5
+      ~temporary_per_client:1
   in
   let duration = span 0.5 and mix = Workload.Mix.v_default in
   let trace =
@@ -339,6 +344,32 @@ let test_generation_words () =
   if per_op > pin +. 0.5 then
     Alcotest.failf "generating the V trace allocates %.2f words an op, pinned at %.0f" per_op pin
 
+(* A fileset is its five counts, so creating one costs the same words at
+   10 clients as at 10 000: per-client id arrays and a class index built
+   over them cost 52 words a client. *)
+let test_fileset_words () =
+  let create clients =
+    let before = words () in
+    ignore (Sys.opaque_identity (Experiments.V_trace.fileset ~clients ()));
+    words () -. before
+  in
+  let small = create 10 and large = create 10_000 in
+  if large <> small then
+    Alcotest.failf "a fileset costs %.0f words at 10 clients and %.0f at 10 000" small large
+
+(* Generating the [v_lan_n10k] benchmark trace (10 000 clients, 15 s,
+   157 748 ops) must allocate at most 1.25 M words: a fileset of
+   per-client arrays reads 1 704 252. *)
+let test_wide_generation_words () =
+  let before = words () in
+  ignore
+    (Sys.opaque_identity
+       (Experiments.V_trace.poisson ~seed:11L ~clients:10_000 ~duration:(span 15.) ()));
+  let allocated = words () -. before and pin = 1_250_000. in
+  if allocated > pin then
+    Alcotest.failf "generating the 10 000-client V trace allocates %.0f words, pinned at %.0f"
+      allocated pin
+
 (* Generating the seed-1 campaign's 400 schedule traces (78 391 ops, about
    200 a trace) must allocate no more than the 782 375 words it did while
    the builder kept one array that doubled as it filled: 718 748 with the
@@ -399,6 +430,7 @@ let () =
         [
           Alcotest.test_case "classes" `Quick test_fileset_classes;
           Alcotest.test_case "ids disjoint" `Quick test_fileset_ids_disjoint;
+          Alcotest.test_case "fileset words" `Quick test_fileset_words;
         ] );
       ( "mix",
         [
@@ -416,6 +448,7 @@ let () =
           Alcotest.test_case "bursty rejects impossible rate" `Quick test_bursty_unattainable_rate;
           Alcotest.test_case "V trace words per op" `Quick test_generation_words;
           Alcotest.test_case "campaign trace words" `Quick test_campaign_generation_words;
+          Alcotest.test_case "10 000-client trace words" `Quick test_wide_generation_words;
         ] );
       ( "trace",
         [
