@@ -67,11 +67,13 @@ let finish_latency analyzer ~latency_out ~latency_k ~json =
 let finish_telemetry samplers ~params ~shards ~telemetry_out ~telemetry_format ~json =
   Option.iter
     (fun path ->
-      write_file path
-        (match telemetry_format with
-        | "json" -> Telemetry.Report.to_json_string ~params samplers.(0)
-        | "csv" -> Telemetry.Report.to_csv_string ~params samplers.(0)
-        | other -> failwith (Printf.sprintf "unknown telemetry format %S (json|csv)" other)))
+      match telemetry_format with
+      | "json" ->
+        let oc = open_out path in
+        Telemetry.Report.output_json oc ~params samplers.(0);
+        close_out oc
+      | "csv" -> write_file path (Telemetry.Report.to_csv_string ~params samplers.(0))
+      | other -> failwith (Printf.sprintf "unknown telemetry format %S (json|csv)" other))
     telemetry_out;
   if not json then begin
     (* a split run's parts each sample their own shard: the summaries

@@ -13,7 +13,9 @@ type server = {
   s_engine : Engine.t;
   s_net : payload Netsim.Net.t;
   s_store : Vstore.Store.t;
-  s_counters : Stats.Counter.Registry.t;
+  s_messages : Leases.Messages.tally;
+  mutable s_callbacks_sent : int;
+  mutable s_commits : int;
   s_write_wait : Stats.Histogram.t;
   s_tracer : Trace.Sink.t;
   mutable holders : Host_id.Set.t File_id.Map.t;
@@ -22,8 +24,7 @@ type server = {
   mutable s_up : bool;
 }
 
-let s_count srv name = Stats.Counter.incr (Stats.Counter.Registry.counter srv.s_counters name)
-let s_count_msg srv payload = s_count srv (category payload)
+let s_count_msg srv payload = Leases.Messages.count srv.s_messages (category payload)
 
 let s_send srv ~dst payload =
   s_count_msg srv payload;
@@ -78,14 +79,14 @@ let s_start_write srv file ~src:writer ~req () =
       ~deadline:Leases.Lease.never
 
 let s_send_breaks srv file ~id holders =
-  s_count srv "callbacks-sent";
+  srv.s_callbacks_sent <- srv.s_callbacks_sent + 1;
   s_multicast srv ~dsts:holders (Break_request { wid = id; file })
 
 let s_commit srv file ~src:writer ~req () ~id:wid ~started:arrived =
   let version = Vstore.Store.commit srv.s_store file ~at:(Engine.now srv.s_engine) in
   let waited = Time.Span.to_sec (Time.diff (Engine.now srv.s_engine) arrived) in
   Stats.Histogram.add srv.s_write_wait waited;
-  s_count srv "commits";
+  srv.s_commits <- srv.s_commits + 1;
   if Trace.Sink.enabled srv.s_tracer then
     Trace.Sink.emit srv.s_tracer (now_sec srv.s_engine)
       (Trace.Event.Commit
@@ -143,7 +144,9 @@ let create_server (w : payload Leases.Cluster.fabric) store =
       s_engine = w.engine;
       s_net = w.net;
       s_store = store;
-      s_counters = Stats.Counter.Registry.create ();
+      s_messages = Leases.Messages.tally ();
+      s_callbacks_sent = 0;
+      s_commits = 0;
       s_write_wait = Stats.Histogram.create ();
       s_tracer = w.tracer;
       holders = File_id.Map.empty;
@@ -171,11 +174,12 @@ let run ?(poll_period = Time.Span.of_sec 600.) setup ~trace =
          (Time.Span.to_sec poll_period));
   Rpc_cache.run ~who:"Callback.run" setup ~server:create_server
     ~client:(fun c -> poll c ~period:poll_period)
+    ~messages:(fun server -> server.s_messages)
     ~report:(fun server m ->
       {
-        (report_messages server.s_counters m) with
-        Leases.Metrics.callbacks_sent =
-          Stats.Counter.Registry.find server.s_counters "callbacks-sent";
+        m with
+        Leases.Metrics.callbacks_sent = server.s_callbacks_sent;
+        commits = server.s_commits;
         write_wait = server.s_write_wait;
       })
     ~trace

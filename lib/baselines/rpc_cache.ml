@@ -14,10 +14,10 @@ type payload =
   | Write_request of { req : int; file : File_id.t }
   | Write_reply of { req : int; file : File_id.t; version : Vstore.Version.t; keep : keep }
 
-let category = function
-  | Fetch_request _ | Fetch_reply _ | Reval_request _ | Reval_reply _ -> "msgs/extension"
-  | Break_request _ | Break_reply _ -> "msgs/approval"
-  | Write_request _ | Write_reply _ -> "msgs/write-transfer"
+let category : payload -> Leases.Messages.category = function
+  | Fetch_request _ | Fetch_reply _ | Reval_request _ | Reval_reply _ -> Extension
+  | Break_request _ | Break_reply _ -> Approval
+  | Write_request _ | Write_reply _ -> Write_transfer
 
 let payload_name = function
   | Fetch_request _ -> "fetch-req"
@@ -30,7 +30,6 @@ let payload_name = function
   | Write_reply _ -> "write-rep"
 
 let now_sec engine = Time.to_sec (Engine.now engine)
-let count counters name = Stats.Counter.incr (Stats.Counter.Registry.counter counters name)
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                              *)
@@ -48,7 +47,10 @@ type client = {
   engine : Engine.t;
   net : payload Netsim.Net.t;
   host : Host_id.t;
-  counters : Stats.Counter.Registry.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable polls : int;
+  mutable breaks_answered : int;
   cache : (File_id.t, entry) Hashtbl.t;
   rpcs : (rpc_kind, payload) Netsim.Rpc_table.t;
   mutable up : bool;
@@ -103,7 +105,7 @@ let read c file ~k =
     let now = Engine.now c.engine in
     match Hashtbl.find_opt c.cache file with
     | Some { version; expires } when live ~now expires ->
-      count c.counters "hits";
+      c.hits <- c.hits + 1;
       if Trace.Sink.enabled c.tracer then
         emit c
           (Trace.Event.Cache_hit
@@ -115,7 +117,7 @@ let read c file ~k =
              });
       k version Time.Span.zero
     | Some _ | None ->
-      count c.counters "misses";
+      c.misses <- c.misses + 1;
       if Trace.Sink.enabled c.tracer then
         emit c
           (Trace.Event.Cache_miss { host = Host_id.to_int c.host; file = File_id.to_int file });
@@ -134,7 +136,7 @@ let rec poll c ~period =
          if c.up then begin
            let entries = Hashtbl.fold (fun file e acc -> (file, e.version) :: acc) c.cache [] in
            if entries <> [] then begin
-             count c.counters "polls";
+             c.polls <- c.polls + 1;
              start_rpc c Poll (fun req -> Reval_request { req; entries })
            end
          end;
@@ -164,7 +166,7 @@ let handle c (envelope : payload Netsim.Net.envelope) =
       | Some { kind = Poll; _ } -> Netsim.Rpc_table.finish c.rpcs req
       | Some _ | None -> ())
     | Break_request { wid; file } ->
-      count c.counters "breaks-answered";
+      c.breaks_answered <- c.breaks_answered + 1;
       invalidate c file;
       send c (Break_reply { wid; file })
     | Fetch_request _ | Reval_request _ | Write_request _ | Break_reply _ -> ()
@@ -172,21 +174,21 @@ let handle c (envelope : payload Netsim.Net.envelope) =
 
 let create_client (w : payload Leases.Cluster.fabric) i =
   let host = Leases.Cluster.client_host i in
-  let counters = Stats.Counter.Registry.create () in
   let c =
     {
       engine = w.engine;
       net = w.net;
       host;
-      counters;
+      hits = 0;
+      misses = 0;
+      polls = 0;
+      breaks_answered = 0;
       cache = Hashtbl.create 128;
       (* the servers answer by (client, req), and callback traces carry
          the req as the op id: ids count per client from 0 *)
       rpcs =
         Netsim.Rpc_table.create ~net:w.net ~host ~req_origin:0
-          ~retry_max:Netsim.Rpc_table.retry_interval
-          ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions")
-          ();
+          ~retry_max:Netsim.Rpc_table.retry_interval ();
       up = true;
       tracer = w.tracer;
     }
@@ -204,7 +206,7 @@ let create_client (w : payload Leases.Cluster.fabric) i =
 (* ------------------------------------------------------------------ *)
 (* Harness                                                             *)
 
-let run ~who (setup : Leases.Sim.setup) ~server ~client ~report ~trace =
+let run ~who (setup : Leases.Sim.setup) ~server ~client ~messages ~report ~trace =
   Leases.Cluster.check ~who ~n_clients:setup.n_clients setup.faults trace;
   let w =
     Leases.Cluster.fabric ~tracer:setup.tracer ~profiler:setup.profiler
@@ -232,33 +234,17 @@ let run ~who (setup : Leases.Sim.setup) ~server ~client ~report ~trace =
       trace
   in
   Leases.Cluster.run w ~until:(Leases.Cluster.horizon trace ~drain:setup.drain);
-  let sum name =
-    Array.fold_left (fun acc c -> acc + Stats.Counter.Registry.find c.counters name) 0 clients
-  in
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 clients in
   let metrics =
     Leases.Cluster.metrics w tally (fun m ->
         report srv
           {
-            m with
-            Leases.Metrics.cache_hits = sum "hits";
-            cache_misses = sum "misses";
-            retransmissions = sum "retransmissions";
-            renewals_sent = sum "polls";
-            approvals_answered = sum "breaks-answered";
+            (Leases.Metrics.add_messages (messages srv) m) with
+            Leases.Metrics.cache_hits = sum (fun c -> c.hits);
+            cache_misses = sum (fun c -> c.misses);
+            retransmissions = sum (fun c -> Netsim.Rpc_table.retransmissions c.rpcs);
+            renewals_sent = sum (fun c -> c.polls);
+            approvals_answered = sum (fun c -> c.breaks_answered);
           })
   in
   { Leases.Sim.metrics; oracle; store }
-
-let report_messages counters (m : Leases.Metrics.t) =
-  let find = Stats.Counter.Registry.find counters in
-  let ext = find "msgs/extension" and app = find "msgs/approval" in
-  let wtr = find "msgs/write-transfer" in
-  {
-    m with
-    msgs_extension = ext;
-    msgs_approval = app;
-    msgs_write_transfer = wtr;
-    consistency_msgs = ext + app;
-    server_total_msgs = ext + app + wtr;
-    commits = find "commits";
-  }

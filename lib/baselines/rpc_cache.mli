@@ -31,9 +31,9 @@ type payload =
   | Write_request of { req : int; file : Vstore.File_id.t }
   | Write_reply of { req : int; file : Vstore.File_id.t; version : Vstore.Version.t; keep : keep }
 
-val category : payload -> string
-(** The server counter a message is booked under: ["msgs/extension"],
-    ["msgs/approval"] or ["msgs/write-transfer"]. *)
+val category : payload -> Leases.Messages.category
+(** What a server books a message under: fetches and revalidations as
+    [Extension], breaks as [Approval], writes as [Write_transfer]. *)
 
 type client
 
@@ -45,6 +45,7 @@ val run :
   Leases.Sim.setup ->
   server:(payload Leases.Cluster.fabric -> Vstore.Store.t -> 's) ->
   client:(client -> unit) ->
+  messages:('s -> Leases.Messages.tally) ->
   report:('s -> Leases.Metrics.t -> Leases.Metrics.t) ->
   trace:Workload.Trace.t ->
   Leases.Sim.outcome
@@ -56,9 +57,6 @@ val run :
     [on_instruments] are not read.  Raises [Invalid_argument], prefixed by
     [who], when [Leases.Cluster.check] rejects the setup.  The clients'
     counters fill the hit, miss, retransmission, renewal (poll) and
-    answered-approval (break) counts; [report] adds the server's. *)
-
-val report_messages : Stats.Counter.Registry.t -> Leases.Metrics.t -> Leases.Metrics.t
-(** The message and commit counts of a server that books every message it
-    sends or handles under its {!category} and each commit under
-    ["commits"]. *)
+    answered-approval (break) counts, the server's [messages] tally (every
+    message it sent or handled, by {!category}) the message counts, and
+    [report] adds the server's other counts. *)

@@ -8,7 +8,8 @@ type server = {
   s_store : Vstore.Store.t;
   s_engine : Engine.t;
   s_ttl : Time.Span.t;
-  s_counters : Stats.Counter.Registry.t;
+  s_messages : Leases.Messages.tally;
+  mutable s_commits : int;
   s_applied : Vstore.Version.t Leases.Answers.t;
   s_tracer : Trace.Sink.t;
   mutable s_up : bool;
@@ -16,15 +17,15 @@ type server = {
 
 let now_sec engine = Time.to_sec (Engine.now engine)
 
-let s_count srv name = Stats.Counter.incr (Stats.Counter.Registry.counter srv.s_counters name)
+let s_count_msg srv payload = Leases.Messages.count srv.s_messages (category payload)
 
 let s_send srv ~dst payload =
-  s_count srv (category payload);
+  s_count_msg srv payload;
   Netsim.Net.send srv.s_net ~src:Leases.Cluster.server_host ~dst payload
 
 let s_handle srv (envelope : payload Netsim.Net.envelope) =
   if srv.s_up then begin
-    s_count srv (category envelope.payload);
+    s_count_msg srv envelope.payload;
     match envelope.payload with
     | Fetch_request { req; file } ->
       s_send srv ~dst:envelope.src
@@ -41,7 +42,7 @@ let s_handle srv (envelope : payload Netsim.Net.envelope) =
              are simply left stale until their TTLs run out. *)
           let version = Vstore.Store.commit srv.s_store file ~at:(Engine.now srv.s_engine) in
           Leases.Answers.replace srv.s_applied (envelope.src, req) version;
-          s_count srv "commits";
+          srv.s_commits <- srv.s_commits + 1;
           if Trace.Sink.enabled srv.s_tracer then
             Trace.Sink.emit srv.s_tracer (now_sec srv.s_engine)
               (Trace.Event.Commit
@@ -69,7 +70,8 @@ let create_server (w : payload Leases.Cluster.fabric) store ~ttl =
       s_store = store;
       s_engine = w.engine;
       s_ttl = ttl;
-      s_counters = Stats.Counter.Registry.create ();
+      s_messages = Leases.Messages.tally ();
+      s_commits = 0;
       s_applied = Leases.Answers.create 256;
       s_tracer = w.tracer;
       s_up = true;
@@ -95,5 +97,6 @@ let run (setup : Leases.Sim.setup) ~trace =
            Leases.Term_policy.pp policy)
   in
   Rpc_cache.run ~who:"Ttl_hints.run" setup ~server:(create_server ~ttl) ~client:ignore
-    ~report:(fun server -> report_messages server.s_counters)
+    ~messages:(fun server -> server.s_messages)
+    ~report:(fun server m -> { m with Leases.Metrics.commits = server.s_commits })
     ~trace

@@ -44,16 +44,13 @@ type t = {
       (** file -> owning server host; constant [server] outside sharded
           deployments *)
   config : Config.t;
-  (* The client's seven counters, held on their own: a registry each would
-     cost a client more than the rest of its counters and record together.
-     The retransmission table bumps [c_retransmissions]. *)
-  c_approvals_answered : Stats.Counter.t;
-  c_evictions : Stats.Counter.t;
-  c_fallback_reads : Stats.Counter.t;
-  c_hits : Stats.Counter.t;
-  c_misses : Stats.Counter.t;
-  c_renewals_sent : Stats.Counter.t;
-  c_retransmissions : Stats.Counter.t;
+  (* the counters; the RPC table counts the retransmissions *)
+  mutable approvals_answered : int;
+  mutable evictions : int;
+  mutable fallback_reads : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable renewals_sent : int;
   tracer : Trace.Sink.t;
   (* --- volatile state, reset by the crash hook --- *)
   cache : entry File_id.Tbl.t;
@@ -238,7 +235,7 @@ let maybe_evict t =
             cancel_renewal entry;
             File_id.Tbl.remove t.cache file;
             unindex_file t file;
-            Stats.Counter.incr t.c_evictions;
+            t.evictions <- t.evictions + 1;
             if tracing t then
               emit t
                 (Trace.Event.Cache_invalidate
@@ -298,7 +295,7 @@ let rec send_renewal t =
     List.iter
       (fun (_, dst, group) ->
         if not group.renewing then begin
-          Stats.Counter.incr t.c_renewals_sent;
+          t.renewals_sent <- t.renewals_sent + 1;
           group.renewing <- true;
           (* a copy: the group keeps changing, a sent array never does *)
           let files = Array.sub group.files 0 group.len in
@@ -398,7 +395,7 @@ let rec read t file ~k =
   else begin
     match File_id.Tbl.find t.cache file with
     | entry when not (Lease.expired entry.expiry ~now:(local_now t)) ->
-      Stats.Counter.incr t.c_hits;
+      t.hits <- t.hits + 1;
       if tracing t then
         emit t
           (Trace.Event.Cache_hit
@@ -410,7 +407,7 @@ let rec read t file ~k =
              });
       k { r_version = entry.version; r_latency = Time.Span.zero; r_from_cache = true }
     | _ | (exception Not_found) ->
-      Stats.Counter.incr t.c_misses;
+      t.misses <- t.misses + 1;
       (* a miss is already a slow path: settle any long-overdue evictions
          before the piggyback list below is taken from [by_server] *)
       maybe_evict t;
@@ -479,7 +476,7 @@ let complete_read t (rpc : (_, _) Rpc_table.call) ~file:answered ~version =
          version — a reply-mismatch artifact the oracle would then book as
          protocol staleness — so re-issue the read instead.  The file stays
          busy, so queued operations keep their order. *)
-      Stats.Counter.incr t.c_fallback_reads;
+      t.fallback_reads <- t.fallback_reads + 1;
       let req = Rpc_table.fresh_req t.rpcs in
       Rpc_table.start t.rpcs ~req ~dst:rpc.dst (Rpc_read { file; k })
         (Messages.Read_request { req; file })
@@ -525,7 +522,7 @@ let handle_message t (envelope : Messages.payload Netsim.Net.envelope) =
         release t file
       | Some _ | None -> ())
     | Messages.Approval_request { write; file } ->
-      Stats.Counter.incr t.c_approvals_answered;
+      t.approvals_answered <- t.approvals_answered + 1;
       invalidate t file;
       (* Reply to whichever server asked — under sharding that is the
          file's owner, not necessarily our default server. *)
@@ -578,26 +575,23 @@ let create ?engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
     invalid_arg "Client.create: net runs on another engine"
   | Some _ | None -> ());
   let route = match route with Some r -> r | None -> fun _ -> server in
-  let c_retransmissions = Stats.Counter.create "retransmissions" in
   let t =
     {
       clock;
       route;
       config;
-      c_approvals_answered = Stats.Counter.create "approvals-answered";
-      c_evictions = Stats.Counter.create "evictions";
-      c_fallback_reads = Stats.Counter.create "fallback-reads";
-      c_hits = Stats.Counter.create "hits";
-      c_misses = Stats.Counter.create "misses";
-      c_renewals_sent = Stats.Counter.create "renewals-sent";
-      c_retransmissions;
+      approvals_answered = 0;
+      evictions = 0;
+      fallback_reads = 0;
+      hits = 0;
+      misses = 0;
+      renewals_sent = 0;
       tracer;
       cache = File_id.Tbl.create 16;
       by_server = Host_id.Tbl.create 1;
       indexed = config.batch_extensions || Option.is_some config.anticipatory_renewal;
       rpcs =
-        Rpc_table.create ~net ~host ?req_origin ~retry_max:retry_max_interval ?jitter:rng
-          ~retransmissions:c_retransmissions ();
+        Rpc_table.create ~net ~host ?req_origin ~retry_max:retry_max_interval ?jitter:rng ();
       gate = File_gate.create ();
       evict_next = Lease.never;
       up = true;
@@ -608,20 +602,20 @@ let create ?engine ~clock ~net ~liveness ~host ~server ?route ?rng ~config
     ~on_recover:(fun () -> on_recover t) ();
   t
 
-let hits t = Stats.Counter.value t.c_hits
-let misses t = Stats.Counter.value t.c_misses
-let approvals_answered t = Stats.Counter.value t.c_approvals_answered
-let retransmissions t = Stats.Counter.value t.c_retransmissions
-let evictions t = Stats.Counter.value t.c_evictions
-let renewals_sent t = Stats.Counter.value t.c_renewals_sent
+let hits t = t.hits
+let misses t = t.misses
+let approvals_answered t = t.approvals_answered
+let retransmissions t = Rpc_table.retransmissions t.rpcs
+let evictions t = t.evictions
+let renewals_sent t = t.renewals_sent
 
-let counters t =
-  [
-    t.c_approvals_answered;
-    t.c_evictions;
-    t.c_fallback_reads;
-    t.c_hits;
-    t.c_misses;
-    t.c_renewals_sent;
-    t.c_retransmissions;
-  ]
+let counters =
+  [|
+    ("approvals-answered", approvals_answered);
+    ("evictions", evictions);
+    ("fallback-reads", fun t -> t.fallback_reads);
+    ("hits", hits);
+    ("misses", misses);
+    ("renewals-sent", renewals_sent);
+    ("retransmissions", retransmissions);
+  |]

@@ -97,7 +97,9 @@ val evictions : t -> int
     ([Config.cache_eviction_grace]) because their lease had lapsed at
     least a full grace earlier. *)
 
-val counters : t -> Stats.Counter.t list
-(** The client's seven counters (approvals answered, evictions, fallback
-    reads, hits, misses, renewals sent, retransmissions), sorted by name.
-    They are fixed at creation; the list is built on each call. *)
+val counters : (string * (t -> int)) array
+(** The client's seven counters by name, sorted, each with its reader:
+    ["approvals-answered"], ["evictions"], ["fallback-reads"] (reads
+    re-issued because a reply answered another file), ["hits"],
+    ["misses"], ["renewals-sent"] and ["retransmissions"].  A detailed
+    telemetry window dumps client [i]'s under ["client/i/"]. *)

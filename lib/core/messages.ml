@@ -33,6 +33,21 @@ let category = function
   | Installed_refresh _ -> Installed
   | Write_request _ | Write_reply _ -> Write_transfer
 
+type tally = {
+  mutable extension : int;
+  mutable approval : int;
+  mutable installed : int;
+  mutable write_transfer : int;
+}
+
+let tally () = { extension = 0; approval = 0; installed = 0; write_transfer = 0 }
+
+let count t = function
+  | Extension -> t.extension <- t.extension + 1
+  | Approval -> t.approval <- t.approval + 1
+  | Installed -> t.installed <- t.installed + 1
+  | Write_transfer -> t.write_transfer <- t.write_transfer + 1
+
 let kind_name = function
   | Read_request _ -> "read-req"
   | Read_reply _ -> "read-rep"

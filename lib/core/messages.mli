@@ -68,6 +68,21 @@ type category =
 
 val category : payload -> category
 
+type tally = private {
+  mutable extension : int;
+  mutable approval : int;
+  mutable installed : int;
+  mutable write_transfer : int;
+}
+(** Messages counted by {!category}: everything one server sent or
+    handled, a multicast once.  Every server of every protocol keeps one,
+    and {!Metrics.add_messages} reports it. *)
+
+val tally : unit -> tally
+(** All four counts at zero. *)
+
+val count : tally -> category -> unit
+
 val kind_name : payload -> string
 (** Short stable tag per constructor ("read-req", "approve-rep", ...),
     used to label network events in traces. *)

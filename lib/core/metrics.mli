@@ -46,6 +46,17 @@ type t = {
   staleness : Stats.Histogram.t;
 }
 
+val zero : unit -> t
+(** Every count and figure zero, every histogram fresh and empty: what a
+    run fills in. *)
+
+val add_messages : Messages.tally -> t -> t
+(** [m] with one server's tally added to its message counts: the four
+    [msgs_*] by category, [consistency_msgs] the extension, approval and
+    installed ones (the paper's consistency load) and [server_total_msgs]
+    all four.  On {!zero}'s counts one call fills them; a run with several
+    servers adds each one's. *)
+
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable summary. *)
 

@@ -29,16 +29,9 @@ type t = {
   store : Vstore.Store.t;
   wal : Vstore.Wal.t;
   config : Config.t;
-  counters : Stats.Counter.Registry.t;
-  (* Hot counters resolved once at creation: the registry stays the source
-     of truth for dumps, but per-message sites must not pay a string
-     concatenation plus a string-hash lookup per bump. *)
-  c_msgs_extension : Stats.Counter.t;
-  c_msgs_approval : Stats.Counter.t;
-  c_msgs_installed : Stats.Counter.t;
-  c_msgs_write_transfer : Stats.Counter.t;
-  c_callbacks_sent : Stats.Counter.t;
-  c_commits : Stats.Counter.t;
+  messages : Messages.tally;
+  mutable callbacks_sent : int;
+  mutable commits : int;
   write_wait : Stats.Histogram.t;
   tracker : Term_policy.Tracker.t option;
   term : term_rule;
@@ -66,14 +59,7 @@ type t = {
           samples, so every bump site below is guarded like a trace emit *)
 }
 
-let msg_counter t category =
-  match (category : Messages.category) with
-  | Messages.Extension -> t.c_msgs_extension
-  | Messages.Approval -> t.c_msgs_approval
-  | Messages.Installed -> t.c_msgs_installed
-  | Messages.Write_transfer -> t.c_msgs_write_transfer
-
-let count_msg t payload = Stats.Counter.incr (msg_counter t (Messages.category payload))
+let count_msg t payload = Messages.count t.messages (Messages.category payload)
 
 let send t ~dst payload =
   count_msg t payload;
@@ -344,7 +330,7 @@ let start_write t file ~src:writer ~req () =
   end
 
 let ask_approval t file ~id holders =
-  Stats.Counter.incr t.c_callbacks_sent;
+  t.callbacks_sent <- t.callbacks_sent + 1;
   let request = Messages.Approval_request { write = id; file } in
   if t.config.Config.approval_multicast then multicast t ~dsts:holders request
   else List.iter (fun dst -> send t ~dst request) holders
@@ -366,7 +352,7 @@ let commit_write t file ~src:writer ~req () ~id:write_id ~started:arrived =
   t.on_commit file version;
   let waited = Time.Span.to_sec (Time.diff (Engine.now t.engine) arrived) in
   Stats.Histogram.add t.write_wait waited;
-  Stats.Counter.incr t.c_commits;
+  t.commits <- t.commits + 1;
   if tracing t then
     emit t
       (Trace.Event.Commit
@@ -536,7 +522,6 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
     | Some { files; _ } -> File_id.Set.of_list files
     | None -> File_id.Set.empty
   in
-  let counters = Stats.Counter.Registry.create () in
   let leases = Lease_table.create () in
   let term = term_rule config ~leases ~tracker in
   let t =
@@ -549,13 +534,9 @@ let create ~engine ~clock ~net ~liveness ~host ~clients ~store ~config
       store;
       wal = Vstore.Wal.create config.Config.wal_mode;
       config;
-      counters;
-      c_msgs_extension = Stats.Counter.Registry.counter counters "msgs/extension";
-      c_msgs_approval = Stats.Counter.Registry.counter counters "msgs/approval";
-      c_msgs_installed = Stats.Counter.Registry.counter counters "msgs/installed";
-      c_msgs_write_transfer = Stats.Counter.Registry.counter counters "msgs/write-transfer";
-      c_callbacks_sent = Stats.Counter.Registry.counter counters "callbacks-sent";
-      c_commits = Stats.Counter.Registry.counter counters "commits";
+      messages = Messages.tally ();
+      callbacks_sent = 0;
+      commits = 0;
       write_wait = Stats.Histogram.create ();
       tracker;
       term;
@@ -634,19 +615,17 @@ let snapshot t =
 let set_breakdown t obs = t.obs <- obs
 let breakdown t = t.obs
 
-let messages_handled t category = Stats.Counter.value (msg_counter t category)
-
-let messages_handled_total t =
-  List.fold_left
-    (fun acc c -> acc + messages_handled t c)
-    0
-    [ Messages.Extension; Messages.Approval; Messages.Installed; Messages.Write_transfer ]
-
-let consistency_messages t =
-  messages_handled t Messages.Extension + messages_handled t Messages.Approval
-  + messages_handled t Messages.Installed
-
-let callbacks_sent t = Stats.Counter.value t.c_callbacks_sent
-let commits t = Stats.Counter.value t.c_commits
+let messages t = t.messages
+let callbacks_sent t = t.callbacks_sent
+let commits t = t.commits
 let write_wait t = t.write_wait
-let counters t = t.counters
+
+let counters =
+  [|
+    ("callbacks-sent", callbacks_sent);
+    ("commits", commits);
+    ("msgs/approval", fun t -> t.messages.approval);
+    ("msgs/extension", fun t -> t.messages.extension);
+    ("msgs/installed", fun t -> t.messages.installed);
+    ("msgs/write-transfer", fun t -> t.messages.write_transfer);
+  |]

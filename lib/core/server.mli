@@ -85,13 +85,9 @@ val set_breakdown : t -> Breakdown.t option -> unit
 
 val breakdown : t -> Breakdown.t option
 
-val messages_handled : t -> Messages.category -> int
-(** Messages sent or received by the server in this category — the paper's
+val messages : t -> Messages.tally
+(** Every message the server sent or handled, by category — the paper's
     unit of server load. *)
-
-val messages_handled_total : t -> int
-val consistency_messages : t -> int
-(** [Extension + Approval + Installed]. *)
 
 val callbacks_sent : t -> int
 (** Approval-request multicasts issued (retries included). *)
@@ -100,4 +96,9 @@ val commits : t -> int
 val write_wait : t -> Stats.Histogram.t
 (** Engine-time delay from write arrival to commit, per committed write. *)
 
-val counters : t -> Stats.Counter.Registry.t
+val counters : (string * (t -> int)) array
+(** The server's counters by name, sorted, each with its reader:
+    ["callbacks-sent"], ["commits"] and the {!messages} tally as
+    ["msgs/approval"], ["msgs/extension"], ["msgs/installed"] and
+    ["msgs/write-transfer"].  A detailed telemetry window dumps them under
+    ["server/"]. *)

@@ -121,20 +121,14 @@ let drive w trace =
 let metrics w tally =
   let clients f = Array.fold_left (fun acc c -> acc + f c) 0 w.clients in
   let servers f = Array.fold_left (fun acc s -> acc + f s) 0 w.servers in
-  let handled kind = servers (fun s -> Server.messages_handled s kind) in
   let write_wait = Stats.Histogram.create () in
   Array.iter (fun s -> Stats.Histogram.merge write_wait (Server.write_wait s)) w.servers;
   Cluster.metrics w.fabric tally (fun m ->
+      let m = Array.fold_left (fun m s -> Metrics.add_messages (Server.messages s) m) m w.servers in
       {
         m with
         Metrics.cache_hits = clients Client.hits;
         cache_misses = clients Client.misses;
-        msgs_extension = handled Messages.Extension;
-        msgs_approval = handled Messages.Approval;
-        msgs_installed = handled Messages.Installed;
-        msgs_write_transfer = handled Messages.Write_transfer;
-        consistency_msgs = servers Server.consistency_messages;
-        server_total_msgs = servers Server.messages_handled_total;
         callbacks_sent = servers Server.callbacks_sent;
         commits = servers Server.commits;
         wal_io = servers (fun s -> Vstore.Wal.io_records (Server.wal s));

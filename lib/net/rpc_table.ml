@@ -15,7 +15,7 @@ type ('k, 'm) t = {
   host : Host.Host_id.t;
   retry_max : Time.Span.t;
   jitter : Prng.Splitmix.t option;
-  retransmissions : Stats.Counter.t;
+  mutable retransmissions : int;
   mutable calls : ('k, 'm) call list;
       (** newest first.  A client has a handful of calls outstanding at
           most, so a scan beats hashing the id. *)
@@ -24,11 +24,11 @@ type ('k, 'm) t = {
 
 let retry_interval = Time.Span.of_sec 1.
 
-let create ~net ~host ?req_origin ~retry_max ?jitter ~retransmissions () =
+let create ~net ~host ?req_origin ~retry_max ?jitter () =
   let next_req =
     match req_origin with Some origin -> origin | None -> Host.Host_id.to_int host lsl 32
   in
-  { net; host; retry_max; jitter; retransmissions; calls = []; next_req }
+  { net; host; retry_max; jitter; retransmissions = 0; calls = []; next_req }
 
 let net t = t.net
 let host t = t.host
@@ -53,7 +53,7 @@ let rec arm t call =
   let fire () =
     let p = Engine.profiler (Net.engine t.net) in
     if Profile.Recorder.enabled p then Profile.Recorder.mark p Profile.Center.Client_op;
-    Stats.Counter.incr t.retransmissions;
+    t.retransmissions <- t.retransmissions + 1;
     call.tries <- call.tries + 1;
     send t call;
     arm t call
@@ -95,3 +95,4 @@ let cancel_all t =
   t.calls <- []
 
 let length t = List.length t.calls
+let retransmissions t = t.retransmissions

@@ -29,7 +29,6 @@ val create :
   ?req_origin:int ->
   retry_max:Simtime.Time.Span.t ->
   ?jitter:Prng.Splitmix.t ->
-  retransmissions:Stats.Counter.t ->
   unit ->
   ('k, 'm) t
 (** Calls are sent from [host] over [net] and timed on its engine.  After
@@ -38,7 +37,6 @@ val create :
     in [0.5, 1.5), one draw per wait, so clients whose calls all failed at
     the same instant (a server crash) do not retry in lockstep forever.
     [retry_max = retry_interval] without [jitter] is a fixed interval.
-    Each retransmission bumps [retransmissions].
 
     Request ids count up from [req_origin] (default [host lsl 32]: the
     host index in the high bits, a per-host sequence in the low 32, so an
@@ -68,3 +66,6 @@ val cancel_all : ('k, 'm) t -> unit
 
 val length : ('k, 'm) t -> int
 (** Calls outstanding (retransmission timers armed). *)
+
+val retransmissions : ('k, 'm) t -> int
+(** Re-sends so far, over every call and across crashes. *)

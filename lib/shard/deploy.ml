@@ -73,21 +73,18 @@ let config_for_shard setup map s =
     }
 
 let load_of_server ~shard ~sim_duration server =
-  let extension = Leases.Server.messages_handled server Leases.Messages.Extension in
-  let approval = Leases.Server.messages_handled server Leases.Messages.Approval in
-  let installed = Leases.Server.messages_handled server Leases.Messages.Installed in
-  let shard_consistency = Leases.Server.consistency_messages server in
+  let m = Leases.Metrics.add_messages (Leases.Server.messages server) (Leases.Metrics.zero ()) in
   {
     sl_shard = shard;
     sl_host = Host_id.to_int (server_host shard);
-    sl_extension_msgs = extension;
-    sl_approval_msgs = approval;
-    sl_installed_msgs = installed;
-    sl_consistency_msgs = shard_consistency;
-    sl_total_msgs = Leases.Server.messages_handled_total server;
+    sl_extension_msgs = m.msgs_extension;
+    sl_approval_msgs = m.msgs_approval;
+    sl_installed_msgs = m.msgs_installed;
+    sl_consistency_msgs = m.consistency_msgs;
+    sl_total_msgs = m.server_total_msgs;
     sl_commits = Leases.Server.commits server;
     sl_consistency_rate =
-      (if sim_duration <= 0. then 0. else float_of_int shard_consistency /. sim_duration);
+      (if sim_duration <= 0. then 0. else float_of_int m.consistency_msgs /. sim_duration);
   }
 
 (* The [Sim] setup of one lease world of this deployment: the shared-fabric

@@ -127,26 +127,45 @@ let evaluate_detailed ~caller params sampler =
          "Telemetry.Report.%s: the sampler records no detail (create it with ~detail:true)" caller);
   Residual.evaluate params sampler
 
-let to_json ~params sampler =
-  let evals = evaluate_detailed ~caller:"to_json" params sampler in
-  let summary = Residual.summarize evals in
-  (* Cumulative by-entity totals are reconstructible by summing the
-     per-window deltas; only the counter registry is repeated in full. *)
+(* The report written into [b], which is handed to [flush] after the head
+   and after each window: a channel writer empties it there, so it holds
+   one window's text at a time.  Cumulative by-entity totals are
+   reconstructible by summing the per-window deltas; only the counters
+   are repeated in full, the last window's. *)
+let write_json ~caller ~params sampler b ~flush =
+  let evals = evaluate_detailed ~caller params sampler in
   let final_counters =
     match List.rev (Sampler.windows sampler) with
     | [] -> []
     | last :: _ -> Sampler.counters last
   in
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("params", json_of_params params);
-      ("summary", summary_to_json summary);
-      ("windows", Json.Arr (List.map json_of_eval evals));
-      ("final_counters", json_of_counts final_counters);
-    ]
+  Buffer.add_string b "{\"schema\":";
+  Json.to_buffer b (Json.Str schema);
+  Buffer.add_string b ",\"params\":";
+  Json.to_buffer b (json_of_params params);
+  Buffer.add_string b ",\"summary\":";
+  Json.to_buffer b (summary_to_json (Residual.summarize evals));
+  Buffer.add_string b ",\"windows\":[";
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_char b ',';
+      Json.to_buffer b (json_of_eval e);
+      flush b)
+    evals;
+  Buffer.add_string b "],\"final_counters\":";
+  Json.to_buffer b (json_of_counts final_counters);
+  Buffer.add_string b "}\n";
+  flush b
 
-let to_json_string ~params sampler = Json.to_string (to_json ~params sampler) ^ "\n"
+let to_json_string ~params sampler =
+  let b = Buffer.create 4096 in
+  write_json ~caller:"to_json_string" ~params sampler b ~flush:ignore;
+  Buffer.contents b
+
+let output_json oc ~params sampler =
+  write_json ~caller:"output_json" ~params sampler (Buffer.create 65536) ~flush:(fun b ->
+      Buffer.output_buffer oc b;
+      Buffer.clear b)
 
 (* {2 CSV export} *)
 

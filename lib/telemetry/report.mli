@@ -3,22 +3,27 @@
     The JSON report is self-describing (schema ["leases-telemetry/1"]):
     residual parameters, the {!Residual.summary}, one object per window
     (residual fields, gauges, sparse counter and per-entity deltas, the
-    per-host skew map) and the final cumulative counter registry.  All maps
+    per-host skew map) and the final cumulative counters.  All maps
     are emitted in sorted key order and numbers through {!Trace.Json}, so
     two identical seeded runs produce byte-identical reports.
 
     The CSV export flattens the per-window scalars (no counter dumps or
     per-entity maps) for spreadsheet use, one row per window.
 
-    Both exports read each window's detail, so {!to_json},
+    Both exports read each window's detail, so {!output_json},
     {!to_json_string} and {!to_csv_string} raise [Invalid_argument] on a
     sampler created without [~detail:true]. *)
 
 val schema : string
 
-val to_json : params:Residual.params -> Sampler.t -> Trace.Json.t
+val output_json : out_channel -> params:Residual.params -> Sampler.t -> unit
+(** Writes the JSON report, with a trailing newline, piece by piece: the
+    head (schema, parameters and summary), then each window, then the final
+    counters.  Only one window's text is held at a time, so the report is
+    never built whole in memory. *)
+
 val to_json_string : params:Residual.params -> Sampler.t -> string
-(** {!to_json} rendered with a trailing newline. *)
+(** The bytes {!output_json} writes. *)
 
 val csv_columns : string list
 val to_csv_string : params:Residual.params -> Sampler.t -> string

@@ -85,14 +85,15 @@ type prev = {
   mutable wt : int;
 }
 
-(* The merged counter namespace -- the server's registry under "server/",
-   client i's counters under "client/<i>/" -- resolved into parallel
-   arrays sorted by name, with each counter's value at the previous
-   sample.  [prev] is the last window's [values], replaced, never written,
-   at each sample. *)
+(* The merged counter namespace -- the server's {!Server.counters} under
+   "server/", client i's {!Client.counters} under "client/<i>/" -- sorted
+   by name: entry [j] is counter [field.(j)] of the table of client
+   [owner.(j)], or of the server's when [owner.(j)] is -1.  [prev] is the
+   last window's [values], replaced, never written, at each sample. *)
 type namespace = {
   names : string array;
-  cells : Stats.Counter.t array;
+  owner : int array;
+  field : int array;
   mutable prev : int array;
 }
 
@@ -154,30 +155,40 @@ let create ?(interval_s = 10.) ?latency ?(detail = false) () =
 
 let detailed t = t.detailed
 
-(* Sort every list's counters into one namespace by prefixed name, each
-   starting from zero, so its first delta is its whole value.  Lease
-   servers and clients create every counter at creation, so the namespace
-   is resolved once, at attach. *)
-let resolve lists =
+(* Sort the server's and every client's counter names into one namespace
+   by prefixed name, each counter starting from zero, so its first delta
+   is its whole value.  The name tables are fixed, so the namespace is
+   resolved once, at attach. *)
+let resolve (w : Leases.Sim.world) =
+  let entries owner prefix table =
+    List.init (Array.length table) (fun field -> (prefix ^ fst table.(field), owner, field))
+  in
   let entries =
-    Array.to_list lists
-    |> List.concat_map (fun (prefix, counters) ->
-           List.map (fun c -> (prefix ^ Stats.Counter.name c, c)) counters)
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    entries (-1) "server/" Server.counters
+    :: List.init (Array.length w.clients) (fun i ->
+           entries i (Printf.sprintf "client/%d/" i) Client.counters)
+    |> List.concat
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
     |> Array.of_list
   in
   {
-    names = Array.map fst entries;
-    cells = Array.map snd entries;
+    names = Array.map (fun (name, _, _) -> name) entries;
+    owner = Array.map (fun (_, owner, _) -> owner) entries;
+    field = Array.map (fun (_, _, field) -> field) entries;
     prev = Array.make (Array.length entries) 0;
   }
+
+let read ns (w : Leases.Sim.world) j =
+  let owner = ns.owner.(j) and field = ns.field.(j) in
+  if owner < 0 then snd Server.counters.(field) w.servers.(0)
+  else snd Client.counters.(field) w.clients.(owner)
 
 (* The window detail at this boundary: the merged counters read into a
    fresh array, the previous boundary's array kept beside it, every
    clock's skew, and each axis's moved keys. *)
 let detail (o : resolved) (w : Leases.Sim.world) =
   let ns = o.namespace in
-  let values = Array.map Stats.Counter.value ns.cells in
+  let values = Array.init (Array.length ns.names) (read ns w) in
   let before = ns.prev in
   ns.prev <- values;
   let engine_now = Engine.now w.fabric.Leases.Cluster.engine in
@@ -226,11 +237,10 @@ let close_window t a s ~t_end (r : reads) ~client_inflight ~client_queued_ops ~i
     ~detail =
   let server = a.world.servers.(s) and p = a.prev.(s) in
   let pr = p.p_reads in
-  let handled kind = Server.messages_handled server kind in
   let commits = Server.commits server in
-  let ext = handled Leases.Messages.Extension and app = handled Leases.Messages.Approval in
-  let inst = handled Leases.Messages.Installed in
-  let wt = handled Leases.Messages.Write_transfer in
+  let { Leases.Messages.extension = ext; approval = app; installed = inst; write_transfer = wt } =
+    Server.messages server
+  in
   let snap = Server.snapshot server in
   let window =
     {
@@ -306,14 +316,9 @@ let take_sample t a ~t_end =
 let resolve_detail (w : Leases.Sim.world) =
   let breakdown = Breakdown.create () in
   Server.set_breakdown w.servers.(0) (Some breakdown);
-  let lists =
-    Array.append
-      [| ("server/", Stats.Counter.Registry.counters (Server.counters w.servers.(0))) |]
-      (Array.mapi (fun i c -> (Printf.sprintf "client/%d/" i, Client.counters c)) w.clients)
-  in
   let axes = Array.of_list (Breakdown.axes breakdown) in
   {
-    namespace = resolve lists;
+    namespace = resolve w;
     skew_labels =
       Array.append [| "server" |]
         (Array.init (Array.length w.clients) (Printf.sprintf "client/%d"));

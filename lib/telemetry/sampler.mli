@@ -30,15 +30,15 @@
       The window also carries the client RPC queues and the in-flight
       network messages, and its [t_end] is the engine clock at the
       boundary.  Only a sampler created with [~detail:true] also records
-      the window's {!detail}: the merged counters (the server's registry
-      and each client's counter list), every clock's skew and the
-      per-entity breakdown.
+      the window's {!detail}: the merged counters (the server's and each
+      client's name table), every clock's skew and the per-entity
+      breakdown.
     - {b K > 1 servers} (shared-fabric [Deploy.run]): per-server
       completions.  The sampler installs the world's completion listeners
       and credits each completed read and write to the server that owns
       its file.  These windows carry only per-server fields: the counter
       dumps, client queues, in-flight messages, skews and breakdown are
-      empty or zero, so sampling costs no registry walk.  Their [t_end] is
+      empty or zero, so sampling reads no name table.  Their [t_end] is
       the nominal [k * interval], not rounded to the engine's microsecond.
 
     Both rules stay because the seeded campaign digests pin both: one rule
@@ -81,15 +81,15 @@
 
     A one-server window costs what moved, in arrays.  With detail,
     {!attach} resolves the merged counter namespace once, into arrays of
-    sorted names and counter cells (lease servers and clients register
-    every counter at creation); it also builds the skew and axis labels
-    once.  A boundary then reads every cell into one fresh [int array]
-    and keeps the previous boundary's array beside it, reads the clock
-    skews into one [float array], and keeps each moved
+    sorted names and the table entries they read ({!Leases.Server.counters}
+    and {!Leases.Client.counters} are fixed); it also builds the skew and
+    axis labels once.  A boundary then reads every counter into one fresh
+    [int array] and keeps the previous boundary's array beside it, reads
+    the clock skews into one [float array], and keeps each moved
     {!Leases.Breakdown} axis as the flat array
     {!Leases.Breakdown.sample} returns.  Without detail it does none of
     that.  Either way the lease-table sweep visits only resident slots,
-    and the message and read counts are resolved cells.  The list views
+    and the message and read counts are int fields.  The list views
     ({!counters}, {!deltas}, {!skews}, {!by_entity}) are built only when
     read. *)
 
@@ -143,9 +143,9 @@ type window = {
     without [~detail]. *)
 
 val counters : window -> (string * int) list
-(** The cumulative merged counter dump at [t_end]: the server's registry
-    under ["server/"], client [i]'s {!Leases.Client.counters} under
-    ["client/i/"]; sorted by name. *)
+(** The cumulative merged counter dump at [t_end]: the server's
+    {!Leases.Server.counters} under ["server/"], client [i]'s
+    {!Leases.Client.counters} under ["client/i/"]; sorted by name. *)
 
 val deltas : window -> (string * int) list
 (** The counters that moved this window, with their increments; sparse and

@@ -49,7 +49,11 @@ type t = {
   host : Host_id.t;
   server : Host_id.t;
   skew_allowance : Time.Span.t;
-  counters : Stats.Counter.Registry.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable flushes_sent : int;
+  mutable writes_lost : int;
+  mutable recalls_answered : int;
   cache : (File_id.t, entry) Hashtbl.t;
   rpcs : (rpc_kind, Wmessages.payload) Netsim.Rpc_table.t;
   gate : (unit, queued_op) File_gate.t;
@@ -57,9 +61,6 @@ type t = {
           behind it *)
   mutable up : bool;
 }
-
-let bump t name = Stats.Counter.incr (Stats.Counter.Registry.counter t.counters name)
-let bump_by t name n = Stats.Counter.add (Stats.Counter.Registry.counter t.counters name) n
 
 let host t = t.host
 let local_now t = Clock.now t.clock
@@ -89,7 +90,7 @@ let cancel_flush_timer entry =
 let drop_entry t file =
   match Hashtbl.find_opt t.cache file with
   | Some entry ->
-    if entry.dirty > 0 then bump_by t "writes-lost" entry.dirty;
+    t.writes_lost <- t.writes_lost + entry.dirty;
     cancel_flush_timer entry;
     Hashtbl.remove t.cache file
   | None -> ()
@@ -103,7 +104,7 @@ let client_expiry t ~from ~term =
 
 let rec start_flush t file entry =
   if t.up && entry.flushing = None && entry.dirty > 0 then begin
-    bump t "flushes-sent";
+    t.flushes_sent <- t.flushes_sent + 1;
     let req = Netsim.Rpc_table.fresh_req t.rpcs in
     entry.flushing <- Some (req, entry.dirty);
     Netsim.Rpc_table.start t.rpcs ~req ~dst:t.server
@@ -138,7 +139,7 @@ let rec read t file ~k =
   else begin
     match Hashtbl.find_opt t.cache file with
     | Some entry when lease_valid t entry ->
-      bump t "hits";
+      t.hits <- t.hits + 1;
       k
         {
           r_version = entry.version;
@@ -147,7 +148,7 @@ let rec read t file ~k =
           r_dirty = entry.dirty > 0;
         }
     | Some _ | None ->
-      bump t "misses";
+      t.misses <- t.misses + 1;
       (* an expired entry, dirty or not, is dead weight: a rejected flush
          would lose the writes anyway, so count and drop them now *)
       drop_entry t file;
@@ -205,7 +206,7 @@ let install_grant t file ~version ~mode ~term ~epoch =
   entry
 
 let answer_recall t file recall =
-  bump t "recalls-answered";
+  t.recalls_answered <- t.recalls_answered + 1;
   send_to_server t (Wmessages.Recall_reply { recall; file })
 
 let handle_message t (envelope : Wmessages.payload Netsim.Net.envelope) =
@@ -294,7 +295,7 @@ let on_crash t =
   t.up <- false;
   Hashtbl.iter
     (fun _ entry ->
-      if entry.dirty > 0 then bump_by t "writes-lost" entry.dirty;
+      t.writes_lost <- t.writes_lost + entry.dirty;
       cancel_flush_timer entry)
     t.cache;
   Hashtbl.reset t.cache;
@@ -302,7 +303,6 @@ let on_crash t =
   File_gate.reset t.gate
 
 let create ~engine ~clock ~net ~liveness ~host ~server ~skew_allowance () =
-  let counters = Stats.Counter.Registry.create () in
   let t =
     {
       engine;
@@ -311,12 +311,14 @@ let create ~engine ~clock ~net ~liveness ~host ~server ~skew_allowance () =
       host;
       server;
       skew_allowance;
-      counters;
+      hits = 0;
+      misses = 0;
+      flushes_sent = 0;
+      writes_lost = 0;
+      recalls_answered = 0;
       cache = Hashtbl.create 128;
       rpcs =
-        Netsim.Rpc_table.create ~net ~host ~retry_max:Netsim.Rpc_table.retry_interval
-          ~retransmissions:(Stats.Counter.Registry.counter counters "retransmissions")
-          ();
+        Netsim.Rpc_table.create ~net ~host ~retry_max:Netsim.Rpc_table.retry_interval ();
       gate = File_gate.create ();
       up = true;
     }
@@ -328,11 +330,9 @@ let create ~engine ~clock ~net ~liveness ~host ~server ~skew_allowance () =
     ();
   t
 
-let find t name = Stats.Counter.Registry.find t.counters name
-
-let hits t = find t "hits"
-let misses t = find t "misses"
-let flushes_sent t = find t "flushes-sent"
-let writes_lost t = find t "writes-lost"
-let recalls_answered t = find t "recalls-answered"
-let retransmissions t = find t "retransmissions"
+let hits t = t.hits
+let misses t = t.misses
+let flushes_sent t = t.flushes_sent
+let writes_lost t = t.writes_lost
+let recalls_answered t = t.recalls_answered
+let retransmissions t = Netsim.Rpc_table.retransmissions t.rpcs

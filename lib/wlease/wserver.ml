@@ -18,7 +18,11 @@ type t = {
   host : Host_id.t;
   store : Vstore.Store.t;
   term : Time.Span.t;
-  counters : Stats.Counter.Registry.t;
+  messages : Leases.Messages.tally;
+  mutable commits : int;
+  mutable recalls_sent : int;
+  mutable flushes_accepted : int;
+  mutable flushes_rejected : int;
   grant_wait : Stats.Histogram.t;
   files : (File_id.t, file_state) Hashtbl.t;
   recalls : (t, acquisition, Wmessages.mode * Wmessages.epoch) Leases.Approval.t;
@@ -33,14 +37,14 @@ type t = {
   mutable up : bool;
 }
 
-let count t name = Stats.Counter.incr (Stats.Counter.Registry.counter t.counters name)
+(* Acquire traffic is booked as extensions, recalls as approvals and
+   flushes as write transfers. *)
+let category : Wmessages.payload -> Leases.Messages.category = function
+  | Acquire_request _ | Acquire_reply _ -> Extension
+  | Recall_request _ | Recall_reply _ -> Approval
+  | Flush_request _ | Flush_reply _ -> Write_transfer
 
-let classify = function
-  | Wmessages.Acquire_request _ | Wmessages.Acquire_reply _ -> "msgs/extension"
-  | Wmessages.Recall_request _ | Wmessages.Recall_reply _ -> "msgs/recall"
-  | Wmessages.Flush_request _ | Wmessages.Flush_reply _ -> "msgs/flush"
-
-let count_msg t payload = count t (classify payload)
+let count_msg t payload = Leases.Messages.count t.messages (category payload)
 
 let send t ~dst payload =
   count_msg t payload;
@@ -141,7 +145,7 @@ let start_acquire t file ~src ~req (a : acquisition) =
       ~deadline:(Leases.Lease.at latest)
 
 let send_recalls t file ~id holders =
-  count t "recalls-sent";
+  t.recalls_sent <- t.recalls_sent + 1;
   multicast t ~dsts:holders (Wmessages.Recall_request { recall = id; file })
 
 (* A holder that answers is out; so is one whose lease expired on our
@@ -187,17 +191,16 @@ let handle_flush t ~src ~req file epoch local_writes =
         for _ = 1 to local_writes do
           version := Vstore.Store.commit t.store file ~at:(Engine.now t.engine)
         done;
-        count t "commits-batches";
-        Stats.Counter.add (Stats.Counter.Registry.counter t.counters "commits") local_writes;
+        t.commits <- t.commits + local_writes;
         Some (!version, renew ())
       end
       else if valid then Some (Vstore.Store.current t.store file, renew ())
       else begin
-        count t "flushes-rejected";
+        t.flushes_rejected <- t.flushes_rejected + 1;
         None
       end
     in
-    if accepted <> None then count t "flushes-accepted";
+    if accepted <> None then t.flushes_accepted <- t.flushes_accepted + 1;
     Leases.Answers.replace t.applied_flushes (src, req) accepted;
     send t ~dst:src (Wmessages.Flush_reply { req; file; accepted })
 
@@ -241,7 +244,11 @@ let create ~engine ~clock ~net ~liveness ~host ~store ~term () =
       host;
       store;
       term;
-      counters = Stats.Counter.Registry.create ();
+      messages = Leases.Messages.tally ();
+      commits = 0;
+      recalls_sent = 0;
+      flushes_accepted = 0;
+      flushes_rejected = 0;
       grant_wait = Stats.Histogram.create ();
       files = Hashtbl.create 64;
       recalls =
@@ -263,13 +270,9 @@ let create ~engine ~clock ~net ~liveness ~host ~store ~term () =
 
 let host t = t.host
 
-let find t name = Stats.Counter.Registry.find t.counters name
-
-let commits t = find t "commits"
-let recalls_sent t = find t "recalls-sent"
-let flushes_accepted t = find t "flushes-accepted"
-let flushes_rejected t = find t "flushes-rejected"
-let messages_extension t = find t "msgs/extension"
-let messages_recall t = find t "msgs/recall"
-let messages_flush t = find t "msgs/flush"
+let messages t = t.messages
+let commits t = t.commits
+let recalls_sent t = t.recalls_sent
+let flushes_accepted t = t.flushes_accepted
+let flushes_rejected t = t.flushes_rejected
 let grant_wait t = t.grant_wait

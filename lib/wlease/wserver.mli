@@ -34,14 +34,13 @@ val host : t -> Host.Host_id.t
 
 (** {2 Introspection} *)
 
+val messages : t -> Leases.Messages.tally
+(** Every message the server sent or handled: acquire traffic as
+    [Extension], recalls as [Approval] and flushes as [Write_transfer]. *)
+
 val commits : t -> int
 val recalls_sent : t -> int
 val flushes_accepted : t -> int
 val flushes_rejected : t -> int
-val messages_extension : t -> int
-(** Acquire traffic handled (sent or received). *)
-
-val messages_recall : t -> int
-val messages_flush : t -> int
 val grant_wait : t -> Stats.Histogram.t
 (** Seconds from a conflicting acquisition's arrival to its grant. *)

@@ -54,20 +54,12 @@ let run (setup : Leases.Sim.setup) ~trace =
   in
   Leases.Cluster.run w ~until:(Leases.Cluster.horizon trace ~drain:setup.drain);
   let sum f = Array.fold_left (fun acc c -> acc + f c) 0 clients in
-  let ext = Wserver.messages_extension server in
-  let recall = Wserver.messages_recall server in
-  let flush = Wserver.messages_flush server in
   let metrics =
     Leases.Cluster.metrics ~write_over_rtt:false w tally (fun m ->
         {
-          m with
+          (Leases.Metrics.add_messages (Wserver.messages server) m) with
           Leases.Metrics.cache_hits = sum Wclient.hits;
           cache_misses = sum Wclient.misses;
-          msgs_extension = ext;
-          msgs_approval = recall;
-          msgs_write_transfer = flush;
-          consistency_msgs = ext + recall;
-          server_total_msgs = ext + recall + flush;
           callbacks_sent = Wserver.recalls_sent server;
           commits = Wserver.commits server;
           write_wait = Wserver.grant_wait server;

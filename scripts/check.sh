@@ -141,6 +141,22 @@ dune exec bin/simulate.exe -- -p leases -t 10 -n 1 -d 1500 -s 7 \
   --trace "$tmp/leases_telemetry_smoke.jsonl" > /dev/null
 dune exec bin/tracedump.exe -- "$tmp/leases_telemetry_smoke.jsonl" --check-only
 dune exec bin/telemetry_view.exe -- "$tmp/leases_telemetry.json" --gate-residual 0.25
+# The same run's CSV export must carry one data row per window of the JSON
+# report, with the same index, read, hit, miss and commit counts.
+dune exec bin/simulate.exe -- -p leases -t 10 -n 1 -d 1500 -s 7 \
+  --telemetry 30 --telemetry-out "$tmp/leases_telemetry.csv" --telemetry-format csv > /dev/null
+jq -r '.windows[] | [.index, .reads, .hits, .misses, .commits] | map(tostring) | join(",")' \
+  "$tmp/leases_telemetry.json" > "$tmp/leases_telemetry_json_rows.txt"
+tail -n +2 "$tmp/leases_telemetry.csv" | cut -d, -f1,4-7 > "$tmp/leases_telemetry_csv_rows.txt"
+windows=$(jq '.windows | length' "$tmp/leases_telemetry.json")
+rows=$(wc -l < "$tmp/leases_telemetry_csv_rows.txt")
+if [ "$windows" -eq 0 ] || [ "$rows" -ne "$windows" ] \
+  || ! cmp -s "$tmp/leases_telemetry_json_rows.txt" "$tmp/leases_telemetry_csv_rows.txt"; then
+  echo "the CSV export has $rows data rows for the JSON report's $windows windows, or their counts differ:" >&2
+  diff "$tmp/leases_telemetry_json_rows.txt" "$tmp/leases_telemetry_csv_rows.txt" >&2 || true
+  exit 1
+fi
+echo "$rows CSV rows = $windows JSON windows"
 
 echo "== latency conservation gate =="
 # A seeded lossy run with the critical-path analyzer attached: every

@@ -176,7 +176,9 @@ let test_ttl_zero_equivalence () =
    (which the baselines, keeping no clocks, ignore), so a refactor that
    moves an emission, a timer or an engine sequence number shows up even
    where every metric and figure stays the same.  Each pin is the event
-   count and the MD5 of the "\n"-joined encoded lines. *)
+   count, the MD5 of the "\n"-joined encoded lines and the MD5 of
+   [Metrics.to_json]: the trace carries none of the server's message,
+   commit, poll or break counts. *)
 
 let capture () =
   let lines = ref [] in
@@ -199,37 +201,45 @@ let pin_faults () =
       "client-drift=1,50,0.5";
     ]
 
-let check_pin name ~events ~md5 lines =
+let check_pin name ~events ~md5 ~metrics_md5 lines (m : Leases.Metrics.t) =
+  let digest s = Digest.to_hex (Digest.string s) in
   Alcotest.(check int) (name ^ ": event count") events (List.length lines);
-  Alcotest.(check string) (name ^ ": stream digest") md5
-    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+  Alcotest.(check string) (name ^ ": stream digest") md5 (digest (String.concat "\n" lines));
+  Alcotest.(check string) (name ^ ": metrics digest") metrics_md5
+    (digest (Leases.Metrics.to_json m))
 
 let pin_trace () = v_trace ~seed:23L ~clients:5 600.
 
 let test_pin_callback () =
   let tracer, lines = capture () in
-  ignore
-    (Baselines.Callback.run ~poll_period:(span 120.)
-       { (setup 5) with Leases.Sim.loss = 0.05; faults = pin_faults (); tracer }
-       ~trace:(pin_trace ()));
-  check_pin "callback" ~events:11_112 ~md5:"581bb5ff10d5a444f66c463b79888e9a" (lines ())
+  let o =
+    Baselines.Callback.run ~poll_period:(span 120.)
+      { (setup 5) with Leases.Sim.loss = 0.05; faults = pin_faults (); tracer }
+      ~trace:(pin_trace ())
+  in
+  check_pin "callback" ~events:11_112 ~md5:"581bb5ff10d5a444f66c463b79888e9a"
+    ~metrics_md5:"97a0fd6980abc03fc7138cbb3a0e5010" (lines ()) o.Leases.Sim.metrics
 
 let test_pin_ttl () =
   let tracer, lines = capture () in
-  ignore
-    (Baselines.Ttl_hints.run
-       { (setup 5) with Leases.Sim.loss = 0.05; faults = pin_faults (); tracer }
-       ~trace:(pin_trace ()));
-  check_pin "ttl" ~events:24_932 ~md5:"514942d76e9331cad2bf6088c9141c42" (lines ())
+  let o =
+    Baselines.Ttl_hints.run
+      { (setup 5) with Leases.Sim.loss = 0.05; faults = pin_faults (); tracer }
+      ~trace:(pin_trace ())
+  in
+  check_pin "ttl" ~events:24_932 ~md5:"514942d76e9331cad2bf6088c9141c42"
+    ~metrics_md5:"de9876411fb840f8ba9a66056517d08d" (lines ()) o.Leases.Sim.metrics
 
 let test_pin_zero_term_lease () =
   let tracer, lines = capture () in
-  ignore
-    (Experiments.Runner.run_lease
-       { (Experiments.Runner.lease_setup ~n_clients:5 ~term:(Analytic.Model.Finite 0.) ()) with
-         Leases.Sim.loss = 0.05; faults = pin_faults (); tracer }
-       (pin_trace ()));
-  check_pin "zero-term lease" ~events:28_302 ~md5:"cd5139794efd0e2c48133090c6196547" (lines ())
+  let m =
+    Experiments.Runner.run_lease
+      { (Experiments.Runner.lease_setup ~n_clients:5 ~term:(Analytic.Model.Finite 0.) ()) with
+        Leases.Sim.loss = 0.05; faults = pin_faults (); tracer }
+      (pin_trace ())
+  in
+  check_pin "zero-term lease" ~events:28_302 ~md5:"cd5139794efd0e2c48133090c6196547"
+    ~metrics_md5:"08dcbacfa3f04d45fda8e272f0dd7216" (lines ()) m
 
 (* --- negative controls ------------------------------------------------------ *)
 

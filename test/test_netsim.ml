@@ -311,21 +311,19 @@ let table ?jitter ~retry_max () =
   (* a send reaches host 1 one transit later, so arrivals are spaced as
      the sends are *)
   Netsim.Net.register net (host 1) (fun _ -> sends := Engine.now engine :: !sends);
-  let retransmissions = Stats.Counter.Registry.counter (Stats.Counter.Registry.create ()) "r" in
   let t =
-    Netsim.Rpc_table.create ~net ~host:(host 0) ~retry_max:(Time.Span.of_sec retry_max) ?jitter
-      ~retransmissions ()
+    Netsim.Rpc_table.create ~net ~host:(host 0) ~retry_max:(Time.Span.of_sec retry_max) ?jitter ()
   in
-  (engine, t, sends, retransmissions)
+  (engine, t, sends)
 
 (* The waits, in us, between the first [n] sends of one unanswered call. *)
 let retry_waits ?jitter ~retry_max n =
-  let engine, t, sends, retransmissions = table ?jitter ~retry_max () in
+  let engine, t, sends = table ?jitter ~retry_max () in
   Netsim.Rpc_table.start t ~req:(Netsim.Rpc_table.fresh_req t) ~dst:(host 1) () "req";
   while List.length !sends < n do
     ignore (Engine.step engine)
   done;
-  Alcotest.(check int) "every re-send counted" (n - 1) (Stats.Counter.value retransmissions);
+  Alcotest.(check int) "every re-send counted" (n - 1) (Netsim.Rpc_table.retransmissions t);
   let rec waits = function
     | later :: (earlier :: _ as rest) -> (Time.to_us later - Time.to_us earlier) :: waits rest
     | [] | [ _ ] -> []
@@ -355,7 +353,7 @@ let test_jittered_backoff () =
 
 (* Finishing a call or forgetting them all leaves no timer on the heap. *)
 let test_no_timer_left () =
-  let engine, t, _, retransmissions = table ~retry_max:1. () in
+  let engine, t, _ = table ~retry_max:1. () in
   let start () =
     Netsim.Rpc_table.start t ~req:(Netsim.Rpc_table.fresh_req t) ~dst:(host 1) () "req"
   in
@@ -373,7 +371,7 @@ let test_no_timer_left () =
   Alcotest.(check int) "cancel_all cancels every timer" 0 (Engine.pending engine);
   Alcotest.(check int) "and forgets every call" 0 (Netsim.Rpc_table.length t);
   Engine.run engine;
-  Alcotest.(check int) "nothing is re-sent" 0 (Stats.Counter.value retransmissions)
+  Alcotest.(check int) "nothing is re-sent" 0 (Netsim.Rpc_table.retransmissions t)
 
 let () =
   Alcotest.run "netsim"

@@ -376,8 +376,7 @@ let test_unicast_approvals () =
   at rig 2. (fun () -> Leases.Client.write rig.clients.(0) (file 0) ~k:(fun _ -> ()));
   Engine.run rig.engine;
   (* 2(S-1) approval messages: one request per holder plus each reply *)
-  Alcotest.(check int) "2(S-1) approval messages" 4
-    (Leases.Server.messages_handled rig.server Leases.Messages.Approval);
+  Alcotest.(check int) "2(S-1) approval messages" 4 (Leases.Server.messages rig.server).approval;
   Alcotest.(check int) "write committed" 1 (Leases.Server.commits rig.server)
 
 let test_multicast_approvals_cheaper () =
@@ -387,8 +386,7 @@ let test_multicast_approvals_cheaper () =
   at rig 2. (fun () -> Leases.Client.write rig.clients.(0) (file 0) ~k:(fun _ -> ()));
   Engine.run rig.engine;
   (* S messages: one multicast plus S-1 replies *)
-  Alcotest.(check int) "S approval messages" 3
-    (Leases.Server.messages_handled rig.server Leases.Messages.Approval)
+  Alcotest.(check int) "S approval messages" 3 (Leases.Server.messages rig.server).approval
 
 let test_wait_only_writes () =
   let config = { Leases.Config.default with Leases.Config.callback_on_write = false } in
@@ -460,6 +458,10 @@ let test_server_crash_recovery_wait () =
   Alcotest.(check bool) "server reports recovering during the window" false
     (Leases.Server.recovering rig.server)
 
+(* The server's message counts as a run reports them. *)
+let report rig =
+  Leases.Metrics.add_messages (Leases.Server.messages rig.server) (Leases.Metrics.zero ())
+
 let test_consistency_message_accounting () =
   let rig = make_rig () in
   at rig 1. (fun () -> read_into rig 0 (file 0) (ref []));
@@ -468,14 +470,11 @@ let test_consistency_message_accounting () =
   Engine.run rig.engine;
   (* 2 reads -> 4 extension msgs; 1 approval multicast + 1 reply -> 2;
      write req + rep -> 2 *)
-  Alcotest.(check int) "extension msgs" 4
-    (Leases.Server.messages_handled rig.server Leases.Messages.Extension);
-  Alcotest.(check int) "approval msgs" 2
-    (Leases.Server.messages_handled rig.server Leases.Messages.Approval);
-  Alcotest.(check int) "write transfer msgs" 2
-    (Leases.Server.messages_handled rig.server Leases.Messages.Write_transfer);
-  Alcotest.(check int) "consistency = ext + approval" 6
-    (Leases.Server.consistency_messages rig.server)
+  let m = report rig in
+  Alcotest.(check int) "extension msgs" 4 m.Leases.Metrics.msgs_extension;
+  Alcotest.(check int) "approval msgs" 2 m.Leases.Metrics.msgs_approval;
+  Alcotest.(check int) "write transfer msgs" 2 m.Leases.Metrics.msgs_write_transfer;
+  Alcotest.(check int) "consistency = ext + approval" 6 m.Leases.Metrics.consistency_msgs
 
 let test_messages_counted_at_server_both_directions () =
   (* The per-class counters sit at the server and count both directions:
@@ -487,19 +486,16 @@ let test_messages_counted_at_server_both_directions () =
      the reply can land (~t=1.003) *)
   at rig 1.002 (fun () -> Host.Liveness.crash rig.liveness (Host.Host_id.of_int 1));
   Engine.run rig.engine;
+  let m = report rig in
   Alcotest.(check int) "request in + reply out = 2 extension msgs" 2
-    (Leases.Server.messages_handled rig.server Leases.Messages.Extension);
+    m.Leases.Metrics.msgs_extension;
   Alcotest.(check int) "the reply really was dropped" 1 (Netsim.Net.dropped_down rig.net);
   let by_class =
-    List.fold_left
-      (fun acc c -> acc + Leases.Server.messages_handled rig.server c)
-      0
-      [ Leases.Messages.Extension; Approval; Installed; Write_transfer ]
+    Leases.Metrics.(m.msgs_extension + m.msgs_approval + m.msgs_installed + m.msgs_write_transfer)
   in
-  Alcotest.(check int) "total = sum over classes" by_class
-    (Leases.Server.messages_handled_total rig.server);
+  Alcotest.(check int) "total = sum over classes" by_class m.Leases.Metrics.server_total_msgs;
   Alcotest.(check int) "consistency counts extension + approval only" 2
-    (Leases.Server.consistency_messages rig.server)
+    m.Leases.Metrics.consistency_msgs
 
 let test_cache_eviction_reclaims_expired_entries () =
   (* Regression: expired entries used to sit in the client cache forever —

@@ -1,68 +1,5 @@
-(* Unit tests for the stats substrate: counters, histograms, series and
-   table rendering. *)
-
-let test_counter_basics () =
-  let registry = Stats.Counter.Registry.create () in
-  let c = Stats.Counter.Registry.counter registry "reads" in
-  Stats.Counter.incr c;
-  Stats.Counter.add c 4;
-  Alcotest.(check int) "value" 5 (Stats.Counter.value c);
-  Alcotest.(check string) "name" "reads" (Stats.Counter.name c);
-  Alcotest.(check int) "find" 5 (Stats.Counter.Registry.find registry "reads");
-  Alcotest.(check int) "find missing = 0" 0 (Stats.Counter.Registry.find registry "absent");
-  Alcotest.check_raises "monotonic" (Invalid_argument "Counter.add: counters are monotonic")
-    (fun () -> Stats.Counter.add c (-1))
-
-let test_counter_identity () =
-  let registry = Stats.Counter.Registry.create () in
-  let a = Stats.Counter.Registry.counter registry "x" in
-  let b = Stats.Counter.Registry.counter registry "x" in
-  Stats.Counter.incr a;
-  Alcotest.(check int) "same counter under one name" 1 (Stats.Counter.value b)
-
-let test_counter_listing () =
-  let registry = Stats.Counter.Registry.create () in
-  Stats.Counter.add (Stats.Counter.Registry.counter registry "b") 2;
-  Stats.Counter.add (Stats.Counter.Registry.counter registry "a") 1;
-  Alcotest.(check (list (pair string int))) "sorted by name" [ ("a", 1); ("b", 2) ]
-    (Stats.Counter.Registry.to_list registry);
-  Stats.Counter.Registry.reset registry;
-  Alcotest.(check (list (pair string int))) "reset" [ ("a", 0); ("b", 0) ]
-    (Stats.Counter.Registry.to_list registry)
-
-(* Registry listings must be deterministically ordered and byte-stable
-   regardless of registration order: the telemetry sampler merges the
-   sorted cells of several registries into one namespace. *)
-let test_counter_dump () =
-  let build names =
-    let registry = Stats.Counter.Registry.create () in
-    List.iteri
-      (fun i name -> Stats.Counter.add (Stats.Counter.Registry.counter registry name) (i + 1))
-      names;
-    registry
-  in
-  let a = build [ "zeta"; "alpha"; "mid" ] in
-  let cells registry =
-    List.map
-      (fun c -> (Stats.Counter.name c, Stats.Counter.value c))
-      (Stats.Counter.Registry.counters registry)
-  in
-  Alcotest.(check (list (pair string int))) "cells sorted by name"
-    [ ("alpha", 2); ("mid", 3); ("zeta", 1) ]
-    (cells a);
-  Alcotest.(check (list (pair string int))) "cells = to_list"
-    (Stats.Counter.Registry.to_list a)
-    (cells a);
-  (* same counters registered in a different order list identically *)
-  let b = build [ "mid"; "zeta"; "alpha" ] in
-  Stats.Counter.Registry.reset a;
-  Stats.Counter.Registry.reset b;
-  List.iter
-    (fun name ->
-      Stats.Counter.add (Stats.Counter.Registry.counter a name) 7;
-      Stats.Counter.add (Stats.Counter.Registry.counter b name) 7)
-    [ "alpha"; "mid"; "zeta" ];
-  Alcotest.(check (list (pair string int))) "registration order irrelevant" (cells a) (cells b)
+(* Unit tests for the stats substrate: histograms, series and table
+   rendering. *)
 
 let test_histogram_quantiles () =
   let h = Stats.Histogram.create () in
@@ -371,13 +308,6 @@ let test_table_of_series () =
 let () =
   Alcotest.run "stats"
     [
-      ( "counter",
-        [
-          Alcotest.test_case "basics" `Quick test_counter_basics;
-          Alcotest.test_case "identity" `Quick test_counter_identity;
-          Alcotest.test_case "listing" `Quick test_counter_listing;
-          Alcotest.test_case "dump determinism" `Quick test_counter_dump;
-        ] );
       ( "histogram",
         [
           Alcotest.test_case "quantiles" `Quick test_histogram_quantiles;
