@@ -239,7 +239,7 @@ let run ~who (setup : Leases.Sim.setup) ~server ~client ~messages ~report ~trace
     Leases.Cluster.metrics w tally (fun m ->
         report srv
           {
-            (Leases.Metrics.add_messages (messages srv) m) with
+            (Leases.Metrics.with_messages [| messages srv |] m) with
             Leases.Metrics.cache_hits = sum (fun c -> c.hits);
             cache_misses = sum (fun c -> c.misses);
             retransmissions = sum (fun c -> Netsim.Rpc_table.retransmissions c.rpcs);

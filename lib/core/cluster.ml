@@ -345,7 +345,6 @@ let metrics ?(write_over_rtt = true) (w : _ fabric) (t : tally) protocol =
   derive ~rtt_s
     (protocol
        {
-         (Metrics.zero ()) with
          Metrics.sim_duration = Time.Span.to_sec (Time.Span.since_epoch (Engine.now w.engine));
          ops_issued = t.ops_issued;
          reads_completed = reads;
@@ -361,4 +360,26 @@ let metrics ?(write_over_rtt = true) (w : _ fabric) (t : tally) protocol =
          oracle_reads = Oracle.Register_oracle.reads_checked oracle;
          oracle_violations = Oracle.Register_oracle.violations oracle;
          staleness = Oracle.Register_oracle.staleness oracle;
+         (* the protocol's own counters, filled in by [protocol] *)
+         cache_hits = 0;
+         cache_misses = 0;
+         msgs_extension = 0;
+         msgs_approval = 0;
+         msgs_installed = 0;
+         msgs_write_transfer = 0;
+         consistency_msgs = 0;
+         server_total_msgs = 0;
+         callbacks_sent = 0;
+         commits = 0;
+         wal_io = 0;
+         write_wait = Stats.Histogram.create ();
+         retransmissions = 0;
+         renewals_sent = 0;
+         approvals_answered = 0;
+         (* recomputed by [derive] *)
+         hit_ratio = 0.;
+         consistency_msg_rate = 0.;
+         mean_read_delay = 0.;
+         mean_write_delay_added = 0.;
+         mean_op_delay = 0.;
        })

@@ -76,7 +76,7 @@ type tally = private {
 }
 (** Messages counted by {!category}: everything one server sent or
     handled, a multicast once.  Every server of every protocol keeps one,
-    and {!Metrics.add_messages} reports it. *)
+    and {!Metrics.with_messages} reports it. *)
 
 val tally : unit -> tally
 (** All four counts at zero. *)

@@ -36,55 +36,19 @@ type t = {
   staleness : Stats.Histogram.t;
 }
 
-let zero () =
-  {
-    sim_duration = 0.;
-    ops_issued = 0;
-    reads_completed = 0;
-    writes_completed = 0;
-    temp_ops = 0;
-    dropped_ops = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    hit_ratio = 0.;
-    msgs_extension = 0;
-    msgs_approval = 0;
-    msgs_installed = 0;
-    msgs_write_transfer = 0;
-    consistency_msgs = 0;
-    server_total_msgs = 0;
-    consistency_msg_rate = 0.;
-    callbacks_sent = 0;
-    commits = 0;
-    wal_io = 0;
-    read_latency = Stats.Histogram.create ();
-    write_latency = Stats.Histogram.create ();
-    write_wait = Stats.Histogram.create ();
-    mean_read_delay = 0.;
-    mean_write_delay_added = 0.;
-    mean_op_delay = 0.;
-    retransmissions = 0;
-    renewals_sent = 0;
-    approvals_answered = 0;
-    net_sent = 0;
-    net_dropped_loss = 0;
-    net_dropped_partition = 0;
-    net_dropped_down = 0;
-    oracle_reads = 0;
-    oracle_violations = 0;
-    staleness = Stats.Histogram.create ();
-  }
-
-let add_messages (tally : Messages.tally) m =
-  let consistency = tally.extension + tally.approval + tally.installed in
+let with_messages (tallies : Messages.tally array) m =
+  let sum count = Array.fold_left (fun acc tally -> acc + count tally) 0 tallies in
+  let ext = sum (fun t -> t.Messages.extension) and app = sum (fun t -> t.Messages.approval) in
+  let inst = sum (fun t -> t.Messages.installed) in
+  let wt = sum (fun t -> t.Messages.write_transfer) in
   {
     m with
-    msgs_extension = m.msgs_extension + tally.extension;
-    msgs_approval = m.msgs_approval + tally.approval;
-    msgs_installed = m.msgs_installed + tally.installed;
-    msgs_write_transfer = m.msgs_write_transfer + tally.write_transfer;
-    consistency_msgs = m.consistency_msgs + consistency;
-    server_total_msgs = m.server_total_msgs + consistency + tally.write_transfer;
+    msgs_extension = ext;
+    msgs_approval = app;
+    msgs_installed = inst;
+    msgs_write_transfer = wt;
+    consistency_msgs = ext + app + inst;
+    server_total_msgs = ext + app + inst + wt;
   }
 
 let pp ppf m =

@@ -46,16 +46,12 @@ type t = {
   staleness : Stats.Histogram.t;
 }
 
-val zero : unit -> t
-(** Every count and figure zero, every histogram fresh and empty: what a
-    run fills in. *)
-
-val add_messages : Messages.tally -> t -> t
-(** [m] with one server's tally added to its message counts: the four
-    [msgs_*] by category, [consistency_msgs] the extension, approval and
-    installed ones (the paper's consistency load) and [server_total_msgs]
-    all four.  On {!zero}'s counts one call fills them; a run with several
-    servers adds each one's. *)
+val with_messages : Messages.tally array -> t -> t
+(** [m] with its message counts those of the servers' tallies, summed: the
+    four [msgs_*] by category, [consistency_msgs] the extension, approval
+    and installed ones (the paper's consistency load) and
+    [server_total_msgs] all four.  Every run reports its servers' messages
+    through it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable summary. *)

@@ -124,9 +124,8 @@ let metrics w tally =
   let write_wait = Stats.Histogram.create () in
   Array.iter (fun s -> Stats.Histogram.merge write_wait (Server.write_wait s)) w.servers;
   Cluster.metrics w.fabric tally (fun m ->
-      let m = Array.fold_left (fun m s -> Metrics.add_messages (Server.messages s) m) m w.servers in
       {
-        m with
+        (Metrics.with_messages (Array.map Server.messages w.servers) m) with
         Metrics.cache_hits = clients Client.hits;
         cache_misses = clients Client.misses;
         callbacks_sent = servers Server.callbacks_sent;

@@ -72,8 +72,8 @@ let config_for_shard setup map s =
         (if files = [] then None else Some { inst with Leases.Config.files });
     }
 
-let load_of_server ~shard ~sim_duration server =
-  let m = Leases.Metrics.add_messages (Leases.Server.messages server) (Leases.Metrics.zero ()) in
+let load_of_server ~shard ~metrics server =
+  let m = Leases.Metrics.with_messages [| Leases.Server.messages server |] metrics in
   {
     sl_shard = shard;
     sl_host = Host_id.to_int (server_host shard);
@@ -84,7 +84,7 @@ let load_of_server ~shard ~sim_duration server =
     sl_total_msgs = m.server_total_msgs;
     sl_commits = Leases.Server.commits server;
     sl_consistency_rate =
-      (if sim_duration <= 0. then 0. else float_of_int m.consistency_msgs /. sim_duration);
+      (if m.sim_duration <= 0. then 0. else float_of_int m.consistency_msgs /. m.sim_duration);
   }
 
 (* The [Sim] setup of one lease world of this deployment: the shared-fabric
@@ -126,10 +126,9 @@ let run setup ~trace =
       ~until:(Leases.Cluster.horizon trace ~drain:setup.drain)
       trace
   in
-  let sim_duration = metrics.Leases.Metrics.sim_duration in
   {
     metrics;
-    per_shard = Array.mapi (fun s server -> load_of_server ~shard:s ~sim_duration server) w.servers;
+    per_shard = Array.mapi (fun s server -> load_of_server ~shard:s ~metrics server) w.servers;
     map;
     oracle = w.oracle;
     store = w.store;
@@ -181,8 +180,7 @@ let run_split_part setup ~map ~rng ~horizon ~part_trace ~shard:s =
   in
   {
     r_part = { p_metrics = metrics };
-    r_load =
-      load_of_server ~shard:s ~sim_duration:metrics.Leases.Metrics.sim_duration w.servers.(0);
+    r_load = load_of_server ~shard:s ~metrics w.servers.(0);
     r_events = (match buf with Some b -> Trace.Sink.buffer_contents b | None -> []);
     r_rtt_s = Time.Span.to_sec (Netsim.Net.unicast_rtt w.fabric.Leases.Cluster.net);
   }

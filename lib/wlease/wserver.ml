@@ -37,8 +37,6 @@ type t = {
   mutable up : bool;
 }
 
-(* Acquire traffic is booked as extensions, recalls as approvals and
-   flushes as write transfers. *)
 let category : Wmessages.payload -> Leases.Messages.category = function
   | Acquire_request _ | Acquire_reply _ -> Extension
   | Recall_request _ | Recall_reply _ -> Approval

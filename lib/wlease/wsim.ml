@@ -57,7 +57,7 @@ let run (setup : Leases.Sim.setup) ~trace =
   let metrics =
     Leases.Cluster.metrics ~write_over_rtt:false w tally (fun m ->
         {
-          (Leases.Metrics.add_messages (Wserver.messages server) m) with
+          (Leases.Metrics.with_messages [| Wserver.messages server |] m) with
           Leases.Metrics.cache_hits = sum Wclient.hits;
           cache_misses = sum Wclient.misses;
           callbacks_sent = Wserver.recalls_sent server;
