@@ -69,9 +69,8 @@ let finish_telemetry samplers ~params ~shards ~telemetry_out ~telemetry_format ~
     (fun path ->
       match telemetry_format with
       | "json" ->
-        let oc = open_out path in
-        Telemetry.Report.output_json oc ~params samplers.(0);
-        close_out oc
+        Out_channel.with_open_text path (fun oc ->
+            Telemetry.Report.output_json oc ~params samplers.(0))
       | "csv" -> write_file path (Telemetry.Report.to_csv_string ~params samplers.(0))
       | other -> failwith (Printf.sprintf "unknown telemetry format %S (json|csv)" other))
     telemetry_out;

@@ -321,9 +321,7 @@ let test_export_golden () =
     (Digest.to_hex (Digest.string (Telemetry.Report.to_csv_string ~params sampler)));
   (* leases-sim streams the JSON export to its file *)
   let path = Filename.temp_file "leases_telemetry" ".json" in
-  let oc = open_out_bin path in
-  Telemetry.Report.output_json oc ~params sampler;
-  close_out oc;
+  Out_channel.with_open_bin path (fun oc -> Telemetry.Report.output_json oc ~params sampler);
   let streamed = In_channel.with_open_bin path In_channel.input_all in
   Sys.remove path;
   Alcotest.(check string) "streamed export = to_json_string"
